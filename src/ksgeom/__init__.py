@@ -4,12 +4,12 @@ Canonical sphere geometry, tangent-plane projection, constructive
 reachability with verifiable certificates, derivation traces mechanizing
 the value-propagation arguments, extraction of finite triad systems, and
 an exhaustive coloring checker that independently confirms the extracted
-systems admit no two-valued coloring.
+systems admit no two-valued coloring. The package is pure Python with no
+dependencies; the coloring search has a single kernel (ksgeom.kernels).
 """
 
 from .coloring import (
     ColoringResult,
-    PartialColoring,
     SolveMode,
     count_colorings_by_enumeration,
     is_valid_coloring,
@@ -66,7 +66,6 @@ __all__ = [
     "GreatCircle",
     "N_MAX",
     "NORTH_POLE",
-    "PartialColoring",
     "PlaneLine",
     "PlanePoint",
     "Ray",

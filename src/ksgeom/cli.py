@@ -13,7 +13,8 @@ Vector components accept plain numbers or simple expressions over sin, cos,
 tan, sqrt and pi, e.g. --pole 0,sin(0.3),cos(0.3). Unnormalized inputs are
 canonicalized with a warning once the norm strays more than 1e-6 from 1.
 Every library error maps to a fixed exit code (ksgeom.errors.EXIT_CODES);
-verification rejects exit 22 and unmet coloring expectations exit 23.
+verification rejects exit 22 and unmet coloring expectations exit 23. Bad
+invocations (an out-of-range --eps, an unreadable input file) exit 2.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REJECTED,
+    EXIT_USAGE,
     KsError,
     ParseError,
 )
@@ -104,14 +106,24 @@ def _warn(message: str, json_mode: bool) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
+class UsageError(Exception):
+    """Bad invocation found after argument parsing; exits EXIT_USAGE."""
+
+
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 @dataclass(frozen=True)
 class CommandConfig:
-    """Parsed per-command settings: tolerance, output, format, seed."""
+    """Parsed per-command settings: tolerance, output, format."""
 
     tol: Tolerance
     json_mode: bool
     out: str | None
-    seed: int
 
     @staticmethod
     def from_args(args: argparse.Namespace) -> "CommandConfig":
@@ -119,7 +131,6 @@ class CommandConfig:
             tol=Tolerance(args.eps),
             json_mode=bool(getattr(args, "json", False)),
             out=getattr(args, "out", None),
-            seed=getattr(args, "seed", 0),
         )
 
 
@@ -218,7 +229,7 @@ _MODES = {
 
 
 def cmd_color(args) -> int:
-    system = load_system(Path(args.file).read_text())
+    system = load_system(_read_input(args.file))
     result = solve(system, _MODES[args.mode])
     doc = {
         "mode": args.mode,
@@ -226,14 +237,13 @@ def cmd_color(args) -> int:
         "witness": list(result.witness) if result.witness is not None else None,
         "nodes_explored": result.nodes_explored,
         "exhaustive": result.exhaustive,
-        "backend": result.backend,
     }
     if args.json:
         print(json.dumps(doc, indent=1))
     else:
         print(
             f"{args.mode}: count={result.count} nodes={result.nodes_explored} "
-            f"exhaustive={result.exhaustive} backend={result.backend}"
+            f"exhaustive={result.exhaustive}"
         )
         if result.witness is not None and args.mode == "witness":
             print("witness:", "".join(str(v) for v in result.witness))
@@ -246,16 +256,18 @@ def cmd_color(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = CommandConfig.from_args(args)
-    cert = load_certificate(Path(args.file).read_text())
+    cert = load_certificate(_read_input(args.file))
     report = verify_certificate(cert, cfg.tol)
     if args.json:
         print(json.dumps(report_to_doc(report), indent=1))
     else:
         if report.accepted:
-            print(
-                f"accepted: {len(cert.points)} points, "
+            worst = (
                 f"max link residual {max(report.link_residuals):.3e}"
+                if report.link_residuals
+                else "no links"
             )
+            print(f"accepted: {len(cert.points)} points, {worst}")
         else:
             print("rejected:")
             for f in report.failures:
@@ -279,10 +291,18 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+def _eps(text: str) -> float:
+    try:
+        return Tolerance(float(text)).eps
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a number in (0, 1e-3), got {text!r}"
+        ) from None
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps", type=float, default=TOL.eps, help="tolerance (default 1e-9)")
+    p.add_argument("--eps", type=_eps, default=TOL.eps, help="tolerance (default 1e-9)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized batches")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,20 +357,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_error(exc: Exception, args: argparse.Namespace) -> None:
+    if getattr(args, "json", False):
+        print(
+            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
+            file=sys.stderr,
+        )
+    else:
+        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except KsError as exc:
-        if getattr(args, "json", False):
-            print(
-                json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-                file=sys.stderr,
-            )
-        else:
-            print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        _report_error(exc, args)
         return exc.exit_code
+    except UsageError as exc:
+        _report_error(exc, args)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error [ValueError]: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

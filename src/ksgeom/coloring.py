@@ -1,9 +1,10 @@
 """Exhaustive search over two-valued colorings of a triad system.
 
 A coloring gives every ray 0 or 1 with exactly one 1 per triad and never
-two 1s on an orthogonal pair. solve() is the production search (backed by
-the kernel selected in ksgeom.kernels); the *_by_enumeration functions are
-deliberately naive, separately coded oracles used to cross-check it.
+two 1s on an orthogonal pair. solve() is the production search (the
+backtracking kernel in ksgeom.kernels); count_colorings_by_enumeration and
+refute_by_core_enumeration are deliberately naive, separately coded
+oracles used to cross-check it.
 """
 
 from __future__ import annotations
@@ -31,47 +32,21 @@ _MODE_TO_KERNEL = {
 
 
 @dataclass(frozen=True)
-class PartialColoring:
-    """Assignment map with None for unassigned rays."""
-
-    assignment: tuple[int | None, ...]
-
-    def violates(self, s: TriadSystem) -> bool:
-        a = self.assignment
-        for i, j, k in s.triads:
-            vals = (a[i], a[j], a[k])
-            if None in vals:
-                continue
-            if sum(vals) != 1:
-                return True
-        for i, j in s.pairs:
-            if a[i] == 1 and a[j] == 1:
-                return True
-        return False
-
-    def is_total(self) -> bool:
-        return all(v is not None for v in self.assignment)
-
-
-@dataclass(frozen=True)
 class ColoringResult:
     mode: SolveMode
     count: int
     witness: tuple[int, ...] | None
     nodes_explored: int
     exhaustive: bool
-    backend: str
 
 
-def solve(
-    s: TriadSystem, mode: SolveMode = SolveMode.COUNT, backend: str | None = None
-) -> ColoringResult:
+def solve(s: TriadSystem, mode: SolveMode = SolveMode.COUNT) -> ColoringResult:
     """Run the backtracking search; see SolveMode for stopping behaviour.
 
     COUNT returns the exact number of total colorings; FIRST_WITNESS and
     PROVE_NONE stop at the first witness, so exhaustive is True only when
     none exists. Deterministic: static lowest-index branch order, value 1
-    tried before 0, identical node counts across runs and backends.
+    tried before 0, identical node counts across runs.
     """
     report = validate_system(s)
     if not report:
@@ -84,7 +59,6 @@ def solve(
         [tuple(t) for t in s.triads],
         [tuple(p) for p in s.pairs],
         _MODE_TO_KERNEL[mode],
-        backend=backend,
     )
     return ColoringResult(
         mode=mode,
@@ -92,7 +66,6 @@ def solve(
         witness=tuple(witness) if witness is not None else None,
         nodes_explored=nodes,
         exhaustive=exhausted,
-        backend=backend or kernels.BACKEND,
     )
 
 

@@ -1,43 +1,151 @@
-"""Selects the coloring-search kernel at import time.
+"""The coloring-search kernel.
 
-Prefers the compiled extension (ksgeom._solver, built from _solver.pyx)
-and falls back to the pure-Python twin. Set KSGEOM_SOLVER=py or =c to
-force a backend; forcing c without the extension built raises at import.
+Backtracking over {0,1} assignments with unit propagation:
+  * a ray set to 1 forces 0 on all triad mates and pair partners,
+  * a triad with two 0s forces 1 on the third,
+  * a triad with three 0s, or a pair with two 1s, conflicts.
+Branch order is static: lowest unassigned ray index, value 1 before 0.
 """
 
 from __future__ import annotations
 
-import os
+MODE_COUNT = 0
+MODE_FIRST_WITNESS = 1
+MODE_PROVE_NONE = 2
 
-from . import _solver_py
-
-try:
-    from . import _solver as _solver_c  # type: ignore[attr-defined]
-except ImportError:
-    _solver_c = None
-
-_forced = os.environ.get("KSGEOM_SOLVER", "").strip().lower()
-if _forced == "py":
-    BACKEND = "py"
-elif _forced == "c":
-    if _solver_c is None:
-        raise ImportError("KSGEOM_SOLVER=c but the compiled kernel is not built")
-    BACKEND = "c"
-else:
-    BACKEND = "c" if _solver_c is not None else "py"
-
-MODE_COUNT = _solver_py.MODE_COUNT
-MODE_FIRST_WITNESS = _solver_py.MODE_FIRST_WITNESS
-MODE_PROVE_NONE = _solver_py.MODE_PROVE_NONE
+# The benchmark harness reports BACKEND and cross-checks available_backends()
+# when it lists more than one kernel; there is exactly one.
+BACKEND = "py"
 
 
 def available_backends() -> dict[str, object]:
-    backends: dict[str, object] = {"py": _solver_py.solve_kernel}
-    if _solver_c is not None:
-        backends["c"] = _solver_c.solve_kernel
-    return backends
+    return {"py": solve_kernel}
 
 
-def solve_kernel(n, triads, pairs, mode, backend: str | None = None):
-    impl = available_backends()[backend or BACKEND]
-    return impl(n, triads, pairs, mode)
+def solve_kernel(
+    n: int,
+    triads: list[tuple[int, int, int]],
+    pairs: list[tuple[int, int]],
+    mode: int,
+):
+    """Search all colorings of an n-ray system.
+
+    Returns (count, nodes, witness, exhaustive): count of complete colorings
+    found (all of them for MODE_COUNT, at most one for the other modes),
+    number of decision nodes, the first witness as a list or None, and
+    whether the search space was exhausted.
+    """
+    tri_by_ray: list[list[int]] = [[] for _ in range(n)]
+    for t_idx, t in enumerate(triads):
+        for r in t:
+            tri_by_ray[r].append(t_idx)
+    partners: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        partners[a].append(b)
+        partners[b].append(a)
+
+    vals = [-1] * n
+    trail: list[int] = []
+
+    def assign(ray: int, value: int, queue: list[int]) -> bool:
+        v = vals[ray]
+        if v != -1:
+            return v == value
+        vals[ray] = value
+        trail.append(ray)
+        queue.append(ray)
+        return True
+
+    def propagate(queue: list[int]) -> bool:
+        while queue:
+            ray = queue.pop()
+            value = vals[ray]
+            if value == 1:
+                for other in partners[ray]:
+                    if not assign(other, 0, queue):
+                        return False
+                for t_idx in tri_by_ray[ray]:
+                    for other in triads[t_idx]:
+                        if other != ray and not assign(other, 0, queue):
+                            return False
+            else:
+                for t_idx in tri_by_ray[ray]:
+                    a, b, c = triads[t_idx]
+                    za = vals[a]
+                    zb = vals[b]
+                    zc = vals[c]
+                    zeros = (za == 0) + (zb == 0) + (zc == 0)
+                    if zeros == 3:
+                        return False
+                    if zeros == 2:
+                        if za == -1:
+                            ok = assign(a, 1, queue)
+                        elif zb == -1:
+                            ok = assign(b, 1, queue)
+                        elif zc == -1:
+                            ok = assign(c, 1, queue)
+                        else:
+                            ok = True  # third already 1; consistent
+                        if not ok:
+                            return False
+        return True
+
+    count = 0
+    nodes = 0
+    witness: list[int] | None = None
+    exhausted = True
+
+    # Iterative DFS. Each frame: (decision ray, next value to try, trail mark).
+    # next value: 2 means "try 1 then 0", 1 means "0 remains", 0 means done.
+    stack: list[list[int]] = []
+
+    def find_unassigned(start: int) -> int:
+        for i in range(start, n):
+            if vals[i] == -1:
+                return i
+        return -1
+
+    def unwind(mark: int) -> None:
+        while len(trail) > mark:
+            vals[trail.pop()] = -1
+
+    def record_full() -> None:
+        nonlocal count, witness
+        count += 1
+        if witness is None:
+            witness = vals.copy()
+
+    ray0 = find_unassigned(0)
+    if ray0 == -1:
+        record_full()
+        return count, nodes, witness, True
+
+    stack.append([ray0, 2, len(trail)])
+    while stack:
+        frame = stack[-1]
+        ray, pending, mark = frame
+        if pending == 0:
+            unwind(mark)
+            stack.pop()
+            continue
+        value = 1 if pending == 2 else 0
+        frame[1] = pending - 1
+        unwind(mark)
+        nodes += 1
+        queue: list[int] = []
+        if not assign(ray, value, queue) or not propagate(queue):
+            continue
+        nxt = find_unassigned(ray + 1)
+        if nxt == -1:
+            record_full()
+            if mode != MODE_COUNT:
+                exhausted = False
+                break
+            continue
+        stack.append([nxt, 2, len(trail)])
+
+    if mode != MODE_COUNT and witness is not None:
+        exhausted = False
+    else:
+        exhausted = True
+    return count, nodes, witness, exhausted

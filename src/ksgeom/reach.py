@@ -195,7 +195,8 @@ def verify_certificate(cert: ReachCertificate, tol: Tolerance = TOL) -> VerifyRe
 
     Checks, per point: near-unit norm and strictly positive z; per link
     (a, b): |b . pole(circle_of(a))| within tol. The first offending link
-    or point index is reported.
+    or point index is reported. Every test fails closed, so a NaN
+    coordinate or residual is a failure.
     """
     pts = cert.points
     failures: list[str] = []
@@ -220,7 +221,7 @@ def verify_certificate(cert: ReachCertificate, tol: Tolerance = TOL) -> VerifyRe
     rays: list[Ray | None] = []
     for i, v in enumerate(pts):
         n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-        if abs(n - 1.0) > 1e-6:
+        if not abs(n - 1.0) <= 1e-6:
             fail(i, f"point norm {n!r} not within 1e-6 of 1")
             rays.append(None)
             continue
@@ -243,7 +244,7 @@ def verify_certificate(cert: ReachCertificate, tol: Tolerance = TOL) -> VerifyRe
             continue
         res = circle_of(a, tol).residual(b)
         residuals.append(res)
-        if res > tol.eps:
+        if not res <= tol.eps:
             fail(i, f"link residual {res!r} exceeds tolerance")
 
     return VerifyReport(

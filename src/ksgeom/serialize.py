@@ -32,7 +32,7 @@ import math
 
 from .errors import ParseError
 from .reach import ReachCertificate, VerifyReport
-from .system import _canonical_json
+from .system import _canonical_json, _json_int
 from .trace import CertWitness, DerivationTrace, TriadWitness
 
 
@@ -68,7 +68,7 @@ def load_certificate(text: str) -> ReachCertificate:
         return ReachCertificate(
             points=points,
             eps=float(doc["eps"]),
-            shell_n=int(shell_n) if shell_n is not None else None,
+            shell_n=_json_int(shell_n, "shell_n") if shell_n is not None else None,
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc

@@ -10,9 +10,10 @@ and no extra keys, so save -> load -> save is byte identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-from .errors import ParseError, ValidationError
+from .errors import InvalidSystem, ParseError, ValidationError
 from .sphere import TOL, Ray, Tolerance, canonicalize
 
 
@@ -48,16 +49,19 @@ class TriadSystem:
 
 
 def validate_system(s: TriadSystem) -> ValidationReport:
-    """Recompute every constrained pairwise dot; accept iff all within eps."""
+    """Recompute every constrained pairwise dot; accept iff all within eps.
+
+    Fails closed: a NaN dot is an offender and makes worst_residual NaN.
+    """
     worst = 0.0
     offenders: list[tuple[int, int]] = []
 
     def check(i: int, j: int) -> None:
         nonlocal worst
         r = abs(s.rays[i].dot(s.rays[j]))
-        if r > worst:
+        if r > worst or math.isnan(r):
             worst = r
-        if r > s.eps:
+        if not r <= s.eps:
             offenders.append((i, j))
 
     for a, b, c in s.triads:
@@ -85,8 +89,17 @@ def save_system(s: TriadSystem) -> str:
     return _canonical_json(doc)
 
 
-def _load_ray(v: list, tol: Tolerance) -> Ray:
+def _json_int(v: object, what: str) -> int:
+    """v itself when it is a JSON integer; floats and booleans are refused."""
+    if type(v) is not int:
+        raise ParseError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _load_ray(i: int, v: list, tol: Tolerance) -> Ray:
     x, y, z = (float(c) for c in v)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise InvalidSystem(f"ray {i} has a non-finite coordinate: {[x, y, z]!r}")
     try:
         # Already-canonical coordinates are kept bit for bit so that
         # save -> load -> save round trips byte identically.
@@ -98,8 +111,10 @@ def _load_ray(v: list, tol: Tolerance) -> Ray:
 def load_system(text: str) -> TriadSystem:
     """Parse and validate a triad-system document.
 
-    ParseError carries line/column for malformed JSON; ValidationError is
-    raised when the document's own eps is violated by its triads or pairs.
+    ParseError carries line/column for malformed JSON and is also raised
+    for an index that is not a JSON integer; InvalidSystem for a NaN or
+    infinite ray coordinate; ValidationError when the document's own eps is
+    violated by its triads or pairs.
     """
     try:
         doc = json.loads(text)
@@ -116,9 +131,11 @@ def load_system(text: str) -> TriadSystem:
     try:
         eps = float(doc["eps"])
         tol = Tolerance(eps)
-        rays = tuple(_load_ray(v, tol) for v in doc["rays"])
-        triads = tuple((int(a), int(b), int(c)) for a, b, c in doc["triads"])
-        pairs = tuple((int(a), int(b)) for a, b in doc["pairs"])
+        rays = tuple(_load_ray(i, v, tol) for i, v in enumerate(doc["rays"]))
+        triads = tuple(
+            tuple(_json_int(i, "triad index") for i in (a, b, c)) for a, b, c in doc["triads"]
+        )
+        pairs = tuple(tuple(_json_int(i, "pair index") for i in (a, b)) for a, b in doc["pairs"])
     except ValidationError:
         raise
     except (TypeError, ValueError) as exc:

@@ -1,5 +1,8 @@
 import json
+import math
 import random
+
+import pytest
 
 from ksgeom.cli import main
 from ksgeom.errors import ERROR_CLASSES, EXIT_CODES, EXIT_EXPECTATION, EXIT_REJECTED
@@ -11,6 +14,36 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def write_certificate(capsys, path):
+    code, _, _ = run(capsys, "reach", "--from", "0,sin(0.8),cos(0.8)",
+                     "--to", "0.4,0.5,0.2", "-o", str(path))
+    assert code == 0
+    return path
+
+
+def write_single_triad(path):
+    from ksgeom.sphere import canonicalize
+    from ksgeom.system import TriadSystem, save_system
+
+    s = TriadSystem(
+        rays=(canonicalize((0, 0, 1)), canonicalize((1, 0, 0)), canonicalize((0, 1, 0))),
+        triads=((0, 1, 2),),
+    )
+    path.write_text(save_system(s))
+    return path
+
+
+def keep_first_point(doc):
+    doc["points"], doc["residuals"] = doc["points"][:1], []
 
 
 class TestExitCodeTable:
@@ -106,6 +139,35 @@ class TestVerifyCommand:
         bad.write_text("{")
         assert run(capsys, "verify", str(bad))[0] == EXIT_CODES["ParseError"]
 
+    def test_one_point_certificate_has_no_links(self, tmp_path, capsys):
+        f = edit_json(write_certificate(capsys, tmp_path / "cert.json"), keep_first_point)
+        code, out, _ = run(capsys, "verify", f)
+        assert code == 0 and out.strip() == "accepted: 1 points, no links"
+
+    def test_one_point_certificate_json(self, tmp_path, capsys):
+        f = edit_json(write_certificate(capsys, tmp_path / "cert.json"), keep_first_point)
+        code, out, _ = run(capsys, "verify", f, "--json")
+        report = json.loads(out)
+        assert code == 0 and report["accepted"] and report["link_residuals"] == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_point_rejected(self, tmp_path, capsys, bad):
+        def poison(doc):
+            doc["points"][1][0] = bad
+
+        f = edit_json(write_certificate(capsys, tmp_path / "cert.json"), poison)
+        code, out, _ = run(capsys, "verify", f)
+        assert code == EXIT_REJECTED and "[1] point norm" in out
+        code, out, _ = run(capsys, "verify", f, "--json")
+        assert code == EXIT_REJECTED and json.loads(out)["first_bad_link"] == 1
+
+    def test_non_integer_shell_n(self, tmp_path, capsys):
+        def fractional_shell_n(doc):
+            doc["shell_n"] = 14.5
+
+        f = edit_json(write_certificate(capsys, tmp_path / "cert.json"), fractional_shell_n)
+        assert run(capsys, "verify", f)[0] == EXIT_CODES["ParseError"]
+
 
 class TestDemoAndColor:
     def test_second_demo_pipeline(self, tmp_path, capsys):
@@ -142,25 +204,56 @@ class TestDemoAndColor:
         assert leaves and all(b["contradiction"] for b in leaves)
 
     def test_color_single_triad_file(self, tmp_path, capsys):
-        from ksgeom.sphere import canonicalize
-        from ksgeom.system import TriadSystem, save_system
-
-        f = tmp_path / "triad.json"
-        s = TriadSystem(
-            rays=(canonicalize((0, 0, 1)), canonicalize((1, 0, 0)), canonicalize((0, 1, 0))),
-            triads=((0, 1, 2),),
-        )
-        f.write_text(save_system(s))
+        f = write_single_triad(tmp_path / "triad.json")
         code, out, _ = run(capsys, "color", str(f), "--mode", "count", "--json")
         assert code == 0 and json.loads(out)["count"] == 3
         code, out, _ = run(capsys, "color", str(f), "--mode", "witness", "--json")
         assert code == 0 and json.loads(out)["witness"] is not None
         assert run(capsys, "color", str(f), "--mode", "prove-none")[0] == EXIT_EXPECTATION
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_color_non_finite_ray(self, tmp_path, capsys, bad):
+        def poison(doc):
+            doc["rays"][2][0] = bad
+
+        f = edit_json(write_single_triad(tmp_path / "triad.json"), poison)
+        code, _, err = run(capsys, "color", f, "--mode", "prove-none")
+        assert code == EXIT_CODES["InvalidSystem"] == 18
+        assert "ray 2" in err
+
+    def test_color_non_integer_index(self, tmp_path, capsys):
+        def fractional_index(doc):
+            doc["triads"][0][0] = 0.7
+
+        f = edit_json(write_single_triad(tmp_path / "triad.json"), fractional_index)
+        assert run(capsys, "color", f)[0] == EXIT_CODES["ParseError"] == 19
+
     def test_color_malformed_file(self, tmp_path, capsys):
         f = tmp_path / "junk.json"
         f.write_text("not json at all")
         assert run(capsys, "color", str(f))[0] == EXIT_CODES["ParseError"]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("eps", ["0.5", "0", "-1e-9", "nan", "abc"])
+    def test_eps_out_of_range(self, tmp_path, capsys, eps):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(tmp_path / "cert.json"), f"--eps={eps}"])
+        assert exc.value.code == EXIT_CODES["usage"]
+        assert "--eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["color", "verify"])
+    def test_missing_input_file(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.json"
+        code, out, err = run(capsys, command, str(missing))
+        assert code == EXIT_CODES["usage"]
+        assert out == "" and err.count("\n") == 1
+        assert "No such file" in err and str(missing) in err
+
+    def test_missing_input_file_json(self, tmp_path, capsys):
+        code, _, err = run(capsys, "color", str(tmp_path / "missing.json"), "--json")
+        assert code == EXIT_CODES["usage"]
+        assert json.loads(err)["error"]["type"] == "UsageError"
 
 
 class TestRenderCommands:

@@ -5,7 +5,6 @@ import pytest
 
 from ksgeom import kernels
 from ksgeom.coloring import (
-    PartialColoring,
     SolveMode,
     count_colorings_by_enumeration,
     is_valid_coloring,
@@ -109,11 +108,10 @@ class TestModes:
         # pairwise excluded across triads admit no coloring
         triads = [(0, 1, 2), (3, 4, 5)]
         pairs = [(i, j) for i in range(3) for j in range(3, 6)]
-        for backend in kernels.available_backends():
-            count, nodes, witness, exhausted = kernels.solve_kernel(
-                6, triads, pairs, kernels.MODE_PROVE_NONE, backend=backend
-            )
-            assert count == 0 and witness is None and exhausted
+        count, nodes, witness, exhausted = kernels.solve_kernel(
+            6, triads, pairs, kernels.MODE_PROVE_NONE
+        )
+        assert count == 0 and witness is None and exhausted
 
     def test_witness_validity_random(self, rng):
         for k in range(40):
@@ -167,14 +165,10 @@ class TestValidation:
         with pytest.raises(InvalidSystem):
             solve(bad)
 
-    def test_partial_coloring_violations(self):
-        s = single_triad()
-        ok = PartialColoring((1, 0, 0))
-        assert not ok.violates(s) and ok.is_total()
-        bad = PartialColoring((1, 1, None))
-        assert bad.violates(s) is False  # triad not fully assigned, no pair
-        worse = PartialColoring((1, 1, 0))
-        assert worse.violates(s)
+    def test_nan_system_rejected(self):
+        nan_ray = Ray(math.nan, 0.0, 1.0)  # NaN slips past the unit-norm check
+        with pytest.raises(InvalidSystem):
+            solve(TriadSystem(rays=(AXES[1], AXES[2], nan_ray), triads=((0, 1, 2),)))
 
 
 class TestCoreRefutation:
@@ -190,16 +184,3 @@ class TestCoreRefutation:
         with pytest.raises(ValueError):
             refute_by_core_enumeration(s, [0, 0])
 
-
-class TestBackends:
-    def test_parity_on_corpus(self, rng):
-        if "c" not in kernels.available_backends():
-            pytest.skip("compiled kernel not built")
-        for k in range(40):
-            s = random_book_system(rng, rng.randint(1, 4))
-            tri = [tuple(t) for t in s.triads]
-            prs = [tuple(p) for p in s.pairs]
-            for mode in (0, 1, 2):
-                got_py = kernels.solve_kernel(s.n_rays, tri, prs, mode, backend="py")
-                got_c = kernels.solve_kernel(s.n_rays, tri, prs, mode, backend="c")
-                assert got_py == got_c

@@ -1,57 +1,23 @@
-import os
-import subprocess
-import sys
-
-import pytest
-
 from ksgeom import kernels
 
 
 class TestBackendSelection:
     def test_pure_backend_always_available(self):
-        assert "py" in kernels.available_backends()
+        assert kernels.available_backends() == {"py": kernels.solve_kernel}
 
     def test_selected_backend_is_available(self):
         assert kernels.BACKEND in kernels.available_backends()
 
-    def test_env_override_forces_pure(self):
-        code = (
-            "import os; os.environ['KSGEOM_SOLVER']='py';"
-            "from ksgeom import kernels; print(kernels.BACKEND)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "py"
-
-    def test_mode_constants_match(self):
-        if "c" not in kernels.available_backends():
-            pytest.skip("compiled kernel not built")
-        from ksgeom import _solver, _solver_py
-
-        assert _solver.MODE_COUNT == _solver_py.MODE_COUNT
-        assert _solver.MODE_FIRST_WITNESS == _solver_py.MODE_FIRST_WITNESS
-        assert _solver.MODE_PROVE_NONE == _solver_py.MODE_PROVE_NONE
-
 
 class TestKernelEdgeCases:
-    @pytest.mark.parametrize("backend", ["py", "c"])
-    def test_empty_problem(self, backend):
-        if backend not in kernels.available_backends():
-            pytest.skip("compiled kernel not built")
-        count, nodes, witness, exhausted = kernels.solve_kernel(0, [], [], 0, backend=backend)
+    def test_empty_problem(self):
+        count, nodes, witness, exhausted = kernels.solve_kernel(0, [], [], kernels.MODE_COUNT)
         assert (count, nodes, witness, exhausted) == (1, 0, [], True)
 
-    @pytest.mark.parametrize("backend", ["py", "c"])
-    def test_unconstrained_rays_double_count(self, backend):
-        if backend not in kernels.available_backends():
-            pytest.skip("compiled kernel not built")
-        count, _, _, _ = kernels.solve_kernel(3, [], [], 0, backend=backend)
+    def test_unconstrained_rays_double_count(self):
+        count, _, _, _ = kernels.solve_kernel(3, [], [], kernels.MODE_COUNT)
         assert count == 8
 
-    @pytest.mark.parametrize("backend", ["py", "c"])
-    def test_pair_only(self, backend):
-        if backend not in kernels.available_backends():
-            pytest.skip("compiled kernel not built")
-        count, _, _, _ = kernels.solve_kernel(2, [], [(0, 1)], 0, backend=backend)
+    def test_pair_only(self):
+        count, _, _, _ = kernels.solve_kernel(2, [], [(0, 1)], kernels.MODE_COUNT)
         assert count == 3  # 00, 01, 10

@@ -214,6 +214,17 @@ class TestVerifyCertificate:
         assert not report.accepted
         assert report.first_bad_link == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_rejects_non_finite_point(self, axis, bad):
+        cert = reach(canonicalize((0, R2, R2)), canonicalize((0.6, 0.5, 0.2)))
+        pts = [list(p) for p in cert.points]
+        pts[1][axis] = bad
+        report = verify_certificate(ReachCertificate(points=tuple(map(tuple, pts))))
+        assert not report.accepted
+        assert report.first_bad_link == 1
+        assert math.isnan(report.link_residuals[0]) and math.isnan(report.link_residuals[1])
+
     def test_accepts_fresh(self):
         q = canonicalize((0.1, 0.2, 0.9))
         p = canonicalize((0.5, 0.6, 0.2))

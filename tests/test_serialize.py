@@ -54,6 +54,13 @@ class TestCertificateDocs:
             load_certificate("{")
         assert err.value.line is not None
 
+    @pytest.mark.parametrize("bad", [14.0, 14.7, True, "14"])
+    def test_rejects_non_integer_shell_n(self, bad):
+        doc = json.loads(save_certificate(sample_certificate()))
+        doc["shell_n"] = bad
+        with pytest.raises(ParseError, match="shell_n must be an integer"):
+            load_certificate(json.dumps(doc))
+
     def test_tampered_certificate_rejected_with_link(self):
         cert = sample_certificate()
         doc = json.loads(save_certificate(cert))

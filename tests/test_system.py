@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from ksgeom.errors import ParseError, ValidationError
-from ksgeom.sphere import canonicalize
+from ksgeom.errors import InvalidSystem, ParseError, ValidationError
+from ksgeom.sphere import Ray, canonicalize
 from ksgeom.system import TriadSystem, load_system, save_system, validate_system
 
 R2 = math.sqrt(0.5)
@@ -38,6 +38,17 @@ class TestValidate:
         report = validate_system(s)
         assert not report.accepted
         assert (0, 2) in report.offenders
+
+    def test_nan_ray_fails_closed(self):
+        nan_ray = Ray(math.nan, 0.0, 1.0)  # NaN slips past the unit-norm check
+        s = TriadSystem(
+            rays=(canonicalize((0, 0, 1)), canonicalize((1, 0, 0)), nan_ray),
+            triads=((0, 1, 2),),
+        )
+        report = validate_system(s)
+        assert not report.accepted
+        assert set(report.offenders) == {(0, 2), (1, 2)}
+        assert math.isnan(report.worst_residual)
 
     def test_empty_system_accepted(self):
         assert validate_system(TriadSystem(rays=(), triads=())).accepted
@@ -106,3 +117,23 @@ class TestRoundTrip:
         text = save_system(s).replace("0.0,\n   1.0,\n   0.0", "0.6,\n   0.8,\n   0.0")
         with pytest.raises(ValidationError):
             load_system(text)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_load_rejects_non_finite_coordinate(self, bad):
+        import json
+
+        doc = json.loads(save_system(constant_tripod_system()))
+        doc["rays"][1][0] = bad
+        with pytest.raises(InvalidSystem, match="ray 1"):
+            load_system(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", [0.7, 1.0, True, False, "1", None])
+    @pytest.mark.parametrize("key", ["triads", "pairs"])
+    def test_load_rejects_non_integer_index(self, key, bad):
+        import json
+
+        doc = json.loads(save_system(constant_tripod_system()))
+        doc["pairs"] = [[0, 1]]
+        doc[key][0][0] = bad
+        with pytest.raises(ParseError, match="must be an integer"):
+            load_system(json.dumps(doc))
