@@ -51,11 +51,6 @@ from .trace import (
     ValueFact,
     decision_core,
     extract_triad_system,
-    rule_circle_zero,
-    rule_lemma_zero,
-    rule_orthogonal_zero,
-    rule_triad_one,
-    seed_north_pole,
 )
 
 __version__ = "0.1.0"
@@ -100,12 +95,7 @@ __all__ = [
     "reach",
     "refute_by_core_enumeration",
     "rotation_to_pole",
-    "rule_circle_zero",
-    "rule_lemma_zero",
-    "rule_orthogonal_zero",
-    "rule_triad_one",
     "save_system",
-    "seed_north_pole",
     "shell",
     "side_of",
     "solve",

@@ -24,7 +24,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .coloring import SolveMode, solve
@@ -117,45 +116,28 @@ def _read_input(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-@dataclass(frozen=True)
-class CommandConfig:
-    """Parsed per-command settings: tolerance, output, format."""
-
-    tol: Tolerance
-    json_mode: bool
-    out: str | None
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "CommandConfig":
-        return CommandConfig(
-            tol=Tolerance(args.eps),
-            json_mode=bool(getattr(args, "json", False)),
-            out=getattr(args, "out", None),
-        )
-
-
 def cmd_reach(args) -> int:
-    cfg = CommandConfig.from_args(args)
-    src = _input_ray(args.src, cfg.tol, cfg.json_mode)
-    dst = _input_ray(args.dst, cfg.tol, cfg.json_mode)
-    cert = reach(src, dst, cfg.tol)
-    report = verify_certificate(cert, cfg.tol)
+    tol = Tolerance(args.eps)
+    src = _input_ray(args.src, tol, args.json)
+    dst = _input_ray(args.dst, tol, args.json)
+    cert = reach(src, dst, tol)
+    report = verify_certificate(cert, tol)
     text = save_certificate(cert, report.link_residuals)
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     doc = {
         "points": len(cert.points),
         "shell_n": cert.shell_n,
         "max_residual": max(report.link_residuals),
         "accepted": report.accepted,
-        "out": cfg.out,
+        "out": args.out,
     }
-    if cfg.json_mode:
+    if args.json:
         payload = json.loads(text)
         payload["summary"] = doc
         print(json.dumps(payload, indent=1))
     else:
-        if not cfg.out:
+        if not args.out:
             sys.stdout.write(text)
         print(
             f"certificate: {doc['points']} points, shell_n={doc['shell_n']}, "
@@ -165,11 +147,11 @@ def cmd_reach(args) -> int:
 
 
 def cmd_shell(args) -> int:
-    cfg = CommandConfig.from_args(args)
-    point = _input_ray(args.point, cfg.tol, cfg.json_mode)
-    svg = figure_shell(point, args.n, cfg.tol)
+    tol = Tolerance(args.eps)
+    point = _input_ray(args.point, tol, args.json)
+    svg = figure_shell(point, args.n, tol)
     Path(args.svg).write_text(svg)
-    if not cfg.json_mode:
+    if not args.json:
         print(f"wrote {args.svg}")
     return EXIT_OK
 
@@ -187,16 +169,16 @@ def _demo_summary(trace, system, core) -> dict:
 
 
 def cmd_demo(args) -> int:
-    cfg = CommandConfig.from_args(args)
+    tol = Tolerance(args.eps)
     if args.which == "first":
-        pole = _input_ray(args.pole, cfg.tol, cfg.json_mode)
-        trace = demo_first_proof(pole, cfg.tol)
+        pole = _input_ray(args.pole, tol, args.json)
+        trace = demo_first_proof(pole, tol)
     else:
-        trace = demo_second_proof(cfg.tol)
+        trace = demo_second_proof(tol)
     system = extract_triad_system(trace)
     core = decision_core(trace, system)
-    if cfg.out:
-        outdir = Path(cfg.out)
+    if args.out:
+        outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "trace.json").write_text(save_trace(trace))
         (outdir / "system.json").write_text(save_system(system))
@@ -205,7 +187,7 @@ def cmd_demo(args) -> int:
     summary["contradiction_witness"] = (
         list(trace.rays[trace.facts[pair[1]].ray].vec) if pair else None
     )
-    if cfg.json_mode:
+    if args.json:
         print(json.dumps(summary, indent=1))
     else:
         print(
@@ -216,8 +198,8 @@ def cmd_demo(args) -> int:
             f"extracted system: {summary['rays']} rays, {summary['triads']} triads, "
             f"{summary['pairs']} pairs; decision core {summary['decision_core']}"
         )
-        if cfg.out:
-            print(f"wrote {cfg.out}/trace.json and {cfg.out}/system.json")
+        if args.out:
+            print(f"wrote {args.out}/trace.json and {args.out}/system.json")
     return EXIT_OK
 
 
@@ -255,9 +237,8 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = CommandConfig.from_args(args)
     cert = load_certificate(_read_input(args.file))
-    report = verify_certificate(cert, cfg.tol)
+    report = verify_certificate(cert, Tolerance(args.eps))
     if args.json:
         print(json.dumps(report_to_doc(report), indent=1))
     else:
@@ -276,15 +257,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    cfg = CommandConfig.from_args(args)
+    tol = Tolerance(args.eps)
     if args.figure == "circle":
-        svg = figure_circle(_input_ray(args.q, cfg.tol, cfg.json_mode), cfg.tol)
+        svg = figure_circle(_input_ray(args.q, tol, args.json), tol)
     elif args.figure == "projection":
-        svg = figure_projection(_input_ray(args.q, cfg.tol, cfg.json_mode), cfg.tol)
+        svg = figure_projection(_input_ray(args.q, tol, args.json), tol)
     else:
         hq = PlanePoint(*_parse_vec2(args.hq))
         hp = PlanePoint(*_parse_vec2(args.hp))
-        svg = figure_step_one(hq, hp, cfg.tol)
+        svg = figure_step_one(hq, hp, tol)
     Path(args.svg).write_text(svg)
     if not args.json:
         print(f"wrote {args.svg}")

@@ -24,13 +24,6 @@ class SolveMode(enum.Enum):
     PROVE_NONE = "prove-none"
 
 
-_MODE_TO_KERNEL = {
-    SolveMode.COUNT: kernels.MODE_COUNT,
-    SolveMode.FIRST_WITNESS: kernels.MODE_FIRST_WITNESS,
-    SolveMode.PROVE_NONE: kernels.MODE_PROVE_NONE,
-}
-
-
 @dataclass(frozen=True)
 class ColoringResult:
     mode: SolveMode
@@ -58,7 +51,7 @@ def solve(s: TriadSystem, mode: SolveMode = SolveMode.COUNT) -> ColoringResult:
         s.n_rays,
         [tuple(t) for t in s.triads],
         [tuple(p) for p in s.pairs],
-        _MODE_TO_KERNEL[mode],
+        mode is not SolveMode.COUNT,
     )
     return ColoringResult(
         mode=mode,

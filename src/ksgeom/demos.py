@@ -28,11 +28,10 @@ from .sphere import (
     Tripod,
     Vec3,
     canonicalize,
-    equator_partner,
     rotation_to_pole,
     third_point,
 )
-from .trace import DerivationTrace
+from .trace import DerivationTrace, completion_partners, to_world
 
 _R2 = math.sqrt(0.5)
 
@@ -73,22 +72,12 @@ def cover_index(p: Ray, tol: Tolerance = TOL) -> int:
     return n
 
 
-def _world(t: DerivationTrace, frame: Rotation | None, vec: Vec3) -> Ray:
-    if frame is None:
-        return canonicalize(vec, t.tol)
-    return canonicalize(frame.transpose().apply(vec), t.tol)
-
-
 def _completion_in_frame(
     t: DerivationTrace, frame: Rotation | None, vec: Vec3
 ) -> tuple[Ray, Ray, Ray]:
     """World rays of (q, equator_partner(q), third_point(q)) for frame coords."""
     qf = canonicalize(vec, t.tol)
-    return (
-        _world(t, frame, qf.vec),
-        _world(t, frame, equator_partner(qf, t.tol).vec),
-        _world(t, frame, third_point(qf, t.tol).vec),
-    )
+    return (to_world(frame, qf.vec, t.tol), *completion_partners(frame, qf, t.tol))
 
 
 def _heights_and_clash(
@@ -142,9 +131,9 @@ def _heights_and_clash(
 def _frame_axes(t: DerivationTrace, frame: Rotation | None) -> tuple[Ray, Ray, Ray]:
     """World rays of the frame's equator axis and the two height-1/sqrt(2) rays."""
     return (
-        _world(t, frame, (1.0, 0.0, 0.0)),
-        _world(t, frame, (0.0, _R2, _R2)),
-        _world(t, frame, (0.0, -_R2, _R2)),
+        to_world(frame, (1.0, 0.0, 0.0), t.tol),
+        to_world(frame, (0.0, _R2, _R2), t.tol),
+        to_world(frame, (0.0, -_R2, _R2), t.tol),
     )
 
 
@@ -249,7 +238,7 @@ def demo_second_proof(
 
         a_ray, e_a, w_a = _completion_in_frame(t, frame, a_f)
         b_ray, e_b, w_b = _completion_in_frame(t, frame, b_f)
-        c_ray = _world(t, frame, c_f)
+        c_ray = to_world(frame, c_f, tol)
 
         w_a_fid = t.lemma_zero(b0, qn_zero, w_a, pole_fact=pole_fact, frame=frame)
         w_b_fid = t.lemma_zero(b0, qn_zero, w_b, pole_fact=pole_fact, frame=frame)

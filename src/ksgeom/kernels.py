@@ -9,10 +9,6 @@ Branch order is static: lowest unassigned ray index, value 1 before 0.
 
 from __future__ import annotations
 
-MODE_COUNT = 0
-MODE_FIRST_WITNESS = 1
-MODE_PROVE_NONE = 2
-
 # The benchmark harness reports BACKEND and cross-checks available_backends()
 # when it lists more than one kernel; there is exactly one.
 BACKEND = "py"
@@ -26,14 +22,14 @@ def solve_kernel(
     n: int,
     triads: list[tuple[int, int, int]],
     pairs: list[tuple[int, int]],
-    mode: int,
+    stop_at_first: bool,
 ):
     """Search all colorings of an n-ray system.
 
     Returns (count, nodes, witness, exhaustive): count of complete colorings
-    found (all of them for MODE_COUNT, at most one for the other modes),
-    number of decision nodes, the first witness as a list or None, and
-    whether the search space was exhausted.
+    found (all of them, or at most one when stop_at_first), number of
+    decision nodes, the first witness as a list or None, and whether the
+    search space was exhausted.
     """
     tri_by_ray: list[list[int]] = [[] for _ in range(n)]
     for t_idx, t in enumerate(triads):
@@ -93,7 +89,6 @@ def solve_kernel(
     count = 0
     nodes = 0
     witness: list[int] | None = None
-    exhausted = True
 
     # Iterative DFS. Each frame: (decision ray, next value to try, trail mark).
     # next value: 2 means "try 1 then 0", 1 means "0 remains", 0 means done.
@@ -138,14 +133,9 @@ def solve_kernel(
         nxt = find_unassigned(ray + 1)
         if nxt == -1:
             record_full()
-            if mode != MODE_COUNT:
-                exhausted = False
+            if stop_at_first:
                 break
             continue
         stack.append([nxt, 2, len(trail)])
 
-    if mode != MODE_COUNT and witness is not None:
-        exhausted = False
-    else:
-        exhausted = True
-    return count, nodes, witness, exhausted
+    return count, nodes, witness, not (stop_at_first and witness is not None)

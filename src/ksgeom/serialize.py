@@ -32,7 +32,7 @@ import math
 
 from .errors import ParseError
 from .reach import ReachCertificate, VerifyReport
-from .system import _canonical_json, _json_int
+from .system import _canonical_json, _json_float, _json_int
 from .trace import CertWitness, DerivationTrace, TriadWitness
 
 
@@ -63,11 +63,14 @@ def load_certificate(text: str) -> ReachCertificate:
         if key not in doc:
             raise ParseError(f"missing key: {key}")
     try:
-        points = tuple((float(x), float(y), float(z)) for x, y, z in doc["points"])
+        points = tuple(
+            tuple(_json_float(c, f"point {i} coordinate") for c in (x, y, z))
+            for i, (x, y, z) in enumerate(doc["points"])
+        )
         shell_n = doc.get("shell_n")
         return ReachCertificate(
             points=points,
-            eps=float(doc["eps"]),
+            eps=_json_float(doc["eps"], "eps"),
             shell_n=_json_int(shell_n, "shell_n") if shell_n is not None else None,
         )
     except (TypeError, ValueError) as exc:

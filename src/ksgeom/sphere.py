@@ -82,7 +82,7 @@ class Ray:
 
     def __post_init__(self) -> None:
         n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(n2 - 1.0) > 4.0 * _UNIT_TOL:
+        if not abs(n2 - 1.0) <= 4.0 * _UNIT_TOL:  # fails closed on NaN
             raise ValueError(f"not a unit vector: {(self.x, self.y, self.z)!r}")
         if not _is_canonical_sign(self.x, self.y, self.z):
             raise ValueError(f"not in canonical sign form: {(self.x, self.y, self.z)!r}")
@@ -197,9 +197,6 @@ class Rotation:
     def apply(self, v: Vec3) -> Vec3:
         r = self.rows
         return (dot(r[0], v), dot(r[1], v), dot(r[2], v))
-
-    def apply_ray(self, ray: Ray, tol: Tolerance = TOL) -> Ray:
-        return canonicalize(self.apply(ray.vec), tol)
 
     def transpose(self) -> "Rotation":
         r = self.rows

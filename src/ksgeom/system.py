@@ -96,8 +96,18 @@ def _json_int(v: object, what: str) -> int:
     return v
 
 
+def _json_float(v: object, what: str) -> float:
+    """v as a float when it is a JSON number; strings and booleans are refused."""
+    if type(v) not in (int, float):
+        raise ParseError(f"{what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ParseError(f"{what} is out of float range") from None
+
+
 def _load_ray(i: int, v: list, tol: Tolerance) -> Ray:
-    x, y, z = (float(c) for c in v)
+    x, y, z = (_json_float(c, f"ray {i} coordinate") for c in v)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise InvalidSystem(f"ray {i} has a non-finite coordinate: {[x, y, z]!r}")
     try:
@@ -112,9 +122,10 @@ def load_system(text: str) -> TriadSystem:
     """Parse and validate a triad-system document.
 
     ParseError carries line/column for malformed JSON and is also raised
-    for an index that is not a JSON integer; InvalidSystem for a NaN or
-    infinite ray coordinate; ValidationError when the document's own eps is
-    violated by its triads or pairs.
+    for an index that is not a JSON integer or an eps or coordinate that is
+    not a JSON number; InvalidSystem for a NaN or infinite ray coordinate;
+    ValidationError when the document's own eps is violated by its triads
+    or pairs.
     """
     try:
         doc = json.loads(text)
@@ -129,7 +140,7 @@ def load_system(text: str) -> TriadSystem:
         if key not in doc:
             raise ParseError(f"missing key: {key}")
     try:
-        eps = float(doc["eps"])
+        eps = _json_float(doc["eps"], "eps")
         tol = Tolerance(eps)
         rays = tuple(_load_ray(i, v, tol) for i, v in enumerate(doc["rays"]))
         triads = tuple(

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .reach import ReachCertificate, reach
 from .sphere import (
-    NORTH_POLE,
     TOL,
     Ray,
     Rotation,
@@ -94,6 +93,39 @@ class Branch:
     facts_by_ray: dict[int, int] = field(default_factory=dict)
 
 
+# -- frames ------------------------------------------------------------------
+# A frame is the rotation taking world coordinates into the coordinates of a
+# "by a rotation we can assume" step, whose pole is a value-1 ray; None is
+# the identity. Facts are stored in world coordinates.
+
+
+def to_frame(frame: Rotation | None, ray: Ray, tol: Tolerance) -> Ray:
+    """Frame coordinates of a world ray."""
+    if frame is None:
+        return ray
+    return canonicalize(frame.apply(ray.vec), tol)
+
+
+def to_world(frame: Rotation | None, vec: Vec3, tol: Tolerance) -> Ray:
+    """World ray of a frame-coordinate vector."""
+    if frame is None:
+        return canonicalize(vec, tol)
+    return canonicalize(frame.transpose().apply(vec), tol)
+
+
+def completion_partners(
+    frame: Rotation | None, qf: Ray, tol: Tolerance
+) -> tuple[Ray, Ray]:
+    """World rays of equator_partner(qf) and third_point(qf) for a frame point qf.
+
+    With qf's own world ray they form qf's completion tripod.
+    """
+    return (
+        to_world(frame, equator_partner(qf, tol).vec, tol),
+        to_world(frame, third_point(qf, tol).vec, tol),
+    )
+
+
 class DerivationTrace:
     """Mutable builder for a branch tree of justified value facts.
 
@@ -108,7 +140,6 @@ class DerivationTrace:
         self.facts: list[ValueFact] = []
         self.branches: list[Branch] = [Branch(idx=0, parent=None)]
         self.named_tripods: list[tuple[int, int, int]] = []
-        self.active_branch = 0
         self.last_fact: int | None = None
         self._buckets: dict[tuple[int, int, int], list[int]] = {}
 
@@ -218,9 +249,6 @@ class DerivationTrace:
         self.last_fact = fid
         return fid
 
-    def fact_ray(self, fid: int) -> Ray:
-        return self.rays[self.facts[fid].ray]
-
     # -- rules --------------------------------------------------------------
 
     def assume(self, branch: int, ray: Ray, value: int) -> int:
@@ -275,27 +303,6 @@ class DerivationTrace:
             witness=TriadWitness(tri_idx),
         )
 
-    def find_pole_fact(self, branch: int, pole: Ray = NORTH_POLE) -> int:
-        for b in self._ancestry(branch):
-            for fid in self.branches[b].facts_by_ray.values():
-                fact = self.facts[fid]
-                if fact.value == 1 and self.rays[fact.ray].same_subspace(pole, self.tol):
-                    return fid
-        raise BadPremises("no value-1 fact for the frame pole in scope")
-
-    # Frame-conjugated geometry: `frame` rotates world coordinates into the
-    # frame whose pole is the value-1 ray of pole_fact.
-
-    def _frame_ray(self, frame: Rotation | None, world: Ray) -> Ray:
-        if frame is None:
-            return world
-        return canonicalize(frame.apply(world.vec), self.tol)
-
-    def _world_ray(self, frame: Rotation | None, vec: Vec3) -> Ray:
-        if frame is None:
-            return canonicalize(vec, self.tol)
-        return canonicalize(frame.transpose().apply(vec), self.tol)
-
     def _macro_step(
         self,
         branch: int,
@@ -311,15 +318,14 @@ class DerivationTrace:
         if fq.value != 0:
             raise PremiseNotZero(f"fact {q_fact} does not assign value 0")
         q_world = self.rays[fq.ray]
-        qf = self._frame_ray(frame, q_world)
-        pf = self._frame_ray(frame, p_world)
+        qf = to_frame(frame, q_world, self.tol)
+        pf = to_frame(frame, p_world, self.tol)
         residual = circle_of(qf, self.tol).residual(pf)
         if residual > self.tol.eps:
             raise NotOnCircle(
                 f"point is off the circle by {residual!r} (eps {self.tol.eps!r})"
             )
-        e_world = self._world_ray(frame, equator_partner(qf, self.tol).vec)
-        w_world = self._world_ray(frame, third_point(qf, self.tol).vec)
+        e_world, w_world = completion_partners(frame, qf, self.tol)
         e_fid = self.orthogonal_zero(branch, e_world, pole_fact)
         w_fid = self.triad_one(branch, Tripod(q_world, e_world, w_world), q_fact, e_fid)
         return self._add_fact(
@@ -331,11 +337,9 @@ class DerivationTrace:
         branch: int,
         q_fact: int,
         p: Ray,
-        pole_fact: int | None = None,
+        pole_fact: int,
         frame: Rotation | None = None,
     ) -> int:
-        if pole_fact is None:
-            pole_fact = self.find_pole_fact(branch)
         return self._macro_step(branch, q_fact, p, frame, pole_fact, RULE_CIRCLE_ZERO)
 
     def lemma_zero(
@@ -343,24 +347,20 @@ class DerivationTrace:
         branch: int,
         q_fact: int,
         p: Ray,
-        pole_fact: int | None = None,
+        pole_fact: int,
         frame: Rotation | None = None,
     ) -> int:
         """Zero a lower northern point through a reach certificate."""
-        if pole_fact is None:
-            pole_fact = self.find_pole_fact(branch)
         fq = self.facts[q_fact]
         if fq.value != 0:
             raise PremiseNotZero(f"fact {q_fact} does not assign value 0")
-        q_world = self.rays[fq.ray]
-        qf = self._frame_ray(frame, q_world)
-        pf = self._frame_ray(frame, p)
+        qf = to_frame(frame, self.rays[fq.ray], self.tol)
+        pf = to_frame(frame, p, self.tol)
         cert = reach(qf, pf, self.tol)
         witness = CertWitness(certificate=cert, frame=frame)
         prev = q_fact
-        inner = cert.points[1:-1]
-        for vec in inner:
-            step_world = self._world_ray(frame, vec)
+        for vec in cert.points[1:-1]:
+            step_world = to_world(frame, vec, self.tol)
             prev = self._macro_step(
                 branch, prev, step_world, frame, pole_fact, RULE_CIRCLE_ZERO
             )
@@ -373,38 +373,6 @@ class DerivationTrace:
         tri_idx = self.tripod_indices(trip)
         self.named_tripods.append(tri_idx)
         return tri_idx
-
-
-# -- module-level rule surface (operates on the trace's active branch) ------
-
-
-def seed_north_pole(tol: Tolerance = TOL) -> DerivationTrace:
-    """Fresh trace whose root assumes value 1 on the north pole."""
-    t = DerivationTrace(tol)
-    t.assume(0, NORTH_POLE, 1)
-    return t
-
-
-def rule_orthogonal_zero(t: DerivationTrace, p: Ray, one_fact: int) -> DerivationTrace:
-    t.orthogonal_zero(t.active_branch, p, one_fact)
-    return t
-
-
-def rule_triad_one(
-    t: DerivationTrace, trip: Tripod, zero_facts: tuple[int, int]
-) -> DerivationTrace:
-    t.triad_one(t.active_branch, trip, zero_facts[0], zero_facts[1])
-    return t
-
-
-def rule_circle_zero(t: DerivationTrace, q_fact: int, p: Ray) -> DerivationTrace:
-    t.circle_zero(t.active_branch, q_fact, p)
-    return t
-
-
-def rule_lemma_zero(t: DerivationTrace, q_fact: int, p: Ray) -> DerivationTrace:
-    t.lemma_zero(t.active_branch, q_fact, p)
-    return t
 
 
 # -- extraction --------------------------------------------------------------
@@ -499,20 +467,13 @@ def decision_core(t: DerivationTrace, system: TriadSystem) -> tuple[int, ...]:
 
     These are the only free choices in the trace's case analysis; every
     other derived value is forced, which is what makes them the right core
-    for the naive enumeration cross-check.
+    for the naive enumeration cross-check. Members are looked up by exact
+    equality: the system's rays are the trace's own, and ray_index never
+    stores two rays of one subspace.
     """
-    members: list[Ray] = []
-    for b in t.branches:
-        if b.split is not None:
-            ray = t.rays[b.split.member]
-            if not any(ray.same_subspace(m, t.tol) for m in members):
-                members.append(ray)
-    out: list[int] = []
-    for m in members:
-        for idx, ray in enumerate(system.rays):
-            if ray.same_subspace(m, t.tol):
-                out.append(idx)
-                break
-        else:
-            raise BadPremises("split member missing from extracted system")
-    return tuple(out)
+    index = {ray: i for i, ray in enumerate(system.rays)}
+    members = dict.fromkeys(b.split.member for b in t.branches if b.split is not None)
+    try:
+        return tuple(index[t.rays[m]] for m in members)
+    except KeyError:
+        raise BadPremises("split member missing from extracted system") from None

@@ -24,3 +24,13 @@ def random_northern_nonpole(rng: random.Random) -> Ray:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def nan_ray() -> Ray:
+    """A Ray with a NaN coordinate, built past the constructor that refuses
+    it, to check that the checkers downstream fail closed as well."""
+    ray = object.__new__(Ray)
+    for name, value in zip("xyz", (math.nan, 0.0, 1.0)):
+        object.__setattr__(ray, name, value)
+    return ray

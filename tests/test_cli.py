@@ -168,6 +168,17 @@ class TestVerifyCommand:
         f = edit_json(write_certificate(capsys, tmp_path / "cert.json"), fractional_shell_n)
         assert run(capsys, "verify", f)[0] == EXIT_CODES["ParseError"]
 
+    @pytest.mark.parametrize("key", ["point", "eps"])
+    def test_non_number_rejected(self, tmp_path, capsys, key):
+        def stringify(doc):
+            if key == "eps":
+                doc["eps"] = str(doc["eps"])
+            else:
+                doc["points"][0][0] = True
+
+        f = edit_json(write_certificate(capsys, tmp_path / "cert.json"), stringify)
+        assert run(capsys, "verify", f)[0] == EXIT_CODES["ParseError"] == 19
+
 
 class TestDemoAndColor:
     def test_second_demo_pipeline(self, tmp_path, capsys):
@@ -227,6 +238,19 @@ class TestDemoAndColor:
 
         f = edit_json(write_single_triad(tmp_path / "triad.json"), fractional_index)
         assert run(capsys, "color", f)[0] == EXIT_CODES["ParseError"] == 19
+
+    @pytest.mark.parametrize("key", ["ray", "eps"])
+    def test_color_non_number(self, tmp_path, capsys, key):
+        def stringify(doc):
+            if key == "eps":
+                doc["eps"] = "1e-9"
+            else:
+                doc["rays"][1][0] = "1"
+
+        f = edit_json(write_single_triad(tmp_path / "triad.json"), stringify)
+        code, _, err = run(capsys, "color", f)
+        assert code == EXIT_CODES["ParseError"] == 19
+        assert "must be a number" in err
 
     def test_color_malformed_file(self, tmp_path, capsys):
         f = tmp_path / "junk.json"

@@ -109,7 +109,7 @@ class TestModes:
         triads = [(0, 1, 2), (3, 4, 5)]
         pairs = [(i, j) for i in range(3) for j in range(3, 6)]
         count, nodes, witness, exhausted = kernels.solve_kernel(
-            6, triads, pairs, kernels.MODE_PROVE_NONE
+            6, triads, pairs, stop_at_first=True
         )
         assert count == 0 and witness is None and exhausted
 
@@ -165,8 +165,7 @@ class TestValidation:
         with pytest.raises(InvalidSystem):
             solve(bad)
 
-    def test_nan_system_rejected(self):
-        nan_ray = Ray(math.nan, 0.0, 1.0)  # NaN slips past the unit-norm check
+    def test_nan_system_rejected(self, nan_ray):
         with pytest.raises(InvalidSystem):
             solve(TriadSystem(rays=(AXES[1], AXES[2], nan_ray), triads=((0, 1, 2),)))
 

@@ -12,8 +12,8 @@ from ksgeom.serialize import (
     save_trace,
     trace_to_doc,
 )
-from ksgeom.sphere import canonicalize
-from ksgeom.trace import seed_north_pole
+from ksgeom.sphere import NORTH_POLE, canonicalize
+from ksgeom.trace import DerivationTrace
 
 R2 = math.sqrt(0.5)
 
@@ -61,6 +61,18 @@ class TestCertificateDocs:
         with pytest.raises(ParseError, match="shell_n must be an integer"):
             load_certificate(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", ["1e-9", True, None, pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("key", ["point", "eps"])
+    def test_rejects_non_number(self, key, bad):
+        doc = json.loads(save_certificate(sample_certificate()))
+        if key == "eps":
+            doc["eps"] = bad
+        else:
+            doc["points"][1][2] = bad
+        what = "point 1 coordinate" if key == "point" else "eps"
+        with pytest.raises(ParseError, match=f"^{what} (must be a number|is out of float range)"):
+            load_certificate(json.dumps(doc))
+
     def test_tampered_certificate_rejected_with_link(self):
         cert = sample_certificate()
         doc = json.loads(save_certificate(cert))
@@ -80,8 +92,9 @@ class TestCertificateDocs:
 
 class TestTraceDocs:
     def test_linear_trace_schema(self):
-        t = seed_north_pole()
-        t.orthogonal_zero(0, canonicalize((1, 0, 0)), 0)
+        t = DerivationTrace()
+        pole = t.assume(0, NORTH_POLE, 1)
+        t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
         doc = trace_to_doc(t)
         assert set(doc) == {"eps", "rays", "facts", "branches", "named_tripods"}
         assert doc["facts"][0]["rule"] == "assume"

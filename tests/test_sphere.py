@@ -88,6 +88,13 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             Ray(0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_ray_rejects_nan_coordinate(self, axis):
+        coords = [0.0, 0.0, 1.0]
+        coords[axis] = math.nan
+        with pytest.raises(ValueError):
+            Ray(*coords)
+
 
 class TestEquatorPartner:
     def test_section_tripod_member(self):

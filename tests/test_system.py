@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ksgeom.errors import InvalidSystem, ParseError, ValidationError
-from ksgeom.sphere import Ray, canonicalize
+from ksgeom.sphere import canonicalize
 from ksgeom.system import TriadSystem, load_system, save_system, validate_system
 
 R2 = math.sqrt(0.5)
@@ -39,8 +39,7 @@ class TestValidate:
         assert not report.accepted
         assert (0, 2) in report.offenders
 
-    def test_nan_ray_fails_closed(self):
-        nan_ray = Ray(math.nan, 0.0, 1.0)  # NaN slips past the unit-norm check
+    def test_nan_ray_fails_closed(self, nan_ray):
         s = TriadSystem(
             rays=(canonicalize((0, 0, 1)), canonicalize((1, 0, 0)), nan_ray),
             triads=((0, 1, 2),),
@@ -125,6 +124,22 @@ class TestRoundTrip:
         doc = json.loads(save_system(constant_tripod_system()))
         doc["rays"][1][0] = bad
         with pytest.raises(InvalidSystem, match="ray 1"):
+            load_system(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "bad", ["1e-9", True, False, None, [1e-9], pytest.param(10**400, id="10**400")]
+    )
+    @pytest.mark.parametrize("key", ["ray", "eps"])
+    def test_load_rejects_non_number(self, key, bad):
+        import json
+
+        doc = json.loads(save_system(constant_tripod_system()))
+        if key == "eps":
+            doc["eps"] = bad
+        else:
+            doc["rays"][1][0] = bad
+        what = "ray 1 coordinate" if key == "ray" else "eps"
+        with pytest.raises(ParseError, match=f"^{what} (must be a number|is out of float range)"):
             load_system(json.dumps(doc))
 
     @pytest.mark.parametrize("bad", [0.7, 1.0, True, False, "1", None])

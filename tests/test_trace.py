@@ -15,20 +15,17 @@ from ksgeom.sphere import NORTH_POLE, Tripod, canonicalize, complete_tripod
 from ksgeom.trace import (
     RULE_LEMMA_ZERO,
     CertWitness,
+    DerivationTrace,
     TriadWitness,
     extract_triad_system,
-    rule_circle_zero,
-    rule_lemma_zero,
-    rule_orthogonal_zero,
-    seed_north_pole,
 )
 
 R2 = math.sqrt(0.5)
 
 
 def seeded():
-    t = seed_north_pole()
-    return t, 0  # trace, pole fact id
+    t = DerivationTrace()
+    return t, t.assume(0, NORTH_POLE, 1)  # trace, pole fact id
 
 
 class TestSeed:
@@ -44,7 +41,7 @@ class TestSeed:
 
     def test_equator_consequence_available(self):
         t, pole = seeded()
-        rule_orthogonal_zero(t, canonicalize((1, 0, 0)), pole)
+        t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
         f = t.facts[t.last_fact]
         assert f.value == 0 and t.rays[f.ray].vec == (1.0, 0.0, 0.0)
 
@@ -53,13 +50,13 @@ class TestOrthogonalZero:
     def test_equator_rays(self):
         t, pole = seeded()
         for v in ((1, 0, 0), (0, 1, 0), (0.6, -0.8, 0)):
-            rule_orthogonal_zero(t, canonicalize(v), pole)
+            t.orthogonal_zero(0, canonicalize(v), pole)
             assert t.facts[t.last_fact].value == 0
 
     def test_not_orthogonal(self):
         t, pole = seeded()
         with pytest.raises(NotOrthogonal):
-            rule_orthogonal_zero(t, NORTH_POLE, pole)
+            t.orthogonal_zero(0, NORTH_POLE, pole)
 
     def test_premise_not_one(self):
         t, pole = seeded()
@@ -114,7 +111,7 @@ class TestCircleZero:
         t, pole = seeded()
         q = canonicalize((0, R2, R2))
         q_fact = t.assume(0, q, 0)
-        rule_circle_zero(t, q_fact, canonicalize((1, 0, 0)))
+        t.circle_zero(0, q_fact, canonicalize((1, 0, 0)), pole)
         assert t.facts[t.last_fact].value == 0
 
     def test_idempotent_on_q(self):
@@ -122,23 +119,23 @@ class TestCircleZero:
         q = canonicalize((0, R2, R2))
         q_fact = t.assume(0, q, 0)
         n_before = len(t.facts)
-        rule_circle_zero(t, q_fact, q)
+        t.circle_zero(0, q_fact, q, pole)
         # collapses to the existing fact: no new conclusion about q
         assert t.last_fact == q_fact
         assert t.facts[q_fact].value == 0
         assert len(t.facts) > n_before  # expansion facts were still recorded
 
     def test_not_on_circle(self):
-        t, _ = seeded()
+        t, pole = seeded()
         q = canonicalize((0, R2, R2))
         q_fact = t.assume(0, q, 0)
         with pytest.raises(NotOnCircle):
-            rule_circle_zero(t, q_fact, canonicalize((0.3, 0.4, 0.8660254037844386)))
+            t.circle_zero(0, q_fact, canonicalize((0.3, 0.4, 0.8660254037844386)), pole)
 
     def test_premise_not_zero(self):
         t, pole = seeded()
         with pytest.raises(PremiseNotZero):
-            rule_circle_zero(t, pole, canonicalize((1, 0, 0)))
+            t.circle_zero(0, pole, canonicalize((1, 0, 0)), pole)
 
     def test_macro_soundness(self):
         # the recorded expansion replays to the same conclusion
@@ -149,7 +146,7 @@ class TestCircleZero:
         # pick p on C(q): combination of q and its equator partner
         a, b = math.cos(1.1), math.sin(1.1)
         p = canonicalize(tuple(a * x + b * y for x, y in zip(q.vec, trip.b.vec)))
-        fid = t.circle_zero(0, q_fact, p)
+        fid = t.circle_zero(0, q_fact, p, pole)
         fact = t.facts[fid]
         q_prem, e_prem, w_prem = fact.premises
         assert t.facts[e_prem].value == 0
@@ -167,7 +164,7 @@ class TestLemmaZero:
         q = canonicalize((0, R2, R2))
         q_fact = t.assume(0, q, 0)
         p = canonicalize((0.5, 0.2, 0.3))
-        rule_lemma_zero(t, q_fact, p)
+        t.lemma_zero(0, q_fact, p, pole)
         fact = t.facts[t.last_fact]
         assert fact.value == 0
         assert fact.rule == RULE_LEMMA_ZERO
@@ -181,14 +178,14 @@ class TestLemmaZero:
         q_fact = t.assume(0, q, 0)
         p = canonicalize((1, 0, 0))  # on C(q) but not northern: reach needs northern
         with pytest.raises(Exception):
-            rule_lemma_zero(t, q_fact, p)
+            t.lemma_zero(0, q_fact, p, pole)
 
     def test_rejects_higher_target(self):
-        t, _ = seeded()
+        t, pole = seeded()
         q = canonicalize((0, R2, R2))
         q_fact = t.assume(0, q, 0)
         with pytest.raises(Exception):
-            rule_lemma_zero(t, q_fact, canonicalize((0.05, 0.05, 0.99)))
+            t.lemma_zero(0, q_fact, canonicalize((0.05, 0.05, 0.99)), pole)
 
 
 class TestBranching:
@@ -221,7 +218,7 @@ class TestBranching:
         t, pole = seeded()
         q = canonicalize((0, R2, R2))
         q_fact = t.assume(0, q, 0)
-        rule_lemma_zero(t, q_fact, canonicalize((0.5, 0.2, 0.3)))
+        t.lemma_zero(0, q_fact, canonicalize((0.5, 0.2, 0.3)), pole)
         for fid, fact in enumerate(t.facts):
             assert all(p < fid for p in fact.premises)
 
