@@ -2,19 +2,22 @@
 
 Subcommands:
   ks reach  --from X,Y,Z --to X,Y,Z [--eps E] [--json] [-o FILE]
-  ks shell  --point X,Y,Z --n N --svg FILE [--eps E]
+  ks shell  --point X,Y,Z --n N --svg FILE [--eps E] [--json]
   ks demo   first --pole X,Y,Z [-o DIR] [--eps E] [--json]
   ks demo   second [-o DIR] [--eps E] [--json]
   ks color  FILE --mode count|witness|prove-none [--json]
   ks verify FILE [--eps E] [--json]
-  ks render circle|projection|step1 [params] --svg FILE
+  ks render circle|projection|step1 [params] --svg FILE [--eps E] [--json]
 
-Vector components accept plain numbers or simple expressions over sin, cos,
-tan, sqrt and pi, e.g. --pole 0,sin(0.3),cos(0.3). Unnormalized inputs are
-canonicalized with a warning once the norm strays more than 1e-6 from 1.
-Every library error maps to a fixed exit code (ksgeom.errors.EXIT_CODES);
-verification rejects exit 22 and unmet coloring expectations exit 23. Bad
-invocations (an out-of-range --eps, an unreadable input file) exit 2.
+Vector components accept plain numbers or simple expressions over + - * /,
+parentheses, sin, cos, tan, sqrt and pi, e.g. --pole 0,sin(0.3),cos(0.3).
+Unnormalized inputs are canonicalized with a warning once the norm strays
+more than 1e-6 from 1. With --json every command prints one JSON document
+(shell and render print {"svg": path}); errors and warnings go to stderr,
+as JSON under --json. Every library error maps to a fixed exit code
+(ksgeom.errors.EXIT_CODES); verification rejects exit 22 and unmet coloring
+expectations exit 23. Bad invocations (an out-of-range --eps, an unreadable
+input or unwritable output file) exit 2.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .errors import (
 from .plane import PlanePoint
 from .reach import reach, verify_certificate
 from .serialize import (
+    certificate_to_doc,
     load_certificate,
     report_to_doc,
     save_certificate,
@@ -64,6 +68,8 @@ def _eval_component(text: str) -> float:
     text = text.strip()
     if not _EXPR_OK.match(text):
         raise ParseError(f"unsupported characters in component {text!r}")
+    if "**" in text:
+        raise ParseError(f"unsupported operator '**' in component {text!r}")
     names = set(re.findall(r"[A-Za-z_]+", text)) - {"e", "E"}
     unknown = names - set(_EXPR_NAMES)
     if unknown:
@@ -74,24 +80,19 @@ def _eval_component(text: str) -> float:
         raise ParseError(f"cannot evaluate component {text!r}: {exc}") from exc
 
 
-def _parse_vec3(text: str) -> tuple[float, float, float]:
+def _parse_vec(text: str, n: int) -> tuple[float, ...]:
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ParseError(f"expected three comma-separated components, got {text!r}")
-    x, y, z = (_eval_component(p) for p in parts)
-    return (x, y, z)
-
-
-def _parse_vec2(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"expected two comma-separated components, got {text!r}")
-    u, v = (_eval_component(p) for p in parts)
-    return (u, v)
+    if len(parts) != n:
+        count = {2: "two", 3: "three"}[n]
+        raise ParseError(f"expected {count} comma-separated components, got {text!r}")
+    vec = tuple(_eval_component(p) for p in parts)
+    if not math.isfinite(sum(c * c for c in vec)):
+        raise ParseError(f"components of {text!r} are not finite or overflow the norm")
+    return vec
 
 
 def _input_ray(text: str, tol: Tolerance, json_mode: bool) -> Ray:
-    v = _parse_vec3(text)
+    v = _parse_vec(text, 3)
     n = norm(v)
     if abs(n - 1.0) > 1e-6:
         _warn(f"input {text!r} has norm {n!r}; normalizing", json_mode)
@@ -105,74 +106,45 @@ def _warn(message: str, json_mode: bool) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
-class UsageError(Exception):
-    """Bad invocation found after argument parsing; exits EXIT_USAGE."""
+# Each command returns (exit code, JSON document, text); main prints one of them.
+Outcome = tuple[int, dict, str]
 
 
-def _read_input(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
-def cmd_reach(args) -> int:
+def cmd_reach(args) -> Outcome:
     tol = Tolerance(args.eps)
     src = _input_ray(args.src, tol, args.json)
     dst = _input_ray(args.dst, tol, args.json)
     cert = reach(src, dst, tol)
     report = verify_certificate(cert, tol)
-    text = save_certificate(cert, report.link_residuals)
+    cert_text = save_certificate(cert, report.link_residuals)
     if args.out:
-        Path(args.out).write_text(text)
-    doc = {
+        Path(args.out).write_text(cert_text)
+    summary = {
         "points": len(cert.points),
         "shell_n": cert.shell_n,
         "max_residual": max(report.link_residuals),
         "accepted": report.accepted,
         "out": args.out,
     }
-    if args.json:
-        payload = json.loads(text)
-        payload["summary"] = doc
-        print(json.dumps(payload, indent=1))
-    else:
-        if not args.out:
-            sys.stdout.write(text)
-        print(
-            f"certificate: {doc['points']} points, shell_n={doc['shell_n']}, "
-            f"max link residual {doc['max_residual']:.3e}"
-        )
-    return EXIT_OK
+    line = (
+        f"certificate: {summary['points']} points, shell_n={summary['shell_n']}, "
+        f"max link residual {summary['max_residual']:.3e}"
+    )
+    doc = {**certificate_to_doc(cert, report.link_residuals), "summary": summary}
+    return EXIT_OK, doc, line if args.out else cert_text + line
 
 
-def cmd_shell(args) -> int:
+def cmd_shell(args) -> Outcome:
     tol = Tolerance(args.eps)
     point = _input_ray(args.point, tol, args.json)
-    svg = figure_shell(point, args.n, tol)
-    Path(args.svg).write_text(svg)
-    if not args.json:
-        print(f"wrote {args.svg}")
-    return EXIT_OK
+    Path(args.svg).write_text(figure_shell(point, args.n, tol))
+    return EXIT_OK, {"svg": args.svg}, f"wrote {args.svg}"
 
 
-def _demo_summary(trace, system, core) -> dict:
-    return {
-        "rays": system.n_rays,
-        "triads": len(system.triads),
-        "pairs": len(system.pairs),
-        "branches": len(trace.branches),
-        "leaves": len(trace.leaves()),
-        "facts": len(trace.facts),
-        "decision_core": list(core),
-    }
-
-
-def cmd_demo(args) -> int:
+def cmd_demo(args) -> Outcome:
     tol = Tolerance(args.eps)
     if args.which == "first":
-        pole = _input_ray(args.pole, tol, args.json)
-        trace = demo_first_proof(pole, tol)
+        trace = demo_first_proof(_input_ray(args.pole, tol, args.json), tol)
     else:
         trace = demo_second_proof(tol)
     system = extract_triad_system(trace)
@@ -182,37 +154,33 @@ def cmd_demo(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "trace.json").write_text(save_trace(trace))
         (outdir / "system.json").write_text(save_system(system))
-    summary = _demo_summary(trace, system, core)
     pair = trace.contradiction
-    summary["contradiction_witness"] = (
-        list(trace.rays[trace.facts[pair[1]].ray].vec) if pair else None
-    )
-    if args.json:
-        print(json.dumps(summary, indent=1))
-    else:
-        print(
-            f"demo {args.which}: {summary['facts']} facts in "
-            f"{summary['branches']} branches, all {summary['leaves']} leaves closed"
-        )
-        print(
-            f"extracted system: {summary['rays']} rays, {summary['triads']} triads, "
-            f"{summary['pairs']} pairs; decision core {summary['decision_core']}"
-        )
-        if args.out:
-            print(f"wrote {args.out}/trace.json and {args.out}/system.json")
-    return EXIT_OK
+    doc = {
+        "rays": system.n_rays,
+        "triads": len(system.triads),
+        "pairs": len(system.pairs),
+        "branches": len(trace.branches),
+        "leaves": len(trace.leaves()),
+        "facts": len(trace.facts),
+        "decision_core": list(core),
+        "contradiction_witness": (
+            list(trace.rays[trace.facts[pair[1]].ray].vec) if pair else None
+        ),
+    }
+    lines = [
+        f"demo {args.which}: {doc['facts']} facts in "
+        f"{doc['branches']} branches, all {doc['leaves']} leaves closed",
+        f"extracted system: {doc['rays']} rays, {doc['triads']} triads, "
+        f"{doc['pairs']} pairs; decision core {doc['decision_core']}",
+    ]
+    if args.out:
+        lines.append(f"wrote {args.out}/trace.json and {args.out}/system.json")
+    return EXIT_OK, doc, "\n".join(lines)
 
 
-_MODES = {
-    "count": SolveMode.COUNT,
-    "witness": SolveMode.FIRST_WITNESS,
-    "prove-none": SolveMode.PROVE_NONE,
-}
-
-
-def cmd_color(args) -> int:
-    system = load_system(_read_input(args.file))
-    result = solve(system, _MODES[args.mode])
+def cmd_color(args) -> Outcome:
+    mode = SolveMode(args.mode)
+    result = solve(load_system(Path(args.file).read_text()), mode)
     doc = {
         "mode": args.mode,
         "count": result.count,
@@ -220,56 +188,46 @@ def cmd_color(args) -> int:
         "nodes_explored": result.nodes_explored,
         "exhaustive": result.exhaustive,
     }
-    if args.json:
-        print(json.dumps(doc, indent=1))
-    else:
-        print(
-            f"{args.mode}: count={result.count} nodes={result.nodes_explored} "
-            f"exhaustive={result.exhaustive}"
-        )
-        if result.witness is not None and args.mode == "witness":
-            print("witness:", "".join(str(v) for v in result.witness))
-    if args.mode == "prove-none" and result.count != 0:
-        return EXIT_EXPECTATION
-    if args.mode == "witness" and result.witness is None:
-        return EXIT_EXPECTATION
-    return EXIT_OK
+    lines = [
+        f"{args.mode}: count={result.count} nodes={result.nodes_explored} "
+        f"exhaustive={result.exhaustive}"
+    ]
+    if result.witness is not None and mode is SolveMode.FIRST_WITNESS:
+        lines.append("witness: " + "".join(str(v) for v in result.witness))
+    unmet = (mode is SolveMode.PROVE_NONE and result.count != 0) or (
+        mode is SolveMode.FIRST_WITNESS and result.witness is None
+    )
+    return EXIT_EXPECTATION if unmet else EXIT_OK, doc, "\n".join(lines)
 
 
-def cmd_verify(args) -> int:
-    cert = load_certificate(_read_input(args.file))
+def cmd_verify(args) -> Outcome:
+    cert = load_certificate(Path(args.file).read_text())
     report = verify_certificate(cert, Tolerance(args.eps))
-    if args.json:
-        print(json.dumps(report_to_doc(report), indent=1))
+    if report.accepted:
+        worst = (
+            f"max link residual {max(report.link_residuals):.3e}"
+            if report.link_residuals
+            else "no links"
+        )
+        text = f"accepted: {len(cert.points)} points, {worst}"
     else:
-        if report.accepted:
-            worst = (
-                f"max link residual {max(report.link_residuals):.3e}"
-                if report.link_residuals
-                else "no links"
-            )
-            print(f"accepted: {len(cert.points)} points, {worst}")
-        else:
-            print("rejected:")
-            for f in report.failures:
-                print(f"  {f}")
-    return EXIT_OK if report.accepted else EXIT_REJECTED
+        text = "\n".join(["rejected:", *(f"  {f}" for f in report.failures)])
+    code = EXIT_OK if report.accepted else EXIT_REJECTED
+    return code, report_to_doc(report), text
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> Outcome:
     tol = Tolerance(args.eps)
     if args.figure == "circle":
         svg = figure_circle(_input_ray(args.q, tol, args.json), tol)
     elif args.figure == "projection":
         svg = figure_projection(_input_ray(args.q, tol, args.json), tol)
     else:
-        hq = PlanePoint(*_parse_vec2(args.hq))
-        hp = PlanePoint(*_parse_vec2(args.hp))
+        hq = PlanePoint(*_parse_vec(args.hq, 2))
+        hp = PlanePoint(*_parse_vec(args.hp, 2))
         svg = figure_step_one(hq, hp, tol)
     Path(args.svg).write_text(svg)
-    if not args.json:
-        print(f"wrote {args.svg}")
-    return EXIT_OK
+    return EXIT_OK, {"svg": args.svg}, f"wrote {args.svg}"
 
 
 def _eps(text: str) -> float:
@@ -281,8 +239,9 @@ def _eps(text: str) -> float:
         ) from None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps", type=_eps, default=TOL.eps, help="tolerance (default 1e-9)")
+def _add_common(p: argparse.ArgumentParser, eps: bool = True) -> None:
+    if eps:
+        p.add_argument("--eps", type=_eps, default=TOL.eps, help="tolerance (default 1e-9)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -317,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="search colorings of a triad-system file")
     p.add_argument("file")
-    p.add_argument("--mode", choices=tuple(_MODES), default="count")
-    _add_common(p)
+    p.add_argument("--mode", choices=[m.value for m in SolveMode], default="count")
+    _add_common(p, eps=False)  # the system document carries its own eps
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("verify", help="verify a certificate file")
@@ -338,30 +297,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_error(exc: Exception, args: argparse.Namespace) -> None:
-    if getattr(args, "json", False):
-        print(
-            json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-            file=sys.stderr,
-        )
+def _report_error(args: argparse.Namespace, code: int, kind: str, message: str) -> int:
+    if args.json:
+        print(json.dumps({"error": {"type": kind, "message": message}}), file=sys.stderr)
     else:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        print(f"error [{kind}]: {message}", file=sys.stderr)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, doc, text = args.func(args)
     except KsError as exc:
-        _report_error(exc, args)
-        return exc.exit_code
-    except UsageError as exc:
-        _report_error(exc, args)
-        return EXIT_USAGE
+        return _report_error(args, exc.exit_code, type(exc).__name__, str(exc))
+    except OSError as exc:  # unreadable input, unwritable -o/--svg target
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        return _report_error(args, EXIT_USAGE, "UsageError", message)
     except ValueError as exc:
-        print(f"error [ValueError]: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _report_error(args, EXIT_INTERNAL, "ValueError", str(exc))
+    print(json.dumps(doc, indent=1) if args.json else text)
+    return code
 
 
 if __name__ == "__main__":

@@ -199,9 +199,7 @@ def demo_first_proof(p_prime: Ray, tol: Tolerance = TOL) -> DerivationTrace:
     return t
 
 
-def demo_second_proof(
-    tol: Tolerance = TOL, pole_angle: float = DEFAULT_POLE_ANGLE
-) -> DerivationTrace:
+def demo_second_proof(tol: Tolerance = TOL) -> DerivationTrace:
     """Closed trace of the right-half/left-half contradiction.
 
     In each seed branch: split on q(n)'s completion tripod, where n is the
@@ -214,7 +212,7 @@ def demo_second_proof(
     a_f: Vec3 = (-0.5, _R2, 0.5)
     b_f: Vec3 = (-0.5, -_R2, 0.5)
     c_f: Vec3 = (_R2, 0.0, _R2)
-    pprime_f: Vec3 = (0.0, math.sin(pole_angle), math.cos(pole_angle))
+    pprime_f: Vec3 = (0.0, math.sin(DEFAULT_POLE_ANGLE), math.cos(DEFAULT_POLE_ANGLE))
 
     for branch, pole_fact, frame in _seed_split(t):
         w_a_frame = third_point(canonicalize(a_f, tol), tol)

@@ -139,27 +139,7 @@ EXIT_USAGE = 2
 EXIT_REJECTED = 22      # verification report rejected a certificate
 EXIT_EXPECTATION = 23   # coloring mode expectation unmet (e.g. prove-none found a witness)
 
-ERROR_CLASSES = (
-    ZeroVector,
-    AtPole,
-    NotNorthern,
-    NotReachableDirectly,
-    BadN,
-    NoSuchN,
-    Unreachable,
-    NotOrthogonal,
-    PremiseNotOne,
-    PremiseNotZero,
-    NotOnCircle,
-    BadPremises,
-    BadPole,
-    NotInRightHalf,
-    OpenBranch,
-    InvalidSystem,
-    ParseError,
-    ValidationError,
-    PreconditionViolation,
-)
+ERROR_CLASSES = tuple(KsError.__subclasses__())
 
 EXIT_CODES = {cls.__name__: cls.exit_code for cls in ERROR_CLASSES}
 EXIT_CODES.update(

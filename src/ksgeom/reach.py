@@ -42,6 +42,8 @@ class ShellParams:
     def __post_init__(self) -> None:
         if self.n < MIN_SHELL_N:
             raise BadN(f"shell needs n >= {MIN_SHELL_N}, got {self.n}")
+        if self.n > N_MAX:
+            raise BadN(f"shell needs n <= {N_MAX}, got {self.n}")
         if not self.d0 > 0.0:
             raise BadN(f"shell needs positive starting distance, got {self.d0!r}")
 

@@ -140,7 +140,6 @@ class DerivationTrace:
         self.facts: list[ValueFact] = []
         self.branches: list[Branch] = [Branch(idx=0, parent=None)]
         self.named_tripods: list[tuple[int, int, int]] = []
-        self.last_fact: int | None = None
         self._buckets: dict[tuple[int, int, int], list[int]] = {}
 
     # -- ray table ---------------------------------------------------------
@@ -227,7 +226,6 @@ class DerivationTrace:
         ridx = self.ray_index(ray)
         existing = self.value_fact_in(branch, ridx)
         if existing is not None and self.facts[existing].value == value:
-            self.last_fact = existing
             return existing
         fid = len(self.facts)
         self.facts.append(
@@ -246,7 +244,6 @@ class DerivationTrace:
                 node.contradiction = (existing, fid)
         else:
             self.branches[branch].facts_by_ray[ridx] = fid
-        self.last_fact = fid
         return fid
 
     # -- rules --------------------------------------------------------------

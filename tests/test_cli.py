@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import random
 
 import pytest
 
 from ksgeom.cli import main
 from ksgeom.errors import ERROR_CLASSES, EXIT_CODES, EXIT_EXPECTATION, EXIT_REJECTED
+from ksgeom.reach import N_MAX
 
 from conftest import random_northern
 
@@ -110,6 +112,22 @@ class TestReachCommand:
             "-o", str(out),
         )
         assert code == 0
+
+    def test_power_operator_rejected(self, capsys):
+        code, _, err = run(capsys, "reach", "--from", "9**9**9,0,1", "--to", "0.6,0.4,0.2")
+        assert code == EXIT_CODES["ParseError"] == 19
+        assert "'**'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["reach", "--from", "1e400,0,1", "--to", "0.6,0.4,0.2"],
+        ["reach", "--from", "1e400-1e400,0,1", "--to", "0.6,0.4,0.2"],
+        ["reach", "--from", "1e300,1e300,1", "--to", "0.6,0.4,0.2"],  # norm overflows
+        ["render", "step1", "--hq", "1e300,1e300", "--svg", os.devnull],
+    ])
+    def test_non_finite_vector_rejected(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_CODES["ParseError"] == 19
+        assert "not finite" in err
 
     def test_json_mode_payload(self, capsys):
         code, out, _ = run(
@@ -279,6 +297,34 @@ class TestUsageErrors:
         assert code == EXIT_CODES["usage"]
         assert json.loads(err)["error"]["type"] == "UsageError"
 
+    def test_color_has_no_eps(self, tmp_path, capsys):
+        f = write_single_triad(tmp_path / "triad.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["color", str(f), "--eps", "1e-5"])
+        assert exc.value.code == EXIT_CODES["usage"]
+        assert "--eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["reach", "--from", "0,sin(0.8),cos(0.8)", "--to", "0,sin(1.2),cos(1.2)", "-o"],
+        ["demo", "second", "-o"],
+        ["shell", "--point", "0,sin(0.8),cos(0.8)", "--n", "16", "--svg"],
+        ["render", "circle", "--svg"],
+    ])
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_unwritable_output(self, tmp_path, capsys, command, json_mode):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory")
+        target = str(blocker / "out")
+        code, out, err = run(capsys, *command, target, *(["--json"] if json_mode else []))
+        assert code == EXIT_CODES["usage"]
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        assert target in err
+        if json_mode:
+            assert json.loads(err)["error"]["type"] == "UsageError"
+        else:
+            assert err.startswith("error [UsageError]: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
 
 class TestRenderCommands:
     def test_shell_svg(self, tmp_path, capsys):
@@ -288,9 +334,19 @@ class TestRenderCommands:
         assert code == 0 and out.exists()
 
     def test_shell_bad_n(self, tmp_path, capsys):
-        code, _, _ = run(capsys, "shell", "--point", "0,sin(0.8),cos(0.8)",
-                         "--n", "4", "--svg", str(tmp_path / "s.svg"))
-        assert code == EXIT_CODES["BadN"]
+        for n in (4, N_MAX + 1):
+            code, _, _ = run(capsys, "shell", "--point", "0,sin(0.8),cos(0.8)",
+                             "--n", str(n), "--svg", str(tmp_path / "s.svg"))
+            assert code == EXIT_CODES["BadN"]
+
+    @pytest.mark.parametrize("command", [
+        ["shell", "--point", "0,sin(0.8),cos(0.8)", "--n", "16"],
+        ["render", "step1"],
+    ])
+    def test_json_prints_svg_path(self, tmp_path, capsys, command):
+        out = str(tmp_path / "fig.svg")
+        code, stdout, _ = run(capsys, *command, "--svg", out, "--json")
+        assert code == 0 and json.loads(stdout) == {"svg": out}
 
     def test_circle_at_pole(self, tmp_path, capsys):
         code, _, _ = run(capsys, "render", "circle", "--q", "0,0,1",

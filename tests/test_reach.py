@@ -113,6 +113,8 @@ class TestShell:
             shell(unproject(PlanePoint(1, 0)), 4)
         with pytest.raises(BadN):
             ShellParams(n=3, d0=1.0)
+        with pytest.raises(BadN):  # raised before any point is built
+            shell(unproject(PlanePoint(1, 0)), N_MAX + 1)
 
 
 class TestChooseShellN:

@@ -41,8 +41,7 @@ class TestSeed:
 
     def test_equator_consequence_available(self):
         t, pole = seeded()
-        t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
-        f = t.facts[t.last_fact]
+        f = t.facts[t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)]
         assert f.value == 0 and t.rays[f.ray].vec == (1.0, 0.0, 0.0)
 
 
@@ -50,8 +49,7 @@ class TestOrthogonalZero:
     def test_equator_rays(self):
         t, pole = seeded()
         for v in ((1, 0, 0), (0, 1, 0), (0.6, -0.8, 0)):
-            t.orthogonal_zero(0, canonicalize(v), pole)
-            assert t.facts[t.last_fact].value == 0
+            assert t.facts[t.orthogonal_zero(0, canonicalize(v), pole)].value == 0
 
     def test_not_orthogonal(self):
         t, pole = seeded()
@@ -111,17 +109,16 @@ class TestCircleZero:
         t, pole = seeded()
         q = canonicalize((0, R2, R2))
         q_fact = t.assume(0, q, 0)
-        t.circle_zero(0, q_fact, canonicalize((1, 0, 0)), pole)
-        assert t.facts[t.last_fact].value == 0
+        fid = t.circle_zero(0, q_fact, canonicalize((1, 0, 0)), pole)
+        assert t.facts[fid].value == 0
 
     def test_idempotent_on_q(self):
         t, pole = seeded()
         q = canonicalize((0, R2, R2))
         q_fact = t.assume(0, q, 0)
         n_before = len(t.facts)
-        t.circle_zero(0, q_fact, q, pole)
         # collapses to the existing fact: no new conclusion about q
-        assert t.last_fact == q_fact
+        assert t.circle_zero(0, q_fact, q, pole) == q_fact
         assert t.facts[q_fact].value == 0
         assert len(t.facts) > n_before  # expansion facts were still recorded
 
@@ -164,8 +161,7 @@ class TestLemmaZero:
         q = canonicalize((0, R2, R2))
         q_fact = t.assume(0, q, 0)
         p = canonicalize((0.5, 0.2, 0.3))
-        t.lemma_zero(0, q_fact, p, pole)
-        fact = t.facts[t.last_fact]
+        fact = t.facts[t.lemma_zero(0, q_fact, p, pole)]
         assert fact.value == 0
         assert fact.rule == RULE_LEMMA_ZERO
         assert isinstance(fact.witness, CertWitness)
