@@ -31,12 +31,11 @@ from .reach import (
     verify_certificate,
 )
 from .sphere import (
+    EPS,
     NORTH_POLE,
-    TOL,
     GreatCircle,
     Ray,
     Rotation,
-    Tolerance,
     Tripod,
     canonicalize,
     circle_of,
@@ -58,6 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ColoringResult",
     "DerivationTrace",
+    "EPS",
     "GreatCircle",
     "N_MAX",
     "NORTH_POLE",
@@ -69,8 +69,6 @@ __all__ = [
     "ShellParams",
     "Side",
     "SolveMode",
-    "TOL",
-    "Tolerance",
     "TriadSystem",
     "Tripod",
     "ValueFact",

@@ -1,22 +1,24 @@
 """Command-line interface.
 
 Subcommands:
-  ks reach  --from X,Y,Z --to X,Y,Z [--eps E] [--json] [-o FILE]
-  ks shell  --point X,Y,Z --n N --svg FILE [--eps E] [--json]
-  ks demo   first --pole X,Y,Z [-o DIR] [--eps E] [--json]
-  ks demo   second [-o DIR] [--eps E] [--json]
+  ks reach  --from X,Y,Z --to X,Y,Z [--json] [-o FILE]
+  ks shell  --point X,Y,Z --n N --svg FILE [--json]
+  ks demo   first --pole X,Y,Z [-o DIR] [--json]
+  ks demo   second [-o DIR] [--json]
   ks color  FILE --mode count|witness|prove-none [--json]
-  ks verify FILE [--eps E] [--json]
-  ks render circle|projection|step1 [params] --svg FILE [--eps E] [--json]
+  ks verify FILE [--json]
+  ks render circle|projection|step1 [params] --svg FILE [--json]
 
 Vector components accept plain numbers or simple expressions over + - * /,
 parentheses, sin, cos, tan, sqrt and pi, e.g. --pole 0,sin(0.3),cos(0.3).
 Unnormalized inputs are canonicalized with a warning once the norm strays
-more than 1e-6 from 1. With --json every command prints one JSON document
+more than 1e-6 from 1. Every command compares at the fixed tolerance
+ksgeom.EPS = 1e-9; color validates a system at its document's own eps.
+With --json every command prints one JSON document
 (shell and render print {"svg": path}); errors and warnings go to stderr,
 as JSON under --json. Every library error maps to a fixed exit code
 (ksgeom.errors.EXIT_CODES); verification rejects exit 22 and unmet coloring
-expectations exit 23. Bad invocations (an out-of-range --eps, an unreadable
+expectations exit 23. Bad invocations (an unknown option, an unreadable
 input or unwritable output file) exit 2.
 """
 
@@ -49,7 +51,7 @@ from .serialize import (
     save_certificate,
     save_trace,
 )
-from .sphere import TOL, Ray, Tolerance, canonicalize, norm
+from .sphere import Ray, canonicalize, norm
 from .svg import figure_circle, figure_projection, figure_shell, figure_step_one
 from .system import load_system, save_system
 from .trace import decision_core, extract_triad_system
@@ -91,12 +93,12 @@ def _parse_vec(text: str, n: int) -> tuple[float, ...]:
     return vec
 
 
-def _input_ray(text: str, tol: Tolerance, json_mode: bool) -> Ray:
+def _input_ray(text: str, json_mode: bool) -> Ray:
     v = _parse_vec(text, 3)
     n = norm(v)
     if abs(n - 1.0) > 1e-6:
         _warn(f"input {text!r} has norm {n!r}; normalizing", json_mode)
-    return canonicalize(v, tol)
+    return canonicalize(v)
 
 
 def _warn(message: str, json_mode: bool) -> None:
@@ -111,11 +113,10 @@ Outcome = tuple[int, dict, str]
 
 
 def cmd_reach(args) -> Outcome:
-    tol = Tolerance(args.eps)
-    src = _input_ray(args.src, tol, args.json)
-    dst = _input_ray(args.dst, tol, args.json)
-    cert = reach(src, dst, tol)
-    report = verify_certificate(cert, tol)
+    src = _input_ray(args.src, args.json)
+    dst = _input_ray(args.dst, args.json)
+    cert = reach(src, dst)
+    report = verify_certificate(cert)
     cert_text = save_certificate(cert, report.link_residuals)
     if args.out:
         Path(args.out).write_text(cert_text)
@@ -135,18 +136,16 @@ def cmd_reach(args) -> Outcome:
 
 
 def cmd_shell(args) -> Outcome:
-    tol = Tolerance(args.eps)
-    point = _input_ray(args.point, tol, args.json)
-    Path(args.svg).write_text(figure_shell(point, args.n, tol))
+    point = _input_ray(args.point, args.json)
+    Path(args.svg).write_text(figure_shell(point, args.n))
     return EXIT_OK, {"svg": args.svg}, f"wrote {args.svg}"
 
 
 def cmd_demo(args) -> Outcome:
-    tol = Tolerance(args.eps)
     if args.which == "first":
-        trace = demo_first_proof(_input_ray(args.pole, tol, args.json), tol)
+        trace = demo_first_proof(_input_ray(args.pole, args.json))
     else:
-        trace = demo_second_proof(tol)
+        trace = demo_second_proof()
     system = extract_triad_system(trace)
     core = decision_core(trace, system)
     if args.out:
@@ -180,7 +179,7 @@ def cmd_demo(args) -> Outcome:
 
 def cmd_color(args) -> Outcome:
     mode = SolveMode(args.mode)
-    result = solve(load_system(Path(args.file).read_text()), mode)
+    result = solve(load_system(Path(args.file).read_bytes()), mode)
     doc = {
         "mode": args.mode,
         "count": result.count,
@@ -201,8 +200,8 @@ def cmd_color(args) -> Outcome:
 
 
 def cmd_verify(args) -> Outcome:
-    cert = load_certificate(Path(args.file).read_text())
-    report = verify_certificate(cert, Tolerance(args.eps))
+    cert = load_certificate(Path(args.file).read_bytes())
+    report = verify_certificate(cert)
     if report.accepted:
         worst = (
             f"max link residual {max(report.link_residuals):.3e}"
@@ -217,31 +216,19 @@ def cmd_verify(args) -> Outcome:
 
 
 def cmd_render(args) -> Outcome:
-    tol = Tolerance(args.eps)
     if args.figure == "circle":
-        svg = figure_circle(_input_ray(args.q, tol, args.json), tol)
+        svg = figure_circle(_input_ray(args.q, args.json))
     elif args.figure == "projection":
-        svg = figure_projection(_input_ray(args.q, tol, args.json), tol)
+        svg = figure_projection(_input_ray(args.q, args.json))
     else:
         hq = PlanePoint(*_parse_vec(args.hq, 2))
         hp = PlanePoint(*_parse_vec(args.hp, 2))
-        svg = figure_step_one(hq, hp, tol)
+        svg = figure_step_one(hq, hp)
     Path(args.svg).write_text(svg)
     return EXIT_OK, {"svg": args.svg}, f"wrote {args.svg}"
 
 
-def _eps(text: str) -> float:
-    try:
-        return Tolerance(float(text)).eps
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be a number in (0, 1e-3), got {text!r}"
-        ) from None
-
-
-def _add_common(p: argparse.ArgumentParser, eps: bool = True) -> None:
-    if eps:
-        p.add_argument("--eps", type=_eps, default=TOL.eps, help="tolerance (default 1e-9)")
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -277,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("color", help="search colorings of a triad-system file")
     p.add_argument("file")
     p.add_argument("--mode", choices=[m.value for m in SolveMode], default="count")
-    _add_common(p, eps=False)  # the system document carries its own eps
+    _add_common(p)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("verify", help="verify a certificate file")

@@ -20,17 +20,7 @@ import math
 
 from .errors import BadN, BadPole, NotInRightHalf
 from .plane import Side, side_of
-from .sphere import (
-    TOL,
-    Ray,
-    Rotation,
-    Tolerance,
-    Tripod,
-    Vec3,
-    canonicalize,
-    rotation_to_pole,
-    third_point,
-)
+from .sphere import EPS, Ray, Rotation, Tripod, Vec3, canonicalize, rotation_to_pole, third_point
 from .trace import DerivationTrace, completion_partners, to_world
 
 _R2 = math.sqrt(0.5)
@@ -43,7 +33,7 @@ SEED_TRIPOD_VECS: tuple[Vec3, Vec3, Vec3] = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (
 DEFAULT_POLE_ANGLE = 0.3
 
 
-def qn_sequence(n: int, tol: Tolerance = TOL) -> Ray:
+def qn_sequence(n: int) -> Ray:
     """The n-th point of the canonical pole-approaching sequence with x > 0.
 
     theta_n = 1/n, so q(n) = (sin 1/n, 0, cos 1/n) lies in the {y=0} great
@@ -51,23 +41,23 @@ def qn_sequence(n: int, tol: Tolerance = TOL) -> Ray:
     """
     if n < 1:
         raise BadN(f"sequence index must be >= 1, got {n}")
-    return canonicalize((math.sin(1.0 / n), 0.0, math.cos(1.0 / n)), tol)
+    return canonicalize((math.sin(1.0 / n), 0.0, math.cos(1.0 / n)))
 
 
-def cover_index(p: Ray, tol: Tolerance = TOL) -> int:
+def cover_index(p: Ray) -> int:
     """Smallest n with p strictly beyond the circle of q(n).
 
     Equivalently the smallest n with tan(1/n) < p_x / p_z; defined exactly
     on the open right half of the northern hemisphere, whose covering by
     those circle regions this realizes.
     """
-    if not (p.z > tol.eps and p.x > tol.eps):
+    if not (p.z > EPS and p.x > EPS):
         raise NotInRightHalf(f"need p_x > eps and p_z > eps, got {p.vec}")
     ratio = p.x / p.z
     n = max(1, math.floor(1.0 / math.atan(ratio)))
-    while side_of(p, qn_sequence(n, tol), tol) is not Side.BEYOND:
+    while side_of(p, qn_sequence(n)) is not Side.BEYOND:
         n += 1
-    while n > 1 and side_of(p, qn_sequence(n - 1, tol), tol) is Side.BEYOND:
+    while n > 1 and side_of(p, qn_sequence(n - 1)) is Side.BEYOND:
         n -= 1
     return n
 
@@ -76,8 +66,8 @@ def _completion_in_frame(
     t: DerivationTrace, frame: Rotation | None, vec: Vec3
 ) -> tuple[Ray, Ray, Ray]:
     """World rays of (q, equator_partner(q), third_point(q)) for frame coords."""
-    qf = canonicalize(vec, t.tol)
-    return (to_world(frame, qf.vec, t.tol), *completion_partners(frame, qf, t.tol))
+    qf = canonicalize(vec)
+    return (to_world(frame, qf.vec), *completion_partners(frame, qf))
 
 
 def _heights_and_clash(
@@ -115,7 +105,7 @@ def _heights_and_clash(
 
     # Re-pole at p' and run the frame argument there far enough to zero the
     # witness in both sub-branches.
-    inner = rotation_to_pole(p1, t.tol)
+    inner = rotation_to_pole(p1)
     e2, u2p, u2m = _frame_axes(t, inner)
     e2_fid = t.orthogonal_zero(branch, e2, p1_fid)
     t2 = Tripod(u2p, u2m, e2)
@@ -131,9 +121,9 @@ def _heights_and_clash(
 def _frame_axes(t: DerivationTrace, frame: Rotation | None) -> tuple[Ray, Ray, Ray]:
     """World rays of the frame's equator axis and the two height-1/sqrt(2) rays."""
     return (
-        to_world(frame, (1.0, 0.0, 0.0), t.tol),
-        to_world(frame, (0.0, _R2, _R2), t.tol),
-        to_world(frame, (0.0, -_R2, _R2), t.tol),
+        to_world(frame, (1.0, 0.0, 0.0)),
+        to_world(frame, (0.0, _R2, _R2)),
+        to_world(frame, (0.0, -_R2, _R2)),
     )
 
 
@@ -167,39 +157,39 @@ def _seed_split(
     Returns (branch, pole_fact, frame) triples; frame is None for the north
     pole branch (identity) and maps the member to the pole otherwise.
     """
-    n_ray, x_ray, y_ray = (canonicalize(v, t.tol) for v in SEED_TRIPOD_VECS)
+    n_ray, x_ray, y_ray = (canonicalize(v) for v in SEED_TRIPOD_VECS)
     t0 = Tripod(n_ray, x_ray, y_ray)
     b_n0, b_n1 = t.split(0, t0, n_ray)
     out: list[tuple[int, int, Rotation | None]] = [
         (b_n1, t.branches[b_n1].assumption, None)
     ]
     b_x0, b_x1 = t.split(b_n0, t0, x_ray)
-    out.append((b_x1, t.branches[b_x1].assumption, rotation_to_pole(x_ray, t.tol)))
+    out.append((b_x1, t.branches[b_x1].assumption, rotation_to_pole(x_ray)))
     y_fid = t.triad_one(
         b_x0, t0, t.branches[b_n0].assumption, t.branches[b_x0].assumption
     )
-    out.append((b_x0, y_fid, rotation_to_pole(y_ray, t.tol)))
+    out.append((b_x0, y_fid, rotation_to_pole(y_ray)))
     return out
 
 
-def demo_first_proof(p_prime: Ray, tol: Tolerance = TOL) -> DerivationTrace:
+def demo_first_proof(p_prime: Ray) -> DerivationTrace:
     """Closed trace of the re-poling contradiction.
 
     p_prime is the re-poling target, interpreted in each seed branch's local
     frame; it must lie strictly inside the upper cap, 1/sqrt(2) < z < 1.
     """
-    if not (_R2 + tol.eps < p_prime.z < 1.0 - tol.eps):
+    if not (_R2 + EPS < p_prime.z < 1.0 - EPS):
         raise BadPole(
             f"re-poling target needs 1/sqrt(2) < z < 1, got z={p_prime.z!r}"
         )
-    t = DerivationTrace(tol)
+    t = DerivationTrace()
     for branch, pole_fact, frame in _seed_split(t):
         _pole_refutation(t, branch, pole_fact, frame, p_prime.vec)
     assert t.closed
     return t
 
 
-def demo_second_proof(tol: Tolerance = TOL) -> DerivationTrace:
+def demo_second_proof() -> DerivationTrace:
     """Closed trace of the right-half/left-half contradiction.
 
     In each seed branch: split on q(n)'s completion tripod, where n is the
@@ -208,16 +198,16 @@ def demo_second_proof(tol: Tolerance = TOL) -> DerivationTrace:
     q(n)=0 branch zeroes the right-half points by reach chains, forces 1 on
     both left-half members of the fixed tripod, and clashes.
     """
-    t = DerivationTrace(tol)
+    t = DerivationTrace()
     a_f: Vec3 = (-0.5, _R2, 0.5)
     b_f: Vec3 = (-0.5, -_R2, 0.5)
     c_f: Vec3 = (_R2, 0.0, _R2)
     pprime_f: Vec3 = (0.0, math.sin(DEFAULT_POLE_ANGLE), math.cos(DEFAULT_POLE_ANGLE))
 
     for branch, pole_fact, frame in _seed_split(t):
-        w_a_frame = third_point(canonicalize(a_f, tol), tol)
-        n = cover_index(w_a_frame, tol)
-        qn_f = qn_sequence(n, tol).vec
+        w_a_frame = third_point(canonicalize(a_f))
+        n = cover_index(w_a_frame)
+        qn_f = qn_sequence(n).vec
 
         qn, e_qn, w_qn = _completion_in_frame(t, frame, qn_f)
         e_qn_fid = t.orthogonal_zero(branch, e_qn, pole_fact)
@@ -226,7 +216,7 @@ def demo_second_proof(tol: Tolerance = TOL) -> DerivationTrace:
 
         # q(n) = 1: that ray is a value-1 pole; the re-poling argument kills it.
         _pole_refutation(
-            t, b1, t.branches[b1].assumption, rotation_to_pole(qn, tol), pprime_f
+            t, b1, t.branches[b1].assumption, rotation_to_pole(qn), pprime_f
         )
 
         # q(n) = 0: the right half below its circle is zeroed; the fixed
@@ -236,7 +226,7 @@ def demo_second_proof(tol: Tolerance = TOL) -> DerivationTrace:
 
         a_ray, e_a, w_a = _completion_in_frame(t, frame, a_f)
         b_ray, e_b, w_b = _completion_in_frame(t, frame, b_f)
-        c_ray = to_world(frame, c_f, tol)
+        c_ray = to_world(frame, c_f)
 
         w_a_fid = t.lemma_zero(b0, qn_zero, w_a, pole_fact=pole_fact, frame=frame)
         w_b_fid = t.lemma_zero(b0, qn_zero, w_b, pole_fact=pole_fact, frame=frame)

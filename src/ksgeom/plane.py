@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AtPole, NotNorthern
-from .sphere import TOL, Ray, Tolerance, canonicalize
+from .sphere import EPS, Ray, canonicalize
 
 
 @dataclass(frozen=True)
@@ -55,55 +55,55 @@ class Side(enum.Enum):
     BEYOND = "beyond"
 
 
-def project(q: Ray, tol: Tolerance = TOL) -> PlanePoint:
+def project(q: Ray) -> PlanePoint:
     """h(q) = (q_x/q_z, q_y/q_z); bijective from the open northern hemisphere."""
-    if not q.is_northern(tol):
+    if not q.is_northern():
         raise NotNorthern(f"cannot project point with z={q.z!r}")
     return PlanePoint(q.x / q.z, q.y / q.z)
 
 
-def unproject(p: PlanePoint, tol: Tolerance = TOL) -> Ray:
+def unproject(p: PlanePoint) -> Ray:
     """Inverse of project: the canonical ray through (u, v, 1)."""
-    return canonicalize((p.u, p.v, 1.0), tol)
+    return canonicalize((p.u, p.v, 1.0))
 
 
-def circle_image_line(q: Ray, tol: Tolerance = TOL) -> PlaneLine:
+def circle_image_line(q: Ray) -> PlaneLine:
     """The image line of circle_of(q): through h(q), orthogonal to the pole ray.
 
     The direction is the counterclockwise quarter turn of the foot.
     """
-    if q.is_pole(tol):
+    if q.is_pole():
         raise AtPole("circle image line undefined at the north pole")
-    foot = project(q, tol)
+    foot = project(q)
     d = foot.norm()
     return PlaneLine(foot, (-foot.v / d, foot.u / d))
 
 
-def _side_threshold(p_pt: PlanePoint, f_pt: PlanePoint, eps: float) -> float:
+def _side_threshold(p_pt: PlanePoint, f_pt: PlanePoint) -> float:
     # Exact sphere->plane tolerance conversion: with p = (P,1)/sqrt(1+|P|^2)
     # and pole(C(q)) = (-F, |F|^2)/(|F| sqrt(1+|F|^2)),
     #   P.F - |F|^2 = -(p . pole) * sqrt(1+|P|^2) * |F| * sqrt(1+|F|^2),
-    # so comparing |P.F - |F|^2| against eps times that factor is exactly the
-    # sphere-space membership test |p . pole| <= eps.
+    # so comparing |P.F - |F|^2| against EPS times that factor is exactly the
+    # sphere-space membership test |p . pole| <= EPS.
     pn2 = p_pt.u * p_pt.u + p_pt.v * p_pt.v
     fn = f_pt.norm()
     fn2 = fn * fn
-    return eps * math.sqrt(1.0 + pn2) * fn * math.sqrt(1.0 + fn2)
+    return EPS * math.sqrt(1.0 + pn2) * fn * math.sqrt(1.0 + fn2)
 
 
-def side_of(p: Ray, q: Ray, tol: Tolerance = TOL) -> Side:
+def side_of(p: Ray, q: Ray) -> Side:
     """Which side of circle_of(q) the point p falls on, in plane coordinates.
 
     BEYOND means p lies in the region between the circle and the equator
     (the half plane not containing the pole); ON_CIRCLE is membership within
     tolerance; POLE_SIDE is the rest of the hemisphere.
     """
-    if q.is_pole(tol):
+    if q.is_pole():
         raise AtPole("side_of undefined for the pole circle")
-    p_pt = project(p, tol)
-    f_pt = project(q, tol)
+    p_pt = project(p)
+    f_pt = project(q)
     s = p_pt.dot(f_pt) - f_pt.dot(f_pt)
-    thr = _side_threshold(p_pt, f_pt, tol.eps)
+    thr = _side_threshold(p_pt, f_pt)
     if abs(s) <= thr:
         return Side.ON_CIRCLE
     if s > thr:

@@ -23,7 +23,7 @@ from .errors import (
     Unreachable,
 )
 from .plane import PlanePoint, Side, circle_image_line, project, side_of, unproject
-from .sphere import TOL, Ray, Tolerance, Vec3, canonicalize, circle_of
+from .sphere import EPS, Ray, Vec3, canonicalize, circle_of
 
 #: Hard cap on shell size; hitting it means the height gap is below what the
 #: construction can resolve numerically.
@@ -68,7 +68,7 @@ class ReachCertificate:
     """
 
     points: tuple[Vec3, ...]
-    eps: float = TOL.eps
+    eps: float = EPS
     shell_n: int | None = None
 
 
@@ -81,7 +81,7 @@ class VerifyReport:
     first_bad_link: int | None = None
 
 
-def step_one(q: Ray, p: Ray, tol: Tolerance = TOL) -> Ray:
+def step_one(q: Ray, p: Ray) -> Ray:
     """A point on circle_of(q) whose own circle passes through p.
 
     Requires p on or beyond circle_of(q). In plane coordinates the unknown
@@ -90,14 +90,14 @@ def step_one(q: Ray, p: Ray, tol: Tolerance = TOL) -> Ray:
     which makes the output deterministic (the other root is the mirror
     image and equally valid).
     """
-    side = side_of(p, q, tol)
+    side = side_of(p, q)
     if side is Side.POLE_SIDE:
         raise NotReachableDirectly("target is on the pole side of the circle")
     if side is Side.ON_CIRCLE:
         return q
-    f_pt = project(q, tol)
-    p_pt = project(p, tol)
-    r = circle_image_line(q, tol).dir
+    f_pt = project(q)
+    p_pt = project(p)
+    r = circle_image_line(q).dir
     b = r[0] * p_pt.u + r[1] * p_pt.v
     c = f_pt.dot(f_pt) - f_pt.dot(p_pt)
     disc = b * b - 4.0 * c
@@ -106,30 +106,30 @@ def step_one(q: Ray, p: Ray, tol: Tolerance = TOL) -> Ray:
     t = (b + math.sqrt(disc)) / 2.0
     if t < 0.0:
         t = (b - math.sqrt(disc)) / 2.0
-    return unproject(PlanePoint(f_pt.u + t * r[0], f_pt.v + t * r[1]), tol)
+    return unproject(PlanePoint(f_pt.u + t * r[0], f_pt.v + t * r[1]))
 
 
-def shell(q: Ray, n: int, tol: Tolerance = TOL) -> list[Ray]:
+def shell(q: Ray, n: int) -> list[Ray]:
     """The outward spiral q_0 = q, ..., q_n with plane step angle 2*pi/n.
 
     Each step turns by 2*pi/n and grows the plane distance by 1/cos(2*pi/n),
     which keeps q_{i+1} exactly on the circle of q_i.
     """
-    if q.is_pole(tol):
+    if q.is_pole():
         raise AtPole("shell undefined at the north pole")
-    params = ShellParams(n=n, d0=project(q, tol).norm())
-    f = project(q, tol)
+    params = ShellParams(n=n, d0=project(q).norm())
+    f = project(q)
     phi = math.atan2(f.v, f.u)
     d = params.d0
     points = [q]
     for _ in range(n):
         phi += params.step_angle
         d *= params.growth
-        points.append(unproject(PlanePoint(d * math.cos(phi), d * math.sin(phi)), tol))
+        points.append(unproject(PlanePoint(d * math.cos(phi), d * math.sin(phi))))
     return points
 
 
-def choose_shell_n(q: Ray, p: Ray, tol: Tolerance = TOL) -> int:
+def choose_shell_n(q: Ray, p: Ray) -> int:
     """Smallest n >= 5 whose shell provably brings p beyond some shell circle.
 
     Criterion: d0 * cos(2*pi/n)^(-n) < ||h(p)|| * cos(pi/n). The cos(pi/n)
@@ -138,14 +138,14 @@ def choose_shell_n(q: Ray, p: Ray, tol: Tolerance = TOL) -> int:
     within pi/n of h(p)'s azimuth). Raises NoSuchN past N_MAX, which signals
     heights too close to separate numerically.
     """
-    if q.is_pole(tol):
+    if q.is_pole():
         raise AtPole("shell selection undefined at the north pole")
-    if not (p.is_northern(tol) and q.is_northern(tol)):
+    if not (p.is_northern() and q.is_northern()):
         raise NotNorthern("both points must be northern")
     if not p.z < q.z:
         raise PreconditionViolation("target must be strictly lower than source")
-    d0 = project(q, tol).norm()
-    target = project(p, tol).norm()
+    d0 = project(q).norm()
+    target = project(p).norm()
     n = MIN_SHELL_N
     while n <= N_MAX:
         if d0 * math.cos(2.0 * math.pi / n) ** (-n) < target * math.cos(math.pi / n):
@@ -154,49 +154,47 @@ def choose_shell_n(q: Ray, p: Ray, tol: Tolerance = TOL) -> int:
     raise NoSuchN(f"no admissible shell size up to {N_MAX}")
 
 
-def _as_cert(points: list[Ray], tol: Tolerance, shell_n: int | None) -> ReachCertificate:
-    return ReachCertificate(
-        points=tuple(r.vec for r in points), eps=tol.eps, shell_n=shell_n
-    )
+def _as_cert(points: list[Ray], shell_n: int | None) -> ReachCertificate:
+    return ReachCertificate(points=tuple(r.vec for r in points), shell_n=shell_n)
 
 
-def reach(q: Ray, p: Ray, tol: Tolerance = TOL) -> ReachCertificate:
+def reach(q: Ray, p: Ray) -> ReachCertificate:
     """Certificate that p can be reached from q, for northern p_z < q_z - eps."""
-    if not (p.is_northern(tol) and q.is_northern(tol)):
+    if not (p.is_northern() and q.is_northern()):
         raise NotNorthern("both points must be northern")
-    if q.is_pole(tol):
+    if q.is_pole():
         raise AtPole("reach source must not be the pole")
-    if not p.z < q.z - tol.eps:
+    if not p.z < q.z - EPS:
         raise PreconditionViolation(
             f"need p_z < q_z - eps, got p_z={p.z!r}, q_z={q.z!r}"
         )
-    side = side_of(p, q, tol)
+    side = side_of(p, q)
     if side is Side.ON_CIRCLE:
-        return _as_cert([q, p], tol, None)
+        return _as_cert([q, p], None)
     if side is Side.BEYOND:
-        return _as_cert([q, step_one(q, p, tol), p], tol, None)
+        return _as_cert([q, step_one(q, p), p], None)
 
-    n = choose_shell_n(q, p, tol)
+    n = choose_shell_n(q, p)
     while True:
-        points = shell(q, n, tol)
+        points = shell(q, n)
         for i, s_pt in enumerate(points):
-            s = side_of(p, s_pt, tol)
+            s = side_of(p, s_pt)
             if s is Side.POLE_SIDE:
                 continue
             prefix = points[: i + 1]
             if s is Side.ON_CIRCLE:
-                return _as_cert(prefix + [p], tol, n)
-            return _as_cert(prefix + [step_one(s_pt, p, tol), p], tol, n)
+                return _as_cert(prefix + [p], n)
+            return _as_cert(prefix + [step_one(s_pt, p), p], n)
         if n >= N_MAX:
             raise Unreachable(f"shell scan found no index up to n={n}")
         n = min(2 * n, N_MAX)
 
 
-def verify_certificate(cert: ReachCertificate, tol: Tolerance = TOL) -> VerifyReport:
+def verify_certificate(cert: ReachCertificate) -> VerifyReport:
     """Re-check every certificate invariant; failures are report entries.
 
     Checks, per point: near-unit norm and strictly positive z; per link
-    (a, b): |b . pole(circle_of(a))| within tol. The first offending link
+    (a, b): |b . pole(circle_of(a))| within EPS. The first offending link
     or point index is reported. Every test fails closed, so a NaN
     coordinate or residual is a failure.
     """
@@ -228,11 +226,11 @@ def verify_certificate(cert: ReachCertificate, tol: Tolerance = TOL) -> VerifyRe
             rays.append(None)
             continue
         min_z = min(min_z, v[2])
-        if not v[2] > tol.eps:
+        if not v[2] > EPS:
             fail(i, f"point z={v[2]!r} not strictly northern")
             rays.append(None)
             continue
-        rays.append(canonicalize(v, tol))
+        rays.append(canonicalize(v))
 
     residuals: list[float] = []
     for i in range(len(pts) - 1):
@@ -240,13 +238,13 @@ def verify_certificate(cert: ReachCertificate, tol: Tolerance = TOL) -> VerifyRe
         if a is None or b is None:
             residuals.append(math.nan)
             continue
-        if a.is_pole(tol):
+        if a.is_pole():
             fail(i, "link source is the pole; its circle is undefined")
             residuals.append(math.nan)
             continue
-        res = circle_of(a, tol).residual(b)
+        res = circle_of(a).residual(b)
         residuals.append(res)
-        if not res <= tol.eps:
+        if not res <= EPS:
             fail(i, f"link residual {res!r} exceeds tolerance")
 
     return VerifyReport(

@@ -27,12 +27,12 @@ for reach chains (frame rows rotate world into certificate coordinates).
 
 from __future__ import annotations
 
-import json
 import math
 
 from .errors import ParseError
 from .reach import ReachCertificate, VerifyReport
-from .system import _canonical_json, _json_float, _json_int
+from .sphere import EPS
+from .system import _canonical_json, _json_float, _json_int, _load_doc
 from .trace import CertWitness, DerivationTrace, TriadWitness
 
 
@@ -49,19 +49,9 @@ def save_certificate(cert: ReachCertificate, residuals: tuple[float, ...] | None
     return _canonical_json(certificate_to_doc(cert, residuals))
 
 
-def load_certificate(text: str) -> ReachCertificate:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(doc, dict):
-        raise ParseError("certificate root must be an object")
-    extra = set(doc) - {"eps", "shell_n", "points", "residuals"}
-    if extra:
-        raise ParseError(f"unexpected keys: {sorted(extra)}")
-    for key in ("eps", "points"):
-        if key not in doc:
-            raise ParseError(f"missing key: {key}")
+def load_certificate(text: str | bytes) -> ReachCertificate:
+    keys = ("eps", "shell_n", "points", "residuals")
+    doc = _load_doc(text, "certificate", keys, ("eps", "points"))
     try:
         points = tuple(
             tuple(_json_float(c, f"point {i} coordinate") for c in (x, y, z))
@@ -90,7 +80,7 @@ def _witness_to_doc(w: TriadWitness | CertWitness | None) -> dict | None:
 
 def trace_to_doc(t: DerivationTrace) -> dict:
     return {
-        "eps": t.tol.eps,
+        "eps": EPS,
         "rays": [[r.x, r.y, r.z] for r in t.rays],
         "facts": [
             {

@@ -3,8 +3,8 @@
 A ray stands for a one-dimensional subspace of R^3: the two antipodal unit
 vectors spanning it are identified, and construction always picks the
 canonical representative (z positive, breaking ties toward positive x and
-then positive y on the equator). All predicates compare against an explicit
-Tolerance; there is no exact-arithmetic mode.
+then positive y on the equator). Every predicate compares against the one
+fixed tolerance EPS; there is no exact-arithmetic mode.
 """
 
 from __future__ import annotations
@@ -16,28 +16,18 @@ from .errors import AtPole, NotNorthern, NotOrthogonal, ZeroVector
 
 Vec3 = tuple[float, float, float]
 
-#: Fixed band for the canonical sign rule. Deliberately independent of the
-#: caller's Tolerance so that whether a stored Ray is canonical never depends
-#: on construction-site eps.
+#: Numerical slack of every geometric predicate (orthogonality, circle
+#: membership, heights); documents record it as their "eps".
+EPS = 1e-9
+
+#: Fixed band for the canonical sign rule. Kept apart from EPS so that
+#: whether a stored Ray is canonical is a property of its bits alone and
+#: never of the predicates' slack.
 CANON_EPS = 1e-9
 
 _UNIT_TOL = 1e-12
 
 NORTH_POLE_VEC: Vec3 = (0.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Comparison tolerance used by every geometric predicate."""
-
-    eps: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps < 1e-3:
-            raise ValueError(f"tolerance eps must lie in (0, 1e-3), got {self.eps!r}")
-
-
-TOL = Tolerance()
 
 
 def dot(a: Vec3, b: Vec3) -> float:
@@ -94,31 +84,31 @@ class Ray:
     def dot(self, other: "Ray") -> float:
         return dot(self.vec, other.vec)
 
-    def same_subspace(self, other: "Ray", tol: Tolerance = TOL) -> bool:
+    def same_subspace(self, other: "Ray") -> bool:
         """Subspace equality: |dot| within eps of 1."""
-        return abs(self.dot(other)) >= 1.0 - tol.eps
+        return abs(self.dot(other)) >= 1.0 - EPS
 
-    def is_orthogonal(self, other: "Ray", tol: Tolerance = TOL) -> bool:
-        return abs(self.dot(other)) <= tol.eps
+    def is_orthogonal(self, other: "Ray") -> bool:
+        return abs(self.dot(other)) <= EPS
 
-    def is_northern(self, tol: Tolerance = TOL) -> bool:
-        return self.z > tol.eps
+    def is_northern(self) -> bool:
+        return self.z > EPS
 
-    def is_pole(self, tol: Tolerance = TOL) -> bool:
-        return self.x * self.x + self.y * self.y <= tol.eps * tol.eps
+    def is_pole(self) -> bool:
+        return self.x * self.x + self.y * self.y <= EPS * EPS
 
 
 NORTH_POLE = Ray(0.0, 0.0, 1.0)
 
 
-def canonicalize(v: Vec3, tol: Tolerance = TOL) -> Ray:
+def canonicalize(v: Vec3) -> Ray:
     """Normalize v and pick the canonical antipodal representative.
 
     Raises ZeroVector when ||v|| <= eps. Exactly sign-invariant:
     canonicalize(v) == canonicalize(-v) down to the last bit.
     """
     n = norm(v)
-    if n <= tol.eps:
+    if n <= EPS:
         raise ZeroVector(f"vector norm {n!r} below tolerance")
     if abs(n - 1.0) <= 4e-13:
         n = 1.0  # near-unit input passes through bit-exactly: makes the map idempotent
@@ -137,8 +127,8 @@ class GreatCircle:
 
     pole: Ray
 
-    def contains(self, p: Ray, tol: Tolerance = TOL) -> bool:
-        return abs(self.pole.dot(p)) <= tol.eps
+    def contains(self, p: Ray) -> bool:
+        return abs(self.pole.dot(p)) <= EPS
 
     def residual(self, p: Ray) -> float:
         return abs(self.pole.dot(p))
@@ -154,7 +144,7 @@ class Tripod:
 
     def __post_init__(self) -> None:
         worst = self.worst_residual()
-        if worst > 1e-6:
+        if not worst <= 1e-6:  # fails closed on NaN
             raise NotOrthogonal(f"tripod members not pairwise orthogonal, residual {worst!r}")
 
     @property
@@ -162,11 +152,13 @@ class Tripod:
         return (self.a, self.b, self.c)
 
     def worst_residual(self) -> float:
-        return max(
+        """Largest pairwise |dot|; NaN when any of them is NaN."""
+        residuals = (
             abs(self.a.dot(self.b)),
             abs(self.a.dot(self.c)),
             abs(self.b.dot(self.c)),
         )
+        return math.nan if any(map(math.isnan, residuals)) else max(residuals)
 
 
 @dataclass(frozen=True)
@@ -209,50 +201,50 @@ class Rotation:
         )
 
 
-def _require_northern_nonpole(q: Ray, tol: Tolerance) -> None:
-    if not q.is_northern(tol):
+def _require_northern_nonpole(q: Ray) -> None:
+    if not q.is_northern():
         raise NotNorthern(f"point with z={q.z!r} is not northern")
-    if q.is_pole(tol):
+    if q.is_pole():
         raise AtPole("construction undefined at the north pole")
 
 
-def equator_partner(q: Ray, tol: Tolerance = TOL) -> Ray:
+def equator_partner(q: Ray) -> Ray:
     """The canonical equator point orthogonal to a northern non-pole ray q.
 
     Computed as (q_y, -q_x, 0) normalized; the antipodal choice is resolved
     by canonicalization, which is harmless because values attach to subspaces.
     """
-    _require_northern_nonpole(q, tol)
-    return canonicalize((q.y, -q.x, 0.0), tol)
+    _require_northern_nonpole(q)
+    return canonicalize((q.y, -q.x, 0.0))
 
 
-def circle_of(q: Ray, tol: Tolerance = TOL) -> GreatCircle:
+def circle_of(q: Ray) -> GreatCircle:
     """The great circle through q and its equator partners.
 
     q is its northern-most point; the pole is the normalized cross product
     of q with equator_partner(q).
     """
-    e = equator_partner(q, tol)
-    return GreatCircle(pole=canonicalize(cross(q.vec, e.vec), tol))
+    e = equator_partner(q)
+    return GreatCircle(pole=canonicalize(cross(q.vec, e.vec)))
 
 
-def third_point(q: Ray, tol: Tolerance = TOL) -> Ray:
+def third_point(q: Ray) -> Ray:
     """The ray completing q and equator_partner(q) to a tripod.
 
     Formula (-q_x, -q_y, (q_x^2+q_y^2)/q_z), normalized; coincides with the
     pole of circle_of(q).
     """
-    _require_northern_nonpole(q, tol)
+    _require_northern_nonpole(q)
     s = q.x * q.x + q.y * q.y
-    return canonicalize((-q.x, -q.y, s / q.z), tol)
+    return canonicalize((-q.x, -q.y, s / q.z))
 
 
-def complete_tripod(q: Ray, tol: Tolerance = TOL) -> Tripod:
+def complete_tripod(q: Ray) -> Tripod:
     """Tripod (q, equator_partner(q), third_point(q))."""
-    return Tripod(q, equator_partner(q, tol), third_point(q, tol))
+    return Tripod(q, equator_partner(q), third_point(q))
 
 
-def rotation_to_pole(q: Ray, tol: Tolerance = TOL) -> Rotation:
+def rotation_to_pole(q: Ray) -> Rotation:
     """Proper rotation R with R q = (0,0,1), built about the axis q x N.
 
     Identity when q is already the pole; canonical rays never equal the
@@ -261,7 +253,7 @@ def rotation_to_pole(q: Ray, tol: Tolerance = TOL) -> Rotation:
     axis = cross(q.vec, NORTH_POLE_VEC)
     s = norm(axis)
     c = q.z
-    if s <= tol.eps:
+    if s <= EPS:
         return Rotation.identity()
     ux, uy, uz = axis[0] / s, axis[1] / s, axis[2] / s
     t = 1.0 - c

@@ -13,11 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import BadN
 from .plane import PlanePoint, circle_image_line, project, unproject
 from .reach import shell, step_one
-from .sphere import TOL, Ray, Tolerance, Vec3, equator_partner
+from .sphere import Ray, Vec3, equator_partner
 
 _SVG_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
+
+#: Largest shell figure_shell draws; each step adds about 0.7 KB of SVG.
+SHELL_FIGURE_N_MAX = 4096
 
 
 def _fmt(x: float) -> str:
@@ -104,17 +108,19 @@ def _line_segment(foot: PlanePoint, direction: tuple[float, float], half_len: fl
     )
 
 
-def figure_shell(q: Ray, n: int, tol: Tolerance = TOL) -> str:
+def figure_shell(q: Ray, n: int) -> str:
     """The plane image of the shell: vertices, image lines, right angles."""
-    pts = shell(q, n, tol)
-    feet = [project(r, tol) for r in pts]
+    if n > SHELL_FIGURE_N_MAX:
+        raise BadN(f"shell figure needs n <= {SHELL_FIGURE_N_MAX}, got {n}")
+    pts = shell(q, n)
+    feet = [project(r) for r in pts]
     d_max = max(f.norm() for f in feet)
     lim = 1.1 * d_max
     cv = SvgCanvas(-lim, -lim, lim, lim)
     cv.dot((0.0, 0.0), role="pole")
     for i, r in enumerate(pts):
         f = feet[i]
-        ln = circle_image_line(r, tol)
+        ln = circle_image_line(r)
         cv.line(*_line_segment(ln.foot, ln.dir, lim * 1.6), role="image-line")
         radial = (f.u / f.norm(), f.v / f.norm())
         cv.right_angle_mark((f.u, f.v), (-radial[0], -radial[1]), ln.dir)
@@ -129,9 +135,9 @@ def _oblique(p: Vec3) -> tuple[float, float]:
     return (p[0] + 0.35 * p[1], p[2] + 0.18 * p[1])
 
 
-def figure_circle(q: Ray, tol: Tolerance = TOL) -> str:
+def figure_circle(q: Ray) -> str:
     """Sphere outline, equator, the circle of q, and q itself."""
-    e = equator_partner(q, tol)
+    e = equator_partner(q)
     cv = SvgCanvas(-1.6, -1.45, 1.6, 1.45)
     outline = [
         (math.cos(a), math.sin(a)) for a in [2 * math.pi * i / 128 for i in range(129)]
@@ -158,10 +164,10 @@ def figure_circle(q: Ray, tol: Tolerance = TOL) -> str:
     return cv.render()
 
 
-def figure_projection(q: Ray, tol: Tolerance = TOL) -> str:
+def figure_projection(q: Ray) -> str:
     """Plane view: the pole, h(q), the image line, the region beyond it."""
-    f = project(q, tol)
-    ln = circle_image_line(q, tol)
+    f = project(q)
+    ln = circle_image_line(q)
     lim = 2.4 * max(1.0, f.norm())
     cv = SvgCanvas(-lim, -lim, lim, lim)
     a, b = _line_segment(ln.foot, ln.dir, lim * 1.8)
@@ -182,17 +188,17 @@ def figure_projection(q: Ray, tol: Tolerance = TOL) -> str:
     return cv.render()
 
 
-def figure_step_one(hq: PlanePoint, hp: PlanePoint, tol: Tolerance = TOL) -> str:
+def figure_step_one(hq: PlanePoint, hp: PlanePoint) -> str:
     """The one-step construction in the plane: h(q), h(p), h(q~), both lines."""
-    q = unproject(hq, tol)
-    p = unproject(hp, tol)
-    q_tilde = step_one(q, p, tol)
-    ht = project(q_tilde, tol)
+    q = unproject(hq)
+    p = unproject(hp)
+    q_tilde = step_one(q, p)
+    ht = project(q_tilde)
     lim = 1.3 * max(hq.norm(), hp.norm(), ht.norm(), 1.0)
     cv = SvgCanvas(-lim, -lim, lim, lim)
-    ln_q = circle_image_line(q, tol)
+    ln_q = circle_image_line(q)
     cv.line(*_line_segment(ln_q.foot, ln_q.dir, lim * 1.6), role="image-line-q")
-    ln_t = circle_image_line(q_tilde, tol)
+    ln_t = circle_image_line(q_tilde)
     cv.line(*_line_segment(ln_t.foot, ln_t.dir, lim * 1.6), role="image-line-qtilde")
     cv.line((0.0, 0.0), (ht.u, ht.v), role="radius", dashed=True)
     radial = (ht.u / ht.norm(), ht.v / ht.norm())

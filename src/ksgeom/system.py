@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidSystem, ParseError, ValidationError
-from .sphere import TOL, Ray, Tolerance, canonicalize
+from .sphere import EPS, Ray, canonicalize
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class TriadSystem:
     rays: tuple[Ray, ...]
     triads: tuple[tuple[int, int, int], ...]
     pairs: tuple[tuple[int, int], ...] = ()
-    eps: float = TOL.eps
+    eps: float = EPS
 
     def __post_init__(self) -> None:
         n = len(self.rays)
@@ -106,7 +106,32 @@ def _json_float(v: object, what: str) -> float:
         raise ParseError(f"{what} is out of float range") from None
 
 
-def _load_ray(i: int, v: list, tol: Tolerance) -> Ray:
+def _load_doc(
+    text: str | bytes, what: str, keys: tuple[str, ...], required: tuple[str, ...]
+) -> dict:
+    """The JSON object a document holds; ParseError unless it is UTF-8 JSON
+    with an object root whose keys are among keys and include required."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} root must be an object")
+    extra = set(doc) - set(keys)
+    if extra:
+        raise ParseError(f"unexpected keys: {sorted(extra)}")
+    for key in required:
+        if key not in doc:
+            raise ParseError(f"missing key: {key}")
+    return doc
+
+
+def _load_ray(i: int, v: list) -> Ray:
     x, y, z = (_json_float(c, f"ray {i} coordinate") for c in v)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise InvalidSystem(f"ray {i} has a non-finite coordinate: {[x, y, z]!r}")
@@ -115,40 +140,29 @@ def _load_ray(i: int, v: list, tol: Tolerance) -> Ray:
         # save -> load -> save round trips byte identically.
         return Ray(x, y, z)
     except ValueError:
-        return canonicalize((x, y, z), tol)
+        return canonicalize((x, y, z))
 
 
-def load_system(text: str) -> TriadSystem:
-    """Parse and validate a triad-system document.
+def load_system(text: str | bytes) -> TriadSystem:
+    """Parse and validate a triad-system document (bytes must be UTF-8).
 
     ParseError carries line/column for malformed JSON and is also raised
-    for an index that is not a JSON integer or an eps or coordinate that is
-    not a JSON number; InvalidSystem for a NaN or infinite ray coordinate;
-    ValidationError when the document's own eps is violated by its triads
-    or pairs.
+    for text that is not UTF-8, an index that is not a JSON integer, an eps
+    or coordinate that is not a JSON number, or an eps outside (0, 1e-3);
+    InvalidSystem for a NaN or infinite ray coordinate; ValidationError
+    when the document's own eps is violated by its triads or pairs.
     """
+    keys = ("eps", "rays", "triads", "pairs")
+    doc = _load_doc(text, "document", keys, keys)
+    eps = _json_float(doc["eps"], "eps")
+    if not 0.0 < eps < 1e-3:
+        raise ParseError(f"malformed document: tolerance eps must lie in (0, 1e-3), got {eps!r}")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(doc, dict):
-        raise ParseError("document root must be an object")
-    extra = set(doc) - {"eps", "rays", "triads", "pairs"}
-    if extra:
-        raise ParseError(f"unexpected keys: {sorted(extra)}")
-    for key in ("eps", "rays", "triads", "pairs"):
-        if key not in doc:
-            raise ParseError(f"missing key: {key}")
-    try:
-        eps = _json_float(doc["eps"], "eps")
-        tol = Tolerance(eps)
-        rays = tuple(_load_ray(i, v, tol) for i, v in enumerate(doc["rays"]))
+        rays = tuple(_load_ray(i, v) for i, v in enumerate(doc["rays"]))
         triads = tuple(
             tuple(_json_int(i, "triad index") for i in (a, b, c)) for a, b, c in doc["triads"]
         )
         pairs = tuple(tuple(_json_int(i, "pair index") for i in (a, b)) for a, b in doc["pairs"])
-    except ValidationError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed document: {exc}") from exc
     system = TriadSystem(rays=rays, triads=triads, pairs=pairs, eps=eps)

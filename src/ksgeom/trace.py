@@ -35,10 +35,9 @@ from .errors import (
 )
 from .reach import ReachCertificate, reach
 from .sphere import (
-    TOL,
+    EPS,
     Ray,
     Rotation,
-    Tolerance,
     Tripod,
     Vec3,
     canonicalize,
@@ -99,30 +98,28 @@ class Branch:
 # the identity. Facts are stored in world coordinates.
 
 
-def to_frame(frame: Rotation | None, ray: Ray, tol: Tolerance) -> Ray:
+def to_frame(frame: Rotation | None, ray: Ray) -> Ray:
     """Frame coordinates of a world ray."""
     if frame is None:
         return ray
-    return canonicalize(frame.apply(ray.vec), tol)
+    return canonicalize(frame.apply(ray.vec))
 
 
-def to_world(frame: Rotation | None, vec: Vec3, tol: Tolerance) -> Ray:
+def to_world(frame: Rotation | None, vec: Vec3) -> Ray:
     """World ray of a frame-coordinate vector."""
     if frame is None:
-        return canonicalize(vec, tol)
-    return canonicalize(frame.transpose().apply(vec), tol)
+        return canonicalize(vec)
+    return canonicalize(frame.transpose().apply(vec))
 
 
-def completion_partners(
-    frame: Rotation | None, qf: Ray, tol: Tolerance
-) -> tuple[Ray, Ray]:
+def completion_partners(frame: Rotation | None, qf: Ray) -> tuple[Ray, Ray]:
     """World rays of equator_partner(qf) and third_point(qf) for a frame point qf.
 
     With qf's own world ray they form qf's completion tripod.
     """
     return (
-        to_world(frame, equator_partner(qf, tol).vec, tol),
-        to_world(frame, third_point(qf, tol).vec, tol),
+        to_world(frame, equator_partner(qf).vec),
+        to_world(frame, third_point(qf).vec),
     )
 
 
@@ -134,8 +131,7 @@ class DerivationTrace:
     safe to share.
     """
 
-    def __init__(self, tol: Tolerance = TOL):
-        self.tol = tol
+    def __init__(self) -> None:
         self.rays: list[Ray] = []
         self.facts: list[ValueFact] = []
         self.branches: list[Branch] = [Branch(idx=0, parent=None)]
@@ -147,10 +143,10 @@ class DerivationTrace:
     def ray_index(self, ray: Ray) -> int:
         key = (round(ray.x, 6), round(ray.y, 6), round(ray.z, 6))
         for idx in self._buckets.get(key, ()):
-            if self.rays[idx].same_subspace(ray, self.tol):
+            if self.rays[idx].same_subspace(ray):
                 return idx
         for idx, known in enumerate(self.rays):  # bucket miss near a rounding edge
-            if known.same_subspace(ray, self.tol):
+            if known.same_subspace(ray):
                 self._buckets.setdefault(key, []).append(idx)
                 return idx
         idx = len(self.rays)
@@ -275,10 +271,8 @@ class DerivationTrace:
         if fact.value != 1:
             raise PremiseNotOne(f"fact {one_fact} does not assign value 1")
         basis = self.rays[fact.ray]
-        if not basis.is_orthogonal(p, self.tol):
-            raise NotOrthogonal(
-                f"|dot| = {abs(basis.dot(p))!r} exceeds eps {self.tol.eps!r}"
-            )
+        if not basis.is_orthogonal(p):
+            raise NotOrthogonal(f"|dot| = {abs(basis.dot(p))!r} exceeds eps {EPS!r}")
         return self._add_fact(branch, p, 0, RULE_ORTHOGONAL_ZERO, (one_fact,))
 
     def triad_one(self, branch: int, trip: Tripod, zero_a: int, zero_b: int) -> int:
@@ -315,14 +309,12 @@ class DerivationTrace:
         if fq.value != 0:
             raise PremiseNotZero(f"fact {q_fact} does not assign value 0")
         q_world = self.rays[fq.ray]
-        qf = to_frame(frame, q_world, self.tol)
-        pf = to_frame(frame, p_world, self.tol)
-        residual = circle_of(qf, self.tol).residual(pf)
-        if residual > self.tol.eps:
-            raise NotOnCircle(
-                f"point is off the circle by {residual!r} (eps {self.tol.eps!r})"
-            )
-        e_world, w_world = completion_partners(frame, qf, self.tol)
+        qf = to_frame(frame, q_world)
+        pf = to_frame(frame, p_world)
+        residual = circle_of(qf).residual(pf)
+        if not residual <= EPS:  # fails closed on NaN
+            raise NotOnCircle(f"point is off the circle by {residual!r} (eps {EPS!r})")
+        e_world, w_world = completion_partners(frame, qf)
         e_fid = self.orthogonal_zero(branch, e_world, pole_fact)
         w_fid = self.triad_one(branch, Tripod(q_world, e_world, w_world), q_fact, e_fid)
         return self._add_fact(
@@ -351,13 +343,13 @@ class DerivationTrace:
         fq = self.facts[q_fact]
         if fq.value != 0:
             raise PremiseNotZero(f"fact {q_fact} does not assign value 0")
-        qf = to_frame(frame, self.rays[fq.ray], self.tol)
-        pf = to_frame(frame, p, self.tol)
-        cert = reach(qf, pf, self.tol)
+        qf = to_frame(frame, self.rays[fq.ray])
+        pf = to_frame(frame, p)
+        cert = reach(qf, pf)
         witness = CertWitness(certificate=cert, frame=frame)
         prev = q_fact
         for vec in cert.points[1:-1]:
-            step_world = to_world(frame, vec, self.tol)
+            step_world = to_world(frame, vec)
             prev = self._macro_step(
                 branch, prev, step_world, frame, pole_fact, RULE_CIRCLE_ZERO
             )
@@ -455,7 +447,6 @@ def extract_triad_system(t: DerivationTrace) -> TriadSystem:
         pairs=tuple(
             (min(remap[a], remap[b_]), max(remap[a], remap[b_])) for a, b_ in pairs
         ),
-        eps=t.tol.eps,
     )
 
 

@@ -8,6 +8,7 @@ import pytest
 from ksgeom.cli import main
 from ksgeom.errors import ERROR_CLASSES, EXIT_CODES, EXIT_EXPECTATION, EXIT_REJECTED
 from ksgeom.reach import N_MAX
+from ksgeom.svg import SHELL_FIGURE_N_MAX
 
 from conftest import random_northern
 
@@ -277,12 +278,33 @@ class TestDemoAndColor:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("eps", ["0.5", "0", "-1e-9", "nan", "abc"])
-    def test_eps_out_of_range(self, tmp_path, capsys, eps):
+    @pytest.mark.parametrize("command", [
+        ["reach", "--from", "0,sin(0.8),cos(0.8)", "--to", "0.4,0.5,0.2"],
+        ["shell", "--point", "0,sin(0.8),cos(0.8)", "--n", "16", "--svg", "s.svg"],
+        ["demo", "second"],
+        ["color", "system.json"],
+        ["verify", "cert.json"],
+        ["render", "circle", "--svg", "c.svg"],
+    ], ids=lambda command: command[0])
+    def test_no_eps_flag(self, capsys, command):
+        # every predicate compares at the fixed ksgeom.EPS; there is no knob
         with pytest.raises(SystemExit) as exc:
-            main(["verify", str(tmp_path / "cert.json"), f"--eps={eps}"])
+            main([*command, "--eps", "1e-6"])
         assert exc.value.code == EXIT_CODES["usage"]
         assert "--eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["color", "verify"])
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_non_utf8_input(self, tmp_path, capsys, command, json_mode):
+        f = tmp_path / "bin.json"
+        f.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, command, str(f), *(["--json"] if json_mode else []))
+        assert code == EXIT_CODES["ParseError"] == 19
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        if json_mode:
+            assert json.loads(err)["error"]["type"] == "ParseError"
+        else:
+            assert err.startswith("error [ParseError]: not UTF-8 text")
 
     @pytest.mark.parametrize("command", ["color", "verify"])
     def test_missing_input_file(self, tmp_path, capsys, command):
@@ -296,13 +318,6 @@ class TestUsageErrors:
         code, _, err = run(capsys, "color", str(tmp_path / "missing.json"), "--json")
         assert code == EXIT_CODES["usage"]
         assert json.loads(err)["error"]["type"] == "UsageError"
-
-    def test_color_has_no_eps(self, tmp_path, capsys):
-        f = write_single_triad(tmp_path / "triad.json")
-        with pytest.raises(SystemExit) as exc:
-            main(["color", str(f), "--eps", "1e-5"])
-        assert exc.value.code == EXIT_CODES["usage"]
-        assert "--eps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["reach", "--from", "0,sin(0.8),cos(0.8)", "--to", "0,sin(1.2),cos(1.2)", "-o"],
@@ -334,7 +349,7 @@ class TestRenderCommands:
         assert code == 0 and out.exists()
 
     def test_shell_bad_n(self, tmp_path, capsys):
-        for n in (4, N_MAX + 1):
+        for n in (4, SHELL_FIGURE_N_MAX + 1, N_MAX + 1):
             code, _, _ = run(capsys, "shell", "--point", "0,sin(0.8),cos(0.8)",
                              "--n", str(n), "--svg", str(tmp_path / "s.svg"))
             assert code == EXIT_CODES["BadN"]

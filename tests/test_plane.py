@@ -4,7 +4,7 @@ import pytest
 
 from ksgeom.errors import AtPole, NotNorthern
 from ksgeom.plane import PlanePoint, Side, circle_image_line, project, side_of, unproject
-from ksgeom.sphere import NORTH_POLE, TOL, canonicalize, circle_of, equator_partner
+from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, circle_of, equator_partner
 
 from conftest import random_northern, random_northern_nonpole
 
@@ -55,7 +55,7 @@ class TestUnproject:
 
 class TestMonotonicity:
     def test_height_vs_plane_distance(self, rng):
-        margin = 10 * TOL.eps
+        margin = 10 * EPS
         for _ in range(10_000):
             p = random_northern(rng)
             q = random_northern(rng)
@@ -122,7 +122,7 @@ class TestSideOf:
             q = random_northern_nonpole(rng)
             p = random_northern(rng)
             on_plane = side_of(p, q) is Side.ON_CIRCLE
-            on_sphere = abs(p.dot(circle_of(q).pole)) <= TOL.eps
+            on_sphere = abs(p.dot(circle_of(q).pole)) <= EPS
             assert on_plane == on_sphere
             hits += on_plane
         # near-miss pairs rarely land on the circle; force some exact members
@@ -136,4 +136,4 @@ class TestSideOf:
                 continue
             p = canonicalize(v)
             assert side_of(p, q) is Side.ON_CIRCLE
-            assert abs(p.dot(circle_of(q).pole)) <= TOL.eps
+            assert abs(p.dot(circle_of(q).pole)) <= EPS

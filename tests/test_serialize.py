@@ -54,6 +54,10 @@ class TestCertificateDocs:
             load_certificate("{")
         assert err.value.line is not None
 
+    def test_rejects_non_utf8_bytes(self):
+        with pytest.raises(ParseError, match="^not UTF-8 text"):
+            load_certificate(b"\xff\xfe{")
+
     @pytest.mark.parametrize("bad", [14.0, 14.7, True, "14"])
     def test_rejects_non_integer_shell_n(self, bad):
         doc = json.loads(save_certificate(sample_certificate()))

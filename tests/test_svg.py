@@ -6,7 +6,13 @@ import pytest
 from ksgeom.errors import AtPole, BadN
 from ksgeom.plane import PlanePoint, unproject
 from ksgeom.sphere import NORTH_POLE, canonicalize
-from ksgeom.svg import figure_circle, figure_projection, figure_shell, figure_step_one
+from ksgeom.svg import (
+    SHELL_FIGURE_N_MAX,
+    figure_circle,
+    figure_projection,
+    figure_shell,
+    figure_step_one,
+)
 
 
 def roles(svg_text: str) -> dict[str, list[ET.Element]]:
@@ -45,8 +51,9 @@ class TestShellFigure:
         assert w / 2 >= 1.05 * d_n
 
     def test_bad_n(self):
-        with pytest.raises(BadN):
-            figure_shell(unproject(PlanePoint(1, 0)), 4)
+        for n in (4, SHELL_FIGURE_N_MAX + 1):
+            with pytest.raises(BadN):
+                figure_shell(unproject(PlanePoint(1, 0)), n)
 
 
 class TestStepOneFigure:

@@ -142,6 +142,21 @@ class TestRoundTrip:
         with pytest.raises(ParseError, match=f"^{what} (must be a number|is out of float range)"):
             load_system(json.dumps(doc))
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, 1e-3, 5e-2, 0.5])
+    def test_load_rejects_eps_out_of_range(self, eps):
+        import json
+
+        doc = json.loads(save_system(constant_tripod_system()))
+        doc["eps"] = eps
+        want = f"malformed document: tolerance eps must lie in (0, 1e-3), got {eps!r}"
+        with pytest.raises(ParseError) as exc:
+            load_system(json.dumps(doc))
+        assert str(exc.value) == want
+
+    def test_load_rejects_non_utf8_bytes(self):
+        with pytest.raises(ParseError, match="^not UTF-8 text"):
+            load_system(b"\xff\xfe{")
+
     @pytest.mark.parametrize("bad", [0.7, 1.0, True, False, "1", None])
     @pytest.mark.parametrize("key", ["triads", "pairs"])
     def test_load_rejects_non_integer_index(self, key, bad):

@@ -134,6 +134,14 @@ class TestCircleZero:
         with pytest.raises(PremiseNotZero):
             t.circle_zero(0, pole, canonicalize((1, 0, 0)), pole)
 
+    def test_nan_point_fails_closed(self, nan_ray):
+        t, pole = seeded()
+        q_fact = t.assume(0, canonicalize((0, R2, R2)), 0)
+        n_rays, n_facts = len(t.rays), len(t.facts)
+        with pytest.raises(NotOnCircle, match="nan"):
+            t.circle_zero(0, q_fact, nan_ray, pole)
+        assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
+
     def test_macro_soundness(self):
         # the recorded expansion replays to the same conclusion
         t, pole = seeded()
