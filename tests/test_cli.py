@@ -293,6 +293,14 @@ class TestUsageErrors:
         assert exc.value.code == EXIT_CODES["usage"]
         assert "--eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["0.5", "0", "-1e-9", "nan", "abc"])
+    def test_eps_out_of_range(self, tmp_path, capsys, eps):
+        # no value of --eps is accepted, in range or not
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(tmp_path / "cert.json"), f"--eps={eps}"])
+        assert exc.value.code == EXIT_CODES["usage"]
+        assert "--eps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["color", "verify"])
     @pytest.mark.parametrize("json_mode", [False, True])
     def test_non_utf8_input(self, tmp_path, capsys, command, json_mode):
