@@ -49,12 +49,6 @@ class NoSuchN(KsError):
     exit_code = 8
 
 
-class Unreachable(KsError):
-    """Certificate search exhausted its retry budget."""
-
-    exit_code = 9
-
-
 class NotOrthogonal(KsError):
     """Rays are not orthogonal within tolerance."""
 
@@ -132,6 +126,7 @@ class PreconditionViolation(KsError):
     exit_code = 21
 
 
+# Exit code 9 is retired (it was Unreachable, which reach can no longer raise).
 # Exit codes reserved for CLI outcomes that are not exceptions:
 EXIT_OK = 0
 EXIT_INTERNAL = 1

@@ -6,8 +6,10 @@ is byte identical. The triad-system document lives in ksgeom.system; this
 module owns the certificate and trace formats. Schemas:
 
 certificate:
-  {"eps": e, "shell_n": n | null, "points": [[x,y,z], ...],
+  {"eps": e, "shell_n": k | null, "points": [[x,y,z], ...],
    "residuals": [r0, ...]}        # one residual per consecutive link
+  e lies in (0, 1e-3); k is the spiral's number of equal azimuth turns,
+  null for a direct chain
 
 trace:
   {"eps": e,
@@ -32,7 +34,7 @@ import math
 from .errors import ParseError
 from .reach import ReachCertificate, VerifyReport
 from .sphere import EPS
-from .system import _canonical_json, _json_float, _json_int, _load_doc
+from .system import _canonical_json, _json_eps, _json_float, _json_int, _load_doc
 from .trace import CertWitness, DerivationTrace, TriadWitness
 
 
@@ -52,6 +54,7 @@ def save_certificate(cert: ReachCertificate, residuals: tuple[float, ...] | None
 def load_certificate(text: str | bytes) -> ReachCertificate:
     keys = ("eps", "shell_n", "points", "residuals")
     doc = _load_doc(text, "certificate", keys, ("eps", "points"))
+    eps = _json_eps(doc["eps"])
     try:
         points = tuple(
             tuple(_json_float(c, f"point {i} coordinate") for c in (x, y, z))
@@ -60,7 +63,7 @@ def load_certificate(text: str | bytes) -> ReachCertificate:
         shell_n = doc.get("shell_n")
         return ReachCertificate(
             points=points,
-            eps=_json_float(doc["eps"], "eps"),
+            eps=eps,
             shell_n=_json_int(shell_n, "shell_n") if shell_n is not None else None,
         )
     except (TypeError, ValueError) as exc:

@@ -106,6 +106,14 @@ def _json_float(v: object, what: str) -> float:
         raise ParseError(f"{what} is out of float range") from None
 
 
+def _json_eps(v: object) -> float:
+    """A document's eps: a JSON number in (0, 1e-3)."""
+    eps = _json_float(v, "eps")
+    if not 0.0 < eps < 1e-3:
+        raise ParseError(f"malformed document: tolerance eps must lie in (0, 1e-3), got {eps!r}")
+    return eps
+
+
 def _load_doc(
     text: str | bytes, what: str, keys: tuple[str, ...], required: tuple[str, ...]
 ) -> dict:
@@ -154,9 +162,7 @@ def load_system(text: str | bytes) -> TriadSystem:
     """
     keys = ("eps", "rays", "triads", "pairs")
     doc = _load_doc(text, "document", keys, keys)
-    eps = _json_float(doc["eps"], "eps")
-    if not 0.0 < eps < 1e-3:
-        raise ParseError(f"malformed document: tolerance eps must lie in (0, 1e-3), got {eps!r}")
+    eps = _json_eps(doc["eps"])
     try:
         rays = tuple(_load_ray(i, v) for i, v in enumerate(doc["rays"]))
         triads = tuple(

@@ -61,6 +61,11 @@ class TestExitCodeTable:
         for cls in ERROR_CLASSES:
             assert EXIT_CODES[cls.__name__] == cls.exit_code > 2
 
+    def test_code_9_retired(self):
+        # 9 was Unreachable, raised when the shell search gave up
+        assert 9 not in EXIT_CODES.values()
+        assert all(cls.exit_code != 9 for cls in ERROR_CLASSES)
+
 
 class TestReachCommand:
     def test_writes_verifiable_certificate(self, tmp_path, capsys):
@@ -197,6 +202,16 @@ class TestVerifyCommand:
 
         f = edit_json(write_certificate(capsys, tmp_path / "cert.json"), stringify)
         assert run(capsys, "verify", f)[0] == EXIT_CODES["ParseError"] == 19
+
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, 0.5])
+    def test_eps_out_of_range_rejected(self, tmp_path, capsys, eps):
+        def set_eps(doc):
+            doc["eps"] = eps
+
+        f = edit_json(write_certificate(capsys, tmp_path / "cert.json"), set_eps)
+        code, out, err = run(capsys, "verify", f)
+        assert code == EXIT_CODES["ParseError"] == 19
+        assert out == "" and "tolerance eps must lie in (0, 1e-3)" in err
 
 
 class TestDemoAndColor:

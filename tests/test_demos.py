@@ -16,8 +16,6 @@ from ksgeom.errors import (
     BadPole,
     BadPremises,
     NotInRightHalf,
-    NotOnCircle,
-    NotOrthogonal,
 )
 from ksgeom.plane import Side, side_of
 from ksgeom.reach import verify_certificate
@@ -180,23 +178,14 @@ class TestDemoFirst:
         assert len(idx) == 3
         assert any(set(tri) == set(idx) for tri in system.triads)
 
-    # ray_index merges rays whose |dot| >= 1 - eps, up to ~4.5e-5 rad apart,
-    # while every rule checks |dot| <= eps against the merged representative.
-    # On these two re-poling targets a merge 4.1e-5 resp. 2.3e-5 rad wide
-    # breaks a later rule; on the benchmark's demo inputs that close, no
-    # merge is wider than 1e-14 rad.
+    # Before reach took the azimuth spiral, both targets failed: ray_index
+    # merged rays 4.1e-5 resp. 2.3e-5 rad apart, and a later rule, checking
+    # |dot| <= eps against the merged representative, raised NotOrthogonal
+    # resp. NotOnCircle. They close now only because the chains changed; the
+    # merge radius itself is kept visible by
+    # tests/test_trace.py::TestRayIndexMergeRadius.
     @pytest.mark.parametrize(
-        "theta, phi",
-        [
-            pytest.param(
-                0.6, 2.5, marks=pytest.mark.xfail(raises=NotOrthogonal, strict=True)
-            ),
-            pytest.param(
-                0.07569945543151446,
-                2.7246761881093495,
-                marks=pytest.mark.xfail(raises=NotOnCircle, strict=True),
-            ),
-        ],
+        "theta, phi", [(0.6, 2.5), (0.07569945543151446, 2.7246761881093495)]
     )
     def test_known_failing_targets_close(self, theta, phi):
         assert demo_first_proof(polar_target(theta, phi)).closed
@@ -300,19 +289,21 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize(
         "which, trace_sha, system_sha, counts, core_size",
         [
-            (
+            pytest.param(
                 "first",
-                "6db0a37e0c9f579cf1a0beafabfab161fcac43c2802507fe5af1533823b2a6e4",
-                "0d6f50766ae26afea746c29da46b478028881aff0958a9fc29502e427593cfcd",
-                (620, 959, 23),
+                "f9d35f20283c6d29b80845ecc58296697dfb11280cd95a7e95c2a673aafea83c",
+                "e494cdec3e9d4cc6a93541e9037f16c6e64860fc565933a5d5dcbca0593f5dff",
+                (389, 602, 23),
                 8,
+                id="first",
             ),
-            (
+            pytest.param(
                 "second",
-                "e718fd52c1bd5c10091aa440faa6cf9dac5c72c0028e673a9a2e20c35ee870b1",
-                "e4625de1892e1e759be7ae39674bb5ad66d976d04b94db7d7cff744be37e883b",
-                (653, 967, 29),
+                "0d283a3e3e18461d0fd0238c8a08390a3f4bdd160acb936774d15d39191747bc",
+                "33cee8b6c181edb06a715ae66f102c075a42527031cf6604b7e1a719fc325b2a",
+                (437, 640, 29),
                 11,
+                id="second",
             ),
         ],
     )

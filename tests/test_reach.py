@@ -1,4 +1,6 @@
+import importlib
 import math
+import random
 from decimal import Decimal, getcontext
 
 import pytest
@@ -10,7 +12,7 @@ from ksgeom.errors import (
     NotReachableDirectly,
     PreconditionViolation,
 )
-from ksgeom.plane import PlanePoint, project, side_of, unproject
+from ksgeom.plane import PlanePoint, Side, project, side_of, unproject
 from ksgeom.reach import (
     N_MAX,
     ReachCertificate,
@@ -27,6 +29,7 @@ from ksgeom.sphere import NORTH_POLE, canonicalize, circle_of
 from conftest import random_northern, random_northern_nonpole
 
 R2 = math.sqrt(0.5)
+reach_module = importlib.import_module("ksgeom.reach")  # the package re-exports the function
 
 
 def shell_growth_independent(n: int) -> float:
@@ -176,7 +179,7 @@ class TestReach:
             assert cert.points[0] == q.vec and cert.points[-1] == p.vec
 
     def test_shell_points_may_descend_below_source(self):
-        # the only z-invariant is strict positivity: shell chains dip below
+        # the only z-invariant is strict positivity: spiral chains dip below
         # the source height but never to the equator
         q = canonicalize((0, R2, R2))
         z = 0.68
@@ -188,6 +191,108 @@ class TestReach:
         assert min(zs) < q.z  # descends
         assert all(zv > 1e-9 for zv in zs)  # but stays strictly northern
         assert verify_certificate(cert).accepted
+
+
+def spiral_admissible(q, p, k):
+    """The spiral criterion, recomputed here: cos(delta/k) > 0 and
+    d0 * cos(delta/k)^(-k) < |h(p)|, delta the signed azimuth gap."""
+    f, h = project(q), project(p)
+    delta = math.remainder(math.atan2(h.v, h.u) - math.atan2(f.v, f.u), 2 * math.pi)
+    c = math.cos(delta / k)
+    return c > 0.0 and f.norm() * c ** (-k) < h.norm()
+
+
+def shell_chain_length(q, p):
+    """Length of the chain the shell construction gives: shell(q, n) with
+    n = choose_shell_n(q, p), cut at the first point whose circle has p on
+    or beyond it, then step_one and p (doubling n if no point qualifies)."""
+    n = choose_shell_n(q, p)
+    while True:
+        for i, s in enumerate(shell(q, n)):
+            side = side_of(p, s)
+            if side is not Side.POLE_SIDE:
+                return i + (2 if side is Side.ON_CIRCLE else 3)
+        n *= 2
+
+
+class TestSpiral:
+    def test_law_and_minimal_k(self):
+        # d0 = 1, |h(p)| = 4, delta = 2.4: cos(0.8)^-3 = 2.96 < 4 < cos(1.2)^-2
+        q = unproject(PlanePoint(1, 0))
+        p = unproject(PlanePoint(4 * math.cos(2.4), 4 * math.sin(2.4)))
+        cert = reach(q, p)
+        k = cert.shell_n
+        assert k == 3
+        assert spiral_admissible(q, p, 3) and not spiral_admissible(q, p, 2)
+        for i, v in enumerate(cert.points[1:-2], start=1):
+            h = project(canonicalize(v))
+            want = math.cos(2.4 / k) ** (-i)
+            assert abs(h.norm() - want) <= 1e-9 * want
+            assert abs(math.remainder(math.atan2(h.v, h.u) - i * 2.4 / k, 2 * math.pi)) <= 1e-9
+        assert verify_certificate(cert).accepted
+
+    def test_k_minimal_random(self, rng):
+        spirals = 0
+        for _ in range(500):
+            q = random_northern_nonpole(rng)
+            p = random_northern(rng)
+            if not p.z < q.z - 1e-3 or side_of(p, q) is not Side.POLE_SIDE:
+                continue
+            k = reach(q, p).shell_n
+            assert k >= 2  # k = 1 is exactly the one-step case
+            assert spiral_admissible(q, p, k) and not spiral_admissible(q, p, k - 1)
+            spirals += 1
+        assert spirals > 50
+
+    @pytest.mark.parametrize("v", [0.0, -0.0], ids=["plus_pi", "minus_pi"])
+    def test_antipodal_azimuths(self, v):
+        # delta = +pi or -pi: k = 1 would give cos(pi)^-1 = -1 < |h(p)|, so
+        # the cos > 0 guard is what keeps the spiral northern
+        q = unproject(PlanePoint(1, 0))
+        p = unproject(PlanePoint(-2, v))
+        cert = reach(q, p)
+        assert cert.shell_n is not None and cert.shell_n >= 3
+        report = verify_certificate(cert)
+        assert report.accepted, report.failures
+        assert cert.points[0] == q.vec and cert.points[-1] == p.vec
+
+    def test_tiny_gap_beyond_takes_one_step(self):
+        q = unproject(PlanePoint(1, 0))
+        p = unproject(PlanePoint(2, 1e-12))
+        cert = reach(q, p)
+        assert cert.shell_n is None and len(cert.points) == 3
+        assert verify_certificate(cert).accepted
+
+    def test_never_longer_than_shell(self):
+        # the acceptance suite's 1,000 pairs (criterion 3)
+        rng = random.Random(20260808)
+        spiral_total = shell_total = 0
+        for _ in range(1000):
+            while True:
+                q = random_northern(rng)
+                p = random_northern(rng)
+                if p.z < q.z - 1e-3 and not q.is_pole():
+                    break
+            cert = reach(q, p)
+            if cert.shell_n is None:
+                continue
+            n_shell = shell_chain_length(q, p)
+            assert len(cert.points) <= n_shell, (q, p)
+            spiral_total += len(cert.points)
+            shell_total += n_shell
+        assert spiral_total < shell_total / 2
+
+    def test_no_such_n_builds_no_point(self, monkeypatch):
+        # plane radii 1 and 1 + 1e-6 half a turn apart need k ~ 4.9e6 > N_MAX
+        q = unproject(PlanePoint(1, 0))
+        p = unproject(PlanePoint(-(1 + 1e-6), 0))
+
+        def no_points(pt):
+            raise AssertionError("a spiral point was built")
+
+        monkeypatch.setattr(reach_module, "unproject", no_points)
+        with pytest.raises(NoSuchN):
+            reach(q, p)
 
 
 class TestVerifyCertificate:

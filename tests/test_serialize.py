@@ -77,6 +77,15 @@ class TestCertificateDocs:
         with pytest.raises(ParseError, match=f"^{what} (must be a number|is out of float range)"):
             load_certificate(json.dumps(doc))
 
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, -1e-9, 1e-3, 0.5])
+    def test_rejects_eps_out_of_range(self, eps):
+        doc = json.loads(save_certificate(sample_certificate()))
+        doc["eps"] = eps
+        want = f"malformed document: tolerance eps must lie in (0, 1e-3), got {eps!r}"
+        with pytest.raises(ParseError) as exc:
+            load_certificate(json.dumps(doc))
+        assert str(exc.value) == want
+
     def test_tampered_certificate_rejected_with_link(self):
         cert = sample_certificate()
         doc = json.loads(save_certificate(cert))
