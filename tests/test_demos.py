@@ -178,11 +178,8 @@ class TestDemoFirst:
         assert len(idx) == 3
         assert any(set(tri) == set(idx) for tri in system.triads)
 
-    # Before reach took the azimuth spiral, both targets failed: ray_index
-    # merged rays 4.1e-5 resp. 2.3e-5 rad apart, and a later rule, checking
-    # |dot| <= eps against the merged representative, raised NotOrthogonal
-    # resp. NotOnCircle. They close now only because the chains changed; the
-    # merge radius itself is kept visible by
+    # These close only because of the chains reach builds; the ray_index
+    # merge-radius fault is still tracked by
     # tests/test_trace.py::TestRayIndexMergeRadius.
     @pytest.mark.parametrize(
         "theta, phi", [(0.6, 2.5), (0.07569945543151446, 2.7246761881093495)]
