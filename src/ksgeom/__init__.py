@@ -21,7 +21,6 @@ from .plane import PlaneLine, PlanePoint, Side, circle_image_line, project, side
 from .reach import (
     N_MAX,
     ReachCertificate,
-    ShellParams,
     VerifyReport,
     asymptotic_residual,
     choose_shell_n,
@@ -66,7 +65,6 @@ __all__ = [
     "Ray",
     "ReachCertificate",
     "Rotation",
-    "ShellParams",
     "Side",
     "SolveMode",
     "TriadSystem",

@@ -19,7 +19,7 @@ With --json every command prints one JSON document
 as JSON under --json. Every library error maps to a fixed exit code
 (ksgeom.errors.EXIT_CODES); verification rejects exit 22 and unmet coloring
 expectations exit 23. Bad invocations (an unknown option, an unreadable
-input or unwritable output file) exit 2.
+input or unwritable output file, a stdout closed by its reader) exit 2.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -303,7 +304,13 @@ def main(argv: list[str] | None = None) -> int:
         return _report_error(args, EXIT_USAGE, "UsageError", message)
     except ValueError as exc:
         return _report_error(args, EXIT_INTERNAL, "ValueError", str(exc))
-    print(json.dumps(doc, indent=1) if args.json else text)
+    try:
+        print(json.dumps(doc, indent=1) if args.json else text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout
+        # send the flush at interpreter exit to /dev/null instead of the dead pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _report_error(args, EXIT_USAGE, "UsageError", "stdout: broken pipe")
     return code
 
 

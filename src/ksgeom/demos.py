@@ -62,9 +62,7 @@ def cover_index(p: Ray) -> int:
     return n
 
 
-def _completion_in_frame(
-    t: DerivationTrace, frame: Rotation | None, vec: Vec3
-) -> tuple[Ray, Ray, Ray]:
+def _completion_in_frame(frame: Rotation | None, vec: Vec3) -> tuple[Ray, Ray, Ray]:
     """World rays of (q, equator_partner(q), third_point(q)) for frame coords."""
     qf = canonicalize(vec)
     return (to_world(frame, qf.vec), *completion_partners(frame, qf))
@@ -88,7 +86,7 @@ def _heights_and_clash(
     azim = math.hypot(pprime_f[0], pprime_f[1])
     ux, uy = pprime_f[0] / azim, pprime_f[1] / azim
 
-    p1, e_p1, w_p1 = _completion_in_frame(t, frame, pprime_f)
+    p1, e_p1, w_p1 = _completion_in_frame(frame, pprime_f)
     e_fid = t.orthogonal_zero(branch, e_p1, pole_fact)
     w_fid = t.lemma_zero(branch, zero45_fact, w_p1, pole_fact=pole_fact, frame=frame)
     p1_fid = t.triad_one(branch, Tripod(p1, e_p1, w_p1), e_fid, w_fid)
@@ -98,7 +96,7 @@ def _heights_and_clash(
     # this frame, below it in the p' frame.
     a = math.pi / 4.0 - theta / 2.0
     wit_f: Vec3 = (-math.sin(a) * ux, -math.sin(a) * uy, math.cos(a))
-    wit, e_wit, w_wit = _completion_in_frame(t, frame, wit_f)
+    wit, e_wit, w_wit = _completion_in_frame(frame, wit_f)
     e_wit_fid = t.orthogonal_zero(branch, e_wit, pole_fact)
     w_wit_fid = t.lemma_zero(branch, zero45_fact, w_wit, pole_fact=pole_fact, frame=frame)
     t.triad_one(branch, Tripod(wit, e_wit, w_wit), e_wit_fid, w_wit_fid)
@@ -106,7 +104,7 @@ def _heights_and_clash(
     # Re-pole at p' and run the frame argument there far enough to zero the
     # witness in both sub-branches.
     inner = rotation_to_pole(p1)
-    e2, u2p, u2m = _frame_axes(t, inner)
+    e2, u2p, u2m = _frame_axes(inner)
     e2_fid = t.orthogonal_zero(branch, e2, p1_fid)
     t2 = Tripod(u2p, u2m, e2)
     b0, b1 = t.split(branch, t2, u2p)
@@ -118,7 +116,7 @@ def _heights_and_clash(
     t.lemma_zero(b0, t.branches[b0].assumption, wit, pole_fact=p1_fid, frame=inner)
 
 
-def _frame_axes(t: DerivationTrace, frame: Rotation | None) -> tuple[Ray, Ray, Ray]:
+def _frame_axes(frame: Rotation | None) -> tuple[Ray, Ray, Ray]:
     """World rays of the frame's equator axis and the two height-1/sqrt(2) rays."""
     return (
         to_world(frame, (1.0, 0.0, 0.0)),
@@ -135,7 +133,7 @@ def _pole_refutation(
     pprime_f: Vec3,
 ) -> None:
     """Close a branch holding v(pole)=1 via the re-poling contradiction."""
-    e_star, u_plus, u_minus = _frame_axes(t, frame)
+    e_star, u_plus, u_minus = _frame_axes(frame)
     e_fid = t.orthogonal_zero(branch, e_star, pole_fact)
     t2 = Tripod(u_plus, u_minus, e_star)
     b0, b1 = t.split(branch, t2, u_plus)
@@ -209,7 +207,7 @@ def demo_second_proof() -> DerivationTrace:
         n = cover_index(w_a_frame)
         qn_f = qn_sequence(n).vec
 
-        qn, e_qn, w_qn = _completion_in_frame(t, frame, qn_f)
+        qn, e_qn, w_qn = _completion_in_frame(frame, qn_f)
         e_qn_fid = t.orthogonal_zero(branch, e_qn, pole_fact)
         t_qn = Tripod(qn, e_qn, w_qn)
         b0, b1 = t.split(branch, t_qn, qn)
@@ -224,8 +222,8 @@ def demo_second_proof() -> DerivationTrace:
         qn_zero = t.branches[b0].assumption
         t.triad_one(b0, t_qn, qn_zero, e_qn_fid)
 
-        a_ray, e_a, w_a = _completion_in_frame(t, frame, a_f)
-        b_ray, e_b, w_b = _completion_in_frame(t, frame, b_f)
+        a_ray, e_a, w_a = _completion_in_frame(frame, a_f)
+        b_ray, e_b, w_b = _completion_in_frame(frame, b_f)
         c_ray = to_world(frame, c_f)
 
         w_a_fid = t.lemma_zero(b0, qn_zero, w_a, pole_fact=pole_fact, frame=frame)

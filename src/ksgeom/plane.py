@@ -21,10 +21,6 @@ class PlanePoint:
     u: float
     v: float
 
-    @property
-    def xy(self) -> tuple[float, float]:
-        return (self.u, self.v)
-
     def norm(self) -> float:
         return math.hypot(self.u, self.v)
 

@@ -4,9 +4,11 @@ A point p can be reached from q when a finite chain q = c_0, ..., c_k = p
 exists with each c_i on the great circle of c_{i-1}. This module builds
 such chains: a one-step construction when p is already beyond the circle
 of q, and otherwise an outward spiral whose circles eventually put p on
-the reachable side. The paper's shell turns a full 2*pi in n equal steps;
-reach turns only the signed azimuth gap from h(q) to h(p) in k equal
-steps, under the same 1/cos growth law, which gives much shorter chains.
+the reachable side. One spiral law serves both constructions: each step
+turns the plane azimuth by a fixed angle and grows the plane radius by
+1/cos of it, which keeps every point on the circle of the one before. The
+paper's shell turns a full 2*pi in n steps; reach turns only the signed
+azimuth gap from h(q) to h(p) in k steps, which gives much shorter chains.
 Certificates carry every chain point and are re-checkable without
 trusting the construction.
 """
@@ -14,6 +16,7 @@ trusting the construction.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -32,31 +35,6 @@ from .sphere import EPS, Ray, Vec3, canonicalize, circle_of
 N_MAX = 10**6
 
 MIN_SHELL_N = 5
-
-
-@dataclass(frozen=True)
-class ShellParams:
-    """Shell step count and starting plane distance."""
-
-    n: int
-    d0: float
-
-    def __post_init__(self) -> None:
-        if self.n < MIN_SHELL_N:
-            raise BadN(f"shell needs n >= {MIN_SHELL_N}, got {self.n}")
-        if self.n > N_MAX:
-            raise BadN(f"shell needs n <= {N_MAX}, got {self.n}")
-        if not self.d0 > 0.0:
-            raise BadN(f"shell needs positive starting distance, got {self.d0!r}")
-
-    @property
-    def step_angle(self) -> float:
-        return 2.0 * math.pi / self.n
-
-    @property
-    def growth(self) -> float:
-        """Per-step radial growth 1/cos(2*pi/n)."""
-        return 1.0 / math.cos(self.step_angle)
 
 
 @dataclass(frozen=True)
@@ -112,24 +90,35 @@ def step_one(q: Ray, p: Ray) -> Ray:
     return unproject(PlanePoint(f_pt.u + t * r[0], f_pt.v + t * r[1]))
 
 
-def shell(q: Ray, n: int) -> list[Ray]:
-    """The outward spiral q_0 = q, ..., q_n with plane step angle 2*pi/n.
+def _spiral(q: Ray, delta: float, k: int) -> Iterator[Ray]:
+    """Points 1..k of the outward spiral from q that turns delta in k equal steps.
 
-    Each step turns by 2*pi/n and grows the plane distance by 1/cos(2*pi/n),
-    which keeps q_{i+1} exactly on the circle of q_i.
+    Point i sits at plane radius |h(q)| * cos(delta/k)^(-i) and azimuth
+    phi_q + i*delta/k. Turning by delta/k while growing the radius by
+    1/cos(delta/k) keeps each point exactly on the circle of the one before.
+    """
+    f = project(q)
+    phi = math.atan2(f.v, f.u)
+    d = f.norm()
+    step = delta / k
+    growth = 1.0 / math.cos(step)
+    for i in range(1, k + 1):
+        d *= growth
+        a = phi + i * step
+        yield unproject(PlanePoint(d * math.cos(a), d * math.sin(a)))
+
+
+def shell(q: Ray, n: int) -> list[Ray]:
+    """The paper's full-turn shell q_0 = q, ..., q_n: the spiral turning 2*pi.
+
+    q_i sits at plane radius |h(q)| * cos(2*pi/n)^(-i) and azimuth
+    phi_q + 2*pi*i/n, on the circle of q_{i-1}; MIN_SHELL_N <= n <= N_MAX.
     """
     if q.is_pole():
         raise AtPole("shell undefined at the north pole")
-    params = ShellParams(n=n, d0=project(q).norm())
-    f = project(q)
-    phi = math.atan2(f.v, f.u)
-    d = params.d0
-    points = [q]
-    for _ in range(n):
-        phi += params.step_angle
-        d *= params.growth
-        points.append(unproject(PlanePoint(d * math.cos(phi), d * math.sin(phi))))
-    return points
+    if not MIN_SHELL_N <= n <= N_MAX:
+        raise BadN(f"shell needs {MIN_SHELL_N} <= n <= {N_MAX}, got {n}")
+    return [q, *_spiral(q, 2.0 * math.pi, n)]
 
 
 def choose_shell_n(q: Ray, p: Ray) -> int:
@@ -155,10 +144,6 @@ def choose_shell_n(q: Ray, p: Ray) -> int:
             return n
         n += 1
     raise NoSuchN(f"no admissible shell size up to {N_MAX}")
-
-
-def _as_cert(points: list[Ray], shell_n: int | None) -> ReachCertificate:
-    return ReachCertificate(points=tuple(r.vec for r in points), shell_n=shell_n)
 
 
 def _spiral_steps(d0: float, target: float, delta: float) -> int:
@@ -191,14 +176,13 @@ def _spiral_steps(d0: float, target: float, delta: float) -> int:
 def reach(q: Ray, p: Ray) -> ReachCertificate:
     """Certificate that p can be reached from q, for northern p_z < q_z - eps.
 
-    When p is on or beyond circle_of(q) the chain is q, [step_one], p and
-    shell_n is None. Otherwise delta is the signed azimuth gap from h(q) to
-    h(p), |delta| <= pi, and the chain follows a spiral of k equal turns:
-    point i sits at plane radius d0 * cos(delta/k)^(-i) and azimuth
-    phi_q + i*delta/k, so it lies exactly on the circle of point i-1, and k
-    is the fewest turns that end inside radius |h(p)|. The chain stops at
-    the first spiral point whose circle has p on or beyond it and ends with
-    step_one; shell_n holds k.
+    The chain starts at q. When p is on the pole side of circle_of(q), it
+    follows the spiral that turns delta, the signed azimuth gap from h(q)
+    to h(p) (|delta| <= pi), in k equal steps, where k is the fewest steps
+    that end inside radius |h(p)|; it stops at the first spiral point whose
+    circle has p on or beyond it, and shell_n holds k. Otherwise shell_n is
+    None. A step_one point follows unless p is already on the last point's
+    circle, and p ends the chain.
     """
     if not (p.is_northern() and q.is_northern()):
         raise NotNorthern("both points must be northern")
@@ -208,32 +192,24 @@ def reach(q: Ray, p: Ray) -> ReachCertificate:
         raise PreconditionViolation(
             f"need p_z < q_z - eps, got p_z={p.z!r}, q_z={q.z!r}"
         )
+    points, k = [q], None
     side = side_of(p, q)
-    if side is Side.ON_CIRCLE:
-        return _as_cert([q, p], None)
-    if side is Side.BEYOND:
-        return _as_cert([q, step_one(q, p), p], None)
-
-    f, h = project(q), project(p)
-    phi = math.atan2(f.v, f.u)
-    delta = math.remainder(math.atan2(h.v, h.u) - phi, 2.0 * math.pi)
-    d = f.norm()
-    k = _spiral_steps(d, h.norm(), delta)
-    step = delta / k
-    growth = 1.0 / math.cos(step)
-    points = [q]
-    for i in range(1, k + 1):
-        d *= growth
-        a = phi + i * step
-        points.append(unproject(PlanePoint(d * math.cos(a), d * math.sin(a))))
-        side = side_of(p, points[-1])
-        if side is not Side.POLE_SIDE:
-            break
-    if side is Side.ON_CIRCLE:
-        return _as_cert(points + [p], k)
-    # p is beyond the last point's circle by the choice of k; should rounding
-    # say otherwise, step_one fails closed with NotReachableDirectly
-    return _as_cert(points + [step_one(points[-1], p), p], k)
+    if side is Side.POLE_SIDE:
+        f, h = project(q), project(p)
+        delta = math.remainder(math.atan2(h.v, h.u) - math.atan2(f.v, f.u), 2.0 * math.pi)
+        k = _spiral_steps(f.norm(), h.norm(), delta)
+        for point in _spiral(q, delta, k):
+            points.append(point)
+            side = side_of(p, point)
+            if side is not Side.POLE_SIDE:
+                break
+    if side is not Side.ON_CIRCLE:
+        # p is beyond the last point's circle (on a spiral, by the choice of
+        # k); should rounding say otherwise, step_one fails closed with
+        # NotReachableDirectly
+        points.append(step_one(points[-1], p))
+    points.append(p)
+    return ReachCertificate(points=tuple(r.vec for r in points), shell_n=k)
 
 
 def verify_certificate(cert: ReachCertificate) -> VerifyReport:

@@ -123,12 +123,9 @@ def canonicalize(v: Vec3) -> Ray:
 
 @dataclass(frozen=True)
 class GreatCircle:
-    """A great circle stored by its unit pole; p is a member iff |p.pole| <= eps."""
+    """A great circle stored by its unit pole; p is a member iff residual(p) <= EPS."""
 
     pole: Ray
-
-    def contains(self, p: Ray) -> bool:
-        return abs(self.pole.dot(p)) <= EPS
 
     def residual(self, p: Ray) -> float:
         return abs(self.pole.dot(p))

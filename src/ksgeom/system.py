@@ -118,7 +118,10 @@ def _load_doc(
     text: str | bytes, what: str, keys: tuple[str, ...], required: tuple[str, ...]
 ) -> dict:
     """The JSON object a document holds; ParseError unless it is UTF-8 JSON
-    with an object root whose keys are among keys and include required."""
+    with an object root whose keys are among keys and include required.
+
+    Every json.loads failure is a ParseError, including nesting too deep
+    for the decoder and integers past Python's digit limit."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -128,6 +131,8 @@ def _load_doc(
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{what} root must be an object")
     extra = set(doc) - set(keys)

@@ -17,8 +17,9 @@ or 1. The rules are:
 Facts are deduplicated per branch scope by subspace equality; deriving the
 opposite value of a visible fact records the branch's contradiction pair.
 Rules can run conjugated through a frame rotation, which is how "by a
-rotation we can assume" steps are mechanized: geometry is computed in frame
-coordinates, facts are stored as world-coordinate canonical rays.
+rotation we can assume" steps are mechanized: equator partners and circle
+poles are computed in frame coordinates, while facts are stored and checked
+as world-coordinate canonical rays.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .sphere import (
     Tripod,
     Vec3,
     canonicalize,
-    circle_of,
     equator_partner,
     third_point,
 )
@@ -195,13 +195,6 @@ class DerivationTrace:
                 return pair
         return None
 
-    def contradictions(self) -> dict[int, tuple[int, int]]:
-        return {
-            b: self.branches[b].contradiction
-            for b in self.leaves()
-            if self.branches[b].contradiction is not None
-        }
-
     # -- fact insertion -----------------------------------------------------
 
     def _add_fact(
@@ -309,12 +302,11 @@ class DerivationTrace:
         if fq.value != 0:
             raise PremiseNotZero(f"fact {q_fact} does not assign value 0")
         q_world = self.rays[fq.ray]
-        qf = to_frame(frame, q_world)
-        pf = to_frame(frame, p_world)
-        residual = circle_of(qf).residual(pf)
+        e_world, w_world = completion_partners(frame, to_frame(frame, q_world))
+        # w is the pole of q's circle, so membership is orthogonality to w
+        residual = abs(w_world.dot(p_world))
         if not residual <= EPS:  # fails closed on NaN
             raise NotOnCircle(f"point is off the circle by {residual!r} (eps {EPS!r})")
-        e_world, w_world = completion_partners(frame, qf)
         e_fid = self.orthogonal_zero(branch, e_world, pole_fact)
         w_fid = self.triad_one(branch, Tripod(q_world, e_world, w_world), q_fact, e_fid)
         return self._add_fact(
@@ -381,72 +373,38 @@ def extract_triad_system(t: DerivationTrace) -> TriadSystem:
         open_leaves = [b for b in t.leaves() if t.branches[b].contradiction is None]
         raise OpenBranch(f"branches without contradiction: {open_leaves}")
 
-    triads: list[tuple[int, int, int]] = []
-    seen_triads: set[frozenset[int]] = set()
-
-    def add_triad(tri: tuple[int, int, int]) -> None:
-        key = frozenset(tri)
-        if key not in seen_triads:
-            seen_triads.add(key)
-            triads.append(tuple(sorted(tri)))  # type: ignore[arg-type]
-
-    decision_rays: list[int] = []
-    for b in t.branches:
-        if b.split is not None:
-            add_triad(b.split.tripod)
-            if b.split.member not in decision_rays:
-                decision_rays.append(b.split.member)
-    for fact in t.facts:
-        if isinstance(fact.witness, TriadWitness):
-            add_triad(fact.witness.rays)
-    for tri in t.named_tripods:
-        add_triad(tri)
-
-    pairs: list[tuple[int, int]] = []
-    seen_pairs: set[tuple[int, int]] = set()
+    splits = [b.split for b in t.branches if b.split is not None]
+    triads = dict.fromkeys(
+        tuple(sorted(tri))
+        for tri in [sp.tripod for sp in splits]
+        + [f.witness.rays for f in t.facts if isinstance(f.witness, TriadWitness)]
+        + t.named_tripods
+    )
+    covered = {(a, b) for tri in triads for a in tri for b in tri}
+    pairs: dict[tuple[int, int], None] = {}
     for fact in t.facts:
         if fact.rule not in (RULE_ORTHOGONAL_ZERO, RULE_CIRCLE_ZERO, RULE_LEMMA_ZERO):
             continue
-        one_prem = next(
-            (p for p in fact.premises if t.facts[p].value == 1), None
-        )
+        one_prem = next((p for p in fact.premises if t.facts[p].value == 1), None)
         if one_prem is None:
             continue
-        a, b_ = t.facts[one_prem].ray, fact.ray
-        key = (min(a, b_), max(a, b_))
-        if key in seen_pairs:
-            continue
-        seen_pairs.add(key)
-        if any(a in tri and b_ in tri for tri in seen_triads):
-            continue
-        pairs.append(key)
+        a, b = t.facts[one_prem].ray, fact.ray
+        key = (min(a, b), max(a, b))
+        if key not in covered:
+            pairs[key] = None
 
-    touched: list[int] = []
-    touched_set: set[int] = set()
-
-    def touch(idx: int) -> None:
-        if idx not in touched_set:
-            touched_set.add(idx)
-            touched.append(idx)
-
-    for idx in decision_rays:
-        touch(idx)
-    for tri in triads:
-        for idx in tri:
-            touch(idx)
-    for a, b_ in pairs:
-        touch(a)
-        touch(b_)
-
+    touched = dict.fromkeys(
+        [sp.member for sp in splits]
+        + [i for tri in triads for i in tri]
+        + [i for pair in pairs for i in pair]
+    )
     remap = {old: new for new, old in enumerate(touched)}
     return TriadSystem(
         rays=tuple(t.rays[old] for old in touched),
         triads=tuple(
             tuple(sorted(remap[i] for i in tri)) for tri in triads  # type: ignore[misc]
         ),
-        pairs=tuple(
-            (min(remap[a], remap[b_]), max(remap[a], remap[b_])) for a, b_ in pairs
-        ),
+        pairs=tuple((min(remap[a], remap[b]), max(remap[a], remap[b])) for a, b in pairs),
     )
 
 

@@ -2,9 +2,13 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ksgeom
 from ksgeom.cli import main
 from ksgeom.errors import ERROR_CLASSES, EXIT_CODES, EXIT_EXPECTATION, EXIT_REJECTED
 from ksgeom.reach import N_MAX
@@ -328,6 +332,54 @@ class TestUsageErrors:
             assert json.loads(err)["error"]["type"] == "ParseError"
         else:
             assert err.startswith("error [ParseError]: not UTF-8 text")
+
+    @pytest.mark.parametrize("command", ["color", "verify"])
+    @pytest.mark.parametrize("json_mode", [False, True])
+    @pytest.mark.parametrize("kind", ["deep-nesting", "5000-digit-integer"])
+    def test_undecodable_json_input(self, tmp_path, capsys, command, json_mode, kind):
+        long_coordinate = "[0, 0, " + "1" * 5000 + "]"
+        text = {
+            "deep-nesting": "[" * 200_000,
+            "5000-digit-integer": (
+                '{"eps": 1e-09, "rays": [' + long_coordinate + '], "triads": [], "pairs": []}'
+                if command == "color"
+                else '{"eps": 1e-09, "points": [' + long_coordinate + "]}"
+            ),
+        }[kind]
+        f = tmp_path / "hostile.json"
+        f.write_text(text)
+        code, out, err = run(capsys, command, str(f), *(["--json"] if json_mode else []))
+        assert code == EXIT_CODES["ParseError"] == 19
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        if json_mode:
+            assert json.loads(err)["error"]["type"] == "ParseError"
+        else:
+            assert err.startswith("error [ParseError]: ")
+
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_closed_stdout(self, json_mode):
+        # the reader of stdout is gone before the command prints
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        argv = ["reach", "--from", "0,sin(0.8),cos(0.8)", "--to", "0,sin(1.2),cos(1.2)"]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ksgeom.cli", *argv, *(["--json"] if json_mode else [])],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(Path(ksgeom.__file__).parents[1])},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_CODES["usage"] == 2
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        if json_mode:
+            assert json.loads(proc.stderr)["error"]["type"] == "UsageError"
+        else:
+            assert proc.stderr.startswith("error [UsageError]: ")
 
     @pytest.mark.parametrize("command", ["color", "verify"])
     def test_missing_input_file(self, tmp_path, capsys, command):

@@ -122,7 +122,8 @@ class TestThirdPointIdentity:
 class TestDemoFirst:
     def test_every_branch_contradicted(self, first_trace):
         assert first_trace.closed
-        assert len(first_trace.contradictions()) == len(first_trace.leaves())
+        leaves = first_trace.leaves()
+        assert all(first_trace.branches[b].contradiction is not None for b in leaves)
 
     def test_bad_pole_low(self):
         with pytest.raises(BadPole):
@@ -253,8 +254,9 @@ class TestDemoSecond:
         # some leaf clash happens on a member of the named tripod
         tri_rays = set(second_trace.named_tripods[0])
         found = False
-        for pair in second_trace.contradictions().values():
-            if second_trace.facts[pair[0]].ray in tri_rays:
+        for leaf in second_trace.leaves():
+            pair = second_trace.branches[leaf].contradiction
+            if pair is not None and second_trace.facts[pair[0]].ray in tri_rays:
                 found = True
         assert found
 
@@ -331,7 +333,10 @@ class TestTraceStructure:
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_contradiction_pairs_well_formed(self, which, first_trace, second_trace):
         t = first_trace if which == "first" else second_trace
-        for leaf, (f0, f1) in t.contradictions().items():
+        for leaf in t.leaves():
+            if t.branches[leaf].contradiction is None:
+                continue
+            f0, f1 = t.branches[leaf].contradiction
             a, b = t.facts[f0], t.facts[f1]
             assert t.rays[a.ray].same_subspace(t.rays[b.ray])
             assert {a.value, b.value} == {0, 1}

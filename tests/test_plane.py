@@ -13,10 +13,10 @@ R2 = math.sqrt(0.5)
 
 class TestProject:
     def test_pole_maps_to_origin(self):
-        assert project(NORTH_POLE).xy == (0.0, 0.0)
+        assert project(NORTH_POLE) == PlanePoint(0.0, 0.0)
 
     def test_diagonal(self):
-        assert project(canonicalize((R2, 0, R2))).xy == (1.0, 0.0)
+        assert project(canonicalize((R2, 0, R2))) == PlanePoint(1.0, 0.0)
 
     def test_three_four_five(self):
         h = project(canonicalize((0.6, 0, 0.8)))
@@ -68,13 +68,13 @@ class TestCircleImageLine:
     def test_counterclockwise_dir(self):
         q = unproject(PlanePoint(1, 0))
         ln = circle_image_line(q)
-        assert ln.foot.xy == (1.0, 0.0)
+        assert ln.foot == PlanePoint(1.0, 0.0)
         assert ln.dir == (0.0, 1.0)
 
     def test_vertical_foot(self):
         q = unproject(PlanePoint(0, 2))
         ln = circle_image_line(q)
-        assert ln.foot.xy == (0.0, 2.0)
+        assert ln.foot == PlanePoint(0.0, 2.0)
         assert ln.dir == (-1.0, 0.0)
 
     def test_at_pole(self):

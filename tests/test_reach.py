@@ -16,7 +16,6 @@ from ksgeom.plane import PlanePoint, Side, project, side_of, unproject
 from ksgeom.reach import (
     N_MAX,
     ReachCertificate,
-    ShellParams,
     asymptotic_residual,
     choose_shell_n,
     reach,
@@ -24,7 +23,7 @@ from ksgeom.reach import (
     step_one,
     verify_certificate,
 )
-from ksgeom.sphere import NORTH_POLE, canonicalize, circle_of
+from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, circle_of
 
 from conftest import random_northern, random_northern_nonpole
 
@@ -76,8 +75,8 @@ class TestStepOne:
             if side_of(p, q).name != "BEYOND":
                 continue
             qt = step_one(q, p)
-            assert circle_of(q).contains(qt)
-            assert circle_of(qt).contains(p)
+            assert circle_of(q).residual(qt) <= EPS
+            assert circle_of(qt).residual(p) <= EPS
 
 
 class TestShell:
@@ -104,7 +103,7 @@ class TestShell:
             for i in range(1, n + 1):
                 cur = project(pts[i]).norm()
                 assert abs(cur - prev * growth) <= 1e-9 * cur
-                assert circle_of(pts[i - 1]).contains(pts[i])
+                assert circle_of(pts[i - 1]).residual(pts[i]) <= EPS
                 prev = cur
 
     def test_at_pole(self):
@@ -115,7 +114,7 @@ class TestShell:
         with pytest.raises(BadN):
             shell(unproject(PlanePoint(1, 0)), 4)
         with pytest.raises(BadN):
-            ShellParams(n=3, d0=1.0)
+            shell(unproject(PlanePoint(1, 0)), 3)
         with pytest.raises(BadN):  # raised before any point is built
             shell(unproject(PlanePoint(1, 0)), N_MAX + 1)
 

@@ -54,6 +54,14 @@ class TestCertificateDocs:
             load_certificate("{")
         assert err.value.line is not None
 
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000,  # deeper than the decoder's recursion limit
+        '{"eps": 1e-09, "points": [[0, 0, ' + "1" * 5000 + ']]}',
+    ], ids=["deep-nesting", "5000-digit-integer"])
+    def test_rejects_undecodable_json(self, text):
+        with pytest.raises(ParseError):
+            load_certificate(text)
+
     def test_rejects_non_utf8_bytes(self):
         with pytest.raises(ParseError, match="^not UTF-8 text"):
             load_certificate(b"\xff\xfe{")

@@ -96,6 +96,14 @@ class TestRoundTrip:
         with pytest.raises(ParseError):
             load_system(json.dumps(doc))
 
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000,  # deeper than the decoder's recursion limit
+        '{"eps": 1e-09, "rays": [[0, 0, ' + "1" * 5000 + ']], "triads": [], "pairs": []}',
+    ], ids=["deep-nesting", "5000-digit-integer"])
+    def test_load_rejects_undecodable_json(self, text):
+        with pytest.raises(ParseError):
+            load_system(text)
+
     def test_parse_error_carries_position(self):
         try:
             load_system("{ not json")

@@ -11,13 +11,24 @@ from ksgeom.errors import (
     PremiseNotZero,
 )
 from ksgeom.reach import verify_certificate
-from ksgeom.sphere import NORTH_POLE, Tripod, canonicalize, complete_tripod
+from ksgeom.sphere import (
+    EPS,
+    NORTH_POLE,
+    Tripod,
+    canonicalize,
+    complete_tripod,
+    equator_partner,
+    rotation_to_pole,
+    third_point,
+)
 from ksgeom.trace import (
+    RULE_CIRCLE_ZERO,
     RULE_LEMMA_ZERO,
     CertWitness,
     DerivationTrace,
     TriadWitness,
     extract_triad_system,
+    to_world,
 )
 
 R2 = math.sqrt(0.5)
@@ -140,6 +151,25 @@ class TestCircleZero:
         n_rays, n_facts = len(t.rays), len(t.facts)
         with pytest.raises(NotOnCircle, match="nan"):
             t.circle_zero(0, q_fact, nan_ray, pole)
+        assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
+
+    def test_circle_in_a_rotated_frame(self):
+        # the circle is q's circle in the frame whose pole is the value-1 ray
+        t = DerivationTrace()
+        one = canonicalize((0.3, -0.5, 0.8))
+        pole = t.assume(0, one, 1)
+        frame = rotation_to_pole(one)
+        qf = canonicalize((0.2, 0.3, 0.8))
+        q_fact = t.assume(0, to_world(frame, qf.vec), 0)
+        a, b = math.cos(1.1), math.sin(1.1)
+        pf = tuple(a * x + b * y for x, y in zip(qf.vec, equator_partner(qf).vec))
+        fid = t.circle_zero(0, q_fact, to_world(frame, pf), pole, frame=frame)
+        assert (t.facts[fid].value, t.facts[fid].rule) == (0, RULE_CIRCLE_ZERO)
+
+        off = tuple(x + 10 * EPS * w for x, w in zip(pf, third_point(qf).vec))
+        n_rays, n_facts = len(t.rays), len(t.facts)
+        with pytest.raises(NotOnCircle):
+            t.circle_zero(0, q_fact, to_world(frame, off), pole, frame=frame)
         assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
 
     def test_macro_soundness(self):
