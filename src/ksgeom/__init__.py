@@ -32,12 +32,10 @@ from .reach import (
 from .sphere import (
     EPS,
     NORTH_POLE,
-    GreatCircle,
     Ray,
     Rotation,
     Tripod,
     canonicalize,
-    circle_of,
     complete_tripod,
     equator_partner,
     rotation_to_pole,
@@ -57,7 +55,6 @@ __all__ = [
     "ColoringResult",
     "DerivationTrace",
     "EPS",
-    "GreatCircle",
     "N_MAX",
     "NORTH_POLE",
     "PlaneLine",
@@ -75,7 +72,6 @@ __all__ = [
     "canonicalize",
     "choose_shell_n",
     "circle_image_line",
-    "circle_of",
     "complete_tripod",
     "count_colorings_by_enumeration",
     "cover_index",

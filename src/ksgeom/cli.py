@@ -20,6 +20,7 @@ as JSON under --json. Every library error maps to a fixed exit code
 (ksgeom.errors.EXIT_CODES); verification rejects exit 22 and unmet coloring
 expectations exit 23. Bad invocations (an unknown option, an unreadable
 input or unwritable output file, a stdout closed by its reader) exit 2.
+A stderr closed by its reader loses the messages but changes no exit code.
 """
 
 from __future__ import annotations
@@ -102,11 +103,22 @@ def _input_ray(text: str, json_mode: bool) -> Ray:
     return canonicalize(v)
 
 
+def _to_devnull(stream) -> None:
+    """Point a stream whose reader is gone at /dev/null, so that no later
+    write or the flush at interpreter exit fails on the dead pipe."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _stderr(line: str) -> None:
+    """One line to stderr; a reader that has gone away costs only the line."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
 def _warn(message: str, json_mode: bool) -> None:
-    if json_mode:
-        print(json.dumps({"warning": message}), file=sys.stderr)
-    else:
-        print(f"warning: {message}", file=sys.stderr)
+    _stderr(json.dumps({"warning": message}) if json_mode else f"warning: {message}")
 
 
 # Each command returns (exit code, JSON document, text); main prints one of them.
@@ -286,10 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _report_error(args: argparse.Namespace, code: int, kind: str, message: str) -> int:
-    if args.json:
-        print(json.dumps({"error": {"type": kind, "message": message}}), file=sys.stderr)
-    else:
-        print(f"error [{kind}]: {message}", file=sys.stderr)
+    error = {"error": {"type": kind, "message": message}}
+    _stderr(json.dumps(error) if args.json else f"error [{kind}]: {message}")
     return code
 
 
@@ -308,8 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(doc, indent=1) if args.json else text)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader closed stdout
-        # send the flush at interpreter exit to /dev/null instead of the dead pipe
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_devnull(sys.stdout)
         return _report_error(args, EXIT_USAGE, "UsageError", "stdout: broken pipe")
     return code
 

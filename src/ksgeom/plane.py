@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AtPole, NotNorthern
-from .sphere import EPS, Ray, canonicalize
+from .sphere import EPS, Ray, canonicalize, third_point
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def unproject(p: PlanePoint) -> Ray:
 
 
 def circle_image_line(q: Ray) -> PlaneLine:
-    """The image line of circle_of(q): through h(q), orthogonal to the pole ray.
+    """The image line of q's circle: through h(q), orthogonal to the pole ray.
 
     The direction is the counterclockwise quarter turn of the foot.
     """
@@ -75,33 +75,21 @@ def circle_image_line(q: Ray) -> PlaneLine:
     return PlaneLine(foot, (-foot.v / d, foot.u / d))
 
 
-def _side_threshold(p_pt: PlanePoint, f_pt: PlanePoint) -> float:
-    # Exact sphere->plane tolerance conversion: with p = (P,1)/sqrt(1+|P|^2)
-    # and pole(C(q)) = (-F, |F|^2)/(|F| sqrt(1+|F|^2)),
-    #   P.F - |F|^2 = -(p . pole) * sqrt(1+|P|^2) * |F| * sqrt(1+|F|^2),
-    # so comparing |P.F - |F|^2| against EPS times that factor is exactly the
-    # sphere-space membership test |p . pole| <= EPS.
-    pn2 = p_pt.u * p_pt.u + p_pt.v * p_pt.v
-    fn = f_pt.norm()
-    fn2 = fn * fn
-    return EPS * math.sqrt(1.0 + pn2) * fn * math.sqrt(1.0 + fn2)
-
-
 def side_of(p: Ray, q: Ray) -> Side:
-    """Which side of circle_of(q) the point p falls on, in plane coordinates.
+    """Which side of q's circle the point p falls on.
 
-    BEYOND means p lies in the region between the circle and the equator
-    (the half plane not containing the pole); ON_CIRCLE is membership within
-    tolerance; POLE_SIDE is the rest of the hemisphere.
+    Reads the signed dot s = p . third_point(q) against the circle's pole.
+    ON_CIRCLE is |s| <= EPS; BEYOND (s < 0) means p lies in the region
+    between the circle and the equator, whose image is the half plane not
+    containing the origin; POLE_SIDE is the rest of the hemisphere.
     """
     if q.is_pole():
         raise AtPole("side_of undefined for the pole circle")
-    p_pt = project(p)
-    f_pt = project(q)
-    s = p_pt.dot(f_pt) - f_pt.dot(f_pt)
-    thr = _side_threshold(p_pt, f_pt)
-    if abs(s) <= thr:
+    if not p.is_northern():
+        raise NotNorthern(f"cannot place point with z={p.z!r}")
+    s = p.dot(third_point(q))
+    if abs(s) <= EPS:
         return Side.ON_CIRCLE
-    if s > thr:
+    if s < 0.0:
         return Side.BEYOND
     return Side.POLE_SIDE

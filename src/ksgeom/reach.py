@@ -28,7 +28,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .plane import PlanePoint, Side, circle_image_line, project, side_of, unproject
-from .sphere import EPS, Ray, Vec3, canonicalize, circle_of
+from .sphere import EPS, Ray, Vec3, canonicalize, third_point
 
 #: Hard cap on shell size and spiral step count; hitting it means the height
 #: gap is below what the construction can resolve numerically.
@@ -63,9 +63,9 @@ class VerifyReport:
 
 
 def step_one(q: Ray, p: Ray) -> Ray:
-    """A point on circle_of(q) whose own circle passes through p.
+    """A point on q's circle whose own circle passes through p.
 
-    Requires p on or beyond circle_of(q). In plane coordinates the unknown
+    Requires p on or beyond q's circle. In plane coordinates the unknown
     foot x = F + t*dir must satisfy the right-angle condition x.(x - P) = 0,
     a quadratic with roots of opposite sign; the nonnegative root is taken,
     which makes the output deterministic (the other root is the mirror
@@ -176,7 +176,7 @@ def _spiral_steps(d0: float, target: float, delta: float) -> int:
 def reach(q: Ray, p: Ray) -> ReachCertificate:
     """Certificate that p can be reached from q, for northern p_z < q_z - eps.
 
-    The chain starts at q. When p is on the pole side of circle_of(q), it
+    The chain starts at q. When p is on the pole side of q's circle, it
     follows the spiral that turns delta, the signed azimuth gap from h(q)
     to h(p) (|delta| <= pi), in k equal steps, where k is the fewest steps
     that end inside radius |h(p)|; it stops at the first spiral point whose
@@ -216,9 +216,9 @@ def verify_certificate(cert: ReachCertificate) -> VerifyReport:
     """Re-check every certificate invariant; failures are report entries.
 
     Checks, per point: near-unit norm and strictly positive z; per link
-    (a, b): |b . pole(circle_of(a))| within EPS. The first offending link
-    or point index is reported. Every test fails closed, so a NaN
-    coordinate or residual is a failure.
+    (a, b): |b . third_point(a)| within EPS, b against the pole of a's
+    circle. The first offending link or point index is reported. Every
+    test fails closed, so a NaN coordinate or residual is a failure.
     """
     pts = cert.points
     failures: list[str] = []
@@ -264,7 +264,7 @@ def verify_certificate(cert: ReachCertificate) -> VerifyReport:
             fail(i, "link source is the pole; its circle is undefined")
             residuals.append(math.nan)
             continue
-        res = circle_of(a).residual(b)
+        res = abs(third_point(a).dot(b))
         residuals.append(res)
         if not res <= EPS:
             fail(i, f"link residual {res!r} exceeds tolerance")

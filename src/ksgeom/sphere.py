@@ -1,4 +1,4 @@
-"""Canonical rays on the unit sphere, great circles, tripods, and rotations.
+"""Canonical rays on the unit sphere, tripods, and rotations.
 
 A ray stands for a one-dimensional subspace of R^3: the two antipodal unit
 vectors spanning it are identified, and construction always picks the
@@ -122,16 +122,6 @@ def canonicalize(v: Vec3) -> Ray:
 
 
 @dataclass(frozen=True)
-class GreatCircle:
-    """A great circle stored by its unit pole; p is a member iff residual(p) <= EPS."""
-
-    pole: Ray
-
-    def residual(self, p: Ray) -> float:
-        return abs(self.pole.dot(p))
-
-
-@dataclass(frozen=True)
 class Tripod:
     """Three pairwise orthogonal rays."""
 
@@ -187,14 +177,13 @@ class Rotation:
         r = self.rows
         return (dot(r[0], v), dot(r[1], v), dot(r[2], v))
 
-    def transpose(self) -> "Rotation":
-        r = self.rows
-        return Rotation(
-            (
-                (r[0][0], r[1][0], r[2][0]),
-                (r[0][1], r[1][1], r[2][1]),
-                (r[0][2], r[1][2], r[2][2]),
-            )
+    def apply_inverse(self, v: Vec3) -> Vec3:
+        """R^T v, the columns dotted with v in the same order as apply."""
+        r0, r1, r2 = self.rows
+        return (
+            r0[0] * v[0] + r1[0] * v[1] + r2[0] * v[2],
+            r0[1] * v[0] + r1[1] * v[1] + r2[1] * v[2],
+            r0[2] * v[0] + r1[2] * v[1] + r2[2] * v[2],
         )
 
 
@@ -215,21 +204,13 @@ def equator_partner(q: Ray) -> Ray:
     return canonicalize((q.y, -q.x, 0.0))
 
 
-def circle_of(q: Ray) -> GreatCircle:
-    """The great circle through q and its equator partners.
-
-    q is its northern-most point; the pole is the normalized cross product
-    of q with equator_partner(q).
-    """
-    e = equator_partner(q)
-    return GreatCircle(pole=canonicalize(cross(q.vec, e.vec)))
-
-
 def third_point(q: Ray) -> Ray:
     """The ray completing q and equator_partner(q) to a tripod.
 
-    Formula (-q_x, -q_y, (q_x^2+q_y^2)/q_z), normalized; coincides with the
-    pole of circle_of(q).
+    Formula (-q_x, -q_y, (q_x^2+q_y^2)/q_z), normalized. It is the pole of
+    q's circle, the great circle through q and its equator partners, on
+    which q is the northern-most point: p lies on that circle iff
+    |p . third_point(q)| <= EPS.
     """
     _require_northern_nonpole(q)
     s = q.x * q.x + q.y * q.y

@@ -109,7 +109,7 @@ def to_world(frame: Rotation | None, vec: Vec3) -> Ray:
     """World ray of a frame-coordinate vector."""
     if frame is None:
         return canonicalize(vec)
-    return canonicalize(frame.transpose().apply(vec))
+    return canonicalize(frame.apply_inverse(vec))
 
 
 def completion_partners(frame: Rotation | None, qf: Ray) -> tuple[Ray, Ray]:
@@ -200,7 +200,7 @@ class DerivationTrace:
     def _add_fact(
         self,
         branch: int,
-        ray: Ray,
+        ridx: int,
         value: int,
         rule: str,
         premises: tuple[int, ...],
@@ -212,7 +212,6 @@ class DerivationTrace:
                     f"premise {fid} lives in branch {self.facts[fid].branch}, "
                     f"not visible from branch {branch}"
                 )
-        ridx = self.ray_index(ray)
         existing = self.value_fact_in(branch, ridx)
         if existing is not None and self.facts[existing].value == value:
             return existing
@@ -238,7 +237,7 @@ class DerivationTrace:
     # -- rules --------------------------------------------------------------
 
     def assume(self, branch: int, ray: Ray, value: int) -> int:
-        return self._add_fact(branch, ray, value, RULE_ASSUME, ())
+        return self._add_fact(branch, self.ray_index(ray), value, RULE_ASSUME, ())
 
     def split(self, branch: int, trip: Tripod, member: Ray) -> tuple[int, int]:
         """Case split on the value of a tripod member: children (=0, =1)."""
@@ -254,7 +253,7 @@ class DerivationTrace:
         for value in (0, 1):
             child = Branch(idx=len(self.branches), parent=branch)
             self.branches.append(child)
-            child.assumption = self.assume(child.idx, member, value)
+            child.assumption = self._add_fact(child.idx, m_idx, value, RULE_ASSUME, ())
             kids.append(child.idx)
         node.children = (kids[0], kids[1])
         return node.children
@@ -266,7 +265,7 @@ class DerivationTrace:
         basis = self.rays[fact.ray]
         if not basis.is_orthogonal(p):
             raise NotOrthogonal(f"|dot| = {abs(basis.dot(p))!r} exceeds eps {EPS!r}")
-        return self._add_fact(branch, p, 0, RULE_ORTHOGONAL_ZERO, (one_fact,))
+        return self._add_fact(branch, self.ray_index(p), 0, RULE_ORTHOGONAL_ZERO, (one_fact,))
 
     def triad_one(self, branch: int, trip: Tripod, zero_a: int, zero_b: int) -> int:
         fa, fb = self.facts[zero_a], self.facts[zero_b]
@@ -277,7 +276,7 @@ class DerivationTrace:
             raise BadPremises("triad_one premises cite the same ray")
         if fa.ray not in tri_idx or fb.ray not in tri_idx:
             raise BadPremises("triad_one premises must be members of the tripod")
-        third = next(m for m in trip.members if self.ray_index(m) not in (fa.ray, fb.ray))
+        third = next(i for i in tri_idx if i not in (fa.ray, fb.ray))
         return self._add_fact(
             branch,
             third,
@@ -310,7 +309,7 @@ class DerivationTrace:
         e_fid = self.orthogonal_zero(branch, e_world, pole_fact)
         w_fid = self.triad_one(branch, Tripod(q_world, e_world, w_world), q_fact, e_fid)
         return self._add_fact(
-            branch, p_world, 0, rule, (q_fact, e_fid, w_fid), witness=witness
+            branch, self.ray_index(p_world), 0, rule, (q_fact, e_fid, w_fid), witness=witness
         )
 
     def circle_zero(

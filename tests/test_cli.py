@@ -23,6 +23,26 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_with_dead_reader(stream, *argv):
+    """Run the CLI in a subprocess whose stream ("stdout", "stderr" or None)
+    is a pipe with its read end closed first; the other streams are captured."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    if stream is not None:
+        streams[stream] = write_end
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "ksgeom.cli", *argv],
+            **streams,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(ksgeom.__file__).parents[1])},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+
+
 def edit_json(path, edit):
     doc = json.loads(path.read_text())
     edit(doc)
@@ -359,20 +379,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("json_mode", [False, True])
     def test_closed_stdout(self, json_mode):
         # the reader of stdout is gone before the command prints
-        read_end, write_end = os.pipe()
-        os.close(read_end)
         argv = ["reach", "--from", "0,sin(0.8),cos(0.8)", "--to", "0,sin(1.2),cos(1.2)"]
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "ksgeom.cli", *argv, *(["--json"] if json_mode else [])],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                text=True,
-                env={**os.environ, "PYTHONPATH": str(Path(ksgeom.__file__).parents[1])},
-                timeout=60,
-            )
-        finally:
-            os.close(write_end)
+        proc = run_with_dead_reader("stdout", *argv, *(["--json"] if json_mode else []))
         assert proc.returncode == EXIT_CODES["usage"] == 2
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
@@ -380,6 +388,23 @@ class TestUsageErrors:
             assert json.loads(proc.stderr)["error"]["type"] == "UsageError"
         else:
             assert proc.stderr.startswith("error [UsageError]: ")
+
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_closed_stderr(self, json_mode, tmp_path):
+        # a warning to a dead stderr does not kill the command, and an error
+        # keeps its exit code
+        flag = ["--json"] if json_mode else []
+        argv = ["reach", "--from", "0,sin(0.8),cos(0.8)", "--to", "0.4,0.5,0.2", *flag]
+        proc = run_with_dead_reader("stderr", *argv)
+        assert proc.returncode == 0
+        assert proc.stdout == run_with_dead_reader(None, *argv).stdout
+        if json_mode:
+            assert json.loads(proc.stdout)["summary"]["accepted"] is True
+        else:
+            assert proc.stdout.startswith('{') and "max link residual" in proc.stdout
+        proc = run_with_dead_reader("stderr", "verify", str(tmp_path / "missing.json"), *flag)
+        assert proc.returncode == EXIT_CODES["usage"] == 2
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("command", ["color", "verify"])
     def test_missing_input_file(self, tmp_path, capsys, command):

@@ -218,15 +218,15 @@ class TestDemoFirst:
 
             turned = DerivationTrace()
             pole2 = turned.assume(0, m, 1)
-            q2 = canonicalize(frame.transpose().apply(q.vec))
-            p2 = canonicalize(frame.transpose().apply(p.vec))
+            q2 = canonicalize(frame.apply_inverse(q.vec))
+            p2 = canonicalize(frame.apply_inverse(p.vec))
             qf2 = turned.assume(0, q2, 0)
             turned.lemma_zero(0, qf2, p2, pole_fact=pole2, frame=frame)
 
             assert len(plain.facts) == len(turned.facts)
             for f1, f2 in zip(plain.facts[2:], turned.facts[2:]):
                 assert f1.value == f2.value
-                expect = canonicalize(frame.transpose().apply(plain.rays[f1.ray].vec))
+                expect = canonicalize(frame.apply_inverse(plain.rays[f1.ray].vec))
                 assert abs(turned.rays[f2.ray].dot(expect)) >= 1.0 - 1e-9
 
 

@@ -4,11 +4,29 @@ import pytest
 
 from ksgeom.errors import AtPole, NotNorthern
 from ksgeom.plane import PlanePoint, Side, circle_image_line, project, side_of, unproject
-from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, circle_of, equator_partner
+from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, equator_partner
 
 from conftest import random_northern, random_northern_nonpole
 
 R2 = math.sqrt(0.5)
+
+
+def side_in_plane(p, q):
+    """Reference side_of, read in tangent-plane coordinates.
+
+    With P = h(p), F = h(q), p = (P,1)/sqrt(1+|P|^2) and the circle pole
+    w = (-F, |F|^2)/(|F| sqrt(1+|F|^2)),
+      P.F - |F|^2 = -(p . w) * sqrt(1+|P|^2) * |F| * sqrt(1+|F|^2),
+    so the plane test against EPS times that factor is the sphere test
+    |p . w| <= EPS rescaled.
+    """
+    p_pt, f_pt = project(p), project(q)
+    s = p_pt.dot(f_pt) - f_pt.dot(f_pt)
+    fn = f_pt.norm()
+    thr = EPS * math.sqrt(1.0 + p_pt.dot(p_pt)) * fn * math.sqrt(1.0 + fn * fn)
+    if abs(s) <= thr:
+        return Side.ON_CIRCLE
+    return Side.BEYOND if s > thr else Side.POLE_SIDE
 
 
 class TestProject:
@@ -114,17 +132,21 @@ class TestSideOf:
         with pytest.raises(AtPole):
             side_of(unproject(PlanePoint(1, 0)), NORTH_POLE)
 
+    def test_southern_point(self):
+        with pytest.raises(NotNorthern):
+            side_of(canonicalize((0, 1, 0)), unproject(PlanePoint(1, 0)))
+
+    def test_southern_circle(self):
+        with pytest.raises(NotNorthern):
+            side_of(unproject(PlanePoint(1, 0)), canonicalize((1, 0, 0)))
+
     def test_consistency_with_sphere_membership(self, rng):
-        # ON_CIRCLE iff |p . pole(circle_of(q))| <= eps, exactly: the plane
-        # threshold is the sphere test rescaled by sqrt(1+|P|^2)*|F|*sqrt(1+|F|^2).
-        hits = 0
+        # side_of reads p . third_point(q) on the sphere; the tangent-plane
+        # reference must agree on every side, not only on membership
         for _ in range(5000):
             q = random_northern_nonpole(rng)
             p = random_northern(rng)
-            on_plane = side_of(p, q) is Side.ON_CIRCLE
-            on_sphere = abs(p.dot(circle_of(q).pole)) <= EPS
-            assert on_plane == on_sphere
-            hits += on_plane
+            assert side_of(p, q) is side_in_plane(p, q)
         # near-miss pairs rarely land on the circle; force some exact members
         for _ in range(200):
             q = random_northern_nonpole(rng)
@@ -136,4 +158,4 @@ class TestSideOf:
                 continue
             p = canonicalize(v)
             assert side_of(p, q) is Side.ON_CIRCLE
-            assert abs(p.dot(circle_of(q).pole)) <= EPS
+            assert side_in_plane(p, q) is Side.ON_CIRCLE

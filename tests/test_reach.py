@@ -23,7 +23,7 @@ from ksgeom.reach import (
     step_one,
     verify_certificate,
 )
-from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, circle_of
+from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, third_point
 
 from conftest import random_northern, random_northern_nonpole
 
@@ -75,8 +75,8 @@ class TestStepOne:
             if side_of(p, q).name != "BEYOND":
                 continue
             qt = step_one(q, p)
-            assert circle_of(q).residual(qt) <= EPS
-            assert circle_of(qt).residual(p) <= EPS
+            assert abs(third_point(q).dot(qt)) <= EPS
+            assert abs(third_point(qt).dot(p)) <= EPS
 
 
 class TestShell:
@@ -103,7 +103,7 @@ class TestShell:
             for i in range(1, n + 1):
                 cur = project(pts[i]).norm()
                 assert abs(cur - prev * growth) <= 1e-9 * cur
-                assert circle_of(pts[i - 1]).residual(pts[i]) <= EPS
+                assert abs(third_point(pts[i - 1]).dot(pts[i])) <= EPS
                 prev = cur
 
     def test_at_pole(self):

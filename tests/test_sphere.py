@@ -11,7 +11,6 @@ from ksgeom.sphere import (
     Ray,
     Tripod,
     canonicalize,
-    circle_of,
     complete_tripod,
     dot,
     equator_partner,
@@ -119,28 +118,29 @@ class TestEquatorPartner:
 
 
 class TestCircleOf:
+    # q's circle is the great circle with pole third_point(q)
     def test_pole_example(self):
         q = canonicalize((0, R2, R2))
-        pole = circle_of(q).pole
+        pole = third_point(q)
         expected = canonicalize((0, -R2, R2))
         assert abs(pole.dot(expected)) >= 1.0 - 1e-12
 
     def test_pole_example_xz(self):
         q = canonicalize((R2, 0, R2))
-        pole = circle_of(q).pole
+        pole = third_point(q)
         expected = canonicalize((-R2, 0, R2))
         assert abs(pole.dot(expected)) >= 1.0 - 1e-12
 
     def test_membership(self):
         q = canonicalize((R2, 0, R2))
-        assert circle_of(q).residual(canonicalize((0, 1, 0))) <= EPS
+        assert abs(third_point(q).dot(canonicalize((0, 1, 0)))) <= EPS
 
     def test_parametrized_family_orthogonal_to_pole(self, rng):
         # alpha*q + beta*e(q) stays on the circle for alpha^2+beta^2=1
         for _ in range(20):
             q = random_northern_nonpole(rng)
             e = equator_partner(q)
-            pole = circle_of(q).pole
+            pole = third_point(q)
             for i in range(100):
                 a = math.cos(2 * math.pi * i / 100)
                 b = math.sin(2 * math.pi * i / 100)
@@ -180,11 +180,6 @@ class TestCompleteTripod:
     def test_at_pole(self):
         with pytest.raises(AtPole):
             complete_tripod(NORTH_POLE)
-
-    def test_third_point_is_circle_pole(self, rng):
-        for _ in range(200):
-            q = random_northern_nonpole(rng)
-            assert abs(third_point(q).dot(circle_of(q).pole)) >= 1.0 - 1e-12
 
     def test_nan_member_fails_closed(self, nan_ray):
         # the NaN residuals come after a 0.0 one, which max() alone would keep
@@ -229,3 +224,13 @@ class TestRotationToPole:
                     before = a.dot(b)
                     after = dot(r.apply(a.vec), r.apply(b.vec))
                     assert abs(before - after) <= 1e-12
+
+    def test_apply_inverse(self, rng):
+        for _ in range(200):
+            r = rotation_to_pole(random_northern(rng))
+            v = (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
+            back = r.apply_inverse(r.apply(v))
+            assert max(abs(a - b) for a, b in zip(back, v)) <= 1e-12
+            # bit for bit the transpose's rows dotted with v
+            cols = tuple(zip(*r.rows))
+            assert r.apply_inverse(v) == tuple(dot(c, v) for c in cols)
