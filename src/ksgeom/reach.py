@@ -215,7 +215,7 @@ def reach(q: Ray, p: Ray) -> ReachCertificate:
 def verify_certificate(cert: ReachCertificate) -> VerifyReport:
     """Re-check every certificate invariant; failures are report entries.
 
-    Checks, per point: near-unit norm and strictly positive z; per link
+    Checks, per point: near-unit norm and z > EPS once normalized; per link
     (a, b): |b . third_point(a)| within EPS, b against the pole of a's
     circle. The first offending link or point index is reported. Every
     test fails closed, so a NaN coordinate or residual is a failure.
@@ -247,12 +247,12 @@ def verify_certificate(cert: ReachCertificate) -> VerifyReport:
             fail(i, f"point norm {n!r} not within 1e-6 of 1")
             rays.append(None)
             continue
-        min_z = min(min_z, v[2])
-        if not v[2] > EPS:
-            fail(i, f"point z={v[2]!r} not strictly northern")
-            rays.append(None)
-            continue
-        rays.append(canonicalize(v))
+        ray = canonicalize(v)
+        z = math.copysign(ray.z, v[2])  # the point's own height: canonicalize flips south
+        min_z = min(min_z, z)
+        if not z > EPS:
+            fail(i, f"point z={z!r} not strictly northern")
+        rays.append(ray if z > EPS else None)
 
     residuals: list[float] = []
     for i in range(len(pts) - 1):

@@ -85,8 +85,8 @@ class Ray:
         return dot(self.vec, other.vec)
 
     def same_subspace(self, other: "Ray") -> bool:
-        """Subspace equality: |dot| within eps of 1."""
-        return abs(self.dot(other)) >= 1.0 - EPS
+        """Subspace equality: |a x b| <= eps, a merge radius of about eps rad."""
+        return norm(cross(self.vec, other.vec)) <= EPS
 
     def is_orthogonal(self, other: "Ray") -> bool:
         return abs(self.dot(other)) <= EPS

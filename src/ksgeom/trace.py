@@ -14,7 +14,8 @@ or 1. The rules are:
   lemma_zero       a lower northern point gets 0 through a reach
                    certificate, replayed as chained circle_zero steps
 
-Facts are deduplicated per branch scope by subspace equality; deriving the
+Rays share a table index when |a x b| <= EPS, numbered by first appearance;
+facts are deduplicated per branch scope by that index, and deriving the
 opposite value of a visible fact records the branch's contradiction pair.
 Rules can run conjugated through a frame rotation, which is how "by a
 rotation we can assume" steps are mechanized: equator partners and circle
@@ -25,6 +26,7 @@ as world-coordinate canonical rays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import (
     BadPremises,
@@ -52,6 +54,9 @@ RULE_ORTHOGONAL_ZERO = "orthogonal_zero"
 RULE_TRIAD_ONE = "triad_one"
 RULE_CIRCLE_ZERO = "circle_zero"
 RULE_LEMMA_ZERO = "lemma_zero"
+
+#: Grid cell side of the ray table; at least 2*EPS, so a ray fills at most 8 cells.
+CELL = 4 * EPS
 
 
 @dataclass(frozen=True)
@@ -136,22 +141,26 @@ class DerivationTrace:
         self.facts: list[ValueFact] = []
         self.branches: list[Branch] = [Branch(idx=0, parent=None)]
         self.named_tripods: list[tuple[int, int, int]] = []
-        self._buckets: dict[tuple[int, int, int], list[int]] = {}
+        self._cells: dict[tuple[int, ...], list[int]] = {}
 
     # -- ray table ---------------------------------------------------------
 
     def ray_index(self, ray: Ray) -> int:
-        key = (round(ray.x, 6), round(ray.y, 6), round(ray.z, 6))
-        for idx in self._buckets.get(key, ()):
+        """Smallest index of a stored ray spanning ray's subspace; stores ray if none.
+
+        A ray is filed under every grid cell of (|x|, |y|, |z|) within 2*EPS of
+        it, which covers its antipode, so the query's cell holds all its matches.
+        """
+        cell = tuple(int(abs(c) // CELL) for c in ray.vec)
+        for idx in self._cells.get(cell, ()):
             if self.rays[idx].same_subspace(ray):
-                return idx
-        for idx, known in enumerate(self.rays):  # bucket miss near a rounding edge
-            if known.same_subspace(ray):
-                self._buckets.setdefault(key, []).append(idx)
                 return idx
         idx = len(self.rays)
         self.rays.append(ray)
-        self._buckets.setdefault(key, []).append(idx)
+        spans = (range(int((abs(c) - 2 * EPS) // CELL), int((abs(c) + 2 * EPS) // CELL) + 1)
+                 for c in ray.vec)
+        for near in product(*spans):
+            self._cells.setdefault(near, []).append(idx)
         return idx
 
     def tripod_indices(self, trip: Tripod) -> tuple[int, int, int]:

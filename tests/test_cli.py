@@ -182,6 +182,18 @@ class TestVerifyCommand:
         assert code == EXIT_REJECTED
         assert "[1]" in o
 
+    def test_point_southern_after_normalization_rejected(self, tmp_path, capsys):
+        z = 1.0000001e-9
+
+        def tilt_first_point(doc):
+            doc["points"] = [[math.sqrt(1 - z * z) * (1 + 5e-7), 0.0, z], [0.0, 0.6, 0.8]]
+            doc["residuals"] = [0.0]
+
+        f = edit_json(write_certificate(capsys, tmp_path / "cert.json"), tilt_first_point)
+        code, out, _ = run(capsys, "verify", f)
+        assert code == EXIT_REJECTED == 22
+        assert "[0] point z=" in out
+
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

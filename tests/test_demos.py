@@ -27,6 +27,7 @@ from ksgeom.trace import CertWitness, TriadWitness, decision_core, extract_triad
 from conftest import random_northern
 
 R2 = math.sqrt(0.5)
+GOLDEN_ANGLE = math.pi * (3 - math.sqrt(5))
 
 
 def default_pole():
@@ -36,6 +37,13 @@ def default_pole():
 def polar_target(theta, phi):
     st = math.sin(theta)
     return canonicalize((st * math.cos(phi), st * math.sin(phi), math.cos(theta)))
+
+
+def assert_closes_and_refutes(p_prime):
+    t = demo_first_proof(p_prime)
+    assert t.closed
+    result = solve(extract_triad_system(t), SolveMode.PROVE_NONE)
+    assert result.count == 0 and result.exhaustive
 
 
 def sha256(text):
@@ -179,14 +187,17 @@ class TestDemoFirst:
         assert len(idx) == 3
         assert any(set(tri) == set(idx) for tri in system.triads)
 
-    # These close only because of the chains reach builds; the ray_index
-    # merge-radius fault is still tracked by
-    # tests/test_trace.py::TestRayIndexMergeRadius.
     @pytest.mark.parametrize(
         "theta, phi", [(0.6, 2.5), (0.07569945543151446, 2.7246761881093495)]
     )
     def test_known_failing_targets_close(self, theta, phi):
-        assert demo_first_proof(polar_target(theta, phi)).closed
+        assert_closes_and_refutes(polar_target(theta, phi))
+
+    @pytest.mark.parametrize("i", range(40))
+    def test_golden_angle_lattice_closes(self, i):
+        # 40 poles over theta in [0.15, 0.7), azimuths i golden angles apart
+        theta = 0.15 + 0.55 * (i + 0.5) / 40
+        assert_closes_and_refutes(polar_target(theta, i * GOLDEN_ANGLE % (2 * math.pi)))
 
     def test_frame_covariance_two_poles(self):
         # both traces close and verify; the derivation is frame-covariant

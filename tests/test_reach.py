@@ -320,6 +320,15 @@ class TestVerifyCertificate:
         assert not report.accepted
         assert report.first_bad_link == 0
 
+    def test_rejects_point_southern_after_normalization(self):
+        # raw z is above eps, but the norm 1 + 5e-7 takes the unit point's z below it
+        z = 1.0000001e-9
+        tilted = (math.sqrt(1 - z * z) * (1 + 5e-7), 0.0, z)
+        report = verify_certificate(ReachCertificate(points=(tilted, (0.0, 0.6, 0.8))))
+        assert not report.accepted
+        assert report.first_bad_link == 0
+        assert report.min_z <= EPS
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_rejects_non_finite_point(self, axis, bad):

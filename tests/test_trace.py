@@ -22,6 +22,7 @@ from ksgeom.sphere import (
     third_point,
 )
 from ksgeom.trace import (
+    CELL,
     RULE_CIRCLE_ZERO,
     RULE_LEMMA_ZERO,
     CertWitness,
@@ -258,14 +259,34 @@ class TestBranching:
 
 
 class TestRayIndexMergeRadius:
-    # ray_index merges a ray into any stored ray with |dot| >= 1 - eps, which
-    # admits rays about 4.5e-5 rad apart, while every rule checks |dot| <= eps
-    # against the stored representative. A merge radius near eps would keep
-    # these two rays apart; the strict xfail turns into a failure once it does.
-    @pytest.mark.xfail(strict=True, reason="ray_index merges rays up to ~4.5e-5 rad apart")
+    # ray_index merges a ray into a stored ray only when |a x b| <= eps, the
+    # same slack every rule checks against the stored representative.
     def test_rays_2e_5_rad_apart_get_distinct_indices(self):
         t = DerivationTrace()
         assert t.ray_index(canonicalize((0, 0, 1))) != t.ray_index(canonicalize((2e-5, 0, 1)))
+
+    def test_rays_across_a_cell_boundary_get_one_index(self):
+        edge = round(0.6 / CELL) * CELL
+        a, b = (canonicalize((math.sin(s), 0.0, math.cos(s)))
+                for s in (math.asin(edge) - 2e-10, math.asin(edge) + 2e-10))
+        assert a.x < edge < b.x
+        t = DerivationTrace()
+        assert t.ray_index(a) == t.ray_index(b) == 0
+
+    def test_near_antipodes_get_one_index(self):
+        # z = 0.8e-9 is inside the canonical sign band, so this one flips
+        a = canonicalize((-0.6, 0.8, 1.2e-9))
+        b = canonicalize((-0.6, 0.8, 0.8e-9))
+        assert a.dot(b) < 0
+        t = DerivationTrace()
+        assert t.ray_index(a) == t.ray_index(b) == 0
+
+    def test_query_matching_two_stored_rays_gets_the_smaller_index(self):
+        a, b, query = (canonicalize((math.sin(s), 0.0, math.cos(s)))
+                       for s in (0.5, 0.5 + 1.5e-9, 0.5 + 0.75e-9))
+        assert query.same_subspace(a) and query.same_subspace(b)
+        t = DerivationTrace()
+        assert (t.ray_index(a), t.ray_index(b), t.ray_index(query)) == (0, 1, 0)
 
 
 class TestExtraction:
