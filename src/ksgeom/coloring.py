@@ -3,14 +3,16 @@
 A coloring gives every ray 0 or 1 with exactly one 1 per triad and never
 two 1s on an orthogonal pair. solve() is the production search (the
 backtracking kernel in ksgeom.kernels); count_colorings_by_enumeration and
-refute_by_core_enumeration are deliberately naive, separately coded
-oracles used to cross-check it.
+refute_by_core_enumeration are separately coded oracles used to
+cross-check it. The first filters every total assignment; the second
+closes all 2^k cases of a core under the forced-value rules at once, one
+case per bit of Python-int masks, by repeated full scans of the
+constraints.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 from . import kernels
@@ -96,43 +98,59 @@ def count_colorings_by_enumeration(s: TriadSystem, limit: int = 22) -> int:
     return count
 
 
-def _propagate_simple(
-    s: TriadSystem, vals: list[int]
-) -> bool:
-    """Forced-value closure by repeated full scans; returns False on conflict.
+# Cases run in blocks of 2**LANE_BITS lanes, so memory stays flat in k.
+LANE_BITS = 12
 
-    Intentionally artless (no adjacency lists, no queue) so it shares no
-    code shape with the solver kernel it cross-checks.
+
+def _close_lanes(s: TriadSystem, one: list[int], zero: list[int], full: int) -> int:
+    """Forced-value closure of every lane by repeated full scans.
+
+    one[r] and zero[r] hold, one bit per lane, the values ray r is known
+    to take. Any 1 in a triad or pair forces 0 on its mates; two 0s in a
+    triad force the third to 1. Returns the mask of lanes in which some
+    ray is set to both values. A constraint violation (two 1s in a triad
+    or pair, three 0s in a triad) sets its rays to both values in the
+    next scan, so at the fixpoint these are exactly the lanes in which
+    propagation reaches a conflict. Intentionally artless (no adjacency
+    lists, no queue) so it shares no code shape with the solver kernel it
+    cross-checks.
     """
+    bad = 0
     changed = True
-    while changed:
+    while changed and bad != full:
         changed = False
         for i, j, k in s.triads:
-            tv = (vals[i], vals[j], vals[k])
-            ones = tv.count(1)
-            zeros = tv.count(0)
-            if ones > 1 or (ones == 0 and zeros == 3):
-                return False
-            if ones == 1 and zeros < 2:
-                for r in (i, j, k):
-                    if vals[r] == -1:
-                        vals[r] = 0
-                        changed = True
-            elif zeros == 2 and ones == 0:
-                for r in (i, j, k):
-                    if vals[r] == -1:
-                        vals[r] = 1
-                        changed = True
+            oi, oj, ok = one[i], one[j], one[k]
+            zi, zj, zk = zero[i], zero[j], zero[k]
+            x = zi | oj | ok
+            if x != zi:
+                zero[i], changed = x, True
+            x = zj | oi | ok
+            if x != zj:
+                zero[j], changed = x, True
+            x = zk | oi | oj
+            if x != zk:
+                zero[k], changed = x, True
+            x = oi | zj & zk
+            if x != oi:
+                one[i], changed = x, True
+            x = oj | zi & zk
+            if x != oj:
+                one[j], changed = x, True
+            x = ok | zi & zj
+            if x != ok:
+                one[k], changed = x, True
         for i, j in s.pairs:
-            if vals[i] == 1 and vals[j] == 1:
-                return False
-            if vals[i] == 1 and vals[j] == -1:
-                vals[j] = 0
-                changed = True
-            elif vals[j] == 1 and vals[i] == -1:
-                vals[i] = 0
-                changed = True
-    return True
+            x = zero[i] | one[j]
+            if x != zero[i]:
+                zero[i], changed = x, True
+            x = zero[j] | one[i]
+            if x != zero[j]:
+                zero[j], changed = x, True
+        bad = 0
+        for o, z in zip(one, zero):
+            bad |= o & z
+    return bad
 
 
 def refute_by_core_enumeration(
@@ -146,18 +164,43 @@ def refute_by_core_enumeration(
     one of the enumerated cases and must satisfy forced consequences).
     Returns (refuted, cases_checked); refuted=False means some case stalled
     without a conflict, which proves nothing either way.
+
+    Case c is the c-th tuple of itertools.product((1, 0), repeat=k) over
+    the core. The cases are bit-sliced: the leading core rays are
+    enumerated one block at a time, and the last min(k, LANE_BITS) vary
+    across the lanes of one closure. The closure under these monotone
+    rules does not depend on the order the rules fire in, so a lane
+    conflicts exactly when its case, propagated alone, would.
     """
     k = len(core)
     if k > limit:
         raise ValueError(f"core enumeration capped at {limit} rays, got {k}")
+    for ray in core:
+        if isinstance(ray, bool) or not isinstance(ray, int) or not 0 <= ray < s.n_rays:
+            raise ValueError(f"core ray {ray!r} is not an index in [0, {s.n_rays})")
     if len(set(core)) != k:
         raise ValueError("core rays must be distinct")
-    cases = 0
-    for bits in itertools.product((1, 0), repeat=k):
-        cases += 1
-        vals = [-1] * s.n_rays
-        for ray, value in zip(core, bits):
-            vals[ray] = value
-        if _propagate_simple(s, vals):
-            return False, cases
-    return True, cases
+    bits = min(k, LANE_BITS)
+    full = (1 << (1 << bits)) - 1
+    lead, tail = core[: k - bits], core[k - bits :]
+    # Lane c of a block is case (block << bits) + c. As in product((1, 0),
+    # ...), a clear bit of the case index means value 1; full // (2^w + 1)
+    # repeats w set bits and w clear ones, so it marks the lanes whose
+    # index bit log2(w) is clear.
+    tail_one = [full // ((1 << (1 << b)) + 1) for b in reversed(range(bits))]
+    for block in range(1 << (k - bits)):
+        one = [0] * s.n_rays
+        zero = [0] * s.n_rays
+        for pos, ray in enumerate(lead):
+            if block >> (len(lead) - 1 - pos) & 1:
+                zero[ray] = full
+            else:
+                one[ray] = full
+        for ray, mask in zip(tail, tail_one):
+            one[ray] = mask
+            zero[ray] = full ^ mask
+        bad = _close_lanes(s, one, zero, full)
+        if bad != full:
+            first = ((bad + 1) & ~bad).bit_length() - 1
+            return False, (block << bits) + first + 1
+    return True, 1 << k

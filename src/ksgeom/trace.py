@@ -421,7 +421,7 @@ def decision_core(t: DerivationTrace, system: TriadSystem) -> tuple[int, ...]:
 
     These are the only free choices in the trace's case analysis; every
     other derived value is forced, which is what makes them the right core
-    for the naive enumeration cross-check. Members are looked up by exact
+    for the core-enumeration cross-check. Members are looked up by exact
     equality: the system's rays are the trace's own, and ray_index never
     stores two rays of one subspace.
     """

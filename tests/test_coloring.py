@@ -1,19 +1,24 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from ksgeom import kernels
 from ksgeom.coloring import (
+    LANE_BITS,
     SolveMode,
     count_colorings_by_enumeration,
     is_valid_coloring,
     refute_by_core_enumeration,
     solve,
 )
+from ksgeom.demos import demo_first_proof, demo_second_proof
 from ksgeom.errors import InvalidSystem
 from ksgeom.sphere import Ray, canonicalize, complete_tripod
 from ksgeom.system import TriadSystem
+from ksgeom.trace import decision_core, extract_triad_system
 
 from conftest import random_northern_nonpole
 
@@ -170,11 +175,83 @@ class TestValidation:
             solve(TriadSystem(rays=(AXES[1], AXES[2], nan_ray), triads=((0, 1, 2),)))
 
 
+def propagate_one_case(s: TriadSystem, vals: list[int]) -> bool:
+    """Forced-value closure of one case (-1 = unknown) by repeated full
+    scans; False on conflict. The oracle's former per-case body, kept as
+    the reference the bit-sliced scan must agree with."""
+    changed = True
+    while changed:
+        changed = False
+        for i, j, k in s.triads:
+            tv = (vals[i], vals[j], vals[k])
+            ones = tv.count(1)
+            zeros = tv.count(0)
+            if ones > 1 or (ones == 0 and zeros == 3):
+                return False
+            if ones == 1 and zeros < 2:
+                for r in (i, j, k):
+                    if vals[r] == -1:
+                        vals[r] = 0
+                        changed = True
+            elif zeros == 2 and ones == 0:
+                for r in (i, j, k):
+                    if vals[r] == -1:
+                        vals[r] = 1
+                        changed = True
+        for i, j in s.pairs:
+            if vals[i] == 1 and vals[j] == 1:
+                return False
+            if vals[i] == 1 and vals[j] == -1:
+                vals[j] = 0
+                changed = True
+            elif vals[j] == 1 and vals[i] == -1:
+                vals[i] = 0
+                changed = True
+    return True
+
+
+def refute_case_by_case(s: TriadSystem, core: list[int]) -> tuple[bool, int]:
+    cases = 0
+    for bits in itertools.product((1, 0), repeat=len(core)):
+        cases += 1
+        vals = [-1] * s.n_rays
+        for ray, value in zip(core, bits):
+            vals[ray] = value
+        if propagate_one_case(s, vals):
+            return False, cases
+    return True, cases
+
+
+def placeholder_system(n: int, triads, pairs) -> TriadSystem:
+    """A combinatorial system on n distinct rays. The oracle reads only the
+    indices, so the rays need not satisfy the orthogonality they stand for."""
+    rays = tuple(canonicalize((1.0, 0.1 * i, 1.0)) for i in range(n))
+    return TriadSystem(rays=rays, triads=tuple(triads), pairs=tuple(pairs))
+
+
+def one_is_fatal(r: int, a: int) -> tuple[list, list]:
+    """Constraints under which r = 1 always conflicts: r excludes all three
+    members a, a+1, a+2 of a triad, which then has three 0s."""
+    return [(a, a + 1, a + 2)], [(r, a), (r, a + 1), (r, a + 2)]
+
+
+@pytest.fixture(scope="module")
+def demo_systems():
+    out = []
+    for t in (demo_first_proof(canonicalize((0.0, math.sin(0.3), math.cos(0.3)))),
+              demo_second_proof()):
+        s = extract_triad_system(t)
+        out.append((s, list(decision_core(t, s))))
+    return out
+
+
 class TestCoreRefutation:
     def test_stalls_on_satisfiable(self):
-        s = single_triad()
-        refuted, cases = refute_by_core_enumeration(s, [0])
-        assert not refuted
+        assert refute_by_core_enumeration(single_triad(), [0]) == (False, 1)
+
+    def test_first_stall_after_a_conflicting_case(self):
+        # case 1 sets rays 1 and 2 to 1 and conflicts; case 2 stalls
+        assert refute_by_core_enumeration(single_triad(), [1, 2]) == (False, 2)
 
     def test_cap(self):
         s = two_triads_sharing_one()
@@ -183,3 +260,57 @@ class TestCoreRefutation:
         with pytest.raises(ValueError):
             refute_by_core_enumeration(s, [0, 0])
 
+    @pytest.mark.parametrize("core", [[-1], [3], [True], [0, 1.0], ["0"]], ids=repr)
+    def test_core_must_hold_ray_indices(self, core):
+        with pytest.raises(ValueError, match="not an index"):
+            refute_by_core_enumeration(single_triad(), core)
+
+    def test_matches_case_by_case_on_demo_subsystems(self, demo_systems):
+        rng = random.Random(10)
+        outcomes = set()
+        for trial in range(16):
+            s, dcore = demo_systems[trial % 2]
+            gone = set(rng.sample(range(len(s.triads)), rng.choice((0, 1, 2))))
+            sub = TriadSystem(
+                rays=s.rays,
+                triads=tuple(t for i, t in enumerate(s.triads) if i not in gone),
+                pairs=s.pairs,
+            )
+            if trial % 4 < 2:  # the decision core, shuffled, plus extra rays
+                core = dcore + [r for r in rng.sample(range(s.n_rays), 3) if r not in dcore]
+                core = rng.sample(core, min(len(core), 12))
+            else:
+                core = rng.sample(range(s.n_rays), rng.randint(1, 14))
+            expected = refute_case_by_case(sub, core)
+            assert refute_by_core_enumeration(sub, core) == expected, (trial, core)
+            outcomes.add(expected[0])
+        assert outcomes == {True, False}
+
+    def test_first_stall_in_the_second_block(self):
+        # k = 14: core[0] and core[1] are enumerated block by block, the
+        # other 12 across lanes. core[1] = 1 and core[2] = 1 always
+        # conflict, so block 0 (core[0] = core[1] = 1) conflicts throughout
+        # and the first stall is lane 2^11 of block 1 (one-based 6145)
+        k = LANE_BITS + 2
+        triads, pairs = one_is_fatal(1, k)
+        more_triads, more_pairs = one_is_fatal(2, k + 3)
+        s = placeholder_system(k + 6, triads + more_triads, pairs + more_pairs)
+        core = list(range(k))
+        expected = (False, (1 << LANE_BITS) + (1 << (LANE_BITS - 1)) + 1)
+        assert refute_case_by_case(s, core) == expected
+        assert refute_by_core_enumeration(s, core) == expected
+
+    def test_k20_memory_stays_within_one_block(self):
+        # rays 0..5 form two triads whose members exclude each other
+        # pairwise; 14 free rays fill the core to k = 20, all cases conflict
+        pairs = [(i, j) for i in range(3) for j in range(3, 6)]
+        s = placeholder_system(20, [(0, 1, 2), (3, 4, 5)], pairs)
+        core = list(range(6, 20)) + list(range(6))
+        tracemalloc.start()
+        try:
+            assert refute_by_core_enumeration(s, core) == (True, 1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one mask over all 2^20 lanes alone would take 128 KiB
+        assert peak < 64 * 1024
