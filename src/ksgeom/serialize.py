@@ -1,9 +1,10 @@
 """JSON documents for certificates and derivation traces.
 
-Shortest-round-trip decimal floats throughout (repr-based, what json emits
-natively), fixed key order, one canonical writer, so save -> load -> save
-is byte identical. The triad-system document lives in ksgeom.system; this
-module owns the certificate and trace formats. Schemas:
+Both use the triad-system document's writer (ksgeom.system): compact JSON
+from json's C encoder, shortest-round-trip floats, fixed key order and a
+newline after each "],[" and "},{" (one record per line), so save -> load
+-> save is byte identical. This module owns the certificate and trace
+formats. Schemas:
 
 certificate:
   {"eps": e, "shell_n": k | null, "points": [[x,y,z], ...],
@@ -57,7 +58,8 @@ def load_certificate(text: str | bytes) -> ReachCertificate:
     eps = _json_eps(doc["eps"])
     try:
         points = tuple(
-            tuple(_json_float(c, f"point {i} coordinate") for c in (x, y, z))
+            (x, y, z) if type(x) is type(y) is type(z) is float
+            else tuple(_json_float(c, f"point {i} coordinate") for c in (x, y, z))
             for i, (x, y, z) in enumerate(doc["points"])
         )
         shell_n = doc.get("shell_n")

@@ -4,7 +4,9 @@ A coloring of a system assigns 0 or 1 to every ray so that each listed
 triad gets exactly one 1 and no listed pair gets two 1s. The JSON document
 format is the interchange surface shared with the CLI: a single object
 {"eps", "rays", "triads", "pairs"} with shortest-round-trip decimal reals
-and no extra keys, so save -> load -> save is byte identical.
+and no extra keys. Every document (system, trace, certificate) is written
+by one writer as compact JSON, one record per line, so save -> load -> save
+is byte identical; `python -m json.tool FILE` indents one for reading.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidSystem, ParseError, ValidationError
-from .sphere import EPS, Ray, canonicalize
+from .sphere import EPS, Ray, canonicalize, dot
 
 
 @dataclass(frozen=True)
@@ -36,12 +38,12 @@ class TriadSystem:
 
     def __post_init__(self) -> None:
         n = len(self.rays)
-        for t in self.triads:
-            if len(set(t)) != 3 or not all(0 <= i < n for i in t):
-                raise ValidationError(f"triad indices out of range or repeated: {t}")
-        for p in self.pairs:
-            if len(set(p)) != 2 or not all(0 <= i < n for i in p):
-                raise ValidationError(f"pair indices out of range or repeated: {p}")
+        for a, b, c in self.triads:
+            if not (0 <= a < n and 0 <= b < n and 0 <= c < n and a != b != c != a):
+                raise ValidationError(f"triad indices out of range or repeated: {(a, b, c)}")
+        for a, b in self.pairs:
+            if not (0 <= a < n and 0 <= b < n and a != b):
+                raise ValidationError(f"pair indices out of range or repeated: {(a, b)}")
 
     @property
     def n_rays(self) -> int:
@@ -53,30 +55,22 @@ def validate_system(s: TriadSystem) -> ValidationReport:
 
     Fails closed: a NaN dot is an offender and makes worst_residual NaN.
     """
+    vecs = [r.vec for r in s.rays]
     worst = 0.0
     offenders: list[tuple[int, int]] = []
-
-    def check(i: int, j: int) -> None:
-        nonlocal worst
-        r = abs(s.rays[i].dot(s.rays[j]))
+    for i, j in [e for a, b, c in s.triads for e in ((a, b), (a, c), (b, c))] + list(s.pairs):
+        r = abs(dot(vecs[i], vecs[j]))
         if r > worst or math.isnan(r):
             worst = r
         if not r <= s.eps:
             offenders.append((i, j))
-
-    for a, b, c in s.triads:
-        check(a, b)
-        check(a, c)
-        check(b, c)
-    for a, b in s.pairs:
-        check(a, b)
-    return ValidationReport(
-        accepted=not offenders, worst_residual=worst, offenders=tuple(offenders)
-    )
+    return ValidationReport(not offenders, worst_residual=worst, offenders=tuple(offenders))
 
 
 def _canonical_json(doc: dict) -> str:
-    return json.dumps(doc, indent=1, separators=(",", ": ")) + "\n"
+    """doc as compact JSON, with a newline after each "],[" and "},{" and at the end."""
+    text = json.dumps(doc, separators=(",", ":"))
+    return text.replace("],[", "],\n[").replace("},{", "},\n{") + "\n"
 
 
 def save_system(s: TriadSystem) -> str:
@@ -144,18 +138,6 @@ def _load_doc(
     return doc
 
 
-def _load_ray(i: int, v: list) -> Ray:
-    x, y, z = (_json_float(c, f"ray {i} coordinate") for c in v)
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise InvalidSystem(f"ray {i} has a non-finite coordinate: {[x, y, z]!r}")
-    try:
-        # Already-canonical coordinates are kept bit for bit so that
-        # save -> load -> save round trips byte identically.
-        return Ray(x, y, z)
-    except ValueError:
-        return canonicalize((x, y, z))
-
-
 def load_system(text: str | bytes) -> TriadSystem:
     """Parse and validate a triad-system document (bytes must be UTF-8).
 
@@ -168,15 +150,31 @@ def load_system(text: str | bytes) -> TriadSystem:
     keys = ("eps", "rays", "triads", "pairs")
     doc = _load_doc(text, "document", keys, keys)
     eps = _json_eps(doc["eps"])
+    # One pass per list; TriadSystem then checks the indices and
+    # validate_system the orthogonality, as for a system built in code.
+    rays, triads, pairs = [], [], []
     try:
-        rays = tuple(_load_ray(i, v) for i, v in enumerate(doc["rays"]))
-        triads = tuple(
-            tuple(_json_int(i, "triad index") for i in (a, b, c)) for a, b, c in doc["triads"]
-        )
-        pairs = tuple(tuple(_json_int(i, "pair index") for i in (a, b)) for a, b in doc["pairs"])
+        for i, v in enumerate(doc["rays"]):
+            x, y, z = v if type(v) is list and len(v) == 3 else (None, None, None)
+            if not type(x) is type(y) is type(z) is float:
+                x, y, z = (_json_float(c, f"ray {i} coordinate") for c in v)
+            try:  # canonical coordinates are kept bit for bit: save -> load -> save round trips
+                rays.append(Ray(x, y, z))
+            except ValueError:
+                if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                    raise InvalidSystem(f"ray {i} has a non-finite coordinate: {[x, y, z]!r}")
+                rays.append(canonicalize((x, y, z)))
+        for a, b, c in doc["triads"]:
+            if not type(a) is type(b) is type(c) is int:
+                a, b, c = (_json_int(j, "triad index") for j in (a, b, c))
+            triads.append((a, b, c))
+        for a, b in doc["pairs"]:
+            if not type(a) is type(b) is int:
+                a, b = (_json_int(j, "pair index") for j in (a, b))
+            pairs.append((a, b))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed document: {exc}") from exc
-    system = TriadSystem(rays=rays, triads=triads, pairs=pairs, eps=eps)
+    system = TriadSystem(rays=tuple(rays), triads=tuple(triads), pairs=tuple(pairs), eps=eps)
     report = validate_system(system)
     if not report:
         raise ValidationError(

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import pytest
@@ -20,8 +21,14 @@ from ksgeom.errors import (
 from ksgeom.plane import Side, side_of
 from ksgeom.reach import verify_certificate
 from ksgeom.sphere import canonicalize, equator_partner, rotation_to_pole, third_point
-from ksgeom.serialize import save_trace
-from ksgeom.system import TriadSystem, save_system, validate_system
+from ksgeom.serialize import (
+    certificate_to_doc,
+    load_certificate,
+    save_certificate,
+    save_trace,
+    trace_to_doc,
+)
+from ksgeom.system import TriadSystem, load_system, save_system, validate_system
 from ksgeom.trace import CertWitness, TriadWitness, decision_core, extract_triad_system
 
 from conftest import random_northern
@@ -301,16 +308,16 @@ class TestPinnedOutputs:
         [
             pytest.param(
                 "first",
-                "f9d35f20283c6d29b80845ecc58296697dfb11280cd95a7e95c2a673aafea83c",
-                "e494cdec3e9d4cc6a93541e9037f16c6e64860fc565933a5d5dcbca0593f5dff",
+                "586598671b4fc273efa0d3b24cf51f8a4610c646caec19a21310d0e421796da6",
+                "5e53b031de28fa098c274bfbf1bd52ab6411cf01152607355d2f86f8120c2027",
                 (389, 602, 23),
                 8,
                 id="first",
             ),
             pytest.param(
                 "second",
-                "0d283a3e3e18461d0fd0238c8a08390a3f4bdd160acb936774d15d39191747bc",
-                "33cee8b6c181edb06a715ae66f102c075a42527031cf6604b7e1a719fc325b2a",
+                "18a89adccf175f6b6cc190d6f82eab16361198330dc68a6b65912951f66a6207",
+                "699979df80f9d0ff4c361e9fbb72eca27b178a0cceb9c44dd623a6e349050cab",
                 (437, 640, 29),
                 11,
                 id="second",
@@ -330,6 +337,54 @@ class TestPinnedOutputs:
     def test_core_member_missing_from_system(self, second_trace):
         with pytest.raises(BadPremises):
             decision_core(second_trace, TriadSystem(rays=(), triads=()))
+
+
+def indent_1(text: str) -> str:
+    """text in the indent=1 layout that documents had before one record per line."""
+    return json.dumps(json.loads(text), indent=1, separators=(",", ": ")) + "\n"
+
+
+class TestDocumentLayout:
+    """Compact JSON with one record per line, which json.loads reads back as
+    the document the writer was given."""
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_documents_load_back_equal(self, which, first_trace, second_trace):
+        t = first_trace if which == "first" else second_trace
+        system = extract_triad_system(t)
+        assert json.loads(save_trace(t)) == trace_to_doc(t)
+        assert json.loads(save_system(system)) == {
+            "eps": system.eps,
+            "rays": [list(r.vec) for r in system.rays],
+            "triads": [list(tri) for tri in system.triads],
+            "pairs": [list(p) for p in system.pairs],
+        }
+        certs = [f.witness.certificate for f in t.facts if isinstance(f.witness, CertWitness)]
+        assert certs
+        for cert in certs:
+            assert json.loads(save_certificate(cert)) == certificate_to_doc(cert)
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_one_system_record_per_line(self, which, first_trace, second_trace):
+        system = extract_triad_system(first_trace if which == "first" else second_trace)
+        text = save_system(system)
+        n_triads, n_pairs = len(system.triads), len(system.pairs)
+        assert system.n_rays and n_triads and n_pairs
+        assert text.count("\n") == (system.n_rays - 1) + (n_triads - 1) + (n_pairs - 1) + 1
+        assert text.endswith("]]}\n") and " " not in text
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_loaders_read_the_indent_1_layout(self, which, first_trace, second_trace):
+        t = first_trace if which == "first" else second_trace
+        system = extract_triad_system(t)
+        text = save_system(system)
+        assert indent_1(text) != text
+        assert load_system(indent_1(text)) == load_system(text) == system
+        for fact in t.facts:
+            if isinstance(fact.witness, CertWitness):
+                text = save_certificate(fact.witness.certificate)
+                assert load_certificate(indent_1(text)) == load_certificate(text)
+                assert load_certificate(text) == fact.witness.certificate
 
 
 class TestTraceStructure:

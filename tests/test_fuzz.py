@@ -4,23 +4,35 @@ Hostile documents (random bytes, random JSON, near-valid documents with
 one field swapped for junk) must end in a documented exit code: the
 loaders either return or raise a library error, and `ks color` and
 `ks verify` always return a code from the README's exit-code table
-without printing a traceback.
+without printing a traceback. The one-pass loaders must also agree with
+the step-by-step loaders they replaced, kept here as the reference: the
+same object, or the same first error with the same message.
 """
 
 import io
 import json
+import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ksgeom.cli import main
-from ksgeom.errors import EXIT_INTERNAL, KsError
+from ksgeom.errors import EXIT_INTERNAL, InvalidSystem, KsError, ParseError, ValidationError
+from ksgeom.reach import ReachCertificate
 from ksgeom.serialize import load_certificate
-from ksgeom.system import load_system
+from ksgeom.sphere import Ray, canonicalize
+from ksgeom.system import (
+    TriadSystem,
+    _json_eps,
+    _json_float,
+    _json_int,
+    _load_doc,
+    load_system,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -110,6 +122,133 @@ def documents(valid: dict, fields: dict) -> st.SearchStrategy[bytes]:
 system_documents = documents(VALID_SYSTEM, system_fields)
 certificate_documents = documents(VALID_CERTIFICATE, certificate_fields)
 
+# Documents whose eps and keys are valid and whose lists are often well
+# formed, so that they reach the later checks: canonical and non-canonical
+# unit vectors, JSON integers, zero, underflowing and non-finite vectors;
+# indices in and out of range, repeated, or not integers.
+UNIT_VECTORS = [
+    [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.6, 0.8, 0.0],
+    [0.0, 0.6, 0.8], [0.0, 0.8, -0.6], [0, 0, 1], [1, 0, 0], [0.0, 1.0, 0],
+    [1e-10, 0.0, 1.0], [0.0, 2e-9, 1.0],  # off the z axis by less and by more than eps
+]
+EDGE_VECTORS = [[0.0, 0.0, 0.0], [1e-300, 0.0, 0.0], [math.nan, 0.0, 1.0], [0.0, -math.inf, 1.0]]
+close_coordinates = st.sampled_from(3 * UNIT_VECTORS + EDGE_VECTORS)
+
+
+def often_well_formed(good: st.SearchStrategy, bad: st.SearchStrategy, min_size: int = 0):
+    """Lists of min_size to 5 good items, or of up to 5 good and bad items mixed."""
+    return st.one_of(
+        st.lists(good, min_size=min_size, max_size=5), st.lists(st.one_of(good, bad), max_size=5)
+    )
+
+
+close_rays = often_well_formed(
+    close_coordinates, st.one_of(st.lists(numbers, min_size=2, max_size=4), json_values), 3
+)
+
+
+def close_records(size: int) -> st.SearchStrategy[list]:
+    record = st.lists(st.integers(0, 2), min_size=size, max_size=size, unique=True)
+    return often_well_formed(record, st.lists(indices, min_size=size - 1, max_size=size + 1))
+
+
+def close_documents(fields: dict) -> st.SearchStrategy[bytes]:
+    doc = st.fixed_dictionaries({"eps": st.just(1e-9), **fields})
+    return doc.map(lambda doc: json.dumps(doc).encode("utf-8"))
+
+
+close_system_documents = close_documents(
+    {"rays": close_rays, "triads": close_records(3), "pairs": close_records(2)}
+)
+close_certificate_documents = close_documents(
+    {"shell_n": certificate_fields["shell_n"], "points": close_rays}
+)
+
+
+def reference_load_system(text: str | bytes) -> TriadSystem:
+    """load_system, with validate_system's dot loop, before the one-pass
+    loader: read every ray, then every triad, then every pair, then check
+    indices, then orthogonality through Ray.dot."""
+    keys = ("eps", "rays", "triads", "pairs")
+    doc = _load_doc(text, "document", keys, keys)
+    eps = _json_eps(doc["eps"])
+
+    def load_ray(i: int, v: list) -> Ray:
+        x, y, z = (_json_float(c, f"ray {i} coordinate") for c in v)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise InvalidSystem(f"ray {i} has a non-finite coordinate: {[x, y, z]!r}")
+        try:
+            return Ray(x, y, z)
+        except ValueError:
+            return canonicalize((x, y, z))
+
+    try:
+        rays = tuple(load_ray(i, v) for i, v in enumerate(doc["rays"]))
+        triads = tuple(
+            tuple(_json_int(i, "triad index") for i in (a, b, c)) for a, b, c in doc["triads"]
+        )
+        pairs = tuple(tuple(_json_int(i, "pair index") for i in (a, b)) for a, b in doc["pairs"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed document: {exc}") from exc
+    n = len(rays)
+    for t in triads:
+        if len(set(t)) != 3 or not all(0 <= i < n for i in t):
+            raise ValidationError(f"triad indices out of range or repeated: {t}")
+    for p in pairs:
+        if len(set(p)) != 2 or not all(0 <= i < n for i in p):
+            raise ValidationError(f"pair indices out of range or repeated: {p}")
+    worst = 0.0
+    offenders: list[tuple[int, int]] = []
+
+    def check(i: int, j: int) -> None:
+        nonlocal worst
+        r = abs(rays[i].dot(rays[j]))
+        if r > worst or math.isnan(r):
+            worst = r
+        if not r <= eps:
+            offenders.append((i, j))
+
+    for a, b, c in triads:
+        check(a, b)
+        check(a, c)
+        check(b, c)
+    for a, b in pairs:
+        check(a, b)
+    if offenders:
+        raise ValidationError(
+            f"orthogonality violated at {tuple(offenders)[:4]}, worst residual {worst!r}"
+        )
+    return TriadSystem(rays=rays, triads=triads, pairs=pairs, eps=eps)
+
+
+def reference_load_certificate(text: str | bytes) -> ReachCertificate:
+    """load_certificate before the one-pass point loop."""
+    keys = ("eps", "shell_n", "points", "residuals")
+    doc = _load_doc(text, "certificate", keys, ("eps", "points"))
+    eps = _json_eps(doc["eps"])
+    try:
+        points = tuple(
+            tuple(_json_float(c, f"point {i} coordinate") for c in (x, y, z))
+            for i, (x, y, z) in enumerate(doc["points"])
+        )
+        shell_n = doc.get("shell_n")
+        return ReachCertificate(
+            points=points,
+            eps=eps,
+            shell_n=_json_int(shell_n, "shell_n") if shell_n is not None else None,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed certificate: {exc}") from exc
+
+
+def outcome(load, text) -> tuple:
+    """What load makes of text: the object's repr (which tells NaN and -0.0
+    apart), or the library error's type and message."""
+    try:
+        return ("ok", repr(load(text)))
+    except KsError as exc:
+        return (type(exc), str(exc))
+
 
 def test_exit_table_read_from_readme():
     assert EXIT_TABLE == set(range(24)) - {9}
@@ -131,6 +270,43 @@ class TestLoaders:
             load_certificate(text)
         except KsError as exc:
             assert exc.exit_code in EXIT_TABLE and exc.exit_code != EXIT_INTERNAL
+
+
+REFERENCE = settings(FUZZ, max_examples=400)
+
+
+def system_text(rays: list, triads: list, pairs: list) -> str:
+    return json.dumps({"eps": 1e-9, "rays": rays, "triads": triads, "pairs": pairs})
+
+
+AXES = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+
+
+class TestReferenceLoaders:
+    @REFERENCE
+    @given(st.one_of(system_documents, close_system_documents))
+    # a pair orthogonal only within eps; a float index after two ints; an
+    # index error before a later parse error; an index error before a
+    # non-orthogonal triad; a non-canonical ray before a later non-finite
+    # one; offenders in triad-then-pair order; a triad repeating its first
+    # index last; a negative pair index; an integer after two floats
+    @example(system_text([[1e-10, 0.0, 1.0], [1.0, 0.0, 0.0]], [], [[0, 1]]))
+    @example(system_text(AXES, [[0, 1, 2.0]], []))
+    @example(system_text(AXES, [[0, 1, 3]], [[0, "1"]]))
+    @example(system_text(AXES + [[0.6, 0.8, 0.0]], [[0, 1, 2], [0, 1, 3], [0, 0, 1]], []))
+    @example(system_text([[0.0, 0.0, -1.0], [math.inf, 0.0, 0.0]], [], []))
+    @example(system_text(AXES + [[0.6, 0.8, 0.0]], [[0, 1, 3]], [[2, 3]]))
+    @example(system_text(AXES, [[0, 1, 0]], []))
+    @example(system_text(AXES, [], [[0, -1]]))
+    @example(system_text([[0.0, 1.0, 0]], [], []))
+    def test_load_system_matches_reference(self, text):
+        assert outcome(load_system, text) == outcome(reference_load_system, text)
+
+    @REFERENCE
+    @given(st.one_of(certificate_documents, close_certificate_documents))
+    @example(json.dumps({"eps": 1e-9, "points": [[0.0, 0.6, 0.8], [0.0, 0.8, 1]]}))
+    def test_load_certificate_matches_reference(self, text):
+        assert outcome(load_certificate, text) == outcome(reference_load_certificate, text)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -73,14 +74,14 @@ class TestRoundTrip:
             assert a.vec == b.vec
 
     def test_unnormalized_input_canonicalized(self):
-        text = save_system(constant_tripod_system()).replace(
-            "-0.5", "-0.5000000001"
-        )
-        # slightly off-unit rays get renormalized; may then fail orthogonality
-        try:
-            load_system(text)
-        except ValidationError:
-            pass
+        doc = json.loads(save_system(constant_tripod_system()))
+        for v in doc["rays"]:
+            if v[0] == -0.5:
+                v[0] = -0.5000000001
+        loaded = load_system(json.dumps(doc))
+        assert loaded.rays == tuple(canonicalize(tuple(v)) for v in doc["rays"])
+        for r in loaded.rays:
+            assert abs(r.x * r.x + r.y * r.y + r.z * r.z - 1.0) <= 1e-12
 
     def test_load_rejects_extra_keys(self):
         text = save_system(constant_tripod_system())
@@ -89,8 +90,6 @@ class TestRoundTrip:
             load_system(bad)
 
     def test_load_rejects_missing_key(self):
-        import json
-
         doc = json.loads(save_system(constant_tripod_system()))
         del doc["pairs"]
         with pytest.raises(ParseError):
@@ -121,14 +120,13 @@ class TestRoundTrip:
             ),
             triads=((0, 1, 2),),
         )
-        text = save_system(s).replace("0.0,\n   1.0,\n   0.0", "0.6,\n   0.8,\n   0.0")
-        with pytest.raises(ValidationError):
-            load_system(text)
+        doc = json.loads(save_system(s))
+        doc["rays"][2] = [0.6, 0.8, 0.0]
+        with pytest.raises(ValidationError, match=r"^orthogonality violated at \(\(1, 2\),\)"):
+            load_system(json.dumps(doc))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_load_rejects_non_finite_coordinate(self, bad):
-        import json
-
         doc = json.loads(save_system(constant_tripod_system()))
         doc["rays"][1][0] = bad
         with pytest.raises(InvalidSystem, match="ray 1"):
@@ -139,8 +137,6 @@ class TestRoundTrip:
     )
     @pytest.mark.parametrize("key", ["ray", "eps"])
     def test_load_rejects_non_number(self, key, bad):
-        import json
-
         doc = json.loads(save_system(constant_tripod_system()))
         if key == "eps":
             doc["eps"] = bad
@@ -152,8 +148,6 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("eps", [0.0, -1e-9, 1e-3, 5e-2, 0.5])
     def test_load_rejects_eps_out_of_range(self, eps):
-        import json
-
         doc = json.loads(save_system(constant_tripod_system()))
         doc["eps"] = eps
         want = f"malformed document: tolerance eps must lie in (0, 1e-3), got {eps!r}"
@@ -168,8 +162,6 @@ class TestRoundTrip:
     @pytest.mark.parametrize("bad", [0.7, 1.0, True, False, "1", None])
     @pytest.mark.parametrize("key", ["triads", "pairs"])
     def test_load_rejects_non_integer_index(self, key, bad):
-        import json
-
         doc = json.loads(save_system(constant_tripod_system()))
         doc["pairs"] = [[0, 1]]
         doc[key][0][0] = bad
