@@ -12,15 +12,19 @@ re-poling at any p' inside the upper cap produces a witness ray that is
 forced to both values. The second demo adds the right-half/left-half
 argument: a zeroed ray close to the pole zeroes the right half of its
 frame, which forces value 1 on both left-half members of a fixed tripod.
+
+Each step runs in the frame the trace derives from its value-1 pole fact;
+the demos pass pole facts, never rotations.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 from .errors import BadN, BadPole, NotInRightHalf
 from .plane import Side, side_of
-from .sphere import EPS, Ray, Rotation, Tripod, Vec3, canonicalize, rotation_to_pole, third_point
+from .sphere import EPS, Ray, Rotation, Tripod, Vec3, canonicalize, third_point
 from .trace import DerivationTrace, completion_partners, to_world
 
 _R2 = math.sqrt(0.5)
@@ -68,13 +72,45 @@ def _completion_in_frame(frame: Rotation | None, vec: Vec3) -> tuple[Ray, Ray, R
     return (to_world(frame, qf.vec), *completion_partners(frame, qf))
 
 
+def _force_one(
+    t: DerivationTrace, branch: int, pole_fact: int, vec: Vec3, zero_fact: int
+) -> tuple[Ray, int]:
+    """World ray and value-1 fact of frame point vec, forced through its completion tripod.
+
+    The equator partner is zeroed against the pole, the third point by a
+    reach chain from zero_fact, a zeroed ray above it.
+    """
+    frame = t.frame(pole_fact)
+    ray, e_ray, w_ray = _completion_in_frame(frame, vec)
+    e_fid = t.orthogonal_zero(branch, e_ray, pole_fact)
+    w_fid = t.lemma_zero(branch, zero_fact, w_ray, pole_fact)
+    return ray, t.triad_one(branch, Tripod(ray, e_ray, w_ray), e_fid, w_fid)
+
+
+def _height_split(t: DerivationTrace, branch: int, pole_fact: int) -> Iterator[tuple[int, int]]:
+    """Split on the pole frame's height-1/sqrt(2) tripod.
+
+    Yields (child, fact zeroing a height-1/sqrt(2) ray), u_plus = 1 child
+    first; the u_plus = 0 child's facts follow the caller's work on the first.
+    """
+    frame = t.frame(pole_fact)
+    e_star, u_plus, u_minus = (
+        to_world(frame, v) for v in ((1.0, 0.0, 0.0), (0.0, _R2, _R2), (0.0, -_R2, _R2))
+    )
+    e_fid = t.orthogonal_zero(branch, e_star, pole_fact)
+    t2 = Tripod(u_plus, u_minus, e_star)
+    b0, b1 = t.split(branch, t2, u_plus)
+
+    # u_plus = 1: the sibling is the zeroed height-1/sqrt(2) ray.
+    yield b1, t.orthogonal_zero(b1, u_minus, t.branches[b1].assumption)
+
+    # u_plus = 0: explicit third-member 1, then u_plus itself is the zero.
+    t.triad_one(b0, t2, e_fid, t.branches[b0].assumption)
+    yield b0, t.branches[b0].assumption
+
+
 def _heights_and_clash(
-    t: DerivationTrace,
-    branch: int,
-    pole_fact: int,
-    frame: Rotation | None,
-    pprime_f: Vec3,
-    zero45_fact: int,
+    t: DerivationTrace, branch: int, pole_fact: int, pprime_f: Vec3, zero45_fact: int
 ) -> None:
     """From a zeroed frame-height-1/sqrt(2) ray, force v(p')=1 and clash.
 
@@ -86,88 +122,44 @@ def _heights_and_clash(
     azim = math.hypot(pprime_f[0], pprime_f[1])
     ux, uy = pprime_f[0] / azim, pprime_f[1] / azim
 
-    p1, e_p1, w_p1 = _completion_in_frame(frame, pprime_f)
-    e_fid = t.orthogonal_zero(branch, e_p1, pole_fact)
-    w_fid = t.lemma_zero(branch, zero45_fact, w_p1, pole_fact=pole_fact, frame=frame)
-    p1_fid = t.triad_one(branch, Tripod(p1, e_p1, w_p1), e_fid, w_fid)
+    _, p1_fid = _force_one(t, branch, pole_fact, pprime_f, zero45_fact)
 
     # Witness at angle pi/4 - theta/2 from the frame pole, in the plane of
     # the pole and p', on the side away from p': above height 1/sqrt(2) in
     # this frame, below it in the p' frame.
     a = math.pi / 4.0 - theta / 2.0
     wit_f: Vec3 = (-math.sin(a) * ux, -math.sin(a) * uy, math.cos(a))
-    wit, e_wit, w_wit = _completion_in_frame(frame, wit_f)
-    e_wit_fid = t.orthogonal_zero(branch, e_wit, pole_fact)
-    w_wit_fid = t.lemma_zero(branch, zero45_fact, w_wit, pole_fact=pole_fact, frame=frame)
-    t.triad_one(branch, Tripod(wit, e_wit, w_wit), e_wit_fid, w_wit_fid)
+    wit, _ = _force_one(t, branch, pole_fact, wit_f, zero45_fact)
 
     # Re-pole at p' and run the frame argument there far enough to zero the
     # witness in both sub-branches.
-    inner = rotation_to_pole(p1)
-    e2, u2p, u2m = _frame_axes(inner)
-    e2_fid = t.orthogonal_zero(branch, e2, p1_fid)
-    t2 = Tripod(u2p, u2m, e2)
-    b0, b1 = t.split(branch, t2, u2p)
-
-    sibling_zero = t.orthogonal_zero(b1, u2m, t.branches[b1].assumption)
-    t.lemma_zero(b1, sibling_zero, wit, pole_fact=p1_fid, frame=inner)
-
-    t.triad_one(b0, t2, e2_fid, t.branches[b0].assumption)
-    t.lemma_zero(b0, t.branches[b0].assumption, wit, pole_fact=p1_fid, frame=inner)
+    for child, zero45 in _height_split(t, branch, p1_fid):
+        t.lemma_zero(child, zero45, wit, p1_fid)
 
 
-def _frame_axes(frame: Rotation | None) -> tuple[Ray, Ray, Ray]:
-    """World rays of the frame's equator axis and the two height-1/sqrt(2) rays."""
-    return (
-        to_world(frame, (1.0, 0.0, 0.0)),
-        to_world(frame, (0.0, _R2, _R2)),
-        to_world(frame, (0.0, -_R2, _R2)),
-    )
-
-
-def _pole_refutation(
-    t: DerivationTrace,
-    branch: int,
-    pole_fact: int,
-    frame: Rotation | None,
-    pprime_f: Vec3,
-) -> None:
+def _pole_refutation(t: DerivationTrace, branch: int, pole_fact: int, pprime_f: Vec3) -> None:
     """Close a branch holding v(pole)=1 via the re-poling contradiction."""
-    e_star, u_plus, u_minus = _frame_axes(frame)
-    e_fid = t.orthogonal_zero(branch, e_star, pole_fact)
-    t2 = Tripod(u_plus, u_minus, e_star)
-    b0, b1 = t.split(branch, t2, u_plus)
-
-    # u_plus = 1: the sibling is the zeroed height-1/sqrt(2) ray.
-    zero45 = t.orthogonal_zero(b1, u_minus, t.branches[b1].assumption)
-    _heights_and_clash(t, b1, pole_fact, frame, pprime_f, zero45)
-
-    # u_plus = 0: explicit third-member 1, then u_plus itself is the zero.
-    t.triad_one(b0, t2, e_fid, t.branches[b0].assumption)
-    _heights_and_clash(t, b0, pole_fact, frame, pprime_f, t.branches[b0].assumption)
+    for child, zero45 in _height_split(t, branch, pole_fact):
+        _heights_and_clash(t, child, pole_fact, pprime_f, zero45)
 
 
-def _seed_split(
-    t: DerivationTrace,
-) -> list[tuple[int, int, Rotation | None]]:
+def _seed_split(t: DerivationTrace) -> list[tuple[int, int]]:
     """Discharge the global seed: one branch per member of the seed tripod.
 
-    Returns (branch, pole_fact, frame) triples; frame is None for the north
-    pole branch (identity) and maps the member to the pole otherwise.
+    Returns (branch, pole_fact) pairs, the fact giving that member value 1.
     """
     n_ray, x_ray, y_ray = (canonicalize(v) for v in SEED_TRIPOD_VECS)
     t0 = Tripod(n_ray, x_ray, y_ray)
     b_n0, b_n1 = t.split(0, t0, n_ray)
-    out: list[tuple[int, int, Rotation | None]] = [
-        (b_n1, t.branches[b_n1].assumption, None)
-    ]
     b_x0, b_x1 = t.split(b_n0, t0, x_ray)
-    out.append((b_x1, t.branches[b_x1].assumption, rotation_to_pole(x_ray)))
     y_fid = t.triad_one(
         b_x0, t0, t.branches[b_n0].assumption, t.branches[b_x0].assumption
     )
-    out.append((b_x0, y_fid, rotation_to_pole(y_ray)))
-    return out
+    return [
+        (b_n1, t.branches[b_n1].assumption),
+        (b_x1, t.branches[b_x1].assumption),
+        (b_x0, y_fid),
+    ]
 
 
 def demo_first_proof(p_prime: Ray) -> DerivationTrace:
@@ -181,8 +173,8 @@ def demo_first_proof(p_prime: Ray) -> DerivationTrace:
             f"re-poling target needs 1/sqrt(2) < z < 1, got z={p_prime.z!r}"
         )
     t = DerivationTrace()
-    for branch, pole_fact, frame in _seed_split(t):
-        _pole_refutation(t, branch, pole_fact, frame, p_prime.vec)
+    for branch, pole_fact in _seed_split(t):
+        _pole_refutation(t, branch, pole_fact, p_prime.vec)
     assert t.closed
     return t
 
@@ -201,21 +193,17 @@ def demo_second_proof() -> DerivationTrace:
     b_f: Vec3 = (-0.5, -_R2, 0.5)
     c_f: Vec3 = (_R2, 0.0, _R2)
     pprime_f: Vec3 = (0.0, math.sin(DEFAULT_POLE_ANGLE), math.cos(DEFAULT_POLE_ANGLE))
+    qn_f = qn_sequence(cover_index(third_point(canonicalize(a_f)))).vec
 
-    for branch, pole_fact, frame in _seed_split(t):
-        w_a_frame = third_point(canonicalize(a_f))
-        n = cover_index(w_a_frame)
-        qn_f = qn_sequence(n).vec
-
+    for branch, pole_fact in _seed_split(t):
+        frame = t.frame(pole_fact)
         qn, e_qn, w_qn = _completion_in_frame(frame, qn_f)
         e_qn_fid = t.orthogonal_zero(branch, e_qn, pole_fact)
         t_qn = Tripod(qn, e_qn, w_qn)
         b0, b1 = t.split(branch, t_qn, qn)
 
         # q(n) = 1: that ray is a value-1 pole; the re-poling argument kills it.
-        _pole_refutation(
-            t, b1, t.branches[b1].assumption, rotation_to_pole(qn), pprime_f
-        )
+        _pole_refutation(t, b1, t.branches[b1].assumption, pprime_f)
 
         # q(n) = 0: the right half below its circle is zeroed; the fixed
         # tripod's left-half members both inherit value 1.
@@ -226,9 +214,9 @@ def demo_second_proof() -> DerivationTrace:
         b_ray, e_b, w_b = _completion_in_frame(frame, b_f)
         c_ray = to_world(frame, c_f)
 
-        w_a_fid = t.lemma_zero(b0, qn_zero, w_a, pole_fact=pole_fact, frame=frame)
-        w_b_fid = t.lemma_zero(b0, qn_zero, w_b, pole_fact=pole_fact, frame=frame)
-        t.lemma_zero(b0, qn_zero, c_ray, pole_fact=pole_fact, frame=frame)
+        w_a_fid = t.lemma_zero(b0, qn_zero, w_a, pole_fact)
+        w_b_fid = t.lemma_zero(b0, qn_zero, w_b, pole_fact)
+        t.lemma_zero(b0, qn_zero, c_ray, pole_fact)
 
         e_a_fid = t.orthogonal_zero(b0, e_a, pole_fact)
         e_b_fid = t.orthogonal_zero(b0, e_b, pole_fact)

@@ -123,7 +123,7 @@ def canonicalize(v: Vec3) -> Ray:
 
 @dataclass(frozen=True)
 class Tripod:
-    """Three pairwise orthogonal rays."""
+    """Three rays pairwise orthogonal within EPS, the slack of orthogonal_zero."""
 
     a: Ray
     b: Ray
@@ -131,7 +131,7 @@ class Tripod:
 
     def __post_init__(self) -> None:
         worst = self.worst_residual()
-        if not worst <= 1e-6:  # fails closed on NaN
+        if not worst <= EPS:  # fails closed on NaN
             raise NotOrthogonal(f"tripod members not pairwise orthogonal, residual {worst!r}")
 
     @property

@@ -17,7 +17,8 @@ or 1. The rules are:
 Rays share a table index when |a x b| <= EPS, numbered by first appearance;
 facts are deduplicated per branch scope by that index, and deriving the
 opposite value of a visible fact records the branch's contradiction pair.
-Rules can run conjugated through a frame rotation, which is how "by a
+circle_zero and lemma_zero run conjugated through the frame of their pole
+fact, rotation_to_pole of that value-1 fact's stored ray, which is how "by a
 rotation we can assume" steps are mechanized: equator partners and circle
 poles are computed in frame coordinates, while facts are stored and checked
 as world-coordinate canonical rays.
@@ -45,6 +46,7 @@ from .sphere import (
     Vec3,
     canonicalize,
     equator_partner,
+    rotation_to_pole,
     third_point,
 )
 from .system import TriadSystem
@@ -267,11 +269,19 @@ class DerivationTrace:
         node.children = (kids[0], kids[1])
         return node.children
 
-    def orthogonal_zero(self, branch: int, p: Ray, one_fact: int) -> int:
+    def _one_ray(self, one_fact: int) -> Ray:
         fact = self.facts[one_fact]
         if fact.value != 1:
             raise PremiseNotOne(f"fact {one_fact} does not assign value 1")
-        basis = self.rays[fact.ray]
+        return self.rays[fact.ray]
+
+    def frame(self, pole_fact: int) -> Rotation | None:
+        """rotation_to_pole of a value-1 fact's stored ray; None at the north pole."""
+        pole = self._one_ray(pole_fact)
+        return None if pole.is_pole() else rotation_to_pole(pole)
+
+    def orthogonal_zero(self, branch: int, p: Ray, one_fact: int) -> int:
+        basis = self._one_ray(one_fact)
         if not basis.is_orthogonal(p):
             raise NotOrthogonal(f"|dot| = {abs(basis.dot(p))!r} exceeds eps {EPS!r}")
         return self._add_fact(branch, self.ray_index(p), 0, RULE_ORTHOGONAL_ZERO, (one_fact,))
@@ -321,40 +331,26 @@ class DerivationTrace:
             branch, self.ray_index(p_world), 0, rule, (q_fact, e_fid, w_fid), witness=witness
         )
 
-    def circle_zero(
-        self,
-        branch: int,
-        q_fact: int,
-        p: Ray,
-        pole_fact: int,
-        frame: Rotation | None = None,
-    ) -> int:
-        return self._macro_step(branch, q_fact, p, frame, pole_fact, RULE_CIRCLE_ZERO)
+    def circle_zero(self, branch: int, q_fact: int, p: Ray, pole_fact: int) -> int:
+        return self._macro_step(
+            branch, q_fact, p, self.frame(pole_fact), pole_fact, RULE_CIRCLE_ZERO
+        )
 
-    def lemma_zero(
-        self,
-        branch: int,
-        q_fact: int,
-        p: Ray,
-        pole_fact: int,
-        frame: Rotation | None = None,
-    ) -> int:
+    def lemma_zero(self, branch: int, q_fact: int, p: Ray, pole_fact: int) -> int:
         """Zero a lower northern point through a reach certificate."""
+        frame = self.frame(pole_fact)
         fq = self.facts[q_fact]
         if fq.value != 0:
             raise PremiseNotZero(f"fact {q_fact} does not assign value 0")
-        qf = to_frame(frame, self.rays[fq.ray])
-        pf = to_frame(frame, p)
-        cert = reach(qf, pf)
-        witness = CertWitness(certificate=cert, frame=frame)
+        cert = reach(to_frame(frame, self.rays[fq.ray]), to_frame(frame, p))
         prev = q_fact
         for vec in cert.points[1:-1]:
-            step_world = to_world(frame, vec)
             prev = self._macro_step(
-                branch, prev, step_world, frame, pole_fact, RULE_CIRCLE_ZERO
+                branch, prev, to_world(frame, vec), frame, pole_fact, RULE_CIRCLE_ZERO
             )
         return self._macro_step(
-            branch, prev, p, frame, pole_fact, RULE_LEMMA_ZERO, witness=witness
+            branch, prev, p, frame, pole_fact, RULE_LEMMA_ZERO,
+            witness=CertWitness(certificate=cert, frame=frame),
         )
 
     def register_tripod(self, trip: Tripod) -> tuple[int, int, int]:

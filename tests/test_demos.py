@@ -20,7 +20,7 @@ from ksgeom.errors import (
 )
 from ksgeom.plane import Side, side_of
 from ksgeom.reach import verify_certificate
-from ksgeom.sphere import canonicalize, equator_partner, rotation_to_pole, third_point
+from ksgeom.sphere import Ray, canonicalize, equator_partner, rotation_to_pole, third_point
 from ksgeom.serialize import (
     certificate_to_doc,
     load_certificate,
@@ -239,7 +239,7 @@ class TestDemoFirst:
             q2 = canonicalize(frame.apply_inverse(q.vec))
             p2 = canonicalize(frame.apply_inverse(p.vec))
             qf2 = turned.assume(0, q2, 0)
-            turned.lemma_zero(0, qf2, p2, pole_fact=pole2, frame=frame)
+            turned.lemma_zero(0, qf2, p2, pole_fact=pole2)
 
             assert len(plain.facts) == len(turned.facts)
             for f1, f2 in zip(plain.facts[2:], turned.facts[2:]):
@@ -308,16 +308,16 @@ class TestPinnedOutputs:
         [
             pytest.param(
                 "first",
-                "586598671b4fc273efa0d3b24cf51f8a4610c646caec19a21310d0e421796da6",
-                "5e53b031de28fa098c274bfbf1bd52ab6411cf01152607355d2f86f8120c2027",
+                "b183926a3403287efab53b52a41ca8409eb054c5381dae139f44f7090a0ff795",
+                "cc23e5f90303fa743c64f2e9caf55b5daab4aff9cc35d043aa51d6d4979876ac",
                 (389, 602, 23),
                 8,
                 id="first",
             ),
             pytest.param(
                 "second",
-                "18a89adccf175f6b6cc190d6f82eab16361198330dc68a6b65912951f66a6207",
-                "699979df80f9d0ff4c361e9fbb72eca27b178a0cceb9c44dd623a6e349050cab",
+                "1da423615c6e12f7e63625e32cd032802942e77ffd3d95c43abfb33197beaca7",
+                "24445ef48f735f7a181a05da1d06e615769dc06d7595847def72e28b759757de",
                 (437, 640, 29),
                 11,
                 id="second",
@@ -337,6 +337,26 @@ class TestPinnedOutputs:
     def test_core_member_missing_from_system(self, second_trace):
         with pytest.raises(BadPremises):
             decision_core(second_trace, TriadSystem(rays=(), triads=()))
+
+
+@pytest.fixture(scope="module")
+def pi_pole_trace():
+    return demo_first_proof(polar_target(0.34038461538461534, math.pi))
+
+
+class TestFramesFromDocument:
+    """A certificate frame is rotation_to_pole of a ray the trace document stores."""
+
+    @pytest.mark.parametrize("which", ["first_trace", "second_trace", "pi_pole_trace"])
+    def test_frame_derives_from_stored_ray(self, which, request):
+        doc = json.loads(save_trace(request.getfixturevalue(which)))
+        rays = [Ray(*v) for v in doc["rays"]]
+        frames = [f["witness"]["frame"] for f in doc["facts"] if (f["witness"] or {}).get("frame")]
+        assert frames
+        for frame in frames:
+            pole = canonicalize(tuple(frame[2]))
+            nearest = max(rays, key=lambda r: abs(r.dot(pole)))
+            assert [list(row) for row in rotation_to_pole(nearest).rows] == frame
 
 
 def indent_1(text: str) -> str:

@@ -116,6 +116,52 @@ class TestTriadOne:
             t.triad_one(0, trip, f1, f1)
 
 
+def skewed_tripod():
+    """(q, e, w) of q = (0, 1/r2, 1/r2) with w turned 3e-7 toward e: not orthogonal at EPS."""
+    q, e = canonicalize((0, R2, R2)), canonicalize((1, 0, 0))
+    return q, e, canonicalize((3e-7, -R2, R2))
+
+
+class TestTripodsCheckedAtEps:
+    # a tripod is orthogonal at the slack orthogonal_zero uses, not a looser one
+    def test_triad_one_refuses_skewed_tripod(self):
+        t, pole = seeded()
+        q, e, w = skewed_tripod()
+        f_e = t.orthogonal_zero(0, e, pole)
+        f_q = t.assume(0, q, 0)
+        n_rays, n_facts = len(t.rays), len(t.facts)
+        with pytest.raises(NotOrthogonal):
+            t.triad_one(0, Tripod(q, e, w), f_q, f_e)
+        assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
+
+    def test_split_refuses_skewed_tripod(self):
+        t, _ = seeded()
+        q, e, w = skewed_tripod()
+        n_rays, n_facts = len(t.rays), len(t.facts)
+        with pytest.raises(NotOrthogonal):
+            t.split(0, Tripod(q, e, w), q)
+        assert (len(t.rays), len(t.facts), len(t.branches)) == (n_rays, n_facts, 1)
+        assert t.branches[0].split is None
+
+
+class TestFrame:
+    def test_north_pole_has_no_frame(self):
+        t, pole = seeded()
+        assert t.frame(pole) is None
+
+    def test_frame_turns_the_stored_pole_ray_to_the_north_pole(self):
+        t = DerivationTrace()
+        one = canonicalize((0.3, -0.5, 0.8))
+        frame = t.frame(t.assume(0, one, 1))
+        assert frame == rotation_to_pole(one)
+
+    def test_value_zero_fact_has_no_frame(self):
+        t, pole = seeded()
+        zero = t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
+        with pytest.raises(PremiseNotOne):
+            t.frame(zero)
+
+
 class TestCircleZero:
     def test_any_point_on_circle(self):
         t, pole = seeded()
@@ -164,13 +210,13 @@ class TestCircleZero:
         q_fact = t.assume(0, to_world(frame, qf.vec), 0)
         a, b = math.cos(1.1), math.sin(1.1)
         pf = tuple(a * x + b * y for x, y in zip(qf.vec, equator_partner(qf).vec))
-        fid = t.circle_zero(0, q_fact, to_world(frame, pf), pole, frame=frame)
+        fid = t.circle_zero(0, q_fact, to_world(frame, pf), pole)
         assert (t.facts[fid].value, t.facts[fid].rule) == (0, RULE_CIRCLE_ZERO)
 
         off = tuple(x + 10 * EPS * w for x, w in zip(pf, third_point(qf).vec))
         n_rays, n_facts = len(t.rays), len(t.facts)
         with pytest.raises(NotOnCircle):
-            t.circle_zero(0, q_fact, to_world(frame, off), pole, frame=frame)
+            t.circle_zero(0, q_fact, to_world(frame, off), pole)
         assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
 
     def test_macro_soundness(self):
