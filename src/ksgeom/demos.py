@@ -84,7 +84,7 @@ def _force_one(
     ray, e_ray, w_ray = _completion_in_frame(frame, vec)
     e_fid = t.orthogonal_zero(branch, e_ray, pole_fact)
     w_fid = t.lemma_zero(branch, zero_fact, w_ray, pole_fact)
-    return ray, t.triad_one(branch, Tripod(ray, e_ray, w_ray), e_fid, w_fid)
+    return ray, t.triad_one(branch, ray, e_fid, w_fid)
 
 
 def _height_split(t: DerivationTrace, branch: int, pole_fact: int) -> Iterator[tuple[int, int]]:
@@ -98,14 +98,13 @@ def _height_split(t: DerivationTrace, branch: int, pole_fact: int) -> Iterator[t
         to_world(frame, v) for v in ((1.0, 0.0, 0.0), (0.0, _R2, _R2), (0.0, -_R2, _R2))
     )
     e_fid = t.orthogonal_zero(branch, e_star, pole_fact)
-    t2 = Tripod(u_plus, u_minus, e_star)
-    b0, b1 = t.split(branch, t2, u_plus)
+    b0, b1 = t.split(branch, Tripod(u_plus, u_minus, e_star), u_plus)
 
     # u_plus = 1: the sibling is the zeroed height-1/sqrt(2) ray.
     yield b1, t.orthogonal_zero(b1, u_minus, t.branches[b1].assumption)
 
     # u_plus = 0: explicit third-member 1, then u_plus itself is the zero.
-    t.triad_one(b0, t2, e_fid, t.branches[b0].assumption)
+    t.triad_one(b0, u_minus, e_fid, t.branches[b0].assumption)
     yield b0, t.branches[b0].assumption
 
 
@@ -152,9 +151,7 @@ def _seed_split(t: DerivationTrace) -> list[tuple[int, int]]:
     t0 = Tripod(n_ray, x_ray, y_ray)
     b_n0, b_n1 = t.split(0, t0, n_ray)
     b_x0, b_x1 = t.split(b_n0, t0, x_ray)
-    y_fid = t.triad_one(
-        b_x0, t0, t.branches[b_n0].assumption, t.branches[b_x0].assumption
-    )
+    y_fid = t.triad_one(b_x0, y_ray, t.branches[b_n0].assumption, t.branches[b_x0].assumption)
     return [
         (b_n1, t.branches[b_n1].assumption),
         (b_x1, t.branches[b_x1].assumption),
@@ -199,8 +196,7 @@ def demo_second_proof() -> DerivationTrace:
         frame = t.frame(pole_fact)
         qn, e_qn, w_qn = _completion_in_frame(frame, qn_f)
         e_qn_fid = t.orthogonal_zero(branch, e_qn, pole_fact)
-        t_qn = Tripod(qn, e_qn, w_qn)
-        b0, b1 = t.split(branch, t_qn, qn)
+        b0, b1 = t.split(branch, Tripod(qn, e_qn, w_qn), qn)
 
         # q(n) = 1: that ray is a value-1 pole; the re-poling argument kills it.
         _pole_refutation(t, b1, t.branches[b1].assumption, pprime_f)
@@ -208,7 +204,7 @@ def demo_second_proof() -> DerivationTrace:
         # q(n) = 0: the right half below its circle is zeroed; the fixed
         # tripod's left-half members both inherit value 1.
         qn_zero = t.branches[b0].assumption
-        t.triad_one(b0, t_qn, qn_zero, e_qn_fid)
+        t.triad_one(b0, w_qn, qn_zero, e_qn_fid)
 
         a_ray, e_a, w_a = _completion_in_frame(frame, a_f)
         b_ray, e_b, w_b = _completion_in_frame(frame, b_f)
@@ -220,8 +216,8 @@ def demo_second_proof() -> DerivationTrace:
 
         e_a_fid = t.orthogonal_zero(b0, e_a, pole_fact)
         e_b_fid = t.orthogonal_zero(b0, e_b, pole_fact)
-        a_fid = t.triad_one(b0, Tripod(a_ray, e_a, w_a), e_a_fid, w_a_fid)
-        t.triad_one(b0, Tripod(b_ray, e_b, w_b), e_b_fid, w_b_fid)
+        a_fid = t.triad_one(b0, a_ray, e_a_fid, w_a_fid)
+        t.triad_one(b0, b_ray, e_b_fid, w_b_fid)
 
         t.register_tripod(Tripod(a_ray, b_ray, c_ray))
         t.orthogonal_zero(b0, b_ray, a_fid)  # clashes with v(b)=1

@@ -230,14 +230,8 @@ def verify_certificate(cert: ReachCertificate) -> VerifyReport:
         if first_bad is None:
             first_bad = idx
 
-    if len(pts) < 1:
-        return VerifyReport(
-            accepted=False,
-            link_residuals=(),
-            min_z=math.nan,
-            failures=("[0] certificate must contain at least one point",),
-            first_bad_link=0,
-        )
+    if not pts:
+        fail(0, "certificate must contain at least one point")
 
     min_z = math.inf
     rays: list[Ray | None] = []

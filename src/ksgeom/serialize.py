@@ -23,9 +23,10 @@ trace:
                  "contradiction": [f1,f2] | null}, ...],
    "named_tripods": [[i,j,k], ...]}
 
-fact witness W is {"tripod": [i,j,k]} for triad steps, or
+fact witness W is null except on lemma_zero facts, where it is
   {"certificate": <certificate doc>, "frame": [[...],[...],[...]] | null}
-for reach chains (frame rows rotate world into certificate coordinates).
+(frame rows rotate world into certificate coordinates). A triad_one fact's
+tripod is its two premises' rays and its own ray.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import ParseError
 from .reach import ReachCertificate, VerifyReport
 from .sphere import EPS
 from .system import _canonical_json, _json_eps, _json_float, _json_int, _load_doc
-from .trace import CertWitness, DerivationTrace, TriadWitness
+from .trace import CertWitness, DerivationTrace
 
 
 def certificate_to_doc(cert: ReachCertificate, residuals: tuple[float, ...] | None = None) -> dict:
@@ -72,11 +73,9 @@ def load_certificate(text: str | bytes) -> ReachCertificate:
         raise ParseError(f"malformed certificate: {exc}") from exc
 
 
-def _witness_to_doc(w: TriadWitness | CertWitness | None) -> dict | None:
+def _witness_to_doc(w: CertWitness | None) -> dict | None:
     if w is None:
         return None
-    if isinstance(w, TriadWitness):
-        return {"tripod": list(w.rays)}
     return {
         "certificate": certificate_to_doc(w.certificate),
         "frame": [list(row) for row in w.frame.rows] if w.frame is not None else None,

@@ -6,7 +6,8 @@ or 1. The rules are:
   assume           seed or case-split assumption (splits name a tripod and
                    the member being decided, and cover both values)
   orthogonal_zero  a ray orthogonal to a value-1 ray gets 0
-  triad_one        two zeroed members of a tripod force 1 on the third
+  triad_one        two zeroed members of a tripod force 1 on the third; the
+                   tripod is the premises' stored rays and the conclusion
   circle_zero      a point on the circle of a zeroed northern ray gets 0;
                    recorded as its expansion: the equator partner gets 0
                    against the pole fact, the circle pole gets 1 by
@@ -18,10 +19,11 @@ Rays share a table index when |a x b| <= EPS, numbered by first appearance;
 facts are deduplicated per branch scope by that index, and deriving the
 opposite value of a visible fact records the branch's contradiction pair.
 circle_zero and lemma_zero run conjugated through the frame of their pole
-fact, rotation_to_pole of that value-1 fact's stored ray, which is how "by a
-rotation we can assume" steps are mechanized: equator partners and circle
-poles are computed in frame coordinates, while facts are stored and checked
-as world-coordinate canonical rays.
+fact, rotation_to_pole of that value-1 fact's stored ray (computed once per
+ray), which is how "by a rotation we can assume" steps are mechanized:
+equator partners and circle poles are computed in frame coordinates, while
+facts are stored and checked as world-coordinate canonical rays. Only
+lemma_zero facts carry a witness, their reach certificate and its frame.
 """
 
 from __future__ import annotations
@@ -62,11 +64,6 @@ CELL = 4 * EPS
 
 
 @dataclass(frozen=True)
-class TriadWitness:
-    rays: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
 class CertWitness:
     certificate: ReachCertificate
     frame: Rotation | None  # rotation taking world to certificate coordinates
@@ -79,7 +76,7 @@ class ValueFact:
     rule: str
     premises: tuple[int, ...]
     branch: int
-    witness: TriadWitness | CertWitness | None = None
+    witness: CertWitness | None = None
 
 
 @dataclass(frozen=True)
@@ -143,6 +140,7 @@ class DerivationTrace:
         self.facts: list[ValueFact] = []
         self.branches: list[Branch] = [Branch(idx=0, parent=None)]
         self.named_tripods: list[tuple[int, int, int]] = []
+        self._frames: dict[int, Rotation | None] = {}  # by pole ray index
         self._cells: dict[tuple[int, ...], list[int]] = {}
 
     # -- ray table ---------------------------------------------------------
@@ -215,7 +213,7 @@ class DerivationTrace:
         value: int,
         rule: str,
         premises: tuple[int, ...],
-        witness: TriadWitness | CertWitness | None = None,
+        witness: CertWitness | None = None,
     ) -> int:
         for fid in premises:
             if not self.is_ancestor_or_self(self.facts[fid].branch, branch):
@@ -277,8 +275,11 @@ class DerivationTrace:
 
     def frame(self, pole_fact: int) -> Rotation | None:
         """rotation_to_pole of a value-1 fact's stored ray; None at the north pole."""
-        pole = self._one_ray(pole_fact)
-        return None if pole.is_pole() else rotation_to_pole(pole)
+        pole = self._one_ray(pole_fact)  # value check before the cache
+        ridx = self.facts[pole_fact].ray
+        if ridx not in self._frames:
+            self._frames[ridx] = None if pole.is_pole() else rotation_to_pole(pole)
+        return self._frames[ridx]
 
     def orthogonal_zero(self, branch: int, p: Ray, one_fact: int) -> int:
         basis = self._one_ray(one_fact)
@@ -286,24 +287,15 @@ class DerivationTrace:
             raise NotOrthogonal(f"|dot| = {abs(basis.dot(p))!r} exceeds eps {EPS!r}")
         return self._add_fact(branch, self.ray_index(p), 0, RULE_ORTHOGONAL_ZERO, (one_fact,))
 
-    def triad_one(self, branch: int, trip: Tripod, zero_a: int, zero_b: int) -> int:
+    def triad_one(self, branch: int, third: Ray, zero_a: int, zero_b: int) -> int:
+        """Value 1 on third, whose tripod is completed by the two zeroed premises' rays."""
         fa, fb = self.facts[zero_a], self.facts[zero_b]
         if fa.value != 0 or fb.value != 0:
             raise BadPremises("triad_one premises must both assign value 0")
-        tri_idx = self.tripod_indices(trip)
         if fa.ray == fb.ray:
             raise BadPremises("triad_one premises cite the same ray")
-        if fa.ray not in tri_idx or fb.ray not in tri_idx:
-            raise BadPremises("triad_one premises must be members of the tripod")
-        third = next(i for i in tri_idx if i not in (fa.ray, fb.ray))
-        return self._add_fact(
-            branch,
-            third,
-            1,
-            RULE_TRIAD_ONE,
-            (zero_a, zero_b),
-            witness=TriadWitness(tri_idx),
-        )
+        Tripod(self.rays[fa.ray], self.rays[fb.ray], third)  # NotOrthogonal before any store
+        return self._add_fact(branch, self.ray_index(third), 1, RULE_TRIAD_ONE, (zero_a, zero_b))
 
     def _macro_step(
         self,
@@ -326,7 +318,7 @@ class DerivationTrace:
         if not residual <= EPS:  # fails closed on NaN
             raise NotOnCircle(f"point is off the circle by {residual!r} (eps {EPS!r})")
         e_fid = self.orthogonal_zero(branch, e_world, pole_fact)
-        w_fid = self.triad_one(branch, Tripod(q_world, e_world, w_world), q_fact, e_fid)
+        w_fid = self.triad_one(branch, w_world, q_fact, e_fid)
         return self._add_fact(
             branch, self.ray_index(p_world), 0, rule, (q_fact, e_fid, w_fid), witness=witness
         )
@@ -381,7 +373,11 @@ def extract_triad_system(t: DerivationTrace) -> TriadSystem:
     triads = dict.fromkeys(
         tuple(sorted(tri))
         for tri in [sp.tripod for sp in splits]
-        + [f.witness.rays for f in t.facts if isinstance(f.witness, TriadWitness)]
+        + [
+            (t.facts[f.premises[0]].ray, t.facts[f.premises[1]].ray, f.ray)
+            for f in t.facts
+            if f.rule == RULE_TRIAD_ONE
+        ]
         + t.named_tripods
     )
     covered = {(a, b) for tri in triads for a in tri for b in tri}

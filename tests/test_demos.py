@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ksgeom import trace as trace_module
 from ksgeom.coloring import SolveMode, refute_by_core_enumeration, solve
 from ksgeom.demos import (
     SEED_TRIPOD_VECS,
@@ -29,7 +30,7 @@ from ksgeom.serialize import (
     trace_to_doc,
 )
 from ksgeom.system import TriadSystem, load_system, save_system, validate_system
-from ksgeom.trace import CertWitness, TriadWitness, decision_core, extract_triad_system
+from ksgeom.trace import CertWitness, decision_core, extract_triad_system
 
 from conftest import random_northern
 
@@ -157,17 +158,6 @@ class TestDemoFirst:
                 assert max(report.link_residuals) <= 1e-9
                 n += 1
         assert n >= 12
-
-    def test_all_named_tripods_orthogonal(self, first_trace):
-        count = 0
-        for fact in first_trace.facts:
-            if isinstance(fact.witness, TriadWitness):
-                a, b, c = (first_trace.rays[i] for i in fact.witness.rays)
-                assert abs(a.dot(b)) <= 1e-9
-                assert abs(a.dot(c)) <= 1e-9
-                assert abs(b.dot(c)) <= 1e-9
-                count += 1
-        assert count > 30
 
     def test_extracted_system_uncolorable(self, first_trace):
         system = extract_triad_system(first_trace)
@@ -308,7 +298,7 @@ class TestPinnedOutputs:
         [
             pytest.param(
                 "first",
-                "b183926a3403287efab53b52a41ca8409eb054c5381dae139f44f7090a0ff795",
+                "54ac44acb111fef6a6e9953eeaf52794d8aa8ea9ae99e19e1067e1ee338077d8",
                 "cc23e5f90303fa743c64f2e9caf55b5daab4aff9cc35d043aa51d6d4979876ac",
                 (389, 602, 23),
                 8,
@@ -316,7 +306,7 @@ class TestPinnedOutputs:
             ),
             pytest.param(
                 "second",
-                "1da423615c6e12f7e63625e32cd032802942e77ffd3d95c43abfb33197beaca7",
+                "4e509685f0a94250b25f4cbeb9c30c8a341cb0efafe4e0cbddb96d77cf8e7c16",
                 "24445ef48f735f7a181a05da1d06e615769dc06d7595847def72e28b759757de",
                 (437, 640, 29),
                 11,
@@ -357,6 +347,44 @@ class TestFramesFromDocument:
             pole = canonicalize(tuple(frame[2]))
             nearest = max(rays, key=lambda r: abs(r.dot(pole)))
             assert [list(row) for row in rotation_to_pole(nearest).rows] == frame
+
+
+class TestTriadStepsFromDocument:
+    """A triad_one step's tripod is its premises' rays and its own, read from the document."""
+
+    @pytest.mark.parametrize("which", ["first_trace", "second_trace"])
+    def test_premise_rays_and_conclusion_pairwise_orthogonal(self, which, request):
+        doc = json.loads(save_trace(request.getfixturevalue(which)))
+        facts, rays, eps = doc["facts"], doc["rays"], doc["eps"]
+        steps = [f for f in facts if f["rule"] == "triad_one"]
+        assert len(steps) > 30
+        for fact in steps:
+            assert fact["witness"] is None and fact["value"] == 1
+            assert [facts[p]["value"] for p in fact["premises"]] == [0, 0]
+            a, b = (Ray(*rays[facts[p]["ray"]]) for p in fact["premises"])
+            c = Ray(*rays[fact["ray"]])
+            assert max(abs(a.dot(b)), abs(a.dot(c)), abs(b.dot(c))) <= eps
+
+
+class TestFrameCache:
+    @pytest.mark.parametrize("build", [lambda: demo_first_proof(default_pole()), demo_second_proof],
+                             ids=["first", "second"])
+    def test_one_rotation_per_pole_ray(self, build, monkeypatch):
+        rotated, poles = [], set()
+        rotate, frame = trace_module.rotation_to_pole, trace_module.DerivationTrace.frame
+
+        def counting_frame(t, pole_fact):
+            pole = t.facts[pole_fact].ray
+            if not t.rays[pole].is_pole():
+                poles.add(pole)
+            return frame(t, pole_fact)
+
+        monkeypatch.setattr(trace_module, "rotation_to_pole",
+                            lambda ray: rotated.append(ray) or rotate(ray))
+        monkeypatch.setattr(trace_module.DerivationTrace, "frame", counting_frame)
+        t = build()
+        assert sorted(t.rays.index(ray) for ray in rotated) == sorted(poles)
+        assert len(poles) >= 5
 
 
 def indent_1(text: str) -> str:

@@ -298,6 +298,10 @@ class TestVerifyCertificate:
     def test_rejects_empty(self):
         report = verify_certificate(ReachCertificate(points=()))
         assert not report.accepted
+        assert report.failures == ("[0] certificate must contain at least one point",)
+        assert report.first_bad_link == 0
+        assert report.link_residuals == ()
+        assert math.isnan(report.min_z)
 
     def test_rejects_tampered_point(self):
         q = canonicalize((0, R2, R2))

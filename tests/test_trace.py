@@ -27,7 +27,6 @@ from ksgeom.trace import (
     RULE_LEMMA_ZERO,
     CertWitness,
     DerivationTrace,
-    TriadWitness,
     extract_triad_system,
     to_world,
 )
@@ -82,11 +81,11 @@ class TestTriadOne:
         trip = complete_tripod(q)
         f_e = t.orthogonal_zero(0, trip.b, pole)
         f_q = t.assume(0, q, 0)
-        fid = t.triad_one(0, trip, f_q, f_e)
+        fid = t.triad_one(0, trip.c, f_q, f_e)
         fact = t.facts[fid]
         assert fact.value == 1
         assert t.rays[fact.ray].same_subspace(trip.c)
-        assert isinstance(fact.witness, TriadWitness)
+        assert fact.premises == (f_q, f_e) and fact.witness is None
 
     def test_fixed_tripod_example(self):
         # zeros on (1,0,0) and (0,1/r2,1/r2) force 1 on (0,-1/r2,1/r2)
@@ -94,26 +93,41 @@ class TestTriadOne:
         a = canonicalize((1, 0, 0))
         b = canonicalize((0, R2, R2))
         c = canonicalize((0, -R2, R2))
-        trip = Tripod(a, b, c)
         f_a = t.orthogonal_zero(0, a, pole)
         f_b = t.assume(0, b, 0)
-        fid = t.triad_one(0, trip, f_a, f_b)
+        fid = t.triad_one(0, c, f_a, f_b)
         assert t.rays[t.facts[fid].ray].same_subspace(c)
 
     def test_premise_mismatch(self):
+        # a stray premise's ray is not orthogonal to the third: nothing is stored
         t, pole = seeded()
         trip = complete_tripod(canonicalize((0, R2, R2)))
         stray = t.orthogonal_zero(0, canonicalize((0.6, -0.8, 0)), pole)
         ok = t.assume(0, trip.a, 0)
-        with pytest.raises(BadPremises):
-            t.triad_one(0, trip, ok, stray)
+        n_rays, n_facts = len(t.rays), len(t.facts)
+        with pytest.raises(NotOrthogonal) as exc:
+            t.triad_one(0, trip.c, ok, stray)
+        assert exc.value.exit_code == 10
+        assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
 
     def test_same_ray_twice(self):
         t, _ = seeded()
         trip = complete_tripod(canonicalize((0, R2, R2)))
         f1 = t.assume(0, trip.a, 0)
         with pytest.raises(BadPremises):
-            t.triad_one(0, trip, f1, f1)
+            t.triad_one(0, trip.c, f1, f1)
+
+    def test_one_ray_lookup(self, monkeypatch):
+        # the premises' rays are already stored; only the third is looked up
+        t, pole = seeded()
+        trip = complete_tripod(canonicalize((0, R2, R2)))
+        f_e = t.orthogonal_zero(0, trip.b, pole)
+        f_q = t.assume(0, trip.a, 0)
+        looked_up = []
+        lookup = t.ray_index
+        monkeypatch.setattr(t, "ray_index", lambda ray: looked_up.append(ray) or lookup(ray))
+        t.triad_one(0, trip.c, f_q, f_e)
+        assert looked_up == [trip.c]
 
 
 def skewed_tripod():
@@ -131,7 +145,7 @@ class TestTripodsCheckedAtEps:
         f_q = t.assume(0, q, 0)
         n_rays, n_facts = len(t.rays), len(t.facts)
         with pytest.raises(NotOrthogonal):
-            t.triad_one(0, Tripod(q, e, w), f_q, f_e)
+            t.triad_one(0, w, f_q, f_e)
         assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
 
     def test_split_refuses_skewed_tripod(self):
@@ -160,6 +174,14 @@ class TestFrame:
         zero = t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
         with pytest.raises(PremiseNotOne):
             t.frame(zero)
+
+    def test_cached_frame_still_checks_the_value(self):
+        t = DerivationTrace()
+        one = canonicalize((0.3, -0.5, 0.8))
+        b0, b1 = t.split(0, complete_tripod(one), one)
+        assert t.frame(t.branches[b1].assumption) == rotation_to_pole(one)
+        with pytest.raises(PremiseNotOne):
+            t.frame(t.branches[b0].assumption)  # same ray, value 0
 
 
 class TestCircleZero:
@@ -282,10 +304,11 @@ class TestBranching:
         t, pole = seeded()
         trip = complete_tripod(canonicalize((0, R2, R2)))
         b0, b1 = t.split(0, trip, trip.a)
-        f_in_b0 = t.orthogonal_zero(b0, canonicalize((1, 0, 0)), pole)
-        with pytest.raises(BadPremises):
+        f_in_b0 = t.branches[b0].assumption  # v(trip.a) = 0, private to b0
+        f_e = t.orthogonal_zero(0, trip.b, pole)
+        with pytest.raises(BadPremises, match="not visible"):
             # a fact private to b0 cannot justify anything in b1
-            t.triad_one(b1, trip, f_in_b0, t.branches[b1].assumption)
+            t.triad_one(b1, trip.c, f_in_b0, f_e)
 
     def test_contradiction_recorded(self):
         t, pole = seeded()
