@@ -37,9 +37,9 @@ class PlaneLine:
 
     def __post_init__(self) -> None:
         d = math.hypot(*self.dir)
-        if abs(d - 1.0) > 1e-12:
+        if not abs(d - 1.0) <= 1e-12:  # fails closed on NaN
             raise ValueError("line direction is not unit")
-        if abs(self.foot.u * self.dir[0] + self.foot.v * self.dir[1]) > 1e-9 * max(
+        if not abs(self.foot.u * self.dir[0] + self.foot.v * self.dir[1]) <= 1e-9 * max(
             1.0, self.foot.norm()
         ):
             raise ValueError("line direction not orthogonal to its foot")

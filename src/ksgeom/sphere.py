@@ -57,13 +57,15 @@ def _is_canonical_sign(x: float, y: float, z: float) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ray:
     """A one-dimensional subspace stored as its canonical unit vector.
 
     Invariants (checked at construction): the coordinates are unit within
     1e-12 and satisfy the canonical sign rule. Use canonicalize() to build
-    a Ray from an arbitrary nonzero vector.
+    a Ray from an arbitrary nonzero vector. The predicates below are dot,
+    cross and norm written out in the same operation order, so they give
+    the same bits.
     """
 
     x: float
@@ -82,14 +84,19 @@ class Ray:
         return (self.x, self.y, self.z)
 
     def dot(self, other: "Ray") -> float:
-        return dot(self.vec, other.vec)
+        return self.x * other.x + self.y * other.y + self.z * other.z
 
     def same_subspace(self, other: "Ray") -> bool:
         """Subspace equality: |a x b| <= eps, a merge radius of about eps rad."""
-        return norm(cross(self.vec, other.vec)) <= EPS
+        ax, ay, az = self.x, self.y, self.z
+        bx, by, bz = other.x, other.y, other.z
+        cx = ay * bz - az * by
+        cy = az * bx - ax * bz
+        cz = ax * by - ay * bx
+        return math.sqrt(cx * cx + cy * cy + cz * cz) <= EPS
 
     def is_orthogonal(self, other: "Ray") -> bool:
-        return abs(self.dot(other)) <= EPS
+        return abs(self.x * other.x + self.y * other.y + self.z * other.z) <= EPS
 
     def is_northern(self) -> bool:
         return self.z > EPS
@@ -107,16 +114,19 @@ def canonicalize(v: Vec3) -> Ray:
     Raises ZeroVector when ||v|| <= eps. Exactly sign-invariant:
     canonicalize(v) == canonicalize(-v) down to the last bit.
     """
-    n = norm(v)
+    vx, vy, vz = v[0], v[1], v[2]
+    n = math.sqrt(vx * vx + vy * vy + vz * vz)
     if n <= EPS:
         raise ZeroVector(f"vector norm {n!r} below tolerance")
     if abs(n - 1.0) <= 4e-13:
         n = 1.0  # near-unit input passes through bit-exactly: makes the map idempotent
     # Adding 0.0 normalizes -0.0 to +0.0 so both antipodes map to the same bits.
-    x = v[0] / n + 0.0
-    y = v[1] / n + 0.0
-    z = v[2] / n + 0.0
-    if not _is_canonical_sign(x, y, z):
+    x = vx / n + 0.0
+    y = vy / n + 0.0
+    z = vz / n + 0.0
+    # _is_canonical_sign(x, y, z) written out; the Ray constructor checks it again
+    if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
+            x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
         x, y, z = -x + 0.0, -y + 0.0, -z + 0.0
     return Ray(x, y, z)
 
@@ -160,9 +170,9 @@ class Rotation:
             for j in range(3):
                 got = dot(r[i], r[j])
                 want = 1.0 if i == j else 0.0
-                if abs(got - want) > 1e-11:
+                if not abs(got - want) <= 1e-11:  # fails closed on NaN
                     raise ValueError("rotation rows not orthonormal")
-        if abs(self.det() - 1.0) > 1e-11:
+        if not abs(self.det() - 1.0) <= 1e-11:
             raise ValueError("rotation determinant is not +1")
 
     @staticmethod

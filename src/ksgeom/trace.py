@@ -16,8 +16,12 @@ or 1. The rules are:
                    certificate, replayed as chained circle_zero steps
 
 Rays share a table index when |a x b| <= EPS, numbered by first appearance;
-facts are deduplicated per branch scope by that index, and deriving the
-opposite value of a visible fact records the branch's contradiction pair.
+the table files each ray under the cells of a grid over (|x|, |y|, |z|) whose
+side, about 1e-6, is far above EPS, so nearly every ray fills one cell. A
+branch's scope is itself and its ancestors, nearest first: a rule refuses
+premises outside it before it stores anything, facts are deduplicated per
+scope by ray index, and deriving the opposite value of a visible fact
+records the branch's contradiction pair.
 circle_zero and lemma_zero run conjugated through the frame of their pole
 fact, rotation_to_pole of that value-1 fact's stored ray (computed once per
 ray), which is how "by a rotation we can assume" steps are mechanized:
@@ -59,8 +63,14 @@ RULE_TRIAD_ONE = "triad_one"
 RULE_CIRCLE_ZERO = "circle_zero"
 RULE_LEMMA_ZERO = "lemma_zero"
 
-#: Grid cell side of the ray table; at least 2*EPS, so a ray fills at most 8 cells.
-CELL = 4 * EPS
+#: Grid cell side of the ray table, 2**-20 (about 9.5e-7), far above the 2*EPS
+#: a ray is filed around: a ray fills the one cell of its (|x|, |y|, |z|) unless
+#: a coordinate lies within 2*EPS of a cell boundary (then 2, 4 or 8 cells).
+#: A power of two, so int(a * _PER_CELL) == a // CELL for a >= 0; a filing
+#: span's negative low end truncates to cell 0, the lowest cell a query reads.
+CELL = 2.0**-20
+_PER_CELL = 2.0**20
+_FILE_REACH = 2 * EPS
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,7 @@ class SplitRecord:
 class Branch:
     idx: int
     parent: int | None
+    scope: tuple[int, ...]  # itself, then its ancestors, nearest first
     assumption: int | None = None
     split: SplitRecord | None = None
     children: tuple[int, int] | None = None
@@ -138,7 +149,7 @@ class DerivationTrace:
     def __init__(self) -> None:
         self.rays: list[Ray] = []
         self.facts: list[ValueFact] = []
-        self.branches: list[Branch] = [Branch(idx=0, parent=None)]
+        self.branches: list[Branch] = [Branch(idx=0, parent=None, scope=(0,))]
         self.named_tripods: list[tuple[int, int, int]] = []
         self._frames: dict[int, Rotation | None] = {}  # by pole ray index
         self._cells: dict[tuple[int, ...], list[int]] = {}
@@ -151,16 +162,24 @@ class DerivationTrace:
         A ray is filed under every grid cell of (|x|, |y|, |z|) within 2*EPS of
         it, which covers its antipode, so the query's cell holds all its matches.
         """
-        cell = tuple(int(abs(c) // CELL) for c in ray.vec)
-        for idx in self._cells.get(cell, ()):
-            if self.rays[idx].same_subspace(ray):
+        ax, ay, az = abs(ray.x), abs(ray.y), abs(ray.z)
+        cells = self._cells
+        cell = (int(ax * _PER_CELL), int(ay * _PER_CELL), int(az * _PER_CELL))
+        rays = self.rays
+        for idx in cells.get(cell, ()):
+            if rays[idx].same_subspace(ray):
                 return idx
-        idx = len(self.rays)
-        self.rays.append(ray)
-        spans = (range(int((abs(c) - 2 * EPS) // CELL), int((abs(c) + 2 * EPS) // CELL) + 1)
-                 for c in ray.vec)
-        for near in product(*spans):
-            self._cells.setdefault(near, []).append(idx)
+        idx = len(rays)
+        rays.append(ray)
+        lo = (int((ax - _FILE_REACH) * _PER_CELL), int((ay - _FILE_REACH) * _PER_CELL),
+              int((az - _FILE_REACH) * _PER_CELL))
+        hi = (int((ax + _FILE_REACH) * _PER_CELL), int((ay + _FILE_REACH) * _PER_CELL),
+              int((az + _FILE_REACH) * _PER_CELL))
+        if lo == hi:
+            cells.setdefault(cell, []).append(idx)
+        else:
+            for near in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+                cells.setdefault(near, []).append(idx)
         return idx
 
     def tripod_indices(self, trip: Tripod) -> tuple[int, int, int]:
@@ -172,21 +191,26 @@ class DerivationTrace:
 
     # -- branch plumbing ----------------------------------------------------
 
-    def _ancestry(self, branch: int):
-        b: int | None = branch
-        while b is not None:
-            yield b
-            b = self.branches[b].parent
-
     def is_ancestor_or_self(self, maybe_ancestor: int, branch: int) -> bool:
-        return any(b == maybe_ancestor for b in self._ancestry(branch))
+        return maybe_ancestor in self.branches[branch].scope
 
     def value_fact_in(self, branch: int, ray_idx: int) -> int | None:
-        for b in self._ancestry(branch):
-            fid = self.branches[b].facts_by_ray.get(ray_idx)
+        branches = self.branches
+        for b in branches[branch].scope:
+            fid = branches[b].facts_by_ray.get(ray_idx)
             if fid is not None:
                 return fid
         return None
+
+    def _require_visible(self, branch: int, premises: tuple[int, ...]) -> None:
+        """BadPremises unless every premise fact lives in branch's scope."""
+        scope = self.branches[branch].scope
+        for fid in premises:
+            home = self.facts[fid].branch
+            if home not in scope:
+                raise BadPremises(
+                    f"premise {fid} lives in branch {home}, not visible from branch {branch}"
+                )
 
     def leaves(self) -> list[int]:
         return [b.idx for b in self.branches if b.children is None]
@@ -215,12 +239,7 @@ class DerivationTrace:
         premises: tuple[int, ...],
         witness: CertWitness | None = None,
     ) -> int:
-        for fid in premises:
-            if not self.is_ancestor_or_self(self.facts[fid].branch, branch):
-                raise BadPremises(
-                    f"premise {fid} lives in branch {self.facts[fid].branch}, "
-                    f"not visible from branch {branch}"
-                )
+        """Store v(ray ridx) = value in branch; the rule has checked its premises."""
         existing = self.value_fact_in(branch, ridx)
         if existing is not None and self.facts[existing].value == value:
             return existing
@@ -260,7 +279,8 @@ class DerivationTrace:
         node.split = SplitRecord(tripod=tri_idx, member=m_idx)
         kids = []
         for value in (0, 1):
-            child = Branch(idx=len(self.branches), parent=branch)
+            idx = len(self.branches)
+            child = Branch(idx=idx, parent=branch, scope=(idx, *node.scope))
             self.branches.append(child)
             child.assumption = self._add_fact(child.idx, m_idx, value, RULE_ASSUME, ())
             kids.append(child.idx)
@@ -282,6 +302,7 @@ class DerivationTrace:
         return self._frames[ridx]
 
     def orthogonal_zero(self, branch: int, p: Ray, one_fact: int) -> int:
+        self._require_visible(branch, (one_fact,))
         basis = self._one_ray(one_fact)
         if not basis.is_orthogonal(p):
             raise NotOrthogonal(f"|dot| = {abs(basis.dot(p))!r} exceeds eps {EPS!r}")
@@ -289,6 +310,7 @@ class DerivationTrace:
 
     def triad_one(self, branch: int, third: Ray, zero_a: int, zero_b: int) -> int:
         """Value 1 on third, whose tripod is completed by the two zeroed premises' rays."""
+        self._require_visible(branch, (zero_a, zero_b))
         fa, fb = self.facts[zero_a], self.facts[zero_b]
         if fa.value != 0 or fb.value != 0:
             raise BadPremises("triad_one premises must both assign value 0")
@@ -324,12 +346,14 @@ class DerivationTrace:
         )
 
     def circle_zero(self, branch: int, q_fact: int, p: Ray, pole_fact: int) -> int:
+        self._require_visible(branch, (pole_fact, q_fact))
         return self._macro_step(
             branch, q_fact, p, self.frame(pole_fact), pole_fact, RULE_CIRCLE_ZERO
         )
 
     def lemma_zero(self, branch: int, q_fact: int, p: Ray, pole_fact: int) -> int:
         """Zero a lower northern point through a reach certificate."""
+        self._require_visible(branch, (pole_fact, q_fact))
         frame = self.frame(pole_fact)
         fq = self.facts[q_fact]
         if fq.value != 0:

@@ -387,6 +387,29 @@ class TestFrameCache:
         assert len(poles) >= 5
 
 
+class TestRayTableProbes:
+    def test_demo_second_lookups_and_probes(self, monkeypatch):
+        # the ray grid's cells are far wider than the merge radius, yet a
+        # lookup probes no more stored rays than under a grid of 4*EPS cells
+        counts = {"lookups": 0, "probes": 0}
+        lookup, probe = trace_module.DerivationTrace.ray_index, Ray.same_subspace
+
+        def counting_lookup(t, ray):
+            counts["lookups"] += 1
+            return lookup(t, ray)
+
+        def counting_probe(a, b):
+            counts["probes"] += 1
+            return probe(a, b)
+
+        monkeypatch.setattr(trace_module.DerivationTrace, "ray_index", counting_lookup)
+        monkeypatch.setattr(Ray, "same_subspace", counting_probe)
+        t = demo_second_proof()
+        monkeypatch.undo()
+        assert len(t.rays) == 437
+        assert counts == {"lookups": 756, "probes": 377}
+
+
 def indent_1(text: str) -> str:
     """text in the indent=1 layout that documents had before one record per line."""
     return json.dumps(json.loads(text), indent=1, separators=(",", ": ")) + "\n"
@@ -443,6 +466,17 @@ class TestTraceStructure:
             for p in fact.premises:
                 assert p < fid
                 assert t.is_ancestor_or_self(t.facts[p].branch, fact.branch)
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_scope_is_the_parent_walk(self, which, first_trace, second_trace):
+        t = first_trace if which == "first" else second_trace
+        assert len(t.branches) > 10
+        for node in t.branches:
+            walk, b = [], node.idx
+            while b is not None:
+                walk.append(b)
+                b = t.branches[b].parent
+            assert node.scope == tuple(walk)
 
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_contradiction_pairs_well_formed(self, which, first_trace, second_trace):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ksgeom.errors import AtPole, NotNorthern
-from ksgeom.plane import PlanePoint, Side, circle_image_line, project, side_of, unproject
+from ksgeom.plane import PlaneLine, PlanePoint, Side, circle_image_line, project, side_of, unproject
 from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, equator_partner
 
 from conftest import random_northern, random_northern_nonpole
@@ -98,6 +98,15 @@ class TestCircleImageLine:
     def test_at_pole(self):
         with pytest.raises(AtPole):
             circle_image_line(NORTH_POLE)
+
+    @pytest.mark.parametrize("foot, direction", [
+        (PlanePoint(math.nan, 0.0), (0.0, 1.0)),
+        (PlanePoint(0.0, 2.0), (math.nan, 0.0)),
+    ])
+    def test_line_rejects_nan(self, foot, direction):
+        # abs(nan) > tol is False, so the checks must be written "not <="
+        with pytest.raises(ValueError):
+            PlaneLine(foot, direction)
 
     def test_circle_points_land_on_line(self, rng):
         # 100 sampled points of the circle project onto the image line.

@@ -9,6 +9,7 @@ from ksgeom.sphere import (
     EPS,
     NORTH_POLE,
     Ray,
+    Rotation,
     Tripod,
     canonicalize,
     complete_tripod,
@@ -234,3 +235,9 @@ class TestRotationToPole:
             # bit for bit the transpose's rows dotted with v
             cols = tuple(zip(*r.rows))
             assert r.apply_inverse(v) == tuple(dot(c, v) for c in cols)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rotation_rejects_non_finite_entry(self, entry):
+        # abs(nan - 1.0) > tol is False, so the check must be written "not <="
+        with pytest.raises(ValueError):
+            Rotation(((entry, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))

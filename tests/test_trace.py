@@ -17,6 +17,7 @@ from ksgeom.sphere import (
     Tripod,
     canonicalize,
     complete_tripod,
+    cross,
     equator_partner,
     rotation_to_pole,
     third_point,
@@ -30,6 +31,8 @@ from ksgeom.trace import (
     extract_triad_system,
     to_world,
 )
+
+from conftest import random_northern
 
 R2 = math.sqrt(0.5)
 
@@ -327,6 +330,76 @@ class TestBranching:
             assert all(p < fid for p in fact.premises)
 
 
+def sibling_premises():
+    """A trace split on v(q) for q = (0, 1/r2, 1/r2), and premises private to
+    the v(q) = 1 branch: its assumption and v(p) = 0 for a new p orthogonal
+    to q. Returns (t, pole, b0, one_in_b1, p, zero_in_b1)."""
+    t, pole = seeded()
+    q = canonicalize((0, R2, R2))
+    b0, b1 = t.split(0, complete_tripod(q), q)
+    one_in_b1 = t.branches[b1].assumption
+    p = canonicalize((1, 1, -1))
+    zero_in_b1 = t.orthogonal_zero(b1, p, one_in_b1)
+    return t, pole, b0, one_in_b1, p, zero_in_b1
+
+
+def table_state(t):
+    return len(t.rays), len(t.facts), {cell: list(ids) for cell, ids in t._cells.items()}
+
+
+class TestRefusedRuleLeavesTraceUnchanged:
+    # every rule checks that its premises are visible before it stores a ray
+    # or derives a step of its expansion
+    def test_orthogonal_zero(self):
+        t, _, b0, one_in_b1, _, _ = sibling_premises()
+        new = canonicalize((1, -1, 1))  # orthogonal to q, not yet stored
+        before = table_state(t)
+        with pytest.raises(BadPremises, match="not visible"):
+            t.orthogonal_zero(b0, new, one_in_b1)
+        assert table_state(t) == before
+
+    def test_triad_one(self):
+        t, _, b0, _, p, zero_in_b1 = sibling_premises()
+        q = t.rays[t.facts[t.branches[b0].assumption].ray]
+        third = canonicalize(cross(q.vec, p.vec))  # completes (q, p), not yet stored
+        before = table_state(t)
+        with pytest.raises(BadPremises, match="not visible"):
+            t.triad_one(b0, third, t.branches[b0].assumption, zero_in_b1)
+        assert table_state(t) == before
+
+    def test_circle_zero(self):
+        t, pole, b0, _, p, zero_in_b1 = sibling_premises()
+        e = equator_partner(p)
+        on_circle = canonicalize(tuple(0.8 * a + 0.6 * b for a, b in zip(p.vec, e.vec)))
+        assert abs(third_point(p).dot(on_circle)) <= EPS
+        before = table_state(t)
+        with pytest.raises(BadPremises, match="not visible"):
+            t.circle_zero(b0, zero_in_b1, on_circle, pole)
+        assert table_state(t) == before
+
+    def test_lemma_zero(self):
+        t, pole, b0, _, _, zero_in_b1 = sibling_premises()
+        before = table_state(t)
+        with pytest.raises(BadPremises, match="not visible"):
+            t.lemma_zero(b0, zero_in_b1, canonicalize((0.5, 0.2, 0.3)), pole)
+        assert table_state(t) == before
+
+    def test_pole_fact_from_a_sibling(self):
+        t, _, b0, one_in_b1, _, _ = sibling_premises()
+        frame = rotation_to_pole(t.rays[t.facts[one_in_b1].ray])  # v(q) = 1 lives in b1
+        r_fact = t.assume(b0, to_world(frame, (0.1, 0.6, 0.8)), 0)
+        r = t.rays[t.facts[r_fact].ray]
+        rf = frame.apply(r.vec)
+        e = equator_partner(canonicalize(rf))
+        on_circle = to_world(frame, tuple(0.8 * a + 0.6 * b for a, b in zip(rf, e.vec)))
+        lower = to_world(frame, (0.5, 0.2, 0.3))
+        before = table_state(t)
+        for rule, point in ((t.circle_zero, on_circle), (t.lemma_zero, lower)):
+            with pytest.raises(BadPremises, match="not visible"):
+                rule(b0, r_fact, point, one_in_b1)
+        assert table_state(t) == before
+
+
 class TestRayIndexMergeRadius:
     # ray_index merges a ray into a stored ray only when |a x b| <= eps, the
     # same slack every rule checks against the stored representative.
@@ -356,6 +429,26 @@ class TestRayIndexMergeRadius:
         assert query.same_subspace(a) and query.same_subspace(b)
         t = DerivationTrace()
         assert (t.ray_index(a), t.ray_index(b), t.ray_index(query)) == (0, 1, 0)
+
+
+class TestRayGrid:
+    def test_ray_clear_of_cell_boundaries_fills_one_cell(self, rng):
+        t = DerivationTrace()
+        for _ in range(50):
+            ray = random_northern(rng)
+            if not all(2 * EPS < abs(c) % CELL < CELL - 2 * EPS for c in ray.vec):
+                continue
+            idx = t.ray_index(ray)
+            cells = [cell for cell, ids in t._cells.items() if idx in ids]
+            assert cells == [tuple(int(abs(c) // CELL) for c in ray.vec)]
+        assert len(t.rays) > 40
+
+    def test_ray_near_a_boundary_fills_both_cells(self):
+        edge = round(0.6 / CELL) * CELL
+        ray = canonicalize((edge - 1e-9, 0.0, math.sqrt(1 - (edge - 1e-9) ** 2)))
+        t = DerivationTrace()
+        t.ray_index(ray)
+        assert sorted(cell[0] for cell in t._cells) == [round(0.6 / CELL) - 1, round(0.6 / CELL)]
 
 
 class TestExtraction:
