@@ -28,10 +28,15 @@ ray), which is how "by a rotation we can assume" steps are mechanized:
 equator partners and circle poles are computed in frame coordinates, while
 facts are stored and checked as world-coordinate canonical rays. Only
 lemma_zero facts carry a witness, their reach certificate and its frame.
+A trace computes the pure geometry of these steps once, keyed on its exact
+inputs: a reach certificate per bit pattern of its frame-coordinate q and p,
+which the lemma's replays in other seed frames share, and a completion pair
+per (pole ray, q ray). Every check still runs on every call.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -71,6 +76,8 @@ RULE_LEMMA_ZERO = "lemma_zero"
 CELL = 2.0**-20
 _PER_CELL = 2.0**20
 _FILE_REACH = 2 * EPS
+#: Bytes of six floats: a key that tells -0.0 from 0.0, as atan2 does.
+_bits = struct.Struct("<6d").pack
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,9 @@ class DerivationTrace:
 
     Build single-threaded: fact ids are append order and justifications
     must reference earlier facts. Finished traces are read-only data and
-    safe to share.
+    safe to share. Reach certificates and completion partners are computed
+    once per trace, keyed on their exact inputs (see lemma_zero and
+    _macro_step).
     """
 
     def __init__(self) -> None:
@@ -153,6 +162,9 @@ class DerivationTrace:
         self.named_tripods: list[tuple[int, int, int]] = []
         self._frames: dict[int, Rotation | None] = {}  # by pole ray index
         self._cells: dict[tuple[int, ...], list[int]] = {}
+        self._certs: dict[bytes, ReachCertificate] = {}  # by _bits of frame (q, p)
+        # by (pole ray, q ray) index: stored rays and their frames never change
+        self._partners: dict[tuple[int, int], tuple[Ray, Ray]] = {}
 
     # -- ray table ---------------------------------------------------------
 
@@ -181,6 +193,13 @@ class DerivationTrace:
             for near in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
                 cells.setdefault(near, []).append(idx)
         return idx
+
+    def _stored_index(self, ray: Ray) -> int | None:
+        """The index ray_index would return for ray without storing it, or None."""
+        cell = (int(abs(ray.x) * _PER_CELL), int(abs(ray.y) * _PER_CELL),
+                int(abs(ray.z) * _PER_CELL))
+        return next((idx for idx in self._cells.get(cell, ())
+                     if self.rays[idx].same_subspace(ray)), None)
 
     def tripod_indices(self, trip: Tripod) -> tuple[int, int, int]:
         return (
@@ -268,14 +287,30 @@ class DerivationTrace:
         return self._add_fact(branch, self.ray_index(ray), value, RULE_ASSUME, ())
 
     def split(self, branch: int, trip: Tripod, member: Ray) -> tuple[int, int]:
-        """Case split on the value of a tripod member: children (=0, =1)."""
+        """Case split on the value of a tripod member: children (=0, =1).
+
+        Membership is decided before anything is stored. A member equal to a
+        tripod ray gets its index. Otherwise, as the tripod's rays are
+        orthogonal and match none of each other's new entries, the member gets
+        a tripod index iff it matches a stored ray that a tripod ray matches,
+        or matches nothing stored and spans a tripod ray that is new.
+        """
         node = self.branches[branch]
         if node.children is not None:
             raise BadPremises(f"branch {branch} already split")
+        members = (trip.a, trip.b, trip.c)
+        if member not in members:
+            known = [self._stored_index(ray) for ray in members]
+            m_known = self._stored_index(member)
+            if m_known is None:
+                belongs = any(idx is None and ray.same_subspace(member)
+                              for idx, ray in zip(known, members))
+            else:
+                belongs = m_known in known
+            if not belongs:
+                raise BadPremises("split member must belong to the split tripod")
         tri_idx = self.tripod_indices(trip)
         m_idx = self.ray_index(member)
-        if m_idx not in tri_idx:
-            raise BadPremises("split member must belong to the split tripod")
         node.split = SplitRecord(tripod=tri_idx, member=m_idx)
         kids = []
         for value in (0, 1):
@@ -333,8 +368,12 @@ class DerivationTrace:
         fq = self.facts[q_fact]
         if fq.value != 0:
             raise PremiseNotZero(f"fact {q_fact} does not assign value 0")
-        q_world = self.rays[fq.ray]
-        e_world, w_world = completion_partners(frame, to_frame(frame, q_world))
+        key = (self.facts[pole_fact].ray, fq.ray)
+        partners = self._partners.get(key)
+        if partners is None:
+            partners = completion_partners(frame, to_frame(frame, self.rays[fq.ray]))
+            self._partners[key] = partners
+        e_world, w_world = partners
         # w is the pole of q's circle, so membership is orthogonality to w
         residual = abs(w_world.dot(p_world))
         if not residual <= EPS:  # fails closed on NaN
@@ -352,13 +391,21 @@ class DerivationTrace:
         )
 
     def lemma_zero(self, branch: int, q_fact: int, p: Ray, pole_fact: int) -> int:
-        """Zero a lower northern point through a reach certificate."""
+        """Zero a lower northern point through a reach certificate.
+
+        One certificate serves every call whose frame coordinates of q and p
+        are the same bits, in whichever frame.
+        """
         self._require_visible(branch, (pole_fact, q_fact))
         frame = self.frame(pole_fact)
         fq = self.facts[q_fact]
         if fq.value != 0:
             raise PremiseNotZero(f"fact {q_fact} does not assign value 0")
-        cert = reach(to_frame(frame, self.rays[fq.ray]), to_frame(frame, p))
+        qf, pf = to_frame(frame, self.rays[fq.ray]), to_frame(frame, p)
+        key = _bits(*qf.vec, *pf.vec)
+        cert = self._certs.get(key)
+        if cert is None:
+            cert = self._certs[key] = reach(qf, pf)
         prev = q_fact
         for vec in cert.points[1:-1]:
             prev = self._macro_step(

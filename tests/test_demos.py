@@ -54,6 +54,12 @@ def assert_closes_and_refutes(p_prime):
     assert result.count == 0 and result.exhaustive
 
 
+def golden_pole(i):
+    # 40 poles over theta in [0.15, 0.7), azimuths i golden angles apart
+    theta = 0.15 + 0.55 * (i + 0.5) / 40
+    return polar_target(theta, i * GOLDEN_ANGLE % (2 * math.pi))
+
+
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -192,9 +198,7 @@ class TestDemoFirst:
 
     @pytest.mark.parametrize("i", range(40))
     def test_golden_angle_lattice_closes(self, i):
-        # 40 poles over theta in [0.15, 0.7), azimuths i golden angles apart
-        theta = 0.15 + 0.55 * (i + 0.5) / 40
-        assert_closes_and_refutes(polar_target(theta, i * GOLDEN_ANGLE % (2 * math.pi)))
+        assert_closes_and_refutes(golden_pole(i))
 
     def test_frame_covariance_two_poles(self):
         # both traces close and verify; the derivation is frame-covariant
@@ -364,6 +368,69 @@ class TestTriadStepsFromDocument:
             a, b = (Ray(*rays[facts[p]["ray"]]) for p in fact["premises"])
             c = Ray(*rays[fact["ray"]])
             assert max(abs(a.dot(b)), abs(a.dot(c)), abs(b.dot(c))) <= eps
+
+
+def witness_endpoint_residuals(doc):
+    """|a x b| of each lemma_zero fact's last certificate link, read from its
+    trace document alone: the last point, mapped to world by the witness
+    frame (rows^T v), against the fact's ray, and the point before it against
+    the ray of its q premise, premises[0]."""
+    facts, rays = doc["facts"], doc["rays"]
+    residuals = []
+    for fact in facts:
+        if fact["rule"] != "lemma_zero":
+            continue
+        frame, points = fact["witness"]["frame"], fact["witness"]["certificate"]["points"]
+        for point, ray in ((points[-1], rays[fact["ray"]]),
+                           (points[-2], rays[facts[fact["premises"][0]]["ray"]])):
+            if frame is not None:
+                point = [sum(frame[r][i] * point[r] for r in range(3)) for i in range(3)]
+            (ax, ay, az), (bx, by, bz) = point, ray
+            residuals.append(math.hypot(ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx))
+    return residuals
+
+
+class TestWitnessesFromDocument:
+    """Every lemma_zero certificate ends at its fact's ray, and its last link
+    starts at the ray of the fact's q premise, so a certificate handed to the
+    wrong fact shows in the document."""
+
+    @pytest.mark.parametrize("i", [None, *range(40)],
+                             ids=["second", *(f"golden{i}" for i in range(40))])
+    def test_last_link_spans_the_fact_and_its_q_premise(self, i, second_trace):
+        t = second_trace if i is None else demo_first_proof(golden_pole(i))
+        doc = json.loads(save_trace(t))
+        residuals = witness_endpoint_residuals(doc)
+        assert len(residuals) >= 2 * 12
+        assert max(residuals) <= doc["eps"]
+
+
+class TestGeometryMemos:
+    """A trace computes each reach certificate and each completion pair once:
+    replays of the reachability lemma in other seed frames reuse them."""
+
+    @pytest.mark.parametrize("build, reaches, partners, expansions", [
+        (lambda: demo_first_proof(default_pole()), 10, 135, 198),
+        (demo_second_proof, 24, 142, 206),
+    ], ids=["first", "second"])
+    def test_calls_per_demo(self, build, reaches, partners, expansions, monkeypatch):
+        counts = {"reach": 0, "partners": 0, "expansions": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(trace_module, "reach", counting("reach", trace_module.reach))
+        monkeypatch.setattr(trace_module, "completion_partners",
+                            counting("partners", trace_module.completion_partners))
+        monkeypatch.setattr(trace_module.DerivationTrace, "_macro_step",
+                            counting("expansions", trace_module.DerivationTrace._macro_step))
+        t = build()
+        monkeypatch.undo()
+        assert t.closed
+        assert counts == {"reach": reaches, "partners": partners, "expansions": expansions}
 
 
 class TestFrameCache:

@@ -10,10 +10,11 @@ from ksgeom.errors import (
     PremiseNotOne,
     PremiseNotZero,
 )
-from ksgeom.reach import verify_certificate
+from ksgeom.reach import reach, verify_certificate
 from ksgeom.sphere import (
     EPS,
     NORTH_POLE,
+    Ray,
     Tripod,
     canonicalize,
     complete_tripod,
@@ -294,6 +295,23 @@ class TestLemmaZero:
             t.lemma_zero(0, q_fact, canonicalize((0.05, 0.05, 0.99)), pole)
 
 
+class TestCertificateMemo:
+    def test_signed_zero_inputs_get_their_own_certificates(self):
+        # p differs only in the sign of y = 0, so the two calls share a Ray
+        # equality but not atan2(y, x < 0): the spirals turn opposite ways
+        t, pole = seeded()
+        q = canonicalize((0.3, 0.0, 0.95))
+        q_fact = t.assume(0, q, 0)
+        trip = complete_tripod(canonicalize((0, R2, R2)))
+        branches = t.split(0, trip, trip.a)
+        targets = (Ray(-0.6, 0.0, 0.8), Ray(-0.6, -0.0, 0.8))
+        assert targets[0] == targets[1] and reach(q, targets[0]) != reach(q, targets[1])
+        for branch, p in zip(branches, targets):
+            fact = t.facts[t.lemma_zero(branch, q_fact, p, pole)]
+            assert fact.branch == branch
+            assert fact.witness.certificate == reach(q, p)
+
+
 class TestBranching:
     def test_split_covers_both_values(self):
         t, _ = seeded()
@@ -302,6 +320,28 @@ class TestBranching:
         assert t.facts[t.branches[b0].assumption].value == 0
         assert t.facts[t.branches[b1].assumption].value == 1
         assert t.branches[0].split.member == t.ray_index(trip.a)
+
+    @pytest.mark.parametrize("member_s, stored_s, accepted", [
+        (0.5 + 0.5e-9, None, True),  # new, and within eps of the new tripod ray
+        (0.5 + 1.5e-9, None, False),  # new, and 1.5e-9 from every tripod ray
+        (0.5 + 1.5e-9, 0.5 + 0.75e-9, True),  # shares a stored ray with a tripod ray
+    ])
+    def test_member_gets_a_tripod_index(self, member_s, stored_s, accepted):
+        def ray(s):
+            return canonicalize((math.sin(s), 0.0, math.cos(s)))
+
+        t = DerivationTrace()
+        if stored_s is not None:
+            t.ray_index(ray(stored_s))
+        trip = complete_tripod(ray(0.5))
+        before = table_state(t)
+        if accepted:
+            t.split(0, trip, ray(member_s))
+            assert t.branches[0].split.member == t.branches[0].split.tripod[0] == 0
+        else:
+            with pytest.raises(BadPremises, match="belong to the split tripod"):
+                t.split(0, trip, ray(member_s))
+            assert table_state(t) == before and t.branches[0].split is None
 
     def test_premises_visible_across_ancestors_only(self):
         t, pole = seeded()
@@ -383,6 +423,15 @@ class TestRefusedRuleLeavesTraceUnchanged:
         with pytest.raises(BadPremises, match="not visible"):
             t.lemma_zero(b0, zero_in_b1, canonicalize((0.5, 0.2, 0.3)), pole)
         assert table_state(t) == before
+
+    def test_split(self):
+        t, _ = seeded()
+        trip = complete_tripod(canonicalize((0, R2, R2)))
+        before = table_state(t)
+        with pytest.raises(BadPremises, match="belong to the split tripod"):
+            t.split(0, trip, canonicalize((0.3, 0.4, 0.5)))
+        assert table_state(t) == before
+        assert t.branches[0].split is None and len(t.branches) == 1
 
     def test_pole_fact_from_a_sibling(self):
         t, _, b0, one_in_b1, _, _ = sibling_premises()
