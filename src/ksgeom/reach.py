@@ -9,6 +9,8 @@ turns the plane azimuth by a fixed angle and grows the plane radius by
 1/cos of it, which keeps every point on the circle of the one before. The
 paper's shell turns a full 2*pi in n steps; reach turns only the signed
 azimuth gap from h(q) to h(p) in k steps, which gives much shorter chains.
+Both take the least step count the growth law admits, found by one
+doubling-and-bisection search.
 Certificates carry every chain point and are re-checkable without
 trusting the construction.
 """
@@ -16,7 +18,7 @@ trusting the construction.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -121,14 +123,35 @@ def shell(q: Ray, n: int) -> list[Ray]:
     return [q, *_spiral(q, 2.0 * math.pi, n)]
 
 
+def _least_steps(admissible: Callable[[int], bool], first: int, what: str) -> int:
+    """Smallest k in [first, N_MAX] with admissible(k), for a criterion monotone in k.
+
+    Doubles from first until admissible, then bisects. Raises NoSuchN past
+    N_MAX, which signals heights too close to separate numerically.
+    """
+    lo, hi = first - 1, first
+    while not admissible(hi):
+        if hi >= N_MAX:
+            raise NoSuchN(f"no admissible {what} up to {N_MAX}")
+        lo, hi = hi, min(2 * hi, N_MAX)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if admissible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def choose_shell_n(q: Ray, p: Ray) -> int:
     """Smallest n >= 5 whose shell provably brings p beyond some shell circle.
 
     Criterion: d0 * cos(2*pi/n)^(-n) < ||h(p)|| * cos(pi/n). The cos(pi/n)
     factor absorbs the worst angular mismatch between h(p) and the nearest
     shell direction (directions advance by 2*pi/n, so some shell point is
-    within pi/n of h(p)'s azimuth). Raises NoSuchN past N_MAX, which signals
-    heights too close to separate numerically.
+    within pi/n of h(p)'s azimuth). The left side falls and the right side
+    grows with n, so the criterion is monotone in n. Raises NoSuchN past
+    N_MAX.
     """
     if q.is_pole():
         raise AtPole("shell selection undefined at the north pole")
@@ -138,12 +161,11 @@ def choose_shell_n(q: Ray, p: Ray) -> int:
         raise PreconditionViolation("target must be strictly lower than source")
     d0 = project(q).norm()
     target = project(p).norm()
-    n = MIN_SHELL_N
-    while n <= N_MAX:
-        if d0 * math.cos(2.0 * math.pi / n) ** (-n) < target * math.cos(math.pi / n):
-            return n
-        n += 1
-    raise NoSuchN(f"no admissible shell size up to {N_MAX}")
+
+    def admissible(n: int) -> bool:
+        return d0 * math.cos(2.0 * math.pi / n) ** (-n) < target * math.cos(math.pi / n)
+
+    return _least_steps(admissible, MIN_SHELL_N, "shell size")
 
 
 def _spiral_steps(d0: float, target: float, delta: float) -> int:
@@ -151,26 +173,15 @@ def _spiral_steps(d0: float, target: float, delta: float) -> int:
 
     k equal turns of delta/k under the 1/cos growth law end at plane radius
     d0 * cos(delta/k)^(-k) on the azimuth delta. Because -log cos is convex,
-    that radius falls as k grows, so the criterion is monotone in k and is
-    found by doubling and bisection. Raises NoSuchN past N_MAX.
+    that radius falls as k grows, so the criterion is monotone in k. Raises
+    NoSuchN past N_MAX.
     """
 
     def admissible(k: int) -> bool:
         c = math.cos(delta / k)
         return c > 0.0 and d0 * c ** (-k) < target
 
-    lo, hi = 0, 1
-    while not admissible(hi):
-        if hi >= N_MAX:
-            raise NoSuchN(f"no admissible spiral step count up to {N_MAX}")
-        lo, hi = hi, min(2 * hi, N_MAX)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if admissible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _least_steps(admissible, 1, "spiral step count")
 
 
 def reach(q: Ray, p: Ray) -> ReachCertificate:

@@ -23,6 +23,9 @@ _SVG_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 #: Largest shell figure_shell draws; each step adds about 0.7 KB of SVG.
 SHELL_FIGURE_N_MAX = 4096
 
+#: Pixel width of every figure; the height follows the viewBox's aspect.
+_WIDTH_PX = 640
+
 
 def _fmt(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
@@ -38,7 +41,6 @@ class SvgCanvas:
     ymin: float
     xmax: float
     ymax: float
-    width_px: int = 640
     elements: list[str] = field(default_factory=list)
 
     @property
@@ -56,11 +58,8 @@ class SvgCanvas:
         parts.append(f">{body}</{tag}>" if body is not None else "/>")
         self.elements.append("".join(parts))
 
-    def dot(self, p: tuple[float, float], role: str, r: float | None = None) -> None:
-        self.add(
-            "circle", role=role, cx=p[0], cy=p[1],
-            r=r if r is not None else 2.2 * self.stroke, fill="black",
-        )
+    def dot(self, p: tuple[float, float], role: str) -> None:
+        self.add("circle", role=role, cx=p[0], cy=p[1], r=2.2 * self.stroke, fill="black")
 
     def line(self, a: tuple[float, float], b: tuple[float, float], role: str, dashed: bool = False) -> None:
         attrs = dict(x1=a[0], y1=a[1], x2=b[0], y2=b[1], stroke="black", stroke_width=self.stroke, fill="none")
@@ -92,9 +91,9 @@ class SvgCanvas:
     def render(self) -> str:
         w = self.xmax - self.xmin
         h = self.ymax - self.ymin
-        height_px = int(round(self.width_px * h / w)) if w else self.width_px
+        height_px = int(round(_WIDTH_PX * h / w)) if w else _WIDTH_PX
         head = (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width_px}" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH_PX}" '
             f'height="{height_px}" viewBox="{_fmt(self.xmin)} {_fmt(-self.ymax)} '
             f'{_fmt(w)} {_fmt(h)}">\n<g transform="scale(1,-1)">\n'
         )

@@ -4,7 +4,7 @@ A trace is a tree of branches; each branch holds justified facts v(ray) = 0
 or 1. The rules are:
 
   assume           seed or case-split assumption (splits name a tripod and
-                   the member being decided, and cover both values)
+                   the one of its rays being decided, and cover both values)
   orthogonal_zero  a ray orthogonal to a value-1 ray gets 0
   triad_one        two zeroed members of a tripod force 1 on the third; the
                    tripod is the premises' stored rays and the conclusion
@@ -194,13 +194,6 @@ class DerivationTrace:
                 cells.setdefault(near, []).append(idx)
         return idx
 
-    def _stored_index(self, ray: Ray) -> int | None:
-        """The index ray_index would return for ray without storing it, or None."""
-        cell = (int(abs(ray.x) * _PER_CELL), int(abs(ray.y) * _PER_CELL),
-                int(abs(ray.z) * _PER_CELL))
-        return next((idx for idx in self._cells.get(cell, ())
-                     if self.rays[idx].same_subspace(ray)), None)
-
     def tripod_indices(self, trip: Tripod) -> tuple[int, int, int]:
         return (
             self.ray_index(trip.a),
@@ -209,9 +202,6 @@ class DerivationTrace:
         )
 
     # -- branch plumbing ----------------------------------------------------
-
-    def is_ancestor_or_self(self, maybe_ancestor: int, branch: int) -> bool:
-        return maybe_ancestor in self.branches[branch].scope
 
     def value_fact_in(self, branch: int, ray_idx: int) -> int | None:
         branches = self.branches
@@ -289,28 +279,17 @@ class DerivationTrace:
     def split(self, branch: int, trip: Tripod, member: Ray) -> tuple[int, int]:
         """Case split on the value of a tripod member: children (=0, =1).
 
-        Membership is decided before anything is stored. A member equal to a
-        tripod ray gets its index. Otherwise, as the tripod's rays are
-        orthogonal and match none of each other's new entries, the member gets
-        a tripod index iff it matches a stored ray that a tripod ray matches,
-        or matches nothing stored and spans a tripod ray that is new.
+        The member must be one of trip's own rays; it is checked before
+        anything is stored and takes that ray's tripod index.
         """
         node = self.branches[branch]
         if node.children is not None:
             raise BadPremises(f"branch {branch} already split")
         members = (trip.a, trip.b, trip.c)
         if member not in members:
-            known = [self._stored_index(ray) for ray in members]
-            m_known = self._stored_index(member)
-            if m_known is None:
-                belongs = any(idx is None and ray.same_subspace(member)
-                              for idx, ray in zip(known, members))
-            else:
-                belongs = m_known in known
-            if not belongs:
-                raise BadPremises("split member must belong to the split tripod")
+            raise BadPremises("split member must belong to the split tripod")
         tri_idx = self.tripod_indices(trip)
-        m_idx = self.ray_index(member)
+        m_idx = tri_idx[members.index(member)]
         node.split = SplitRecord(tripod=tri_idx, member=m_idx)
         kids = []
         for value in (0, 1):

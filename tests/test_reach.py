@@ -129,6 +129,22 @@ class TestChooseShellN:
         crit = lambda m: math.cos(2 * math.pi / m) ** (-m) < 4.0 * math.cos(math.pi / m)
         assert crit(15) and not crit(14)
 
+    def test_least_n_against_a_linear_scan(self):
+        # plane radius ratios e^g, g in [2e-3, 7], give n from 5 to about 1e4
+        rng = random.Random(5)
+        crit = lambda d0, d, m: d0 * math.cos(2 * math.pi / m) ** (-m) < d * math.cos(math.pi / m)
+        for _ in range(300):
+            d0 = rng.uniform(0.05, 3.0)
+            g = math.exp(rng.uniform(math.log(2e-3), math.log(7.0)))
+            a, b = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
+            q = unproject(PlanePoint(d0 * math.cos(a), d0 * math.sin(a)))
+            p = unproject(PlanePoint(d0 * math.exp(g) * math.cos(b), d0 * math.exp(g) * math.sin(b)))
+            d0, d = project(q).norm(), project(p).norm()
+            n = 5
+            while not crit(d0, d, n):
+                n += 1
+            assert choose_shell_n(q, p) == n
+
     def test_margin_unreachable(self):
         # plane distances separated by ~1e-13 need n ~ 2e14 >> N_MAX
         q = unproject(PlanePoint(1, 0))

@@ -321,10 +321,19 @@ class TestBranching:
         assert t.facts[t.branches[b1].assumption].value == 1
         assert t.branches[0].split.member == t.ray_index(trip.a)
 
+    @pytest.mark.parametrize("i", range(3))
+    def test_each_tripod_ray_is_a_member(self, i):
+        t = DerivationTrace()
+        trip = complete_tripod(canonicalize((0, R2, R2)))
+        t.split(0, trip, (trip.a, trip.b, trip.c)[i])
+        split = t.branches[0].split
+        assert split.member == split.tripod[i]
+
     @pytest.mark.parametrize("member_s, stored_s, accepted", [
-        (0.5 + 0.5e-9, None, True),  # new, and within eps of the new tripod ray
+        (0.5, None, True),  # the tripod ray itself
+        (0.5 + 0.5e-9, None, False),  # within eps of a tripod ray, but not one of them
         (0.5 + 1.5e-9, None, False),  # new, and 1.5e-9 from every tripod ray
-        (0.5 + 1.5e-9, 0.5 + 0.75e-9, True),  # shares a stored ray with a tripod ray
+        (0.5 + 1.5e-9, 0.5 + 0.75e-9, False),  # shares a stored ray with a tripod ray
     ])
     def test_member_gets_a_tripod_index(self, member_s, stored_s, accepted):
         def ray(s):
