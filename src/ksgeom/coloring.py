@@ -50,10 +50,7 @@ def solve(s: TriadSystem, mode: SolveMode = SolveMode.COUNT) -> ColoringResult:
             f"at {report.offenders[:4]}"
         )
     count, nodes, witness, exhausted = kernels.solve_kernel(
-        s.n_rays,
-        [tuple(t) for t in s.triads],
-        [tuple(p) for p in s.pairs],
-        mode is not SolveMode.COUNT,
+        s.n_rays, s.triads, s.pairs, mode is not SolveMode.COUNT
     )
     return ColoringResult(
         mode=mode,

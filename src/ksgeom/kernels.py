@@ -1,29 +1,33 @@
 """The coloring-search kernel.
 
-Backtracking over {0,1} assignments with unit propagation:
-  * a ray set to 1 forces 0 on all triad mates and pair partners,
-  * a triad with two 0s forces 1 on the third,
-  * a triad with three 0s, or a pair with two 1s, conflicts.
-Branch order is static: lowest unassigned ray index, value 1 before 0.
+Backtracking over {0,1} assignments, closed after each decision under the
+two rules of a two-valued measure, one forcing rule per value:
+  * a 1 forces 0 on its mates, the rays sharing a triad or a pair with it
+    (a mate at 1 is a conflict);
+  * the second 0 of a triad forces 1 on its third ray (three 0s conflict).
+Branch order is static: lowest unassigned ray index, value 1 before 0. The
+search stack holds immutable (ray, value, trail mark) entries; deciding 1
+pushes its 0 sibling first, so the 1-subtree is searched before it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 # The benchmark harness reports BACKEND and cross-checks available_backends()
 # when it lists more than one kernel; there is exactly one.
 BACKEND = "py"
+
+# An unassigned ray's value. A triad holding a 0 sums to 0 only with three
+# 0s and to FREE only with two 0s and a free ray (1 + FREE + 0 is 4).
+FREE = 3
 
 
 def available_backends() -> dict[str, object]:
     return {"py": solve_kernel}
 
 
-def solve_kernel(
-    n: int,
-    triads: list[tuple[int, int, int]],
-    pairs: list[tuple[int, int]],
-    stop_at_first: bool,
-):
+def solve_kernel(n: int, triads: Sequence[tuple], pairs: Sequence[tuple], stop_at_first: bool):
     """Search all colorings of an n-ray system.
 
     Returns (count, nodes, witness, exhaustive): count of complete colorings
@@ -31,111 +35,66 @@ def solve_kernel(
     decision nodes, the first witness as a list or None, and whether the
     search space was exhausted.
     """
-    tri_by_ray: list[list[int]] = [[] for _ in range(n)]
-    for t_idx, t in enumerate(triads):
-        for r in t:
-            tri_by_ray[r].append(t_idx)
-    partners: list[list[int]] = [[] for _ in range(n)]
+    mates: list[list[int]] = [[] for _ in range(n)]
+    tri_by_ray: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for t in triads:
+        a, b, c = t
+        for r, others in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
+            mates[r] += others
+            tri_by_ray[r].append(t)
     for a, b in pairs:
-        partners[a].append(b)
-        partners[b].append(a)
+        mates[a].append(b)
+        mates[b].append(a)
 
-    vals = [-1] * n
-    trail: list[int] = []
+    vals = [FREE] * (n + 1)  # vals[n] stays FREE: the next-free scan stops there
+    trail: list[int] = []  # assigned rays in order; its unread tail is the work list
 
-    def assign(ray: int, value: int, queue: list[int]) -> bool:
-        v = vals[ray]
-        if v != -1:
-            return v == value
+    def decide(ray: int, value: int) -> bool:
+        """Set ray to value and close under both rules; False on a conflict."""
         vals[ray] = value
+        i = len(trail)
         trail.append(ray)
-        queue.append(ray)
-        return True
-
-    def propagate(queue: list[int]) -> bool:
-        while queue:
-            ray = queue.pop()
-            value = vals[ray]
-            if value == 1:
-                for other in partners[ray]:
-                    if not assign(other, 0, queue):
+        while i < len(trail):
+            r = trail[i]
+            i += 1
+            if vals[r]:
+                for m in mates[r]:
+                    v = vals[m]
+                    if v == FREE:
+                        vals[m] = 0
+                        trail.append(m)
+                    elif v:
                         return False
-                for t_idx in tri_by_ray[ray]:
-                    for other in triads[t_idx]:
-                        if other != ray and not assign(other, 0, queue):
-                            return False
             else:
-                for t_idx in tri_by_ray[ray]:
-                    a, b, c = triads[t_idx]
-                    za = vals[a]
-                    zb = vals[b]
-                    zc = vals[c]
-                    zeros = (za == 0) + (zb == 0) + (zc == 0)
-                    if zeros == 3:
+                for a, b, c in tri_by_ray[r]:
+                    total = vals[a] + vals[b] + vals[c]
+                    if total == FREE:
+                        m = a if vals[a] else b if vals[b] else c
+                        vals[m] = 1
+                        trail.append(m)
+                    elif not total:
                         return False
-                    if zeros == 2:
-                        if za == -1:
-                            ok = assign(a, 1, queue)
-                        elif zb == -1:
-                            ok = assign(b, 1, queue)
-                        elif zc == -1:
-                            ok = assign(c, 1, queue)
-                        else:
-                            ok = True  # third already 1; consistent
-                        if not ok:
-                            return False
         return True
 
-    count = 0
-    nodes = 0
-    witness: list[int] | None = None
-
-    # Iterative DFS. Each frame: (decision ray, next value to try, trail mark).
-    # next value: 2 means "try 1 then 0", 1 means "0 remains", 0 means done.
-    stack: list[list[int]] = []
-
-    def find_unassigned(start: int) -> int:
-        for i in range(start, n):
-            if vals[i] == -1:
-                return i
-        return -1
-
-    def unwind(mark: int) -> None:
-        while len(trail) > mark:
-            vals[trail.pop()] = -1
-
-    def record_full() -> None:
-        nonlocal count, witness
-        count += 1
-        if witness is None:
-            witness = vals.copy()
-
-    ray0 = find_unassigned(0)
-    if ray0 == -1:
-        record_full()
-        return count, nodes, witness, True
-
-    stack.append([ray0, 2, len(trail)])
+    if n == 0:
+        return 1, 0, [], True
+    count, nodes, witness = 0, 0, None
+    stack = [(0, 1, 0)]
     while stack:
-        frame = stack[-1]
-        ray, pending, mark = frame
-        if pending == 0:
-            unwind(mark)
-            stack.pop()
-            continue
-        value = 1 if pending == 2 else 0
-        frame[1] = pending - 1
-        unwind(mark)
+        ray, value, mark = stack.pop()
+        for r in trail[mark:]:
+            vals[r] = FREE
+        del trail[mark:]
+        if value:
+            stack.append((ray, 0, mark))
         nodes += 1
-        queue: list[int] = []
-        if not assign(ray, value, queue) or not propagate(queue):
-            continue
-        nxt = find_unassigned(ray + 1)
-        if nxt == -1:
-            record_full()
+        if decide(ray, value):
+            nxt = vals.index(FREE, ray + 1)
+            if nxt < n:
+                stack.append((nxt, 1, len(trail)))
+                continue
+            count += 1
+            witness = witness or vals[:n]
             if stop_at_first:
                 break
-            continue
-        stack.append([nxt, 2, len(trail)])
-
-    return count, nodes, witness, not (stop_at_first and witness is not None)
+    return count, nodes, witness, not (stop_at_first and count)

@@ -435,10 +435,8 @@ def extract_triad_system(t: DerivationTrace) -> TriadSystem:
     for fact in t.facts:
         if fact.rule not in (RULE_ORTHOGONAL_ZERO, RULE_CIRCLE_ZERO, RULE_LEMMA_ZERO):
             continue
-        one_prem = next((p for p in fact.premises if t.facts[p].value == 1), None)
-        if one_prem is None:
-            continue
-        a, b = t.facts[one_prem].ray, fact.ray
+        # every zero rule stores its value-1 premise last
+        a, b = t.facts[fact.premises[-1]].ray, fact.ray
         key = (min(a, b), max(a, b))
         if key not in covered:
             pairs[key] = None

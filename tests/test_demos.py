@@ -21,7 +21,7 @@ from ksgeom.errors import (
 )
 from ksgeom.plane import Side, side_of
 from ksgeom.reach import verify_certificate
-from ksgeom.sphere import Ray, canonicalize, equator_partner, rotation_to_pole, third_point
+from ksgeom.sphere import EPS, Ray, canonicalize, equator_partner, rotation_to_pole, third_point
 from ksgeom.serialize import (
     certificate_to_doc,
     load_certificate,
@@ -564,3 +564,19 @@ class TestTraceStructure:
             assert {a.value, b.value} == {0, 1}
             assert a.branch in t.branches[leaf].scope
             assert b.branch in t.branches[leaf].scope
+
+    @pytest.mark.parametrize(
+        "which, counts", [("first", (186, 174, 24)), ("second", (202, 173, 33))]
+    )
+    def test_zero_facts_cite_their_one_last(self, which, counts, first_trace, second_trace):
+        # extract_triad_system reads each zero-against-one pair off premises[-1]
+        t = first_trace if which == "first" else second_trace
+        rules = ("orthogonal_zero", "circle_zero", "lemma_zero")
+        seen = dict.fromkeys(rules, 0)
+        for fact in t.facts:
+            if fact.rule in rules:
+                one = t.facts[fact.premises[-1]]
+                assert one.value == 1
+                assert abs(t.rays[one.ray].dot(t.rays[fact.ray])) <= EPS
+                seen[fact.rule] += 1
+        assert tuple(seen.values()) == counts
