@@ -6,8 +6,9 @@ backtracking kernel in ksgeom.kernels); count_colorings_by_enumeration and
 refute_by_core_enumeration are separately coded oracles used to
 cross-check it. The first filters every total assignment; the second
 closes all 2^k cases of a core under the forced-value rules at once, one
-case per bit of Python-int masks, by repeated full scans of the
-constraints.
+case per bit of Python-int masks, scanning the constraints in order of
+largest ray index. That order follows the derivation for extracted
+systems, so a demo closure ends in 3-4 scans.
 """
 
 from __future__ import annotations
@@ -99,8 +100,10 @@ def count_colorings_by_enumeration(s: TriadSystem, limit: int = 22) -> int:
 LANE_BITS = 12
 
 
-def _close_lanes(s: TriadSystem, one: list[int], zero: list[int], full: int) -> int:
-    """Forced-value closure of every lane by repeated full scans.
+def _close_lanes(
+    constraints: list[tuple[int, ...]], one: list[int], zero: list[int], full: int
+) -> int:
+    """Forced-value closure of every lane, scanning constraints in list order.
 
     one[r] and zero[r] hold, one bit per lane, the values ray r is known
     to take. Any 1 in a triad or pair forces 0 on its mates; two 0s in a
@@ -108,42 +111,48 @@ def _close_lanes(s: TriadSystem, one: list[int], zero: list[int], full: int) -> 
     ray is set to both values. A constraint violation (two 1s in a triad
     or pair, three 0s in a triad) sets its rays to both values in the
     next scan, so at the fixpoint these are exactly the lanes in which
-    propagation reaches a conflict. Intentionally artless (no adjacency
-    lists, no queue) so it shares no code shape with the solver kernel it
-    cross-checks.
+    propagation reaches a conflict. The caller lists triads and pairs
+    together by largest ray index: an extracted system numbers its rays by
+    first touch, so that order follows the derivation, one scan carries a
+    chain many steps, and a demo closure ends in 3-4 scans. Intentionally
+    artless (no adjacency lists, no queue) so it shares no code shape with
+    the solver kernel it cross-checks.
     """
     bad = 0
     changed = True
     while changed and bad != full:
         changed = False
-        for i, j, k in s.triads:
-            oi, oj, ok = one[i], one[j], one[k]
-            zi, zj, zk = zero[i], zero[j], zero[k]
-            x = zi | oj | ok
-            if x != zi:
-                zero[i], changed = x, True
-            x = zj | oi | ok
-            if x != zj:
-                zero[j], changed = x, True
-            x = zk | oi | oj
-            if x != zk:
-                zero[k], changed = x, True
-            x = oi | zj & zk
-            if x != oi:
-                one[i], changed = x, True
-            x = oj | zi & zk
-            if x != oj:
-                one[j], changed = x, True
-            x = ok | zi & zj
-            if x != ok:
-                one[k], changed = x, True
-        for i, j in s.pairs:
-            x = zero[i] | one[j]
-            if x != zero[i]:
-                zero[i], changed = x, True
-            x = zero[j] | one[i]
-            if x != zero[j]:
-                zero[j], changed = x, True
+        for c in constraints:
+            if len(c) == 3:
+                i, j, k = c
+                oi, oj, ok = one[i], one[j], one[k]
+                zi, zj, zk = zero[i], zero[j], zero[k]
+                x = zi | oj | ok
+                if x != zi:
+                    zero[i], changed = x, True
+                x = zj | oi | ok
+                if x != zj:
+                    zero[j], changed = x, True
+                x = zk | oi | oj
+                if x != zk:
+                    zero[k], changed = x, True
+                x = oi | zj & zk
+                if x != oi:
+                    one[i], changed = x, True
+                x = oj | zi & zk
+                if x != oj:
+                    one[j], changed = x, True
+                x = ok | zi & zj
+                if x != ok:
+                    one[k], changed = x, True
+            else:
+                i, j = c
+                x = zero[i] | one[j]
+                if x != zero[i]:
+                    zero[i], changed = x, True
+                x = zero[j] | one[i]
+                if x != zero[j]:
+                    zero[j], changed = x, True
         bad = 0
         for o, z in zip(one, zero):
             bad |= o & z
@@ -185,6 +194,7 @@ def refute_by_core_enumeration(
     # repeats w set bits and w clear ones, so it marks the lanes whose
     # index bit log2(w) is clear.
     tail_one = [full // ((1 << (1 << b)) + 1) for b in reversed(range(bits))]
+    constraints = sorted([*s.triads, *s.pairs], key=max)
     for block in range(1 << (k - bits)):
         one = [0] * s.n_rays
         zero = [0] * s.n_rays
@@ -196,7 +206,7 @@ def refute_by_core_enumeration(
         for ray, mask in zip(tail, tail_one):
             one[ray] = mask
             zero[ray] = full ^ mask
-        bad = _close_lanes(s, one, zero, full)
+        bad = _close_lanes(constraints, one, zero, full)
         if bad != full:
             first = ((bad + 1) & ~bad).bit_length() - 1
             return False, (block << bits) + first + 1

@@ -39,9 +39,13 @@ class TriadSystem:
     def __post_init__(self) -> None:
         n = len(self.rays)
         for a, b, c in self.triads:
+            if not type(a) is type(b) is type(c) is int:  # refuses floats and booleans
+                raise ValidationError(f"triad indices must be integers: {(a, b, c)!r}")
             if not (0 <= a < n and 0 <= b < n and 0 <= c < n and a != b != c != a):
                 raise ValidationError(f"triad indices out of range or repeated: {(a, b, c)}")
         for a, b in self.pairs:
+            if not type(a) is type(b) is int:
+                raise ValidationError(f"pair indices must be integers: {(a, b)!r}")
             if not (0 <= a < n and 0 <= b < n and a != b):
                 raise ValidationError(f"pair indices out of range or repeated: {(a, b)}")
 

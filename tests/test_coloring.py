@@ -286,6 +286,42 @@ class TestCoreRefutation:
             outcomes.add(expected[0])
         assert outcomes == {True, False}
 
+    def test_constraint_order_and_ray_labels_do_not_change_the_result(self, demo_systems):
+        # The oracle scans constraints by largest ray index, so shuffling
+        # the lists and relabelling the rays changes its scan order; the
+        # closure, and with it (refuted, cases), must not change.
+        rng = random.Random(18)
+        inputs = list(demo_systems)
+        for trial in range(6):
+            s, dcore = demo_systems[trial % 2]
+            gone = set(rng.sample(range(len(s.triads)), rng.choice((1, 2))))
+            sub = TriadSystem(
+                rays=s.rays,
+                triads=tuple(t for i, t in enumerate(s.triads) if i not in gone),
+                pairs=s.pairs,
+            )
+            extra = [r for r in rng.sample(range(s.n_rays), 3) if r not in dcore]
+            inputs.append((sub, rng.sample(dcore + extra, 10)))
+        outcomes = set()
+        for s, core in inputs:
+            expected = refute_by_core_enumeration(s, core)
+            assert refute_case_by_case(s, core) == expected
+            outcomes.add(expected[0])
+            for _ in range(2):
+                perm = rng.sample(range(s.n_rays), s.n_rays)  # old index -> new index
+                rays = [None] * s.n_rays
+                for old, ray in enumerate(s.rays):
+                    rays[perm[old]] = ray
+                triads = [tuple(perm[r] for r in t) for t in s.triads]
+                pairs = [tuple(perm[r] for r in p) for p in s.pairs]
+                rng.shuffle(triads)
+                rng.shuffle(pairs)
+                variant = TriadSystem(rays=tuple(rays), triads=tuple(triads), pairs=tuple(pairs))
+                variant_core = [perm[r] for r in core]
+                assert refute_by_core_enumeration(variant, variant_core) == expected
+                assert refute_case_by_case(variant, variant_core) == expected
+        assert outcomes == {True, False}
+
     def test_first_stall_in_the_second_block(self):
         # k = 14: core[0] and core[1] are enumerated block by block, the
         # other 12 across lanes. core[1] = 1 and core[2] = 1 always

@@ -59,6 +59,14 @@ class TestValidate:
         with pytest.raises(ValidationError):
             TriadSystem(rays=(canonicalize((0, 0, 1)),) * 3, triads=(), pairs=((2, 2),))
 
+    @pytest.mark.parametrize("bad", [1.0, True])
+    def test_index_must_be_an_int(self, bad):
+        axes = tuple(canonicalize(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(ValidationError, match="^triad indices must be integers"):
+            TriadSystem(rays=axes, triads=((0, bad, 2),))
+        with pytest.raises(ValidationError, match="^pair indices must be integers"):
+            TriadSystem(rays=axes, triads=(), pairs=((bad, 2),))
+
 
 class TestRoundTrip:
     def test_save_load_save_byte_identical(self):
