@@ -3,8 +3,12 @@
 A ray stands for a one-dimensional subspace of R^3: the two antipodal unit
 vectors spanning it are identified, and construction always picks the
 canonical representative (z positive, breaking ties toward positive x and
-then positive y on the equator). Every predicate compares against the one
-fixed tolerance EPS; there is no exact-arithmetic mode.
+then positive y on the equator). A ray's checks (unit length, canonical
+sign) are written once, in _check_ray, and run on every ray whichever entry
+point builds it: the Ray constructor, or the factory behind canonicalize
+and the document loader, which fills the slots without the dataclass
+round trip. Every predicate compares against the one fixed tolerance EPS;
+there is no exact-arithmetic mode.
 """
 
 from __future__ import annotations
@@ -46,26 +50,28 @@ def norm(a: Vec3) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
-def _is_canonical_sign(x: float, y: float, z: float) -> bool:
-    if z > CANON_EPS:
-        return True
-    if abs(z) <= CANON_EPS:
-        if x > CANON_EPS:
-            return True
-        if abs(x) <= CANON_EPS and y > 0.0:
-            return True
-    return False
+def _check_ray(x: float, y: float, z: float) -> None:
+    """ValueError unless (x, y, z) is unit within 1e-12 and in canonical sign form.
+
+    The sign rule: z > CANON_EPS; or |z| <= CANON_EPS and x > CANON_EPS; or
+    |z|, |x| <= CANON_EPS and y > 0.
+    """
+    if not abs(x * x + y * y + z * z - 1.0) <= 4.0 * _UNIT_TOL:  # fails closed on NaN
+        raise ValueError(f"not a unit vector: {(x, y, z)!r}")
+    if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
+            x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
+        raise ValueError(f"not in canonical sign form: {(x, y, z)!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class Ray:
     """A one-dimensional subspace stored as its canonical unit vector.
 
-    Invariants (checked at construction): the coordinates are unit within
-    1e-12 and satisfy the canonical sign rule. Use canonicalize() to build
-    a Ray from an arbitrary nonzero vector. The predicates below are dot,
-    cross and norm written out in the same operation order, so they give
-    the same bits.
+    Invariants (checked at construction by _check_ray): the coordinates are
+    unit within 1e-12 and satisfy the canonical sign rule. Use
+    canonicalize() to build a Ray from an arbitrary nonzero vector. The
+    predicates below are dot, cross and norm written out in the same
+    operation order, so they give the same bits.
     """
 
     x: float
@@ -73,11 +79,7 @@ class Ray:
     z: float
 
     def __post_init__(self) -> None:
-        n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if not abs(n2 - 1.0) <= 4.0 * _UNIT_TOL:  # fails closed on NaN
-            raise ValueError(f"not a unit vector: {(self.x, self.y, self.z)!r}")
-        if not _is_canonical_sign(self.x, self.y, self.z):
-            raise ValueError(f"not in canonical sign form: {(self.x, self.y, self.z)!r}")
+        _check_ray(self.x, self.y, self.z)
 
     @property
     def vec(self) -> Vec3:
@@ -105,14 +107,29 @@ class Ray:
         return self.x * self.x + self.y * self.y <= EPS * EPS
 
 
+_new_object = object.__new__
+_set_x, _set_y, _set_z = Ray.x.__set__, Ray.y.__set__, Ray.z.__set__
+
+
+def _ray(x: float, y: float, z: float) -> Ray:
+    """Ray(x, y, z): the same checks, then the slots filled directly."""
+    _check_ray(x, y, z)
+    ray = _new_object(Ray)
+    _set_x(ray, x)
+    _set_y(ray, y)
+    _set_z(ray, z)
+    return ray
+
+
 NORTH_POLE = Ray(0.0, 0.0, 1.0)
 
 
 def canonicalize(v: Vec3) -> Ray:
     """Normalize v and pick the canonical antipodal representative.
 
-    Raises ZeroVector when ||v|| <= eps. Exactly sign-invariant:
-    canonicalize(v) == canonicalize(-v) down to the last bit.
+    Raises ZeroVector when ||v|| <= eps, and ValueError, as the Ray
+    constructor does, for a NaN or infinite coordinate. Exactly
+    sign-invariant: canonicalize(v) == canonicalize(-v) down to the last bit.
     """
     vx, vy, vz = v[0], v[1], v[2]
     n = math.sqrt(vx * vx + vy * vy + vz * vz)
@@ -124,11 +141,11 @@ def canonicalize(v: Vec3) -> Ray:
     x = vx / n + 0.0
     y = vy / n + 0.0
     z = vz / n + 0.0
-    # _is_canonical_sign(x, y, z) written out; the Ray constructor checks it again
+    # the canonical sign rule written out; _ray checks it again
     if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
             x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
         x, y, z = -x + 0.0, -y + 0.0, -z + 0.0
-    return Ray(x, y, z)
+    return _ray(x, y, z)
 
 
 @dataclass(frozen=True)
@@ -149,13 +166,16 @@ class Tripod:
         return (self.a, self.b, self.c)
 
     def worst_residual(self) -> float:
-        """Largest pairwise |dot|; NaN when any of them is NaN."""
-        residuals = (
-            abs(self.a.dot(self.b)),
-            abs(self.a.dot(self.c)),
-            abs(self.b.dot(self.c)),
-        )
-        return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+        return tripod_residual(self.a, self.b, self.c)
+
+
+def tripod_residual(a: Ray, b: Ray, c: Ray) -> float:
+    """Largest pairwise |dot| of three rays; NaN when any of them is NaN."""
+    ab = abs(a.x * b.x + a.y * b.y + a.z * b.z)
+    ac = abs(a.x * c.x + a.y * c.y + a.z * c.z)
+    bc = abs(b.x * c.x + b.y * c.y + b.z * c.z)
+    # a sum of values >= 0 (inf included) is NaN only when one of them is
+    return math.nan if math.isnan(ab + ac + bc) else max(ab, ac, bc)
 
 
 @dataclass(frozen=True)
@@ -184,8 +204,13 @@ class Rotation:
         return dot(r[0], cross(r[1], r[2]))
 
     def apply(self, v: Vec3) -> Vec3:
-        r = self.rows
-        return (dot(r[0], v), dot(r[1], v), dot(r[2], v))
+        """R v, each row dotted with v in dot's operation order."""
+        r0, r1, r2 = self.rows
+        return (
+            r0[0] * v[0] + r0[1] * v[1] + r0[2] * v[2],
+            r1[0] * v[0] + r1[1] * v[1] + r1[2] * v[2],
+            r2[0] * v[0] + r2[1] * v[1] + r2[2] * v[2],
+        )
 
     def apply_inverse(self, v: Vec3) -> Vec3:
         """R^T v, the columns dotted with v in the same order as apply."""

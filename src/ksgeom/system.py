@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidSystem, ParseError, ValidationError
-from .sphere import EPS, Ray, canonicalize, dot
+from .sphere import EPS, Ray, _ray, canonicalize, dot
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,20 @@ class TriadSystem:
 
     def __post_init__(self) -> None:
         n = len(self.rays)
-        for a, b, c in self.triads:
+        for tri in self.triads:
+            try:
+                a, b, c = tri
+            except (TypeError, ValueError):
+                raise ValidationError(f"a triad must be 3 indices, got {tri!r}") from None
             if not type(a) is type(b) is type(c) is int:  # refuses floats and booleans
                 raise ValidationError(f"triad indices must be integers: {(a, b, c)!r}")
             if not (0 <= a < n and 0 <= b < n and 0 <= c < n and a != b != c != a):
                 raise ValidationError(f"triad indices out of range or repeated: {(a, b, c)}")
-        for a, b in self.pairs:
+        for pair in self.pairs:
+            try:
+                a, b = pair
+            except (TypeError, ValueError):
+                raise ValidationError(f"a pair must be 2 indices, got {pair!r}") from None
             if not type(a) is type(b) is int:
                 raise ValidationError(f"pair indices must be integers: {(a, b)!r}")
             if not (0 <= a < n and 0 <= b < n and a != b):
@@ -163,7 +171,7 @@ def load_system(text: str | bytes) -> TriadSystem:
             if not type(x) is type(y) is type(z) is float:
                 x, y, z = (_json_float(c, f"ray {i} coordinate") for c in v)
             try:  # canonical coordinates are kept bit for bit: save -> load -> save round trips
-                rays.append(Ray(x, y, z))
+                rays.append(_ray(x, y, z))
             except ValueError:
                 if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                     raise InvalidSystem(f"ray {i} has a non-finite coordinate: {[x, y, z]!r}")

@@ -26,8 +26,9 @@ circle_zero and lemma_zero run conjugated through the frame of their pole
 fact, rotation_to_pole of that value-1 fact's stored ray (computed once per
 ray), which is how "by a rotation we can assume" steps are mechanized:
 equator partners and circle poles are computed in frame coordinates, while
-facts are stored and checked as world-coordinate canonical rays. Only
-lemma_zero facts carry a witness, their reach certificate and its frame.
+facts are stored and checked as world-coordinate canonical rays. A fact is
+an immutable record (a NamedTuple); only lemma_zero facts carry a witness,
+their reach certificate and its frame.
 A trace computes the pure geometry of these steps once, keyed on its exact
 inputs: a reach certificate per bit pattern of its frame-coordinate q and p,
 which the lemma's replays in other seed frames share, and a completion pair
@@ -39,6 +40,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .errors import (
     BadPremises,
@@ -59,6 +61,7 @@ from .sphere import (
     equator_partner,
     rotation_to_pole,
     third_point,
+    tripod_residual,
 )
 from .system import TriadSystem
 
@@ -86,8 +89,7 @@ class CertWitness:
     frame: Rotation | None  # rotation taking world to certificate coordinates
 
 
-@dataclass(frozen=True)
-class ValueFact:
+class ValueFact(NamedTuple):
     ray: int
     value: int
     rule: str
@@ -253,16 +255,7 @@ class DerivationTrace:
         if existing is not None and self.facts[existing].value == value:
             return existing
         fid = len(self.facts)
-        self.facts.append(
-            ValueFact(
-                ray=ridx,
-                value=value,
-                rule=rule,
-                premises=premises,
-                branch=branch,
-                witness=witness,
-            )
-        )
+        self.facts.append(ValueFact(ridx, value, rule, premises, branch, witness))
         if existing is not None:
             node = self.branches[branch]
             if node.contradiction is None:
@@ -330,7 +323,9 @@ class DerivationTrace:
             raise BadPremises("triad_one premises must both assign value 0")
         if fa.ray == fb.ray:
             raise BadPremises("triad_one premises cite the same ray")
-        Tripod(self.rays[fa.ray], self.rays[fb.ray], third)  # NotOrthogonal before any store
+        worst = tripod_residual(self.rays[fa.ray], self.rays[fb.ray], third)
+        if not worst <= EPS:  # fails closed on NaN, before any store
+            raise NotOrthogonal(f"tripod members not pairwise orthogonal, residual {worst!r}")
         return self._add_fact(branch, self.ray_index(third), 1, RULE_TRIAD_ONE, (zero_a, zero_b))
 
     def _macro_step(

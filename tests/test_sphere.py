@@ -91,6 +91,32 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             Ray(*coords)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_rejects_non_finite_coordinate(self, axis, bad):
+        # the factory behind canonicalize runs the constructor's unit check
+        v = [0.6, 0.0, 0.8]
+        v[axis] = bad
+        with pytest.raises(ValueError, match="^not a unit vector"):
+            canonicalize(tuple(v))
+
+
+class TestRayRecord:
+    # canonicalize fills a Ray's slots directly; the result is the same record
+    def test_fields_are_read_only(self):
+        for ray in (Ray(0.6, 0.8, 0.0), canonicalize((0.6, 0.8, 0.0))):
+            for name in "xyz":
+                with pytest.raises(AttributeError):
+                    setattr(ray, name, 0.0)
+            assert ray.vec == (0.6, 0.8, 0.0)
+
+    def test_factory_ray_equals_the_constructed_ray(self):
+        made, built = canonicalize((0.6, 0.8, 0.0)), Ray(0.6, 0.8, 0.0)
+        assert type(made) is Ray
+        assert made == built and hash(made) == hash(built)
+        index = {built: 7}
+        assert index[made] == 7 and made in index
+
 
 class TestEquatorPartner:
     def test_section_tripod_member(self):
@@ -225,6 +251,13 @@ class TestRotationToPole:
                     before = a.dot(b)
                     after = dot(r.apply(a.vec), r.apply(b.vec))
                     assert abs(before - after) <= 1e-12
+
+    def test_apply_is_each_row_dotted_with_v(self, rng):
+        # written out in dot's operation order, so the same bits
+        for _ in range(100):
+            r = rotation_to_pole(random_northern(rng))
+            v = random_northern(rng).vec
+            assert r.apply(v) == tuple(dot(row, v) for row in r.rows)
 
     def test_apply_inverse(self, rng):
         for _ in range(200):

@@ -67,6 +67,24 @@ class TestValidate:
         with pytest.raises(ValidationError, match="^pair indices must be integers"):
             TriadSystem(rays=axes, triads=(), pairs=((bad, 2),))
 
+    def test_constraint_arity(self):
+        axes = tuple(canonicalize(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        text = save_system(TriadSystem(rays=axes, triads=()))
+        for triad in ((0, 1), (0, 1, 2, 0)):
+            with pytest.raises(ValidationError, match=r"^a triad must be 3 indices, got \("):
+                TriadSystem(rays=axes, triads=(triad,))
+            doc = json.loads(text)
+            doc["triads"] = [list(triad)]
+            with pytest.raises(ParseError, match="^malformed document"):
+                load_system(json.dumps(doc))
+        for pair in ((0,), (0, 1, 2)):
+            with pytest.raises(ValidationError, match=r"^a pair must be 2 indices, got \("):
+                TriadSystem(rays=axes, triads=(), pairs=(pair,))
+            doc = json.loads(text)
+            doc["pairs"] = [list(pair)]
+            with pytest.raises(ParseError, match="^malformed document"):
+                load_system(json.dumps(doc))
+
 
 class TestRoundTrip:
     def test_save_load_save_byte_identical(self):

@@ -29,6 +29,7 @@ from ksgeom.trace import (
     RULE_LEMMA_ZERO,
     CertWitness,
     DerivationTrace,
+    ValueFact,
     extract_triad_system,
     to_world,
 )
@@ -114,6 +115,16 @@ class TestTriadOne:
         assert exc.value.exit_code == 10
         assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
 
+    def test_nan_third_fails_closed(self, nan_ray):
+        t, pole = seeded()
+        trip = complete_tripod(canonicalize((0, R2, R2)))
+        f_e = t.orthogonal_zero(0, trip.b, pole)
+        f_q = t.assume(0, trip.a, 0)
+        n_rays, n_facts = len(t.rays), len(t.facts)
+        with pytest.raises(NotOrthogonal, match="nan"):
+            t.triad_one(0, nan_ray, f_q, f_e)
+        assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
+
     def test_same_ray_twice(self):
         t, _ = seeded()
         trip = complete_tripod(canonicalize((0, R2, R2)))
@@ -132,6 +143,16 @@ class TestTriadOne:
         monkeypatch.setattr(t, "ray_index", lambda ray: looked_up.append(ray) or lookup(ray))
         t.triad_one(0, trip.c, f_q, f_e)
         assert looked_up == [trip.c]
+
+
+class TestFactRecord:
+    def test_fields_are_read_only(self):
+        t, pole = seeded()
+        fact = t.facts[pole]
+        assert fact == ValueFact(ray=0, value=1, rule="assume", premises=(), branch=0)
+        for name in ("ray", "value", "rule", "premises", "branch", "witness"):
+            with pytest.raises(AttributeError):
+                setattr(fact, name, None)
 
 
 def skewed_tripod():
