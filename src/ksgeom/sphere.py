@@ -4,11 +4,11 @@ A ray stands for a one-dimensional subspace of R^3: the two antipodal unit
 vectors spanning it are identified, and construction always picks the
 canonical representative (z positive, breaking ties toward positive x and
 then positive y on the equator). A ray's checks (unit length, canonical
-sign) are written once, in _check_ray, and run on every ray whichever entry
-point builds it: the Ray constructor, or the factory behind canonicalize
-and the document loader, which fills the slots without the dataclass
-round trip. Every predicate compares against the one fixed tolerance EPS;
-there is no exact-arithmetic mode.
+sign) are written once, in the Ray constructor, which canonicalize and the
+document loader call too, so they run on every ray. A tripod's
+orthogonality check is written once, in check_tripod. Every predicate
+compares against the one fixed tolerance EPS; there is no exact-arithmetic
+mode.
 """
 
 from __future__ import annotations
@@ -50,36 +50,36 @@ def norm(a: Vec3) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
-def _check_ray(x: float, y: float, z: float) -> None:
-    """ValueError unless (x, y, z) is unit within 1e-12 and in canonical sign form.
-
-    The sign rule: z > CANON_EPS; or |z| <= CANON_EPS and x > CANON_EPS; or
-    |z|, |x| <= CANON_EPS and y > 0.
-    """
-    if not abs(x * x + y * y + z * z - 1.0) <= 4.0 * _UNIT_TOL:  # fails closed on NaN
-        raise ValueError(f"not a unit vector: {(x, y, z)!r}")
-    if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
-            x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
-        raise ValueError(f"not in canonical sign form: {(x, y, z)!r}")
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Ray:
     """A one-dimensional subspace stored as its canonical unit vector.
 
-    Invariants (checked at construction by _check_ray): the coordinates are
-    unit within 1e-12 and satisfy the canonical sign rule. Use
-    canonicalize() to build a Ray from an arbitrary nonzero vector. The
-    predicates below are dot, cross and norm written out in the same
-    operation order, so they give the same bits.
+    Invariants (checked at construction): the coordinates are unit within
+    1e-12 and satisfy the canonical sign rule. Use canonicalize() to build
+    a Ray from an arbitrary nonzero vector. The predicates below are dot,
+    cross and norm written out in the same operation order, so they give
+    the same bits.
     """
 
     x: float
     y: float
     z: float
 
-    def __post_init__(self) -> None:
-        _check_ray(self.x, self.y, self.z)
+    def __init__(self, x: float, y: float, z: float) -> None:
+        """ValueError unless (x, y, z) is unit and in canonical sign form.
+
+        The sign rule: z > CANON_EPS; or |z| <= CANON_EPS and x > CANON_EPS;
+        or |z|, |x| <= CANON_EPS and y > 0. The checked values then fill the
+        frozen slots directly.
+        """
+        if not abs(x * x + y * y + z * z - 1.0) <= 4.0 * _UNIT_TOL:  # fails closed on NaN
+            raise ValueError(f"not a unit vector: {(x, y, z)!r}")
+        if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
+                x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
+            raise ValueError(f"not in canonical sign form: {(x, y, z)!r}")
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
 
     @property
     def vec(self) -> Vec3:
@@ -107,18 +107,8 @@ class Ray:
         return self.x * self.x + self.y * self.y <= EPS * EPS
 
 
-_new_object = object.__new__
+# the slot descriptors of the frozen class, which Ray.__init__ writes through
 _set_x, _set_y, _set_z = Ray.x.__set__, Ray.y.__set__, Ray.z.__set__
-
-
-def _ray(x: float, y: float, z: float) -> Ray:
-    """Ray(x, y, z): the same checks, then the slots filled directly."""
-    _check_ray(x, y, z)
-    ray = _new_object(Ray)
-    _set_x(ray, x)
-    _set_y(ray, y)
-    _set_z(ray, z)
-    return ray
 
 
 NORTH_POLE = Ray(0.0, 0.0, 1.0)
@@ -127,8 +117,8 @@ NORTH_POLE = Ray(0.0, 0.0, 1.0)
 def canonicalize(v: Vec3) -> Ray:
     """Normalize v and pick the canonical antipodal representative.
 
-    Raises ZeroVector when ||v|| <= eps, and ValueError, as the Ray
-    constructor does, for a NaN or infinite coordinate. Exactly
+    Raises ZeroVector when ||v|| <= eps, and ValueError from the Ray
+    constructor for a NaN or infinite coordinate. Exactly
     sign-invariant: canonicalize(v) == canonicalize(-v) down to the last bit.
     """
     vx, vy, vz = v[0], v[1], v[2]
@@ -141,11 +131,11 @@ def canonicalize(v: Vec3) -> Ray:
     x = vx / n + 0.0
     y = vy / n + 0.0
     z = vz / n + 0.0
-    # the canonical sign rule written out; _ray checks it again
+    # the canonical sign rule written out; the Ray constructor checks it again
     if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
             x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
         x, y, z = -x + 0.0, -y + 0.0, -z + 0.0
-    return _ray(x, y, z)
+    return Ray(x, y, z)
 
 
 @dataclass(frozen=True)
@@ -157,16 +147,11 @@ class Tripod:
     c: Ray
 
     def __post_init__(self) -> None:
-        worst = self.worst_residual()
-        if not worst <= EPS:  # fails closed on NaN
-            raise NotOrthogonal(f"tripod members not pairwise orthogonal, residual {worst!r}")
+        check_tripod(self.a, self.b, self.c)
 
     @property
     def members(self) -> tuple[Ray, Ray, Ray]:
         return (self.a, self.b, self.c)
-
-    def worst_residual(self) -> float:
-        return tripod_residual(self.a, self.b, self.c)
 
 
 def tripod_residual(a: Ray, b: Ray, c: Ray) -> float:
@@ -176,6 +161,13 @@ def tripod_residual(a: Ray, b: Ray, c: Ray) -> float:
     bc = abs(b.x * c.x + b.y * c.y + b.z * c.z)
     # a sum of values >= 0 (inf included) is NaN only when one of them is
     return math.nan if math.isnan(ab + ac + bc) else max(ab, ac, bc)
+
+
+def check_tripod(a: Ray, b: Ray, c: Ray) -> None:
+    """NotOrthogonal unless the three rays are pairwise orthogonal within EPS."""
+    worst = tripod_residual(a, b, c)
+    if not worst <= EPS:  # fails closed on NaN
+        raise NotOrthogonal(f"tripod members not pairwise orthogonal, residual {worst!r}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidSystem, ParseError, ValidationError
-from .sphere import EPS, Ray, _ray, canonicalize, dot
+from .sphere import EPS, Ray, canonicalize, dot
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def load_system(text: str | bytes) -> TriadSystem:
             if not type(x) is type(y) is type(z) is float:
                 x, y, z = (_json_float(c, f"ray {i} coordinate") for c in v)
             try:  # canonical coordinates are kept bit for bit: save -> load -> save round trips
-                rays.append(_ray(x, y, z))
+                rays.append(Ray(x, y, z))
             except ValueError:
                 if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                     raise InvalidSystem(f"ray {i} has a non-finite coordinate: {[x, y, z]!r}")

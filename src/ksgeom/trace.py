@@ -27,8 +27,10 @@ fact, rotation_to_pole of that value-1 fact's stored ray (computed once per
 ray), which is how "by a rotation we can assume" steps are mechanized:
 equator partners and circle poles are computed in frame coordinates, while
 facts are stored and checked as world-coordinate canonical rays. A fact is
-an immutable record (a NamedTuple); only lemma_zero facts carry a witness,
-their reach certificate and its frame.
+an immutable record, a NamedTuple: it is a tuple, so it also compares equal
+to a plain tuple of its fields, and the dataclasses helpers do not apply to
+it. Only lemma_zero facts carry a witness, their reach certificate and its
+frame.
 A trace computes the pure geometry of these steps once, keyed on its exact
 inputs: a reach certificate per bit pattern of its frame-coordinate q and p,
 which the lemma's replays in other seed frames share, and a completion pair
@@ -58,10 +60,10 @@ from .sphere import (
     Tripod,
     Vec3,
     canonicalize,
+    check_tripod,
     equator_partner,
     rotation_to_pole,
     third_point,
-    tripod_residual,
 )
 from .system import TriadSystem
 
@@ -323,9 +325,7 @@ class DerivationTrace:
             raise BadPremises("triad_one premises must both assign value 0")
         if fa.ray == fb.ray:
             raise BadPremises("triad_one premises cite the same ray")
-        worst = tripod_residual(self.rays[fa.ray], self.rays[fb.ray], third)
-        if not worst <= EPS:  # fails closed on NaN, before any store
-            raise NotOrthogonal(f"tripod members not pairwise orthogonal, residual {worst!r}")
+        check_tripod(self.rays[fa.ray], self.rays[fb.ray], third)  # before any store
         return self._add_fact(branch, self.ray_index(third), 1, RULE_TRIAD_ONE, (zero_a, zero_b))
 
     def _macro_step(

@@ -17,6 +17,7 @@ from ksgeom.sphere import (
     equator_partner,
     rotation_to_pole,
     third_point,
+    tripod_residual,
 )
 
 from conftest import random_northern, random_northern_nonpole
@@ -94,7 +95,7 @@ class TestCanonicalize:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_rejects_non_finite_coordinate(self, axis, bad):
-        # the factory behind canonicalize runs the constructor's unit check
+        # canonicalize builds through the Ray constructor, whose unit check fails closed
         v = [0.6, 0.0, 0.8]
         v[axis] = bad
         with pytest.raises(ValueError, match="^not a unit vector"):
@@ -102,7 +103,7 @@ class TestCanonicalize:
 
 
 class TestRayRecord:
-    # canonicalize fills a Ray's slots directly; the result is the same record
+    # Ray.__init__ writes the frozen slots directly; the result is still read-only
     def test_fields_are_read_only(self):
         for ray in (Ray(0.6, 0.8, 0.0), canonicalize((0.6, 0.8, 0.0))):
             for name in "xyz":
@@ -110,7 +111,7 @@ class TestRayRecord:
                     setattr(ray, name, 0.0)
             assert ray.vec == (0.6, 0.8, 0.0)
 
-    def test_factory_ray_equals_the_constructed_ray(self):
+    def test_canonical_ray_equals_the_constructed_ray(self):
         made, built = canonicalize((0.6, 0.8, 0.0)), Ray(0.6, 0.8, 0.0)
         assert type(made) is Ray
         assert made == built and hash(made) == hash(built)
@@ -217,7 +218,7 @@ class TestCompleteTripod:
         for _ in range(10_000):
             q = random_northern_nonpole(rng)
             t = complete_tripod(q)
-            assert t.worst_residual() <= 1e-9
+            assert tripod_residual(*t.members) <= 1e-9
             for m in t.members:
                 assert abs(m.x**2 + m.y**2 + m.z**2 - 1.0) <= 1e-12
 
