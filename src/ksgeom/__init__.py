@@ -6,6 +6,10 @@ the value-propagation arguments, extraction of finite triad systems, and
 an exhaustive coloring checker that independently confirms the extracted
 systems admit no two-valued coloring. The package is pure Python with no
 dependencies; the coloring search has a single kernel (ksgeom.kernels).
+
+The package attribute ksgeom.reach is the function reach, not its module:
+"from ksgeom import reach" gives the function. The module is reached by
+"from ksgeom.reach import ..." or importlib.import_module("ksgeom.reach").
 """
 
 from .coloring import (

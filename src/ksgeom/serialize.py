@@ -1,10 +1,15 @@
 """JSON documents for certificates and derivation traces.
 
-Both use the triad-system document's writer (ksgeom.system): compact JSON
-from json's C encoder, shortest-round-trip floats, fixed key order and a
-newline after each "],[" and "},{" (one record per line), so save -> load
--> save is byte identical. This module owns the certificate and trace
-formats. Schemas:
+Both are laid out as the triad-system document is (ksgeom.system): compact
+JSON, shortest-round-trip floats, fixed key order and a newline after each
+"],[" and "},{" (one record per line), so save -> load -> save is byte
+identical. Certificates, and a trace's rays, branches and named tripods, go
+through json's C encoder (system._compact); save_trace formats each fact
+directly, in the encoder's layout, and writes each certificate and frame
+once per document. TestTraceWriter in tests/test_serialize.py pins it to
+_canonical_json of a reference trace dict, and CI's "CLI end to end" step
+to the encoder's bytes for both demos. This module owns the certificate
+and trace formats. Schemas:
 
 certificate:
   {"eps": e, "shell_n": k | null, "points": [[x,y,z], ...],
@@ -36,8 +41,8 @@ import math
 from .errors import ParseError
 from .reach import ReachCertificate, VerifyReport
 from .sphere import EPS
-from .system import _canonical_json, _json_eps, _json_float, _json_int, _load_doc
-from .trace import CertWitness, DerivationTrace
+from .system import _canonical_json, _compact, _json_eps, _json_float, _json_int, _load_doc
+from .trace import DerivationTrace
 
 
 def certificate_to_doc(cert: ReachCertificate, residuals: tuple[float, ...] | None = None) -> dict:
@@ -73,51 +78,53 @@ def load_certificate(text: str | bytes) -> ReachCertificate:
         raise ParseError(f"malformed certificate: {exc}") from exc
 
 
-def _witness_to_doc(w: CertWitness | None) -> dict | None:
-    if w is None:
-        return None
-    return {
-        "certificate": certificate_to_doc(w.certificate),
-        "frame": [list(row) for row in w.frame.rows] if w.frame is not None else None,
-    }
-
-
-def trace_to_doc(t: DerivationTrace) -> dict:
-    return {
-        "eps": EPS,
-        "rays": [[r.x, r.y, r.z] for r in t.rays],
-        "facts": [
-            {
-                "ray": f.ray,
-                "value": f.value,
-                "rule": f.rule,
-                "premises": list(f.premises),
-                "branch": f.branch,
-                "witness": _witness_to_doc(f.witness),
-            }
-            for f in t.facts
-        ],
-        "branches": [
-            {
-                "idx": b.idx,
-                "parent": b.parent,
-                "assumption": b.assumption,
-                "split": (
-                    {"tripod": list(b.split.tripod), "member": b.split.member}
-                    if b.split is not None
-                    else None
-                ),
-                "children": list(b.children) if b.children is not None else None,
-                "contradiction": list(b.contradiction) if b.contradiction is not None else None,
-            }
-            for b in t.branches
-        ],
-        "named_tripods": [list(tri) for tri in t.named_tripods],
-    }
+#: One trace fact, laid out as _compact lays out its dict: the keys in the
+#: dict's order and integers as json writes them (a fact's fields are ints,
+#: and its rule is one of the trace's rule names, which need no escaping).
+_FACT = '{"ray":%d,"value":%d,"rule":"%s","premises":[%s],"branch":%d,"witness":%s}'
 
 
 def save_trace(t: DerivationTrace) -> str:
-    return _canonical_json(trace_to_doc(t))
+    """The trace document: byte for byte _canonical_json of the schema's dict.
+
+    Facts are formatted from their records, and each certificate and frame
+    is encoded once per call: lemma_zero facts share them by object, so the
+    texts are keyed by id (a key by value would merge -0.0 with 0.0)."""
+    certs: dict[int, str] = {}
+    frames: dict[int, str] = {}
+    facts = []
+    for ray, value, rule, premises, branch, w in t.facts:
+        witness = "null"
+        if w is not None:
+            cert, frame = w.certificate, w.frame
+            if id(cert) not in certs:
+                certs[id(cert)] = _compact(certificate_to_doc(cert))
+            if id(frame) not in frames:
+                frames[id(frame)] = _compact(frame.rows if frame is not None else None)
+            witness = '{"certificate":%s,"frame":%s}' % (certs[id(cert)], frames[id(frame)])
+        facts.append(_FACT % (ray, value, rule, ",".join(map(str, premises)), branch, witness))
+    branches = [
+        {
+            "idx": b.idx,
+            "parent": b.parent,
+            "assumption": b.assumption,
+            "split": (
+                {"tripod": b.split.tripod, "member": b.split.member}
+                if b.split is not None
+                else None
+            ),
+            "children": b.children,
+            "contradiction": b.contradiction,
+        }
+        for b in t.branches
+    ]
+    return '{"eps":%s,"rays":%s,"facts":[%s],"branches":%s,"named_tripods":%s}\n' % (
+        _compact(EPS),
+        _compact([[r.x, r.y, r.z] for r in t.rays]),
+        ",\n".join(facts),
+        _compact(branches),
+        _compact(t.named_tripods),
+    )
 
 
 def report_to_doc(report: VerifyReport) -> dict:

@@ -4,9 +4,13 @@ A coloring of a system assigns 0 or 1 to every ray so that each listed
 triad gets exactly one 1 and no listed pair gets two 1s. The JSON document
 format is the interchange surface shared with the CLI: a single object
 {"eps", "rays", "triads", "pairs"} with shortest-round-trip decimal reals
-and no extra keys. Every document (system, trace, certificate) is written
-by one writer as compact JSON, one record per line, so save -> load -> save
-is byte identical; `python -m json.tool FILE` indents one for reading.
+and no extra keys. Every document (system, trace, certificate) has one
+layout, _compact's: compact JSON from json's C encoder with a newline after
+each "],[" and "},{" (one record per line) and one at the end, so save ->
+load -> save is byte identical; `python -m json.tool FILE` indents one for
+reading. save_trace formats trace facts directly in this layout, each
+certificate and frame written once per document; TestTraceWriter in
+tests/test_serialize.py and CI's "CLI end to end" layout check pin it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidSystem, ParseError, ValidationError
-from .sphere import EPS, Ray, canonicalize, dot
+from .sphere import EPS, Ray, canonicalize
 
 
 @dataclass(frozen=True)
@@ -65,24 +69,32 @@ class TriadSystem:
 def validate_system(s: TriadSystem) -> ValidationReport:
     """Recompute every constrained pairwise dot; accept iff all within eps.
 
-    Fails closed: a NaN dot is an offender and makes worst_residual NaN.
+    Triad edges come first, then the pairs; each dot is summed in dot()'s
+    order, read from the rays' fields. Fails closed: a NaN dot is an
+    offender and makes worst_residual NaN.
     """
-    vecs = [r.vec for r in s.rays]
+    rays, eps = s.rays, s.eps
     worst = 0.0
     offenders: list[tuple[int, int]] = []
     for i, j in [e for a, b, c in s.triads for e in ((a, b), (a, c), (b, c))] + list(s.pairs):
-        r = abs(dot(vecs[i], vecs[j]))
-        if r > worst or math.isnan(r):
+        p, q = rays[i], rays[j]
+        r = abs(p.x * q.x + p.y * q.y + p.z * q.z)
+        if r > worst or r != r:  # r != r: NaN
             worst = r
-        if not r <= s.eps:
+        if not r <= eps:
             offenders.append((i, j))
     return ValidationReport(not offenders, worst_residual=worst, offenders=tuple(offenders))
 
 
+def _compact(obj: object) -> str:
+    """obj as compact JSON, with a newline after each "],[" and "},{"."""
+    text = json.dumps(obj, separators=(",", ":"))
+    return text.replace("],[", "],\n[").replace("},{", "},\n{")
+
+
 def _canonical_json(doc: dict) -> str:
-    """doc as compact JSON, with a newline after each "],[" and "},{" and at the end."""
-    text = json.dumps(doc, separators=(",", ":"))
-    return text.replace("],[", "],\n[").replace("},{", "},\n{") + "\n"
+    """doc as a document: compact JSON, one record per line, a final newline."""
+    return _compact(doc) + "\n"
 
 
 def save_system(s: TriadSystem) -> str:

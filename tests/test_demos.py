@@ -27,12 +27,12 @@ from ksgeom.serialize import (
     load_certificate,
     save_certificate,
     save_trace,
-    trace_to_doc,
 )
 from ksgeom.system import TriadSystem, load_system, save_system, validate_system
 from ksgeom.trace import CertWitness, decision_core, extract_triad_system
 
 from conftest import random_northern
+from test_serialize import reference_trace_doc
 
 R2 = math.sqrt(0.5)
 GOLDEN_ANGLE = math.pi * (3 - math.sqrt(5))
@@ -497,7 +497,7 @@ class TestDocumentLayout:
     def test_documents_load_back_equal(self, which, first_trace, second_trace):
         t = first_trace if which == "first" else second_trace
         system = extract_triad_system(t)
-        assert json.loads(save_trace(t)) == trace_to_doc(t)
+        assert json.loads(save_trace(t)) == reference_trace_doc(t)
         assert json.loads(save_system(system)) == {
             "eps": system.eps,
             "rays": [list(r.vec) for r in system.rays],

@@ -392,3 +392,22 @@ class TestAsymptoticResidual:
     def test_bad_n(self):
         with pytest.raises(BadN):
             asymptotic_residual(4)
+
+
+class TestPackageNames:
+    """ksgeom.reach is the function; the module stays importable by name."""
+
+    def test_package_attribute_is_the_function(self):
+        import ksgeom
+        from ksgeom import reach as exported
+
+        assert exported is reach and callable(exported)
+        assert not hasattr(exported, "verify_certificate")
+        assert ksgeom.reach is reach
+
+    def test_module_by_import_module(self):
+        import ksgeom
+
+        module = importlib.import_module("ksgeom.reach")
+        assert module.verify_certificate is ksgeom.verify_certificate
+        assert module.reach is reach

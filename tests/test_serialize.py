@@ -4,18 +4,70 @@ import math
 import pytest
 
 from ksgeom.errors import ParseError
-from ksgeom.reach import reach, verify_certificate
+from ksgeom.reach import ReachCertificate, reach, verify_certificate
 from ksgeom.serialize import (
+    certificate_to_doc,
     load_certificate,
     report_to_doc,
     save_certificate,
     save_trace,
-    trace_to_doc,
 )
-from ksgeom.sphere import NORTH_POLE, canonicalize
-from ksgeom.trace import DerivationTrace
+from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, complete_tripod, rotation_to_pole
+from ksgeom.system import _canonical_json
+from ksgeom.trace import (
+    RULE_LEMMA_ZERO,
+    CertWitness,
+    DerivationTrace,
+    ValueFact,
+    to_world,
+)
 
 R2 = math.sqrt(0.5)
+
+
+def reference_trace_doc(t: DerivationTrace) -> dict:
+    """The trace document as one dict, the schema in ksgeom.serialize's
+    docstring; save_trace must write _canonical_json of it byte for byte."""
+
+    def witness_doc(w: CertWitness | None) -> dict | None:
+        if w is None:
+            return None
+        return {
+            "certificate": certificate_to_doc(w.certificate),
+            "frame": [list(row) for row in w.frame.rows] if w.frame is not None else None,
+        }
+
+    return {
+        "eps": EPS,
+        "rays": [[r.x, r.y, r.z] for r in t.rays],
+        "facts": [
+            {
+                "ray": f.ray,
+                "value": f.value,
+                "rule": f.rule,
+                "premises": list(f.premises),
+                "branch": f.branch,
+                "witness": witness_doc(f.witness),
+            }
+            for f in t.facts
+        ],
+        "branches": [
+            {
+                "idx": b.idx,
+                "parent": b.parent,
+                "assumption": b.assumption,
+                "split": (
+                    {"tripod": list(b.split.tripod), "member": b.split.member}
+                    if b.split is not None
+                    else None
+                ),
+                "children": list(b.children) if b.children is not None else None,
+                "contradiction": list(b.contradiction) if b.contradiction is not None else None,
+            }
+            for b in t.branches
+        ],
+        "named_tripods": [list(tri) for tri in t.named_tripods],
+    }
 
 
 def sample_certificate():
@@ -116,7 +168,8 @@ class TestTraceDocs:
         t = DerivationTrace()
         pole = t.assume(0, NORTH_POLE, 1)
         t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
-        doc = trace_to_doc(t)
+        doc = reference_trace_doc(t)
+        assert save_trace(t) == _canonical_json(doc)
         assert set(doc) == {"eps", "rays", "facts", "branches", "named_tripods"}
         assert doc["facts"][0]["rule"] == "assume"
         assert doc["facts"][1]["rule"] == "orthogonal_zero"
@@ -140,3 +193,90 @@ class TestTraceDocs:
                 assert len(w["frame"]) == 3
         closed = [b for b in doc["branches"] if b["contradiction"]]
         assert closed
+
+
+def hand_built_trace() -> DerivationTrace:
+    """Facts of 0 to 3 premises, a named tripod, a split whose 0 child is
+    closed by a contradiction, and lemma_zero witnesses in the identity
+    frame (branch 0) and in the frame of the split member (child 1)."""
+    t = DerivationTrace()
+    t.register_tripod(complete_tripod(canonicalize((0.0, 0.6, 0.8))))
+    pole = t.assume(0, NORTH_POLE, 1)
+    t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
+    q = t.assume(0, canonicalize((0, math.sin(0.8), math.cos(0.8))), 0)
+    t.lemma_zero(0, q, canonicalize((0.4, 0.5, 0.2)), pole)
+    trip = complete_tripod(canonicalize((0.3, -0.2, 0.9)))
+    zero, one = t.split(0, trip, trip.c)
+    t.assume(zero, trip.c, 1)
+    member = t.branches[one].assumption
+    frame = t.frame(member)
+    q = t.assume(one, to_world(frame, (0.0, math.sin(0.7), math.cos(0.7))), 0)
+    t.lemma_zero(one, q, to_world(frame, (-0.3, 0.4, 0.3)), member)
+    return t
+
+
+def with_witness_facts(witnesses: list[CertWitness]) -> DerivationTrace:
+    """A trace whose facts are lemma_zero records appended directly, one per
+    witness, each on a ray of its own."""
+    t = DerivationTrace()
+    for i, w in enumerate(witnesses):
+        ray = t.ray_index(canonicalize((0.1 * (i + 1), 0.2, 0.9)))
+        t.facts.append(ValueFact(ray, 0, RULE_LEMMA_ZERO, (), 0, w))
+    return t
+
+
+@pytest.fixture(scope="module")
+def demo_traces() -> dict[str, DerivationTrace]:
+    from ksgeom.demos import DEFAULT_POLE_ANGLE, demo_first_proof, demo_second_proof
+
+    pole = canonicalize((0.0, math.sin(DEFAULT_POLE_ANGLE), math.cos(DEFAULT_POLE_ANGLE)))
+    return {"first": demo_first_proof(pole), "second": demo_second_proof()}
+
+
+class TestTraceWriter:
+    """save_trace formats facts itself; its bytes are pinned to the
+    reference document through the one compact writer."""
+
+    def check(self, t: DerivationTrace) -> str:
+        text = save_trace(t)
+        assert text == _canonical_json(reference_trace_doc(t))
+        return text
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_demo_traces(self, which, demo_traces):
+        t = demo_traces[which]
+        self.check(t)
+        witnesses = [f.witness for f in t.facts if f.witness is not None]
+        # the demos share certificate objects between frames, which is what
+        # the writer's per-call texts are keyed on
+        assert len({id(w.certificate) for w in witnesses}) < len(witnesses)
+        assert len({(id(w.certificate), id(w.frame)) for w in witnesses}) > len(
+            {id(w.certificate) for w in witnesses}
+        )
+
+    def test_empty_trace(self):
+        text = self.check(DerivationTrace())
+        assert '"facts":[]' in text and '"named_tripods":[]' in text
+
+    def test_hand_built_trace(self):
+        t = hand_built_trace()
+        self.check(t)
+        assert {len(f.premises) for f in t.facts} == {0, 1, 2, 3}
+        assert t.named_tripods and t.branches[0].children
+        assert t.branches[1].contradiction is not None
+        frames = [f.witness.frame for f in t.facts if f.witness is not None]
+        assert frames[0] is None and frames[1] is not None
+
+    def test_shared_certificate_under_two_frames(self):
+        cert = sample_certificate()
+        frame = rotation_to_pole(canonicalize((0.3, -0.2, 0.9)))
+        text = self.check(with_witness_facts([CertWitness(cert, None), CertWitness(cert, frame)]))
+        assert text.count('"frame":null') == 1
+
+    def test_signed_zeros_are_not_merged(self):
+        points = ((0.6, 0.0, 0.8), (0.0, 0.6, 0.8))
+        neg = ((0.6, -0.0, 0.8), (-0.0, 0.6, 0.8))
+        plus, minus = ReachCertificate(points=points), ReachCertificate(points=neg)
+        assert plus == minus  # equal as values: -0.0 == 0.0
+        text = self.check(with_witness_facts([CertWitness(plus, None), CertWitness(minus, None)]))
+        assert "[0.6,0.0,0.8]" in text and "[0.6,-0.0,0.8]" in text
