@@ -2,24 +2,22 @@
 
 Subcommands:
   ks reach  --from X,Y,Z --to X,Y,Z [--json] [-o FILE]
-  ks shell  --point X,Y,Z --n N --svg FILE [--json]
   ks demo   first --pole X,Y,Z [-o DIR] [--json]
   ks demo   second [-o DIR] [--json]
   ks color  FILE --mode count|witness|prove-none [--json]
   ks verify FILE [--json]
-  ks render circle|projection|step1 [params] --svg FILE [--json]
 
 Vector components accept plain numbers or simple expressions over + - * /,
 parentheses, sin, cos, tan, sqrt and pi, e.g. --pole 0,sin(0.3),cos(0.3).
 Unnormalized inputs are canonicalized with a warning once the norm strays
 more than 1e-6 from 1. Every command compares at the fixed tolerance
 ksgeom.EPS = 1e-9; color validates a system at its document's own eps.
-With --json every command prints one JSON document
-(shell and render print {"svg": path}); errors and warnings go to stderr,
-as JSON under --json. Every library error maps to a fixed exit code
-(ksgeom.errors.EXIT_CODES); verification rejects exit 22 and unmet coloring
-expectations exit 23. Bad invocations (an unknown option, an unreadable
-input or unwritable output file, a stdout closed by its reader) exit 2.
+With --json every command prints one JSON document; errors and warnings
+go to stderr, as JSON under --json. Every library error maps to a fixed
+exit code (ksgeom.errors.EXIT_CODES); verification rejects exit 22 and
+unmet coloring expectations exit 23. Bad invocations (an unknown option,
+an unreadable input or unwritable output file, a stdout closed by its
+reader) exit 2.
 A stderr closed by its reader loses the messages but changes no exit code.
 """
 
@@ -44,7 +42,6 @@ from .errors import (
     KsError,
     ParseError,
 )
-from .plane import PlanePoint
 from .reach import reach, verify_certificate
 from .serialize import (
     certificate_to_doc,
@@ -54,7 +51,6 @@ from .serialize import (
     save_trace,
 )
 from .sphere import Ray, canonicalize, norm
-from .svg import figure_circle, figure_projection, figure_shell, figure_step_one
 from .system import load_system, save_system
 from .trace import decision_core, extract_triad_system
 
@@ -84,11 +80,10 @@ def _eval_component(text: str) -> float:
         raise ParseError(f"cannot evaluate component {text!r}: {exc}") from exc
 
 
-def _parse_vec(text: str, n: int) -> tuple[float, ...]:
+def _parse_vec(text: str) -> tuple[float, ...]:
     parts = text.split(",")
-    if len(parts) != n:
-        count = {2: "two", 3: "three"}[n]
-        raise ParseError(f"expected {count} comma-separated components, got {text!r}")
+    if len(parts) != 3:
+        raise ParseError(f"expected three comma-separated components, got {text!r}")
     vec = tuple(_eval_component(p) for p in parts)
     if not math.isfinite(sum(c * c for c in vec)):
         raise ParseError(f"components of {text!r} are not finite or overflow the norm")
@@ -96,7 +91,7 @@ def _parse_vec(text: str, n: int) -> tuple[float, ...]:
 
 
 def _input_ray(text: str, json_mode: bool) -> Ray:
-    v = _parse_vec(text, 3)
+    v = _parse_vec(text)
     n = norm(v)
     if abs(n - 1.0) > 1e-6:
         _warn(f"input {text!r} has norm {n!r}; normalizing", json_mode)
@@ -146,12 +141,6 @@ def cmd_reach(args) -> Outcome:
     )
     doc = {**certificate_to_doc(cert, report.link_residuals), "summary": summary}
     return EXIT_OK, doc, line if args.out else cert_text + line
-
-
-def cmd_shell(args) -> Outcome:
-    point = _input_ray(args.point, args.json)
-    Path(args.svg).write_text(figure_shell(point, args.n))
-    return EXIT_OK, {"svg": args.svg}, f"wrote {args.svg}"
 
 
 def cmd_demo(args) -> Outcome:
@@ -228,19 +217,6 @@ def cmd_verify(args) -> Outcome:
     return code, report_to_doc(report), text
 
 
-def cmd_render(args) -> Outcome:
-    if args.figure == "circle":
-        svg = figure_circle(_input_ray(args.q, args.json))
-    elif args.figure == "projection":
-        svg = figure_projection(_input_ray(args.q, args.json))
-    else:
-        hq = PlanePoint(*_parse_vec(args.hq, 2))
-        hp = PlanePoint(*_parse_vec(args.hp, 2))
-        svg = figure_step_one(hq, hp)
-    Path(args.svg).write_text(svg)
-    return EXIT_OK, {"svg": args.svg}, f"wrote {args.svg}"
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -258,13 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", help="certificate file (default: stdout)")
     _add_common(p)
     p.set_defaults(func=cmd_reach)
-
-    p = sub.add_parser("shell", help="render the spiral shell in the tangent plane")
-    p.add_argument("--point", required=True, metavar="X,Y,Z")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--svg", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_shell)
 
     p = sub.add_parser("demo", help="run a contradiction demo")
     p.add_argument("which", choices=("first", "second"))
@@ -285,15 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("render", help="render a construction figure")
-    p.add_argument("figure", choices=("circle", "projection", "step1"))
-    p.add_argument("--q", metavar="X,Y,Z", default="0,sin(0.6),cos(0.6)")
-    p.add_argument("--hq", metavar="U,V", default="1,0", help="step1: plane image of q")
-    p.add_argument("--hp", metavar="U,V", default="2,0", help="step1: plane image of p")
-    p.add_argument("--svg", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_render)
-
     return parser
 
 
@@ -309,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         code, doc, text = args.func(args)
     except KsError as exc:
         return _report_error(args, exc.exit_code, type(exc).__name__, str(exc))
-    except OSError as exc:  # unreadable input, unwritable -o/--svg target
+    except OSError as exc:  # unreadable input, unwritable -o target
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
         return _report_error(args, EXIT_USAGE, "UsageError", message)
     except ValueError as exc:

@@ -212,7 +212,6 @@ def demo_second_proof() -> DerivationTrace:
 
         w_a_fid = t.lemma_zero(b0, qn_zero, w_a, pole_fact)
         w_b_fid = t.lemma_zero(b0, qn_zero, w_b, pole_fact)
-        t.lemma_zero(b0, qn_zero, c_ray, pole_fact)
 
         e_a_fid = t.orthogonal_zero(b0, e_a, pole_fact)
         e_b_fid = t.orthogonal_zero(b0, e_b, pole_fact)

@@ -269,6 +269,9 @@ class DerivationTrace:
     # -- rules --------------------------------------------------------------
 
     def assume(self, branch: int, ray: Ray, value: int) -> int:
+        """v(ray) = value in branch; the value must be the int 0 or 1."""
+        if type(value) is not int or value not in (0, 1):
+            raise BadPremises(f"an assumed value must be the int 0 or 1, got {value!r}")
         return self._add_fact(branch, self.ray_index(ray), value, RULE_ASSUME, ())
 
     def split(self, branch: int, trip: Tripod, member: Ray) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,10 +10,8 @@ from pathlib import Path
 import pytest
 
 import ksgeom
-from ksgeom.cli import main
+from ksgeom.cli import build_parser, main
 from ksgeom.errors import ERROR_CLASSES, EXIT_CODES, EXIT_EXPECTATION, EXIT_REJECTED
-from ksgeom.reach import N_MAX
-from ksgeom.svg import SHELL_FIGURE_N_MAX
 
 from conftest import random_northern
 
@@ -152,7 +151,6 @@ class TestReachCommand:
         ["reach", "--from", "1e400,0,1", "--to", "0.6,0.4,0.2"],
         ["reach", "--from", "1e400-1e400,0,1", "--to", "0.6,0.4,0.2"],
         ["reach", "--from", "1e300,1e300,1", "--to", "0.6,0.4,0.2"],  # norm overflows
-        ["render", "step1", "--hq", "1e300,1e300", "--svg", os.devnull],
     ])
     def test_non_finite_vector_rejected(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -331,11 +329,9 @@ class TestDemoAndColor:
 class TestUsageErrors:
     @pytest.mark.parametrize("command", [
         ["reach", "--from", "0,sin(0.8),cos(0.8)", "--to", "0.4,0.5,0.2"],
-        ["shell", "--point", "0,sin(0.8),cos(0.8)", "--n", "16", "--svg", "s.svg"],
         ["demo", "second"],
         ["color", "system.json"],
         ["verify", "cert.json"],
-        ["render", "circle", "--svg", "c.svg"],
     ], ids=lambda command: command[0])
     def test_no_eps_flag(self, capsys, command):
         # every predicate compares at the fixed ksgeom.EPS; there is no knob
@@ -434,8 +430,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", [
         ["reach", "--from", "0,sin(0.8),cos(0.8)", "--to", "0,sin(1.2),cos(1.2)", "-o"],
         ["demo", "second", "-o"],
-        ["shell", "--point", "0,sin(0.8),cos(0.8)", "--n", "16", "--svg"],
-        ["render", "circle", "--svg"],
     ])
     @pytest.mark.parametrize("json_mode", [False, True])
     def test_unwritable_output(self, tmp_path, capsys, command, json_mode):
@@ -453,42 +447,21 @@ class TestUsageErrors:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
 
-class TestRenderCommands:
-    def test_shell_svg(self, tmp_path, capsys):
-        out = tmp_path / "s.svg"
-        code, _, _ = run(capsys, "shell", "--point", "0,sin(0.8),cos(0.8)",
-                         "--n", "16", "--svg", str(out))
-        assert code == 0 and out.exists()
-
-    def test_shell_bad_n(self, tmp_path, capsys):
-        for n in (4, SHELL_FIGURE_N_MAX + 1, N_MAX + 1):
-            code, _, _ = run(capsys, "shell", "--point", "0,sin(0.8),cos(0.8)",
-                             "--n", str(n), "--svg", str(tmp_path / "s.svg"))
-            assert code == EXIT_CODES["BadN"]
+class TestCommandSurface:
+    def test_subcommands(self):
+        (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == {"reach", "demo", "color", "verify"}
 
     @pytest.mark.parametrize("command", [
-        ["shell", "--point", "0,sin(0.8),cos(0.8)", "--n", "16"],
-        ["render", "step1"],
-    ])
-    def test_json_prints_svg_path(self, tmp_path, capsys, command):
-        out = str(tmp_path / "fig.svg")
-        code, stdout, _ = run(capsys, *command, "--svg", out, "--json")
-        assert code == 0 and json.loads(stdout) == {"svg": out}
-
-    def test_circle_at_pole(self, tmp_path, capsys):
-        code, _, _ = run(capsys, "render", "circle", "--q", "0,0,1",
-                         "--svg", str(tmp_path / "c.svg"))
-        assert code == EXIT_CODES["AtPole"]
-
-    def test_all_figures(self, tmp_path, capsys):
-        for fig, extra in (
-            ("circle", []),
-            ("projection", []),
-            ("step1", ["--hq", "1,0", "--hp", "2,0"]),
-        ):
-            out = tmp_path / f"{fig}.svg"
-            code, _, _ = run(capsys, "render", fig, "--svg", str(out), *extra)
-            assert code == 0 and out.exists()
+        ["shell", "--point", "0,sin(0.8),cos(0.8)", "--n", "16", "--svg"],
+        ["render", "circle", "--svg"],
+    ], ids=lambda command: command[0])
+    def test_figure_commands_are_unknown(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, str(tmp_path / "fig.svg")])
+        assert exc.value.code == EXIT_CODES["usage"] == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeterminism:

@@ -310,9 +310,9 @@ class TestPinnedOutputs:
             ),
             pytest.param(
                 "second",
-                "4e509685f0a94250b25f4cbeb9c30c8a341cb0efafe4e0cbddb96d77cf8e7c16",
-                "24445ef48f735f7a181a05da1d06e615769dc06d7595847def72e28b759757de",
-                (437, 640, 29),
+                "8d3977d99f36f540f3563c56580adc1d5539b5d460d88e5fbc600ab7de981aa4",
+                "d084b7dde44706383d10779bee9ca631db7418772c57a378694551f336da117e",
+                (428, 628, 29),
                 11,
                 id="second",
             ),
@@ -411,7 +411,7 @@ class TestGeometryMemos:
 
     @pytest.mark.parametrize("build, reaches, partners, expansions", [
         (lambda: demo_first_proof(default_pole()), 10, 135, 198),
-        (demo_second_proof, 24, 142, 206),
+        (demo_second_proof, 22, 139, 200),
     ], ids=["first", "second"])
     def test_calls_per_demo(self, build, reaches, partners, expansions, monkeypatch):
         counts = {"reach": 0, "partners": 0, "expansions": 0}
@@ -480,8 +480,8 @@ class TestRayTableProbes:
         monkeypatch.setattr(Ray, "same_subspace", counting_probe)
         t = demo_second_proof()
         monkeypatch.undo()
-        assert len(t.rays) == 437
-        assert counts == {"lookups": 742, "probes": 363}
+        assert len(t.rays) == 428
+        assert counts == {"lookups": 724, "probes": 352}
 
 
 def indent_1(text: str) -> str:
@@ -566,7 +566,7 @@ class TestTraceStructure:
             assert b.branch in t.branches[leaf].scope
 
     @pytest.mark.parametrize(
-        "which, counts", [("first", (186, 174, 24)), ("second", (202, 173, 33))]
+        "which, counts", [("first", (186, 174, 24)), ("second", (199, 170, 30))]
     )
     def test_zero_facts_cite_their_one_last(self, which, counts, first_trace, second_trace):
         # extract_triad_system reads each zero-against-one pair off premises[-1]

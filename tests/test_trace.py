@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -453,6 +454,14 @@ class TestRefusedRuleLeavesTraceUnchanged:
         with pytest.raises(BadPremises, match="not visible"):
             t.lemma_zero(b0, zero_in_b1, canonicalize((0.5, 0.2, 0.3)), pole)
         assert table_state(t) == before
+
+    @pytest.mark.parametrize("value", [2, -1, True, 1.0, None])
+    def test_assume_value(self, value):
+        t, _ = seeded()
+        before = table_state(t), list(t.rays), list(t.facts), copy.deepcopy(t.branches)
+        with pytest.raises(BadPremises, match="must be the int 0 or 1"):
+            t.assume(0, canonicalize((0.3, 0.4, 0.5)), value)
+        assert (table_state(t), t.rays, t.facts, t.branches) == before
 
     def test_split(self):
         t, _ = seeded()
