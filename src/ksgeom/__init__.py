@@ -23,6 +23,7 @@ from .coloring import (
 from .demos import cover_index, demo_first_proof, demo_second_proof, qn_sequence
 from .plane import PlaneLine, PlanePoint, Side, circle_image_line, project, side_of, unproject
 from .reach import (
+    MAX_SPIRAL_STEPS,
     N_MAX,
     ReachCertificate,
     VerifyReport,
@@ -59,6 +60,7 @@ __all__ = [
     "ColoringResult",
     "DerivationTrace",
     "EPS",
+    "MAX_SPIRAL_STEPS",
     "N_MAX",
     "NORTH_POLE",
     "PlaneLine",

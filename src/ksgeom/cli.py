@@ -2,13 +2,13 @@
 
 Subcommands:
   ks reach  --from X,Y,Z --to X,Y,Z [--json] [-o FILE]
-  ks demo   first --pole X,Y,Z [-o DIR] [--json]
+  ks demo   first [--pole X,Y,Z] [-o DIR] [--json]
   ks demo   second [-o DIR] [--json]
   ks color  FILE --mode count|witness|prove-none [--json]
   ks verify FILE [--json]
 
 Vector components accept plain numbers or simple expressions over + - * /,
-parentheses, sin, cos, tan, sqrt and pi, e.g. --pole 0,sin(0.3),cos(0.3).
+parentheses, sin, cos, tan, sqrt and pi, e.g. --pole 0,sin(0.44),cos(0.44).
 Unnormalized inputs are canonicalized with a warning once the norm strays
 more than 1e-6 from 1. Every command compares at the fixed tolerance
 ksgeom.EPS = 1e-9; color validates a system at its document's own eps.
@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from .coloring import SolveMode, solve
-from .demos import demo_first_proof, demo_second_proof
+from .demos import DEFAULT_POLE_ANGLE, demo_first_proof, demo_second_proof
 from .errors import (
     EXIT_EXPECTATION,
     EXIT_INTERNAL,
@@ -237,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run a contradiction demo")
     p.add_argument("which", choices=("first", "second"))
-    p.add_argument("--pole", metavar="X,Y,Z", default="0,sin(0.3),cos(0.3)",
-                   help="re-poling target for the first demo")
+    p.add_argument("--pole", metavar="X,Y,Z",
+                   default=f"0,sin({DEFAULT_POLE_ANGLE}),cos({DEFAULT_POLE_ANGLE})",
+                   help="re-poling target for the first demo (default: %(default)s)")
     p.add_argument("-o", "--out", help="directory for trace.json and system.json")
     _add_common(p)
     p.set_defaults(func=cmd_demo)

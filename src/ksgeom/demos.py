@@ -15,6 +15,16 @@ frame, which forces value 1 on both left-half members of a fixed tripod.
 
 Each step runs in the frame the trace derives from its value-1 pole fact;
 the demos pass pole facts, never rotations.
+
+How a height-1/sqrt(2) split tripod is turned about its pole is free (the
+paper takes each frame "by a rotation we can assume"), and it sets the
+system's size: a reach chain from a zeroed height-1/sqrt(2) ray turns the
+azimuth gap to its target, and a spiral from plane radius 1 needs about
+gap^2 / (2 ln R) steps to grow the radius by R. Each split therefore faces
+its equator member along the line where its children's chains end (toward
+p' under the seed pole, toward the witness under p'), so both zeroed
+height-1/sqrt(2) rays sit a quarter turn from every chain target, and the
+system's size does not depend on the target's azimuth.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from collections.abc import Iterator
 from .errors import BadN, BadPole, NotInRightHalf
 from .plane import Side, side_of
 from .sphere import EPS, Ray, Rotation, Tripod, Vec3, canonicalize, third_point
-from .trace import DerivationTrace, completion_partners, to_world
+from .trace import DerivationTrace, completion_partners, to_frame, to_world
 
 _R2 = math.sqrt(0.5)
 
@@ -33,8 +43,11 @@ _R2 = math.sqrt(0.5)
 #: pole together with two equator axes.
 SEED_TRIPOD_VECS: tuple[Vec3, Vec3, Vec3] = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
-#: Default frame-relative re-poling target, z = cos(0.3) ~ 0.955.
-DEFAULT_POLE_ANGLE = 0.3
+#: Default frame-relative re-poling target's angle from the frame pole, used
+#: by demo second and by ks demo first's default --pole (0, sin, cos of it):
+#: the middle of the plateau 0.42 <= theta <= 0.46 where both demos are
+#: smallest (158 and 212 rays).
+DEFAULT_POLE_ANGLE = 0.44
 
 
 def qn_sequence(n: int) -> Ray:
@@ -87,15 +100,25 @@ def _force_one(
     return ray, t.triad_one(branch, ray, e_fid, w_fid)
 
 
-def _height_split(t: DerivationTrace, branch: int, pole_fact: int) -> Iterator[tuple[int, int]]:
-    """Split on the pole frame's height-1/sqrt(2) tripod.
+def _height_split(
+    t: DerivationTrace, branch: int, pole_fact: int, aim_f: Vec3
+) -> Iterator[tuple[int, int]]:
+    """Split on the pole frame's height-1/sqrt(2) tripod, faced toward aim_f.
 
+    The tripod is turned about the frame pole so that its equator member
+    e* lies in the azimuth of the frame point aim_f. Both height-1/sqrt(2)
+    members then sit a quarter turn from that azimuth and from the opposite
+    one, where the children's reach chains end: at the third points of p'
+    and of the witness under the seed pole, at the witness itself under p'.
     Yields (child, fact zeroing a height-1/sqrt(2) ray), u_plus = 1 child
     first; the u_plus = 0 child's facts follow the caller's work on the first.
     """
     frame = t.frame(pole_fact)
+    h = math.hypot(aim_f[0], aim_f[1])
+    ux, uy = aim_f[0] / h, aim_f[1] / h
     e_star, u_plus, u_minus = (
-        to_world(frame, v) for v in ((1.0, 0.0, 0.0), (0.0, _R2, _R2), (0.0, -_R2, _R2))
+        to_world(frame, v)
+        for v in ((ux, uy, 0.0), (-_R2 * uy, _R2 * ux, _R2), (_R2 * uy, -_R2 * ux, _R2))
     )
     e_fid = t.orthogonal_zero(branch, e_star, pole_fact)
     b0, b1 = t.split(branch, Tripod(u_plus, u_minus, e_star), u_plus)
@@ -131,14 +154,14 @@ def _heights_and_clash(
     wit, _ = _force_one(t, branch, pole_fact, wit_f, zero45_fact)
 
     # Re-pole at p' and run the frame argument there far enough to zero the
-    # witness in both sub-branches.
-    for child, zero45 in _height_split(t, branch, p1_fid):
+    # witness in both sub-branches, the split faced toward the witness.
+    for child, zero45 in _height_split(t, branch, p1_fid, to_frame(t.frame(p1_fid), wit).vec):
         t.lemma_zero(child, zero45, wit, p1_fid)
 
 
 def _pole_refutation(t: DerivationTrace, branch: int, pole_fact: int, pprime_f: Vec3) -> None:
     """Close a branch holding v(pole)=1 via the re-poling contradiction."""
-    for child, zero45 in _height_split(t, branch, pole_fact):
+    for child, zero45 in _height_split(t, branch, pole_fact, pprime_f):
         _heights_and_clash(t, child, pole_fact, pprime_f, zero45)
 
 

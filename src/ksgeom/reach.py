@@ -32,9 +32,19 @@ from .errors import (
 from .plane import PlanePoint, Side, circle_image_line, project, side_of, unproject
 from .sphere import EPS, Ray, Vec3, canonicalize, third_point
 
-#: Hard cap on shell size and spiral step count; hitting it means the height
-#: gap is below what the construction can resolve numerically.
+#: Hard cap on shell size; hitting it means the height gap is below what the
+#: construction can resolve numerically.
 N_MAX = 10**6
+
+#: Cap on reach's spiral step count k, so a chain holds at most k + 3 points;
+#: past it reach raises NoSuchN before it builds a point. Every pair with a
+#: height gap of at least 1e-3, the acceptance suite's law, needs at most
+#: 1,900 steps; the suite's 1000 pairs need at most 628 (3.2x below the cap)
+#: and the benchmark's reach pairs at most 267. ks demo first's longest
+#: chain is about 1.25/theta points for a target theta from its frame pole,
+#: so the cap refuses targets within about 6e-4 rad of the pole or 3e-4 rad
+#: of the rim, where a demo would hold some 70,000 rays.
+MAX_SPIRAL_STEPS = 2_000
 
 MIN_SHELL_N = 5
 
@@ -123,17 +133,17 @@ def shell(q: Ray, n: int) -> list[Ray]:
     return [q, *_spiral(q, 2.0 * math.pi, n)]
 
 
-def _least_steps(admissible: Callable[[int], bool], first: int, what: str) -> int:
-    """Smallest k in [first, N_MAX] with admissible(k), for a criterion monotone in k.
+def _least_steps(admissible: Callable[[int], bool], first: int, cap: int, what: str) -> int:
+    """Smallest k in [first, cap] with admissible(k), for a criterion monotone in k.
 
     Doubles from first until admissible, then bisects. Raises NoSuchN past
-    N_MAX, which signals heights too close to separate numerically.
+    cap, which signals heights too close to separate within the cap.
     """
     lo, hi = first - 1, first
     while not admissible(hi):
-        if hi >= N_MAX:
-            raise NoSuchN(f"no admissible {what} up to {N_MAX}")
-        lo, hi = hi, min(2 * hi, N_MAX)
+        if hi >= cap:
+            raise NoSuchN(f"no admissible {what} up to {cap}")
+        lo, hi = hi, min(2 * hi, cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if admissible(mid):
@@ -165,7 +175,7 @@ def choose_shell_n(q: Ray, p: Ray) -> int:
     def admissible(n: int) -> bool:
         return d0 * math.cos(2.0 * math.pi / n) ** (-n) < target * math.cos(math.pi / n)
 
-    return _least_steps(admissible, MIN_SHELL_N, "shell size")
+    return _least_steps(admissible, MIN_SHELL_N, N_MAX, "shell size")
 
 
 def _spiral_steps(d0: float, target: float, delta: float) -> int:
@@ -174,14 +184,14 @@ def _spiral_steps(d0: float, target: float, delta: float) -> int:
     k equal turns of delta/k under the 1/cos growth law end at plane radius
     d0 * cos(delta/k)^(-k) on the azimuth delta. Because -log cos is convex,
     that radius falls as k grows, so the criterion is monotone in k. Raises
-    NoSuchN past N_MAX.
+    NoSuchN past MAX_SPIRAL_STEPS.
     """
 
     def admissible(k: int) -> bool:
         c = math.cos(delta / k)
         return c > 0.0 and d0 * c ** (-k) < target
 
-    return _least_steps(admissible, 1, "spiral step count")
+    return _least_steps(admissible, 1, MAX_SPIRAL_STEPS, "spiral step count")
 
 
 def reach(q: Ray, p: Ray) -> ReachCertificate:
@@ -191,9 +201,10 @@ def reach(q: Ray, p: Ray) -> ReachCertificate:
     follows the spiral that turns delta, the signed azimuth gap from h(q)
     to h(p) (|delta| <= pi), in k equal steps, where k is the fewest steps
     that end inside radius |h(p)|; it stops at the first spiral point whose
-    circle has p on or beyond it, and shell_n holds k. Otherwise shell_n is
-    None. A step_one point follows unless p is already on the last point's
-    circle, and p ends the chain.
+    circle has p on or beyond it, and shell_n holds k; a k above
+    MAX_SPIRAL_STEPS raises NoSuchN before any point is built. Otherwise
+    shell_n is None. A step_one point follows unless p is already on the
+    last point's circle, and p ends the chain.
     """
     if not (p.is_northern() and q.is_northern()):
         raise NotNorthern("both points must be northern")

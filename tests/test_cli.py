@@ -1,17 +1,22 @@
 import argparse
+import importlib
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ksgeom
 from ksgeom.cli import build_parser, main
+from ksgeom.demos import DEFAULT_POLE_ANGLE, demo_first_proof
 from ksgeom.errors import ERROR_CLASSES, EXIT_CODES, EXIT_EXPECTATION, EXIT_REJECTED
+from ksgeom.serialize import save_trace
+from ksgeom.sphere import canonicalize
 
 from conftest import random_northern
 
@@ -282,6 +287,12 @@ class TestDemoAndColor:
         leaves = [b for b in trace_doc["branches"] if b["children"] is None]
         assert leaves and all(b["contradiction"] for b in leaves)
 
+    def test_first_demo_default_pole(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "demo", "first", "-o", str(tmp_path))
+        assert code == 0
+        pole = canonicalize((0.0, math.sin(DEFAULT_POLE_ANGLE), math.cos(DEFAULT_POLE_ANGLE)))
+        assert (tmp_path / "trace.json").read_text() == save_trace(demo_first_proof(pole))
+
     def test_color_single_triad_file(self, tmp_path, capsys):
         f = write_single_triad(tmp_path / "triad.json")
         code, out, _ = run(capsys, "color", str(f), "--mode", "count", "--json")
@@ -445,6 +456,35 @@ class TestUsageErrors:
         else:
             assert err.startswith("error [UsageError]: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+
+class TestBoundedWork:
+    """Inputs whose reach chain would pass the spiral cap are refused with
+    NoSuchN (exit 8) in milliseconds, and nothing is written."""
+
+    def test_reach_tiny_height_gap(self, tmp_path, capsys, monkeypatch):
+        # heights 0.6 and 0.59999 half a turn apart need some 190,000 steps
+        def no_points(pt):
+            raise AssertionError("a chain point was built")
+
+        monkeypatch.setattr(importlib.import_module("ksgeom.reach"), "unproject", no_points)
+        out = tmp_path / "cert.json"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "reach", "--from", "0.8,0,0.6",
+                           "--to=-sqrt(1-0.59999*0.59999),0,0.59999", "-o", str(out))
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_CODES["NoSuchN"] == 8
+        assert "NoSuchN" in err and not out.exists()
+
+    def test_demo_first_near_the_pole(self, tmp_path, capsys):
+        # theta = 1e-4: the longest chain would hold about 1.25/theta = 12,500 points
+        out = tmp_path / "demo"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "demo", "first", "--pole", "0,sin(1e-4),cos(1e-4)",
+                           "-o", str(out))
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_CODES["NoSuchN"] == 8
+        assert "NoSuchN" in err and not out.exists()
 
 
 class TestCommandSurface:

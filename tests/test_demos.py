@@ -7,6 +7,7 @@ import pytest
 from ksgeom import trace as trace_module
 from ksgeom.coloring import SolveMode, refute_by_core_enumeration, solve
 from ksgeom.demos import (
+    DEFAULT_POLE_ANGLE,
     SEED_TRIPOD_VECS,
     cover_index,
     demo_first_proof,
@@ -39,7 +40,7 @@ GOLDEN_ANGLE = math.pi * (3 - math.sqrt(5))
 
 
 def default_pole():
-    return canonicalize((0.0, math.sin(0.3), math.cos(0.3)))
+    return canonicalize((0.0, math.sin(DEFAULT_POLE_ANGLE), math.cos(DEFAULT_POLE_ANGLE)))
 
 
 def polar_target(theta, phi):
@@ -302,17 +303,17 @@ class TestPinnedOutputs:
         [
             pytest.param(
                 "first",
-                "54ac44acb111fef6a6e9953eeaf52794d8aa8ea9ae99e19e1067e1ee338077d8",
-                "cc23e5f90303fa743c64f2e9caf55b5daab4aff9cc35d043aa51d6d4979876ac",
-                (389, 602, 23),
+                "612c525eb0e9f09b11b1954269bfb01b649107af292fa82bc6c41f4cb9da824f",
+                "3951edf193e1691ee142b0a2660d6f9c82140448111366ffa9a433d4c15c74b2",
+                (158, 279, 23),
                 8,
                 id="first",
             ),
             pytest.param(
                 "second",
-                "8d3977d99f36f540f3563c56580adc1d5539b5d460d88e5fbc600ab7de981aa4",
-                "d084b7dde44706383d10779bee9ca631db7418772c57a378694551f336da117e",
-                (428, 628, 29),
+                "2eb156c188d0850b2b1f36c94a8c35ee19ca578155546cd42510393a7f92093f",
+                "7b6e4c71497cde5a51bcfe734b9e6dd253c697272e35f62952d9c34b969c3953",
+                (212, 332, 29),
                 11,
                 id="second",
             ),
@@ -405,13 +406,27 @@ class TestWitnessesFromDocument:
         assert max(residuals) <= doc["eps"]
 
 
+class TestSplitFacing:
+    """Each height split faces its children's chain targets, so demo first's
+    system has one size per target height, whatever the target's azimuth.
+    Azimuths on an axis are left out: there some more rays can merge."""
+
+    @pytest.mark.parametrize("theta", [0.2, 0.44, 0.7])
+    def test_size_independent_of_azimuth(self, theta):
+        sizes = set()
+        for i in range(1, 9):
+            s = extract_triad_system(demo_first_proof(polar_target(theta, i * GOLDEN_ANGLE)))
+            sizes.add((s.n_rays, len(s.triads), len(s.pairs)))
+        assert len(sizes) == 1
+
+
 class TestGeometryMemos:
     """A trace computes each reach certificate and each completion pair once:
     replays of the reachability lemma in other seed frames reuse them."""
 
     @pytest.mark.parametrize("build, reaches, partners, expansions", [
-        (lambda: demo_first_proof(default_pole()), 10, 135, 198),
-        (demo_second_proof, 22, 139, 200),
+        (lambda: demo_first_proof(default_pole()), 14, 60, 90),
+        (demo_second_proof, 22, 69, 102),
     ], ids=["first", "second"])
     def test_calls_per_demo(self, build, reaches, partners, expansions, monkeypatch):
         counts = {"reach": 0, "partners": 0, "expansions": 0}
@@ -480,8 +495,8 @@ class TestRayTableProbes:
         monkeypatch.setattr(Ray, "same_subspace", counting_probe)
         t = demo_second_proof()
         monkeypatch.undo()
-        assert len(t.rays) == 428
-        assert counts == {"lookups": 724, "probes": 352}
+        assert len(t.rays) == 212
+        assert counts == {"lookups": 430, "probes": 252}
 
 
 def indent_1(text: str) -> str:
@@ -566,7 +581,7 @@ class TestTraceStructure:
             assert b.branch in t.branches[leaf].scope
 
     @pytest.mark.parametrize(
-        "which, counts", [("first", (186, 174, 24)), ("second", (199, 170, 30))]
+        "which, counts", [("first", (79, 66, 24)), ("second", (99, 72, 30))]
     )
     def test_zero_facts_cite_their_one_last(self, which, counts, first_trace, second_trace):
         # extract_triad_system reads each zero-against-one pair off premises[-1]

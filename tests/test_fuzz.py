@@ -4,9 +4,12 @@ Hostile documents (random bytes, random JSON, near-valid documents with
 one field swapped for junk) must end in a documented exit code: the
 loaders either return or raise a library error, and `ks color` and
 `ks verify` always return a code from the README's exit-code table
-without printing a traceback. The one-pass loaders must also agree with
-the step-by-step loaders they replaced, kept here as the reference: the
-same object, or the same first error with the same message.
+without printing a traceback. Hostile geometry (`ks reach` across a tiny
+height gap, `ks demo first` with a target near the pole or the rim) is
+refused, or admitted with no chain past the spiral cap. The one-pass
+loaders must also agree with the step-by-step loaders they replaced, kept
+here as the reference: the same object, or the same first error with the
+same message.
 """
 
 import io
@@ -21,8 +24,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ksgeom.cli import main
-from ksgeom.errors import EXIT_INTERNAL, InvalidSystem, KsError, ParseError, ValidationError
-from ksgeom.reach import ReachCertificate
+from ksgeom.errors import (
+    EXIT_CODES,
+    EXIT_INTERNAL,
+    InvalidSystem,
+    KsError,
+    ParseError,
+    ValidationError,
+)
+from ksgeom.reach import MAX_SPIRAL_STEPS, ReachCertificate
 from ksgeom.serialize import load_certificate
 from ksgeom.sphere import Ray, canonicalize
 from ksgeom.system import (
@@ -336,4 +346,49 @@ class TestCommands:
         doc_path.write_bytes(text)
         code, err = run_cli(["verify", str(doc_path), *(["--json"] if as_json else [])])
         assert code in EXIT_TABLE and code != EXIT_INTERNAL
+        assert "Traceback" not in err
+
+
+def polar(theta: float, phi: float) -> str:
+    """Vector text of the point theta from the pole at azimuth phi."""
+    st = math.sin(theta)
+    return f"{st * math.cos(phi)!r},{st * math.sin(phi)!r},{math.cos(theta)!r}"
+
+
+def height_point(z: float, phi: float) -> str:
+    """Vector text of the point at height z and azimuth phi."""
+    s = math.sqrt(1.0 - z * z)
+    return f"{s * math.cos(phi)!r},{s * math.sin(phi)!r},{z!r}"
+
+
+HOSTILE = settings(FUZZ, max_examples=40)
+
+
+class TestBoundedWork:
+    @HOSTILE
+    @given(
+        st.floats(0.01, 0.99),
+        st.floats(0.0, 1e-5),
+        st.floats(-math.pi, math.pi),
+    )
+    @example(0.6, 1e-5, math.pi)  # some 190,000 steps: NoSuchN
+    def test_reach_small_height_gap(self, z, gap, turn):
+        argv = ["reach", f"--from={height_point(z, 0.0)}", f"--to={height_point(z - gap, turn)}"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--json"])
+        assert code in EXIT_TABLE and code != EXIT_INTERNAL
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert json.loads(out.getvalue())["summary"]["points"] <= MAX_SPIRAL_STEPS + 3
+
+    @HOSTILE
+    @given(
+        st.one_of(st.floats(0.0, 5e-4), st.floats(math.pi / 4 - 2.5e-4, math.pi / 2)),
+        st.floats(0.0, 2 * math.pi),
+    )
+    @example(1e-4, math.pi / 2)  # the longest chain would hold about 12,500 points
+    def test_demo_first_near_an_edge(self, theta, phi):
+        code, err = run_cli(["demo", "first", f"--pole={polar(theta, phi)}"])
+        assert code in (EXIT_CODES["BadPole"], EXIT_CODES["NoSuchN"]), err
         assert "Traceback" not in err

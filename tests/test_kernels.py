@@ -6,7 +6,7 @@ import pytest
 
 from ksgeom import kernels
 from ksgeom.coloring import SolveMode, count_colorings_by_enumeration, solve
-from ksgeom.demos import demo_first_proof, demo_second_proof
+from ksgeom.demos import DEFAULT_POLE_ANGLE, demo_first_proof, demo_second_proof
 from ksgeom.sphere import canonicalize, complete_tripod
 from ksgeom.system import TriadSystem
 from ksgeom.trace import extract_triad_system
@@ -91,10 +91,11 @@ class TestKernelRegression:
         assert (count.count, count.nodes_explored) == (2**k + 1, 2 ** (k + 1))
         assert solve(s, SolveMode.FIRST_WITNESS).nodes_explored == 1
 
-    @pytest.mark.parametrize("which, nodes", [("first", 10), ("second", 88)])
+    @pytest.mark.parametrize("which, nodes", [("first", 10), ("second", 32)])
     def test_demo_node_counts(self, which, nodes):
         if which == "first":
-            t = demo_first_proof(canonicalize((0.0, math.sin(0.3), math.cos(0.3))))
+            pole = (0.0, math.sin(DEFAULT_POLE_ANGLE), math.cos(DEFAULT_POLE_ANGLE))
+            t = demo_first_proof(canonicalize(pole))
         else:
             t = demo_second_proof()
         s = extract_triad_system(t)

@@ -14,6 +14,7 @@ from ksgeom.errors import (
 )
 from ksgeom.plane import PlanePoint, Side, project, side_of, unproject
 from ksgeom.reach import (
+    MAX_SPIRAL_STEPS,
     N_MAX,
     ReachCertificate,
     asymptotic_residual,
@@ -298,7 +299,7 @@ class TestSpiral:
         assert spiral_total < shell_total / 2
 
     def test_no_such_n_builds_no_point(self, monkeypatch):
-        # plane radii 1 and 1 + 1e-6 half a turn apart need k ~ 4.9e6 > N_MAX
+        # plane radii 1 and 1 + 1e-6 half a turn apart need k ~ 4.9e6 > MAX_SPIRAL_STEPS
         q = unproject(PlanePoint(1, 0))
         p = unproject(PlanePoint(-(1 + 1e-6), 0))
 
@@ -308,6 +309,33 @@ class TestSpiral:
         monkeypatch.setattr(reach_module, "unproject", no_points)
         with pytest.raises(NoSuchN):
             reach(q, p)
+
+
+class TestSpiralCap:
+    def test_cap_is_the_last_admitted_step_count(self):
+        # half a turn from plane radius 1 ends at cos(pi/k)^-k, falling in k
+        at_cap = math.cos(math.pi / MAX_SPIRAL_STEPS) ** -MAX_SPIRAL_STEPS
+        assert reach_module._spiral_steps(1.0, at_cap * (1 + 1e-12), math.pi) == MAX_SPIRAL_STEPS
+        with pytest.raises(NoSuchN):
+            reach_module._spiral_steps(1.0, at_cap * (1 - 1e-12), math.pi)
+
+    def test_every_acceptance_gap_admitted(self):
+        # a height gap of 1e-3 separates the plane radii least near
+        # z = 1/sqrt(3); half a turn there is the acceptance law's longest chain
+        def radius(z):
+            return math.sqrt(1 - z * z) / z
+
+        worst = max(
+            reach_module._spiral_steps(radius(z), radius(z - 1e-3), math.pi)
+            for z in (1e-3 + (1 - 2e-3) * i / 400 for i in range(1, 400))
+        )
+        assert 1800 < worst < MAX_SPIRAL_STEPS
+        z = 1 / math.sqrt(3) + 5e-4
+        q = canonicalize((math.sqrt(1 - z * z), 0.0, z))
+        p = canonicalize((-math.sqrt(1 - (z - 1e-3) ** 2), 0.0, z - 1e-3))
+        cert = reach(q, p)
+        assert verify_certificate(cert).accepted
+        assert 1800 < cert.shell_n <= MAX_SPIRAL_STEPS
 
 
 class TestVerifyCertificate:
