@@ -9,6 +9,8 @@ Subcommands:
 
 Vector components accept plain numbers or simple expressions over + - * /,
 parentheses, sin, cos, tan, sqrt and pi, e.g. --pole 0,sin(0.44),cos(0.44).
+A vector may start with '-': --pole -0.2,0.3,0.93 and --pole=-0.2,0.3,0.93
+are the same.
 Unnormalized inputs are canonicalized with a warning once the norm strays
 more than 1e-6 from 1. Every command compares at the fixed tolerance
 ksgeom.EPS = 1e-9; color validates a system at its document's own eps.
@@ -258,6 +260,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Options whose value is a vector. A value that starts with "-" (a negative
+#: first component) would be read by argparse as an option of its own.
+_VECTOR_OPTIONS = ("--from", "--to", "--pole")
+
+
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    """argv with each vector option and a following "-..." word joined as
+    "--option=-...", the spelling argparse reads as the option's value."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and word[:1] == "-" and word[:2] != "--":
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def _report_error(args: argparse.Namespace, code: int, kind: str, message: str) -> int:
     error = {"error": {"type": kind, "message": message}}
     _stderr(json.dumps(error) if args.json else f"error [{kind}]: {message}")
@@ -265,7 +284,9 @@ def _report_error(args: argparse.Namespace, code: int, kind: str, message: str) 
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_vector_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         code, doc, text = args.func(args)
     except KsError as exc:

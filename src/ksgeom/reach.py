@@ -3,13 +3,14 @@
 A point p can be reached from q when a finite chain q = c_0, ..., c_k = p
 exists with each c_i on the great circle of c_{i-1}. This module builds
 such chains: a one-step construction when p is already beyond the circle
-of q, and otherwise an outward spiral whose circles eventually put p on
-the reachable side. One spiral law serves both constructions: each step
-turns the plane azimuth by a fixed angle and grows the plane radius by
-1/cos of it, which keeps every point on the circle of the one before. The
-paper's shell turns a full 2*pi in n steps; reach turns only the signed
-azimuth gap from h(q) to h(p) in k steps, which gives much shorter chains.
-Both take the least step count the growth law admits, found by one
+of q, and otherwise an outward spiral that ends two links short of p and
+is closed by the same Thales construction. One spiral law serves both the
+paper's shell and reach: each step turns the plane azimuth by a fixed
+angle and grows the plane radius by 1/cos of it, which keeps every point
+on the circle of the one before. The paper's shell turns a full 2*pi in n
+steps; reach turns only the signed azimuth gap from h(q) to h(p) in k
+steps, the fewest links any chain can have, which gives much shorter
+chains. Both take the least step count the growth law admits, found by one
 doubling-and-bisection search.
 Certificates carry every chain point and are re-checkable without
 trusting the construction.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     AtPole,
@@ -36,14 +38,15 @@ from .sphere import EPS, Ray, Vec3, canonicalize, third_point
 #: construction can resolve numerically.
 N_MAX = 10**6
 
-#: Cap on reach's spiral step count k, so a chain holds at most k + 3 points;
+#: Cap on reach's spiral step count k, so a chain holds at most k + 1 points;
 #: past it reach raises NoSuchN before it builds a point. Every pair with a
 #: height gap of at least 1e-3, the acceptance suite's law, needs at most
 #: 1,900 steps; the suite's 1000 pairs need at most 628 (3.2x below the cap)
 #: and the benchmark's reach pairs at most 267. ks demo first's longest
-#: chain is about 1.25/theta points for a target theta from its frame pole,
-#: so the cap refuses targets within about 6e-4 rad of the pole or 3e-4 rad
-#: of the rim, where a demo would hold some 70,000 rays.
+#: chain is about 1.25/theta points for a target theta from its frame pole
+#: (4 points, k = 3, at the default theta = 0.44), so the cap refuses
+#: targets within about 6e-4 rad of the pole or 3e-4 rad of the rim, where
+#: a demo would hold some 70,000 rays.
 MAX_SPIRAL_STEPS = 2_000
 
 MIN_SHELL_N = 5
@@ -57,7 +60,9 @@ class ReachCertificate:
     must satisfy the on-circle invariant and every point must be strictly
     northern. Points are stored as plain coordinate triples so that
     verify_certificate can judge documents produced elsewhere. shell_n is
-    the spiral's step count k, None for a direct chain.
+    the spiral's step count k, which is also the chain's link count (k + 1
+    points: q, the spiral's first k - 2 points, a step_one point and p);
+    None for a direct chain.
     """
 
     points: tuple[Vec3, ...]
@@ -75,26 +80,34 @@ class VerifyReport:
 
 
 def step_one(q: Ray, p: Ray) -> Ray:
-    """A point on q's circle whose own circle passes through p.
+    """A point x on q's circle whose own circle passes through p.
 
-    Requires p on or beyond q's circle. In plane coordinates the unknown
-    foot x = F + t*dir must satisfy the right-angle condition x.(x - P) = 0,
-    a quadratic with roots of opposite sign; the nonnegative root is taken,
-    which makes the output deterministic (the other root is the mirror
-    image and equally valid).
+    In plane coordinates x = F + t*dir runs along q's image line, and p is
+    on x's circle when x.(x - P) = 0: x lies on the Thales circle with
+    diameter O-P. That is the quadratic t^2 - b*t + c = 0 with b = dir.P
+    and c = F.F - F.P. For p beyond q's circle (c < 0) the roots have
+    opposite signs and the nonnegative one is taken. For p on the pole side
+    (c > 0) both roots have b's sign, and the one of larger magnitude is
+    taken; there x exists only when the Thales circle meets the line, that
+    is when p is two links from q, and a miss by more than rounding raises
+    NotReachableDirectly. Either way the output is deterministic (the other
+    root is equally valid).
     """
-    side = side_of(p, q)
-    if side is Side.POLE_SIDE:
-        raise NotReachableDirectly("target is on the pole side of the circle")
-    if side is Side.ON_CIRCLE:
+    if side_of(p, q) is Side.ON_CIRCLE:
         return q
     f_pt = project(q)
     p_pt = project(p)
     r = circle_image_line(q).dir
     b = r[0] * p_pt.u + r[1] * p_pt.v
-    c = f_pt.dot(f_pt) - f_pt.dot(p_pt)
-    disc = b * b - 4.0 * c
-    if disc < 0.0:  # only reachable via roundoff right at the circle
+    ff, fp = f_pt.dot(f_pt), f_pt.dot(p_pt)
+    disc = b * b - 4.0 * (ff - fp)
+    if disc < 0.0:
+        # a tangent Thales circle computes a discriminant that misses 0 by
+        # rounding (9e-14 of its terms' scale at worst on near-tangent
+        # spirals up to MAX_SPIRAL_STEPS); a miss within 1e-12 of the scale
+        # leaves p off x's circle by at most 4e-12, so x = F + (b/2)*dir
+        if disc < -1e-12 * (b * b + 4.0 * (ff + abs(fp))):
+            raise NotReachableDirectly("target is more than two links from the circle")
         disc = 0.0
     t = (b + math.sqrt(disc)) / 2.0
     if t < 0.0:
@@ -197,14 +210,15 @@ def _spiral_steps(d0: float, target: float, delta: float) -> int:
 def reach(q: Ray, p: Ray) -> ReachCertificate:
     """Certificate that p can be reached from q, for northern p_z < q_z - eps.
 
-    The chain starts at q. When p is on the pole side of q's circle, it
-    follows the spiral that turns delta, the signed azimuth gap from h(q)
-    to h(p) (|delta| <= pi), in k equal steps, where k is the fewest steps
-    that end inside radius |h(p)|; it stops at the first spiral point whose
-    circle has p on or beyond it, and shell_n holds k; a k above
-    MAX_SPIRAL_STEPS raises NoSuchN before any point is built. Otherwise
-    shell_n is None. A step_one point follows unless p is already on the
-    last point's circle, and p ends the chain.
+    The chain starts at q. When p is on the pole side of q's circle, k is
+    the least number of links that can carry the plane radius from |h(q)|
+    to |h(p)| across delta, the signed azimuth gap from h(q) to h(p)
+    (|delta| <= pi): by convexity of -log cos, equal turns of delta/k are
+    the best k links can do. The chain follows the first k - 2 points of
+    the spiral that turns delta in k equal steps and shell_n holds k; a k
+    above MAX_SPIRAL_STEPS raises NoSuchN before any point is built.
+    Otherwise shell_n is None. A step_one point follows unless p is already
+    on q's circle, and p ends the chain: k + 1 points after a spiral.
     """
     if not (p.is_northern() and q.is_northern()):
         raise NotNorthern("both points must be northern")
@@ -220,15 +234,12 @@ def reach(q: Ray, p: Ray) -> ReachCertificate:
         f, h = project(q), project(p)
         delta = math.remainder(math.atan2(h.v, h.u) - math.atan2(f.v, f.u), 2.0 * math.pi)
         k = _spiral_steps(f.norm(), h.norm(), delta)
-        for point in _spiral(q, delta, k):
-            points.append(point)
-            side = side_of(p, point)
-            if side is not Side.POLE_SIDE:
-                break
+        # k >= 2, since one link suffices exactly when p is beyond q's circle;
+        # the last spiral point then has p two links away, which step_one
+        # bridges (should rounding say otherwise, it fails closed with
+        # NotReachableDirectly)
+        points.extend(islice(_spiral(q, delta, k), k - 2))
     if side is not Side.ON_CIRCLE:
-        # p is beyond the last point's circle (on a spiral, by the choice of
-        # k); should rounding say otherwise, step_one fails closed with
-        # NotReachableDirectly
         points.append(step_one(points[-1], p))
     points.append(p)
     return ReachCertificate(points=tuple(r.vec for r in points), shell_n=k)

@@ -14,8 +14,10 @@ and trace formats. Schemas:
 certificate:
   {"eps": e, "shell_n": k | null, "points": [[x,y,z], ...],
    "residuals": [r0, ...]}        # one residual per consecutive link
-  e lies in (0, 1e-3); k is the spiral's number of equal azimuth turns,
-  null for a direct chain
+  e lies in (0, 1e-3); k is the spiral's number of equal azimuth turns and
+  the chain's number of links (k + 1 points: the source, the spiral's
+  first k - 2 points, one step_one point, the target); null for a direct
+  chain
 
 trace:
   {"eps": e,

@@ -253,6 +253,40 @@ class TestVerifyCommand:
         assert out == "" and "tolerance eps must lie in (0, 1e-3)" in err
 
 
+class TestVectorValuesStartingWithMinus:
+    """A vector option's value may start with '-', as its own word or after '='."""
+
+    @pytest.mark.parametrize("spelling", ["word", "equals"])
+    @pytest.mark.parametrize("value, vec", [
+        ("-0.2,0.3,0.93", (-0.2, 0.3, 0.93)),
+        ("-sin(0.3),0,cos(0.3)", (-math.sin(0.3), 0.0, math.cos(0.3))),
+    ], ids=["number", "expression"])
+    def test_demo_first_pole(self, tmp_path, capsys, spelling, value, vec):
+        argv = ["--pole", value] if spelling == "word" else [f"--pole={value}"]
+        code, _, err = run(capsys, "demo", "first", *argv, "-o", str(tmp_path))
+        assert code == 0, err
+        pole = canonicalize(vec)
+        assert (tmp_path / "trace.json").read_text() == save_trace(demo_first_proof(pole))
+
+    @pytest.mark.parametrize("spelling", ["word", "equals"])
+    def test_reach_from_and_to(self, tmp_path, capsys, spelling):
+        src, dst = "-sin(0.8),0,cos(0.8)", "-0.4,0.5,0.2"
+        argv = (["--from", src, "--to", dst] if spelling == "word"
+                else [f"--from={src}", f"--to={dst}"])
+        out = tmp_path / "cert.json"
+        code, _, err = run(capsys, "reach", *argv, "-o", str(out))
+        assert code == 0, err
+        points = json.loads(out.read_text())["points"]
+        assert points[0] == list(canonicalize((-math.sin(0.8), 0, math.cos(0.8))).vec)
+        assert points[-1] == list(canonicalize((-0.4, 0.5, 0.2)).vec)
+
+    def test_a_missing_value_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "first", "--pole", "--json"])
+        assert exc.value.code == EXIT_CODES["usage"]
+        assert "--pole" in capsys.readouterr().err
+
+
 class TestDemoAndColor:
     def test_second_demo_pipeline(self, tmp_path, capsys):
         code, out, _ = run(capsys, "demo", "second", "-o", str(tmp_path), "--json")

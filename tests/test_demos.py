@@ -303,17 +303,17 @@ class TestPinnedOutputs:
         [
             pytest.param(
                 "first",
-                "612c525eb0e9f09b11b1954269bfb01b649107af292fa82bc6c41f4cb9da824f",
-                "3951edf193e1691ee142b0a2660d6f9c82140448111366ffa9a433d4c15c74b2",
-                (158, 279, 23),
+                "3853e752b53436fcd14c3ccf2bd477765f9799d5c6ca6873aeeaf07043f76f2c",
+                "3e75808b826242287e8381e6e92711673cb65c3e270ae189192238af427c16f6",
+                (105, 207, 23),
                 8,
                 id="first",
             ),
             pytest.param(
                 "second",
-                "2eb156c188d0850b2b1f36c94a8c35ee19ca578155546cd42510393a7f92093f",
-                "7b6e4c71497cde5a51bcfe734b9e6dd253c697272e35f62952d9c34b969c3953",
-                (212, 332, 29),
+                "17dc776a469a0a06b918cb18d80a26a61173b7dde02af82328777fd033a794ed",
+                "c790d56f529b8c60138a9b6d7c8bbb170956b15fee81cb61b50abf23f3f66c45",
+                (158, 260, 29),
                 11,
                 id="second",
             ),
@@ -425,8 +425,8 @@ class TestGeometryMemos:
     replays of the reachability lemma in other seed frames reuse them."""
 
     @pytest.mark.parametrize("build, reaches, partners, expansions", [
-        (lambda: demo_first_proof(default_pole()), 14, 60, 90),
-        (demo_second_proof, 22, 69, 102),
+        (lambda: demo_first_proof(default_pole()), 10, 42, 66),
+        (demo_second_proof, 22, 51, 78),
     ], ids=["first", "second"])
     def test_calls_per_demo(self, build, reaches, partners, expansions, monkeypatch):
         counts = {"reach": 0, "partners": 0, "expansions": 0}
@@ -495,8 +495,8 @@ class TestRayTableProbes:
         monkeypatch.setattr(Ray, "same_subspace", counting_probe)
         t = demo_second_proof()
         monkeypatch.undo()
-        assert len(t.rays) == 212
-        assert counts == {"lookups": 430, "probes": 252}
+        assert len(t.rays) == 158
+        assert counts == {"lookups": 358, "probes": 234}
 
 
 def indent_1(text: str) -> str:
@@ -581,7 +581,7 @@ class TestTraceStructure:
             assert b.branch in t.branches[leaf].scope
 
     @pytest.mark.parametrize(
-        "which, counts", [("first", (79, 66, 24)), ("second", (99, 72, 30))]
+        "which, counts", [("first", (55, 42, 24)), ("second", (75, 48, 30))]
     )
     def test_zero_facts_cite_their_one_last(self, which, counts, first_trace, second_trace):
         # extract_triad_system reads each zero-against-one pair off premises[-1]

@@ -6,7 +6,9 @@ loaders either return or raise a library error, and `ks color` and
 `ks verify` always return a code from the README's exit-code table
 without printing a traceback. Hostile geometry (`ks reach` across a tiny
 height gap, `ks demo first` with a target near the pole or the rim) is
-refused, or admitted with no chain past the spiral cap. The one-pass
+refused, or admitted with no chain past the spiral cap; a vector that
+starts with '-' is read either way it is spelled. `step_one` either
+refuses a target or links it to q in two steps within EPS. The one-pass
 loaders must also agree with the step-by-step loaders they replaced, kept
 here as the reference: the same object, or the same first error with the
 same message.
@@ -29,12 +31,14 @@ from ksgeom.errors import (
     EXIT_INTERNAL,
     InvalidSystem,
     KsError,
+    NotReachableDirectly,
     ParseError,
     ValidationError,
 )
-from ksgeom.reach import MAX_SPIRAL_STEPS, ReachCertificate
+from ksgeom.plane import PlanePoint, unproject
+from ksgeom.reach import MAX_SPIRAL_STEPS, ReachCertificate, step_one
 from ksgeom.serialize import load_certificate
-from ksgeom.sphere import Ray, canonicalize
+from ksgeom.sphere import EPS, Ray, canonicalize, third_point
 from ksgeom.system import (
     TriadSystem,
     _json_eps,
@@ -361,6 +365,12 @@ def height_point(z: float, phi: float) -> str:
     return f"{s * math.cos(phi)!r},{s * math.sin(phi)!r},{z!r}"
 
 
+def vector_option(option: str, value: str, as_word: bool) -> list[str]:
+    """The option and its value as two words, or as one "option=value" word;
+    a value may start with '-' either way."""
+    return [option, value] if as_word else [f"{option}={value}"]
+
+
 HOSTILE = settings(FUZZ, max_examples=40)
 
 
@@ -370,25 +380,59 @@ class TestBoundedWork:
         st.floats(0.01, 0.99),
         st.floats(0.0, 1e-5),
         st.floats(-math.pi, math.pi),
+        st.booleans(),
     )
-    @example(0.6, 1e-5, math.pi)  # some 190,000 steps: NoSuchN
-    def test_reach_small_height_gap(self, z, gap, turn):
-        argv = ["reach", f"--from={height_point(z, 0.0)}", f"--to={height_point(z - gap, turn)}"]
+    @example(0.6, 1e-5, math.pi, True)  # some 190,000 steps: NoSuchN; --to starts with '-'
+    def test_reach_small_height_gap(self, z, gap, turn, as_word):
+        argv = ["reach", *vector_option("--from", height_point(z, 0.0), as_word),
+                *vector_option("--to", height_point(z - gap, turn), as_word)]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main([*argv, "--json"])
         assert code in EXIT_TABLE and code != EXIT_INTERNAL
         assert "Traceback" not in err.getvalue()
         if code == 0:
-            assert json.loads(out.getvalue())["summary"]["points"] <= MAX_SPIRAL_STEPS + 3
+            assert json.loads(out.getvalue())["summary"]["points"] <= MAX_SPIRAL_STEPS + 1
 
     @HOSTILE
     @given(
         st.one_of(st.floats(0.0, 5e-4), st.floats(math.pi / 4 - 2.5e-4, math.pi / 2)),
         st.floats(0.0, 2 * math.pi),
+        st.booleans(),
     )
-    @example(1e-4, math.pi / 2)  # the longest chain would hold about 12,500 points
-    def test_demo_first_near_an_edge(self, theta, phi):
-        code, err = run_cli(["demo", "first", f"--pole={polar(theta, phi)}"])
+    @example(1e-4, math.pi / 2, False)  # the longest chain would hold about 12,500 points
+    @example(1e-4, 3 * math.pi / 4, True)  # its first component is negative
+    def test_demo_first_near_an_edge(self, theta, phi, as_word):
+        code, err = run_cli(["demo", "first", *vector_option("--pole", polar(theta, phi), as_word)])
         assert code in (EXIT_CODES["BadPole"], EXIT_CODES["NoSuchN"]), err
         assert "Traceback" not in err
+
+
+def two_links_at_tangency(d0: float, delta: float, slack: float) -> tuple:
+    """(d0, 0, |h(p)|, delta) for a p that the two-link criterion admits with
+    d0 * cos(delta/2)^(-2) one part in 1/slack below |h(p)|."""
+    return d0, 0.0, d0 * math.cos(delta / 2) ** -2 * (1.0 + slack), delta
+
+
+plane_radii = st.floats(1e-3, 1e3)
+azimuths = st.floats(-math.pi, math.pi)
+
+
+class TestStepOne:
+    """step_one(q, p) either refuses p or returns a point x with x on q's
+    circle and p on x's circle, for any northern q off the pole and p."""
+
+    @FUZZ
+    @given(plane_radii, azimuths, plane_radii, azimuths)
+    @example(*two_links_at_tangency(1.0, 1.2, 1e-15))
+    @example(*two_links_at_tangency(0.3, -2.0, 1e-15))
+    @example(*two_links_at_tangency(1.0, 1.2, -1e-15))
+    def test_raises_or_links_both_ways(self, d_q, phi_q, d_p, phi_p):
+        q = unproject(PlanePoint(d_q * math.cos(phi_q), d_q * math.sin(phi_q)))
+        p = unproject(PlanePoint(d_p * math.cos(phi_p), d_p * math.sin(phi_p)))
+        try:
+            x = step_one(q, p)
+        except NotReachableDirectly:
+            return
+        assert abs(third_point(q).dot(x)) <= EPS
+        assert abs(third_point(x).dot(p)) <= EPS

@@ -68,6 +68,23 @@ class TestStepOne:
         with pytest.raises(NotReachableDirectly):
             step_one(q, p)
 
+    def test_pole_side_two_links_away(self):
+        # two links turn 1.2 from plane radius 1 up to cos(0.6)^-2 = 1.468 < 1.5
+        q = unproject(PlanePoint(1, 0))
+        p = unproject(PlanePoint(1.5 * math.cos(1.2), 1.5 * math.sin(1.2)))
+        assert side_of(p, q) is Side.POLE_SIDE
+        x = step_one(q, p)
+        assert abs(third_point(q).dot(x)) <= EPS
+        assert abs(third_point(x).dot(p)) <= EPS
+
+    def test_pole_side_more_than_two_links_away(self):
+        # 1.4 < cos(0.6)^-2: the Thales circle on O-P misses q's image line
+        q = unproject(PlanePoint(1, 0))
+        p = unproject(PlanePoint(1.4 * math.cos(1.2), 1.4 * math.sin(1.2)))
+        assert side_of(p, q) is Side.POLE_SIDE
+        with pytest.raises(NotReachableDirectly):
+            step_one(q, p)
+
     def test_random_correctness(self, rng):
         # q~ lies on C(q) and p lies on C(q~)
         for _ in range(500):
@@ -259,6 +276,37 @@ class TestSpiral:
             assert spiral_admissible(q, p, k) and not spiral_admissible(q, p, k - 1)
             spirals += 1
         assert spirals > 50
+
+    def test_links_are_the_least_any_chain_can_have(self):
+        # by convexity of -log cos, m links carry the plane radius from |h(q)|
+        # to |h(p)| across the turn delta exactly when
+        # m * -log cos(delta/m) <= log(|h(p)| / |h(q)|); a spiral chain has
+        # the least such m, so no chain of circle steps is shorter
+        def least_links(q, p):
+            f, h = project(q), project(p)
+            delta = math.remainder(math.atan2(h.v, h.u) - math.atan2(f.v, f.u), 2 * math.pi)
+            m = 2
+            while not (
+                math.cos(delta / m) > 0.0
+                and -m * math.log(math.cos(delta / m)) <= math.log(h.norm() / f.norm())
+            ):
+                m += 1
+            return m
+
+        rng = random.Random(20260808)
+        spirals = 0
+        for _ in range(1000):
+            while True:
+                q = random_northern(rng)
+                p = random_northern(rng)
+                if p.z < q.z - 1e-3 and not q.is_pole():
+                    break
+            if side_of(p, q) is not Side.POLE_SIDE:
+                continue
+            cert = reach(q, p)
+            assert len(cert.points) - 1 == least_links(q, p) == cert.shell_n, (q, p)
+            spirals += 1
+        assert spirals > 500
 
     @pytest.mark.parametrize("v", [0.0, -0.0], ids=["plus_pi", "minus_pi"])
     def test_antipodal_azimuths(self, v):
