@@ -10,7 +10,8 @@ Subcommands:
 Vector components accept plain numbers or simple expressions over + - * /,
 parentheses, sin, cos, tan, sqrt and pi, e.g. --pole 0,sin(0.44),cos(0.44).
 A vector may start with '-': --pole -0.2,0.3,0.93 and --pole=-0.2,0.3,0.93
-are the same.
+are the same, and so are they under a unique prefix of the option's name
+(--pol -0.2,0.3,0.93).
 Unnormalized inputs are canonicalized with a warning once the norm strays
 more than 1e-6 from 1. Every command compares at the fixed tolerance
 ksgeom.EPS = 1e-9; color validates a system at its document's own eps.
@@ -267,10 +268,14 @@ _VECTOR_OPTIONS = ("--from", "--to", "--pole")
 
 def _attach_vector_values(argv: list[str]) -> list[str]:
     """argv with each vector option and a following "-..." word joined as
-    "--option=-...", the spelling argparse reads as the option's value."""
+    "--option=-...", the spelling argparse reads as the option's value. An
+    option is named in full or by a prefix longer than "--", which argparse
+    reads as the name where it is unique."""
     out: list[str] = []
     for word in argv:
-        if out and out[-1] in _VECTOR_OPTIONS and word[:1] == "-" and word[:2] != "--":
+        opt = out[-1] if out else ""
+        if (len(opt) > 2 and any(name.startswith(opt) for name in _VECTOR_OPTIONS)
+                and word[:1] == "-" and word[:2] != "--"):
             out[-1] += "=" + word
         else:
             out.append(word)

@@ -13,8 +13,9 @@ forced to both values. The second demo adds the right-half/left-half
 argument: a zeroed ray close to the pole zeroes the right half of its
 frame, which forces value 1 on both left-half members of a fixed tripod.
 
-Each step runs in the frame the trace derives from its value-1 pole fact;
-the demos pass pole facts, never rotations.
+The demos pass pole facts, never rotations: a point given in the frame of
+a value-1 pole fact is mapped to a world ray, and its completion tripod is
+taken from it and the pole fact's ray, as circle_zero takes it.
 
 How a height-1/sqrt(2) split tripod is turned about its pole is free (the
 paper takes each frame "by a rotation we can assume"), and it sets the
@@ -34,8 +35,8 @@ from collections.abc import Iterator
 
 from .errors import BadN, BadPole, NotInRightHalf
 from .plane import Side, side_of
-from .sphere import EPS, Ray, Rotation, Tripod, Vec3, canonicalize, third_point
-from .trace import DerivationTrace, completion_partners, to_frame, to_world
+from .sphere import EPS, Ray, Tripod, Vec3, canonicalize, circle_partners, third_point
+from .trace import DerivationTrace, to_frame, to_world
 
 _R2 = math.sqrt(0.5)
 
@@ -46,7 +47,7 @@ SEED_TRIPOD_VECS: tuple[Vec3, Vec3, Vec3] = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (
 #: Default frame-relative re-poling target's angle from the frame pole, used
 #: by demo second and by ks demo first's default --pole (0, sin, cos of it):
 #: the middle of the plateau 0.42 <= theta <= 0.46 where both demos are
-#: smallest (158 and 212 rays).
+#: smallest (105 and 158 rays).
 DEFAULT_POLE_ANGLE = 0.44
 
 
@@ -79,10 +80,10 @@ def cover_index(p: Ray) -> int:
     return n
 
 
-def _completion_in_frame(frame: Rotation | None, vec: Vec3) -> tuple[Ray, Ray, Ray]:
-    """World rays of (q, equator_partner(q), third_point(q)) for frame coords."""
-    qf = canonicalize(vec)
-    return (to_world(frame, qf.vec), *completion_partners(frame, qf))
+def _completion_in_frame(t: DerivationTrace, pole_fact: int, vec: Vec3) -> tuple[Ray, Ray, Ray]:
+    """World rays of q = frame point vec and of q's completion partners under the pole."""
+    q = to_world(t.frame(pole_fact), vec)
+    return (q, *circle_partners(t.rays[t.facts[pole_fact].ray], q))
 
 
 def _force_one(
@@ -93,8 +94,7 @@ def _force_one(
     The equator partner is zeroed against the pole, the third point by a
     reach chain from zero_fact, a zeroed ray above it.
     """
-    frame = t.frame(pole_fact)
-    ray, e_ray, w_ray = _completion_in_frame(frame, vec)
+    ray, e_ray, w_ray = _completion_in_frame(t, pole_fact, vec)
     e_fid = t.orthogonal_zero(branch, e_ray, pole_fact)
     w_fid = t.lemma_zero(branch, zero_fact, w_ray, pole_fact)
     return ray, t.triad_one(branch, ray, e_fid, w_fid)
@@ -216,8 +216,7 @@ def demo_second_proof() -> DerivationTrace:
     qn_f = qn_sequence(cover_index(third_point(canonicalize(a_f)))).vec
 
     for branch, pole_fact in _seed_split(t):
-        frame = t.frame(pole_fact)
-        qn, e_qn, w_qn = _completion_in_frame(frame, qn_f)
+        qn, e_qn, w_qn = _completion_in_frame(t, pole_fact, qn_f)
         e_qn_fid = t.orthogonal_zero(branch, e_qn, pole_fact)
         b0, b1 = t.split(branch, Tripod(qn, e_qn, w_qn), qn)
 
@@ -229,9 +228,9 @@ def demo_second_proof() -> DerivationTrace:
         qn_zero = t.branches[b0].assumption
         t.triad_one(b0, w_qn, qn_zero, e_qn_fid)
 
-        a_ray, e_a, w_a = _completion_in_frame(frame, a_f)
-        b_ray, e_b, w_b = _completion_in_frame(frame, b_f)
-        c_ray = to_world(frame, c_f)
+        a_ray, e_a, w_a = _completion_in_frame(t, pole_fact, a_f)
+        b_ray, e_b, w_b = _completion_in_frame(t, pole_fact, b_f)
+        c_ray = to_world(t.frame(pole_fact), c_f)
 
         w_a_fid = t.lemma_zero(b0, qn_zero, w_a, pole_fact)
         w_b_fid = t.lemma_zero(b0, qn_zero, w_b, pole_fact)

@@ -91,10 +91,10 @@ def step_one(q: Ray, p: Ray) -> Ray:
     taken; there x exists only when the Thales circle meets the line, that
     is when p is two links from q, and a miss by more than rounding raises
     NotReachableDirectly. Either way the output is deterministic (the other
-    root is equally valid).
+    root is equally valid). A p within EPS of q's circle gets its Thales
+    point as well, never q itself, so the link to p keeps the Thales
+    residual of rounding size.
     """
-    if side_of(p, q) is Side.ON_CIRCLE:
-        return q
     f_pt = project(q)
     p_pt = project(p)
     r = circle_image_line(q).dir

@@ -244,6 +244,22 @@ def third_point(q: Ray) -> Ray:
     return canonicalize((-q.x, -q.y, s / q.z))
 
 
+def circle_partners(pole: Ray, q: Ray) -> tuple[Ray, Ray]:
+    """equator_partner and third_point of q in the frame whose north is pole.
+
+    Both commute with rotations, so no frame is needed: the equator partner
+    is pole x q and q's circle pole is pole - (pole.q) q, the same for -q.
+    NotNorthern unless |pole.q| > EPS, AtPole when |pole x q| <= EPS.
+    """
+    c = pole.x * q.x + pole.y * q.y + pole.z * q.z
+    if not abs(c) > EPS:
+        raise NotNorthern(f"point with height {c!r} over its pole is not northern")
+    e = cross(pole.vec, q.vec)
+    if norm(e) <= EPS:
+        raise AtPole("construction undefined at the pole")
+    return canonicalize(e), canonicalize((pole.x - c * q.x, pole.y - c * q.y, pole.z - c * q.z))
+
+
 def complete_tripod(q: Ray) -> Tripod:
     """Tripod (q, equator_partner(q), third_point(q))."""
     return Tripod(q, equator_partner(q), third_point(q))

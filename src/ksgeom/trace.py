@@ -22,19 +22,19 @@ branch's scope is itself and its ancestors, nearest first: a rule refuses
 premises outside it before it stores anything, facts are deduplicated per
 scope by ray index, and deriving the opposite value of a visible fact
 records the branch's contradiction pair.
-circle_zero and lemma_zero run conjugated through the frame of their pole
-fact, rotation_to_pole of that value-1 fact's stored ray (computed once per
-ray), which is how "by a rotation we can assume" steps are mechanized:
-equator partners and circle poles are computed in frame coordinates, while
-facts are stored and checked as world-coordinate canonical rays. A fact is
-an immutable record, a NamedTuple: it is a tuple, so it also compares equal
-to a plain tuple of its fields, and the dataclasses helpers do not apply to
-it. Only lemma_zero facts carry a witness, their reach certificate and its
-frame.
-A trace computes the pure geometry of these steps once, keyed on its exact
-inputs: a reach certificate per bit pattern of its frame-coordinate q and p,
-which the lemma's replays in other seed frames share, and a completion pair
-per (pole ray, q ray). Every check still runs on every call.
+circle_zero works in world coordinates: q's equator partner and the pole of
+q's circle are products of q with the pole fact's stored ray
+(circle_partners), which is how "by a rotation we can assume the pole is N"
+steps are mechanized without a rotation. lemma_zero alone uses a frame,
+rotation_to_pole of that value-1 fact's stored ray (computed once per ray):
+its reach certificate is built in frame coordinates and its chain points
+are mapped back to world rays. A fact is an immutable record, a
+NamedTuple: it is a tuple, so it also compares equal to a plain tuple of
+its fields, and the dataclasses helpers do not apply to it. Only
+lemma_zero facts carry a witness, their reach certificate and its frame.
+A trace computes each reach certificate once per bit pattern of its
+frame-coordinate q and p, which the lemma's replays in other seed frames
+share. Every check still runs on every call.
 """
 
 from __future__ import annotations
@@ -61,9 +61,8 @@ from .sphere import (
     Vec3,
     canonicalize,
     check_tripod,
-    equator_partner,
+    circle_partners,
     rotation_to_pole,
-    third_point,
 )
 from .system import TriadSystem
 
@@ -138,25 +137,13 @@ def to_world(frame: Rotation | None, vec: Vec3) -> Ray:
     return canonicalize(frame.apply_inverse(vec))
 
 
-def completion_partners(frame: Rotation | None, qf: Ray) -> tuple[Ray, Ray]:
-    """World rays of equator_partner(qf) and third_point(qf) for a frame point qf.
-
-    With qf's own world ray they form qf's completion tripod.
-    """
-    return (
-        to_world(frame, equator_partner(qf).vec),
-        to_world(frame, third_point(qf).vec),
-    )
-
-
 class DerivationTrace:
     """Mutable builder for a branch tree of justified value facts.
 
     Build single-threaded: fact ids are append order and justifications
     must reference earlier facts. Finished traces are read-only data and
-    safe to share. Reach certificates and completion partners are computed
-    once per trace, keyed on their exact inputs (see lemma_zero and
-    _macro_step).
+    safe to share. Reach certificates are computed once per trace, keyed
+    on their exact inputs (see lemma_zero).
     """
 
     def __init__(self) -> None:
@@ -167,8 +154,6 @@ class DerivationTrace:
         self._frames: dict[int, Rotation | None] = {}  # by pole ray index
         self._cells: dict[tuple[int, ...], list[int]] = {}
         self._certs: dict[bytes, ReachCertificate] = {}  # by _bits of frame (q, p)
-        # by (pole ray, q ray) index: stored rays and their frames never change
-        self._partners: dict[tuple[int, int], tuple[Ray, Ray]] = {}
 
     # -- ray table ---------------------------------------------------------
 
@@ -336,21 +321,16 @@ class DerivationTrace:
         branch: int,
         q_fact: int,
         p_world: Ray,
-        frame: Rotation | None,
         pole_fact: int,
         rule: str,
         witness: CertWitness | None = None,
     ) -> int:
         """One circle-zero expansion from a zeroed q to a point on its circle."""
+        pole = self._one_ray(pole_fact)
         fq = self.facts[q_fact]
         if fq.value != 0:
             raise PremiseNotZero(f"fact {q_fact} does not assign value 0")
-        key = (self.facts[pole_fact].ray, fq.ray)
-        partners = self._partners.get(key)
-        if partners is None:
-            partners = completion_partners(frame, to_frame(frame, self.rays[fq.ray]))
-            self._partners[key] = partners
-        e_world, w_world = partners
+        e_world, w_world = circle_partners(pole, self.rays[fq.ray])
         # w is the pole of q's circle, so membership is orthogonality to w
         residual = abs(w_world.dot(p_world))
         if not residual <= EPS:  # fails closed on NaN
@@ -363,9 +343,7 @@ class DerivationTrace:
 
     def circle_zero(self, branch: int, q_fact: int, p: Ray, pole_fact: int) -> int:
         self._require_visible(branch, (pole_fact, q_fact))
-        return self._macro_step(
-            branch, q_fact, p, self.frame(pole_fact), pole_fact, RULE_CIRCLE_ZERO
-        )
+        return self._macro_step(branch, q_fact, p, pole_fact, RULE_CIRCLE_ZERO)
 
     def lemma_zero(self, branch: int, q_fact: int, p: Ray, pole_fact: int) -> int:
         """Zero a lower northern point through a reach certificate.
@@ -386,10 +364,10 @@ class DerivationTrace:
         prev = q_fact
         for vec in cert.points[1:-1]:
             prev = self._macro_step(
-                branch, prev, to_world(frame, vec), frame, pole_fact, RULE_CIRCLE_ZERO
+                branch, prev, to_world(frame, vec), pole_fact, RULE_CIRCLE_ZERO
             )
         return self._macro_step(
-            branch, prev, p, frame, pole_fact, RULE_LEMMA_ZERO,
+            branch, prev, p, pole_fact, RULE_LEMMA_ZERO,
             witness=CertWitness(certificate=cert, frame=frame),
         )
 

@@ -280,6 +280,27 @@ class TestVectorValuesStartingWithMinus:
         assert points[0] == list(canonicalize((-math.sin(0.8), 0, math.cos(0.8))).vec)
         assert points[-1] == list(canonicalize((-0.4, 0.5, 0.2)).vec)
 
+    @pytest.mark.parametrize("prefix", ["--p", "--pol"])
+    def test_demo_first_pole_prefix(self, tmp_path, capsys, prefix):
+        code, _, err = run(capsys, "demo", "first", prefix, "-0.2,0.3,0.93", "-o", str(tmp_path))
+        assert code == 0, err
+        pole = canonicalize((-0.2, 0.3, 0.93))
+        assert (tmp_path / "trace.json").read_text() == save_trace(demo_first_proof(pole))
+
+    def test_reach_from_and_to_prefixes(self, tmp_path, capsys):
+        full, short = tmp_path / "full.json", tmp_path / "short.json"
+        src, dst = "-sin(0.8),0,cos(0.8)", "-0.4,0.5,0.2"
+        assert run(capsys, "reach", "--from", src, "--to", dst, "-o", str(full))[0] == 0
+        code, _, err = run(capsys, "reach", "--fr", src, "--t", dst, "-o", str(short))
+        assert code == 0, err
+        assert short.read_text() == full.read_text()
+
+    def test_a_prefix_of_another_commands_option_is_still_a_usage_error(self, capsys):
+        # --t names --to of ks reach; ks demo has no such option
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "first", "--t", "-0.2,0.3,0.93"])
+        assert exc.value.code == EXIT_CODES["usage"]
+
     def test_a_missing_value_is_still_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["demo", "first", "--pole", "--json"])

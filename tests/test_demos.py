@@ -303,16 +303,16 @@ class TestPinnedOutputs:
         [
             pytest.param(
                 "first",
-                "3853e752b53436fcd14c3ccf2bd477765f9799d5c6ca6873aeeaf07043f76f2c",
-                "3e75808b826242287e8381e6e92711673cb65c3e270ae189192238af427c16f6",
+                "6660daf7de5471af60364e08af921b0ef6a74dd45240819ab47c470c40c9904d",
+                "faa2b56a3918f0347a33f123a52136b5e8da5b495f8bbea2b4b00b3dd62d1cb6",
                 (105, 207, 23),
                 8,
                 id="first",
             ),
             pytest.param(
                 "second",
-                "17dc776a469a0a06b918cb18d80a26a61173b7dde02af82328777fd033a794ed",
-                "c790d56f529b8c60138a9b6d7c8bbb170956b15fee81cb61b50abf23f3f66c45",
+                "a8b987f32a2b2b00717e68f2f0298a3896b4bbaa75020bdd72153a64a9f41cd0",
+                "7aa1b8195f638aa27dffc984fca59451bf8e1374079b87f7f71bf7b7fb8ddc98",
                 (158, 260, 29),
                 11,
                 id="second",
@@ -421,15 +421,15 @@ class TestSplitFacing:
 
 
 class TestGeometryMemos:
-    """A trace computes each reach certificate and each completion pair once:
-    replays of the reachability lemma in other seed frames reuse them."""
+    """A trace computes each reach certificate once: replays of the
+    reachability lemma in other seed frames reuse it."""
 
-    @pytest.mark.parametrize("build, reaches, partners, expansions", [
-        (lambda: demo_first_proof(default_pole()), 10, 42, 66),
-        (demo_second_proof, 22, 51, 78),
+    @pytest.mark.parametrize("build, reaches, expansions", [
+        (lambda: demo_first_proof(default_pole()), 10, 66),
+        (demo_second_proof, 22, 78),
     ], ids=["first", "second"])
-    def test_calls_per_demo(self, build, reaches, partners, expansions, monkeypatch):
-        counts = {"reach": 0, "partners": 0, "expansions": 0}
+    def test_calls_per_demo(self, build, reaches, expansions, monkeypatch):
+        counts = {"reach": 0, "expansions": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -438,14 +438,12 @@ class TestGeometryMemos:
             return wrapper
 
         monkeypatch.setattr(trace_module, "reach", counting("reach", trace_module.reach))
-        monkeypatch.setattr(trace_module, "completion_partners",
-                            counting("partners", trace_module.completion_partners))
         monkeypatch.setattr(trace_module.DerivationTrace, "_macro_step",
                             counting("expansions", trace_module.DerivationTrace._macro_step))
         t = build()
         monkeypatch.undo()
         assert t.closed
-        assert counts == {"reach": reaches, "partners": partners, "expansions": expansions}
+        assert counts == {"reach": reaches, "expansions": expansions}
 
 
 class TestFrameCache:

@@ -7,7 +7,8 @@ loaders either return or raise a library error, and `ks color` and
 without printing a traceback. Hostile geometry (`ks reach` across a tiny
 height gap, `ks demo first` with a target near the pole or the rim) is
 refused, or admitted with no chain past the spiral cap; a vector that
-starts with '-' is read either way it is spelled. `step_one` either
+starts with '-' is read either way it is spelled, under the option's name
+or a unique prefix of it. `step_one` either
 refuses a target or links it to q in two steps within EPS. The one-pass
 loaders must also agree with the step-by-step loaders they replaced, kept
 here as the reference: the same object, or the same first error with the
@@ -406,6 +407,36 @@ class TestBoundedWork:
         code, err = run_cli(["demo", "first", *vector_option("--pole", polar(theta, phi), as_word)])
         assert code in (EXIT_CODES["BadPole"], EXIT_CODES["NoSuchN"]), err
         assert "Traceback" not in err
+
+
+def run_cli_outputs(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestVectorOptionPrefixes:
+    """A unique prefix of a vector option's name reads its value as the full
+    name does, a value that starts with '-' included."""
+
+    @HOSTILE
+    @given(
+        st.sampled_from(["--from", "--to"]),
+        st.integers(3, 6),
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.05, 1.0)),
+        st.booleans(),
+    )
+    @example("--to", 3, (-0.4, 0.5, 0.2), True)
+    def test_reach_prefix_reads_as_the_full_name(self, option, length, vec, as_word):
+        value = ",".join(repr(c) for c in vec)
+        other, fixed = (("--to", "0.4,0.5,0.05") if option == "--from"
+                        else ("--from", "0,sin(0.8),cos(0.8)"))
+        full = run_cli_outputs(["reach", option, value, other, fixed, "--json"])
+        short = run_cli_outputs(
+            ["reach", *vector_option(option[:length], value, as_word), other, fixed, "--json"])
+        assert short == full
+        assert "Traceback" not in full[2]
 
 
 def two_links_at_tangency(d0: float, delta: float, slack: float) -> tuple:

@@ -57,10 +57,27 @@ class TestStepOne:
         x = project(step_one(q, p))
         assert abs(x.u * (x.u - 2.0) + x.v * (x.v - 0.0)) <= 1e-12
 
-    def test_on_circle_returns_q(self):
-        q = unproject(PlanePoint(1, 0))
-        p = unproject(PlanePoint(1, 5))
-        assert step_one(q, p) is q
+    def test_target_within_eps_of_the_last_spiral_circle(self):
+        # Near the equator a target just past the least radius k links reach
+        # lies within EPS of the circle of the spiral's last point. The chain
+        # still closes through a Thales point: no point repeats, and every
+        # link's residual is of rounding size.
+        rng = random.Random(8)
+        on_circle = 0
+        for _ in range(400):
+            d0 = 10 ** rng.uniform(-1, 4)
+            phi = rng.uniform(0, 2 * math.pi)
+            delta = rng.uniform(0.05, math.pi) * rng.choice((-1, 1))
+            k = int(10 ** rng.uniform(0.5, 3.2))
+            d = d0 * math.cos(delta / k) ** -k * (1 + 1e-12)
+            q = unproject(PlanePoint(d0 * math.cos(phi), d0 * math.sin(phi)))
+            p = unproject(PlanePoint(d * math.cos(phi + delta), d * math.sin(phi + delta)))
+            cert = reach(q, p)
+            assert cert.shell_n == k
+            on_circle += side_of(p, canonicalize(cert.points[-3])) is Side.ON_CIRCLE
+            assert all(a != b for a, b in zip(cert.points, cert.points[1:]))
+            assert max(verify_certificate(cert).link_residuals) <= 1e-12
+        assert on_circle >= 5
 
     def test_pole_side_error(self):
         q = unproject(PlanePoint(1, 0))

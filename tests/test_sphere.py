@@ -12,9 +12,12 @@ from ksgeom.sphere import (
     Rotation,
     Tripod,
     canonicalize,
+    circle_partners,
     complete_tripod,
+    cross,
     dot,
     equator_partner,
+    norm,
     rotation_to_pole,
     third_point,
     tripod_residual,
@@ -275,3 +278,63 @@ class TestRotationToPole:
         # abs(nan - 1.0) > tol is False, so the check must be written "not <="
         with pytest.raises(ValueError):
             Rotation(((entry, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+
+
+def frame_partners(pole, q):
+    """equator_partner and third_point of q computed in pole's frame and rotated back."""
+    if pole.is_pole():
+        return equator_partner(q), third_point(q)
+    frame = rotation_to_pole(pole)
+    qf = canonicalize(frame.apply(q.vec))
+    return tuple(canonicalize(frame.apply_inverse(r.vec)) for r in (equator_partner(qf), third_point(qf)))
+
+
+def at_angle(pole, angle, toward):
+    """The ray at angle from pole in the plane of pole and the ray toward."""
+    e = canonicalize(cross(cross(pole.vec, toward.vec), pole.vec))
+    return canonicalize(tuple(math.cos(angle) * a + math.sin(angle) * b for a, b in zip(pole.vec, e.vec)))
+
+
+SEED_AXES = (NORTH_POLE, canonicalize((1, 0, 0)), canonicalize((0, 1, 0)))
+
+
+class TestCirclePartners:
+    """circle_partners(pole, q) is the frame path without the rotation: the
+    same subspaces as rotating q to the frame, completing it there and
+    rotating both partners back."""
+
+    @pytest.mark.parametrize("family", ["random", "seed axes", "near pole", "near equator"])
+    def test_same_subspaces_as_the_frame_path(self, family, rng):
+        for i in range(400):
+            pole = SEED_AXES[i % 3] if family == "seed axes" or i % 4 == 0 else random_northern(rng)
+            q = random_northern_nonpole(rng)
+            if family == "near pole":
+                # the partners of q at angle a from its pole carry about 5e-16/a
+                # of rounding in either path
+                q = at_angle(pole, rng.uniform(0.05, 0.2), q)
+            elif family == "near equator":
+                q = at_angle(pole, math.pi / 2 - 10 ** rng.uniform(-8, -2), q)
+            elif abs(pole.dot(q)) <= 1e-6 or norm(cross(pole.vec, q.vec)) <= 1e-6:
+                continue
+            for a, b in zip(circle_partners(pole, q), frame_partners(pole, q)):
+                assert norm(cross(a.vec, b.vec)) <= 1e-14
+
+    @pytest.mark.parametrize("pole", [*SEED_AXES, canonicalize((0.3, -0.5, 0.8))],
+                             ids=["N", "X", "Y", "generic"])
+    def test_refusals_match_the_frame_path(self, pole):
+        side = canonicalize(cross(pole.vec, (0.6, 0.0, 0.8) if pole.z < 0.9 else (1.0, 0.0, 0.0)))
+        cases = [
+            (at_angle(pole, math.pi / 2 - 0.3e-9, side), NotNorthern),
+            (at_angle(pole, math.pi / 2, side), NotNorthern),
+            (at_angle(pole, math.pi / 2 - 3e-9, side), None),
+            (pole, AtPole),
+            (at_angle(pole, 0.5e-9, side), AtPole),
+            (at_angle(pole, 3e-9, side), None),
+        ]
+        for q, refusal in cases:
+            for path in (circle_partners, frame_partners):
+                if refusal is None:
+                    assert len(path(pole, q)) == 2
+                else:
+                    with pytest.raises(refusal):
+                        path(pole, q)

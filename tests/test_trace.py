@@ -3,8 +3,11 @@ import math
 
 import pytest
 
+from ksgeom import trace as trace_module
 from ksgeom.errors import (
+    AtPole,
     BadPremises,
+    NotNorthern,
     NotOnCircle,
     NotOrthogonal,
     OpenBranch,
@@ -266,6 +269,48 @@ class TestCircleZero:
         with pytest.raises(NotOnCircle):
             t.circle_zero(0, q_fact, to_world(frame, off), pole)
         assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
+
+    def test_works_in_world_coordinates(self, monkeypatch):
+        # the completion tripod of q under an off-north pole needs no frame
+        def no_rotation(ray):
+            raise AssertionError("circle_zero rotated into a frame")
+
+        monkeypatch.setattr(trace_module, "rotation_to_pole", no_rotation)
+        t = DerivationTrace()
+        one = canonicalize((0.3, -0.5, 0.8))
+        pole = t.assume(0, one, 1)
+        q = canonicalize((0.2, 0.3, 0.8))
+        q_fact = t.assume(0, q, 0)
+        e = canonicalize(cross(one.vec, q.vec))  # q's equator partner under the pole
+        p = canonicalize(tuple(0.6 * a + 0.8 * b for a, b in zip(q.vec, e.vec)))
+        fact = t.facts[t.circle_zero(0, q_fact, p, pole)]
+        assert (fact.value, fact.rule) == (0, RULE_CIRCLE_ZERO)
+        w = t.rays[t.facts[fact.premises[-1]].ray]
+        assert abs(w.dot(p)) <= 1e-15 and abs(w.dot(q)) <= 1e-15
+
+    def test_refusal_order(self):
+        # the pole's value first, then q's, then q's place over the pole; a
+        # refused call stores nothing
+        t = DerivationTrace()
+        one = canonicalize((0.3, -0.5, 0.8))
+        pole = t.assume(0, one, 1)
+        not_one = t.assume(0, canonicalize((0.2, 0.3, 0.8)), 0)
+        equatorial = t.assume(0, canonicalize(cross(one.vec, (1.0, 0.0, 0.0))), 0)
+        p = canonicalize((1, 0, 0))
+        before = table_state(t)
+        for q_fact, pole_fact, refusal in [
+            (pole, not_one, PremiseNotOne),
+            (pole, pole, PremiseNotZero),
+            (equatorial, pole, NotNorthern),
+        ]:
+            with pytest.raises(refusal):
+                t.circle_zero(0, q_fact, p, pole_fact)
+            assert table_state(t) == before
+        b0, _ = t.split(0, complete_tripod(one), one)  # v(pole ray) = 0 in b0
+        before = table_state(t)
+        with pytest.raises(AtPole):
+            t.circle_zero(b0, t.branches[b0].assumption, p, pole)
+        assert table_state(t) == before
 
     def test_macro_soundness(self):
         # the recorded expansion replays to the same conclusion
