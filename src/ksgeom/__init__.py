@@ -21,7 +21,7 @@ from .coloring import (
     solve,
 )
 from .demos import cover_index, demo_first_proof, demo_second_proof, qn_sequence
-from .plane import PlaneLine, PlanePoint, Side, circle_image_line, project, side_of, unproject
+from .plane import PlanePoint, Side, project, side_of, unproject
 from .reach import (
     MAX_SPIRAL_STEPS,
     N_MAX,
@@ -42,7 +42,6 @@ from .sphere import (
     Tripod,
     canonicalize,
     complete_tripod,
-    equator_partner,
     rotation_to_pole,
     third_point,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "MAX_SPIRAL_STEPS",
     "N_MAX",
     "NORTH_POLE",
-    "PlaneLine",
     "PlanePoint",
     "Ray",
     "ReachCertificate",
@@ -77,14 +75,12 @@ __all__ = [
     "asymptotic_residual",
     "canonicalize",
     "choose_shell_n",
-    "circle_image_line",
     "complete_tripod",
     "count_colorings_by_enumeration",
     "cover_index",
     "decision_core",
     "demo_first_proof",
     "demo_second_proof",
-    "equator_partner",
     "extract_triad_system",
     "is_valid_coloring",
     "load_system",

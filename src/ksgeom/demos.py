@@ -35,6 +35,7 @@ from collections.abc import Iterator
 
 from .errors import BadN, BadPole, NotInRightHalf
 from .plane import Side, side_of
+from .reach import _least_steps
 from .sphere import EPS, Ray, Tripod, Vec3, canonicalize, circle_partners, third_point
 from .trace import DerivationTrace, to_frame, to_world
 
@@ -65,19 +66,20 @@ def qn_sequence(n: int) -> Ray:
 def cover_index(p: Ray) -> int:
     """Smallest n with p strictly beyond the circle of q(n).
 
-    Equivalently the smallest n with tan(1/n) < p_x / p_z; defined exactly
-    on the open right half of the northern hemisphere, whose covering by
-    those circle regions this realizes.
+    Up to side_of's EPS band, the smallest n with tan(1/n) < p_x / p_z.
+    Defined exactly on the open right half of the northern hemisphere, whose
+    covering by those circle regions this realizes. Being beyond q(n)'s
+    circle is monotone in n, so one doubling-and-bisection search finds n in
+    O(log n) side_of calls. Raises AtPole once q(n) comes within EPS of the
+    pole (n >= 1e9), for p within about 1e-9 of the pole axis.
     """
     if not (p.z > EPS and p.x > EPS):
         raise NotInRightHalf(f"need p_x > eps and p_z > eps, got {p.vec}")
-    ratio = p.x / p.z
-    n = max(1, math.floor(1.0 / math.atan(ratio)))
-    while side_of(p, qn_sequence(n)) is not Side.BEYOND:
-        n += 1
-    while n > 1 and side_of(p, qn_sequence(n - 1)) is Side.BEYOND:
-        n -= 1
-    return n
+
+    def beyond(n: int) -> bool:
+        return side_of(p, qn_sequence(n)) is Side.BEYOND
+
+    return _least_steps(beyond, 1, 2**31, "cover index")
 
 
 def _completion_in_frame(t: DerivationTrace, pole_fact: int, vec: Vec3) -> tuple[Ray, Ray, Ray]:

@@ -2,8 +2,10 @@
 
 The plane H = {z = 1} is coordinatized by (u, v) with the pole at the
 origin; a northern point (x, y, z) projects to (x/z, y/z). Great circles
-through northern points map to straight lines, and the "beyond" side of
-such a line is the image of the region between the circle and the equator.
+through northern points map to straight lines: q's circle maps to the line
+through h(q) orthogonal to h(q), which reach.step_one walks, and the
+"beyond" side of that line is the image of the region between the circle
+and the equator.
 """
 
 from __future__ import annotations
@@ -28,23 +30,6 @@ class PlanePoint:
         return self.u * other.u + self.v * other.v
 
 
-@dataclass(frozen=True)
-class PlaneLine:
-    """Line given by its foot (closest point to the origin) and unit direction."""
-
-    foot: PlanePoint
-    dir: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        d = math.hypot(*self.dir)
-        if not abs(d - 1.0) <= 1e-12:  # fails closed on NaN
-            raise ValueError("line direction is not unit")
-        if not abs(self.foot.u * self.dir[0] + self.foot.v * self.dir[1]) <= 1e-9 * max(
-            1.0, self.foot.norm()
-        ):
-            raise ValueError("line direction not orthogonal to its foot")
-
-
 class Side(enum.Enum):
     POLE_SIDE = "pole_side"
     ON_CIRCLE = "on_circle"
@@ -61,18 +46,6 @@ def project(q: Ray) -> PlanePoint:
 def unproject(p: PlanePoint) -> Ray:
     """Inverse of project: the canonical ray through (u, v, 1)."""
     return canonicalize((p.u, p.v, 1.0))
-
-
-def circle_image_line(q: Ray) -> PlaneLine:
-    """The image line of q's circle: through h(q), orthogonal to the pole ray.
-
-    The direction is the counterclockwise quarter turn of the foot.
-    """
-    if q.is_pole():
-        raise AtPole("circle image line undefined at the north pole")
-    foot = project(q)
-    d = foot.norm()
-    return PlaneLine(foot, (-foot.v / d, foot.u / d))
 
 
 def side_of(p: Ray, q: Ray) -> Side:

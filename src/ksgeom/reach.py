@@ -31,7 +31,7 @@ from .errors import (
     NotReachableDirectly,
     PreconditionViolation,
 )
-from .plane import PlanePoint, Side, circle_image_line, project, side_of, unproject
+from .plane import PlanePoint, Side, project, side_of, unproject
 from .sphere import EPS, Ray, Vec3, canonicalize, third_point
 
 #: Hard cap on shell size; hitting it means the height gap is below what the
@@ -82,22 +82,27 @@ class VerifyReport:
 def step_one(q: Ray, p: Ray) -> Ray:
     """A point x on q's circle whose own circle passes through p.
 
-    In plane coordinates x = F + t*dir runs along q's image line, and p is
-    on x's circle when x.(x - P) = 0: x lies on the Thales circle with
-    diameter O-P. That is the quadratic t^2 - b*t + c = 0 with b = dir.P
-    and c = F.F - F.P. For p beyond q's circle (c < 0) the roots have
-    opposite signs and the nonnegative one is taken. For p on the pole side
-    (c > 0) both roots have b's sign, and the one of larger magnitude is
-    taken; there x exists only when the Thales circle meets the line, that
-    is when p is two links from q, and a miss by more than rounding raises
-    NotReachableDirectly. Either way the output is deterministic (the other
-    root is equally valid). A p within EPS of q's circle gets its Thales
-    point as well, never q itself, so the link to p keeps the Thales
-    residual of rounding size.
+    q's circle maps to the line through F = h(q) orthogonal to F. In plane
+    coordinates x = F + t*dir runs along that line, dir = (-F_v, F_u)/|F|
+    being F's counterclockwise quarter turn, and p is on x's circle when
+    x.(x - P) = 0: x lies on the Thales circle with diameter O-P. That is
+    the quadratic t^2 - b*t + c = 0 with b = dir.P and c = F.F - F.P. For p
+    beyond q's circle (c < 0) the roots have opposite signs and the
+    nonnegative one is taken. For p on the pole side (c > 0) both roots have
+    b's sign, and the one of larger magnitude is taken; there x exists only
+    when the Thales circle meets the line, that is when p is two links from
+    q, and a miss by more than rounding raises NotReachableDirectly. Either
+    way the output is deterministic (the other root is equally valid). A p
+    within EPS of q's circle gets its Thales point as well, never q itself,
+    so the link to p keeps the Thales residual of rounding size. NotNorthern
+    unless q and p are northern, then AtPole when q is the pole.
     """
     f_pt = project(q)
     p_pt = project(p)
-    r = circle_image_line(q).dir
+    if q.is_pole():
+        raise AtPole("step_one undefined at the north pole")
+    d = f_pt.norm()
+    r = (-f_pt.v / d, f_pt.u / d)
     b = r[0] * p_pt.u + r[1] * p_pt.v
     ff, fp = f_pt.dot(f_pt), f_pt.dot(p_pt)
     disc = b * b - 4.0 * (ff - fp)

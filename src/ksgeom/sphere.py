@@ -9,6 +9,11 @@ document loader call too, so they run on every ray. A tripod's
 orthogonality check is written once, in check_tripod. Every predicate
 compares against the one fixed tolerance EPS; there is no exact-arithmetic
 mode.
+
+q's circle under a pole P is one construction, circle_pole: the paper
+assumes "by a rotation" that P is the north pole N, and the formula needs
+no rotation. circle_partners adds the equator partner P x q, and
+third_point and complete_tripod are the calls at N.
 """
 
 from __future__ import annotations
@@ -214,55 +219,51 @@ class Rotation:
         )
 
 
-def _require_northern_nonpole(q: Ray) -> None:
-    if not q.is_northern():
-        raise NotNorthern(f"point with z={q.z!r} is not northern")
-    if q.is_pole():
-        raise AtPole("construction undefined at the north pole")
+def circle_pole(pole: Ray, q: Ray) -> Ray:
+    """The pole of q's circle, the great circle through q and its equator
+    partners, in the frame whose north is pole.
 
-
-def equator_partner(q: Ray) -> Ray:
-    """The canonical equator point orthogonal to a northern non-pole ray q.
-
-    Computed as (q_y, -q_x, 0) normalized; the antipodal choice is resolved
-    by canonicalization, which is harmless because values attach to subspaces.
+    With c = pole.q and h = q - c*pole, q's part orthogonal to the pole, it
+    is (h.h/c)*pole - h canonicalized, the same for -q. NotNorthern unless
+    |c| > EPS, AtPole when h.h <= EPS^2. Each sum and product runs in
+    coordinate order, so at the north pole, where h is exactly (q_x, q_y, 0),
+    it is (-q_x, -q_y, (q_x^2+q_y^2)/q_z) normalized, bit for bit.
     """
-    _require_northern_nonpole(q)
-    return canonicalize((q.y, -q.x, 0.0))
-
-
-def third_point(q: Ray) -> Ray:
-    """The ray completing q and equator_partner(q) to a tripod.
-
-    Formula (-q_x, -q_y, (q_x^2+q_y^2)/q_z), normalized. It is the pole of
-    q's circle, the great circle through q and its equator partners, on
-    which q is the northern-most point: p lies on that circle iff
-    |p . third_point(q)| <= EPS.
-    """
-    _require_northern_nonpole(q)
-    s = q.x * q.x + q.y * q.y
-    return canonicalize((-q.x, -q.y, s / q.z))
+    px, py, pz = pole.x, pole.y, pole.z
+    c = px * q.x + py * q.y + pz * q.z
+    if not abs(c) > EPS:
+        raise NotNorthern(f"point with height {c!r} over its pole is not northern")
+    hx, hy, hz = q.x - c * px, q.y - c * py, q.z - c * pz
+    s = hx * hx + hy * hy + hz * hz
+    if s <= EPS * EPS:
+        raise AtPole("construction undefined at the pole")
+    k = s / c
+    return canonicalize((k * px - hx, k * py - hy, k * pz - hz))
 
 
 def circle_partners(pole: Ray, q: Ray) -> tuple[Ray, Ray]:
-    """equator_partner and third_point of q in the frame whose north is pole.
+    """q's equator partner, pole x q canonicalized, and circle_pole(pole, q).
 
-    Both commute with rotations, so no frame is needed: the equator partner
-    is pole x q and q's circle pole is pole - (pole.q) q, the same for -q.
-    NotNorthern unless |pole.q| > EPS, AtPole when |pole x q| <= EPS.
+    The refusals are circle_pole's. At the north pole the partner is
+    (q_y, -q_x, 0) normalized, bit for bit.
     """
-    c = pole.x * q.x + pole.y * q.y + pole.z * q.z
-    if not abs(c) > EPS:
-        raise NotNorthern(f"point with height {c!r} over its pole is not northern")
-    e = cross(pole.vec, q.vec)
-    if norm(e) <= EPS:
-        raise AtPole("construction undefined at the pole")
-    return canonicalize(e), canonicalize((pole.x - c * q.x, pole.y - c * q.y, pole.z - c * q.z))
+    w = circle_pole(pole, q)
+    return canonicalize(cross(pole.vec, q.vec)), w
+
+
+def third_point(q: Ray) -> Ray:
+    """The pole of q's circle under the north pole: circle_pole(NORTH_POLE, q).
+
+    It completes q and its equator partner to a tripod, and p lies on q's
+    circle, on which q is the northern-most point, iff
+    |p . third_point(q)| <= EPS.
+    """
+    return circle_pole(NORTH_POLE, q)
 
 
 def complete_tripod(q: Ray) -> Tripod:
-    """Tripod (q, equator_partner(q), third_point(q))."""
-    return Tripod(q, equator_partner(q), third_point(q))
+    """Tripod (q, equator partner, third_point(q)) under the north pole."""
+    return Tripod(q, *circle_partners(NORTH_POLE, q))
 
 
 def rotation_to_pole(q: Ray) -> Rotation:

@@ -23,12 +23,13 @@ premises outside it before it stores anything, facts are deduplicated per
 scope by ray index, and deriving the opposite value of a visible fact
 records the branch's contradiction pair.
 circle_zero works in world coordinates: q's equator partner and the pole of
-q's circle are products of q with the pole fact's stored ray
-(circle_partners), which is how "by a rotation we can assume the pole is N"
-steps are mechanized without a rotation. lemma_zero alone uses a frame,
-rotation_to_pole of that value-1 fact's stored ray (computed once per ray):
-its reach certificate is built in frame coordinates and its chain points
-are mapped back to world rays. A fact is an immutable record, a
+q's circle come from q and the pole fact's stored ray by circle_partners,
+whose circle pole is circle_pole, the one construction of q's circle and
+third_point's at the north pole. That is how "by a rotation we can assume
+the pole is N" steps are mechanized without a rotation. lemma_zero alone
+uses a frame, rotation_to_pole of that value-1 fact's stored ray (computed
+once per ray): its reach certificate is built in frame coordinates and its
+chain points are mapped back to world rays. A fact is an immutable record, a
 NamedTuple: it is a tuple, so it also compares equal to a plain tuple of
 its fields, and the dataclasses helpers do not apply to it. Only
 lemma_zero facts carry a witness, their reach certificate and its frame.

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ksgeom import demos as demos_module
 from ksgeom import trace as trace_module
 from ksgeom.coloring import SolveMode, refute_by_core_enumeration, solve
 from ksgeom.demos import (
@@ -15,6 +16,7 @@ from ksgeom.demos import (
     qn_sequence,
 )
 from ksgeom.errors import (
+    AtPole,
     BadN,
     BadPole,
     BadPremises,
@@ -22,7 +24,15 @@ from ksgeom.errors import (
 )
 from ksgeom.plane import Side, side_of
 from ksgeom.reach import verify_certificate
-from ksgeom.sphere import EPS, Ray, canonicalize, equator_partner, rotation_to_pole, third_point
+from ksgeom.sphere import (
+    EPS,
+    NORTH_POLE,
+    Ray,
+    canonicalize,
+    circle_partners,
+    rotation_to_pole,
+    third_point,
+)
 from ksgeom.serialize import (
     certificate_to_doc,
     load_certificate,
@@ -118,12 +128,35 @@ class TestCoverIndex:
     def test_minimality(self, rng):
         for _ in range(200):
             p = random_northern(rng, z_min=0.05, z_max=0.95)
-            if p.x <= 1e-3:
+            if p.x <= 1e-8:
                 continue
             n = cover_index(p)
             assert side_of(p, qn_sequence(n)) is Side.BEYOND
             if n > 1:
                 assert side_of(p, qn_sequence(n - 1)) is not Side.BEYOND
+
+    def test_near_the_axis_in_few_side_of_calls(self, monkeypatch):
+        # side_of's ON_CIRCLE band around the answer is about EPS * n^2
+        # indices wide, so stepping n one at a time through it here would
+        # take some 10^7 calls
+        calls = 0
+
+        def counted(p, q):
+            nonlocal calls
+            calls += 1
+            if calls > 200:
+                raise AssertionError("cover_index made more than 200 side_of calls")
+            return side_of(p, q)
+
+        monkeypatch.setattr(demos_module, "side_of", counted)
+        p = canonicalize((1e-8, 0.0, 1.0))
+        n = cover_index(p)
+        assert n == 111_111_112
+        assert side_of(p, qn_sequence(n)) is Side.BEYOND
+        assert side_of(p, qn_sequence(n - 1)) is not Side.BEYOND
+        # q(n) reaches the pole (n >= 1e9) before it passes a point this close
+        with pytest.raises(AtPole):
+            cover_index(canonicalize((2e-9, 0.0, 1.0)))
 
 
 class TestThirdPointIdentity:
@@ -137,7 +170,7 @@ class TestThirdPointIdentity:
             q = cand if cand.x < 0 else canonicalize((-cand.x, cand.y, cand.z))
             w = third_point(q)
             assert abs(q.dot(w)) <= 1e-12
-            assert abs(equator_partner(q).dot(w)) <= 1e-12
+            assert abs(circle_partners(NORTH_POLE, q)[0].dot(w)) <= 1e-12
             assert w.x > 0  # lands in the right half
             checked += 1
 
@@ -303,16 +336,16 @@ class TestPinnedOutputs:
         [
             pytest.param(
                 "first",
-                "6660daf7de5471af60364e08af921b0ef6a74dd45240819ab47c470c40c9904d",
-                "faa2b56a3918f0347a33f123a52136b5e8da5b495f8bbea2b4b00b3dd62d1cb6",
+                "1b96e7ee0fc02b642ec6d14055d0e7960e7eb6d32337efbea5f541564e68c325",
+                "483165fe6ddad92a11af07e5e7a40f162c478cd648f21d0b9cc28d04c8178882",
                 (105, 207, 23),
                 8,
                 id="first",
             ),
             pytest.param(
                 "second",
-                "a8b987f32a2b2b00717e68f2f0298a3896b4bbaa75020bdd72153a64a9f41cd0",
-                "7aa1b8195f638aa27dffc984fca59451bf8e1374079b87f7f71bf7b7fb8ddc98",
+                "8dd5cd6cf124fbbd994572816c9beafe939357722cace32df72a494d302d28ed",
+                "9c4cb7360a036b1327bbec12ba6c44570b1bf15da703fa1a5d97cc839a6d9a25",
                 (158, 260, 29),
                 11,
                 id="second",

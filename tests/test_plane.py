@@ -3,8 +3,9 @@ import math
 import pytest
 
 from ksgeom.errors import AtPole, NotNorthern
-from ksgeom.plane import PlaneLine, PlanePoint, Side, circle_image_line, project, side_of, unproject
-from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, equator_partner
+from ksgeom.plane import PlanePoint, Side, project, side_of, unproject
+from ksgeom.reach import step_one
+from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, circle_partners
 
 from conftest import random_northern, random_northern_nonpole
 
@@ -82,39 +83,43 @@ class TestMonotonicity:
             assert (q.z > p.z) == (project(p).norm() > project(q).norm())
 
 
+def quarter_turn(f):
+    """The counterclockwise quarter turn of a nonzero plane point, made unit."""
+    d = f.norm()
+    return (-f.v / d, f.u / d)
+
+
 class TestCircleImageLine:
+    # q's circle maps to the line through h(q) with direction quarter_turn(h(q));
+    # step_one walks that line, taking the nonnegative root t when p is beyond
     def test_counterclockwise_dir(self):
         q = unproject(PlanePoint(1, 0))
-        ln = circle_image_line(q)
-        assert ln.foot == PlanePoint(1.0, 0.0)
-        assert ln.dir == (0.0, 1.0)
+        # x = (1, t) meets the Thales circle over O-(3, 0) at t = +-sqrt(2)
+        x = project(step_one(q, unproject(PlanePoint(3, 0))))
+        assert math.hypot(x.u - 1.0, x.v - math.sqrt(2.0)) <= 1e-12
 
     def test_vertical_foot(self):
         q = unproject(PlanePoint(0, 2))
-        ln = circle_image_line(q)
-        assert ln.foot == PlanePoint(0.0, 2.0)
-        assert ln.dir == (-1.0, 0.0)
+        # x = (-t, 2) meets the Thales circle over O-(0, 4) at t = +-2
+        x = project(step_one(q, unproject(PlanePoint(0, 4))))
+        assert math.hypot(x.u + 2.0, x.v - 2.0) <= 1e-12
 
     def test_at_pole(self):
+        p = unproject(PlanePoint(2, 0))
         with pytest.raises(AtPole):
-            circle_image_line(NORTH_POLE)
-
-    @pytest.mark.parametrize("foot, direction", [
-        (PlanePoint(math.nan, 0.0), (0.0, 1.0)),
-        (PlanePoint(0.0, 2.0), (math.nan, 0.0)),
-    ])
-    def test_line_rejects_nan(self, foot, direction):
-        # abs(nan) > tol is False, so the checks must be written "not <="
-        with pytest.raises(ValueError):
-            PlaneLine(foot, direction)
+            step_one(NORTH_POLE, p)
+        # both projections refuse first, q's before p's
+        with pytest.raises(NotNorthern):
+            step_one(NORTH_POLE, canonicalize((0, 1, 0)))
+        with pytest.raises(NotNorthern, match="z=0.0"):
+            step_one(canonicalize((1, 0, 0)), canonicalize((0, -0.6, 0.8)))
 
     def test_circle_points_land_on_line(self, rng):
         # 100 sampled points of the circle project onto the image line.
         for _ in range(30):
             q = random_northern_nonpole(rng)
-            e = equator_partner(q)
-            ln = circle_image_line(q)
-            f, d = ln.foot, ln.dir
+            e = circle_partners(NORTH_POLE, q)[0]
+            f, d = project(q), quarter_turn(project(q))
             for i in range(100):
                 a = math.cos(math.pi * (i / 100.0 - 0.5) * 0.98)
                 b = math.sin(math.pi * (i / 100.0 - 0.5) * 0.98)
@@ -159,7 +164,7 @@ class TestSideOf:
         # near-miss pairs rarely land on the circle; force some exact members
         for _ in range(200):
             q = random_northern_nonpole(rng)
-            e = equator_partner(q)
+            e = circle_partners(NORTH_POLE, q)[0]
             a, b = rng.uniform(-1, 1), rng.uniform(0.05, 1)
             n = math.hypot(a, b)
             v = tuple((a / n) * qc + (b / n) * ec for qc, ec in zip(q.vec, e.vec))

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import random
@@ -24,6 +25,7 @@ from ksgeom.reach import (
     step_one,
     verify_certificate,
 )
+from ksgeom.serialize import save_certificate
 from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, third_point
 
 from conftest import random_northern, random_northern_nonpole
@@ -459,6 +461,20 @@ class TestVerifyCertificate:
         report = verify_certificate(reach(q, p))
         assert report.accepted
         assert max(report.link_residuals) <= 1e-9
+
+    def test_certificate_bytes_pinned(self):
+        # 500 pairs drawn with the acceptance suite's law; the digest covers
+        # every chain point and link residual, so it moves with their last bit
+        rng = random.Random(25)
+        digest = hashlib.sha256()
+        for _ in range(500):
+            while True:
+                q, p = random_northern(rng), random_northern(rng)
+                if p.z < q.z - 1e-3 and not q.is_pole():
+                    break
+            cert = reach(q, p)
+            digest.update(save_certificate(cert, verify_certificate(cert).link_residuals).encode())
+        assert digest.hexdigest() == "5f0500849b40a3eb05429e88181f1c561804d60c906a65b4f1fdc46cdb35d23d"
 
 
 class TestAsymptoticResidual:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from ksgeom.sphere import (
     complete_tripod,
     cross,
     dot,
-    equator_partner,
     norm,
     rotation_to_pole,
     third_point,
@@ -122,6 +122,10 @@ class TestRayRecord:
         assert index[made] == 7 and made in index
 
 
+def equator_partner(q):
+    return circle_partners(NORTH_POLE, q)[0]
+
+
 class TestEquatorPartner:
     def test_section_tripod_member(self):
         q = canonicalize((0, R2, R2))
@@ -129,7 +133,7 @@ class TestEquatorPartner:
 
     def test_canonicalized_output(self):
         q = canonicalize((R2, 0, R2))
-        # formula gives (0,-1,0); canonical form flips it
+        # N x q is (0,R2,0); canonical form normalizes it
         assert equator_partner(q).vec == (0.0, 1.0, 0.0)
 
     def test_at_pole(self):
@@ -280,13 +284,71 @@ class TestRotationToPole:
             Rotation(((entry, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
 
+def north_pole_partners(q):
+    """q's equator partner and circle pole under N, by the closed formulas.
+
+    (q_y, -q_x, 0) and (-q_x, -q_y, (q_x^2+q_y^2)/q_z), normalized, with
+    NotNorthern unless q_z > EPS and AtPole when q_x^2+q_y^2 <= EPS^2.
+    """
+    if not q.z > EPS:
+        raise NotNorthern(f"point with z={q.z!r} is not northern")
+    s = q.x * q.x + q.y * q.y
+    if s <= EPS * EPS:
+        raise AtPole("construction undefined at the north pole")
+    return canonicalize((q.y, -q.x, 0.0)), canonicalize((-q.x, -q.y, s / q.z))
+
+
 def frame_partners(pole, q):
-    """equator_partner and third_point of q computed in pole's frame and rotated back."""
+    """north_pole_partners of q computed in pole's frame and rotated back."""
     if pole.is_pole():
-        return equator_partner(q), third_point(q)
+        return north_pole_partners(q)
     frame = rotation_to_pole(pole)
     qf = canonicalize(frame.apply(q.vec))
-    return tuple(canonicalize(frame.apply_inverse(r.vec)) for r in (equator_partner(qf), third_point(qf)))
+    return tuple(canonicalize(frame.apply_inverse(r.vec)) for r in north_pole_partners(qf))
+
+
+def edge_rays():
+    """Rays whose coordinates are signed zeros or sit at the EPS boundaries."""
+    vals = [0.0, 1e-12, 1e-9, 1.0000001e-9, 2e-9, 1e-6, 0.6]
+    vals += [-v for v in vals]
+    for x in vals:
+        for y in vals:
+            # near the pole, signed zeros kept (Ray stores them as given)
+            try:
+                yield Ray(x, y, math.sqrt(1.0 - x * x - y * y))
+            except ValueError:
+                pass
+            # near the equator, z taking the same small values
+            if x >= 0.0:
+                for a in (0.0, 0.3, 1.0, math.pi / 2):
+                    yield canonicalize((math.cos(a), math.sin(a), x + abs(y)))
+
+
+class TestNorthPoleFormulas:
+    """Under N, circle_partners and third_point are the closed formulas bit
+    for bit, refusal types included."""
+
+    def test_bit_for_bit(self, rng):
+        rays = list(edge_rays())
+        for _ in range(20_000):
+            v = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
+            rays.append(canonicalize(v))
+            rays.append(random_northern(rng, z_min=0.0))
+        bits = lambda r: struct.pack("<3d", *r.vec)
+        refused = 0
+        for q in rays:
+            try:
+                want = tuple(bits(r) for r in north_pole_partners(q))
+            except (NotNorthern, AtPole) as exc:
+                refused += 1
+                for path in (third_point, lambda q: circle_partners(NORTH_POLE, q)):
+                    with pytest.raises(type(exc)):
+                        path(q)
+                continue
+            assert tuple(bits(r) for r in circle_partners(NORTH_POLE, q)) == want
+            assert bits(third_point(q)) == want[1]
+            assert tuple(bits(r) for r in complete_tripod(q).members[1:]) == want
+        assert 0 < refused < len(rays) // 4
 
 
 def at_angle(pole, angle, toward):

@@ -22,8 +22,8 @@ from ksgeom.sphere import (
     Tripod,
     canonicalize,
     complete_tripod,
+    circle_partners,
     cross,
-    equator_partner,
     rotation_to_pole,
     third_point,
 )
@@ -260,7 +260,7 @@ class TestCircleZero:
         qf = canonicalize((0.2, 0.3, 0.8))
         q_fact = t.assume(0, to_world(frame, qf.vec), 0)
         a, b = math.cos(1.1), math.sin(1.1)
-        pf = tuple(a * x + b * y for x, y in zip(qf.vec, equator_partner(qf).vec))
+        pf = tuple(a * x + b * y for x, y in zip(qf.vec, circle_partners(NORTH_POLE, qf)[0].vec))
         fid = t.circle_zero(0, q_fact, to_world(frame, pf), pole)
         assert (t.facts[fid].value, t.facts[fid].rule) == (0, RULE_CIRCLE_ZERO)
 
@@ -485,7 +485,7 @@ class TestRefusedRuleLeavesTraceUnchanged:
 
     def test_circle_zero(self):
         t, pole, b0, _, p, zero_in_b1 = sibling_premises()
-        e = equator_partner(p)
+        e = circle_partners(NORTH_POLE, p)[0]
         on_circle = canonicalize(tuple(0.8 * a + 0.6 * b for a, b in zip(p.vec, e.vec)))
         assert abs(third_point(p).dot(on_circle)) <= EPS
         before = table_state(t)
@@ -523,7 +523,7 @@ class TestRefusedRuleLeavesTraceUnchanged:
         r_fact = t.assume(b0, to_world(frame, (0.1, 0.6, 0.8)), 0)
         r = t.rays[t.facts[r_fact].ray]
         rf = frame.apply(r.vec)
-        e = equator_partner(canonicalize(rf))
+        e = circle_partners(NORTH_POLE, canonicalize(rf))[0]
         on_circle = to_world(frame, tuple(0.8 * a + 0.6 * b for a, b in zip(rf, e.vec)))
         lower = to_world(frame, (0.5, 0.2, 0.3))
         before = table_state(t)
