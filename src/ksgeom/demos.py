@@ -2,16 +2,18 @@
 
 Both demos build closed derivation traces whose extracted triad systems
 admit no two-valued coloring, and they do it without unforced assumptions:
-every seed value is discharged by a case split over a tripod, so the
-extracted constraints are unconditionally uncolorable (the checker cannot
-see assumptions, only tripods and pairs).
+every seed value is discharged by a case split on one ray of a tripod whose
+other members are then derived, so the extracted constraints are
+unconditionally uncolorable (the checker cannot see assumptions, only
+tripods and pairs).
 
 The first demo is the re-poling argument: once a ray holds value 1, its
 frame forces value 0 below height 1/sqrt(2) and value 1 above, and
 re-poling at any p' inside the upper cap produces a witness ray that is
 forced to both values. The second demo adds the right-half/left-half
 argument: a zeroed ray close to the pole zeroes the right half of its
-frame, which forces value 1 on both left-half members of a fixed tripod.
+frame, which forces value 1 on both left-half members of a fixed tripod,
+two orthogonal rays.
 
 The demos pass pole facts, never rotations: a point given in the frame of
 a value-1 pole fact is mapped to a world ray, and its completion tripod is
@@ -36,7 +38,7 @@ from collections.abc import Iterator
 from .errors import BadN, BadPole, NotInRightHalf
 from .plane import Side, side_of
 from .reach import _least_steps
-from .sphere import EPS, Ray, Tripod, Vec3, canonicalize, circle_partners, third_point
+from .sphere import EPS, Ray, Vec3, canonicalize, circle_partners, third_point
 from .trace import DerivationTrace, to_frame, to_world
 
 _R2 = math.sqrt(0.5)
@@ -48,7 +50,7 @@ SEED_TRIPOD_VECS: tuple[Vec3, Vec3, Vec3] = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (
 #: Default frame-relative re-poling target's angle from the frame pole, used
 #: by demo second and by ks demo first's default --pole (0, sin, cos of it):
 #: the middle of the plateau 0.42 <= theta <= 0.46 where both demos are
-#: smallest (105 and 158 rays).
+#: smallest (105 and 155 rays).
 DEFAULT_POLE_ANGLE = 0.44
 
 
@@ -123,7 +125,7 @@ def _height_split(
         for v in ((ux, uy, 0.0), (-_R2 * uy, _R2 * ux, _R2), (_R2 * uy, -_R2 * ux, _R2))
     )
     e_fid = t.orthogonal_zero(branch, e_star, pole_fact)
-    b0, b1 = t.split(branch, Tripod(u_plus, u_minus, e_star), u_plus)
+    b0, b1 = t.split(branch, u_plus)
 
     # u_plus = 1: the sibling is the zeroed height-1/sqrt(2) ray.
     yield b1, t.orthogonal_zero(b1, u_minus, t.branches[b1].assumption)
@@ -173,9 +175,8 @@ def _seed_split(t: DerivationTrace) -> list[tuple[int, int]]:
     Returns (branch, pole_fact) pairs, the fact giving that member value 1.
     """
     n_ray, x_ray, y_ray = (canonicalize(v) for v in SEED_TRIPOD_VECS)
-    t0 = Tripod(n_ray, x_ray, y_ray)
-    b_n0, b_n1 = t.split(0, t0, n_ray)
-    b_x0, b_x1 = t.split(b_n0, t0, x_ray)
+    b_n0, b_n1 = t.split(0, n_ray)
+    b_x0, b_x1 = t.split(b_n0, x_ray)
     y_fid = t.triad_one(b_x0, y_ray, t.branches[b_n0].assumption, t.branches[b_x0].assumption)
     return [
         (b_n1, t.branches[b_n1].assumption),
@@ -208,19 +209,19 @@ def demo_second_proof() -> DerivationTrace:
     cover index of the fixed tripod's right-half completion points. The
     q(n)=1 branch is closed by the re-poling argument at pole q(n); the
     q(n)=0 branch zeroes the right-half points by reach chains, forces 1 on
-    both left-half members of the fixed tripod, and clashes.
+    both left-half members a and b of the fixed tripod, and clashes on the
+    orthogonal pair (a, b).
     """
     t = DerivationTrace()
     a_f: Vec3 = (-0.5, _R2, 0.5)
     b_f: Vec3 = (-0.5, -_R2, 0.5)
-    c_f: Vec3 = (_R2, 0.0, _R2)
     pprime_f: Vec3 = (0.0, math.sin(DEFAULT_POLE_ANGLE), math.cos(DEFAULT_POLE_ANGLE))
     qn_f = qn_sequence(cover_index(third_point(canonicalize(a_f)))).vec
 
     for branch, pole_fact in _seed_split(t):
         qn, e_qn, w_qn = _completion_in_frame(t, pole_fact, qn_f)
         e_qn_fid = t.orthogonal_zero(branch, e_qn, pole_fact)
-        b0, b1 = t.split(branch, Tripod(qn, e_qn, w_qn), qn)
+        b0, b1 = t.split(branch, qn)
 
         # q(n) = 1: that ray is a value-1 pole; the re-poling argument kills it.
         _pole_refutation(t, b1, t.branches[b1].assumption, pprime_f)
@@ -230,19 +231,8 @@ def demo_second_proof() -> DerivationTrace:
         qn_zero = t.branches[b0].assumption
         t.triad_one(b0, w_qn, qn_zero, e_qn_fid)
 
-        a_ray, e_a, w_a = _completion_in_frame(t, pole_fact, a_f)
-        b_ray, e_b, w_b = _completion_in_frame(t, pole_fact, b_f)
-        c_ray = to_world(t.frame(pole_fact), c_f)
-
-        w_a_fid = t.lemma_zero(b0, qn_zero, w_a, pole_fact)
-        w_b_fid = t.lemma_zero(b0, qn_zero, w_b, pole_fact)
-
-        e_a_fid = t.orthogonal_zero(b0, e_a, pole_fact)
-        e_b_fid = t.orthogonal_zero(b0, e_b, pole_fact)
-        a_fid = t.triad_one(b0, a_ray, e_a_fid, w_a_fid)
-        t.triad_one(b0, b_ray, e_b_fid, w_b_fid)
-
-        t.register_tripod(Tripod(a_ray, b_ray, c_ray))
+        _, a_fid = _force_one(t, b0, pole_fact, a_f, qn_zero)
+        b_ray, _ = _force_one(t, b0, pole_fact, b_f, qn_zero)
         t.orthogonal_zero(b0, b_ray, a_fid)  # clashes with v(b)=1
 
     assert t.closed

@@ -3,12 +3,12 @@
 Both are laid out as the triad-system document is (ksgeom.system): compact
 JSON, shortest-round-trip floats, fixed key order and a newline after each
 "],[" and "},{" (one record per line), so save -> load -> save is byte
-identical. Certificates, and a trace's rays, branches and named tripods, go
-through json's C encoder (system._compact); save_trace formats each fact
-directly, in the encoder's layout, and writes each certificate and frame
-once per document. TestTraceWriter in tests/test_serialize.py pins it to
-_canonical_json of a reference trace dict, and CI's "CLI end to end" step
-to the encoder's bytes for both demos. This module owns the certificate
+identical. Certificates, and a trace's rays and branches, go through json's
+C encoder (system._compact); save_trace formats each fact directly, in the
+encoder's layout, and writes each certificate and frame once per document.
+TestTraceWriter in tests/test_serialize.py pins it to _canonical_json of a
+reference trace dict, and CI's "CLI end to end" step to the encoder's bytes
+for both demos. This module owns the certificate
 and trace formats. Schemas:
 
 certificate:
@@ -25,15 +25,19 @@ trace:
    "facts": [{"ray": i, "value": 0|1, "rule": str, "premises": [...],
               "branch": b, "witness": W | null}, ...],
    "branches": [{"idx": b, "parent": p | null, "assumption": fid | null,
-                 "split": {"tripod": [i,j,k], "member": i} | null,
-                 "children": [b0,b1] | null,
-                 "contradiction": [f1,f2] | null}, ...],
-   "named_tripods": [[i,j,k], ...]}
+                 "split": i | null, "children": [b0,b1] | null,
+                 "contradiction": [f1,f2] | null}, ...]}
 
 fact witness W is null except on lemma_zero facts, where it is
   {"certificate": <certificate doc>, "frame": [[...],[...],[...]] | null}
-(frame rows rotate world into certificate coordinates). A triad_one fact's
-tripod is its two premises' rays and its own ray.
+(frame rows rotate world into certificate coordinates). An assume fact has
+no premises; a derived zero (orthogonal_zero, circle_zero, lemma_zero) has
+one, a value-1 fact on an orthogonal ray; a triad_one fact has two value-0
+facts, and its tripod is their rays and its own. A circle step's premise
+gives 1 to the pole w of q's circle: w's triad_one fact, whose first
+premise is q, or the assumption of a split that already decided w. A
+branch's split is the ray it decides: its children assume that ray at 0
+and at 1.
 """
 
 from __future__ import annotations
@@ -110,22 +114,17 @@ def save_trace(t: DerivationTrace) -> str:
             "idx": b.idx,
             "parent": b.parent,
             "assumption": b.assumption,
-            "split": (
-                {"tripod": b.split.tripod, "member": b.split.member}
-                if b.split is not None
-                else None
-            ),
+            "split": b.split,
             "children": b.children,
             "contradiction": b.contradiction,
         }
         for b in t.branches
     ]
-    return '{"eps":%s,"rays":%s,"facts":[%s],"branches":%s,"named_tripods":%s}\n' % (
+    return '{"eps":%s,"rays":%s,"facts":[%s],"branches":%s}\n' % (
         _compact(EPS),
         _compact([[r.x, r.y, r.z] for r in t.rays]),
         ",\n".join(facts),
         _compact(branches),
-        _compact(t.named_tripods),
     )
 
 

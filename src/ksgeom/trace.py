@@ -1,17 +1,19 @@
 """Value-propagation traces for two-valued measures on rays.
 
 A trace is a tree of branches; each branch holds justified facts v(ray) = 0
-or 1. The rules are:
+or 1. Every stored fact is an assumption or a step of one of the paper's two
+forcing rules: a zero cites its one value-1 premise, a one its two value-0
+premises. The rules are:
 
-  assume           seed or case-split assumption (splits name a tripod and
-                   the one of its rays being decided, and cover both values)
+  assume           seed or case-split assumption (a split decides one ray
+                   and covers both of its values)
   orthogonal_zero  a ray orthogonal to a value-1 ray gets 0
   triad_one        two zeroed members of a tripod force 1 on the third; the
                    tripod is the premises' stored rays and the conclusion
-  circle_zero      a point on the circle of a zeroed northern ray gets 0;
-                   recorded as its expansion: the equator partner gets 0
-                   against the pole fact, the circle pole gets 1 by
-                   triad_one, the conclusion gets 0 against that pole
+  circle_zero      a point on the circle of a zeroed northern ray q gets 0;
+                   recorded as its expansion: the equator partner e gets 0
+                   against the pole fact, the circle pole w gets 1 by
+                   triad_one from q and e, the conclusion gets 0 against w
   lemma_zero       a lower northern point gets 0 through a reach
                    certificate, replayed as chained circle_zero steps
 
@@ -58,7 +60,6 @@ from .sphere import (
     EPS,
     Ray,
     Rotation,
-    Tripod,
     Vec3,
     canonicalize,
     check_tripod,
@@ -100,19 +101,13 @@ class ValueFact(NamedTuple):
     witness: CertWitness | None = None
 
 
-@dataclass(frozen=True)
-class SplitRecord:
-    tripod: tuple[int, int, int]
-    member: int
-
-
 @dataclass
 class Branch:
     idx: int
     parent: int | None
     scope: tuple[int, ...]  # itself, then its ancestors, nearest first
     assumption: int | None = None
-    split: SplitRecord | None = None
+    split: int | None = None  # the decided ray's index
     children: tuple[int, int] | None = None
     contradiction: tuple[int, int] | None = None
     facts_by_ray: dict[int, int] = field(default_factory=dict)
@@ -151,7 +146,6 @@ class DerivationTrace:
         self.rays: list[Ray] = []
         self.facts: list[ValueFact] = []
         self.branches: list[Branch] = [Branch(idx=0, parent=None, scope=(0,))]
-        self.named_tripods: list[tuple[int, int, int]] = []
         self._frames: dict[int, Rotation | None] = {}  # by pole ray index
         self._cells: dict[tuple[int, ...], list[int]] = {}
         self._certs: dict[bytes, ReachCertificate] = {}  # by _bits of frame (q, p)
@@ -183,13 +177,6 @@ class DerivationTrace:
             for near in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
                 cells.setdefault(near, []).append(idx)
         return idx
-
-    def tripod_indices(self, trip: Tripod) -> tuple[int, int, int]:
-        return (
-            self.ray_index(trip.a),
-            self.ray_index(trip.b),
-            self.ray_index(trip.c),
-        )
 
     # -- branch plumbing ----------------------------------------------------
 
@@ -260,21 +247,12 @@ class DerivationTrace:
             raise BadPremises(f"an assumed value must be the int 0 or 1, got {value!r}")
         return self._add_fact(branch, self.ray_index(ray), value, RULE_ASSUME, ())
 
-    def split(self, branch: int, trip: Tripod, member: Ray) -> tuple[int, int]:
-        """Case split on the value of a tripod member: children (=0, =1).
-
-        The member must be one of trip's own rays; it is checked before
-        anything is stored and takes that ray's tripod index.
-        """
+    def split(self, branch: int, member: Ray) -> tuple[int, int]:
+        """Case split on the value of one ray: children (=0, =1)."""
         node = self.branches[branch]
         if node.children is not None:
             raise BadPremises(f"branch {branch} already split")
-        members = (trip.a, trip.b, trip.c)
-        if member not in members:
-            raise BadPremises("split member must belong to the split tripod")
-        tri_idx = self.tripod_indices(trip)
-        m_idx = tri_idx[members.index(member)]
-        node.split = SplitRecord(tripod=tri_idx, member=m_idx)
+        m_idx = node.split = self.ray_index(member)
         kids = []
         for value in (0, 1):
             idx = len(self.branches)
@@ -326,7 +304,11 @@ class DerivationTrace:
         rule: str,
         witness: CertWitness | None = None,
     ) -> int:
-        """One circle-zero expansion from a zeroed q to a point on its circle."""
+        """One circle-zero expansion from a zeroed q to a point on its circle.
+
+        The conclusion cites w's value-1 fact alone: its triad_one fact from
+        q and e, or the fact already giving w value 1 in scope.
+        """
         pole = self._one_ray(pole_fact)
         fq = self.facts[q_fact]
         if fq.value != 0:
@@ -338,9 +320,7 @@ class DerivationTrace:
             raise NotOnCircle(f"point is off the circle by {residual!r} (eps {EPS!r})")
         e_fid = self.orthogonal_zero(branch, e_world, pole_fact)
         w_fid = self.triad_one(branch, w_world, q_fact, e_fid)
-        return self._add_fact(
-            branch, self.ray_index(p_world), 0, rule, (q_fact, e_fid, w_fid), witness=witness
-        )
+        return self._add_fact(branch, self.ray_index(p_world), 0, rule, (w_fid,), witness=witness)
 
     def circle_zero(self, branch: int, q_fact: int, p: Ray, pole_fact: int) -> int:
         self._require_visible(branch, (pole_fact, q_fact))
@@ -372,12 +352,6 @@ class DerivationTrace:
             witness=CertWitness(certificate=cert, frame=frame),
         )
 
-    def register_tripod(self, trip: Tripod) -> tuple[int, int, int]:
-        """Name a tripod for extraction without deriving through it."""
-        tri_idx = self.tripod_indices(trip)
-        self.named_tripods.append(tri_idx)
-        return tri_idx
-
 
 # -- extraction --------------------------------------------------------------
 
@@ -385,41 +359,35 @@ class DerivationTrace:
 def extract_triad_system(t: DerivationTrace) -> TriadSystem:
     """The finite constraint system a closed trace touches.
 
-    Collects the tripods named by splits, triad_one steps (including the
-    circle-zero expansions), and register_tripod, plus every orthogonal pair
-    used by a zero-against-one step that is not already inside a collected
-    tripod. Rays are reordered so the split-member (decision) rays come
-    first; with the solver's static lowest-index branch order this keeps the
-    refutation search shallow.
+    Collects the tripod of every triad_one step (including the circle-zero
+    expansions), plus every orthogonal pair of a zero and its value-1
+    premise that is not already inside a collected tripod. Rays are
+    reordered so the split-member (decision) rays come first; with the
+    solver's static lowest-index branch order this keeps the refutation
+    search shallow.
     """
     if not t.closed:
         open_leaves = [b for b in t.leaves() if t.branches[b].contradiction is None]
         raise OpenBranch(f"branches without contradiction: {open_leaves}")
 
-    splits = [b.split for b in t.branches if b.split is not None]
+    facts = t.facts
     triads = dict.fromkeys(
-        tuple(sorted(tri))
-        for tri in [sp.tripod for sp in splits]
-        + [
-            (t.facts[f.premises[0]].ray, t.facts[f.premises[1]].ray, f.ray)
-            for f in t.facts
-            if f.rule == RULE_TRIAD_ONE
-        ]
-        + t.named_tripods
+        tuple(sorted((facts[f.premises[0]].ray, facts[f.premises[1]].ray, f.ray)))
+        for f in facts
+        if f.rule == RULE_TRIAD_ONE
     )
     covered = {(a, b) for tri in triads for a in tri for b in tri}
     pairs: dict[tuple[int, int], None] = {}
-    for fact in t.facts:
+    for fact in facts:
         if fact.rule not in (RULE_ORTHOGONAL_ZERO, RULE_CIRCLE_ZERO, RULE_LEMMA_ZERO):
             continue
-        # every zero rule stores its value-1 premise last
-        a, b = t.facts[fact.premises[-1]].ray, fact.ray
+        a, b = facts[fact.premises[0]].ray, fact.ray  # a derived zero's one premise
         key = (min(a, b), max(a, b))
         if key not in covered:
             pairs[key] = None
 
     touched = dict.fromkeys(
-        [sp.member for sp in splits]
+        [b.split for b in t.branches if b.split is not None]
         + [i for tri in triads for i in tri]
         + [i for pair in pairs for i in pair]
     )
@@ -443,7 +411,7 @@ def decision_core(t: DerivationTrace, system: TriadSystem) -> tuple[int, ...]:
     stores two rays of one subspace.
     """
     index = {ray: i for i, ray in enumerate(system.rays)}
-    members = dict.fromkeys(b.split.member for b in t.branches if b.split is not None)
+    members = dict.fromkeys(b.split for b in t.branches if b.split is not None)
     try:
         return tuple(index[t.rays[m]] for m in members)
     except KeyError:

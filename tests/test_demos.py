@@ -25,7 +25,6 @@ from ksgeom.errors import (
 from ksgeom.plane import Side, side_of
 from ksgeom.reach import verify_certificate
 from ksgeom.sphere import (
-    EPS,
     NORTH_POLE,
     Ray,
     canonicalize,
@@ -40,7 +39,7 @@ from ksgeom.serialize import (
     save_trace,
 )
 from ksgeom.system import TriadSystem, load_system, save_system, validate_system
-from ksgeom.trace import CertWitness, decision_core, extract_triad_system
+from ksgeom.trace import CertWitness, decision_core, extract_triad_system, to_world
 
 from conftest import random_northern
 from test_serialize import reference_trace_doc
@@ -276,35 +275,67 @@ class TestDemoFirst:
                 assert abs(turned.rays[f2.ray].dot(expect)) >= 1.0 - 1e-9
 
 
+A_F, B_F = (-0.5, R2, 0.5), (-0.5, -R2, 0.5)  # the fixed tripod's left-half members
+
+
+def stored_index(t, ray):
+    """The trace's index of ray, which must be stored (looked up without storing)."""
+    (i,) = [i for i, r in enumerate(t.rays) if r.same_subspace(ray)]
+    return i
+
+
+def clash_arms(t):
+    """(leaf, seed frame) of demo second's three q(n) = 0 arms: the 0 child of
+    each seed branch's split, where the seed branches hold value 1 on the
+    north pole, then the x axis, then the y axis."""
+    root = t.branches[0]
+    n0 = t.branches[root.children[0]]
+    seeds = [
+        (root.children[1], None),
+        (n0.children[1], rotation_to_pole(canonicalize((1.0, 0.0, 0.0)))),
+        (n0.children[0], rotation_to_pole(canonicalize((0.0, 1.0, 0.0)))),
+    ]
+    return [(t.branches[seed].children[0], frame) for seed, frame in seeds]
+
+
 class TestDemoSecond:
     def test_closed(self, second_trace):
         assert second_trace.closed
 
-    def test_constant_tripod_named(self, second_trace):
-        assert len(second_trace.named_tripods) == 3  # one per seed branch
-        a, b, c = (second_trace.rays[i] for i in second_trace.named_tripods[0])
-        assert max(abs(a.dot(b)), abs(a.dot(c)), abs(b.dot(c))) <= 1e-15
-
     def test_left_half_members_both_one(self, second_trace):
-        # in the pole branch's q(n)=0 sub-branch, both left-half members of
-        # the fixed tripod carry value 1
-        tri = second_trace.named_tripods[0]
-        one_facts = [
-            f
-            for f in second_trace.facts
-            if f.value == 1 and f.ray in tri[:2] and f.rule == "triad_one"
-        ]
-        assert len(one_facts) >= 2
+        # in each q(n) = 0 arm, both left-half members of the fixed tripod
+        # carry value 1 by triad_one
+        t = second_trace
+        for leaf, frame in clash_arms(t):
+            for vec in (A_F, B_F):
+                fact = t.facts[t.value_fact_in(leaf, stored_index(t, to_world(frame, vec)))]
+                assert (fact.value, fact.rule) == (1, "triad_one")
 
     def test_contradiction_on_constant_tripod(self, second_trace):
-        # some leaf clash happens on a member of the named tripod
-        tri_rays = set(second_trace.named_tripods[0])
-        found = False
-        for leaf in second_trace.leaves():
-            pair = second_trace.branches[leaf].contradiction
-            if pair is not None and second_trace.facts[pair[0]].ray in tri_rays:
-                found = True
-        assert found
+        # each q(n) = 0 arm clashes on b: zeroed against v(a) = 1
+        t = second_trace
+        for leaf, frame in clash_arms(t):
+            a = stored_index(t, to_world(frame, A_F))
+            b = stored_index(t, to_world(frame, B_F))
+            one, zero = (t.facts[f] for f in t.branches[leaf].contradiction)
+            assert (one.ray, one.value, one.rule) == (b, 1, "triad_one")
+            assert (zero.ray, zero.value, zero.rule) == (b, 0, "orthogonal_zero")
+            assert t.facts[zero.premises[0]].ray == a
+
+    def test_clash_pair_in_no_triad(self, second_trace):
+        # the clash needs the orthogonal pair (a, b), not the fixed tripod
+        t = second_trace
+        system = extract_triad_system(t)
+        index = {ray: i for i, ray in enumerate(system.rays)}
+        for _, frame in clash_arms(t):
+            a, b = (index[t.rays[stored_index(t, to_world(frame, v))]] for v in (A_F, B_F))
+            assert (min(a, b), max(a, b)) in system.pairs
+            assert not any(a in tri and b in tri for tri in system.triads)
+
+    def test_fixed_tripod_third_member_absent(self, second_trace):
+        for _, frame in clash_arms(second_trace):
+            c = to_world(frame, (R2, 0.0, R2))
+            assert not any(r.same_subspace(c) for r in second_trace.rays)
 
     def test_certificates_verify(self, second_trace):
         for fact in second_trace.facts:
@@ -336,17 +367,17 @@ class TestPinnedOutputs:
         [
             pytest.param(
                 "first",
-                "1b96e7ee0fc02b642ec6d14055d0e7960e7eb6d32337efbea5f541564e68c325",
-                "483165fe6ddad92a11af07e5e7a40f162c478cd648f21d0b9cc28d04c8178882",
+                "dadfa43d7dfe7b3fa4d61a76b7ebbd83eafb1e0ad3958e601f07261850158694",
+                "bd7ea65b4f00a41a30e66877631a4f491fe2758cb4795dae75a8b505d623bc4a",
                 (105, 207, 23),
                 8,
                 id="first",
             ),
             pytest.param(
                 "second",
-                "8dd5cd6cf124fbbd994572816c9beafe939357722cace32df72a494d302d28ed",
-                "9c4cb7360a036b1327bbec12ba6c44570b1bf15da703fa1a5d97cc839a6d9a25",
-                (158, 260, 29),
+                "bf5b485f70f8d542057d6cbab51c1d22aa09b94ecc0010d39f51e82bab6adfec",
+                "098e97f24f49f7c64002f834f7dda67720296989244c6e6739cbec36066932bc",
+                (155, 260, 29),
                 11,
                 id="second",
             ),
@@ -387,28 +418,59 @@ class TestFramesFromDocument:
             assert [list(row) for row in rotation_to_pole(nearest).rows] == frame
 
 
-class TestTriadStepsFromDocument:
-    """A triad_one step's tripod is its premises' rays and its own, read from the document."""
+class TestFactShapesFromDocument:
+    """Read from the trace document alone, every fact is an assumption or a
+    step of one of the paper's two forcing rules: a zero against its one
+    value-1 premise on an orthogonal ray, or a one from two value-0 premises
+    whose rays and its own are pairwise orthogonal."""
 
-    @pytest.mark.parametrize("which", ["first_trace", "second_trace"])
-    def test_premise_rays_and_conclusion_pairwise_orthogonal(self, which, request):
+    @pytest.mark.parametrize("which, counts", [
+        ("first_trace", {"assume": 22, "orthogonal_zero": 55, "circle_zero": 42,
+                         "lemma_zero": 24, "triad_one": 64}),
+        ("second_trace", {"assume": 28, "orthogonal_zero": 75, "circle_zero": 48,
+                          "lemma_zero": 30, "triad_one": 79}),
+    ], ids=["first", "second"])
+    def test_each_fact_has_a_rule_shape(self, which, counts, request):
         doc = json.loads(save_trace(request.getfixturevalue(which)))
         facts, rays, eps = doc["facts"], doc["rays"], doc["eps"]
-        steps = [f for f in facts if f["rule"] == "triad_one"]
-        assert len(steps) > 30
-        for fact in steps:
-            assert fact["witness"] is None and fact["value"] == 1
-            assert [facts[p]["value"] for p in fact["premises"]] == [0, 0]
-            a, b = (Ray(*rays[facts[p]["ray"]]) for p in fact["premises"])
-            c = Ray(*rays[fact["ray"]])
-            assert max(abs(a.dot(b)), abs(a.dot(c)), abs(b.dot(c))) <= eps
+
+        def dot(i, j):
+            return abs(Ray(*rays[i]).dot(Ray(*rays[j])))
+
+        seen = dict.fromkeys(counts, 0)
+        for fid, fact in enumerate(facts):
+            rule, prem = fact["rule"], fact["premises"]
+            assert all(p < fid for p in prem)
+            assert (fact["witness"] is not None) == (rule == "lemma_zero")
+            if rule == "assume":
+                assert prem == []
+            elif rule == "triad_one":
+                assert fact["value"] == 1 and len(prem) == 2
+                assert [facts[p]["value"] for p in prem] == [0, 0]
+                a, b, c = facts[prem[0]]["ray"], facts[prem[1]]["ray"], fact["ray"]
+                assert max(dot(a, b), dot(a, c), dot(b, c)) <= eps
+            else:
+                assert rule in ("orthogonal_zero", "circle_zero", "lemma_zero")
+                assert fact["value"] == 0 and len(prem) == 1
+                one = facts[prem[0]]
+                assert one["value"] == 1 and dot(one["ray"], fact["ray"]) <= eps
+            seen[rule] += 1
+        assert seen == counts
+
+
+def q_fact(facts, fact):
+    """The q premise of a circle step: the first premise of its one premise,
+    the triad_one fact of the pole w of q's circle."""
+    (w,) = fact["premises"]
+    assert facts[w]["rule"] == "triad_one"
+    return facts[w]["premises"][0]
 
 
 def witness_endpoint_residuals(doc):
     """|a x b| of each lemma_zero fact's last certificate link, read from its
     trace document alone: the last point, mapped to world by the witness
     frame (rows^T v), against the fact's ray, and the point before it against
-    the ray of its q premise, premises[0]."""
+    the ray of its q, the first premise of its premise w's triad_one fact."""
     facts, rays = doc["facts"], doc["rays"]
     residuals = []
     for fact in facts:
@@ -416,7 +478,7 @@ def witness_endpoint_residuals(doc):
             continue
         frame, points = fact["witness"]["frame"], fact["witness"]["certificate"]["points"]
         for point, ray in ((points[-1], rays[fact["ray"]]),
-                           (points[-2], rays[facts[fact["premises"][0]]["ray"]])):
+                           (points[-2], rays[facts[q_fact(facts, fact)]["ray"]])):
             if frame is not None:
                 point = [sum(frame[r][i] * point[r] for r in range(3)) for i in range(3)]
             (ax, ay, az), (bx, by, bz) = point, ray
@@ -426,8 +488,8 @@ def witness_endpoint_residuals(doc):
 
 class TestWitnessesFromDocument:
     """Every lemma_zero certificate ends at its fact's ray, and its last link
-    starts at the ray of the fact's q premise, so a certificate handed to the
-    wrong fact shows in the document."""
+    starts at the ray of the fact's q, found through its premise w's fact,
+    so a certificate handed to the wrong fact shows in the document."""
 
     @pytest.mark.parametrize("i", [None, *range(40)],
                              ids=["second", *(f"golden{i}" for i in range(40))])
@@ -526,8 +588,8 @@ class TestRayTableProbes:
         monkeypatch.setattr(Ray, "same_subspace", counting_probe)
         t = demo_second_proof()
         monkeypatch.undo()
-        assert len(t.rays) == 158
-        assert counts == {"lookups": 358, "probes": 234}
+        assert len(t.rays) == 155
+        assert counts == {"lookups": 321, "probes": 192}
 
 
 def indent_1(text: str) -> str:
@@ -611,18 +673,14 @@ class TestTraceStructure:
             assert a.branch in t.branches[leaf].scope
             assert b.branch in t.branches[leaf].scope
 
-    @pytest.mark.parametrize(
-        "which, counts", [("first", (55, 42, 24)), ("second", (75, 48, 30))]
-    )
-    def test_zero_facts_cite_their_one_last(self, which, counts, first_trace, second_trace):
-        # extract_triad_system reads each zero-against-one pair off premises[-1]
-        t = first_trace if which == "first" else second_trace
-        rules = ("orthogonal_zero", "circle_zero", "lemma_zero")
-        seen = dict.fromkeys(rules, 0)
-        for fact in t.facts:
-            if fact.rule in rules:
-                one = t.facts[fact.premises[-1]]
-                assert one.value == 1
-                assert abs(t.rays[one.ray].dot(t.rays[fact.ray])) <= EPS
-                seen[fact.rule] += 1
-        assert tuple(seen.values()) == counts
+    @pytest.mark.parametrize("which", ["first", "second", *range(40)],
+                             ids=["first", "second", *(f"golden{i}" for i in range(40))])
+    def test_every_trace_ray_is_in_the_system(self, which, first_trace, second_trace):
+        if which == "first":
+            t = first_trace
+        elif which == "second":
+            t = second_trace
+        else:
+            t = demo_first_proof(golden_pole(which))
+        system = extract_triad_system(t)
+        assert system.n_rays == len(t.rays) and set(system.rays) == set(t.rays)

@@ -12,7 +12,7 @@ from ksgeom.serialize import (
     save_certificate,
     save_trace,
 )
-from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, complete_tripod, rotation_to_pole
+from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, rotation_to_pole
 from ksgeom.system import _canonical_json
 from ksgeom.trace import (
     RULE_LEMMA_ZERO,
@@ -56,17 +56,12 @@ def reference_trace_doc(t: DerivationTrace) -> dict:
                 "idx": b.idx,
                 "parent": b.parent,
                 "assumption": b.assumption,
-                "split": (
-                    {"tripod": list(b.split.tripod), "member": b.split.member}
-                    if b.split is not None
-                    else None
-                ),
+                "split": b.split,
                 "children": list(b.children) if b.children is not None else None,
                 "contradiction": list(b.contradiction) if b.contradiction is not None else None,
             }
             for b in t.branches
         ],
-        "named_tripods": [list(tri) for tri in t.named_tripods],
     }
 
 
@@ -170,7 +165,7 @@ class TestTraceDocs:
         t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
         doc = reference_trace_doc(t)
         assert save_trace(t) == _canonical_json(doc)
-        assert set(doc) == {"eps", "rays", "facts", "branches", "named_tripods"}
+        assert set(doc) == {"eps", "rays", "facts", "branches"}
         assert doc["facts"][0]["rule"] == "assume"
         assert doc["facts"][1]["rule"] == "orthogonal_zero"
         assert doc["facts"][1]["premises"] == [0]
@@ -196,18 +191,17 @@ class TestTraceDocs:
 
 
 def hand_built_trace() -> DerivationTrace:
-    """Facts of 0 to 3 premises, a named tripod, a split whose 0 child is
-    closed by a contradiction, and lemma_zero witnesses in the identity
-    frame (branch 0) and in the frame of the split member (child 1)."""
+    """Facts of 0 to 2 premises, a split whose 0 child is closed by a
+    contradiction, and lemma_zero witnesses in the identity frame (branch 0)
+    and in the frame of the split member (child 1)."""
     t = DerivationTrace()
-    t.register_tripod(complete_tripod(canonicalize((0.0, 0.6, 0.8))))
     pole = t.assume(0, NORTH_POLE, 1)
     t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
     q = t.assume(0, canonicalize((0, math.sin(0.8), math.cos(0.8))), 0)
     t.lemma_zero(0, q, canonicalize((0.4, 0.5, 0.2)), pole)
-    trip = complete_tripod(canonicalize((0.3, -0.2, 0.9)))
-    zero, one = t.split(0, trip, trip.c)
-    t.assume(zero, trip.c, 1)
+    member_ray = canonicalize((0.3, -0.2, 0.9))
+    zero, one = t.split(0, member_ray)
+    t.assume(zero, member_ray, 1)
     member = t.branches[one].assumption
     frame = t.frame(member)
     q = t.assume(one, to_world(frame, (0.0, math.sin(0.7), math.cos(0.7))), 0)
@@ -256,13 +250,16 @@ class TestTraceWriter:
 
     def test_empty_trace(self):
         text = self.check(DerivationTrace())
-        assert '"facts":[]' in text and '"named_tripods":[]' in text
+        assert text == '{"eps":1e-09,"rays":[],"facts":[],"branches":[%s]}\n' % (
+            '{"idx":0,"parent":null,"assumption":null,"split":null,'
+            '"children":null,"contradiction":null}'
+        )
 
     def test_hand_built_trace(self):
         t = hand_built_trace()
-        self.check(t)
-        assert {len(f.premises) for f in t.facts} == {0, 1, 2, 3}
-        assert t.named_tripods and t.branches[0].children
+        text = self.check(t)
+        assert {len(f.premises) for f in t.facts} == {0, 1, 2}
+        assert t.branches[0].children and '"split":%d,' % t.branches[0].split in text
         assert t.branches[1].contradiction is not None
         frames = [f.witness.frame for f in t.facts if f.witness is not None]
         assert frames[0] is None and frames[1] is not None

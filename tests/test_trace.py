@@ -19,7 +19,6 @@ from ksgeom.sphere import (
     EPS,
     NORTH_POLE,
     Ray,
-    Tripod,
     canonicalize,
     complete_tripod,
     circle_partners,
@@ -177,15 +176,6 @@ class TestTripodsCheckedAtEps:
             t.triad_one(0, w, f_q, f_e)
         assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
 
-    def test_split_refuses_skewed_tripod(self):
-        t, _ = seeded()
-        q, e, w = skewed_tripod()
-        n_rays, n_facts = len(t.rays), len(t.facts)
-        with pytest.raises(NotOrthogonal):
-            t.split(0, Tripod(q, e, w), q)
-        assert (len(t.rays), len(t.facts), len(t.branches)) == (n_rays, n_facts, 1)
-        assert t.branches[0].split is None
-
 
 class TestFrame:
     def test_north_pole_has_no_frame(self):
@@ -207,7 +197,7 @@ class TestFrame:
     def test_cached_frame_still_checks_the_value(self):
         t = DerivationTrace()
         one = canonicalize((0.3, -0.5, 0.8))
-        b0, b1 = t.split(0, complete_tripod(one), one)
+        b0, b1 = t.split(0, one)
         assert t.frame(t.branches[b1].assumption) == rotation_to_pole(one)
         with pytest.raises(PremiseNotOne):
             t.frame(t.branches[b0].assumption)  # same ray, value 0
@@ -306,7 +296,7 @@ class TestCircleZero:
             with pytest.raises(refusal):
                 t.circle_zero(0, q_fact, p, pole_fact)
             assert table_state(t) == before
-        b0, _ = t.split(0, complete_tripod(one), one)  # v(pole ray) = 0 in b0
+        b0, _ = t.split(0, one)  # v(pole ray) = 0 in b0
         before = table_state(t)
         with pytest.raises(AtPole):
             t.circle_zero(b0, t.branches[b0].assumption, p, pole)
@@ -323,9 +313,12 @@ class TestCircleZero:
         p = canonicalize(tuple(a * x + b * y for x, y in zip(q.vec, trip.b.vec)))
         fid = t.circle_zero(0, q_fact, p, pole)
         fact = t.facts[fid]
-        q_prem, e_prem, w_prem = fact.premises
+        (w_prem,) = fact.premises  # the conclusion cites the circle pole's fact alone
+        w_fact = t.facts[w_prem]
+        assert (w_fact.value, w_fact.rule) == (1, "triad_one")
+        q_prem, e_prem = w_fact.premises
+        assert q_prem == q_fact
         assert t.facts[e_prem].value == 0
-        assert t.facts[w_prem].value == 1
         # replay: p orthogonal to the value-1 expansion ray
         w_ray = t.rays[t.facts[w_prem].ray]
         assert abs(w_ray.dot(p)) <= 1e-9
@@ -369,8 +362,7 @@ class TestCertificateMemo:
         t, pole = seeded()
         q = canonicalize((0.3, 0.0, 0.95))
         q_fact = t.assume(0, q, 0)
-        trip = complete_tripod(canonicalize((0, R2, R2)))
-        branches = t.split(0, trip, trip.a)
+        branches = t.split(0, canonicalize((0, R2, R2)))
         targets = (Ray(-0.6, 0.0, 0.8), Ray(-0.6, -0.0, 0.8))
         assert targets[0] == targets[1] and reach(q, targets[0]) != reach(q, targets[1])
         for branch, p in zip(branches, targets):
@@ -382,47 +374,41 @@ class TestCertificateMemo:
 class TestBranching:
     def test_split_covers_both_values(self):
         t, _ = seeded()
-        trip = complete_tripod(canonicalize((0, R2, R2)))
-        b0, b1 = t.split(0, trip, trip.a)
+        q = canonicalize((0, R2, R2))
+        b0, b1 = t.split(0, q)
         assert t.facts[t.branches[b0].assumption].value == 0
         assert t.facts[t.branches[b1].assumption].value == 1
-        assert t.branches[0].split.member == t.ray_index(trip.a)
+        assert t.branches[0].split == t.ray_index(q)
 
     @pytest.mark.parametrize("i", range(3))
     def test_each_tripod_ray_is_a_member(self, i):
+        # a split stores the ray it decides and none of that ray's tripod
         t = DerivationTrace()
         trip = complete_tripod(canonicalize((0, R2, R2)))
-        t.split(0, trip, (trip.a, trip.b, trip.c)[i])
-        split = t.branches[0].split
-        assert split.member == split.tripod[i]
+        member = (trip.a, trip.b, trip.c)[i]
+        t.split(0, member)
+        assert t.rays == [member] and t.branches[0].split == 0
 
-    @pytest.mark.parametrize("member_s, stored_s, accepted", [
-        (0.5, None, True),  # the tripod ray itself
-        (0.5 + 0.5e-9, None, False),  # within eps of a tripod ray, but not one of them
-        (0.5 + 1.5e-9, None, False),  # new, and 1.5e-9 from every tripod ray
-        (0.5 + 1.5e-9, 0.5 + 0.75e-9, False),  # shares a stored ray with a tripod ray
+    @pytest.mark.parametrize("member_s, stored_s, index", [
+        (0.5, None, 0),  # a new ray
+        (0.5 + 1.5e-9, 0.5, 1),  # 1.5e-9 from a stored ray: a ray of its own
+        (0.5 + 1.5e-9, 0.5 + 0.75e-9, 0),  # within eps of a stored ray: that ray's index
     ])
-    def test_member_gets_a_tripod_index(self, member_s, stored_s, accepted):
+    def test_member_takes_its_table_index(self, member_s, stored_s, index):
         def ray(s):
             return canonicalize((math.sin(s), 0.0, math.cos(s)))
 
         t = DerivationTrace()
         if stored_s is not None:
             t.ray_index(ray(stored_s))
-        trip = complete_tripod(ray(0.5))
-        before = table_state(t)
-        if accepted:
-            t.split(0, trip, ray(member_s))
-            assert t.branches[0].split.member == t.branches[0].split.tripod[0] == 0
-        else:
-            with pytest.raises(BadPremises, match="belong to the split tripod"):
-                t.split(0, trip, ray(member_s))
-            assert table_state(t) == before and t.branches[0].split is None
+        b0, b1 = t.split(0, ray(member_s))
+        assert t.branches[0].split == index and len(t.rays) == index + 1
+        assert [t.facts[t.branches[b].assumption].ray for b in (b0, b1)] == [index, index]
 
     def test_premises_visible_across_ancestors_only(self):
         t, pole = seeded()
         trip = complete_tripod(canonicalize((0, R2, R2)))
-        b0, b1 = t.split(0, trip, trip.a)
+        b0, b1 = t.split(0, trip.a)
         f_in_b0 = t.branches[b0].assumption  # v(trip.a) = 0, private to b0
         f_e = t.orthogonal_zero(0, trip.b, pole)
         with pytest.raises(BadPremises, match="not visible"):
@@ -452,7 +438,7 @@ def sibling_premises():
     to q. Returns (t, pole, b0, one_in_b1, p, zero_in_b1)."""
     t, pole = seeded()
     q = canonicalize((0, R2, R2))
-    b0, b1 = t.split(0, complete_tripod(q), q)
+    b0, b1 = t.split(0, q)
     one_in_b1 = t.branches[b1].assumption
     p = canonicalize((1, 1, -1))
     zero_in_b1 = t.orthogonal_zero(b1, p, one_in_b1)
@@ -509,13 +495,13 @@ class TestRefusedRuleLeavesTraceUnchanged:
         assert (table_state(t), t.rays, t.facts, t.branches) == before
 
     def test_split(self):
+        # an already-split branch is refused before the new member is stored
         t, _ = seeded()
-        trip = complete_tripod(canonicalize((0, R2, R2)))
-        before = table_state(t)
-        with pytest.raises(BadPremises, match="belong to the split tripod"):
-            t.split(0, trip, canonicalize((0.3, 0.4, 0.5)))
-        assert table_state(t) == before
-        assert t.branches[0].split is None and len(t.branches) == 1
+        t.split(0, canonicalize((0, R2, R2)))
+        before = table_state(t), copy.deepcopy(t.branches)
+        with pytest.raises(BadPremises, match="already split"):
+            t.split(0, canonicalize((0.3, 0.4, 0.5)))
+        assert (table_state(t), t.branches) == before
 
     def test_pole_fact_from_a_sibling(self):
         t, _, b0, one_in_b1, _, _ = sibling_premises()
