@@ -5,10 +5,9 @@ JSON, shortest-round-trip floats, fixed key order and a newline after each
 "],[" and "},{" (one record per line), so save -> load -> save is byte
 identical. Certificates, and a trace's rays and branches, go through json's
 C encoder (system._compact); save_trace formats each fact directly, in the
-encoder's layout, and writes each certificate and frame once per document.
-TestTraceWriter in tests/test_serialize.py pins it to _canonical_json of a
-reference trace dict, and CI's "CLI end to end" step to the encoder's bytes
-for both demos. This module owns the certificate
+encoder's layout. TestTraceWriter in tests/test_serialize.py pins it to
+_canonical_json of a reference trace dict, and CI's "CLI end to end" step
+to the encoder's bytes for both demos. This module owns the certificate
 and trace formats. Schemas:
 
 certificate:
@@ -23,21 +22,20 @@ trace:
   {"eps": e,
    "rays": [[x,y,z], ...],
    "facts": [{"ray": i, "value": 0|1, "rule": str, "premises": [...],
-              "branch": b, "witness": W | null}, ...],
+              "branch": b}, ...],
    "branches": [{"idx": b, "parent": p | null, "assumption": fid | null,
                  "split": i | null, "children": [b0,b1] | null,
                  "contradiction": [f1,f2] | null}, ...]}
 
-fact witness W is null except on lemma_zero facts, where it is
-  {"certificate": <certificate doc>, "frame": [[...],[...],[...]] | null}
-(frame rows rotate world into certificate coordinates). An assume fact has
-no premises; a derived zero (orthogonal_zero, circle_zero, lemma_zero) has
-one, a value-1 fact on an orthogonal ray; a triad_one fact has two value-0
-facts, and its tripod is their rays and its own. A circle step's premise
-gives 1 to the pole w of q's circle: w's triad_one fact, whose first
-premise is q, or the assumption of a split that already decided w. A
-branch's split is the ray it decides: its children assume that ray at 0
-and at 1.
+A trace holds derivation steps only: no reach certificate and no frame. An
+assume fact has no premises; a derived zero (orthogonal_zero, circle_zero,
+lemma_zero) has one, a value-1 fact on an orthogonal ray; a triad_one fact
+has two value-0 facts, and its tripod is their rays and its own. A circle
+step's premise gives 1 to the pole w of q's circle: w's triad_one fact,
+whose first premise is q, or the assumption of a split that already
+decided w. So a lemma_zero fact is checked as the last circle step of its
+chain, each earlier step being a circle_zero fact of its own. A branch's
+split is the ray it decides: its children assume that ray at 0 and at 1.
 """
 
 from __future__ import annotations
@@ -87,28 +85,15 @@ def load_certificate(text: str | bytes) -> ReachCertificate:
 #: One trace fact, laid out as _compact lays out its dict: the keys in the
 #: dict's order and integers as json writes them (a fact's fields are ints,
 #: and its rule is one of the trace's rule names, which need no escaping).
-_FACT = '{"ray":%d,"value":%d,"rule":"%s","premises":[%s],"branch":%d,"witness":%s}'
+_FACT = '{"ray":%d,"value":%d,"rule":"%s","premises":[%s],"branch":%d}'
 
 
 def save_trace(t: DerivationTrace) -> str:
-    """The trace document: byte for byte _canonical_json of the schema's dict.
-
-    Facts are formatted from their records, and each certificate and frame
-    is encoded once per call: lemma_zero facts share them by object, so the
-    texts are keyed by id (a key by value would merge -0.0 with 0.0)."""
-    certs: dict[int, str] = {}
-    frames: dict[int, str] = {}
-    facts = []
-    for ray, value, rule, premises, branch, w in t.facts:
-        witness = "null"
-        if w is not None:
-            cert, frame = w.certificate, w.frame
-            if id(cert) not in certs:
-                certs[id(cert)] = _compact(certificate_to_doc(cert))
-            if id(frame) not in frames:
-                frames[id(frame)] = _compact(frame.rows if frame is not None else None)
-            witness = '{"certificate":%s,"frame":%s}' % (certs[id(cert)], frames[id(frame)])
-        facts.append(_FACT % (ray, value, rule, ",".join(map(str, premises)), branch, witness))
+    """The trace document: byte for byte _canonical_json of the schema's dict."""
+    facts = [
+        _FACT % (ray, value, rule, ",".join(map(str, premises)), branch)
+        for ray, value, rule, premises, branch, _ in t.facts
+    ]
     branches = [
         {
             "idx": b.idx,

@@ -8,9 +8,9 @@ and no extra keys. Every document (system, trace, certificate) has one
 layout, _compact's: compact JSON from json's C encoder with a newline after
 each "],[" and "},{" (one record per line) and one at the end, so save ->
 load -> save is byte identical; `python -m json.tool FILE` indents one for
-reading. save_trace formats trace facts directly in this layout, each
-certificate and frame written once per document; TestTraceWriter in
-tests/test_serialize.py and CI's "CLI end to end" layout check pin it.
+reading. save_trace formats trace facts directly in this layout, five
+integer-or-name fields each; TestTraceWriter in tests/test_serialize.py
+and CI's "CLI end to end" layout check pin it.
 """
 
 from __future__ import annotations

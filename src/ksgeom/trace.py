@@ -30,19 +30,19 @@ whose circle pole is circle_pole, the one construction of q's circle and
 third_point's at the north pole. That is how "by a rotation we can assume
 the pole is N" steps are mechanized without a rotation. lemma_zero alone
 uses a frame, rotation_to_pole of that value-1 fact's stored ray (computed
-once per ray): its reach certificate is built in frame coordinates and its
-chain points are mapped back to world rays. A fact is an immutable record, a
-NamedTuple: it is a tuple, so it also compares equal to a plain tuple of
-its fields, and the dataclasses helpers do not apply to it. Only
-lemma_zero facts carry a witness, their reach certificate and its frame.
-A trace computes each reach certificate once per bit pattern of its
-frame-coordinate q and p, which the lemma's replays in other seed frames
-share. Every check still runs on every call.
+once per ray; the identity at N): its reach certificate is built in frame
+coordinates and its chain points are mapped back to world rays. A fact is
+an immutable record, a NamedTuple: it is a tuple, so it also compares equal
+to a plain tuple of its fields, and the dataclasses helpers do not apply to
+it. A lemma_zero fact keeps its reach certificate in memory, as its
+witness; documents do not carry it, since the fact is checked as the
+circle step it stores. A trace computes each reach certificate once per
+pair of frame-coordinate q and p, which the lemma's replays in other seed
+frames share. Every check still runs on every call.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
@@ -82,14 +82,11 @@ RULE_LEMMA_ZERO = "lemma_zero"
 CELL = 2.0**-20
 _PER_CELL = 2.0**20
 _FILE_REACH = 2 * EPS
-#: Bytes of six floats: a key that tells -0.0 from 0.0, as atan2 does.
-_bits = struct.Struct("<6d").pack
 
 
 @dataclass(frozen=True)
 class CertWitness:
-    certificate: ReachCertificate
-    frame: Rotation | None  # rotation taking world to certificate coordinates
+    certificate: ReachCertificate  # in the frame of the step's value-1 pole
 
 
 class ValueFact(NamedTuple):
@@ -115,21 +112,17 @@ class Branch:
 
 # -- frames ------------------------------------------------------------------
 # A frame is the rotation taking world coordinates into the coordinates of a
-# "by a rotation we can assume" step, whose pole is a value-1 ray; None is
-# the identity. Facts are stored in world coordinates.
+# "by a rotation we can assume" step, whose pole is a value-1 ray. Facts are
+# stored in world coordinates.
 
 
-def to_frame(frame: Rotation | None, ray: Ray) -> Ray:
+def to_frame(frame: Rotation, ray: Ray) -> Ray:
     """Frame coordinates of a world ray."""
-    if frame is None:
-        return ray
     return canonicalize(frame.apply(ray.vec))
 
 
-def to_world(frame: Rotation | None, vec: Vec3) -> Ray:
+def to_world(frame: Rotation, vec: Vec3) -> Ray:
     """World ray of a frame-coordinate vector."""
-    if frame is None:
-        return canonicalize(vec)
     return canonicalize(frame.apply_inverse(vec))
 
 
@@ -146,9 +139,9 @@ class DerivationTrace:
         self.rays: list[Ray] = []
         self.facts: list[ValueFact] = []
         self.branches: list[Branch] = [Branch(idx=0, parent=None, scope=(0,))]
-        self._frames: dict[int, Rotation | None] = {}  # by pole ray index
+        self._frames: dict[int, Rotation] = {}  # by pole ray index
         self._cells: dict[tuple[int, ...], list[int]] = {}
-        self._certs: dict[bytes, ReachCertificate] = {}  # by _bits of frame (q, p)
+        self._certs: dict[tuple[Ray, Ray], ReachCertificate] = {}  # by frame (q, p)
 
     # -- ray table ---------------------------------------------------------
 
@@ -269,12 +262,12 @@ class DerivationTrace:
             raise PremiseNotOne(f"fact {one_fact} does not assign value 1")
         return self.rays[fact.ray]
 
-    def frame(self, pole_fact: int) -> Rotation | None:
-        """rotation_to_pole of a value-1 fact's stored ray; None at the north pole."""
+    def frame(self, pole_fact: int) -> Rotation:
+        """rotation_to_pole of a value-1 fact's stored ray; the identity at the north pole."""
         pole = self._one_ray(pole_fact)  # value check before the cache
         ridx = self.facts[pole_fact].ray
         if ridx not in self._frames:
-            self._frames[ridx] = None if pole.is_pole() else rotation_to_pole(pole)
+            self._frames[ridx] = rotation_to_pole(pole)
         return self._frames[ridx]
 
     def orthogonal_zero(self, branch: int, p: Ray, one_fact: int) -> int:
@@ -330,7 +323,8 @@ class DerivationTrace:
         """Zero a lower northern point through a reach certificate.
 
         One certificate serves every call whose frame coordinates of q and p
-        are the same bits, in whichever frame.
+        are the same, in whichever frame. Frame coordinates come from
+        canonicalize, which never returns -0.0, so equal rays are equal bits.
         """
         self._require_visible(branch, (pole_fact, q_fact))
         frame = self.frame(pole_fact)
@@ -338,7 +332,7 @@ class DerivationTrace:
         if fq.value != 0:
             raise PremiseNotZero(f"fact {q_fact} does not assign value 0")
         qf, pf = to_frame(frame, self.rays[fq.ray]), to_frame(frame, p)
-        key = _bits(*qf.vec, *pf.vec)
+        key = (qf, pf)
         cert = self._certs.get(key)
         if cert is None:
             cert = self._certs[key] = reach(qf, pf)
@@ -349,7 +343,7 @@ class DerivationTrace:
             )
         return self._macro_step(
             branch, prev, p, pole_fact, RULE_LEMMA_ZERO,
-            witness=CertWitness(certificate=cert, frame=frame),
+            witness=CertWitness(certificate=cert),
         )
 
 

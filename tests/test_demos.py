@@ -28,6 +28,7 @@ from ksgeom.sphere import (
     EPS,
     NORTH_POLE,
     Ray,
+    Rotation,
     canonicalize,
     circle_partners,
     rotation_to_pole,
@@ -291,12 +292,11 @@ def clash_arms(t):
     north pole, then the x axis, then the y axis."""
     root = t.branches[0]
     n0 = t.branches[root.children[0]]
-    seeds = [
-        (root.children[1], None),
-        (n0.children[1], rotation_to_pole(canonicalize((1.0, 0.0, 0.0)))),
-        (n0.children[0], rotation_to_pole(canonicalize((0.0, 1.0, 0.0)))),
+    seeds = (root.children[1], n0.children[1], n0.children[0])
+    return [
+        (t.branches[seed].children[0], rotation_to_pole(canonicalize(v)))
+        for seed, v in zip(seeds, SEED_TRIPOD_VECS)
     ]
-    return [(t.branches[seed].children[0], frame) for seed, frame in seeds]
 
 
 class TestDemoSecond:
@@ -368,7 +368,7 @@ class TestPinnedOutputs:
         [
             pytest.param(
                 "first",
-                "dadfa43d7dfe7b3fa4d61a76b7ebbd83eafb1e0ad3958e601f07261850158694",
+                "9e5a4cd2b25ef3b94d021eeee2de3226fdc9d76eae84fc3c8df1cf6573d18945",
                 "bd7ea65b4f00a41a30e66877631a4f491fe2758cb4795dae75a8b505d623bc4a",
                 (105, 207, 23),
                 8,
@@ -376,7 +376,7 @@ class TestPinnedOutputs:
             ),
             pytest.param(
                 "second",
-                "bf5b485f70f8d542057d6cbab51c1d22aa09b94ecc0010d39f51e82bab6adfec",
+                "17298c93bbd5c20da11538f3df61d74ee6140d554ae07c889a4f941fde6d4567",
                 "098e97f24f49f7c64002f834f7dda67720296989244c6e6739cbec36066932bc",
                 (155, 260, 29),
                 11,
@@ -404,19 +404,34 @@ def pi_pole_trace():
     return demo_first_proof(polar_target(0.34038461538461534, math.pi))
 
 
+def lemma_steps(t):
+    """(fact, q fact id, pole fact id) of each lemma_zero fact of a trace in
+    memory: its premise is w's triad_one fact from q and e, and e is zeroed
+    against the chain's value-1 pole."""
+    for fact in t.facts:
+        if fact.rule == "lemma_zero":
+            (w,) = fact.premises
+            assert t.facts[w].rule == "triad_one"
+            q, e = t.facts[w].premises
+            (pole,) = t.facts[e].premises
+            yield fact, q, pole
+
+
 class TestFramesFromDocument:
-    """A certificate frame is rotation_to_pole of a ray the trace document stores."""
+    """The frame of every lemma_zero chain is rotation_to_pole of its pole
+    fact's ray as the trace document stores it, the identity at N included,
+    so a document needs no frames."""
 
     @pytest.mark.parametrize("which", ["first_trace", "second_trace", "pi_pole_trace"])
     def test_frame_derives_from_stored_ray(self, which, request):
-        doc = json.loads(save_trace(request.getfixturevalue(which)))
-        rays = [Ray(*v) for v in doc["rays"]]
-        frames = [f["witness"]["frame"] for f in doc["facts"] if (f["witness"] or {}).get("frame")]
-        assert frames
-        for frame in frames:
-            pole = canonicalize(tuple(frame[2]))
-            nearest = max(rays, key=lambda r: abs(r.dot(pole)))
-            assert [list(row) for row in rotation_to_pole(nearest).rows] == frame
+        t = request.getfixturevalue(which)
+        rays = json.loads(save_trace(t))["rays"]
+        frames = {}
+        for _, _, pole in lemma_steps(t):
+            frames[pole] = t.frame(pole)
+            assert frames[pole] == rotation_to_pole(Ray(*rays[t.facts[pole].ray]))
+        assert len(frames) >= 5
+        assert Rotation.identity() in frames.values()
 
 
 class TestFactShapesFromDocument:
@@ -441,8 +456,8 @@ class TestFactShapesFromDocument:
         seen = dict.fromkeys(counts, 0)
         for fid, fact in enumerate(facts):
             rule, prem = fact["rule"], fact["premises"]
+            assert list(fact) == ["ray", "value", "rule", "premises", "branch"]
             assert all(p < fid for p in prem)
-            assert (fact["witness"] is not None) == (rule == "lemma_zero")
             if rule == "assume":
                 assert prem == []
             elif rule == "triad_one":
@@ -469,37 +484,25 @@ class TestTriadStepsFromDocument:
         steps = [f for f in facts if f["rule"] == "triad_one"]
         assert len(steps) > 30
         for fact in steps:
-            assert fact["witness"] is None and fact["value"] == 1
+            assert fact["value"] == 1
             assert [facts[p]["value"] for p in fact["premises"]] == [0, 0]
             a, b = (Ray(*rays[facts[p]["ray"]]) for p in fact["premises"])
             c = Ray(*rays[fact["ray"]])
             assert max(abs(a.dot(b)), abs(a.dot(c)), abs(b.dot(c))) <= eps
 
 
-def q_fact(facts, fact):
-    """The q premise of a circle step: the first premise of its one premise,
-    the triad_one fact of the pole w of q's circle."""
-    (w,) = fact["premises"]
-    assert facts[w]["rule"] == "triad_one"
-    return facts[w]["premises"][0]
-
-
-def witness_endpoint_residuals(doc):
-    """|a x b| of each lemma_zero fact's last certificate link, read from its
-    trace document alone: the last point, mapped to world by the witness
-    frame (rows^T v), against the fact's ray, and the point before it against
-    the ray of its q, the first premise of its premise w's triad_one fact."""
-    facts, rays = doc["facts"], doc["rays"]
+def witness_endpoint_residuals(t):
+    """|a x b| of each lemma_zero fact's last certificate link, the
+    certificate held in memory and the rays read from the trace document:
+    the last point, mapped to world by t.frame of the chain's pole fact,
+    against the fact's ray, and the point before it against the ray of its
+    q, the first premise of its premise w's triad_one fact."""
+    rays = json.loads(save_trace(t))["rays"]
     residuals = []
-    for fact in facts:
-        if fact["rule"] != "lemma_zero":
-            continue
-        frame, points = fact["witness"]["frame"], fact["witness"]["certificate"]["points"]
-        for point, ray in ((points[-1], rays[fact["ray"]]),
-                           (points[-2], rays[facts[q_fact(facts, fact)]["ray"]])):
-            if frame is not None:
-                point = [sum(frame[r][i] * point[r] for r in range(3)) for i in range(3)]
-            (ax, ay, az), (bx, by, bz) = point, ray
+    for fact, q, pole in lemma_steps(t):
+        frame, points = t.frame(pole), fact.witness.certificate.points
+        for point, ray in ((points[-1], rays[fact.ray]), (points[-2], rays[t.facts[q].ray])):
+            (ax, ay, az), (bx, by, bz) = frame.apply_inverse(point), ray
             residuals.append(math.hypot(ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx))
     return residuals
 
@@ -507,16 +510,16 @@ def witness_endpoint_residuals(doc):
 class TestWitnessesFromDocument:
     """Every lemma_zero certificate ends at its fact's ray, and its last link
     starts at the ray of the fact's q, found through its premise w's fact,
-    so a certificate handed to the wrong fact shows in the document."""
+    so a certificate handed to the wrong fact would show against the
+    document's rays."""
 
     @pytest.mark.parametrize("i", [None, *range(40)],
                              ids=["second", *(f"golden{i}" for i in range(40))])
     def test_last_link_spans_the_fact_and_its_q_premise(self, i, second_trace):
         t = second_trace if i is None else demo_first_proof(golden_pole(i))
-        doc = json.loads(save_trace(t))
-        residuals = witness_endpoint_residuals(doc)
+        residuals = witness_endpoint_residuals(t)
         assert len(residuals) >= 2 * 12
-        assert max(residuals) <= doc["eps"]
+        assert max(residuals) <= EPS
 
 
 class TestSplitFacing:
@@ -567,17 +570,16 @@ class TestFrameCache:
         rotate, frame = trace_module.rotation_to_pole, trace_module.DerivationTrace.frame
 
         def counting_frame(t, pole_fact):
-            pole = t.facts[pole_fact].ray
-            if not t.rays[pole].is_pole():
-                poles.add(pole)
+            poles.add(t.facts[pole_fact].ray)
             return frame(t, pole_fact)
 
         monkeypatch.setattr(trace_module, "rotation_to_pole",
                             lambda ray: rotated.append(ray) or rotate(ray))
         monkeypatch.setattr(trace_module.DerivationTrace, "frame", counting_frame)
         t = build()
+        # N's frame, the identity, is a rotation too
         assert sorted(t.rays.index(ray) for ray in rotated) == sorted(poles)
-        assert len(poles) >= 5
+        assert NORTH_POLE in rotated and len(poles) >= 6
 
 
 class TestRayTableProbes:
@@ -718,3 +720,34 @@ class TestTraceStructure:
             t = demo_first_proof(golden_pole(which))
         system = extract_triad_system(t)
         assert system.n_rays == len(t.rays) and set(system.rays) == set(t.rays)
+
+
+class TestUncitedFacts:
+    """The facts that no fact or contradiction cites. Each is the zero of
+    u_minus that _height_split stores just after its u_plus = 1 assumption:
+    the first circle step from u_minus finds the pole of u_minus's circle,
+    u_plus, already at 1 and cites that assumption instead."""
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_only_the_sibling_zeros_of_height_splits(self, which, monkeypatch):
+        sibling_zeros = []
+        height_split = demos_module._height_split
+
+        def recording(t, branch, pole_fact, aim_f):
+            steps = height_split(t, branch, pole_fact, aim_f)
+            child, zero = next(steps)  # the u_plus = 1 child comes first
+            sibling_zeros.append(zero)
+            yield child, zero
+            yield from steps
+
+        monkeypatch.setattr(demos_module, "_height_split", recording)
+        t = demo_first_proof(default_pole()) if which == "first" else demo_second_proof()
+        cited = {p for f in t.facts for p in f.premises}
+        cited.update(f for b in t.branches if b.contradiction for f in b.contradiction)
+        uncited = [fid for fid in range(len(t.facts)) if fid not in cited]
+        assert uncited == sibling_zeros and len(uncited) == 9
+        for fid in uncited:
+            fact = t.facts[fid]
+            one = t.branches[fact.branch].assumption
+            assert t.facts[one].value == 1 and fid == one + 1
+            assert fact.rule == "orthogonal_zero" and fact.premises == (one,)

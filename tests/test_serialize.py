@@ -4,23 +4,16 @@ import math
 import pytest
 
 from ksgeom.errors import ParseError
-from ksgeom.reach import ReachCertificate, reach, verify_certificate
+from ksgeom.reach import reach, verify_certificate
 from ksgeom.serialize import (
-    certificate_to_doc,
     load_certificate,
     report_to_doc,
     save_certificate,
     save_trace,
 )
-from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, rotation_to_pole
+from ksgeom.sphere import EPS, NORTH_POLE, canonicalize
 from ksgeom.system import _canonical_json
-from ksgeom.trace import (
-    RULE_LEMMA_ZERO,
-    CertWitness,
-    DerivationTrace,
-    ValueFact,
-    to_world,
-)
+from ksgeom.trace import DerivationTrace, to_world
 
 R2 = math.sqrt(0.5)
 
@@ -28,15 +21,6 @@ R2 = math.sqrt(0.5)
 def reference_trace_doc(t: DerivationTrace) -> dict:
     """The trace document as one dict, the schema in ksgeom.serialize's
     docstring; save_trace must write _canonical_json of it byte for byte."""
-
-    def witness_doc(w: CertWitness | None) -> dict | None:
-        if w is None:
-            return None
-        return {
-            "certificate": certificate_to_doc(w.certificate),
-            "frame": [list(row) for row in w.frame.rows] if w.frame is not None else None,
-        }
-
     return {
         "eps": EPS,
         "rays": [[r.x, r.y, r.z] for r in t.rays],
@@ -47,7 +31,6 @@ def reference_trace_doc(t: DerivationTrace) -> dict:
                 "rule": f.rule,
                 "premises": list(f.premises),
                 "branch": f.branch,
-                "witness": witness_doc(f.witness),
             }
             for f in t.facts
         ],
@@ -179,21 +162,17 @@ class TestTraceDocs:
         doc = json.loads(text)
         assert len(doc["facts"]) == len(t.facts)
         assert len(doc["rays"]) == len(t.rays)
-        cert_facts = [f for f in doc["facts"] if f["witness"] and "certificate" in f["witness"]]
-        assert cert_facts
-        for f in cert_facts:
-            w = f["witness"]
-            assert set(w["certificate"]) == {"eps", "shell_n", "points", "residuals"}
-            if w["frame"] is not None:
-                assert len(w["frame"]) == 3
+        assert any(f["rule"] == "lemma_zero" for f in doc["facts"])
+        for f in doc["facts"]:
+            assert list(f) == ["ray", "value", "rule", "premises", "branch"]
         closed = [b for b in doc["branches"] if b["contradiction"]]
         assert closed
 
 
 def hand_built_trace() -> DerivationTrace:
     """Facts of 0 to 2 premises, a split whose 0 child is closed by a
-    contradiction, and lemma_zero witnesses in the identity frame (branch 0)
-    and in the frame of the split member (child 1)."""
+    contradiction, and lemma_zero steps in the identity frame (branch 0) and
+    in the frame of the split member (child 1)."""
     t = DerivationTrace()
     pole = t.assume(0, NORTH_POLE, 1)
     t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
@@ -206,16 +185,6 @@ def hand_built_trace() -> DerivationTrace:
     frame = t.frame(member)
     q = t.assume(one, to_world(frame, (0.0, math.sin(0.7), math.cos(0.7))), 0)
     t.lemma_zero(one, q, to_world(frame, (-0.3, 0.4, 0.3)), member)
-    return t
-
-
-def with_witness_facts(witnesses: list[CertWitness]) -> DerivationTrace:
-    """A trace whose facts are lemma_zero records appended directly, one per
-    witness, each on a ray of its own."""
-    t = DerivationTrace()
-    for i, w in enumerate(witnesses):
-        ray = t.ray_index(canonicalize((0.1 * (i + 1), 0.2, 0.9)))
-        t.facts.append(ValueFact(ray, 0, RULE_LEMMA_ZERO, (), 0, w))
     return t
 
 
@@ -238,15 +207,7 @@ class TestTraceWriter:
 
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_demo_traces(self, which, demo_traces):
-        t = demo_traces[which]
-        self.check(t)
-        witnesses = [f.witness for f in t.facts if f.witness is not None]
-        # the demos share certificate objects between frames, which is what
-        # the writer's per-call texts are keyed on
-        assert len({id(w.certificate) for w in witnesses}) < len(witnesses)
-        assert len({(id(w.certificate), id(w.frame)) for w in witnesses}) > len(
-            {id(w.certificate) for w in witnesses}
-        )
+        self.check(demo_traces[which])
 
     def test_empty_trace(self):
         text = self.check(DerivationTrace())
@@ -261,19 +222,4 @@ class TestTraceWriter:
         assert {len(f.premises) for f in t.facts} == {0, 1, 2}
         assert t.branches[0].children and '"split":%d,' % t.branches[0].split in text
         assert t.branches[1].contradiction is not None
-        frames = [f.witness.frame for f in t.facts if f.witness is not None]
-        assert frames[0] is None and frames[1] is not None
-
-    def test_shared_certificate_under_two_frames(self):
-        cert = sample_certificate()
-        frame = rotation_to_pole(canonicalize((0.3, -0.2, 0.9)))
-        text = self.check(with_witness_facts([CertWitness(cert, None), CertWitness(cert, frame)]))
-        assert text.count('"frame":null') == 1
-
-    def test_signed_zeros_are_not_merged(self):
-        points = ((0.6, 0.0, 0.8), (0.0, 0.6, 0.8))
-        neg = ((0.6, -0.0, 0.8), (-0.0, 0.6, 0.8))
-        plus, minus = ReachCertificate(points=points), ReachCertificate(points=neg)
-        assert plus == minus  # equal as values: -0.0 == 0.0
-        text = self.check(with_witness_facts([CertWitness(plus, None), CertWitness(minus, None)]))
-        assert "[0.6,0.0,0.8]" in text and "[0.6,-0.0,0.8]" in text
+        assert [f.branch for f in t.facts if f.rule == "lemma_zero"] == [0, t.branches[0].children[1]]

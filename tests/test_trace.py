@@ -19,6 +19,7 @@ from ksgeom.sphere import (
     EPS,
     NORTH_POLE,
     Ray,
+    Rotation,
     canonicalize,
     complete_tripod,
     circle_partners,
@@ -178,9 +179,9 @@ class TestTripodsCheckedAtEps:
 
 
 class TestFrame:
-    def test_north_pole_has_no_frame(self):
+    def test_north_pole_frame_is_the_identity(self):
         t, pole = seeded()
-        assert t.frame(pole) is None
+        assert t.frame(pole) == rotation_to_pole(NORTH_POLE) == Rotation.identity()
 
     def test_frame_turns_the_stored_pole_ray_to_the_north_pole(self):
         t = DerivationTrace()
@@ -356,19 +357,24 @@ class TestLemmaZero:
 
 
 class TestCertificateMemo:
-    def test_signed_zero_inputs_get_their_own_certificates(self):
-        # p differs only in the sign of y = 0, so the two calls share a Ray
-        # equality but not atan2(y, x < 0): the spirals turn opposite ways
+    def test_signed_zero_inputs_share_one_certificate(self):
+        # p differs only in the sign of y = 0, so reach on the rays as given
+        # turns its spirals opposite ways (atan2(+-0.0, x < 0)); frame
+        # coordinates come from canonicalize, which writes 0.0 for -0.0, so
+        # both calls reach the one frame point and share its certificate
         t, pole = seeded()
         q = canonicalize((0.3, 0.0, 0.95))
         q_fact = t.assume(0, q, 0)
         branches = t.split(0, canonicalize((0, R2, R2)))
         targets = (Ray(-0.6, 0.0, 0.8), Ray(-0.6, -0.0, 0.8))
         assert targets[0] == targets[1] and reach(q, targets[0]) != reach(q, targets[1])
+        certs = []
         for branch, p in zip(branches, targets):
             fact = t.facts[t.lemma_zero(branch, q_fact, p, pole)]
             assert fact.branch == branch
-            assert fact.witness.certificate == reach(q, p)
+            certs.append(fact.witness.certificate)
+        assert certs[0] is certs[1] and certs[0] == reach(q, targets[0])
+        assert verify_certificate(certs[0]).accepted
 
 
 class TestBranching:
