@@ -19,6 +19,11 @@ The demos pass pole facts, never rotations: a point given in the frame of
 a value-1 pole fact is mapped to a world ray, and its completion tripod is
 taken from it and the pole fact's ray, as circle_zero takes it.
 
+The seed tripod is the three axes, so each demo argues once, under the
+north pole, and its x and y seed copies are that argument's images under
+their seed frames, signed permutations that map every ray exactly: the
+paper's "by a rotation we can assume", done once (DerivationTrace.replay_image).
+
 How a height-1/sqrt(2) split tripod is turned about its pole is free (the
 paper takes each frame "by a rotation we can assume"), and it sets the
 system's size: a reach chain from a zeroed height-1/sqrt(2) ray turns the
@@ -33,7 +38,7 @@ system's size does not depend on the target's azimuth.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from .errors import BadN, BadPole, NotInRightHalf
 from .plane import Side, side_of
@@ -50,7 +55,7 @@ SEED_TRIPOD_VECS: tuple[Vec3, Vec3, Vec3] = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (
 #: Default frame-relative re-poling target's angle from the frame pole, used
 #: by demo second and by ks demo first's default --pole (0, sin, cos of it):
 #: the middle of the plateau 0.42 <= theta <= 0.46 where both demos are
-#: smallest (105 and 155 rays).
+#: smallest (105 and 153 rays).
 DEFAULT_POLE_ANGLE = 0.44
 
 
@@ -169,20 +174,21 @@ def _pole_refutation(t: DerivationTrace, branch: int, pole_fact: int, pprime_f: 
         _heights_and_clash(t, child, pole_fact, pprime_f, zero45)
 
 
-def _seed_split(t: DerivationTrace) -> list[tuple[int, int]]:
-    """Discharge the global seed: one branch per member of the seed tripod.
+def _seed_copies(t: DerivationTrace, argue: Callable[[int, int], None]) -> None:
+    """Discharge the global seed: one copy of the per-pole argument per seed member.
 
-    Returns (branch, pole_fact) pairs, the fact giving that member value 1.
+    The seed tripod is split so that each branch holds value 1 on one of its
+    members. argue(branch, pole_fact) runs the argument once, under the north
+    pole; the x and y copies are its images under their seed frames, which
+    are exact signed permutations.
     """
     n_ray, x_ray, y_ray = (canonicalize(v) for v in SEED_TRIPOD_VECS)
     b_n0, b_n1 = t.split(0, n_ray)
     b_x0, b_x1 = t.split(b_n0, x_ray)
     y_fid = t.triad_one(b_x0, y_ray, t.branches[b_n0].assumption, t.branches[b_x0].assumption)
-    return [
-        (b_n1, t.branches[b_n1].assumption),
-        (b_x1, t.branches[b_x1].assumption),
-        (b_x0, y_fid),
-    ]
+    argue(b_n1, t.branches[b_n1].assumption)
+    t.replay_image(b_n1, b_x1, t.branches[b_x1].assumption)
+    t.replay_image(b_n1, b_x0, y_fid)
 
 
 def demo_first_proof(p_prime: Ray) -> DerivationTrace:
@@ -196,8 +202,7 @@ def demo_first_proof(p_prime: Ray) -> DerivationTrace:
             f"re-poling target needs 1/sqrt(2) < z < 1, got z={p_prime.z!r}"
         )
     t = DerivationTrace()
-    for branch, pole_fact in _seed_split(t):
-        _pole_refutation(t, branch, pole_fact, p_prime.vec)
+    _seed_copies(t, lambda branch, pole_fact: _pole_refutation(t, branch, pole_fact, p_prime.vec))
     assert t.closed
     return t
 
@@ -218,7 +223,7 @@ def demo_second_proof() -> DerivationTrace:
     pprime_f: Vec3 = (0.0, math.sin(DEFAULT_POLE_ANGLE), math.cos(DEFAULT_POLE_ANGLE))
     qn_f = qn_sequence(cover_index(third_point(canonicalize(a_f)))).vec
 
-    for branch, pole_fact in _seed_split(t):
+    def argue(branch: int, pole_fact: int) -> None:
         qn, e_qn, w_qn = _completion_in_frame(t, pole_fact, qn_f)
         e_qn_fid = t.orthogonal_zero(branch, e_qn, pole_fact)
         b0, b1 = t.split(branch, qn)
@@ -235,5 +240,6 @@ def demo_second_proof() -> DerivationTrace:
         b_ray, _ = _force_one(t, b0, pole_fact, b_f, qn_zero)
         t.orthogonal_zero(b0, b_ray, a_fid)  # clashes with v(b)=1
 
+    _seed_copies(t, argue)
     assert t.closed
     return t

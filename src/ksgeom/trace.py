@@ -37,8 +37,11 @@ to a plain tuple of its fields, and the dataclasses helpers do not apply to
 it. A lemma_zero fact keeps its reach certificate in memory, as its
 witness; documents do not carry it, since the fact is checked as the
 circle step it stores. A trace computes each reach certificate once per
-pair of frame-coordinate q and p, which the lemma's replays in other seed
-frames share. Every check still runs on every call.
+pair of frame-coordinate q and p. replay_image stores a subtree argued under
+the north pole again under another value-1 pole whose frame is a signed
+permutation, as its exact image: it maps rays and re-checks each fact's rule
+locally, with no reach call, circle construction or new frame, and its facts
+carry no certificate. Every check still runs on every call.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .errors import (
 from .reach import ReachCertificate, reach
 from .sphere import (
     EPS,
+    NORTH_POLE,
     Ray,
     Rotation,
     Vec3,
@@ -345,6 +349,74 @@ class DerivationTrace:
             branch, prev, p, pole_fact, RULE_LEMMA_ZERO,
             witness=CertWitness(certificate=cert),
         )
+
+    # -- images -------------------------------------------------------------
+
+    def replay_image(self, source: int, branch: int, pole_fact: int) -> dict[int, int]:
+        """Store source's subtree again under branch, mapped by pole_fact's frame.
+
+        source's assumption gives the north pole value 1, so its facts' rays
+        are frame coordinates already; pole_fact stands in for that
+        assumption. The frame must be a signed permutation, so every image ray
+        is exact. Each distinct source ray is mapped once, by to_world and
+        ray_index; each split is made again by split; every other fact is
+        stored with its source's value and rule and re-indexed premises, once
+        its rule's local check passes on the stored rays. An image carries no
+        witness: no certificate was computed for it. Returns the id of each
+        source fact's image, an earlier fact where one was already visible.
+        """
+        frame = self.frame(pole_fact)  # pole_fact must hold value 1
+        if any(c not in (0.0, 1.0, -1.0) for row in frame.rows for c in row):
+            raise BadPremises(f"frame of fact {pole_fact} is not a signed permutation")
+        src = self.branches[source]
+        seed = None if src.assumption is None else self.facts[src.assumption]
+        if seed is None or seed.value != 1 or self.rays[seed.ray] != NORTH_POLE:
+            raise BadPremises(f"branch {source} does not assume the north pole at 1")
+        target = self.branches[branch]
+        if target.children is not None or source in target.scope:
+            raise BadPremises(f"branch {branch} cannot hold an image of branch {source}")
+        self._require_visible(branch, (pole_fact,))
+
+        facts, branches, rays = self.facts, self.branches, self.rays
+        fmap = {src.assumption: pole_fact}
+        bmap = {source: branch}
+        rmap: dict[int, int] = {}
+        for fid in range(src.assumption + 1, len(facts)):
+            f = facts[fid]
+            node = branches[f.branch]
+            if fid in fmap or source not in node.scope:
+                continue  # a 1 child's assumption, made with its sibling's; or no source fact
+            ridx = rmap.get(f.ray)
+            if f.rule == RULE_ASSUME and node.assumption == fid:
+                parent = branches[node.parent]  # type: ignore[index]
+                member = to_world(frame, rays[f.ray].vec) if ridx is None else rays[ridx]
+                kids = self.split(bmap[parent.idx], member)
+                rmap[f.ray] = branches[bmap[parent.idx]].split  # type: ignore[assignment]
+                for old, new in zip(parent.children, kids):  # type: ignore[arg-type]
+                    bmap[old] = new
+                    fmap[branches[old].assumption] = branches[new].assumption  # type: ignore[index]
+                continue
+            if ridx is None:
+                ridx = rmap[f.ray] = self.ray_index(to_world(frame, rays[f.ray].vec))
+            b = bmap[f.branch]
+            try:
+                premises = tuple(fmap[p] for p in f.premises)
+            except KeyError:
+                raise BadPremises(f"fact {fid} cites a fact outside branch {source}'s subtree") from None
+            self._require_visible(b, premises)
+            conclusion = rays[ridx]
+            if f.rule == RULE_TRIAD_ONE:
+                fa, fb = facts[premises[0]], facts[premises[1]]
+                if fa.value != 0 or fb.value != 0 or fa.ray == fb.ray:
+                    raise BadPremises(f"image of triad_one fact {fid} lacks two zeroed rays")
+                check_tripod(rays[fa.ray], rays[fb.ray], conclusion)
+            elif f.rule in (RULE_ORTHOGONAL_ZERO, RULE_CIRCLE_ZERO, RULE_LEMMA_ZERO):
+                if not self._one_ray(premises[0]).is_orthogonal(conclusion):
+                    raise NotOrthogonal(f"image of {f.rule} fact {fid} is off its premise's plane")
+            else:
+                raise BadPremises(f"fact {fid} is an assumption no split made")
+            fmap[fid] = self._add_fact(b, ridx, f.value, f.rule, premises)
+        return fmap
 
 
 # -- extraction --------------------------------------------------------------

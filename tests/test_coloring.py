@@ -17,7 +17,7 @@ from ksgeom.coloring import (
 from ksgeom.demos import demo_first_proof, demo_second_proof
 from ksgeom.errors import InvalidSystem
 from ksgeom.sphere import Ray, canonicalize, complete_tripod
-from ksgeom.system import TriadSystem
+from ksgeom.system import TriadSystem, validate_system
 from ksgeom.trace import decision_core, extract_triad_system
 
 from conftest import random_northern_nonpole
@@ -60,6 +60,70 @@ def random_book_system(rng: random.Random, n_books: int) -> TriadSystem:
     if rng.random() < 0.5 and len(rays) >= 5:
         pairs.append((1, 2))
     return TriadSystem(rays=tuple(rays), triads=tuple(triads), pairs=tuple(pairs))
+
+
+def peres_system() -> TriadSystem:
+    """Peres's 33 rays (J. Phys. A 24, 1991) from their closed form.
+
+    The rays are the coordinate permutations of (0,0,1), (0,1,+-1),
+    (0,+-1,sqrt 2) and (+-1,+-1,sqrt 2), merged by same_subspace. Every
+    orthogonal triple is a triad, and every other orthogonal pair a pair.
+    """
+    r2 = math.sqrt(2.0)
+    rays: list[Ray] = []
+    for base in ((0, 0, 1), (0, 1, 1), (0, 1, -1), (0, 1, r2), (0, -1, r2),
+                 (1, 1, r2), (1, -1, r2), (-1, 1, r2), (-1, -1, r2)):
+        for vec in itertools.permutations(base):
+            ray = canonicalize(vec)
+            if not any(ray.same_subspace(seen) for seen in rays):
+                rays.append(ray)
+
+    def orthogonal(i: int, j: int) -> bool:
+        return rays[i].is_orthogonal(rays[j])
+
+    triads = [(a, b, c) for a, b, c in itertools.combinations(range(len(rays)), 3)
+              if orthogonal(a, b) and orthogonal(a, c) and orthogonal(b, c)]
+    covered = {pair for tri in triads for pair in itertools.combinations(tri, 2)}
+    pairs = [pair for pair in itertools.combinations(range(len(rays)), 2)
+             if orthogonal(*pair) and pair not in covered]
+    return TriadSystem(rays=tuple(rays), triads=tuple(triads), pairs=tuple(pairs))
+
+
+def relabelled(s: TriadSystem, rng: random.Random) -> TriadSystem:
+    """s with its rays renumbered by a random permutation."""
+    perm = rng.sample(range(s.n_rays), s.n_rays)  # old index -> new index
+    rays: list = [None] * s.n_rays
+    for old, ray in enumerate(s.rays):
+        rays[perm[old]] = ray
+    return TriadSystem(
+        rays=tuple(rays),
+        triads=tuple(tuple(sorted(perm[i] for i in tri)) for tri in s.triads),
+        pairs=tuple(tuple(sorted(perm[i] for i in pair)) for pair in s.pairs),
+    )
+
+
+class TestPeresSet:
+    """A published Kochen-Specker set, the first refuted system here that
+    does not come from this package's extractor."""
+
+    def test_closed_form_sizes(self):
+        s = peres_system()
+        assert (s.n_rays, len(s.triads), len(s.pairs)) == (33, 16, 24)
+        assert validate_system(s).accepted
+
+    @pytest.mark.parametrize("mode", list(SolveMode))
+    def test_no_coloring_in_any_mode(self, mode):
+        result = solve(peres_system(), mode)
+        assert (result.count, result.exhaustive, result.witness) == (0, True, None)
+        assert result.nodes_explored == 46  # in the fixture's order
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_relabellings_refuted_in_few_nodes(self, seed):
+        s = relabelled(peres_system(), random.Random(f"peres/{seed}"))
+        assert validate_system(s).accepted
+        result = solve(s, SolveMode.PROVE_NONE)
+        assert (result.count, result.exhaustive) == (0, True)
+        assert result.nodes_explored <= 100
 
 
 class TestCalibration:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from typing import NamedTuple
 
 import pytest
 
@@ -198,7 +199,9 @@ class TestDemoFirst:
                 assert report.accepted, report.failures
                 assert max(report.link_residuals) <= 1e-9
                 n += 1
-        assert n >= 12
+        # copy N's lemma_zero facts; copies X and Y are its images, which
+        # carry no certificate (TestSeedImages checks them)
+        assert n >= 8
 
     def test_extracted_system_uncolorable(self, first_trace):
         system = extract_triad_system(first_trace)
@@ -286,17 +289,19 @@ def stored_index(t, ray):
     return i
 
 
-def clash_arms(t):
-    """(leaf, seed frame) of demo second's three q(n) = 0 arms: the 0 child of
-    each seed branch's split, where the seed branches hold value 1 on the
-    north pole, then the x axis, then the y axis."""
+def seed_copies(t):
+    """(branch, seed frame) of the three seed copies, whose branches hold
+    value 1 on the north pole, then the x axis, then the y axis."""
     root = t.branches[0]
     n0 = t.branches[root.children[0]]
     seeds = (root.children[1], n0.children[1], n0.children[0])
-    return [
-        (t.branches[seed].children[0], rotation_to_pole(canonicalize(v)))
-        for seed, v in zip(seeds, SEED_TRIPOD_VECS)
-    ]
+    return [(seed, rotation_to_pole(canonicalize(v))) for seed, v in zip(seeds, SEED_TRIPOD_VECS)]
+
+
+def clash_arms(t):
+    """(leaf, seed frame) of demo second's three q(n) = 0 arms: the 0 child of
+    each seed copy's split."""
+    return [(t.branches[seed].children[0], frame) for seed, frame in seed_copies(t)]
 
 
 class TestDemoSecond:
@@ -368,17 +373,17 @@ class TestPinnedOutputs:
         [
             pytest.param(
                 "first",
-                "9e5a4cd2b25ef3b94d021eeee2de3226fdc9d76eae84fc3c8df1cf6573d18945",
-                "bd7ea65b4f00a41a30e66877631a4f491fe2758cb4795dae75a8b505d623bc4a",
+                "faa7671cb5d634e47423319fdd852d8e7fabd0c7ee550ffa7737ac271c6eca68",
+                "ae5d00af5aac48c48fc3f3a1cbd6767955b08f9d10776bfde5af17678edd6d97",
                 (105, 207, 23),
                 8,
                 id="first",
             ),
             pytest.param(
                 "second",
-                "17298c93bbd5c20da11538f3df61d74ee6140d554ae07c889a4f941fde6d4567",
-                "098e97f24f49f7c64002f834f7dda67720296989244c6e6739cbec36066932bc",
-                (155, 260, 29),
+                "0786cf3ad919b2948eb65a7947586fc60c53428ad307a866bdabc6858e5b8e8c",
+                "27a2886e9f0a058529e7ca4140a068b01fe42487ac855156838e2a9a0bcebfd8",
+                (153, 259, 29),
                 11,
                 id="second",
             ),
@@ -443,7 +448,7 @@ class TestFactShapesFromDocument:
     @pytest.mark.parametrize("which, counts", [
         ("first_trace", {"assume": 22, "orthogonal_zero": 55, "circle_zero": 42,
                          "lemma_zero": 24, "triad_one": 64}),
-        ("second_trace", {"assume": 28, "orthogonal_zero": 75, "circle_zero": 48,
+        ("second_trace", {"assume": 28, "orthogonal_zero": 74, "circle_zero": 48,
                           "lemma_zero": 30, "triad_one": 79}),
     ], ids=["first", "second"])
     def test_each_fact_has_a_rule_shape(self, which, counts, request):
@@ -500,6 +505,8 @@ def witness_endpoint_residuals(t):
     rays = json.loads(save_trace(t))["rays"]
     residuals = []
     for fact, q, pole in lemma_steps(t):
+        if fact.witness is None:
+            continue  # an image of copy N's fact: no certificate was computed for it
         frame, points = t.frame(pole), fact.witness.certificate.points
         for point, ray in ((points[-1], rays[fact.ray]), (points[-2], rays[t.facts[q].ray])):
             (ax, ay, az), (bx, by, bz) = frame.apply_inverse(point), ray
@@ -518,7 +525,7 @@ class TestWitnessesFromDocument:
     def test_last_link_spans_the_fact_and_its_q_premise(self, i, second_trace):
         t = second_trace if i is None else demo_first_proof(golden_pole(i))
         residuals = witness_endpoint_residuals(t)
-        assert len(residuals) >= 2 * 12
+        assert len(residuals) >= 2 * 8  # copy N's; TestSeedImages covers copies X and Y
         assert max(residuals) <= EPS
 
 
@@ -537,12 +544,13 @@ class TestSplitFacing:
 
 
 class TestGeometryMemos:
-    """A trace computes each reach certificate once: replays of the
-    reachability lemma in other seed frames reuse it."""
+    """A trace computes each reach certificate once, and only copy N's
+    argument makes reach calls or circle expansions: copies X and Y are its
+    images and make none."""
 
     @pytest.mark.parametrize("build, reaches, expansions", [
-        (lambda: demo_first_proof(default_pole()), 10, 66),
-        (demo_second_proof, 22, 78),
+        (lambda: demo_first_proof(default_pole()), 6, 22),
+        (demo_second_proof, 8, 26),
     ], ids=["first", "second"])
     def test_calls_per_demo(self, build, reaches, expansions, monkeypatch):
         counts = {"reach": 0, "expansions": 0}
@@ -579,7 +587,8 @@ class TestFrameCache:
         t = build()
         # N's frame, the identity, is a rotation too
         assert sorted(t.rays.index(ray) for ray in rotated) == sorted(poles)
-        assert NORTH_POLE in rotated and len(poles) >= 6
+        # copy N's poles and the two seed frames its images are mapped by
+        assert NORTH_POLE in rotated and len(poles) >= 4
 
 
 class TestRayTableProbes:
@@ -608,8 +617,8 @@ class TestRayTableProbes:
         monkeypatch.setattr(Ray, "same_subspace", counting_probe)
         t = demo_second_proof()
         monkeypatch.undo()
-        assert len(t.rays) == 155
-        assert counts == {"lookups": 321, "probes": 192}
+        assert len(t.rays) == 153
+        assert counts == {"lookups": 217, "probes": 89}
 
 
 def indent_1(text: str) -> str:
@@ -694,7 +703,7 @@ class TestTraceStructure:
             assert b.branch in t.branches[leaf].scope
 
     @pytest.mark.parametrize(
-        "which, counts", [("first", (55, 42, 24)), ("second", (75, 48, 30))]
+        "which, counts", [("first", (55, 42, 24)), ("second", (74, 48, 30))]
     )
     def test_zero_facts_cite_their_one_last(self, which, counts, first_trace, second_trace):
         # extract_triad_system reads each zero-against-one pair off its one premise
@@ -724,9 +733,10 @@ class TestTraceStructure:
 
 class TestUncitedFacts:
     """The facts that no fact or contradiction cites. Each is the zero of
-    u_minus that _height_split stores just after its u_plus = 1 assumption:
-    the first circle step from u_minus finds the pole of u_minus's circle,
-    u_plus, already at 1 and cites that assumption instead."""
+    u_minus that _height_split stores just after its u_plus = 1 assumption,
+    or that zero's image in seed copy X or Y: the first circle step from
+    u_minus finds the pole of u_minus's circle, u_plus, already at 1 and
+    cites that assumption instead."""
 
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_only_the_sibling_zeros_of_height_splits(self, which, monkeypatch):
@@ -741,13 +751,99 @@ class TestUncitedFacts:
             yield from steps
 
         monkeypatch.setattr(demos_module, "_height_split", recording)
-        t = demo_first_proof(default_pole()) if which == "first" else demo_second_proof()
+        t, replays = replayed(
+            (lambda: demo_first_proof(default_pole())) if which == "first" else demo_second_proof,
+            monkeypatch,
+        )
         cited = {p for f in t.facts for p in f.premises}
         cited.update(f for b in t.branches if b.contradiction for f in b.contradiction)
         uncited = [fid for fid in range(len(t.facts)) if fid not in cited]
-        assert uncited == sibling_zeros and len(uncited) == 9
+        images = [r.fmap[z] for r in replays for z in sibling_zeros]
+        assert len(sibling_zeros) == 3  # copy N's height splits
+        assert uncited == sibling_zeros + images and len(uncited) == 9
         for fid in uncited:
             fact = t.facts[fid]
             one = t.branches[fact.branch].assumption
             assert t.facts[one].value == 1 and fid == one + 1
             assert fact.rule == "orthogonal_zero" and fact.premises == (one,)
+
+
+class Replay(NamedTuple):
+    source: int
+    branch: int
+    pole_fact: int
+    n_rays: int  # rays and facts stored before the replay
+    n_facts: int
+    fmap: dict
+
+
+def replayed(build, monkeypatch):
+    """A demo trace and a Replay record of each of its replay_image calls."""
+    replays = []
+    replay = trace_module.DerivationTrace.replay_image
+
+    def recording(t, source, branch, pole_fact):
+        before = len(t.rays), len(t.facts)
+        fmap = replay(t, source, branch, pole_fact)
+        replays.append(Replay(source, branch, pole_fact, *before, fmap))
+        return fmap
+
+    monkeypatch.setattr(trace_module.DerivationTrace, "replay_image", recording)
+    t = build()
+    monkeypatch.undo()
+    return t, replays
+
+
+IMAGE_CASES = {
+    "first": (lambda: demo_first_proof(default_pole()), (6, 10)),
+    "second": (demo_second_proof, (7, 1)),
+    # the on-axis lattice target, where the images merge the most rays
+    "pi": (lambda: demo_first_proof(polar_target(0.34038461538461534, math.pi)), (18, 6)),
+    # CI's off-axis target, where they merge none
+    "generic": (lambda: demo_first_proof(polar_target(0.3, 1.0)), (0, 0)),
+    **{f"golden{i}": (lambda i=i: demo_first_proof(golden_pole(i)), None) for i in range(40)},
+}
+
+
+class TestSeedImages:
+    """Seed copies X and Y are exact images of copy N. Each of their facts has
+    its copy-N source's value and rule, with the premises re-indexed, and no
+    certificate. Its ray is the source ray mapped by the copy's seed frame,
+    bit for bit, or, where the ray table merged that image into a ray stored
+    before the replay, a ray within |a x b| <= EPS of it."""
+
+    @pytest.mark.parametrize("case", list(IMAGE_CASES))
+    def test_copies_x_and_y_are_images_of_copy_n(self, case, monkeypatch):
+        build, pinned = IMAGE_CASES[case]
+        t, replays = replayed(build, monkeypatch)
+        (n_branch, _), *images = seed_copies(t)
+        n_pole = t.branches[n_branch].assumption
+        source = [fid for fid, f in enumerate(t.facts) if n_branch in t.branches[f.branch].scope]
+        assert [(r.source, r.branch) for r in replays] == [(n_branch, b) for b, _ in images]
+        ends = [r.n_facts for r in replays[1:]] + [len(t.facts)]
+        merges = []
+        for r, (branch, frame), end in zip(replays, images, ends):
+            assert t.frame(r.pole_fact) == frame
+            assert all(c in (0.0, 1.0, -1.0) for row in frame.rows for c in row)
+            assert sorted(r.fmap) == source and r.fmap[n_pole] == r.pole_fact
+            assert set(range(r.n_facts, end)) <= set(r.fmap.values())  # nothing else stored
+            merged = set()
+            for s, i in r.fmap.items():
+                src, img = t.facts[s], t.facts[i]
+                assert img.value == src.value and img.witness is None
+                if i >= r.n_facts:
+                    assert img.rule == src.rule
+                    assert img.premises == tuple(r.fmap[p] for p in src.premises)
+                    assert branch in t.branches[img.branch].scope
+                expect, got = to_world(frame, t.rays[src.ray].vec), t.rays[img.ray]
+                if img.ray >= r.n_rays:
+                    assert got.vec == expect.vec
+                else:
+                    assert got.same_subspace(expect)  # |a x b| <= EPS
+                    if s != n_pole:
+                        merged.add(src.ray)
+            merges.append(len(merged))
+        if pinned is not None:
+            assert tuple(merges) == pinned
+        assert all(f.witness is not None for f in t.facts if f.rule == "lemma_zero"
+                   and n_branch in t.branches[f.branch].scope)

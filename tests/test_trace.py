@@ -525,6 +525,70 @@ class TestRefusedRuleLeavesTraceUnchanged:
         assert table_state(t) == before
 
 
+def copy_n_argument():
+    """A trace split on v(N), then, in v(N) = 0, on v(x axis), with a small
+    argument under v(N) = 1: the equator partner e of q zeroed, a split on
+    q, and in q's 0 child a circle_zero step, in its 1 child a zero against
+    q. Returns (t, n1, x0, x1), the v(N) = 1, v(x) = 0 and v(x) = 1 branches."""
+    t = DerivationTrace()
+    n0, n1 = t.split(0, NORTH_POLE)
+    x0, x1 = t.split(n0, canonicalize((1, 0, 0)))
+    pole = t.branches[n1].assumption
+    q = canonicalize((0.2, 0.3, 0.9))
+    e = circle_partners(NORTH_POLE, q)[0]
+    t.orthogonal_zero(n1, e, pole)
+    q0, q1 = t.split(n1, q)
+    on_circle = canonicalize(tuple(0.8 * a + 0.6 * b for a, b in zip(q.vec, e.vec)))
+    t.circle_zero(q0, t.branches[q0].assumption, on_circle, pole)
+    t.orthogonal_zero(q1, canonicalize(cross(q.vec, (0.0, 1.0, 0.0))), t.branches[q1].assumption)
+    return t, n1, x0, x1
+
+
+class TestReplayImage:
+    def test_image_under_the_x_axis(self, monkeypatch):
+        t, n1, _, x1 = copy_n_argument()
+        source = [fid for fid, f in enumerate(t.facts) if n1 in t.branches[f.branch].scope]
+        n_facts = len(t.facts)
+        monkeypatch.setattr(trace_module, "reach", None)  # an image computes no certificate
+        fmap = t.replay_image(n1, x1, t.branches[x1].assumption)
+        frame = rotation_to_pole(canonicalize((1, 0, 0)))
+        assert sorted(fmap) == source and len(t.facts) == n_facts + len(source) - 1
+        for s, i in fmap.items():
+            src, img = t.facts[s], t.facts[i]
+            assert (img.value, img.rule, img.witness) == (src.value, src.rule, None)
+            assert img.premises == tuple(fmap[p] for p in src.premises)
+            assert t.rays[img.ray] == to_world(frame, t.rays[src.ray].vec)
+        (q0, q1), (i0, i1) = t.branches[n1].children, t.branches[x1].children
+        assert t.branches[x1].split == t.facts[fmap[t.branches[q1].assumption]].ray
+        assert [fmap[t.branches[b].assumption] for b in (q0, q1)] == [
+            t.branches[b].assumption for b in (i0, i1)]
+
+    def test_frame_not_a_signed_permutation_refused(self):
+        # rotation_to_pole of a ray off the axes maps rays inexactly
+        t, n1, x0, _ = copy_n_argument()
+        _, m1 = t.split(x0, canonicalize((0.3, -0.5, 0.8)))
+        before = table_state(t), list(t.facts), copy.deepcopy(t.branches)
+        with pytest.raises(BadPremises, match="not a signed permutation"):
+            t.replay_image(n1, m1, t.branches[m1].assumption)
+        assert (table_state(t), t.facts, t.branches) == before
+
+    def test_source_must_assume_the_north_pole(self):
+        t, n1, x0, x1 = copy_n_argument()
+        q1 = t.branches[n1].children[1]  # assumes q = 1, not N = 1
+        before = table_state(t), list(t.facts), copy.deepcopy(t.branches)
+        with pytest.raises(BadPremises, match="north pole"):
+            t.replay_image(q1, x1, t.branches[x1].assumption)
+        assert (table_state(t), t.facts, t.branches) == before
+
+    def test_target_already_split_refused(self):
+        t, n1, x0, x1 = copy_n_argument()
+        t.split(x1, canonicalize((0.3, -0.5, 0.8)))
+        before = table_state(t), list(t.facts), copy.deepcopy(t.branches)
+        with pytest.raises(BadPremises, match="cannot hold an image"):
+            t.replay_image(n1, x1, t.branches[x1].assumption)
+        assert (table_state(t), t.facts, t.branches) == before
+
+
 class TestRayIndexMergeRadius:
     # ray_index merges a ray into a stored ray only when |a x b| <= eps, the
     # same slack every rule checks against the stored representative.
