@@ -28,13 +28,13 @@ trace:
                  "contradiction": [f1,f2] | null}, ...]}
 
 A trace holds derivation steps only: no reach certificate and no frame. An
-assume fact has no premises; a derived zero (orthogonal_zero, circle_zero,
-lemma_zero) has one, a value-1 fact on an orthogonal ray; a triad_one fact
-has two value-0 facts, and its tripod is their rays and its own. A circle
-step's premise gives 1 to the pole w of q's circle: w's triad_one fact,
-whose first premise is q, or the assumption of a split that already
-decided w. So a lemma_zero fact is checked as the last circle step of its
-chain, each earlier step being a circle_zero fact of its own. A branch's
+assume fact has no premises and is its branch's assumption; a derived zero
+(orthogonal_zero, circle_zero, lemma_zero) has one, a value-1 fact on an
+orthogonal ray; a triad_one fact has two value-0 facts, and its tripod is
+their rays and its own. A circle step's premise gives 1 to the pole w of q's
+circle: w's triad_one fact, whose first premise is q, or the assumption of a
+split that already decided w. So a lemma_zero fact is checked as the last
+circle step of its chain, each earlier step a circle_zero fact. A branch's
 split is the ray it decides: its children assume that ray at 0 and at 1.
 """
 

@@ -1,12 +1,13 @@
 """Value-propagation traces for two-valued measures on rays.
 
 A trace is a tree of branches; each branch holds justified facts v(ray) = 0
-or 1. Every stored fact is an assumption or a step of one of the paper's two
-forcing rules: a zero cites its one value-1 premise, a one its two value-0
-premises. The rules are:
+or 1. Every stored fact is a split's assumption or a step of one of the
+paper's two forcing rules: a zero cites its one value-1 premise, a one its
+two value-0 premises. So a closed trace is a refutation by construction:
+every leaf's clash rests on split assumptions and rule steps. The rules are:
 
-  assume           seed or case-split assumption (a split decides one ray
-                   and covers both of its values)
+  assume           a split child's assumption: only a split makes one, and
+                   it decides one ray at both of its values
   orthogonal_zero  a ray orthogonal to a value-1 ray gets 0
   triad_one        two zeroed members of a tripod force 1 on the third; the
                    tripod is the premises' stored rays and the conclusion
@@ -238,12 +239,6 @@ class DerivationTrace:
 
     # -- rules --------------------------------------------------------------
 
-    def assume(self, branch: int, ray: Ray, value: int) -> int:
-        """v(ray) = value in branch; the value must be the int 0 or 1."""
-        if type(value) is not int or value not in (0, 1):
-            raise BadPremises(f"an assumed value must be the int 0 or 1, got {value!r}")
-        return self._add_fact(branch, self.ray_index(ray), value, RULE_ASSUME, ())
-
     def split(self, branch: int, member: Ray) -> tuple[int, int]:
         """Case split on the value of one ray: children (=0, =1)."""
         node = self.branches[branch]
@@ -358,7 +353,8 @@ class DerivationTrace:
         source's assumption gives the north pole value 1, so its facts' rays
         are frame coordinates already; pole_fact stands in for that
         assumption. The frame must be a signed permutation, so every image ray
-        is exact. Each distinct source ray is mapped once, by to_world and
+        is exact. A premise outside the subtree is refused before anything is
+        stored. Each distinct source ray is mapped once, by to_world and
         ray_index; each split is made again by split; every other fact is
         stored with its source's value and rule and re-indexed premises, once
         its rule's local check passes on the stored rays. An image carries no
@@ -378,17 +374,23 @@ class DerivationTrace:
         self._require_visible(branch, (pole_fact,))
 
         facts, branches, rays = self.facts, self.branches, self.rays
+        subtree = [fid for fid in range(src.assumption + 1, len(facts))
+                   if source in branches[facts[fid].branch].scope]
+        inside = {src.assumption, *subtree}
+        for fid in subtree:
+            if not inside.issuperset(facts[fid].premises):
+                raise BadPremises(f"fact {fid} cites a fact outside branch {source}'s subtree")
+
         fmap = {src.assumption: pole_fact}
         bmap = {source: branch}
         rmap: dict[int, int] = {}
-        for fid in range(src.assumption + 1, len(facts)):
+        for fid in subtree:
+            if fid in fmap:
+                continue  # a 1 child's assumption, made with its sibling's
             f = facts[fid]
-            node = branches[f.branch]
-            if fid in fmap or source not in node.scope:
-                continue  # a 1 child's assumption, made with its sibling's; or no source fact
             ridx = rmap.get(f.ray)
-            if f.rule == RULE_ASSUME and node.assumption == fid:
-                parent = branches[node.parent]  # type: ignore[index]
+            if f.rule == RULE_ASSUME:  # a split child's assumption: split again
+                parent = branches[branches[f.branch].parent]  # type: ignore[index]
                 member = to_world(frame, rays[f.ray].vec) if ridx is None else rays[ridx]
                 kids = self.split(bmap[parent.idx], member)
                 rmap[f.ray] = branches[bmap[parent.idx]].split  # type: ignore[assignment]
@@ -399,10 +401,7 @@ class DerivationTrace:
             if ridx is None:
                 ridx = rmap[f.ray] = self.ray_index(to_world(frame, rays[f.ray].vec))
             b = bmap[f.branch]
-            try:
-                premises = tuple(fmap[p] for p in f.premises)
-            except KeyError:
-                raise BadPremises(f"fact {fid} cites a fact outside branch {source}'s subtree") from None
+            premises = tuple(fmap[p] for p in f.premises)
             self._require_visible(b, premises)
             conclusion = rays[ridx]
             if f.rule == RULE_TRIAD_ONE:
@@ -410,11 +409,8 @@ class DerivationTrace:
                 if fa.value != 0 or fb.value != 0 or fa.ray == fb.ray:
                     raise BadPremises(f"image of triad_one fact {fid} lacks two zeroed rays")
                 check_tripod(rays[fa.ray], rays[fb.ray], conclusion)
-            elif f.rule in (RULE_ORTHOGONAL_ZERO, RULE_CIRCLE_ZERO, RULE_LEMMA_ZERO):
-                if not self._one_ray(premises[0]).is_orthogonal(conclusion):
-                    raise NotOrthogonal(f"image of {f.rule} fact {fid} is off its premise's plane")
-            else:
-                raise BadPremises(f"fact {fid} is an assumption no split made")
+            elif not self._one_ray(premises[0]).is_orthogonal(conclusion):
+                raise NotOrthogonal(f"image of {f.rule} fact {fid} is off its premise's plane")
             fmap[fid] = self._add_fact(b, ridx, f.value, f.rule, premises)
         return fmap
 
@@ -423,8 +419,11 @@ class DerivationTrace:
 
 
 def extract_triad_system(t: DerivationTrace) -> TriadSystem:
-    """The finite constraint system a closed trace touches.
+    """The finite constraint system a closed trace touches; no coloring meets it.
 
+    Only a split stores an assumption, so a coloring follows one path of
+    splits to a leaf, every rule step on it agrees with the coloring (the
+    step's tripod or pair is in the system), and the leaf's clash refutes it.
     Collects the tripod of every triad_one step (including the circle-zero
     expansions), plus every orthogonal pair of a zero and its value-1
     premise that is not already inside a collected tripod. Rays are

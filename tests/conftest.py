@@ -21,6 +21,12 @@ def random_northern_nonpole(rng: random.Random) -> Ray:
             return r
 
 
+def given(t, branch: int, ray: Ray, value: int) -> tuple[int, int]:
+    """Split branch on ray: (the child assuming ray at value, that assumption's fact id)."""
+    child = t.split(branch, ray)[value]
+    return child, t.branches[child].assumption
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

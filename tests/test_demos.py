@@ -44,7 +44,7 @@ from ksgeom.serialize import (
 from ksgeom.system import TriadSystem, load_system, save_system, validate_system
 from ksgeom.trace import CertWitness, decision_core, extract_triad_system, to_world
 
-from conftest import random_northern
+from conftest import given, random_northern
 from test_serialize import reference_trace_doc
 
 R2 = math.sqrt(0.5)
@@ -262,19 +262,19 @@ class TestDemoFirst:
                 continue
 
             plain = DerivationTrace()
-            pole_fact = plain.assume(0, canonicalize((0, 0, 1)), 1)
-            q_fact = plain.assume(0, q, 0)
-            plain.lemma_zero(0, q_fact, p, pole_fact=pole_fact)
+            b, pole_fact = given(plain, 0, canonicalize((0, 0, 1)), 1)
+            b, q_fact = given(plain, b, q, 0)
+            plain.lemma_zero(b, q_fact, p, pole_fact=pole_fact)
 
             turned = DerivationTrace()
-            pole2 = turned.assume(0, m, 1)
+            b, pole2 = given(turned, 0, m, 1)
             q2 = canonicalize(frame.apply_inverse(q.vec))
             p2 = canonicalize(frame.apply_inverse(p.vec))
-            qf2 = turned.assume(0, q2, 0)
-            turned.lemma_zero(0, qf2, p2, pole_fact=pole2)
+            b, qf2 = given(turned, b, q2, 0)
+            turned.lemma_zero(b, qf2, p2, pole_fact=pole2)
 
             assert len(plain.facts) == len(turned.facts)
-            for f1, f2 in zip(plain.facts[2:], turned.facts[2:]):
+            for f1, f2 in zip(plain.facts[4:], turned.facts[4:]):  # past the two splits
                 assert f1.value == f2.value
                 expect = canonicalize(frame.apply_inverse(plain.rays[f1.ray].vec))
                 assert abs(turned.rays[f2.ray].dot(expect)) >= 1.0 - 1e-9
@@ -440,10 +440,11 @@ class TestFramesFromDocument:
 
 
 class TestFactShapesFromDocument:
-    """Read from the trace document alone, every fact is an assumption or a
-    step of one of the paper's two forcing rules: a zero against its one
+    """Read from the trace document alone, every fact is a split's assumption
+    or a step of one of the paper's two forcing rules: a zero against its one
     value-1 premise on an orthogonal ray, or a one from two value-0 premises
-    whose rays and its own are pairwise orthogonal."""
+    whose rays and its own are pairwise orthogonal. An assumption is its
+    branch's, on the ray its parent's split decides."""
 
     @pytest.mark.parametrize("which, counts", [
         ("first_trace", {"assume": 22, "orthogonal_zero": 55, "circle_zero": 42,
@@ -453,7 +454,7 @@ class TestFactShapesFromDocument:
     ], ids=["first", "second"])
     def test_each_fact_has_a_rule_shape(self, which, counts, request):
         doc = json.loads(save_trace(request.getfixturevalue(which)))
-        facts, rays, eps = doc["facts"], doc["rays"], doc["eps"]
+        facts, rays, eps, branches = doc["facts"], doc["rays"], doc["eps"], doc["branches"]
 
         def dot(i, j):
             return abs(Ray(*rays[i]).dot(Ray(*rays[j])))
@@ -464,7 +465,9 @@ class TestFactShapesFromDocument:
             assert list(fact) == ["ray", "value", "rule", "premises", "branch"]
             assert all(p < fid for p in prem)
             if rule == "assume":
-                assert prem == []
+                node = branches[fact["branch"]]
+                assert prem == [] and node["assumption"] == fid
+                assert branches[node["parent"]]["split"] == fact["ray"]
             elif rule == "triad_one":
                 assert fact["value"] == 1 and len(prem) == 2
                 assert [facts[p]["value"] for p in prem] == [0, 0]

@@ -15,6 +15,8 @@ from ksgeom.sphere import EPS, NORTH_POLE, canonicalize
 from ksgeom.system import _canonical_json
 from ksgeom.trace import DerivationTrace, to_world
 
+from conftest import given
+
 R2 = math.sqrt(0.5)
 
 
@@ -144,14 +146,13 @@ class TestCertificateDocs:
 class TestTraceDocs:
     def test_linear_trace_schema(self):
         t = DerivationTrace()
-        pole = t.assume(0, NORTH_POLE, 1)
-        t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
+        n1, pole = given(t, 0, NORTH_POLE, 1)
+        t.orthogonal_zero(n1, canonicalize((1, 0, 0)), pole)
         doc = reference_trace_doc(t)
         assert save_trace(t) == _canonical_json(doc)
         assert set(doc) == {"eps", "rays", "facts", "branches"}
-        assert doc["facts"][0]["rule"] == "assume"
-        assert doc["facts"][1]["rule"] == "orthogonal_zero"
-        assert doc["facts"][1]["premises"] == [0]
+        assert [f["rule"] for f in doc["facts"]] == ["assume", "assume", "orthogonal_zero"]
+        assert doc["facts"][2]["premises"] == [pole]
         assert doc["branches"][0]["parent"] is None
 
     def test_demo_trace_serializes(self):
@@ -170,21 +171,22 @@ class TestTraceDocs:
 
 
 def hand_built_trace() -> DerivationTrace:
-    """Facts of 0 to 2 premises, a split whose 0 child is closed by a
-    contradiction, and lemma_zero steps in the identity frame (branch 0) and
-    in the frame of the split member (child 1)."""
+    """Facts of 0 to 2 premises, a split of a member's 0 child on that member
+    again, whose 1 child is closed by a contradiction, and lemma_zero steps
+    in the identity frame (branch 3) and in the frame of the member, under
+    its 1 child (branch 9)."""
     t = DerivationTrace()
-    pole = t.assume(0, NORTH_POLE, 1)
-    t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
-    q = t.assume(0, canonicalize((0, math.sin(0.8), math.cos(0.8))), 0)
-    t.lemma_zero(0, q, canonicalize((0.4, 0.5, 0.2)), pole)
+    n1, pole = given(t, 0, NORTH_POLE, 1)
+    t.orthogonal_zero(n1, canonicalize((1, 0, 0)), pole)
+    b, q = given(t, n1, canonicalize((0, math.sin(0.8), math.cos(0.8))), 0)
+    t.lemma_zero(b, q, canonicalize((0.4, 0.5, 0.2)), pole)
     member_ray = canonicalize((0.3, -0.2, 0.9))
-    zero, one = t.split(0, member_ray)
-    t.assume(zero, member_ray, 1)
+    zero, one = t.split(b, member_ray)
+    given(t, zero, member_ray, 1)
     member = t.branches[one].assumption
     frame = t.frame(member)
-    q = t.assume(one, to_world(frame, (0.0, math.sin(0.7), math.cos(0.7))), 0)
-    t.lemma_zero(one, q, to_world(frame, (-0.3, 0.4, 0.3)), member)
+    b, q = given(t, one, to_world(frame, (0.0, math.sin(0.7), math.cos(0.7))), 0)
+    t.lemma_zero(b, q, to_world(frame, (-0.3, 0.4, 0.3)), member)
     return t
 
 
@@ -221,5 +223,6 @@ class TestTraceWriter:
         text = self.check(t)
         assert {len(f.premises) for f in t.facts} == {0, 1, 2}
         assert t.branches[0].children and '"split":%d,' % t.branches[0].split in text
-        assert t.branches[1].contradiction is not None
-        assert [f.branch for f in t.facts if f.rule == "lemma_zero"] == [0, t.branches[0].children[1]]
+        zero, one = t.branches[3].children
+        assert t.branches[t.branches[zero].children[1]].contradiction is not None
+        assert [f.branch for f in t.facts if f.rule == "lemma_zero"] == [3, t.branches[one].children[0]]

@@ -38,59 +38,61 @@ from ksgeom.trace import (
     to_world,
 )
 
-from conftest import random_northern
+from conftest import given, random_northern
 
 R2 = math.sqrt(0.5)
 
 
 def seeded():
+    """A trace split on v(N): (trace, the v(N) = 1 branch, its assumption's fact id)."""
     t = DerivationTrace()
-    return t, t.assume(0, NORTH_POLE, 1)  # trace, pole fact id
+    return (t, *given(t, 0, NORTH_POLE, 1))
 
 
 class TestSeed:
     def test_single_fact(self):
-        t, pole = seeded()
-        assert len(t.facts) == 1
+        t, b, pole = seeded()
+        assert len(t.facts) == 2  # the split's two assumptions
         f = t.facts[pole]
         assert f.value == 1 and t.rays[f.ray].vec == (0.0, 0.0, 1.0)
+        assert f.branch == b and t.branches[b].assumption == pole
 
     def test_no_contradiction(self):
-        t, _ = seeded()
-        assert t.contradiction is None and not t.branches[0].contradiction
+        t, b, _ = seeded()
+        assert t.contradiction is None and not t.branches[b].contradiction
 
     def test_equator_consequence_available(self):
-        t, pole = seeded()
-        f = t.facts[t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)]
+        t, b, pole = seeded()
+        f = t.facts[t.orthogonal_zero(b, canonicalize((1, 0, 0)), pole)]
         assert f.value == 0 and t.rays[f.ray].vec == (1.0, 0.0, 0.0)
 
 
 class TestOrthogonalZero:
     def test_equator_rays(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         for v in ((1, 0, 0), (0, 1, 0), (0.6, -0.8, 0)):
-            assert t.facts[t.orthogonal_zero(0, canonicalize(v), pole)].value == 0
+            assert t.facts[t.orthogonal_zero(b, canonicalize(v), pole)].value == 0
 
     def test_not_orthogonal(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         with pytest.raises(NotOrthogonal):
-            t.orthogonal_zero(0, NORTH_POLE, pole)
+            t.orthogonal_zero(b, NORTH_POLE, pole)
 
     def test_premise_not_one(self):
-        t, pole = seeded()
-        zero = t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
+        t, b, pole = seeded()
+        zero = t.orthogonal_zero(b, canonicalize((1, 0, 0)), pole)
         with pytest.raises(PremiseNotOne):
-            t.orthogonal_zero(0, canonicalize((0, 1, 0)), zero)
+            t.orthogonal_zero(b, canonicalize((0, 1, 0)), zero)
 
 
 class TestTriadOne:
     def test_completion_tripod(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         q = canonicalize((0, R2, R2))
         trip = complete_tripod(q)
-        f_e = t.orthogonal_zero(0, trip.b, pole)
-        f_q = t.assume(0, q, 0)
-        fid = t.triad_one(0, trip.c, f_q, f_e)
+        f_e = t.orthogonal_zero(b, trip.b, pole)
+        b, f_q = given(t, b, q, 0)
+        fid = t.triad_one(b, trip.c, f_q, f_e)
         fact = t.facts[fid]
         assert fact.value == 1
         assert t.rays[fact.ray].same_subspace(trip.c)
@@ -98,62 +100,62 @@ class TestTriadOne:
 
     def test_fixed_tripod_example(self):
         # zeros on (1,0,0) and (0,1/r2,1/r2) force 1 on (0,-1/r2,1/r2)
-        t, pole = seeded()
+        t, n1, pole = seeded()
         a = canonicalize((1, 0, 0))
         b = canonicalize((0, R2, R2))
         c = canonicalize((0, -R2, R2))
-        f_a = t.orthogonal_zero(0, a, pole)
-        f_b = t.assume(0, b, 0)
-        fid = t.triad_one(0, c, f_a, f_b)
+        f_a = t.orthogonal_zero(n1, a, pole)
+        b0, f_b = given(t, n1, b, 0)
+        fid = t.triad_one(b0, c, f_a, f_b)
         assert t.rays[t.facts[fid].ray].same_subspace(c)
 
     def test_premise_mismatch(self):
         # a stray premise's ray is not orthogonal to the third: nothing is stored
-        t, pole = seeded()
+        t, b, pole = seeded()
         trip = complete_tripod(canonicalize((0, R2, R2)))
-        stray = t.orthogonal_zero(0, canonicalize((0.6, -0.8, 0)), pole)
-        ok = t.assume(0, trip.a, 0)
+        stray = t.orthogonal_zero(b, canonicalize((0.6, -0.8, 0)), pole)
+        b, ok = given(t, b, trip.a, 0)
         n_rays, n_facts = len(t.rays), len(t.facts)
         with pytest.raises(NotOrthogonal) as exc:
-            t.triad_one(0, trip.c, ok, stray)
+            t.triad_one(b, trip.c, ok, stray)
         assert exc.value.exit_code == 10
         assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
 
     def test_nan_third_fails_closed(self, nan_ray):
-        t, pole = seeded()
+        t, b, pole = seeded()
         trip = complete_tripod(canonicalize((0, R2, R2)))
-        f_e = t.orthogonal_zero(0, trip.b, pole)
-        f_q = t.assume(0, trip.a, 0)
+        f_e = t.orthogonal_zero(b, trip.b, pole)
+        b, f_q = given(t, b, trip.a, 0)
         n_rays, n_facts = len(t.rays), len(t.facts)
         with pytest.raises(NotOrthogonal, match="nan"):
-            t.triad_one(0, nan_ray, f_q, f_e)
+            t.triad_one(b, nan_ray, f_q, f_e)
         assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
 
     def test_same_ray_twice(self):
-        t, _ = seeded()
+        t, b, _ = seeded()
         trip = complete_tripod(canonicalize((0, R2, R2)))
-        f1 = t.assume(0, trip.a, 0)
+        b, f1 = given(t, b, trip.a, 0)
         with pytest.raises(BadPremises):
-            t.triad_one(0, trip.c, f1, f1)
+            t.triad_one(b, trip.c, f1, f1)
 
     def test_one_ray_lookup(self, monkeypatch):
         # the premises' rays are already stored; only the third is looked up
-        t, pole = seeded()
+        t, b, pole = seeded()
         trip = complete_tripod(canonicalize((0, R2, R2)))
-        f_e = t.orthogonal_zero(0, trip.b, pole)
-        f_q = t.assume(0, trip.a, 0)
+        f_e = t.orthogonal_zero(b, trip.b, pole)
+        b, f_q = given(t, b, trip.a, 0)
         looked_up = []
         lookup = t.ray_index
         monkeypatch.setattr(t, "ray_index", lambda ray: looked_up.append(ray) or lookup(ray))
-        t.triad_one(0, trip.c, f_q, f_e)
+        t.triad_one(b, trip.c, f_q, f_e)
         assert looked_up == [trip.c]
 
 
 class TestFactRecord:
     def test_fields_are_read_only(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         fact = t.facts[pole]
-        assert fact == ValueFact(ray=0, value=1, rule="assume", premises=(), branch=0)
+        assert fact == ValueFact(ray=0, value=1, rule="assume", premises=(), branch=b)
         for name in ("ray", "value", "rule", "premises", "branch", "witness"):
             with pytest.raises(AttributeError):
                 setattr(fact, name, None)
@@ -168,30 +170,30 @@ def skewed_tripod():
 class TestTripodsCheckedAtEps:
     # a tripod is orthogonal at the slack orthogonal_zero uses, not a looser one
     def test_triad_one_refuses_skewed_tripod(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         q, e, w = skewed_tripod()
-        f_e = t.orthogonal_zero(0, e, pole)
-        f_q = t.assume(0, q, 0)
+        f_e = t.orthogonal_zero(b, e, pole)
+        b, f_q = given(t, b, q, 0)
         n_rays, n_facts = len(t.rays), len(t.facts)
         with pytest.raises(NotOrthogonal):
-            t.triad_one(0, w, f_q, f_e)
+            t.triad_one(b, w, f_q, f_e)
         assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
 
 
 class TestFrame:
     def test_north_pole_frame_is_the_identity(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         assert t.frame(pole) == rotation_to_pole(NORTH_POLE) == Rotation.identity()
 
     def test_frame_turns_the_stored_pole_ray_to_the_north_pole(self):
         t = DerivationTrace()
         one = canonicalize((0.3, -0.5, 0.8))
-        frame = t.frame(t.assume(0, one, 1))
+        frame = t.frame(given(t, 0, one, 1)[1])
         assert frame == rotation_to_pole(one)
 
     def test_value_zero_fact_has_no_frame(self):
-        t, pole = seeded()
-        zero = t.orthogonal_zero(0, canonicalize((1, 0, 0)), pole)
+        t, b, pole = seeded()
+        zero = t.orthogonal_zero(b, canonicalize((1, 0, 0)), pole)
         with pytest.raises(PremiseNotOne):
             t.frame(zero)
 
@@ -206,59 +208,59 @@ class TestFrame:
 
 class TestCircleZero:
     def test_any_point_on_circle(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         q = canonicalize((0, R2, R2))
-        q_fact = t.assume(0, q, 0)
-        fid = t.circle_zero(0, q_fact, canonicalize((1, 0, 0)), pole)
+        b, q_fact = given(t, b, q, 0)
+        fid = t.circle_zero(b, q_fact, canonicalize((1, 0, 0)), pole)
         assert t.facts[fid].value == 0
 
     def test_idempotent_on_q(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         q = canonicalize((0, R2, R2))
-        q_fact = t.assume(0, q, 0)
+        b, q_fact = given(t, b, q, 0)
         n_before = len(t.facts)
         # collapses to the existing fact: no new conclusion about q
-        assert t.circle_zero(0, q_fact, q, pole) == q_fact
+        assert t.circle_zero(b, q_fact, q, pole) == q_fact
         assert t.facts[q_fact].value == 0
         assert len(t.facts) > n_before  # expansion facts were still recorded
 
     def test_not_on_circle(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         q = canonicalize((0, R2, R2))
-        q_fact = t.assume(0, q, 0)
+        b, q_fact = given(t, b, q, 0)
         with pytest.raises(NotOnCircle):
-            t.circle_zero(0, q_fact, canonicalize((0.3, 0.4, 0.8660254037844386)), pole)
+            t.circle_zero(b, q_fact, canonicalize((0.3, 0.4, 0.8660254037844386)), pole)
 
     def test_premise_not_zero(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         with pytest.raises(PremiseNotZero):
-            t.circle_zero(0, pole, canonicalize((1, 0, 0)), pole)
+            t.circle_zero(b, pole, canonicalize((1, 0, 0)), pole)
 
     def test_nan_point_fails_closed(self, nan_ray):
-        t, pole = seeded()
-        q_fact = t.assume(0, canonicalize((0, R2, R2)), 0)
+        t, b, pole = seeded()
+        b, q_fact = given(t, b, canonicalize((0, R2, R2)), 0)
         n_rays, n_facts = len(t.rays), len(t.facts)
         with pytest.raises(NotOnCircle, match="nan"):
-            t.circle_zero(0, q_fact, nan_ray, pole)
+            t.circle_zero(b, q_fact, nan_ray, pole)
         assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
 
     def test_circle_in_a_rotated_frame(self):
         # the circle is q's circle in the frame whose pole is the value-1 ray
         t = DerivationTrace()
         one = canonicalize((0.3, -0.5, 0.8))
-        pole = t.assume(0, one, 1)
+        br, pole = given(t, 0, one, 1)
         frame = rotation_to_pole(one)
         qf = canonicalize((0.2, 0.3, 0.8))
-        q_fact = t.assume(0, to_world(frame, qf.vec), 0)
+        br, q_fact = given(t, br, to_world(frame, qf.vec), 0)
         a, b = math.cos(1.1), math.sin(1.1)
         pf = tuple(a * x + b * y for x, y in zip(qf.vec, circle_partners(NORTH_POLE, qf)[0].vec))
-        fid = t.circle_zero(0, q_fact, to_world(frame, pf), pole)
+        fid = t.circle_zero(br, q_fact, to_world(frame, pf), pole)
         assert (t.facts[fid].value, t.facts[fid].rule) == (0, RULE_CIRCLE_ZERO)
 
         off = tuple(x + 10 * EPS * w for x, w in zip(pf, third_point(qf).vec))
         n_rays, n_facts = len(t.rays), len(t.facts)
         with pytest.raises(NotOnCircle):
-            t.circle_zero(0, q_fact, to_world(frame, off), pole)
+            t.circle_zero(br, q_fact, to_world(frame, off), pole)
         assert (len(t.rays), len(t.facts)) == (n_rays, n_facts)
 
     def test_works_in_world_coordinates(self, monkeypatch):
@@ -269,12 +271,12 @@ class TestCircleZero:
         monkeypatch.setattr(trace_module, "rotation_to_pole", no_rotation)
         t = DerivationTrace()
         one = canonicalize((0.3, -0.5, 0.8))
-        pole = t.assume(0, one, 1)
+        br, pole = given(t, 0, one, 1)
         q = canonicalize((0.2, 0.3, 0.8))
-        q_fact = t.assume(0, q, 0)
+        br, q_fact = given(t, br, q, 0)
         e = canonicalize(cross(one.vec, q.vec))  # q's equator partner under the pole
         p = canonicalize(tuple(0.6 * a + 0.8 * b for a, b in zip(q.vec, e.vec)))
-        fact = t.facts[t.circle_zero(0, q_fact, p, pole)]
+        fact = t.facts[t.circle_zero(br, q_fact, p, pole)]
         assert (fact.value, fact.rule) == (0, RULE_CIRCLE_ZERO)
         w = t.rays[t.facts[fact.premises[-1]].ray]
         assert abs(w.dot(p)) <= 1e-15 and abs(w.dot(q)) <= 1e-15
@@ -284,9 +286,9 @@ class TestCircleZero:
         # refused call stores nothing
         t = DerivationTrace()
         one = canonicalize((0.3, -0.5, 0.8))
-        pole = t.assume(0, one, 1)
-        not_one = t.assume(0, canonicalize((0.2, 0.3, 0.8)), 0)
-        equatorial = t.assume(0, canonicalize(cross(one.vec, (1.0, 0.0, 0.0))), 0)
+        b, pole = given(t, 0, one, 1)
+        b, not_one = given(t, b, canonicalize((0.2, 0.3, 0.8)), 0)
+        b, equatorial = given(t, b, canonicalize(cross(one.vec, (1.0, 0.0, 0.0))), 0)
         p = canonicalize((1, 0, 0))
         before = table_state(t)
         for q_fact, pole_fact, refusal in [
@@ -295,9 +297,9 @@ class TestCircleZero:
             (equatorial, pole, NotNorthern),
         ]:
             with pytest.raises(refusal):
-                t.circle_zero(0, q_fact, p, pole_fact)
+                t.circle_zero(b, q_fact, p, pole_fact)
             assert table_state(t) == before
-        b0, _ = t.split(0, one)  # v(pole ray) = 0 in b0
+        b0, _ = t.split(b, one)  # v(pole ray) = 0 in b0
         before = table_state(t)
         with pytest.raises(AtPole):
             t.circle_zero(b0, t.branches[b0].assumption, p, pole)
@@ -305,14 +307,14 @@ class TestCircleZero:
 
     def test_macro_soundness(self):
         # the recorded expansion replays to the same conclusion
-        t, pole = seeded()
+        t, b, pole = seeded()
         q = canonicalize((0.2, 0.3, 0.8))
-        q_fact = t.assume(0, q, 0)
+        b, q_fact = given(t, b, q, 0)
         trip = complete_tripod(q)
         # pick p on C(q): combination of q and its equator partner
-        a, b = math.cos(1.1), math.sin(1.1)
-        p = canonicalize(tuple(a * x + b * y for x, y in zip(q.vec, trip.b.vec)))
-        fid = t.circle_zero(0, q_fact, p, pole)
+        c, s = math.cos(1.1), math.sin(1.1)
+        p = canonicalize(tuple(c * x + s * y for x, y in zip(q.vec, trip.b.vec)))
+        fid = t.circle_zero(b, q_fact, p, pole)
         fact = t.facts[fid]
         (w_prem,) = fact.premises  # the conclusion cites the circle pole's fact alone
         w_fact = t.facts[w_prem]
@@ -323,17 +325,17 @@ class TestCircleZero:
         # replay: p orthogonal to the value-1 expansion ray
         w_ray = t.rays[t.facts[w_prem].ray]
         assert abs(w_ray.dot(p)) <= 1e-9
-        replay = t.orthogonal_zero(0, p, w_prem)
+        replay = t.orthogonal_zero(b, p, w_prem)
         assert replay == fid  # dedup: same fact
 
 
 class TestLemmaZero:
     def test_chain_with_stored_certificate(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         q = canonicalize((0, R2, R2))
-        q_fact = t.assume(0, q, 0)
+        b, q_fact = given(t, b, q, 0)
         p = canonicalize((0.5, 0.2, 0.3))
-        fact = t.facts[t.lemma_zero(0, q_fact, p, pole)]
+        fact = t.facts[t.lemma_zero(b, q_fact, p, pole)]
         assert fact.value == 0
         assert fact.rule == RULE_LEMMA_ZERO
         assert isinstance(fact.witness, CertWitness)
@@ -341,19 +343,19 @@ class TestLemmaZero:
         assert report.accepted
 
     def test_single_link_for_circle_member(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         q = canonicalize((0, R2, R2))
-        q_fact = t.assume(0, q, 0)
+        b, q_fact = given(t, b, q, 0)
         p = canonicalize((1, 0, 0))  # on C(q) but not northern: reach needs northern
         with pytest.raises(Exception):
-            t.lemma_zero(0, q_fact, p, pole)
+            t.lemma_zero(b, q_fact, p, pole)
 
     def test_rejects_higher_target(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         q = canonicalize((0, R2, R2))
-        q_fact = t.assume(0, q, 0)
+        b, q_fact = given(t, b, q, 0)
         with pytest.raises(Exception):
-            t.lemma_zero(0, q_fact, canonicalize((0.05, 0.05, 0.99)), pole)
+            t.lemma_zero(b, q_fact, canonicalize((0.05, 0.05, 0.99)), pole)
 
 
 class TestCertificateMemo:
@@ -362,10 +364,10 @@ class TestCertificateMemo:
         # turns its spirals opposite ways (atan2(+-0.0, x < 0)); frame
         # coordinates come from canonicalize, which writes 0.0 for -0.0, so
         # both calls reach the one frame point and share its certificate
-        t, pole = seeded()
+        t, b, pole = seeded()
         q = canonicalize((0.3, 0.0, 0.95))
-        q_fact = t.assume(0, q, 0)
-        branches = t.split(0, canonicalize((0, R2, R2)))
+        b, q_fact = given(t, b, q, 0)
+        branches = t.split(b, canonicalize((0, R2, R2)))
         targets = (Ray(-0.6, 0.0, 0.8), Ray(-0.6, -0.0, 0.8))
         assert targets[0] == targets[1] and reach(q, targets[0]) != reach(q, targets[1])
         certs = []
@@ -379,12 +381,12 @@ class TestCertificateMemo:
 
 class TestBranching:
     def test_split_covers_both_values(self):
-        t, _ = seeded()
+        t, b, _ = seeded()
         q = canonicalize((0, R2, R2))
-        b0, b1 = t.split(0, q)
+        b0, b1 = t.split(b, q)
         assert t.facts[t.branches[b0].assumption].value == 0
         assert t.facts[t.branches[b1].assumption].value == 1
-        assert t.branches[0].split == t.ray_index(q)
+        assert t.branches[b].split == t.ray_index(q)
 
     @pytest.mark.parametrize("i", range(3))
     def test_each_tripod_ray_is_a_member(self, i):
@@ -412,28 +414,28 @@ class TestBranching:
         assert [t.facts[t.branches[b].assumption].ray for b in (b0, b1)] == [index, index]
 
     def test_premises_visible_across_ancestors_only(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         trip = complete_tripod(canonicalize((0, R2, R2)))
-        b0, b1 = t.split(0, trip.a)
+        b0, b1 = t.split(b, trip.a)
         f_in_b0 = t.branches[b0].assumption  # v(trip.a) = 0, private to b0
-        f_e = t.orthogonal_zero(0, trip.b, pole)
+        f_e = t.orthogonal_zero(b, trip.b, pole)
         with pytest.raises(BadPremises, match="not visible"):
             # a fact private to b0 cannot justify anything in b1
             t.triad_one(b1, trip.c, f_in_b0, f_e)
 
     def test_contradiction_recorded(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         x = canonicalize((1, 0, 0))
-        f0 = t.orthogonal_zero(0, x, pole)
-        f1 = t.assume(0, x, 1)
-        assert t.branches[0].contradiction == (f0, f1)
+        f0 = t.orthogonal_zero(b, x, pole)
+        b, f1 = given(t, b, x, 1)
+        assert t.branches[b].contradiction == (f0, f1)
         assert t.contradiction == (f0, f1)
 
     def test_premises_precede_conclusions(self):
-        t, pole = seeded()
+        t, b, pole = seeded()
         q = canonicalize((0, R2, R2))
-        q_fact = t.assume(0, q, 0)
-        t.lemma_zero(0, q_fact, canonicalize((0.5, 0.2, 0.3)), pole)
+        b, q_fact = given(t, b, q, 0)
+        t.lemma_zero(b, q_fact, canonicalize((0.5, 0.2, 0.3)), pole)
         for fid, fact in enumerate(t.facts):
             assert all(p < fid for p in fact.premises)
 
@@ -442,9 +444,9 @@ def sibling_premises():
     """A trace split on v(q) for q = (0, 1/r2, 1/r2), and premises private to
     the v(q) = 1 branch: its assumption and v(p) = 0 for a new p orthogonal
     to q. Returns (t, pole, b0, one_in_b1, p, zero_in_b1)."""
-    t, pole = seeded()
+    t, b, pole = seeded()
     q = canonicalize((0, R2, R2))
-    b0, b1 = t.split(0, q)
+    b0, b1 = t.split(b, q)
     one_in_b1 = t.branches[b1].assumption
     p = canonicalize((1, 1, -1))
     zero_in_b1 = t.orthogonal_zero(b1, p, one_in_b1)
@@ -492,27 +494,19 @@ class TestRefusedRuleLeavesTraceUnchanged:
             t.lemma_zero(b0, zero_in_b1, canonicalize((0.5, 0.2, 0.3)), pole)
         assert table_state(t) == before
 
-    @pytest.mark.parametrize("value", [2, -1, True, 1.0, None])
-    def test_assume_value(self, value):
-        t, _ = seeded()
-        before = table_state(t), list(t.rays), list(t.facts), copy.deepcopy(t.branches)
-        with pytest.raises(BadPremises, match="must be the int 0 or 1"):
-            t.assume(0, canonicalize((0.3, 0.4, 0.5)), value)
-        assert (table_state(t), t.rays, t.facts, t.branches) == before
-
     def test_split(self):
         # an already-split branch is refused before the new member is stored
-        t, _ = seeded()
-        t.split(0, canonicalize((0, R2, R2)))
+        t, b, _ = seeded()
+        t.split(b, canonicalize((0, R2, R2)))
         before = table_state(t), copy.deepcopy(t.branches)
         with pytest.raises(BadPremises, match="already split"):
-            t.split(0, canonicalize((0.3, 0.4, 0.5)))
+            t.split(b, canonicalize((0.3, 0.4, 0.5)))
         assert (table_state(t), t.branches) == before
 
     def test_pole_fact_from_a_sibling(self):
         t, _, b0, one_in_b1, _, _ = sibling_premises()
         frame = rotation_to_pole(t.rays[t.facts[one_in_b1].ray])  # v(q) = 1 lives in b1
-        r_fact = t.assume(b0, to_world(frame, (0.1, 0.6, 0.8)), 0)
+        b0, r_fact = given(t, b0, to_world(frame, (0.1, 0.6, 0.8)), 0)
         r = t.rays[t.facts[r_fact].ray]
         rf = frame.apply(r.vec)
         e = circle_partners(NORTH_POLE, canonicalize(rf))[0]
@@ -588,6 +582,22 @@ class TestReplayImage:
             t.replay_image(n1, x1, t.branches[x1].assumption)
         assert (table_state(t), t.facts, t.branches) == before
 
+    def test_premise_outside_the_subtree_refused(self):
+        # under v(x) = 1, v(r) = 0, and then v(N) = 1, a triad_one step cites
+        # v(r) = 0 from outside the v(N) = 1 subtree: the image is refused
+        # before it stores any ray or fact
+        t = DerivationTrace()
+        _, x1 = t.split(0, canonicalize((1, 0, 0)))
+        r, e = canonicalize((0.6, 0, 0.8)), canonicalize((0, 1, 0))
+        r0, zero_r = given(t, x1, r, 0)
+        n0, n1 = t.split(r0, NORTH_POLE)
+        zero_e = t.orthogonal_zero(n1, e, t.branches[n1].assumption)
+        t.triad_one(n1, canonicalize(cross(r.vec, e.vec)), zero_r, zero_e)
+        before = table_state(t), list(t.facts), copy.deepcopy(t.branches)
+        with pytest.raises(BadPremises, match="outside branch"):
+            t.replay_image(n1, n0, t.branches[x1].assumption)
+        assert (table_state(t), t.facts, t.branches) == before
+
 
 class TestRayIndexMergeRadius:
     # ray_index merges a ray into a stored ray only when |a x b| <= eps, the
@@ -642,15 +652,6 @@ class TestRayGrid:
 
 class TestExtraction:
     def test_open_trace_rejected(self):
-        t, _ = seeded()
+        t, _, _ = seeded()
         with pytest.raises(OpenBranch):
             extract_triad_system(t)
-
-    def test_closed_linear_trace_extracts(self):
-        t, pole = seeded()
-        x = canonicalize((1, 0, 0))
-        f0 = t.orthogonal_zero(0, x, pole)
-        t.assume(0, x, 1)  # forced clash closes the root
-        system = extract_triad_system(t)
-        assert system.n_rays >= 2
-        assert ((0, 1) in system.pairs) or ((1, 0) in system.pairs) or system.pairs
