@@ -3,12 +3,14 @@
 Both are laid out as the triad-system document is (ksgeom.system): compact
 JSON, shortest-round-trip floats, fixed key order and a newline after each
 "],[" and "},{" (one record per line), so save -> load -> save is byte
-identical. Certificates, and a trace's rays and branches, go through json's
-C encoder (system._compact); save_trace formats each fact directly, in the
-encoder's layout. TestTraceWriter in tests/test_serialize.py pins it to
-_canonical_json of a reference trace dict, and CI's "CLI end to end" step
-to the encoder's bytes for both demos. This module owns the certificate
-and trace formats. Schemas:
+identical. Certificates, and a trace's branches, go through json's C
+encoder (system._compact); a trace's rays are system._ray_block, joined
+from each Ray's cached text, byte for byte the encoder's, so the system
+document written after the trace reuses that text; save_trace formats each
+fact directly, in the encoder's layout. TestTraceWriter in
+tests/test_serialize.py pins it to _canonical_json of a reference trace
+dict, and CI's "CLI end to end" step to the encoder's bytes for both demos.
+This module owns the certificate and trace formats. Schemas:
 
 certificate:
   {"eps": e, "shell_n": k | null, "points": [[x,y,z], ...],
@@ -45,7 +47,15 @@ import math
 from .errors import ParseError
 from .reach import ReachCertificate, VerifyReport
 from .sphere import EPS
-from .system import _canonical_json, _compact, _json_eps, _json_float, _json_int, _load_doc
+from .system import (
+    _canonical_json,
+    _compact,
+    _json_eps,
+    _json_float,
+    _json_int,
+    _load_doc,
+    _ray_block,
+)
 from .trace import DerivationTrace
 
 
@@ -107,7 +117,7 @@ def save_trace(t: DerivationTrace) -> str:
     ]
     return '{"eps":%s,"rays":%s,"facts":[%s],"branches":%s}\n' % (
         _compact(EPS),
-        _compact([[r.x, r.y, r.z] for r in t.rays]),
+        _ray_block(t.rays),
         ",\n".join(facts),
         _compact(branches),
     )

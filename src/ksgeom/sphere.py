@@ -55,28 +55,37 @@ def norm(a: Vec3) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, init=False)
 class Ray:
     """A one-dimensional subspace stored as its canonical unit vector.
 
-    Invariants (checked at construction): the coordinates are unit within
-    1e-12 and satisfy the canonical sign rule. Use canonicalize() to build
-    a Ray from an arbitrary nonzero vector. The predicates below are dot,
-    cross and norm written out in the same operation order, so they give
-    the same bits.
+    Invariants (checked at construction): the coordinates are floats, unit
+    within 1e-12 and satisfy the canonical sign rule. Use canonicalize() to
+    build a Ray from an arbitrary nonzero vector. The predicates below are
+    dot, cross and norm written out in the same operation order, so they
+    give the same bits. A ray's document text is made once, on first use,
+    and kept in the ray's __dict__, which only that text uses; _text is no
+    dataclass field, so it takes no part in ==, hash or repr, and a copy or
+    pickle carries the coordinates alone.
     """
 
+    __slots__ = ("x", "y", "z", "__dict__")
     x: float
     y: float
     z: float
+    _text = None  # until the ray's text is made: construction stores nothing for it
 
     def __init__(self, x: float, y: float, z: float) -> None:
         """ValueError unless (x, y, z) is unit and in canonical sign form.
 
-        The sign rule: z > CANON_EPS; or |z| <= CANON_EPS and x > CANON_EPS;
-        or |z|, |x| <= CANON_EPS and y > 0. The checked values then fill the
+        An int coordinate is stored as its float, so the ray is written as
+        it reloads; a bool or a non-number is refused. The sign rule:
+        z > CANON_EPS; or |z| <= CANON_EPS and x > CANON_EPS; or
+        |z|, |x| <= CANON_EPS and y > 0. The checked values then fill the
         frozen slots directly.
         """
+        if not type(x) is type(y) is type(z) is float:
+            x, y, z = _as_floats(x, y, z)
         if not abs(x * x + y * y + z * z - 1.0) <= 4.0 * _UNIT_TOL:  # fails closed on NaN
             raise ValueError(f"not a unit vector: {(x, y, z)!r}")
         if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
@@ -86,9 +95,26 @@ class Ray:
         _set_y(self, y)
         _set_z(self, z)
 
+    # copy and pickle: a frozen class refuses the slot-by-slot setattr of the
+    # default unpickling, so a ray is rebuilt through the constructor
+    def __getstate__(self) -> Vec3:
+        return (self.x, self.y, self.z)
+
+    def __setstate__(self, state: Vec3) -> None:
+        Ray.__init__(self, *state)
+
     @property
     def vec(self) -> Vec3:
         return (self.x, self.y, self.z)
+
+    @property
+    def text(self) -> str:
+        """"[x,y,z]" with each coordinate's repr: json's compact encoding of
+        the float list, byte for byte. Made on first use and kept."""
+        text = self._text
+        if text is None:
+            text = self.__dict__["_text"] = "[%r,%r,%r]" % (self.x, self.y, self.z)
+        return text
 
     def dot(self, other: "Ray") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -114,6 +140,15 @@ class Ray:
 
 # the slot descriptors of the frozen class, which Ray.__init__ writes through
 _set_x, _set_y, _set_z = Ray.x.__set__, Ray.y.__set__, Ray.z.__set__
+
+
+def _as_floats(x: float, y: float, z: float) -> Vec3:
+    """Ray coordinates as floats: ints are converted, anything but an int or
+    a float (a bool included) is refused with ValueError."""
+    for c in (x, y, z):
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
+            raise ValueError(f"ray coordinates must be floats: {(x, y, z)!r}")
+    return float(x), float(y), float(z)
 
 
 NORTH_POLE = Ray(0.0, 0.0, 1.0)

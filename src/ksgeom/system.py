@@ -8,15 +8,20 @@ and no extra keys. Every document (system, trace, certificate) has one
 layout, _compact's: compact JSON from json's C encoder with a newline after
 each "],[" and "},{" (one record per line) and one at the end, so save ->
 load -> save is byte identical; `python -m json.tool FILE` indents one for
-reading. save_trace formats trace facts directly in this layout, five
-integer-or-name fields each; TestTraceWriter in tests/test_serialize.py
-and CI's "CLI end to end" layout check pin it.
+reading. A ray block (a system's or a trace's rays) is joined by
+_ray_block from each Ray's cached text, which is byte for byte json's
+encoding of its float coordinates, so a ray's decimals are made once however
+many documents list it; save_trace also formats trace facts directly in
+this layout, five integer-or-name fields each. TestTraceWriter in
+tests/test_serialize.py, the writer tests in tests/test_fuzz.py and CI's
+"CLI end to end" layout check pin both writers to the encoder's bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import InvalidSystem, ParseError, ValidationError
@@ -97,14 +102,19 @@ def _canonical_json(doc: dict) -> str:
     return _compact(doc) + "\n"
 
 
+def _ray_block(rays: Iterable[Ray]) -> str:
+    """_compact of the rays' coordinate lists, joined from each Ray's text."""
+    return "[%s]" % ",\n".join([r.text for r in rays])
+
+
 def save_system(s: TriadSystem) -> str:
-    doc = {
-        "eps": s.eps,
-        "rays": [[r.x, r.y, r.z] for r in s.rays],
-        "triads": [list(t) for t in s.triads],
-        "pairs": [list(p) for p in s.pairs],
-    }
-    return _canonical_json(doc)
+    """The system document: byte for byte _canonical_json of the schema's dict."""
+    return '{"eps":%s,"rays":%s,"triads":%s,"pairs":%s}\n' % (
+        _compact(s.eps),
+        _ray_block(s.rays),
+        _compact(s.triads),
+        _compact(s.pairs),
+    )
 
 
 def _json_int(v: object, what: str) -> int:

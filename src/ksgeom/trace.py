@@ -7,7 +7,8 @@ two value-0 premises. So a closed trace is a refutation by construction:
 every leaf's clash rests on split assumptions and rule steps. The rules are:
 
   assume           a split child's assumption: only a split makes one, and
-                   it decides one ray at both of its values
+                   it decides one ray, not yet decided in its scope, at both
+                   of its values
   orthogonal_zero  a ray orthogonal to a value-1 ray gets 0
   triad_one        two zeroed members of a tripod force 1 on the third; the
                    tripod is the premises' stored rays and the conclusion
@@ -240,11 +241,21 @@ class DerivationTrace:
     # -- rules --------------------------------------------------------------
 
     def split(self, branch: int, member: Ray) -> tuple[int, int]:
-        """Case split on the value of one ray: children (=0, =1)."""
+        """Case split on the value of one ray: children (=0, =1).
+
+        BadPremises, before anything is stored, when branch is already split
+        or member's value is visible from it: each child must store its own
+        assumption. A decided member is in the table already, so ray_index
+        stores nothing for it.
+        """
         node = self.branches[branch]
         if node.children is not None:
             raise BadPremises(f"branch {branch} already split")
-        m_idx = node.split = self.ray_index(member)
+        m_idx = self.ray_index(member)
+        decided = self.value_fact_in(branch, m_idx)
+        if decided is not None:
+            raise BadPremises(f"ray {m_idx} is already decided by fact {decided}")
+        node.split = m_idx
         kids = []
         for value in (0, 1):
             idx = len(self.branches)
@@ -355,7 +366,9 @@ class DerivationTrace:
         assumption. The frame must be a signed permutation, so every image ray
         is exact. A premise outside the subtree is refused before anything is
         stored. Each distinct source ray is mapped once, by to_world and
-        ray_index; each split is made again by split; every other fact is
+        ray_index; each split is made again by split, which refuses a member
+        already decided under branch (after the image's earlier facts are
+        stored; no demo maps a split onto one); every other fact is
         stored with its source's value and rule and re-indexed premises, once
         its rule's local check passes on the stored rays. An image carries no
         witness: no certificate was computed for it. Returns the id of each
@@ -436,20 +449,16 @@ def extract_triad_system(t: DerivationTrace) -> TriadSystem:
         raise OpenBranch(f"branches without contradiction: {open_leaves}")
 
     facts = t.facts
-    triads = dict.fromkeys(
-        tuple(sorted((facts[f.premises[0]].ray, facts[f.premises[1]].ray, f.ray)))
-        for f in facts
-        if f.rule == RULE_TRIAD_ONE
-    )
-    covered = {(a, b) for tri in triads for a in tri for b in tri}
-    pairs: dict[tuple[int, int], None] = {}
-    for fact in facts:
-        if fact.rule not in (RULE_ORTHOGONAL_ZERO, RULE_CIRCLE_ZERO, RULE_LEMMA_ZERO):
-            continue
-        a, b = facts[fact.premises[0]].ray, fact.ray  # a derived zero's one premise
-        key = (min(a, b), max(a, b))
-        if key not in covered:
-            pairs[key] = None
+    triads: dict[tuple[int, ...], None] = {}
+    zero_pairs: dict[tuple[int, int], None] = {}
+    for ray, _, rule, premises, _, _ in facts:
+        if rule == RULE_TRIAD_ONE:
+            triads[tuple(sorted((facts[premises[0]].ray, facts[premises[1]].ray, ray)))] = None
+        elif rule != RULE_ASSUME:  # a derived zero and its one premise
+            a = facts[premises[0]].ray
+            zero_pairs[(a, ray) if a < ray else (ray, a)] = None
+    covered = {e for a, b, c in triads for e in ((a, b), (a, c), (b, c))}
+    pairs = [pair for pair in zero_pairs if pair not in covered]
 
     touched = dict.fromkeys(
         [b.split for b in t.branches if b.split is not None]

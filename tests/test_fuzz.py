@@ -12,7 +12,8 @@ or a unique prefix of it. `step_one` either
 refuses a target or links it to q in two steps within EPS. The one-pass
 loaders must also agree with the step-by-step loaders they replaced, kept
 here as the reference: the same object, or the same first error with the
-same message.
+same message. The writers that bypass json's encoder must give its bytes:
+a ray's cached text on random vectors, and save_system on random systems.
 """
 
 import io
@@ -39,14 +40,16 @@ from ksgeom.errors import (
 from ksgeom.plane import PlanePoint, unproject
 from ksgeom.reach import MAX_SPIRAL_STEPS, ReachCertificate, step_one
 from ksgeom.serialize import load_certificate
-from ksgeom.sphere import EPS, Ray, canonicalize, third_point
+from ksgeom.sphere import EPS, Ray, canonicalize, norm, third_point
 from ksgeom.system import (
     TriadSystem,
+    _canonical_json,
     _json_eps,
     _json_float,
     _json_int,
     _load_doc,
     load_system,
+    save_system,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -322,6 +325,62 @@ class TestReferenceLoaders:
     @example(json.dumps({"eps": 1e-9, "points": [[0.0, 0.6, 0.8], [0.0, 0.8, 1]]}))
     def test_load_certificate_matches_reference(self, text):
         assert outcome(load_certificate, text) == outcome(reference_load_certificate, text)
+
+
+# Nonzero vectors whose canonical coordinates often print with an exponent:
+# tiny, subnormal and huge components beside ordinary ones, and integers.
+coordinates = st.one_of(
+    st.floats(-1e100, 1e100, allow_nan=False),
+    st.integers(-3, 3),
+    st.sampled_from([1e-300, -5e-324, 1e-17, 3e16, -1e-5]),
+)
+vectors = st.tuples(coordinates, coordinates, coordinates).filter(lambda v: norm(v) > EPS)
+
+
+@st.composite
+def systems(draw) -> TriadSystem:
+    """Systems of 0 to 6 random rays with random in-range triads and pairs;
+    orthogonality is not asked for, since the writer does not check it."""
+    rays = tuple(canonicalize(v) for v in draw(st.lists(vectors, max_size=6)))
+    index = st.integers(0, max(len(rays) - 1, 0))
+    triads = pairs = st.just([])
+    if len(rays) >= 3:
+        triads = st.lists(st.lists(index, min_size=3, max_size=3, unique=True), max_size=4)
+    if len(rays) >= 2:
+        pairs = st.lists(st.lists(index, min_size=2, max_size=2, unique=True), max_size=4)
+    eps = draw(st.sampled_from([EPS, 1e-12, 5e-4]))
+    return TriadSystem(
+        rays=rays,
+        triads=tuple(map(tuple, draw(triads))),
+        pairs=tuple(map(tuple, draw(pairs))),
+        eps=eps,
+    )
+
+
+class TestWriters:
+    """A ray's cached text and save_system against json's encoder."""
+
+    @FUZZ
+    @given(vectors)
+    @example((1e-300, 0.0, 1.0))
+    @example((0, 0, 1))
+    @example((-5e-324, 3e16, 0.0))
+    def test_ray_text_is_the_encoders(self, v):
+        ray = canonicalize(v)
+        assert ray.text == json.dumps([ray.x, ray.y, ray.z], separators=(",", ":"))
+
+    @FUZZ
+    @given(systems())
+    @example(TriadSystem(rays=(), triads=()))
+    @example(TriadSystem(rays=(canonicalize((1e-300, 0.0, 1.0)),), triads=()))
+    def test_save_system_is_the_encoders(self, s):
+        doc = {
+            "eps": s.eps,
+            "rays": [[r.x, r.y, r.z] for r in s.rays],
+            "triads": [list(t) for t in s.triads],
+            "pairs": [list(p) for p in s.pairs],
+        }
+        assert save_system(s) == _canonical_json(doc)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

@@ -171,22 +171,22 @@ class TestTraceDocs:
 
 
 def hand_built_trace() -> DerivationTrace:
-    """Facts of 0 to 2 premises, a split of a member's 0 child on that member
-    again, whose 1 child is closed by a contradiction, and lemma_zero steps
-    in the identity frame (branch 3) and in the frame of the member, under
-    its 1 child (branch 9)."""
+    """Facts of 0 to 2 premises, a split on a member of the north pole's
+    equator, and lemma_zero steps in the identity frame (branch 3) and in
+    the frame of the member, under its 1 child (branch 7). That leaf is
+    closed by a rule step: the pole's value 1 zeroes the member."""
     t = DerivationTrace()
     n1, pole = given(t, 0, NORTH_POLE, 1)
     t.orthogonal_zero(n1, canonicalize((1, 0, 0)), pole)
     b, q = given(t, n1, canonicalize((0, math.sin(0.8), math.cos(0.8))), 0)
     t.lemma_zero(b, q, canonicalize((0.4, 0.5, 0.2)), pole)
-    member_ray = canonicalize((0.3, -0.2, 0.9))
-    zero, one = t.split(b, member_ray)
-    given(t, zero, member_ray, 1)
+    member_ray = canonicalize((0.8, -0.6, 0.0))
+    _, one = t.split(b, member_ray)
     member = t.branches[one].assumption
     frame = t.frame(member)
     b, q = given(t, one, to_world(frame, (0.0, math.sin(0.7), math.cos(0.7))), 0)
     t.lemma_zero(b, q, to_world(frame, (-0.3, 0.4, 0.3)), member)
+    t.orthogonal_zero(b, member_ray, pole)
     return t
 
 
@@ -223,6 +223,8 @@ class TestTraceWriter:
         text = self.check(t)
         assert {len(f.premises) for f in t.facts} == {0, 1, 2}
         assert t.branches[0].children and '"split":%d,' % t.branches[0].split in text
-        zero, one = t.branches[3].children
-        assert t.branches[t.branches[zero].children[1]].contradiction is not None
-        assert [f.branch for f in t.facts if f.rule == "lemma_zero"] == [3, t.branches[one].children[0]]
+        _, one = t.branches[3].children
+        leaf = t.branches[one].children[0]
+        first, clash = t.branches[leaf].contradiction
+        assert (first, t.facts[clash].rule) == (t.branches[one].assumption, "orthogonal_zero")
+        assert [f.branch for f in t.facts if f.rule == "lemma_zero"] == [3, leaf]

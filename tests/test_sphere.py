@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import struct
 
 import pytest
@@ -95,6 +97,19 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             Ray(*coords)
 
+    @pytest.mark.parametrize(
+        "coords", [(False, False, True), (0.0, 0.0, True), (0.0, 0.0, "1"), (0.0, 0.0, None)]
+    )
+    def test_ray_rejects_non_number_coordinate(self, coords):
+        # a bool is no coordinate, though it passes the unit and sign checks
+        with pytest.raises(ValueError, match="^ray coordinates must be floats"):
+            Ray(*coords)
+
+    def test_ray_stores_int_coordinates_as_floats(self):
+        ray = Ray(0, 0, 1)
+        assert [type(c) for c in ray.vec] == [float] * 3
+        assert ray == NORTH_POLE and ray.text == "[0.0,0.0,1.0]"
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_rejects_non_finite_coordinate(self, axis, bad):
@@ -113,6 +128,21 @@ class TestRayRecord:
                 with pytest.raises(AttributeError):
                     setattr(ray, name, 0.0)
             assert ray.vec == (0.6, 0.8, 0.0)
+
+    def test_text_is_kept_apart_from_the_value(self):
+        # a ray whose text was made equals, hashes and prints as a fresh one,
+        # and copies and pickles as its coordinates
+        used, fresh = canonicalize((0.3, 0.4, 0.5)), canonicalize((0.3, 0.4, 0.5))
+        text = used.text
+        assert text == "[%r,%r,%r]" % used.vec and used.text is text
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert {used: 1}[fresh] == 1
+        for name in ("x", "_text"):
+            with pytest.raises(AttributeError):
+                setattr(used, name, "[1.0,0.0,0.0]")
+        assert used.vec == fresh.vec and used.text == text
+        for again in (copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
+            assert type(again) is Ray and again == used and again.text == text
 
     def test_canonical_ray_equals_the_constructed_ray(self):
         made, built = canonicalize((0.6, 0.8, 0.0)), Ray(0.6, 0.8, 0.0)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from ksgeom.errors import InvalidSystem, ParseError, ValidationError
-from ksgeom.sphere import canonicalize
+from ksgeom.sphere import Ray, canonicalize
 from ksgeom.system import TriadSystem, load_system, save_system, validate_system
 
 R2 = math.sqrt(0.5)
@@ -92,6 +92,14 @@ class TestRoundTrip:
         text1 = save_system(s)
         text2 = save_system(load_system(text1))
         assert text1 == text2
+
+    def test_int_coordinates_round_trip(self):
+        # int coordinates are stored as floats, so the first save is already
+        # what load -> save gives back
+        s = TriadSystem(rays=(Ray(0, 0, 1), Ray(1, 0, 0), Ray(0, 1, 0)), triads=((0, 1, 2),))
+        text = save_system(s)
+        assert '"rays":[[0.0,0.0,1.0],\n[1.0,0.0,0.0],\n[0.0,1.0,0.0]]' in text
+        assert save_system(load_system(text)) == text
 
     def test_seventeen_significant_digits_survive(self):
         s = constant_tripod_system()

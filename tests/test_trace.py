@@ -299,10 +299,12 @@ class TestCircleZero:
             with pytest.raises(refusal):
                 t.circle_zero(b, q_fact, p, pole_fact)
             assert table_state(t) == before
-        b0, _ = t.split(b, one)  # v(pole ray) = 0 in b0
+        # v(pole ray) = 0 as well, against a 1 on an orthogonal ray: a clash
+        b, other = given(t, b, canonicalize(cross(one.vec, (0.0, 1.0, 0.0))), 1)
+        zero_pole = t.orthogonal_zero(b, one, other)
         before = table_state(t)
         with pytest.raises(AtPole):
-            t.circle_zero(b0, t.branches[b0].assumption, p, pole)
+            t.circle_zero(b, zero_pole, p, pole)
         assert table_state(t) == before
 
     def test_macro_soundness(self):
@@ -426,10 +428,10 @@ class TestBranching:
     def test_contradiction_recorded(self):
         t, b, pole = seeded()
         x = canonicalize((1, 0, 0))
-        f0 = t.orthogonal_zero(b, x, pole)
         b, f1 = given(t, b, x, 1)
-        assert t.branches[b].contradiction == (f0, f1)
-        assert t.contradiction == (f0, f1)
+        f0 = t.orthogonal_zero(b, x, pole)  # the visible fact first, then the clash
+        assert t.branches[b].contradiction == (f1, f0)
+        assert t.contradiction == (f1, f0)
 
     def test_premises_precede_conclusions(self):
         t, b, pole = seeded()
@@ -496,12 +498,20 @@ class TestRefusedRuleLeavesTraceUnchanged:
 
     def test_split(self):
         # an already-split branch is refused before the new member is stored
-        t, b, _ = seeded()
-        t.split(b, canonicalize((0, R2, R2)))
+        t, b, pole = seeded()
+        b0, _ = t.split(b, canonicalize((0, R2, R2)))
+        t.orthogonal_zero(b0, canonicalize((1, 0, 0)), pole)
         before = table_state(t), copy.deepcopy(t.branches)
         with pytest.raises(BadPremises, match="already split"):
             t.split(b, canonicalize((0.3, 0.4, 0.5)))
         assert (table_state(t), t.branches) == before
+        # so is a member whose value is visible from the branch: an
+        # ancestor's assumption, the branch's own, or a derived fact, found
+        # through its subspace
+        for decided in (NORTH_POLE, canonicalize((1e-12, R2, R2)), canonicalize((-1, 0, 0))):
+            with pytest.raises(BadPremises, match="already decided"):
+                t.split(b0, decided)
+            assert (table_state(t), t.branches) == before
 
     def test_pole_fact_from_a_sibling(self):
         t, _, b0, one_in_b1, _, _ = sibling_premises()
