@@ -19,8 +19,8 @@ With --json every command prints one JSON document; errors and warnings
 go to stderr, as JSON under --json. Every library error maps to a fixed
 exit code (ksgeom.errors.EXIT_CODES); verification rejects exit 22 and
 unmet coloring expectations exit 23. Bad invocations (an unknown option,
-an unreadable input or unwritable output file, a stdout closed by its
-reader) exit 2.
+--pole given to demo second, an unreadable input or unwritable output file,
+a stdout closed by its reader) exit 2.
 A stderr closed by its reader loses the messages but changes no exit code.
 """
 
@@ -148,7 +148,8 @@ def cmd_reach(args) -> Outcome:
 
 def cmd_demo(args) -> Outcome:
     if args.which == "first":
-        trace = demo_first_proof(_input_ray(args.pole, args.json))
+        pole = _DEFAULT_POLE if args.pole is None else args.pole
+        trace = demo_first_proof(_input_ray(pole, args.json))
     else:
         trace = demo_second_proof()
     system = extract_triad_system(trace)
@@ -220,6 +221,9 @@ def cmd_verify(args) -> Outcome:
     return code, report_to_doc(report), text
 
 
+_DEFAULT_POLE = f"0,sin({DEFAULT_POLE_ANGLE}),cos({DEFAULT_POLE_ANGLE})"
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -241,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="run a contradiction demo")
     p.add_argument("which", choices=("first", "second"))
     p.add_argument("--pole", metavar="X,Y,Z",
-                   default=f"0,sin({DEFAULT_POLE_ANGLE}),cos({DEFAULT_POLE_ANGLE})",
-                   help="re-poling target for the first demo (default: %(default)s)")
+                   help=f"re-poling target for the first demo (default: {_DEFAULT_POLE})")
     p.add_argument("-o", "--out", help="directory for trace.json and system.json")
     _add_common(p)
     p.set_defaults(func=cmd_demo)
@@ -289,9 +292,10 @@ def _report_error(args: argparse.Namespace, code: int, kind: str, message: str) 
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(
-        _attach_vector_values(sys.argv[1:] if argv is None else argv)
-    )
+    parser = build_parser()
+    args = parser.parse_args(_attach_vector_values(sys.argv[1:] if argv is None else argv))
+    if args.command == "demo" and args.which == "second" and args.pole is not None:
+        parser.error("--pole applies to demo first only")
     try:
         code, doc, text = args.func(args)
     except KsError as exc:

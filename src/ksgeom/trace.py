@@ -4,7 +4,9 @@ A trace is a tree of branches; each branch holds justified facts v(ray) = 0
 or 1. Every stored fact is a split's assumption or a step of one of the
 paper's two forcing rules: a zero cites its one value-1 premise, a one its
 two value-0 premises. So a closed trace is a refutation by construction:
-every leaf's clash rests on split assumptions and rule steps. The rules are:
+every leaf's clash rests on split assumptions and rule steps. Only split,
+triad_one and _zero, the zero rule behind every zeroing step below, call
+_add_fact, each after its own local check. The rules are:
 
   assume           a split child's assumption: only a split makes one, and
                    it decides one ray, not yet decided in its scope, at both
@@ -41,9 +43,9 @@ witness; documents do not carry it, since the fact is checked as the
 circle step it stores. A trace computes each reach certificate once per
 pair of frame-coordinate q and p. replay_image stores a subtree argued under
 the north pole again under another value-1 pole whose frame is a signed
-permutation, as its exact image: it maps rays and re-checks each fact's rule
-locally, with no reach call, circle construction or new frame, and its facts
-carry no certificate. Every check still runs on every call.
+permutation, as its exact image: it re-derives each fact on its mapped ray
+through split, triad_one or _zero, with no reach call, circle construction
+or new frame; its facts carry no certificate.
 """
 
 from __future__ import annotations
@@ -280,12 +282,17 @@ class DerivationTrace:
             self._frames[ridx] = rotation_to_pole(pole)
         return self._frames[ridx]
 
-    def orthogonal_zero(self, branch: int, p: Ray, one_fact: int) -> int:
+    def _zero(self, branch: int, p: Ray, one_fact: int, rule: str,
+              witness: CertWitness | None = None) -> int:
+        """v(p) = 0 by rule against one_fact's value-1 stored ray, orthogonal to p."""
         self._require_visible(branch, (one_fact,))
         basis = self._one_ray(one_fact)
         if not basis.is_orthogonal(p):
             raise NotOrthogonal(f"|dot| = {abs(basis.dot(p))!r} exceeds eps {EPS!r}")
-        return self._add_fact(branch, self.ray_index(p), 0, RULE_ORTHOGONAL_ZERO, (one_fact,))
+        return self._add_fact(branch, self.ray_index(p), 0, rule, (one_fact,), witness)
+
+    def orthogonal_zero(self, branch: int, p: Ray, one_fact: int) -> int:
+        return self._zero(branch, p, one_fact, RULE_ORTHOGONAL_ZERO)
 
     def triad_one(self, branch: int, third: Ray, zero_a: int, zero_b: int) -> int:
         """Value 1 on third, whose tripod is completed by the two zeroed premises' rays."""
@@ -310,7 +317,8 @@ class DerivationTrace:
         """One circle-zero expansion from a zeroed q to a point on its circle.
 
         The conclusion cites w's value-1 fact alone: its triad_one fact from
-        q and e, or the fact already giving w value 1 in scope.
+        q and e, or the fact already giving w value 1 in scope. _zero checks
+        it against w's stored ray, after the pre-check against the built w.
         """
         pole = self._one_ray(pole_fact)
         fq = self.facts[q_fact]
@@ -323,7 +331,7 @@ class DerivationTrace:
             raise NotOnCircle(f"point is off the circle by {residual!r} (eps {EPS!r})")
         e_fid = self.orthogonal_zero(branch, e_world, pole_fact)
         w_fid = self.triad_one(branch, w_world, q_fact, e_fid)
-        return self._add_fact(branch, self.ray_index(p_world), 0, rule, (w_fid,), witness=witness)
+        return self._zero(branch, p_world, w_fid, rule, witness)
 
     def circle_zero(self, branch: int, q_fact: int, p: Ray, pole_fact: int) -> int:
         self._require_visible(branch, (pole_fact, q_fact))
@@ -365,14 +373,14 @@ class DerivationTrace:
         are frame coordinates already; pole_fact stands in for that
         assumption. The frame must be a signed permutation, so every image ray
         is exact. A premise outside the subtree is refused before anything is
-        stored. Each distinct source ray is mapped once, by to_world and
-        ray_index; each split is made again by split, which refuses a member
-        already decided under branch (after the image's earlier facts are
-        stored; no demo maps a split onto one); every other fact is
-        stored with its source's value and rule and re-indexed premises, once
-        its rule's local check passes on the stored rays. An image carries no
-        witness: no certificate was computed for it. Returns the id of each
-        source fact's image, an earlier fact where one was already visible.
+        stored. Each distinct source ray is mapped once, by to_world. Each
+        split is made again by split, which refuses a member already decided
+        under branch (after the image's earlier facts are stored; no demo
+        maps a split onto one). Every other fact is derived again on its
+        image ray from its re-indexed premises, a one by triad_one and a zero
+        by _zero under its source's rule, each with its own checks. An image
+        carries no witness: no certificate was computed for it. Returns the
+        id of each source fact's image, an earlier one where already visible.
         """
         frame = self.frame(pole_fact)  # pole_fact must hold value 1
         if any(c not in (0.0, 1.0, -1.0) for row in frame.rows for c in row):
@@ -396,35 +404,24 @@ class DerivationTrace:
 
         fmap = {src.assumption: pole_fact}
         bmap = {source: branch}
-        rmap: dict[int, int] = {}
+        images = {r: to_world(frame, rays[r].vec) for r in {facts[fid].ray for fid in subtree}}
         for fid in subtree:
             if fid in fmap:
                 continue  # a 1 child's assumption, made with its sibling's
             f = facts[fid]
-            ridx = rmap.get(f.ray)
             if f.rule == RULE_ASSUME:  # a split child's assumption: split again
                 parent = branches[branches[f.branch].parent]  # type: ignore[index]
-                member = to_world(frame, rays[f.ray].vec) if ridx is None else rays[ridx]
-                kids = self.split(bmap[parent.idx], member)
-                rmap[f.ray] = branches[bmap[parent.idx]].split  # type: ignore[assignment]
+                kids = self.split(bmap[parent.idx], images[f.ray])
                 for old, new in zip(parent.children, kids):  # type: ignore[arg-type]
                     bmap[old] = new
                     fmap[branches[old].assumption] = branches[new].assumption  # type: ignore[index]
                 continue
-            if ridx is None:
-                ridx = rmap[f.ray] = self.ray_index(to_world(frame, rays[f.ray].vec))
             b = bmap[f.branch]
             premises = tuple(fmap[p] for p in f.premises)
-            self._require_visible(b, premises)
-            conclusion = rays[ridx]
             if f.rule == RULE_TRIAD_ONE:
-                fa, fb = facts[premises[0]], facts[premises[1]]
-                if fa.value != 0 or fb.value != 0 or fa.ray == fb.ray:
-                    raise BadPremises(f"image of triad_one fact {fid} lacks two zeroed rays")
-                check_tripod(rays[fa.ray], rays[fb.ray], conclusion)
-            elif not self._one_ray(premises[0]).is_orthogonal(conclusion):
-                raise NotOrthogonal(f"image of {f.rule} fact {fid} is off its premise's plane")
-            fmap[fid] = self._add_fact(b, ridx, f.value, f.rule, premises)
+                fmap[fid] = self.triad_one(b, images[f.ray], *premises)
+            else:
+                fmap[fid] = self._zero(b, images[f.ray], premises[0], f.rule)
         return fmap
 
 

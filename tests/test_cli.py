@@ -328,6 +328,21 @@ class TestDemoAndColor:
             == EXIT_EXPECTATION
         )
 
+    @pytest.mark.parametrize("value", ["garbage", "0,0.3,0.95"])
+    def test_second_demo_refuses_a_pole(self, capsys, value):
+        # demo second has no target: a --pole value is refused, not ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "second", "--pole", value, "--json"])
+        assert exc.value.code == EXIT_CODES["usage"]
+        assert "--pole applies to demo first only" in capsys.readouterr().err
+
+    def test_demo_help_shows_the_first_demos_default_pole(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "--help"])
+        assert exc.value.code == 0
+        assert f"(default: 0,sin({DEFAULT_POLE_ANGLE}),cos({DEFAULT_POLE_ANGLE}))" in " ".join(
+            capsys.readouterr().out.split())
+
     def test_first_demo_bad_pole(self, capsys):
         code, _, _ = run(capsys, "demo", "first", "--pole", "0,sin(1.0),cos(1.0)")
         assert code == EXIT_CODES["BadPole"]

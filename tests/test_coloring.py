@@ -158,6 +158,14 @@ class TestModes:
         assert is_valid_coloring(single_triad(), result.witness)
         assert not result.exhaustive  # stopped early
 
+    def test_validity_refuses_two_ones(self):
+        # ray 3 is orthogonal to ray 0, the pole, outside the triad's tripod
+        s = TriadSystem(rays=(*AXES, canonicalize((R2, R2, 0))), triads=((0, 1, 2),),
+                        pairs=((0, 3),))
+        assert is_valid_coloring(s, (0, 1, 0, 1))
+        assert not is_valid_coloring(s, (1, 1, 0, 0))  # a triad with two 1s
+        assert not is_valid_coloring(s, (1, 0, 0, 1))  # a pair with two 1s
+
     def test_prove_none_on_satisfiable(self):
         result = solve(single_triad(), SolveMode.PROVE_NONE)
         assert result.count >= 1 and not result.exhaustive

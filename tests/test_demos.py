@@ -621,7 +621,9 @@ class TestRayTableProbes:
         t = demo_second_proof()
         monkeypatch.undo()
         assert len(t.rays) == 153
-        assert counts == {"lookups": 217, "probes": 89}
+        # each seed image fact is stored through its rule, which looks its
+        # image ray up in the table
+        assert counts == {"lookups": 271, "probes": 147}
 
 
 def indent_1(text: str) -> str:

@@ -414,6 +414,13 @@ class TestVerifyCertificate:
         assert report.link_residuals == ()
         assert math.isnan(report.min_z)
 
+    def test_rejects_link_from_the_pole(self):
+        # every great circle through the pole is a circle of it: no link starts there
+        report = verify_certificate(ReachCertificate(points=((0.0, 0.0, 1.0), (0.6, 0.0, 0.8))))
+        assert not report.accepted
+        assert report.first_bad_link == 0
+        assert any("link source is the pole" in f for f in report.failures)
+
     def test_rejects_tampered_point(self):
         q = canonicalize((0, R2, R2))
         cert = reach(q, canonicalize((0.6, 0.5, 0.2)))

@@ -313,6 +313,11 @@ class TestRotationToPole:
         with pytest.raises(ValueError):
             Rotation(((entry, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
+    def test_rotation_rejects_a_reflection(self):
+        # orthonormal rows of determinant -1: a mirror, not a rotation
+        with pytest.raises(ValueError, match="determinant is not \\+1"):
+            Rotation(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0)))
+
 
 def north_pole_partners(q):
     """q's equator partner and circle pole under N, by the closed formulas.

@@ -31,6 +31,7 @@ from ksgeom.trace import (
     CELL,
     RULE_CIRCLE_ZERO,
     RULE_LEMMA_ZERO,
+    RULE_TRIAD_ONE,
     CertWitness,
     DerivationTrace,
     ValueFact,
@@ -496,6 +497,41 @@ class TestRefusedRuleLeavesTraceUnchanged:
             t.lemma_zero(b0, zero_in_b1, canonicalize((0.5, 0.2, 0.3)), pole)
         assert table_state(t) == before
 
+    def test_triad_one_from_a_value_one_premise(self):
+        # (N, x, y) is a tripod, but v(N) = 1: the value check refuses the step
+        t, b, pole = seeded()
+        zero_x = t.orthogonal_zero(b, canonicalize((1, 0, 0)), pole)
+        before = table_state(t), copy.deepcopy(t.branches)
+        with pytest.raises(BadPremises, match="must both assign value 0"):
+            t.triad_one(b, canonicalize((0, 1, 0)), pole, zero_x)
+        assert (table_state(t), t.branches) == before
+
+    def test_lemma_zero_from_a_value_one_q(self, monkeypatch):
+        t, b, pole = seeded()
+        b1, one_q = given(t, b, canonicalize((0, R2, R2)), 1)
+        before = table_state(t), copy.deepcopy(t.branches)
+        monkeypatch.setattr(trace_module, "reach", None)  # refused before any reach call
+        with pytest.raises(PremiseNotZero):
+            t.lemma_zero(b1, one_q, canonicalize((0.5, 0.2, 0.3)), pole)
+        assert (table_state(t), t.branches) == before
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a refused circle step keeps the zero of q's equator partner")
+    def test_circle_zero_from_a_ray_beside_the_pole(self):
+        # q = N lies 2e-9 rad from the value-1 pole ray, past the merge
+        # radius: the circle pole w built for q is 2e-9 off q, so triad_one
+        # refuses w after orthogonal_zero has stored e's zero
+        t = DerivationTrace()
+        _, b = t.split(0, canonicalize((0, 2e-9, 1)))
+        pole = t.branches[b].assumption
+        b, q = given(t, b, NORTH_POLE, 0)
+        e = circle_partners(t.rays[t.facts[pole].ray], NORTH_POLE)[0]
+        p = canonicalize(tuple(0.1 * n + math.sqrt(0.99) * c for n, c in zip(NORTH_POLE.vec, e.vec)))
+        before = table_state(t), copy.deepcopy(t.branches)
+        with pytest.raises(NotOrthogonal):
+            t.circle_zero(b, q, p, pole)
+        assert (table_state(t), t.branches) == before
+
     def test_split(self):
         # an already-split branch is refused before the new member is stored
         t, b, pole = seeded()
@@ -591,6 +627,16 @@ class TestReplayImage:
         with pytest.raises(BadPremises, match="cannot hold an image"):
             t.replay_image(n1, x1, t.branches[x1].assumption)
         assert (table_state(t), t.facts, t.branches) == before
+
+    def test_tampered_source_refused_by_triad_one(self):
+        # a source triad_one fact made to cite one zero twice: its image step
+        # is refused by triad_one's own check, as the source step would be
+        t, n1, _, x1 = copy_n_argument()
+        fid = next(fid for fid, f in enumerate(t.facts)
+                   if f.rule == RULE_TRIAD_ONE and n1 in t.branches[f.branch].scope)
+        t.facts[fid] = t.facts[fid]._replace(premises=(t.facts[fid].premises[0],) * 2)
+        with pytest.raises(BadPremises, match="cite the same ray"):
+            t.replay_image(n1, x1, t.branches[x1].assumption)
 
     def test_premise_outside_the_subtree_refused(self):
         # under v(x) = 1, v(r) = 0, and then v(N) = 1, a triad_one step cites
