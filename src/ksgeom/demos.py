@@ -20,9 +20,9 @@ a value-1 pole fact is mapped to a world ray, and its completion tripod is
 taken from it and the pole fact's ray, as circle_zero takes it.
 
 The seed tripod is the three axes, so each demo argues once, under the
-north pole, and its x and y seed copies are that argument's images under
+north pole, and its x and y seed copies are its instances, ray maps under
 their seed frames, signed permutations that map every ray exactly: the
-paper's "by a rotation we can assume", done once (DerivationTrace.replay_image).
+paper's "by a rotation we can assume", stated once (DerivationTrace.instance).
 
 How a height-1/sqrt(2) split tripod is turned about its pole is free (the
 paper takes each frame "by a rotation we can assume"), and it sets the
@@ -179,16 +179,16 @@ def _seed_copies(t: DerivationTrace, argue: Callable[[int, int], None]) -> None:
 
     The seed tripod is split so that each branch holds value 1 on one of its
     members. argue(branch, pole_fact) runs the argument once, under the north
-    pole; the x and y copies are its images under their seed frames, which
-    are exact signed permutations.
+    pole; the x and y copies are its instances under their seed frames,
+    which are exact signed permutations.
     """
     n_ray, x_ray, y_ray = (canonicalize(v) for v in SEED_TRIPOD_VECS)
     b_n0, b_n1 = t.split(0, n_ray)
     b_x0, b_x1 = t.split(b_n0, x_ray)
     y_fid = t.triad_one(b_x0, y_ray, t.branches[b_n0].assumption, t.branches[b_x0].assumption)
     argue(b_n1, t.branches[b_n1].assumption)
-    t.replay_image(b_n1, b_x1, t.branches[b_x1].assumption)
-    t.replay_image(b_n1, b_x0, y_fid)
+    t.instance(b_n1, b_x1, t.branches[b_x1].assumption)
+    t.instance(b_n1, b_x0, y_fid)
 
 
 def demo_first_proof(p_prime: Ray) -> DerivationTrace:

@@ -7,7 +7,7 @@ identical. Certificates, and a trace's branches, go through json's C
 encoder (system._compact); a trace's rays are system._ray_block, joined
 from each Ray's cached text, byte for byte the encoder's, so the system
 document written after the trace reuses that text; save_trace formats each
-fact directly, in the encoder's layout. TestTraceWriter in
+fact and each instance directly, in the encoder's layout. TestTraceWriter in
 tests/test_serialize.py pins it to _canonical_json of a reference trace
 dict, and CI's "CLI end to end" step to the encoder's bytes for both demos.
 This module owns the certificate and trace formats. Schemas:
@@ -27,7 +27,9 @@ trace:
               "branch": b}, ...],
    "branches": [{"idx": b, "parent": p | null, "assumption": fid | null,
                  "split": i | null, "children": [b0,b1] | null,
-                 "contradiction": [f1,f2] | null}, ...]}
+                 "contradiction": [f1,f2] | null}, ...],
+   "instances": [{"branch": b, "source": s, "pole_fact": fid,
+                  "map": [i, ...]}, ...]}
 
 A trace holds derivation steps only: no reach certificate and no frame. An
 assume fact has no premises and is its branch's assumption; a derived zero
@@ -38,6 +40,10 @@ circle: w's triad_one fact, whose first premise is q, or the assumption of a
 split that already decided w. So a lemma_zero fact is checked as the last
 circle step of its chain, each earlier step a circle_zero fact. A branch's
 split is the ray it decides: its children assume that ray at 0 and at 1.
+An instance's body is the facts of branch s, which assumes the north pole at
+1, and of its descendants; "map" gives the image index of each body ray, in
+the order the body's facts first name them. Its branch is a leaf, closed
+with the body, seeing its pole fact, a 1 on the image of the north pole.
 """
 
 from __future__ import annotations
@@ -96,6 +102,7 @@ def load_certificate(text: str | bytes) -> ReachCertificate:
 #: dict's order and integers as json writes them (a fact's fields are ints,
 #: and its rule is one of the trace's rule names, which need no escaping).
 _FACT = '{"ray":%d,"value":%d,"rule":"%s","premises":[%s],"branch":%d}'
+_INSTANCE = '{"branch":%d,"source":%d,"pole_fact":%d,"map":[%s]}'
 
 
 def save_trace(t: DerivationTrace) -> str:
@@ -115,11 +122,12 @@ def save_trace(t: DerivationTrace) -> str:
         }
         for b in t.branches
     ]
-    return '{"eps":%s,"rays":%s,"facts":[%s],"branches":%s}\n' % (
+    return '{"eps":%s,"rays":%s,"facts":[%s],"branches":%s,"instances":[%s]}\n' % (
         _compact(EPS),
         _ray_block(t.rays),
         ",\n".join(facts),
         _compact(branches),
+        ",\n".join(_INSTANCE % (*i[:3], ",".join(map(str, i.rays.values()))) for i in t.instances),
     )
 
 

@@ -4,9 +4,10 @@ A trace is a tree of branches; each branch holds justified facts v(ray) = 0
 or 1. Every stored fact is a split's assumption or a step of one of the
 paper's two forcing rules: a zero cites its one value-1 premise, a one its
 two value-0 premises. So a closed trace is a refutation by construction:
-every leaf's clash rests on split assumptions and rule steps. Only split,
-triad_one and _zero, the zero rule behind every zeroing step below, call
-_add_fact, each after its own local check. The rules are:
+every leaf's clash rests on split assumptions and rule steps. A rule makes
+every check (a zero's by _check_zero, a one's by check_tripod) before it
+stores a ray or a fact, so a refused call leaves the trace as it was (a
+lemma_zero chain keeps the circle steps before a refused one):
 
   assume           a split child's assumption: only a split makes one, and
                    it decides one ray, not yet decided in its scope, at both
@@ -21,31 +22,23 @@ _add_fact, each after its own local check. The rules are:
   lemma_zero       a lower northern point gets 0 through a reach
                    certificate, replayed as chained circle_zero steps
 
-Rays share a table index when |a x b| <= EPS, numbered by first appearance;
-the table files each ray under the cells of a grid over (|x|, |y|, |z|) whose
-side, about 1e-6, is far above EPS, so nearly every ray fills one cell. A
-branch's scope is itself and its ancestors, nearest first: a rule refuses
-premises outside it before it stores anything, facts are deduplicated per
-scope by ray index, and deriving the opposite value of a visible fact
-records the branch's contradiction pair.
-circle_zero works in world coordinates: q's equator partner and the pole of
-q's circle come from q and the pole fact's stored ray by circle_partners,
-whose circle pole is circle_pole, the one construction of q's circle and
-third_point's at the north pole. That is how "by a rotation we can assume
-the pole is N" steps are mechanized without a rotation. lemma_zero alone
-uses a frame, rotation_to_pole of that value-1 fact's stored ray (computed
-once per ray; the identity at N): its reach certificate is built in frame
-coordinates and its chain points are mapped back to world rays. A fact is
-an immutable record, a NamedTuple: it is a tuple, so it also compares equal
-to a plain tuple of its fields, and the dataclasses helpers do not apply to
-it. A lemma_zero fact keeps its reach certificate in memory, as its
-witness; documents do not carry it, since the fact is checked as the
-circle step it stores. A trace computes each reach certificate once per
-pair of frame-coordinate q and p. replay_image stores a subtree argued under
-the north pole again under another value-1 pole whose frame is a signed
-permutation, as its exact image: it re-derives each fact on its mapped ray
-through split, triad_one or _zero, with no reach call, circle construction
-or new frame; its facts carry no certificate.
+Rays share a table index when |a x b| <= EPS, numbered by first appearance
+and filed under the cells of a grid over (|x|, |y|, |z|) of side about 1e-6.
+A branch's scope is itself and its ancestors, nearest first: a rule refuses
+premises outside it, facts are deduplicated per scope by ray index, and
+deriving the opposite value of a visible fact records the branch's clash.
+Circle steps work in world coordinates, from q and the pole fact's stored
+ray by circle_partners: "by a rotation we can assume the pole is N" with no
+rotation. lemma_zero alone uses a frame, rotation_to_pole of the pole
+fact's ray (once per ray; the identity at N): its reach certificate, made
+once per pair of frame-coordinate q and p and kept in memory as the fact's
+witness, is built in frame coordinates and mapped back to world rays.
+
+An instance stores a subtree argued under the north pole, its body, again
+under a value-1 pole whose frame is a signed permutation: as a map from each
+body ray to its exact image, every body step checked on the mapped rays, and
+no fact. Its branch, a leaf, stands for the body's leaves; neither takes a
+further step.
 """
 
 from __future__ import annotations
@@ -106,6 +99,14 @@ class ValueFact(NamedTuple):
     witness: CertWitness | None = None
 
 
+class Instance(NamedTuple):
+    branch: int
+    source: int  # the body's root, which assumes the north pole at 1
+    pole_fact: int
+    rays: dict[int, int]  # each body ray's image index, in body first-touch order
+    body: list[int]  # the ids of the facts in source's subtree, in order
+
+
 @dataclass
 class Branch:
     idx: int
@@ -134,50 +135,59 @@ def to_world(frame: Rotation, vec: Vec3) -> Ray:
     return canonicalize(frame.apply_inverse(vec))
 
 
+def _check_zero(one: Ray, p: Ray) -> None:
+    """NotOrthogonal unless p, zeroed against the value-1 ray one, is orthogonal to it."""
+    if not one.is_orthogonal(p):
+        raise NotOrthogonal(f"|dot| = {abs(one.dot(p))!r} exceeds eps {EPS!r}")
+
+
 class DerivationTrace:
     """Mutable builder for a branch tree of justified value facts.
 
     Build single-threaded: fact ids are append order and justifications
     must reference earlier facts. Finished traces are read-only data and
-    safe to share. Reach certificates are computed once per trace, keyed
-    on their exact inputs (see lemma_zero).
+    safe to share.
     """
 
     def __init__(self) -> None:
         self.rays: list[Ray] = []
         self.facts: list[ValueFact] = []
         self.branches: list[Branch] = [Branch(idx=0, parent=None, scope=(0,))]
+        self.instances: list[Instance] = []
         self._frames: dict[int, Rotation] = {}  # by pole ray index
         self._cells: dict[tuple[int, ...], list[int]] = {}
         self._certs: dict[tuple[Ray, Ray], ReachCertificate] = {}  # by frame (q, p)
 
     # -- ray table ---------------------------------------------------------
 
-    def ray_index(self, ray: Ray) -> int:
-        """Smallest index of a stored ray spanning ray's subspace; stores ray if none.
-
-        A ray is filed under every grid cell of (|x|, |y|, |z|) within 2*EPS of
-        it, which covers its antipode, so the query's cell holds all its matches.
-        """
-        ax, ay, az = abs(ray.x), abs(ray.y), abs(ray.z)
-        cells = self._cells
-        cell = (int(ax * _PER_CELL), int(ay * _PER_CELL), int(az * _PER_CELL))
+    def _find(self, ray: Ray) -> int | None:
+        """Smallest index of a stored ray spanning ray's subspace; stores nothing.
+        _file files a ray under every cell within 2*EPS of its (|x|, |y|, |z|)."""
         rays = self.rays
-        for idx in cells.get(cell, ()):
+        cell = (int(abs(ray.x) * _PER_CELL), int(abs(ray.y) * _PER_CELL),
+                int(abs(ray.z) * _PER_CELL))
+        for idx in self._cells.get(cell, ()):
             if rays[idx].same_subspace(ray):
                 return idx
-        idx = len(rays)
-        rays.append(ray)
+        return None
+
+    def _file(self, ray: Ray) -> int:
+        """Store a ray that _find has not found."""
+        ax, ay, az = abs(ray.x), abs(ray.y), abs(ray.z)
+        cells, idx = self._cells, len(self.rays)
+        self.rays.append(ray)
         lo = (int((ax - _FILE_REACH) * _PER_CELL), int((ay - _FILE_REACH) * _PER_CELL),
               int((az - _FILE_REACH) * _PER_CELL))
         hi = (int((ax + _FILE_REACH) * _PER_CELL), int((ay + _FILE_REACH) * _PER_CELL),
               int((az + _FILE_REACH) * _PER_CELL))
-        if lo == hi:
-            cells.setdefault(cell, []).append(idx)
-        else:
-            for near in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-                cells.setdefault(near, []).append(idx)
+        for near in (lo,) if lo == hi else product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+            cells.setdefault(near, []).append(idx)
         return idx
+
+    def ray_index(self, ray: Ray) -> int:
+        """Smallest index of a stored ray spanning ray's subspace; stores ray if none."""
+        idx = self._find(ray)
+        return self._file(ray) if idx is None else idx
 
     # -- branch plumbing ----------------------------------------------------
 
@@ -190,8 +200,10 @@ class DerivationTrace:
         return None
 
     def _require_visible(self, branch: int, premises: tuple[int, ...]) -> None:
-        """BadPremises unless every premise fact lives in branch's scope."""
+        """BadPremises unless branch is in no instance or body and sees every premise fact."""
         scope = self.branches[branch].scope
+        if self.instances and any(i.source in scope or i.branch in scope for i in self.instances):
+            raise BadPremises(f"branch {branch} is an instance or lies in an instance's body")
         for fid in premises:
             home = self.facts[fid].branch
             if home not in scope:
@@ -204,7 +216,9 @@ class DerivationTrace:
 
     @property
     def closed(self) -> bool:
-        return all(self.branches[b].contradiction is not None for b in self.leaves())
+        """Every leaf clashes but an instance's, which stands for its body's leaves."""
+        held = {i.branch for i in self.instances}
+        return all(b in held or self.branches[b].contradiction for b in self.leaves())
 
     @property
     def contradiction(self) -> tuple[int, int] | None:
@@ -246,10 +260,10 @@ class DerivationTrace:
         """Case split on the value of one ray: children (=0, =1).
 
         BadPremises, before anything is stored, when branch is already split
-        or member's value is visible from it: each child must store its own
-        assumption. A decided member is in the table already, so ray_index
-        stores nothing for it.
+        or member's value is visible from it (a decided member is in the table
+        already): each child must store its own assumption.
         """
+        self._require_visible(branch, ())
         node = self.branches[branch]
         if node.children is not None:
             raise BadPremises(f"branch {branch} already split")
@@ -282,17 +296,11 @@ class DerivationTrace:
             self._frames[ridx] = rotation_to_pole(pole)
         return self._frames[ridx]
 
-    def _zero(self, branch: int, p: Ray, one_fact: int, rule: str,
-              witness: CertWitness | None = None) -> int:
-        """v(p) = 0 by rule against one_fact's value-1 stored ray, orthogonal to p."""
-        self._require_visible(branch, (one_fact,))
-        basis = self._one_ray(one_fact)
-        if not basis.is_orthogonal(p):
-            raise NotOrthogonal(f"|dot| = {abs(basis.dot(p))!r} exceeds eps {EPS!r}")
-        return self._add_fact(branch, self.ray_index(p), 0, rule, (one_fact,), witness)
-
     def orthogonal_zero(self, branch: int, p: Ray, one_fact: int) -> int:
-        return self._zero(branch, p, one_fact, RULE_ORTHOGONAL_ZERO)
+        """v(p) = 0 against one_fact's value-1 stored ray, orthogonal to p."""
+        self._require_visible(branch, (one_fact,))
+        _check_zero(self._one_ray(one_fact), p)
+        return self._add_fact(branch, self.ray_index(p), 0, RULE_ORTHOGONAL_ZERO, (one_fact,))
 
     def triad_one(self, branch: int, third: Ray, zero_a: int, zero_b: int) -> int:
         """Value 1 on third, whose tripod is completed by the two zeroed premises' rays."""
@@ -305,33 +313,33 @@ class DerivationTrace:
         check_tripod(self.rays[fa.ray], self.rays[fb.ray], third)  # before any store
         return self._add_fact(branch, self.ray_index(third), 1, RULE_TRIAD_ONE, (zero_a, zero_b))
 
-    def _macro_step(
-        self,
-        branch: int,
-        q_fact: int,
-        p_world: Ray,
-        pole_fact: int,
-        rule: str,
-        witness: CertWitness | None = None,
-    ) -> int:
+    def _macro_step(self, branch: int, q_fact: int, p_world: Ray, pole_fact: int, rule: str,
+                    witness: CertWitness | None = None) -> int:
         """One circle-zero expansion from a zeroed q to a point on its circle.
 
-        The conclusion cites w's value-1 fact alone: its triad_one fact from
-        q and e, or the fact already giving w value 1 in scope. _zero checks
-        it against w's stored ray, after the pre-check against the built w.
+        Its three steps are checked, e and w looked up without storing, before
+        the first is stored. The conclusion cites w's value-1 fact alone: its
+        triad_one fact from q and e, or the fact already giving w 1 in scope.
         """
         pole = self._one_ray(pole_fact)
         fq = self.facts[q_fact]
         if fq.value != 0:
             raise PremiseNotZero(f"fact {q_fact} does not assign value 0")
-        e_world, w_world = circle_partners(pole, self.rays[fq.ray])
+        rays = self.rays
+        e_world, w_world = circle_partners(pole, rays[fq.ray])
         # w is the pole of q's circle, so membership is orthogonality to w
         residual = abs(w_world.dot(p_world))
         if not residual <= EPS:  # fails closed on NaN
             raise NotOnCircle(f"point is off the circle by {residual!r} (eps {EPS!r})")
-        e_fid = self.orthogonal_zero(branch, e_world, pole_fact)
-        w_fid = self.triad_one(branch, w_world, q_fact, e_fid)
-        return self._zero(branch, p_world, w_fid, rule, witness)
+        e_idx, w_idx = self._find(e_world), self._find(w_world)
+        _check_zero(pole, e_world)
+        check_tripod(rays[fq.ray], e_world if e_idx is None else rays[e_idx], w_world)
+        _check_zero(w_world if w_idx is None else rays[w_idx], p_world)
+        e_fid = self._add_fact(branch, self._file(e_world) if e_idx is None else e_idx, 0,
+                               RULE_ORTHOGONAL_ZERO, (pole_fact,))
+        w_fid = self._add_fact(branch, self._file(w_world) if w_idx is None else w_idx, 1,
+                               RULE_TRIAD_ONE, (q_fact, e_fid))
+        return self._add_fact(branch, self.ray_index(p_world), 0, rule, (w_fid,), witness)
 
     def circle_zero(self, branch: int, q_fact: int, p: Ray, pole_fact: int) -> int:
         self._require_visible(branch, (pole_fact, q_fact))
@@ -356,76 +364,65 @@ class DerivationTrace:
             cert = self._certs[key] = reach(qf, pf)
         prev = q_fact
         for vec in cert.points[1:-1]:
-            prev = self._macro_step(
-                branch, prev, to_world(frame, vec), pole_fact, RULE_CIRCLE_ZERO
-            )
-        return self._macro_step(
-            branch, prev, p, pole_fact, RULE_LEMMA_ZERO,
-            witness=CertWitness(certificate=cert),
-        )
+            prev = self._macro_step(branch, prev, to_world(frame, vec), pole_fact, RULE_CIRCLE_ZERO)
+        return self._macro_step(branch, prev, p, pole_fact, RULE_LEMMA_ZERO, CertWitness(cert))
 
-    # -- images -------------------------------------------------------------
+    # -- instances ----------------------------------------------------------
 
-    def replay_image(self, source: int, branch: int, pole_fact: int) -> dict[int, int]:
-        """Store source's subtree again under branch, mapped by pole_fact's frame.
+    def instance(self, source: int, branch: int, pole_fact: int) -> Instance:
+        """Store source's subtree, the body, as argued again under branch in pole_fact's frame.
 
-        source's assumption gives the north pole value 1, so its facts' rays
-        are frame coordinates already; pole_fact stands in for that
-        assumption. The frame must be a signed permutation, so every image ray
-        is exact. A premise outside the subtree is refused before anything is
-        stored. Each distinct source ray is mapped once, by to_world. Each
-        split is made again by split, which refuses a member already decided
-        under branch (after the image's earlier facts are stored; no demo
-        maps a split onto one). Every other fact is derived again on its
-        image ray from its re-indexed premises, a one by triad_one and a zero
-        by _zero under its source's rule, each with its own checks. An image
-        carries no witness: no certificate was computed for it. Returns the
-        id of each source fact's image, an earlier one where already visible.
+        The body assumes the north pole at 1; pole_fact stands in for that, and
+        its frame must be a signed permutation. Refused before anything is
+        stored: a body citing a fact outside it or holding an instance, a branch
+        that is split or sees the source, a body step failing on the mapped rays
+        (stored ones where _find has them). Stores the new images, no fact.
         """
         frame = self.frame(pole_fact)  # pole_fact must hold value 1
         if any(c not in (0.0, 1.0, -1.0) for row in frame.rows for c in row):
             raise BadPremises(f"frame of fact {pole_fact} is not a signed permutation")
-        src = self.branches[source]
-        seed = None if src.assumption is None else self.facts[src.assumption]
-        if seed is None or seed.value != 1 or self.rays[seed.ray] != NORTH_POLE:
+        src, facts, branches, rays = self.branches[source], self.facts, self.branches, self.rays
+        seed = facts[src.assumption] if src.assumption is not None else None
+        if seed is None or (seed.value, rays[seed.ray]) != (1, NORTH_POLE):
             raise BadPremises(f"branch {source} does not assume the north pole at 1")
-        target = self.branches[branch]
-        if target.children is not None or source in target.scope:
-            raise BadPremises(f"branch {branch} cannot hold an image of branch {source}")
+        if branches[branch].children is not None or source in branches[branch].scope:
+            raise BadPremises(f"branch {branch} cannot hold an instance of branch {source}")
         self._require_visible(branch, (pole_fact,))
-
-        facts, branches, rays = self.facts, self.branches, self.rays
-        subtree = [fid for fid in range(src.assumption + 1, len(facts))
-                   if source in branches[facts[fid].branch].scope]
-        inside = {src.assumption, *subtree}
-        for fid in subtree:
-            if not inside.issuperset(facts[fid].premises):
-                raise BadPremises(f"fact {fid} cites a fact outside branch {source}'s subtree")
-
-        fmap = {src.assumption: pole_fact}
-        bmap = {source: branch}
-        images = {r: to_world(frame, rays[r].vec) for r in {facts[fid].ray for fid in subtree}}
-        for fid in subtree:
-            if fid in fmap:
-                continue  # a 1 child's assumption, made with its sibling's
-            f = facts[fid]
-            if f.rule == RULE_ASSUME:  # a split child's assumption: split again
-                parent = branches[branches[f.branch].parent]  # type: ignore[index]
-                kids = self.split(bmap[parent.idx], images[f.ray])
-                for old, new in zip(parent.children, kids):  # type: ignore[arg-type]
-                    bmap[old] = new
-                    fmap[branches[old].assumption] = branches[new].assumption  # type: ignore[index]
-                continue
-            b = bmap[f.branch]
-            premises = tuple(fmap[p] for p in f.premises)
-            if f.rule == RULE_TRIAD_ONE:
-                fmap[fid] = self.triad_one(b, images[f.ray], *premises)
-            else:
-                fmap[fid] = self._zero(b, images[f.ray], premises[0], f.rule)
-        return fmap
+        body = [fid for fid in range(src.assumption, len(facts))  # type: ignore[arg-type]
+                if source in branches[facts[fid].branch].scope]
+        inside = set(body)
+        if not inside.issuperset(f for b in branches if source in b.scope and b.contradiction
+                                 for f in b.contradiction):
+            raise BadPremises(f"a clash in branch {source}'s subtree cites a fact outside it")
+        if any(source in branches[i.branch].scope for i in self.instances):
+            raise BadPremises(f"branch {source}'s subtree holds an instance")
+        images = {r: to_world(frame, rays[r].vec)
+                  for r in dict.fromkeys(facts[f].ray for f in body)}
+        found = {r: self._find(image) for r, image in images.items()}
+        at = {r: images[r] if j is None else rays[j] for r, j in found.items()}
+        for f in body:
+            ray, _, rule, premises, _, _ = facts[f]
+            if not inside.issuperset(premises):
+                raise BadPremises(f"fact {f} cites a fact outside branch {source}'s subtree")
+            if rule == RULE_TRIAD_ONE:
+                check_tripod(at[facts[premises[0]].ray], at[facts[premises[1]].ray], at[ray])
+            elif rule != RULE_ASSUME:
+                _check_zero(at[facts[premises[0]].ray], at[ray])
+        made = Instance(branch, source, pole_fact, {  # a new image is filed as checked
+            r: self._file(images[r]) if j is None else j for r, j in found.items()}, body)
+        self.instances.append(made)
+        return made
 
 
 # -- extraction --------------------------------------------------------------
+
+
+def _split_members(t: DerivationTrace) -> list[int]:
+    """Split members in branch order; an instance's body's root at its branch, the rest last."""
+    images = {i.branch: [i.rays[b.split] for b in t.branches
+                         if b.split is not None and i.source in b.scope] for i in t.instances}
+    members = [m for b in t.branches for m in images.get(b.idx, [b.split])[:1] if m is not None]
+    return members + [m for made in images.values() for m in made[1:]]
 
 
 def extract_triad_system(t: DerivationTrace) -> TriadSystem:
@@ -433,57 +430,52 @@ def extract_triad_system(t: DerivationTrace) -> TriadSystem:
 
     Only a split stores an assumption, so a coloring follows one path of
     splits to a leaf, every rule step on it agrees with the coloring (the
-    step's tripod or pair is in the system), and the leaf's clash refutes it.
-    Collects the tripod of every triad_one step (including the circle-zero
-    expansions), plus every orthogonal pair of a zero and its value-1
-    premise that is not already inside a collected tripod. Rays are
-    reordered so the split-member (decision) rays come first; with the
-    solver's static lowest-index branch order this keeps the refutation
-    search shallow.
+    step's tripod or pair is in the system), and the leaf's clash refutes it;
+    an instance's leaf stands for its body's, through its ray map. Collects
+    each triad_one step's tripod and each zero's pair with its one premise
+    not inside one: the stored facts', then each instance's mapped body's.
+    Split members come first, keeping the static kernel's search shallow.
     """
     if not t.closed:
         open_leaves = [b for b in t.leaves() if t.branches[b].contradiction is None]
         raise OpenBranch(f"branches without contradiction: {open_leaves}")
 
     facts = t.facts
+    walks = [(range(len(t.rays)), facts)]
+    walks += [(i.rays, [facts[f] for f in i.body]) for i in t.instances]
     triads: dict[tuple[int, ...], None] = {}
     zero_pairs: dict[tuple[int, int], None] = {}
-    for ray, _, rule, premises, _, _ in facts:
-        if rule == RULE_TRIAD_ONE:
-            triads[tuple(sorted((facts[premises[0]].ray, facts[premises[1]].ray, ray)))] = None
-        elif rule != RULE_ASSUME:  # a derived zero and its one premise
-            a = facts[premises[0]].ray
-            zero_pairs[(a, ray) if a < ray else (ray, a)] = None
+    for at, walk in walks:
+        for ray, _, rule, premises, _, _ in walk:
+            if rule == RULE_TRIAD_ONE:
+                triads[tuple(sorted((at[facts[premises[0]].ray], at[facts[premises[1]].ray],
+                                     at[ray])))] = None
+            elif rule != RULE_ASSUME:  # a derived zero and its one premise
+                a, r = at[facts[premises[0]].ray], at[ray]
+                zero_pairs[(a, r) if a < r else (r, a)] = None
     covered = {e for a, b, c in triads for e in ((a, b), (a, c), (b, c))}
     pairs = [pair for pair in zero_pairs if pair not in covered]
 
-    touched = dict.fromkeys(
-        [b.split for b in t.branches if b.split is not None]
-        + [i for tri in triads for i in tri]
-        + [i for pair in pairs for i in pair]
-    )
+    touched = dict.fromkeys(_split_members(t) + [i for tri in triads for i in tri]
+                            + [i for pair in pairs for i in pair])
     remap = {old: new for new, old in enumerate(touched)}
     return TriadSystem(
         rays=tuple(t.rays[old] for old in touched),
-        triads=tuple(
-            tuple(sorted(remap[i] for i in tri)) for tri in triads  # type: ignore[misc]
-        ),
+        triads=tuple(tuple(sorted(remap[i] for i in tri)) for tri in triads),  # type: ignore[misc]
         pairs=tuple((min(remap[a], remap[b]), max(remap[a], remap[b])) for a, b in pairs),
     )
 
 
 def decision_core(t: DerivationTrace, system: TriadSystem) -> tuple[int, ...]:
-    """System indices of the trace's split-member rays.
+    """System indices of the trace's split-member rays, instances' images included.
 
-    These are the only free choices in the trace's case analysis; every
-    other derived value is forced, which is what makes them the right core
-    for the core-enumeration cross-check. Members are looked up by exact
-    equality: the system's rays are the trace's own, and ray_index never
-    stores two rays of one subspace.
+    These are the only free choices in the trace's case analysis, every
+    other value is forced: the right core for the core-enumeration
+    cross-check. Members are looked up by exact equality: the system's rays
+    are the trace's own, and the table never holds two rays of one subspace.
     """
     index = {ray: i for i, ray in enumerate(system.rays)}
-    members = dict.fromkeys(b.split for b in t.branches if b.split is not None)
     try:
-        return tuple(index[t.rays[m]] for m in members)
+        return tuple(index[t.rays[m]] for m in dict.fromkeys(_split_members(t)))
     except KeyError:
         raise BadPremises("split member missing from extracted system") from None

@@ -179,9 +179,12 @@ class TestThirdPointIdentity:
 
 class TestDemoFirst:
     def test_every_branch_contradicted(self, first_trace):
-        assert first_trace.closed
-        leaves = first_trace.leaves()
-        assert all(first_trace.branches[b].contradiction is not None for b in leaves)
+        # every leaf clashes but the seed copies X and Y, instances of copy N
+        t = first_trace
+        assert t.closed
+        held = [i.branch for i in t.instances]
+        assert len(held) == 2 and set(held) <= set(t.leaves())
+        assert all(t.branches[b].contradiction is not None for b in t.leaves() if b not in held)
 
     def test_bad_pole_low(self):
         with pytest.raises(BadPole):
@@ -199,8 +202,8 @@ class TestDemoFirst:
                 assert report.accepted, report.failures
                 assert max(report.link_residuals) <= 1e-9
                 n += 1
-        # copy N's lemma_zero facts; copies X and Y are its images, which
-        # carry no certificate (TestSeedImages checks them)
+        # copy N's lemma_zero facts; copies X and Y are its instances, which
+        # store no fact (TestSeedImages checks them)
         assert n >= 8
 
     def test_extracted_system_uncolorable(self, first_trace):
@@ -299,9 +302,13 @@ def seed_copies(t):
 
 
 def clash_arms(t):
-    """(leaf, seed frame) of demo second's three q(n) = 0 arms: the 0 child of
-    each seed copy's split."""
-    return [(t.branches[seed].children[0], frame) for seed, frame in seed_copies(t)]
+    """(leaf, ray map, seed frame) of demo second's three q(n) = 0 arms: the 0
+    child of copy N's split, whose facts copies X and Y hold through their
+    instances' ray maps (copy N's own map is the identity)."""
+    (n_branch, _), *_ = copies = seed_copies(t)
+    maps = {i.branch: i.rays for i in t.instances}
+    leaf = t.branches[n_branch].children[0]
+    return [(leaf, maps.get(seed, range(len(t.rays))), frame) for seed, frame in copies]
 
 
 class TestDemoSecond:
@@ -312,34 +319,35 @@ class TestDemoSecond:
         # in each q(n) = 0 arm, both left-half members of the fixed tripod
         # carry value 1 by triad_one
         t = second_trace
-        for leaf, frame in clash_arms(t):
+        for leaf, at, frame in clash_arms(t):
             for vec in (A_F, B_F):
-                fact = t.facts[t.value_fact_in(leaf, stored_index(t, to_world(frame, vec)))]
+                ray = stored_index(t, canonicalize(vec))  # copy N argues under N
+                fact = t.facts[t.value_fact_in(leaf, ray)]
                 assert (fact.value, fact.rule) == (1, "triad_one")
+                assert at[ray] == stored_index(t, to_world(frame, vec))
 
     def test_contradiction_on_constant_tripod(self, second_trace):
         # each q(n) = 0 arm clashes on b: zeroed against v(a) = 1
         t = second_trace
-        for leaf, frame in clash_arms(t):
-            a = stored_index(t, to_world(frame, A_F))
-            b = stored_index(t, to_world(frame, B_F))
+        for leaf, at, frame in clash_arms(t):
+            a, b = (stored_index(t, to_world(frame, v)) for v in (A_F, B_F))
             one, zero = (t.facts[f] for f in t.branches[leaf].contradiction)
-            assert (one.ray, one.value, one.rule) == (b, 1, "triad_one")
-            assert (zero.ray, zero.value, zero.rule) == (b, 0, "orthogonal_zero")
-            assert t.facts[zero.premises[0]].ray == a
+            assert (at[one.ray], one.value, one.rule) == (b, 1, "triad_one")
+            assert (at[zero.ray], zero.value, zero.rule) == (b, 0, "orthogonal_zero")
+            assert at[t.facts[zero.premises[0]].ray] == a
 
     def test_clash_pair_in_no_triad(self, second_trace):
         # the clash needs the orthogonal pair (a, b), not the fixed tripod
         t = second_trace
         system = extract_triad_system(t)
         index = {ray: i for i, ray in enumerate(system.rays)}
-        for _, frame in clash_arms(t):
+        for _, frame in seed_copies(t):
             a, b = (index[t.rays[stored_index(t, to_world(frame, v))]] for v in (A_F, B_F))
             assert (min(a, b), max(a, b)) in system.pairs
             assert not any(a in tri and b in tri for tri in system.triads)
 
     def test_fixed_tripod_third_member_absent(self, second_trace):
-        for _, frame in clash_arms(second_trace):
+        for _, frame in seed_copies(second_trace):
             c = to_world(frame, (R2, 0.0, R2))
             assert not any(r.same_subspace(c) for r in second_trace.rays)
 
@@ -373,17 +381,17 @@ class TestPinnedOutputs:
         [
             pytest.param(
                 "first",
-                "faa7671cb5d634e47423319fdd852d8e7fabd0c7ee550ffa7737ac271c6eca68",
+                "f3aac83e9593a7946cca61744389df26125b402fff28bc7982bb3bfbc613ff50",
                 "ae5d00af5aac48c48fc3f3a1cbd6767955b08f9d10776bfde5af17678edd6d97",
-                (105, 207, 23),
+                (105, 74, 11),
                 8,
                 id="first",
             ),
             pytest.param(
                 "second",
-                "0786cf3ad919b2948eb65a7947586fc60c53428ad307a866bdabc6858e5b8e8c",
+                "c8b2c0bf82263ac5a83a08dc77ce230563cca9db4eca97cbab4818afbe25b885",
                 "27a2886e9f0a058529e7ca4140a068b01fe42487ac855156838e2a9a0bcebfd8",
-                (153, 259, 29),
+                (153, 90, 13),
                 11,
                 id="second",
             ),
@@ -435,7 +443,7 @@ class TestFramesFromDocument:
         for _, _, pole in lemma_steps(t):
             frames[pole] = t.frame(pole)
             assert frames[pole] == rotation_to_pole(Ray(*rays[t.facts[pole].ray]))
-        assert len(frames) >= 5
+        assert len(frames) >= 3  # copy N's; its instances make no lemma step
         assert Rotation.identity() in frames.values()
 
 
@@ -447,10 +455,10 @@ class TestFactShapesFromDocument:
     branch's, on the ray its parent's split decides."""
 
     @pytest.mark.parametrize("which, counts", [
-        ("first_trace", {"assume": 22, "orthogonal_zero": 55, "circle_zero": 42,
-                         "lemma_zero": 24, "triad_one": 64}),
-        ("second_trace", {"assume": 28, "orthogonal_zero": 74, "circle_zero": 48,
-                          "lemma_zero": 30, "triad_one": 79}),
+        ("first_trace", {"assume": 10, "orthogonal_zero": 20, "circle_zero": 14,
+                         "lemma_zero": 8, "triad_one": 22}),
+        ("second_trace", {"assume": 12, "orthogonal_zero": 25, "circle_zero": 16,
+                          "lemma_zero": 10, "triad_one": 27}),
     ], ids=["first", "second"])
     def test_each_fact_has_a_rule_shape(self, which, counts, request):
         doc = json.loads(save_trace(request.getfixturevalue(which)))
@@ -482,6 +490,49 @@ class TestFactShapesFromDocument:
         assert seen == counts
 
 
+def bad_instances(doc):
+    """Indices of the document's instances that fail a check made from the
+    document alone: the source assumes the north pole at 1, the branch is a
+    leaf outside the body that sees its pole fact, a 1 on the image of the
+    north pole, and every body step holds at eps on the mapped rays."""
+    facts, rays, branches, eps = doc["facts"], doc["rays"], doc["branches"], doc["eps"]
+
+    def scope(b):
+        return [b, *scope(branches[b]["parent"])] if b is not None else []
+
+    def dot(i, j):
+        return abs(Ray(*rays[i]).dot(Ray(*rays[j])))
+
+    bad = []
+    for k, inst in enumerate(doc["instances"]):
+        src, leaf, pole = inst["source"], inst["branch"], inst["pole_fact"]
+        body = [f for f in facts if src in scope(f["branch"])]
+        at = dict(zip(dict.fromkeys(f["ray"] for f in body), inst["map"]))
+        seed = facts[branches[src]["assumption"]]
+        ok = len(at) == len(inst["map"]) and (seed["value"], rays[seed["ray"]]) == (1, [0, 0, 1])
+        ok = ok and branches[leaf]["children"] is None and src not in scope(leaf)
+        ok = ok and facts[pole]["value"] == 1 and facts[pole]["branch"] in scope(leaf)
+        ok = ok and at[seed["ray"]] == facts[pole]["ray"]
+        for f in body:
+            mapped = [at[facts[p]["ray"]] for p in f["premises"]] + [at[f["ray"]]]
+            ok = ok and all(dot(a, b) <= eps for i, a in enumerate(mapped) for b in mapped[i + 1:])
+        if not ok:
+            bad.append(k)
+    return bad
+
+
+class TestInstancesFromDocument:
+    """Seed copies X and Y are checked from the trace document alone, and a
+    map entry pointed at another ray fails that check."""
+
+    @pytest.mark.parametrize("which", ["first_trace", "second_trace", "pi_pole_trace"])
+    def test_each_instance_maps_every_step(self, which, request):
+        doc = json.loads(save_trace(request.getfixturevalue(which)))
+        assert len(doc["instances"]) == 2 and bad_instances(doc) == []
+        doc["instances"][1]["map"][1] = doc["instances"][1]["map"][0]
+        assert bad_instances(doc) == [1]
+
+
 class TestTriadStepsFromDocument:
     """A triad_one step's tripod is its premises' rays and its own, read from the document."""
 
@@ -490,7 +541,7 @@ class TestTriadStepsFromDocument:
         doc = json.loads(save_trace(request.getfixturevalue(which)))
         facts, rays, eps = doc["facts"], doc["rays"], doc["eps"]
         steps = [f for f in facts if f["rule"] == "triad_one"]
-        assert len(steps) > 30
+        assert len(steps) >= 20
         for fact in steps:
             assert fact["value"] == 1
             assert [facts[p]["value"] for p in fact["premises"]] == [0, 0]
@@ -508,8 +559,6 @@ def witness_endpoint_residuals(t):
     rays = json.loads(save_trace(t))["rays"]
     residuals = []
     for fact, q, pole in lemma_steps(t):
-        if fact.witness is None:
-            continue  # an image of copy N's fact: no certificate was computed for it
         frame, points = t.frame(pole), fact.witness.certificate.points
         for point, ray in ((points[-1], rays[fact.ray]), (points[-2], rays[t.facts[q].ray])):
             (ax, ay, az), (bx, by, bz) = frame.apply_inverse(point), ray
@@ -598,10 +647,11 @@ class TestRayTableProbes:
     def test_demo_second_lookups_and_probes(self, monkeypatch):
         # the ray grid's cells are far wider than the merge radius, yet a
         # lookup probes no more stored rays than under a grid of 4*EPS cells;
-        # a probe is a same_subspace call made inside ray_index
+        # a lookup is a _find call, through ray_index or not, and a probe a
+        # same_subspace call made inside one
         counts = {"lookups": 0, "probes": 0}
         depth = 0
-        lookup, probe = trace_module.DerivationTrace.ray_index, Ray.same_subspace
+        lookup, probe = trace_module.DerivationTrace._find, Ray.same_subspace
 
         def counting_lookup(t, ray):
             nonlocal depth
@@ -616,14 +666,14 @@ class TestRayTableProbes:
             counts["probes"] += depth > 0
             return probe(a, b)
 
-        monkeypatch.setattr(trace_module.DerivationTrace, "ray_index", counting_lookup)
+        monkeypatch.setattr(trace_module.DerivationTrace, "_find", counting_lookup)
         monkeypatch.setattr(Ray, "same_subspace", counting_probe)
         t = demo_second_proof()
         monkeypatch.undo()
         assert len(t.rays) == 153
-        # each seed image fact is stored through its rule, which looks its
-        # image ray up in the table
-        assert counts == {"lookups": 271, "probes": 147}
+        # a circle step looks e and w up before it stores anything, and an
+        # instance each body ray's image once, filing the new ones as they are
+        assert counts == {"lookups": 217, "probes": 77}
 
 
 def indent_1(text: str) -> str:
@@ -708,7 +758,7 @@ class TestTraceStructure:
             assert b.branch in t.branches[leaf].scope
 
     @pytest.mark.parametrize(
-        "which, counts", [("first", (55, 42, 24)), ("second", (74, 48, 30))]
+        "which, counts", [("first", (20, 14, 8)), ("second", (25, 16, 10))]
     )
     def test_zero_facts_cite_their_one_last(self, which, counts, first_trace, second_trace):
         # extract_triad_system reads each zero-against-one pair off its one premise
@@ -737,11 +787,11 @@ class TestTraceStructure:
 
 
 class TestUncitedFacts:
-    """The facts that no fact or contradiction cites. Each is the zero of
-    u_minus that _height_split stores just after its u_plus = 1 assumption,
-    or that zero's image in seed copy X or Y: the first circle step from
-    u_minus finds the pole of u_minus's circle, u_plus, already at 1 and
-    cites that assumption instead."""
+    """The facts that no fact, contradiction or instance cites. Each is the zero of
+    u_minus that _height_split stores just after its u_plus = 1 assumption:
+    the first circle step from u_minus finds the pole of u_minus's circle,
+    u_plus, already at 1 and cites that assumption instead. Copies X and Y
+    store no fact, so copy N's three are all."""
 
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_only_the_sibling_zeros_of_height_splits(self, which, monkeypatch):
@@ -756,16 +806,13 @@ class TestUncitedFacts:
             yield from steps
 
         monkeypatch.setattr(demos_module, "_height_split", recording)
-        t, replays = replayed(
-            (lambda: demo_first_proof(default_pole())) if which == "first" else demo_second_proof,
-            monkeypatch,
-        )
+        t = demo_first_proof(default_pole()) if which == "first" else demo_second_proof()
         cited = {p for f in t.facts for p in f.premises}
         cited.update(f for b in t.branches if b.contradiction for f in b.contradiction)
+        cited.update(i.pole_fact for i in t.instances)
         uncited = [fid for fid in range(len(t.facts)) if fid not in cited]
-        images = [r.fmap[z] for r in replays for z in sibling_zeros]
         assert len(sibling_zeros) == 3  # copy N's height splits
-        assert uncited == sibling_zeros + images and len(uncited) == 9
+        assert uncited == sibling_zeros
         for fid in uncited:
             fact = t.facts[fid]
             one = t.branches[fact.branch].assumption
@@ -773,30 +820,28 @@ class TestUncitedFacts:
             assert fact.rule == "orthogonal_zero" and fact.premises == (one,)
 
 
-class Replay(NamedTuple):
-    source: int
-    branch: int
-    pole_fact: int
-    n_rays: int  # rays and facts stored before the replay
+class Made(NamedTuple):
+    n_rays: int  # rays and facts stored before the instance
     n_facts: int
-    fmap: dict
+    instance: trace_module.Instance
 
 
-def replayed(build, monkeypatch):
-    """A demo trace and a Replay record of each of its replay_image calls."""
-    replays = []
-    replay = trace_module.DerivationTrace.replay_image
+def instanced(build, monkeypatch):
+    """A demo trace and a Made record of each of its instance calls."""
+    made = []
+    instance = trace_module.DerivationTrace.instance
 
     def recording(t, source, branch, pole_fact):
         before = len(t.rays), len(t.facts)
-        fmap = replay(t, source, branch, pole_fact)
-        replays.append(Replay(source, branch, pole_fact, *before, fmap))
-        return fmap
+        record = instance(t, source, branch, pole_fact)
+        assert len(t.facts) == before[1]  # an instance stores no fact
+        made.append(Made(*before, record))
+        return record
 
-    monkeypatch.setattr(trace_module.DerivationTrace, "replay_image", recording)
+    monkeypatch.setattr(trace_module.DerivationTrace, "instance", recording)
     t = build()
     monkeypatch.undo()
-    return t, replays
+    return t, made
 
 
 IMAGE_CASES = {
@@ -811,44 +856,47 @@ IMAGE_CASES = {
 
 
 class TestSeedImages:
-    """Seed copies X and Y are exact images of copy N. Each of their facts has
-    its copy-N source's value and rule, with the premises re-indexed, and no
-    certificate. Its ray is the source ray mapped by the copy's seed frame,
-    bit for bit, or, where the ray table merged that image into a ray stored
-    before the replay, a ray within |a x b| <= EPS of it."""
+    """Seed copies X and Y are instances of copy N: each maps every body ray,
+    in the order copy N's facts first name it, to the body ray mapped by the
+    copy's seed frame, bit for bit where the instance stored that image, or
+    to a ray stored before the instance within |a x b| <= EPS of it (a
+    merge). The extracted system, copy N's steps and their images through
+    both maps, is refuted by the kernel and by the oracle."""
 
     @pytest.mark.parametrize("case", list(IMAGE_CASES))
     def test_copies_x_and_y_are_images_of_copy_n(self, case, monkeypatch):
         build, pinned = IMAGE_CASES[case]
-        t, replays = replayed(build, monkeypatch)
+        t, made = instanced(build, monkeypatch)
         (n_branch, _), *images = seed_copies(t)
         n_pole = t.branches[n_branch].assumption
-        source = [fid for fid, f in enumerate(t.facts) if n_branch in t.branches[f.branch].scope]
-        assert [(r.source, r.branch) for r in replays] == [(n_branch, b) for b, _ in images]
-        ends = [r.n_facts for r in replays[1:]] + [len(t.facts)]
+        body = [f for f in t.facts if n_branch in t.branches[f.branch].scope]
+        assert body[0] is t.facts[n_pole]
+        assert [m.instance for m in made] == t.instances
+        assert [(i.source, i.branch) for i in t.instances] == [(n_branch, b) for b, _ in images]
+        ends = [m.n_rays for m in made[1:]] + [len(t.rays)]
         merges = []
-        for r, (branch, frame), end in zip(replays, images, ends):
-            assert t.frame(r.pole_fact) == frame
+        for m, (branch, frame), end in zip(made, images, ends):
+            i = m.instance
+            assert t.frame(i.pole_fact) == frame
             assert all(c in (0.0, 1.0, -1.0) for row in frame.rows for c in row)
-            assert sorted(r.fmap) == source and r.fmap[n_pole] == r.pole_fact
-            assert set(range(r.n_facts, end)) <= set(r.fmap.values())  # nothing else stored
+            assert list(i.rays) == list(dict.fromkeys(f.ray for f in body))
+            assert i.rays[t.facts[n_pole].ray] == t.facts[i.pole_fact].ray
+            assert set(range(m.n_rays, end)) <= set(i.rays.values())  # nothing else stored
             merged = set()
-            for s, i in r.fmap.items():
-                src, img = t.facts[s], t.facts[i]
-                assert img.value == src.value and img.witness is None
-                if i >= r.n_facts:
-                    assert img.rule == src.rule
-                    assert img.premises == tuple(r.fmap[p] for p in src.premises)
-                    assert branch in t.branches[img.branch].scope
-                expect, got = to_world(frame, t.rays[src.ray].vec), t.rays[img.ray]
-                if img.ray >= r.n_rays:
+            for r, j in i.rays.items():
+                expect, got = to_world(frame, t.rays[r].vec), t.rays[j]
+                if j >= m.n_rays:
                     assert got.vec == expect.vec
                 else:
                     assert got.same_subspace(expect)  # |a x b| <= EPS
-                    if s != n_pole:
-                        merged.add(src.ray)
+                    if r != t.facts[n_pole].ray:
+                        merged.add(r)
             merges.append(len(merged))
         if pinned is not None:
             assert tuple(merges) == pinned
-        assert all(f.witness is not None for f in t.facts if f.rule == "lemma_zero"
-                   and n_branch in t.branches[f.branch].scope)
+        assert all(f.witness is not None for f in body if f.rule == "lemma_zero")
+        system = extract_triad_system(t)
+        result = solve(system, SolveMode.PROVE_NONE)
+        assert result.count == 0 and result.exhaustive
+        core = decision_core(t, system)
+        assert refute_by_core_enumeration(system, list(core)) == (True, 2 ** len(core))

@@ -39,7 +39,6 @@ from ksgeom.errors import (
     EXIT_INTERNAL,
     InvalidSystem,
     KsError,
-    NotOrthogonal,
     NotReachableDirectly,
     ParseError,
     ValidationError,
@@ -71,7 +70,6 @@ from ksgeom.system import (
 )
 from ksgeom.trace import (
     RULE_ASSUME,
-    RULE_ORTHOGONAL_ZERO,
     RULE_TRIAD_ONE,
     DerivationTrace,
 )
@@ -610,14 +608,8 @@ class RuleSurface(RuleBasedStateMachine):
         before = self.state()
         try:
             result = method(branch, *args)
-        except KsError as exc:
-            if self.state() != before:
-                # a known defect, open in CHANGES.md: a refused circle_zero
-                # keeps the steps of its expansion stored before triad_one or
-                # _zero refused the rest
-                assert method == t.circle_zero and isinstance(exc, NotOrthogonal)
-                kept = {f.rule for f in t.facts[len(before[1]):]}
-                assert kept <= {RULE_ORTHOGONAL_ZERO, RULE_TRIAD_ONE}
+        except KsError:
+            assert self.state() == before
             return None
         self.recent = branch
         stored = t.branches[branch].split if method == t.split else t.facts[result].ray

@@ -47,6 +47,11 @@ def reference_trace_doc(t: DerivationTrace) -> dict:
             }
             for b in t.branches
         ],
+        "instances": [
+            {"branch": i.branch, "source": i.source, "pole_fact": i.pole_fact,
+             "map": list(i.rays.values())}
+            for i in t.instances
+        ],
     }
 
 
@@ -150,7 +155,7 @@ class TestTraceDocs:
         t.orthogonal_zero(n1, canonicalize((1, 0, 0)), pole)
         doc = reference_trace_doc(t)
         assert save_trace(t) == _canonical_json(doc)
-        assert set(doc) == {"eps", "rays", "facts", "branches"}
+        assert set(doc) == {"eps", "rays", "facts", "branches", "instances"}
         assert [f["rule"] for f in doc["facts"]] == ["assume", "assume", "orthogonal_zero"]
         assert doc["facts"][2]["premises"] == [pole]
         assert doc["branches"][0]["parent"] is None
@@ -209,11 +214,16 @@ class TestTraceWriter:
 
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_demo_traces(self, which, demo_traces):
-        self.check(demo_traces[which])
+        t = demo_traces[which]
+        text = self.check(t)
+        # seed copies X and Y, one instance record per line
+        block = text[text.index('"instances":'):]
+        assert len(t.instances) == 2 and block.count("\n") == 2
+        assert '"map":[%s]}' % ",".join(map(str, t.instances[1].rays.values())) in block
 
     def test_empty_trace(self):
         text = self.check(DerivationTrace())
-        assert text == '{"eps":1e-09,"rays":[],"facts":[],"branches":[%s]}\n' % (
+        assert text == '{"eps":1e-09,"rays":[],"facts":[],"branches":[%s],"instances":[]}\n' % (
             '{"idx":0,"parent":null,"assumption":null,"split":null,'
             '"children":null,"contradiction":null}'
         )

@@ -31,7 +31,6 @@ from ksgeom.trace import (
     CELL,
     RULE_CIRCLE_ZERO,
     RULE_LEMMA_ZERO,
-    RULE_TRIAD_ONE,
     CertWitness,
     DerivationTrace,
     ValueFact,
@@ -515,12 +514,10 @@ class TestRefusedRuleLeavesTraceUnchanged:
             t.lemma_zero(b1, one_q, canonicalize((0.5, 0.2, 0.3)), pole)
         assert (table_state(t), t.branches) == before
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="a refused circle step keeps the zero of q's equator partner")
     def test_circle_zero_from_a_ray_beside_the_pole(self):
         # q = N lies 2e-9 rad from the value-1 pole ray, past the merge
-        # radius: the circle pole w built for q is 2e-9 off q, so triad_one
-        # refuses w after orthogonal_zero has stored e's zero
+        # radius: the circle pole w built for q is 2e-9 off q, so the
+        # expansion's tripod check refuses it before e's zero is stored
         t = DerivationTrace()
         _, b = t.split(0, canonicalize((0, 2e-9, 1)))
         pole = t.branches[b].assumption
@@ -584,64 +581,95 @@ def copy_n_argument():
     return t, n1, x0, x1
 
 
-class TestReplayImage:
+def instance_state(t):
+    return table_state(t), list(t.facts), copy.deepcopy(t.branches), list(t.instances)
+
+
+class TestInstance:
     def test_image_under_the_x_axis(self, monkeypatch):
-        t, n1, _, x1 = copy_n_argument()
-        source = [fid for fid, f in enumerate(t.facts) if n1 in t.branches[f.branch].scope]
-        n_facts = len(t.facts)
-        monkeypatch.setattr(trace_module, "reach", None)  # an image computes no certificate
-        fmap = t.replay_image(n1, x1, t.branches[x1].assumption)
+        t, n1, x0, x1 = copy_n_argument()
+        body = [f for f in t.facts if n1 in t.branches[f.branch].scope]
+        n_facts, n_branches = len(t.facts), len(t.branches)
+        monkeypatch.setattr(trace_module, "reach", None)  # an instance computes no certificate
+        made = t.instance(n1, x1, t.branches[x1].assumption)
         frame = rotation_to_pole(canonicalize((1, 0, 0)))
-        assert sorted(fmap) == source and len(t.facts) == n_facts + len(source) - 1
-        for s, i in fmap.items():
-            src, img = t.facts[s], t.facts[i]
-            assert (img.value, img.rule, img.witness) == (src.value, src.rule, None)
-            assert img.premises == tuple(fmap[p] for p in src.premises)
-            assert t.rays[img.ray] == to_world(frame, t.rays[src.ray].vec)
-        (q0, q1), (i0, i1) = t.branches[n1].children, t.branches[x1].children
-        assert t.branches[x1].split == t.facts[fmap[t.branches[q1].assumption]].ray
-        assert [fmap[t.branches[b].assumption] for b in (q0, q1)] == [
-            t.branches[b].assumption for b in (i0, i1)]
+        assert (len(t.facts), len(t.branches)) == (n_facts, n_branches)  # no fact, no branch
+        assert t.instances == [made] and made[:3] == (x1, n1, t.branches[x1].assumption)
+        # each body ray once, in the order the body's facts first name it
+        assert list(made.rays) == list(dict.fromkeys(f.ray for f in body))
+        for r, i in made.rays.items():
+            assert t.rays[i] == to_world(frame, t.rays[r].vec)
+        assert made.rays[body[0].ray] == t.facts[t.branches[x1].assumption].ray
+        # the instance stands for copy N's leaves: the trace closes with them
+        assert x1 in t.leaves() and t.branches[x1].contradiction is None
+        assert not t.closed
+        for leaf in (x0, *t.branches[n1].children):
+            t.branches[leaf].contradiction = (0, 1)
+        assert t.closed
+
+    def test_instance_and_body_take_no_step(self):
+        t, n1, x0, x1 = copy_n_argument()
+        t.instance(n1, x1, t.branches[x1].assumption)
+        q0, _ = t.branches[n1].children
+        before = instance_state(t)
+        steps = [
+            lambda: t.orthogonal_zero(q0, canonicalize((0, 0, 1)), t.branches[q0].assumption),
+            lambda: t.split(q0, canonicalize((0.3, -0.5, 0.8))),
+            lambda: t.split(x1, canonicalize((0.3, -0.5, 0.8))),
+            lambda: t.instance(n1, x1, t.branches[x1].assumption),
+        ]
+        for step in steps:
+            with pytest.raises(BadPremises, match="is an instance or lies in"):
+                step()
+            assert instance_state(t) == before
 
     def test_frame_not_a_signed_permutation_refused(self):
         # rotation_to_pole of a ray off the axes maps rays inexactly
         t, n1, x0, _ = copy_n_argument()
         _, m1 = t.split(x0, canonicalize((0.3, -0.5, 0.8)))
-        before = table_state(t), list(t.facts), copy.deepcopy(t.branches)
+        before = instance_state(t)
         with pytest.raises(BadPremises, match="not a signed permutation"):
-            t.replay_image(n1, m1, t.branches[m1].assumption)
-        assert (table_state(t), t.facts, t.branches) == before
+            t.instance(n1, m1, t.branches[m1].assumption)
+        assert instance_state(t) == before
 
     def test_source_must_assume_the_north_pole(self):
         t, n1, x0, x1 = copy_n_argument()
         q1 = t.branches[n1].children[1]  # assumes q = 1, not N = 1
-        before = table_state(t), list(t.facts), copy.deepcopy(t.branches)
+        before = instance_state(t)
         with pytest.raises(BadPremises, match="north pole"):
-            t.replay_image(q1, x1, t.branches[x1].assumption)
-        assert (table_state(t), t.facts, t.branches) == before
+            t.instance(q1, x1, t.branches[x1].assumption)
+        assert instance_state(t) == before
 
     def test_target_already_split_refused(self):
         t, n1, x0, x1 = copy_n_argument()
         t.split(x1, canonicalize((0.3, -0.5, 0.8)))
-        before = table_state(t), list(t.facts), copy.deepcopy(t.branches)
-        with pytest.raises(BadPremises, match="cannot hold an image"):
-            t.replay_image(n1, x1, t.branches[x1].assumption)
-        assert (table_state(t), t.facts, t.branches) == before
+        before = instance_state(t)
+        with pytest.raises(BadPremises, match="cannot hold an instance"):
+            t.instance(n1, x1, t.branches[x1].assumption)
+        # nor can a leaf of the body, which sees the source
+        q0 = t.branches[n1].children[0]
+        with pytest.raises(BadPremises, match="cannot hold an instance"):
+            t.instance(n1, q0, t.branches[n1].assumption)
+        assert instance_state(t) == before
 
-    def test_tampered_source_refused_by_triad_one(self):
-        # a source triad_one fact made to cite one zero twice: its image step
-        # is refused by triad_one's own check, as the source step would be
+    def test_mapped_constraint_10_eps_off_refused(self):
+        # copy N's last zero moved 10 eps off its premise's plane: its image
+        # is refused before any of the instance's new rays is stored
         t, n1, _, x1 = copy_n_argument()
-        fid = next(fid for fid, f in enumerate(t.facts)
-                   if f.rule == RULE_TRIAD_ONE and n1 in t.branches[f.branch].scope)
-        t.facts[fid] = t.facts[fid]._replace(premises=(t.facts[fid].premises[0],) * 2)
-        with pytest.raises(BadPremises, match="cite the same ray"):
-            t.replay_image(n1, x1, t.branches[x1].assumption)
+        fact = t.facts[-1]
+        assert fact.rule == "orthogonal_zero" and n1 in t.branches[fact.branch].scope
+        one = t.rays[t.facts[fact.premises[0]].ray]
+        t.rays[fact.ray] = canonicalize(tuple(a + 10 * EPS * b for a, b in
+                                              zip(t.rays[fact.ray].vec, one.vec)))
+        before = instance_state(t)
+        with pytest.raises(NotOrthogonal):
+            t.instance(n1, x1, t.branches[x1].assumption)
+        assert instance_state(t) == before
 
     def test_premise_outside_the_subtree_refused(self):
         # under v(x) = 1, v(r) = 0, and then v(N) = 1, a triad_one step cites
-        # v(r) = 0 from outside the v(N) = 1 subtree: the image is refused
-        # before it stores any ray or fact
+        # v(r) = 0 from outside the v(N) = 1 subtree: the instance is refused
+        # before it stores any ray
         t = DerivationTrace()
         _, x1 = t.split(0, canonicalize((1, 0, 0)))
         r, e = canonicalize((0.6, 0, 0.8)), canonicalize((0, 1, 0))
@@ -649,10 +677,40 @@ class TestReplayImage:
         n0, n1 = t.split(r0, NORTH_POLE)
         zero_e = t.orthogonal_zero(n1, e, t.branches[n1].assumption)
         t.triad_one(n1, canonicalize(cross(r.vec, e.vec)), zero_r, zero_e)
-        before = table_state(t), list(t.facts), copy.deepcopy(t.branches)
+        before = instance_state(t)
         with pytest.raises(BadPremises, match="outside branch"):
-            t.replay_image(n1, n0, t.branches[x1].assumption)
-        assert (table_state(t), t.facts, t.branches) == before
+            t.instance(n1, n0, t.branches[x1].assumption)
+        assert instance_state(t) == before
+
+    def test_clash_outside_the_subtree_refused(self):
+        # under v(x) = 1, the v(N) = 1 subtree zeroes x against N: its clash
+        # cites v(x) = 1 from outside it, which an instance could not map
+        t = DerivationTrace()
+        x0, x1 = t.split(0, canonicalize((1, 0, 0)))
+        _, n1 = t.split(x1, NORTH_POLE)
+        t.orthogonal_zero(n1, canonicalize((1, 0, 0)), t.branches[n1].assumption)
+        assert t.branches[n1].contradiction[0] == t.branches[x1].assumption
+        _, y1 = t.split(x0, canonicalize((0, 1, 0)))
+        before = instance_state(t)
+        with pytest.raises(BadPremises, match="clash"):
+            t.instance(n1, y1, t.branches[y1].assumption)
+        assert instance_state(t) == before
+
+    def test_body_holding_an_instance_refused(self):
+        # two subtrees assume N at 1, under v(x) = 0 and v(x) = 1; the second
+        # holds an instance of the first, so it cannot be a body itself
+        t = DerivationTrace()
+        x0, x1 = t.split(0, canonicalize((1, 0, 0)))
+        a0, a1 = t.split(x0, NORTH_POLE)
+        _, b1 = t.split(x1, NORTH_POLE)
+        y = canonicalize((0, 1, 0))
+        _, c1 = t.split(b1, y)
+        t.instance(a1, c1, t.branches[c1].assumption)
+        _, d1 = t.split(a0, y)
+        before = instance_state(t)
+        with pytest.raises(BadPremises, match="holds an instance"):
+            t.instance(b1, d1, t.branches[d1].assumption)
+        assert instance_state(t) == before
 
 
 class TestRayIndexMergeRadius:
