@@ -5,9 +5,9 @@ or 1. Every stored fact is a split's assumption or a step of one of the
 paper's two forcing rules: a zero cites its one value-1 premise, a one its
 two value-0 premises. So a closed trace is a refutation by construction:
 every leaf's clash rests on split assumptions and rule steps. A rule makes
-every check (a zero's by _check_zero, a one's by check_tripod) before it
-stores a ray or a fact, so a refused call leaves the trace as it was (a
-lemma_zero chain keeps the circle steps before a refused one):
+every check (a zero's by _check_zero, a one's by check_tripod) on the rays
+it stores before it stores one or a fact, so a refused call leaves the trace
+as it was (a lemma_zero chain keeps the circle steps before a refused one):
 
   assume           a split child's assumption: only a split makes one, and
                    it decides one ray, not yet decided in its scope, at both
@@ -35,14 +35,15 @@ once per pair of frame-coordinate q and p and kept in memory as the fact's
 witness, is built in frame coordinates and mapped back to world rays.
 
 An instance stores a subtree argued under the north pole, its body, again
-under a value-1 pole whose frame is a signed permutation: as a map from each
-body ray to its exact image, every body step checked on the mapped rays, and
-no fact. Its branch, a leaf, stands for the body's leaves; neither takes a
-further step.
+under a value-1 pole whose frame is a signed permutation: no fact, but a map
+from each body ray to its image (coordinates and text permuted and signed),
+every body step checked on it. The body, frozen then, is compiled once, its
+steps by ray position. Its branch, a leaf, stands for the body's leaves.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import product
 from typing import NamedTuple
@@ -57,6 +58,7 @@ from .errors import (
 )
 from .reach import ReachCertificate, reach
 from .sphere import (
+    CANON_EPS,
     EPS,
     NORTH_POLE,
     Ray,
@@ -105,6 +107,8 @@ class Instance(NamedTuple):
     pole_fact: int
     rays: dict[int, int]  # each body ray's image index, in body first-touch order
     body: list[int]  # the ids of the facts in source's subtree, in order
+    triads: list[tuple[int, ...]]  # each body triad_one step's rays, by position in rays
+    zeros: list[tuple[int, int]]  # each body derived zero's (premise, own) ray, by position
 
 
 @dataclass
@@ -160,16 +164,19 @@ class DerivationTrace:
 
     # -- ray table ---------------------------------------------------------
 
-    def _find(self, ray: Ray) -> int | None:
-        """Smallest index of a stored ray spanning ray's subspace; stores nothing.
-        _file files a ray under every cell within 2*EPS of its (|x|, |y|, |z|)."""
+    def _find(self, ray: Ray) -> tuple[int | None, Ray]:
+        """(index, ray) of the smallest-index stored ray spanning ray's subspace, else (None, ray):
+        what a rule checks and stores. _file files a ray under each cell near it."""
         rays = self.rays
-        cell = (int(abs(ray.x) * _PER_CELL), int(abs(ray.y) * _PER_CELL),
-                int(abs(ray.z) * _PER_CELL))
+        try:
+            cell = (int(abs(ray.x) * _PER_CELL), int(abs(ray.y) * _PER_CELL),
+                    int(abs(ray.z) * _PER_CELL))
+        except ValueError:  # a NaN coordinate is in no cell, and every check refuses it
+            return None, ray
         for idx in self._cells.get(cell, ()):
             if rays[idx].same_subspace(ray):
-                return idx
-        return None
+                return idx, rays[idx]
+        return None, ray
 
     def _file(self, ray: Ray) -> int:
         """Store a ray that _find has not found."""
@@ -186,7 +193,7 @@ class DerivationTrace:
 
     def ray_index(self, ray: Ray) -> int:
         """Smallest index of a stored ray spanning ray's subspace; stores ray if none."""
-        idx = self._find(ray)
+        idx, _ = self._find(ray)
         return self._file(ray) if idx is None else idx
 
     # -- branch plumbing ----------------------------------------------------
@@ -231,16 +238,11 @@ class DerivationTrace:
 
     # -- fact insertion -----------------------------------------------------
 
-    def _add_fact(
-        self,
-        branch: int,
-        ridx: int,
-        value: int,
-        rule: str,
-        premises: tuple[int, ...],
-        witness: CertWitness | None = None,
-    ) -> int:
-        """Store v(ray ridx) = value in branch; the rule has checked its premises."""
+    def _add_fact(self, branch: int, ridx: int | None, ray: Ray, value: int, rule: str,
+                  premises: tuple[int, ...], witness: CertWitness | None = None) -> int:
+        """Store v(ray) = value in branch; (ridx, ray) is _find's, a new ray filed here."""
+        if ridx is None:
+            ridx = self._file(ray)
         existing = self.value_fact_in(branch, ridx)
         if existing is not None and self.facts[existing].value == value:
             return existing
@@ -277,7 +279,7 @@ class DerivationTrace:
             idx = len(self.branches)
             child = Branch(idx=idx, parent=branch, scope=(idx, *node.scope))
             self.branches.append(child)
-            child.assumption = self._add_fact(child.idx, m_idx, value, RULE_ASSUME, ())
+            child.assumption = self._add_fact(child.idx, m_idx, member, value, RULE_ASSUME, ())
             kids.append(child.idx)
         node.children = (kids[0], kids[1])
         return node.children
@@ -297,49 +299,49 @@ class DerivationTrace:
         return self._frames[ridx]
 
     def orthogonal_zero(self, branch: int, p: Ray, one_fact: int) -> int:
-        """v(p) = 0 against one_fact's value-1 stored ray, orthogonal to p."""
+        """v(p) = 0 against one_fact's value-1 stored ray, orthogonal to p's stored ray."""
         self._require_visible(branch, (one_fact,))
-        _check_zero(self._one_ray(one_fact), p)
-        return self._add_fact(branch, self.ray_index(p), 0, RULE_ORTHOGONAL_ZERO, (one_fact,))
+        idx, at = self._find(p)
+        _check_zero(self._one_ray(one_fact), at)
+        return self._add_fact(branch, idx, at, 0, RULE_ORTHOGONAL_ZERO, (one_fact,))
 
     def triad_one(self, branch: int, third: Ray, zero_a: int, zero_b: int) -> int:
-        """Value 1 on third, whose tripod is completed by the two zeroed premises' rays."""
+        """Value 1 on third, whose stored ray completes the zeroed premises' rays to a tripod."""
         self._require_visible(branch, (zero_a, zero_b))
         fa, fb = self.facts[zero_a], self.facts[zero_b]
         if fa.value != 0 or fb.value != 0:
             raise BadPremises("triad_one premises must both assign value 0")
         if fa.ray == fb.ray:
             raise BadPremises("triad_one premises cite the same ray")
-        check_tripod(self.rays[fa.ray], self.rays[fb.ray], third)  # before any store
-        return self._add_fact(branch, self.ray_index(third), 1, RULE_TRIAD_ONE, (zero_a, zero_b))
+        idx, at = self._find(third)
+        check_tripod(self.rays[fa.ray], self.rays[fb.ray], at)  # before any store
+        return self._add_fact(branch, idx, at, 1, RULE_TRIAD_ONE, (zero_a, zero_b))
 
     def _macro_step(self, branch: int, q_fact: int, p_world: Ray, pole_fact: int, rule: str,
                     witness: CertWitness | None = None) -> int:
         """One circle-zero expansion from a zeroed q to a point on its circle.
 
-        Its three steps are checked, e and w looked up without storing, before
-        the first is stored. The conclusion cites w's value-1 fact alone: its
-        triad_one fact from q and e, or the fact already giving w 1 in scope.
+        Its three steps are checked on stored rays, looked up without storing,
+        before the first is stored. The conclusion cites w's value-1 fact alone:
+        its triad_one fact from q and e, or the fact already giving w 1 in scope.
         """
         pole = self._one_ray(pole_fact)
         fq = self.facts[q_fact]
         if fq.value != 0:
             raise PremiseNotZero(f"fact {q_fact} does not assign value 0")
-        rays = self.rays
-        e_world, w_world = circle_partners(pole, rays[fq.ray])
+        e_world, w_world = circle_partners(pole, self.rays[fq.ray])
         # w is the pole of q's circle, so membership is orthogonality to w
         residual = abs(w_world.dot(p_world))
         if not residual <= EPS:  # fails closed on NaN
             raise NotOnCircle(f"point is off the circle by {residual!r} (eps {EPS!r})")
-        e_idx, w_idx = self._find(e_world), self._find(w_world)
-        _check_zero(pole, e_world)
-        check_tripod(rays[fq.ray], e_world if e_idx is None else rays[e_idx], w_world)
-        _check_zero(w_world if w_idx is None else rays[w_idx], p_world)
-        e_fid = self._add_fact(branch, self._file(e_world) if e_idx is None else e_idx, 0,
-                               RULE_ORTHOGONAL_ZERO, (pole_fact,))
-        w_fid = self._add_fact(branch, self._file(w_world) if w_idx is None else w_idx, 1,
-                               RULE_TRIAD_ONE, (q_fact, e_fid))
-        return self._add_fact(branch, self.ray_index(p_world), 0, rule, (w_fid,), witness)
+        (e_idx, e), (w_idx, w), (p_idx, p) = map(self._find, (e_world, w_world, p_world))
+        _check_zero(pole, e)
+        check_tripod(self.rays[fq.ray], e, w)
+        _check_zero(w, p)
+        e_fid = self._add_fact(branch, e_idx, e, 0, RULE_ORTHOGONAL_ZERO, (pole_fact,))
+        w_fid = self._add_fact(branch, w_idx, w, 1, RULE_TRIAD_ONE, (q_fact, e_fid))
+        p_idx = self.ray_index(p_world) if p_idx is None else p_idx  # a new p may be the new e
+        return self._add_fact(branch, p_idx, p, 0, rule, (w_fid,), witness)
 
     def circle_zero(self, branch: int, q_fact: int, p: Ray, pole_fact: int) -> int:
         self._require_visible(branch, (pole_fact, q_fact))
@@ -381,37 +383,65 @@ class DerivationTrace:
         frame = self.frame(pole_fact)  # pole_fact must hold value 1
         if any(c not in (0.0, 1.0, -1.0) for row in frame.rows for c in row):
             raise BadPremises(f"frame of fact {pole_fact} is not a signed permutation")
-        src, facts, branches, rays = self.branches[source], self.facts, self.branches, self.rays
-        seed = facts[src.assumption] if src.assumption is not None else None
-        if seed is None or (seed.value, rays[seed.ray]) != (1, NORTH_POLE):
-            raise BadPremises(f"branch {source} does not assume the north pole at 1")
+        branches, facts, rays = self.branches, self.facts, self.rays
         if branches[branch].children is not None or source in branches[branch].scope:
             raise BadPremises(f"branch {branch} cannot hold an instance of branch {source}")
         self._require_visible(branch, (pole_fact,))
-        body = [fid for fid in range(src.assumption, len(facts))  # type: ignore[arg-type]
-                if source in branches[facts[fid].branch].scope]
-        inside = set(body)
-        if not inside.issuperset(f for b in branches if source in b.scope and b.contradiction
-                                 for f in b.contradiction):
-            raise BadPremises(f"a clash in branch {source}'s subtree cites a fact outside it")
-        if any(source in branches[i.branch].scope for i in self.instances):
-            raise BadPremises(f"branch {source}'s subtree holds an instance")
-        images = {r: to_world(frame, rays[r].vec)
-                  for r in dict.fromkeys(facts[f].ray for f in body)}
-        found = {r: self._find(image) for r, image in images.items()}
-        at = {r: images[r] if j is None else rays[j] for r, j in found.items()}
-        for f in body:
-            ray, _, rule, premises, _, _ = facts[f]
-            if not inside.issuperset(premises):
-                raise BadPremises(f"fact {f} cites a fact outside branch {source}'s subtree")
-            if rule == RULE_TRIAD_ONE:
-                check_tripod(at[facts[premises[0]].ray], at[facts[premises[1]].ray], at[ray])
-            elif rule != RULE_ASSUME:
-                _check_zero(at[facts[premises[0]].ray], at[ray])
-        made = Instance(branch, source, pole_fact, {  # a new image is filed as checked
-            r: self._file(images[r]) if j is None else j for r, j in found.items()}, body)
+        known = next((i for i in self.instances if i.source == source), None)
+        if known is not None:  # an instanced body is frozen: compiled by its first instance
+            body, order, triads, zeros = known.body, known.rays, known.triads, known.zeros
+        else:  # the fact ids, rays in first-touch order, and steps by ray position
+            seed = branches[source].assumption
+            if seed is None or (facts[seed].value, rays[facts[seed].ray]) != (1, NORTH_POLE):
+                raise BadPremises(f"branch {source} does not assume the north pole at 1")
+            body = [f for f in range(seed, len(facts)) if source in branches[facts[f].branch].scope]
+            inside = set(body)
+            if not inside.issuperset(f for b in branches if source in b.scope and b.contradiction
+                                     for f in b.contradiction):
+                raise BadPremises(f"a clash in branch {source}'s subtree cites a fact outside it")
+            if any(source in branches[i.branch].scope for i in self.instances):
+                raise BadPremises(f"branch {source}'s subtree holds an instance")
+            order: dict[int, int] = {}  # each body ray's position
+            triads, zeros = [], []
+            for f in body:
+                ray, _, rule, premises, _, _ = facts[f]
+                if not inside.issuperset(premises):
+                    raise BadPremises(f"fact {f} cites a fact outside branch {source}'s subtree")
+                own = order.setdefault(ray, len(order))
+                if rule == RULE_TRIAD_ONE:
+                    a, b = (order[facts[p].ray] for p in premises)
+                    triads.append((a, b, own))
+                elif rule != RULE_ASSUME:
+                    zeros.append((order[facts[premises[0]].ray], own))
+        found = [self._find(image) for image in _images(frame, [rays[r] for r in order])]
+        at = [ray for _, ray in found]
+        for a, b, c in triads:
+            check_tripod(at[a], at[b], at[c])
+        for one, r in zeros:
+            _check_zero(at[one], at[r])
+        made = Instance(branch, source, pole_fact, dict(zip(order, [  # new images filed as checked
+            self._file(ray) if j is None else j for j, ray in found])), body, triads, zeros)
         self.instances.append(made)
         return made
+
+
+def _images(frame: Rotation, rays: list[Ray]) -> Iterator[Ray]:
+    """Each ray's world image in frame, a signed permutation: its coordinates and
+    their words (Ray.text's) permuted and signed as by frame.apply_inverse, then
+    the canonical sign flip, no renormalizing: to_world's where it keeps n = 1.0."""
+    ranks = frame.apply_inverse((1.0, 2.0, 3.0))  # a * (j + 1) at i: image i is a * ray's j
+    (i, a), (j, b), (k, c) = [(int(abs(u)) - 1, u / abs(u)) for u in ranks]
+    for ray in rays:
+        v, words = ray.vec, ray.text[1:-1].split(",")
+        x, y, z = a * v[i], b * v[j], c * v[k]
+        if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (  # canonicalize's sign rule
+                x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
+            x, y, z = -x, -y, -z
+        image = Ray(x + 0.0, y + 0.0, z + 0.0)  # which checks the rule again
+        image.__dict__["_text"] = "[%s%s,%s%s,%s%s]" % (  # a zero's "-" dropped: 0.0 is +0.0
+            "-" if x < 0.0 else "", words[i].lstrip("-"), "-" if y < 0.0 else "",
+            words[j].lstrip("-"), "-" if z < 0.0 else "", words[k].lstrip("-"))
+        yield image
 
 
 # -- extraction --------------------------------------------------------------
@@ -433,7 +463,7 @@ def extract_triad_system(t: DerivationTrace) -> TriadSystem:
     step's tripod or pair is in the system), and the leaf's clash refutes it;
     an instance's leaf stands for its body's, through its ray map. Collects
     each triad_one step's tripod and each zero's pair with its one premise
-    not inside one: the stored facts', then each instance's mapped body's.
+    not inside one: the stored facts', then each instance's compiled body's.
     Split members come first, keeping the static kernel's search shallow.
     """
     if not t.closed:
@@ -441,18 +471,18 @@ def extract_triad_system(t: DerivationTrace) -> TriadSystem:
         raise OpenBranch(f"branches without contradiction: {open_leaves}")
 
     facts = t.facts
-    walks = [(range(len(t.rays)), facts)]
-    walks += [(i.rays, [facts[f] for f in i.body]) for i in t.instances]
     triads: dict[tuple[int, ...], None] = {}
     zero_pairs: dict[tuple[int, int], None] = {}
-    for at, walk in walks:
-        for ray, _, rule, premises, _, _ in walk:
-            if rule == RULE_TRIAD_ONE:
-                triads[tuple(sorted((at[facts[premises[0]].ray], at[facts[premises[1]].ray],
-                                     at[ray])))] = None
-            elif rule != RULE_ASSUME:  # a derived zero and its one premise
-                a, r = at[facts[premises[0]].ray], at[ray]
-                zero_pairs[(a, r) if a < r else (r, a)] = None
+    for ray, _, rule, premises, _, _ in facts:
+        if rule == RULE_TRIAD_ONE:
+            triads[tuple(sorted((facts[premises[0]].ray, facts[premises[1]].ray, ray)))] = None
+        elif rule != RULE_ASSUME:  # a derived zero and its one premise
+            a = facts[premises[0]].ray
+            zero_pairs[(a, ray) if a < ray else (ray, a)] = None
+    for i in t.instances:  # the compiled body's steps, through the instance's map
+        at = list(i.rays.values())
+        triads.update(dict.fromkeys(tuple(sorted((at[a], at[b], at[c]))) for a, b, c in i.triads))
+        zero_pairs.update(dict.fromkeys((min(at[a], at[r]), max(at[a], at[r])) for a, r in i.zeros))
     covered = {e for a, b, c in triads for e in ((a, b), (a, c), (b, c))}
     pairs = [pair for pair in zero_pairs if pair not in covered]
 

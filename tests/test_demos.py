@@ -671,9 +671,11 @@ class TestRayTableProbes:
         t = demo_second_proof()
         monkeypatch.undo()
         assert len(t.rays) == 153
-        # a circle step looks e and w up before it stores anything, and an
-        # instance each body ray's image once, filing the new ones as they are
-        assert counts == {"lookups": 217, "probes": 77}
+        # a circle step looks e, w and its point up before it stores
+        # anything, and a new point again after e and w are filed; an
+        # instance looks each body ray's image up once, filing the new ones
+        # as they are
+        assert counts == {"lookups": 233, "probes": 78}
 
 
 def indent_1(text: str) -> str:

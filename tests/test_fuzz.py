@@ -14,14 +14,16 @@ loaders must also agree with the step-by-step loaders they replaced, kept
 here as the reference: the same object, or the same first error with the
 same message. The writers that bypass json's encoder must give its bytes:
 a ray's cached text on random vectors, and save_system on random systems.
-The trace builder's rule surface is driven as a state machine: a refused
-rule call leaves the trace as it was (but for one known defect in
-circle_zero), every stored fact passes its rule's check on stored rays,
-each split's children assume its ray at both values, and ray_index gives a
-brute-force scan's index.
+The trace builder's rule surface, instances included, is driven as a state
+machine: a refused rule call leaves the trace as it was, every stored fact
+passes its rule's check on stored rays, each split's children assume its
+ray at both values, ray_index gives a brute-force scan's index, and an
+instance maps each body ray to its exact image or a stored ray within EPS
+of it.
 """
 
 import io
+import itertools
 import json
 import math
 import re
@@ -29,9 +31,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from ksgeom.cli import main
 from ksgeom.errors import (
@@ -47,9 +49,11 @@ from ksgeom.plane import PlanePoint, unproject
 from ksgeom.reach import MAX_SPIRAL_STEPS, ReachCertificate, step_one
 from ksgeom.serialize import load_certificate
 from ksgeom.sphere import (
+    CANON_EPS,
     EPS,
     NORTH_POLE,
     Ray,
+    Rotation,
     Vec3,
     canonicalize,
     circle_partners,
@@ -72,6 +76,8 @@ from ksgeom.trace import (
     RULE_ASSUME,
     RULE_TRIAD_ONE,
     DerivationTrace,
+    _images,
+    to_world,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -405,6 +411,68 @@ class TestWriters:
         assert save_system(s) == _canonical_json(doc)
 
 
+#: The 24 rotations that permute and sign the coordinates.
+SIGNED_PERMUTATIONS = [
+    rows
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1.0, -1.0), repeat=3)
+    for rows in [tuple(tuple(s * (c == p) + 0.0 for c in range(3)) for p, s in zip(perm, signs))]
+    if dot(rows[0], cross(rows[1], rows[2])) > 0.0
+]
+EDGES = (0.0, -0.0, CANON_EPS, -CANON_EPS)
+
+
+@st.composite
+def image_sources(draw) -> Ray:
+    """A ray as canonicalize returns one, with coordinates drawn among exact
+    zeros and the sign band's edges; or built directly, with a -0.0 or a
+    coordinate at +-CANON_EPS exactly, or unit only within Ray's tolerance.
+    That tolerance is met short of its edge: at the edge itself a permuted
+    sum of squares can round past it, and Ray refuses the image."""
+    kind = draw(st.sampled_from(("canonical", "edge", "tolerance")))
+    if kind == "canonical":
+        coordinate = st.one_of(st.sampled_from(EDGES), st.floats(-1.0, 1.0))
+        v = draw(st.tuples(coordinate, coordinate, coordinate).filter(lambda v: norm(v) > 1e-3))
+        return canonicalize(v)
+    if kind == "edge":
+        c, u = draw(st.sampled_from(EDGES)), draw(st.floats(-1.0, 1.0))
+        w = math.sqrt(max(0.0, 1.0 - c * c - u * u)) * draw(st.sampled_from((1.0, -1.0)))
+        v = draw(st.permutations((c, u, w)))
+    else:
+        ray = canonicalize(draw(directions))
+        v = tuple(a * (1.0 + draw(st.floats(-1.9e-12, 1.9e-12))) for a in ray.vec)
+    for vec in (v, tuple(-a for a in v)):
+        try:
+            return Ray(*vec)
+        except ValueError:
+            pass
+    assume(False)
+
+
+class TestImages:
+    """An instance's image of a body ray is its coordinates permuted and
+    signed, then the canonical sign flip, and its text the source's words so
+    placed: to_world's ray, bit for bit, wherever canonicalize keeps n = 1.0,
+    which covers every ray it returns short of that band's edge."""
+
+    @settings(FUZZ, max_examples=50)
+    @pytest.mark.parametrize("rows", SIGNED_PERMUTATIONS)
+    @given(ray=image_sources())
+    @example(ray=Ray(-0.0, 0.6, 0.8))
+    @example(ray=Ray(-CANON_EPS, 1.0, CANON_EPS))
+    def test_image_is_the_signed_permutation(self, rows, ray):
+        frame = Rotation(rows)
+        image = next(_images(frame, [ray]))
+        exact = tuple(c + 0.0 for c in frame.apply_inverse(ray.vec))
+        assert image.vec in (exact, tuple(-c + 0.0 for c in exact))
+        assert image.text == "[%r,%r,%r]" % image.vec  # no -0.0: both zeros are "0.0"
+        world = to_world(frame, ray.vec)
+        if abs(norm(exact) - 1.0) <= 4e-13:  # canonicalize's pass-through band: n = 1.0
+            assert (image.vec, image.text) == (world.vec, world.text)  # text: bit for bit
+        else:  # to_world renormalizes a ray unit only within Ray's tolerance
+            assert image.same_subspace(world)
+
+
 def run_cli(argv: list[str]) -> tuple[int, str]:
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -556,6 +624,8 @@ class TestStepOne:
 #: merge radius EPS, at its edge on either side, just past it and 10*EPS off.
 OFFSETS = (0.0, 1e-13, 4e-10, 9e-10, -9e-10, 2e-9, 10 * EPS)
 offsets = st.sampled_from(OFFSETS)
+#: Rays whose rotation_to_pole is a signed permutation: the poles an instance can take.
+AXES = (canonicalize((1, 0, 0)), canonicalize((0, 1, 0)), NORTH_POLE)
 turns = st.floats(0.0, 2.0 * math.pi)
 directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: norm(v) > 0.1)
 
@@ -575,11 +645,11 @@ def moved(vec: Vec3, toward: Vec3, offset: float) -> Ray:
 
 
 class RuleSurface(RuleBasedStateMachine):
-    """split, orthogonal_zero, triad_one and circle_zero called with valid
-    and invalid arguments, on a trace split on v(N).
+    """split, orthogonal_zero, triad_one, circle_zero and instance called with
+    valid and invalid arguments, on a trace split on v(N).
 
-    Arguments are built from the trace: rays fresh, near stored ones or
-    orthogonal to two of them; premises most often of the right value and
+    Arguments are built from the trace: rays fresh, on an axis, near stored
+    ones or orthogonal to two of them; premises most often of the right value and
     seen together from some branch; the branch any, or more often one that
     sees the premises, often the one the last accepted call stored in, so
     steps build on each other.
@@ -594,7 +664,8 @@ class RuleSurface(RuleBasedStateMachine):
     def state(self):
         t = self.t
         branches = [{**vars(b), "facts_by_ray": dict(b.facts_by_ray)} for b in t.branches]
-        return list(t.rays), list(t.facts), branches, {c: list(ids) for c, ids in t._cells.items()}
+        cells = {c: list(ids) for c, ids in t._cells.items()}
+        return list(t.rays), list(t.facts), branches, cells, list(t.instances)
 
     def brute_index(self, ray: Ray) -> int:
         """The smallest index of a stored ray with |a x b| <= EPS."""
@@ -620,9 +691,11 @@ class RuleSurface(RuleBasedStateMachine):
         return self.t.rays[data.draw(st.integers(0, len(self.t.rays) - 1))]
 
     def draw_ray(self, data) -> Ray:
-        kind = data.draw(st.sampled_from(("fresh", "near", "cross")))
+        kind = data.draw(st.sampled_from(("fresh", "axis", "near", "cross")))
         if kind == "fresh":
             return canonicalize(data.draw(directions))
+        if kind == "axis":
+            return data.draw(st.sampled_from(AXES))
         base = self.stored_ray(data)
         if kind == "cross":
             normal = cross(base.vec, self.stored_ray(data).vec)
@@ -711,6 +784,49 @@ class RuleSurface(RuleBasedStateMachine):
             on = tuple(math.cos(turn) * a + math.sin(turn) * c for a, c in zip(q_ray.vec, e.vec))
             p = moved(on, w.vec, data.draw(offsets))
         self.call(p, self.t.circle_zero, b, q, p, pole)
+
+    @precondition(lambda self: len(self.t.facts) >= 6)  # a body worth mapping, built first
+    @rule(data=st.data())
+    def instance(self, data):
+        # the source most often the v(N) = 1 branch, the pole fact most often
+        # a 1 on the x or y axis, the branch most often a leaf that sees it:
+        # refused for a source not assuming N at 1, a pole fact of value 0 or
+        # off the axes (its frame no signed permutation), or a branch that is
+        # split, sees the source or lies in an instance
+        t = self.t
+        n1 = t.branches[0].children[1]
+        if data.draw(st.booleans()):  # first split a leaf outside n1's subtree on an axis
+            axis = data.draw(st.sampled_from(AXES[:2]))
+            outside = [b for b in t.leaves() if n1 not in t.branches[b].scope]
+            self.call(axis, t.split, data.draw(st.sampled_from(outside)), axis)
+        on_axes = [fid for fid, f in enumerate(t.facts)
+                   if f.value == 1 and t.rays[f.ray] in AXES[:2]]
+        if on_axes and data.draw(st.integers(0, 3)):
+            pole = data.draw(st.sampled_from(on_axes))
+        else:
+            pole = self.draw_fact(data, 1)
+        leaves = [b for b in t.leaves() if t.facts[pole].branch in t.branches[b].scope]
+        if leaves and data.draw(st.integers(0, 3)):
+            b = data.draw(st.sampled_from(leaves))
+        else:
+            b = self.draw_branch(data, pole)
+        source = n1
+        if not data.draw(st.integers(0, 5)):
+            source = data.draw(st.integers(0, len(t.branches) - 1))
+        before, n_rays = self.state(), len(t.rays)
+        try:
+            made = t.instance(source, b, pole)
+        except KsError:
+            assert self.state() == before
+            return
+        self.recent = b
+        frame = t.frame(pole)
+        for r, j in made.rays.items():
+            exact = tuple(c + 0.0 for c in frame.apply_inverse(t.rays[r].vec))
+            if j >= n_rays:  # a new image, filed as the body ray's exact image
+                assert t.rays[j].vec in (exact, tuple(-c + 0.0 for c in exact))
+            else:
+                assert norm(cross(t.rays[j].vec, exact)) <= EPS
 
     @invariant()
     def facts_pass_their_checks(self):

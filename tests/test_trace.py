@@ -145,8 +145,8 @@ class TestTriadOne:
         f_e = t.orthogonal_zero(b, trip.b, pole)
         b, f_q = given(t, b, trip.a, 0)
         looked_up = []
-        lookup = t.ray_index
-        monkeypatch.setattr(t, "ray_index", lambda ray: looked_up.append(ray) or lookup(ray))
+        lookup = t._find
+        monkeypatch.setattr(t, "_find", lambda ray: looked_up.append(ray) or lookup(ray))
         t.triad_one(b, trip.c, f_q, f_e)
         assert looked_up == [trip.c]
 
@@ -529,6 +529,47 @@ class TestRefusedRuleLeavesTraceUnchanged:
             t.circle_zero(b, q, p, pole)
         assert (table_state(t), t.branches) == before
 
+    def test_orthogonal_zero_checked_on_the_stored_ray(self):
+        # the query (1, 0, 0.8e-9) is orthogonal to N within EPS, but it merges
+        # into the stored (1, 0, 1.5e-9), 0.7e-9 rad away, which the zero would
+        # sit on: 1.5e-9 off N's equator, so the step is refused
+        t, b, pole = seeded()
+        t.ray_index(canonicalize((1, 0, 1.5e-9)))
+        query = canonicalize((1, 0, 0.8e-9))
+        assert abs(query.dot(NORTH_POLE)) <= EPS
+        before = table_state(t), copy.deepcopy(t.branches)
+        with pytest.raises(NotOrthogonal):
+            t.orthogonal_zero(b, query, pole)
+        assert (table_state(t), t.branches) == before
+
+    def test_triad_one_checked_on_the_stored_ray(self):
+        # v(x) = v(y) = 0; the third (0.8e-9, 0, 1) merges into the stored
+        # (1.5e-9, 0, 1), which is 1.5e-9 off x's plane
+        t = DerivationTrace()
+        x0, _ = t.split(0, canonicalize((1, 0, 0)))
+        y0, _ = t.split(x0, canonicalize((0, 1, 0)))
+        t.ray_index(canonicalize((1.5e-9, 0, 1)))
+        before = table_state(t), copy.deepcopy(t.branches)
+        with pytest.raises(NotOrthogonal):
+            t.triad_one(y0, canonicalize((0.8e-9, 0, 1)), t.branches[x0].assumption,
+                        t.branches[y0].assumption)
+        assert (table_state(t), t.branches) == before
+
+    def test_circle_zero_checked_on_the_stored_ray(self):
+        # p is 0.8e-9 off q's circle, within EPS, and merges into a stored ray
+        # 1.5e-9 off it, which the conclusion would sit on
+        t, b, pole = seeded()
+        q = canonicalize((0, R2, R2))
+        b, q_fact = given(t, b, q, 0)
+        e, w = circle_partners(NORTH_POLE, q)
+        on = tuple(0.6 * a + 0.8 * c for a, c in zip(q.vec, e.vec))
+        t.ray_index(canonicalize(tuple(a + 1.5e-9 * c for a, c in zip(on, w.vec))))
+        p = canonicalize(tuple(a + 0.8e-9 * c for a, c in zip(on, w.vec)))
+        before = table_state(t), copy.deepcopy(t.branches)
+        with pytest.raises(NotOrthogonal):
+            t.circle_zero(b, q_fact, p, pole)
+        assert (table_state(t), t.branches) == before
+
     def test_split(self):
         # an already-split branch is refused before the new member is stored
         t, b, pole = seeded()
@@ -606,6 +647,24 @@ class TestInstance:
         for leaf in (x0, *t.branches[n1].children):
             t.branches[leaf].contradiction = (0, 1)
         assert t.closed
+
+    def test_second_instance_reuses_the_compiled_body(self, monkeypatch):
+        # the body is frozen once instanced: the second copy maps the first's
+        # compiled steps through its own images, and checks every one of them
+        t, n1, x0, x1 = copy_n_argument()
+        first = t.instance(n1, x1, t.branches[x1].assumption)
+        _, y1 = t.split(x0, canonicalize((0, 1, 0)))
+        tripods = []
+        check = trace_module.check_tripod
+        monkeypatch.setattr(trace_module, "check_tripod", lambda *r: tripods.append(r) or check(*r))
+        second = t.instance(n1, y1, t.branches[y1].assumption)
+        assert second.body is first.body and second.triads is first.triads
+        assert second.zeros is first.zeros and list(second.rays) == list(first.rays)
+        assert len(tripods) == len(first.triads) > 0
+        frame = rotation_to_pole(canonicalize((0, 1, 0)))
+        for r, i in second.rays.items():
+            image = to_world(frame, t.rays[r].vec)
+            assert (t.rays[i].vec, t.rays[i].text) == (image.vec, image.text)
 
     def test_instance_and_body_take_no_step(self):
         t, n1, x0, x1 = copy_n_argument()
