@@ -60,8 +60,8 @@ class Ray:
     """A one-dimensional subspace stored as its canonical unit vector.
 
     Invariants (checked at construction): the coordinates are floats, unit
-    within 1e-12 and satisfy the canonical sign rule. Use canonicalize() to
-    build a Ray from an arbitrary nonzero vector. The predicates below are
+    (squares summing to 1 within 4e-12) and in canonical sign form. Use
+    canonicalize() to build a Ray from any nonzero vector. Its predicates are
     dot, cross and norm written out in the same operation order, so they
     give the same bits. A ray's document text is made once, on first use,
     and kept in the ray's __dict__, which only that text uses; _text is no
@@ -82,11 +82,15 @@ class Ray:
         it reloads; a bool or a non-number is refused. The sign rule:
         z > CANON_EPS; or |z| <= CANON_EPS and x > CANON_EPS; or
         |z|, |x| <= CANON_EPS and y > 0. The checked values then fill the
-        frozen slots directly.
+        frozen slots directly. Unit: the squares sum to 1 within 4e-12 in one
+        of the three orders of float addition, the other two summed only if
+        the first fails, so no order or sign of the coordinates moves the verdict.
         """
         if not type(x) is type(y) is type(z) is float:
             x, y, z = _as_floats(x, y, z)
-        if not abs(x * x + y * y + z * z - 1.0) <= 4.0 * _UNIT_TOL:  # fails closed on NaN
+        if not abs(x * x + y * y + z * z - 1.0) <= 4.0 * _UNIT_TOL and not (  # fails closed on NaN
+                abs(x * x + z * z + y * y - 1.0) <= 4.0 * _UNIT_TOL
+                or abs(y * y + z * z + x * x - 1.0) <= 4.0 * _UNIT_TOL):
             raise ValueError(f"not a unit vector: {(x, y, z)!r}")
         if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
                 x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):

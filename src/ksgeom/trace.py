@@ -106,7 +106,6 @@ class Instance(NamedTuple):
     source: int  # the body's root, which assumes the north pole at 1
     pole_fact: int
     rays: dict[int, int]  # each body ray's image index, in body first-touch order
-    body: list[int]  # the ids of the facts in source's subtree, in order
     triads: list[tuple[int, ...]]  # each body triad_one step's rays, by position in rays
     zeros: list[tuple[int, int]]  # each body derived zero's (premise, own) ray, by position
 
@@ -221,11 +220,14 @@ class DerivationTrace:
     def leaves(self) -> list[int]:
         return [b.idx for b in self.branches if b.children is None]
 
+    def open_leaves(self) -> list[int]:
+        """Leaves with no clash but an instance's, which stands for its body's leaves."""
+        held = {i.branch for i in self.instances}
+        return [b for b in self.leaves() if b not in held and not self.branches[b].contradiction]
+
     @property
     def closed(self) -> bool:
-        """Every leaf clashes but an instance's, which stands for its body's leaves."""
-        held = {i.branch for i in self.instances}
-        return all(b in held or self.branches[b].contradiction for b in self.leaves())
+        return not self.open_leaves()
 
     @property
     def contradiction(self) -> tuple[int, int] | None:
@@ -340,7 +342,8 @@ class DerivationTrace:
         _check_zero(w, p)
         e_fid = self._add_fact(branch, e_idx, e, 0, RULE_ORTHOGONAL_ZERO, (pole_fact,))
         w_fid = self._add_fact(branch, w_idx, w, 1, RULE_TRIAD_ONE, (q_fact, e_fid))
-        p_idx = self.ray_index(p_world) if p_idx is None else p_idx  # a new p may be the new e
+        if p_idx is None and e_idx is None and e.same_subspace(p):  # a new p may be the new e
+            p_idx = self.facts[e_fid].ray
         return self._add_fact(branch, p_idx, p, 0, rule, (w_fid,), witness)
 
     def circle_zero(self, branch: int, q_fact: int, p: Ray, pole_fact: int) -> int:
@@ -389,8 +392,8 @@ class DerivationTrace:
         self._require_visible(branch, (pole_fact,))
         known = next((i for i in self.instances if i.source == source), None)
         if known is not None:  # an instanced body is frozen: compiled by its first instance
-            body, order, triads, zeros = known.body, known.rays, known.triads, known.zeros
-        else:  # the fact ids, rays in first-touch order, and steps by ray position
+            order, triads, zeros = known.rays, known.triads, known.zeros
+        else:  # rays in first-touch order, and steps by ray position
             seed = branches[source].assumption
             if seed is None or (facts[seed].value, rays[facts[seed].ray]) != (1, NORTH_POLE):
                 raise BadPremises(f"branch {source} does not assume the north pole at 1")
@@ -420,7 +423,7 @@ class DerivationTrace:
         for one, r in zeros:
             _check_zero(at[one], at[r])
         made = Instance(branch, source, pole_fact, dict(zip(order, [  # new images filed as checked
-            self._file(ray) if j is None else j for j, ray in found])), body, triads, zeros)
+            self._file(ray) if j is None else j for j, ray in found])), triads, zeros)
         self.instances.append(made)
         return made
 
@@ -466,8 +469,8 @@ def extract_triad_system(t: DerivationTrace) -> TriadSystem:
     not inside one: the stored facts', then each instance's compiled body's.
     Split members come first, keeping the static kernel's search shallow.
     """
-    if not t.closed:
-        open_leaves = [b for b in t.leaves() if t.branches[b].contradiction is None]
+    open_leaves = t.open_leaves()
+    if open_leaves:
         raise OpenBranch(f"branches without contradiction: {open_leaves}")
 
     facts = t.facts

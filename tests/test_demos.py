@@ -1,6 +1,10 @@
+import copy
+import dataclasses
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -44,8 +48,10 @@ from ksgeom.serialize import (
 from ksgeom.system import TriadSystem, load_system, save_system, validate_system
 from ksgeom.trace import CertWitness, decision_core, extract_triad_system, to_world
 
+import trace_check
 from conftest import given, random_northern
 from test_serialize import reference_trace_doc
+from trace_check import Rejected, check_oracle, check_trace
 
 R2 = math.sqrt(0.5)
 GOLDEN_ANGLE = math.pi * (3 - math.sqrt(5))
@@ -447,12 +453,17 @@ class TestFramesFromDocument:
         assert Rotation.identity() in frames.values()
 
 
+def rejected(doc, tamper):
+    """(kind, index) at which trace_check rejects a copy of doc changed by tamper."""
+    tamper(doc := copy.deepcopy(doc))
+    with pytest.raises(Rejected) as err:
+        check_trace(doc)
+    return err.value.kind, err.value.index
+
+
 class TestFactShapesFromDocument:
-    """Read from the trace document alone, every fact is a split's assumption
-    or a step of one of the paper's two forcing rules: a zero against its one
-    value-1 premise on an orthogonal ray, or a one from two value-0 premises
-    whose rays and its own are pairwise orthogonal. An assumption is its
-    branch's, on the ray its parent's split decides."""
+    """tests/trace_check.py, run by CI on ks demo's outputs, reads each fact
+    from the trace document alone, and rejects a tamper where it breaks one."""
 
     @pytest.mark.parametrize("which, counts", [
         ("first_trace", {"assume": 10, "orthogonal_zero": 20, "circle_zero": 14,
@@ -462,92 +473,53 @@ class TestFactShapesFromDocument:
     ], ids=["first", "second"])
     def test_each_fact_has_a_rule_shape(self, which, counts, request):
         doc = json.loads(save_trace(request.getfixturevalue(which)))
-        facts, rays, eps, branches = doc["facts"], doc["rays"], doc["eps"], doc["branches"]
+        facts = doc["facts"]
+        assert check_trace(doc)[0] == counts
+        # a circle step's premise flipped to 0, at the first fact citing it
+        one = next(f for f in facts if f["rule"] == "circle_zero")["premises"][0]
+        citer = min(i for i, f in enumerate(facts) if one in f["premises"])
+        assert rejected(doc, lambda d: d["facts"][one].update(value=0)) == ("fact", citer)
+        lemma = next(i for i, f in enumerate(facts) if f["rule"] == "lemma_zero")
+        assert rejected(doc, lambda d: d["facts"][lemma].update(witness=None)) == ("fact", lemma)
+        leaf = next(b["idx"] for b in doc["branches"] if b["contradiction"])
+        free = {"ray": 0, "value": 1, "rule": "assume", "premises": [], "branch": leaf}
+        assert rejected(doc, lambda d: d["facts"].append(free)) == ("fact", len(facts))
+        # a split's children swapped, a leaf's clash dropped, an eps that admits any step
+        assert rejected(doc, lambda d: d["branches"][0]["children"].reverse()) == ("split", 0)
+        assert rejected(doc, lambda d: d["branches"][leaf].update(contradiction=None)) == ("leaf", leaf)
+        assert rejected(doc, lambda d: d.update(eps=1.0)) == ("eps", 1.0)
 
-        def dot(i, j):
-            return abs(Ray(*rays[i]).dot(Ray(*rays[j])))
-
-        seen = dict.fromkeys(counts, 0)
-        for fid, fact in enumerate(facts):
-            rule, prem = fact["rule"], fact["premises"]
-            assert list(fact) == ["ray", "value", "rule", "premises", "branch"]
-            assert all(p < fid for p in prem)
-            if rule == "assume":
-                node = branches[fact["branch"]]
-                assert prem == [] and node["assumption"] == fid
-                assert branches[node["parent"]]["split"] == fact["ray"]
-            elif rule == "triad_one":
-                assert fact["value"] == 1 and len(prem) == 2
-                assert [facts[p]["value"] for p in prem] == [0, 0]
-                a, b, c = facts[prem[0]]["ray"], facts[prem[1]]["ray"], fact["ray"]
-                assert max(dot(a, b), dot(a, c), dot(b, c)) <= eps
-            else:
-                assert rule in ("orthogonal_zero", "circle_zero", "lemma_zero")
-                assert fact["value"] == 0 and len(prem) == 1
-                one = facts[prem[0]]
-                assert one["value"] == 1 and dot(one["ray"], fact["ray"]) <= eps
-            seen[rule] += 1
-        assert seen == counts
-
-
-def bad_instances(doc):
-    """Indices of the document's instances that fail a check made from the
-    document alone: the source assumes the north pole at 1, the branch is a
-    leaf outside the body that sees its pole fact, a 1 on the image of the
-    north pole, and every body step holds at eps on the mapped rays."""
-    facts, rays, branches, eps = doc["facts"], doc["rays"], doc["branches"], doc["eps"]
-
-    def scope(b):
-        return [b, *scope(branches[b]["parent"])] if b is not None else []
-
-    def dot(i, j):
-        return abs(Ray(*rays[i]).dot(Ray(*rays[j])))
-
-    bad = []
-    for k, inst in enumerate(doc["instances"]):
-        src, leaf, pole = inst["source"], inst["branch"], inst["pole_fact"]
-        body = [f for f in facts if src in scope(f["branch"])]
-        at = dict(zip(dict.fromkeys(f["ray"] for f in body), inst["map"]))
-        seed = facts[branches[src]["assumption"]]
-        ok = len(at) == len(inst["map"]) and (seed["value"], rays[seed["ray"]]) == (1, [0, 0, 1])
-        ok = ok and branches[leaf]["children"] is None and src not in scope(leaf)
-        ok = ok and facts[pole]["value"] == 1 and facts[pole]["branch"] in scope(leaf)
-        ok = ok and at[seed["ray"]] == facts[pole]["ray"]
-        for f in body:
-            mapped = [at[facts[p]["ray"]] for p in f["premises"]] + [at[f["ray"]]]
-            ok = ok and all(dot(a, b) <= eps for i, a in enumerate(mapped) for b in mapped[i + 1:])
-        if not ok:
-            bad.append(k)
-    return bad
+    def test_script_exits_1_naming_the_bad_fact(self, second_trace, tmp_path):
+        doc = json.loads(save_trace(second_trace))
+        doc["facts"][5]["rule"] = "guess"
+        (tmp_path / "trace.json").write_text(json.dumps(doc))
+        run = subprocess.run([sys.executable, trace_check.__file__, str(tmp_path / "trace.json")],
+                             capture_output=True, text=True)
+        assert run.returncode == 1 and run.stdout == "" and "fact 5 is malformed" in run.stderr
 
 
 class TestInstancesFromDocument:
-    """Seed copies X and Y are checked from the trace document alone, and a
-    map entry pointed at another ray fails that check."""
+    """Seed copies X and Y, checked from the trace document alone, and the
+    oracle's core: the split members and their images under the instances."""
 
     @pytest.mark.parametrize("which", ["first_trace", "second_trace", "pi_pole_trace"])
     def test_each_instance_maps_every_step(self, which, request):
         doc = json.loads(save_trace(request.getfixturevalue(which)))
-        assert len(doc["instances"]) == 2 and bad_instances(doc) == []
-        doc["instances"][1]["map"][1] = doc["instances"][1]["map"][0]
-        assert bad_instances(doc) == [1]
+        assert len(doc["instances"]) == 2 and check_trace(doc)
+        for k, made in enumerate(doc["instances"]):
+            moved = [made["map"][0], made["map"][0], *made["map"][2:]]
+            assert rejected(doc, lambda d: d["instances"][k].update(map=moved)) == ("instance", k)
 
-
-class TestTriadStepsFromDocument:
-    """A triad_one step's tripod is its premises' rays and its own, read from the document."""
-
-    @pytest.mark.parametrize("which", ["first_trace", "second_trace"])
-    def test_premise_rays_and_conclusion_pairwise_orthogonal(self, which, request):
-        doc = json.loads(save_trace(request.getfixturevalue(which)))
-        facts, rays, eps = doc["facts"], doc["rays"], doc["eps"]
-        steps = [f for f in facts if f["rule"] == "triad_one"]
-        assert len(steps) >= 20
-        for fact in steps:
-            assert fact["value"] == 1
-            assert [facts[p]["value"] for p in fact["premises"]] == [0, 0]
-            a, b = (Ray(*rays[facts[p]["ray"]]) for p in fact["premises"])
-            c = Ray(*rays[fact["ray"]])
-            assert max(abs(a.dot(b)), abs(a.dot(c)), abs(b.dot(c))) <= eps
+    @pytest.mark.parametrize("which, k", [("first_trace", 8), ("second_trace", 11),
+                                          ("pi_pole_trace", 8)])
+    def test_core_is_the_decision_core(self, which, k, request):
+        t = request.getfixturevalue(which)
+        system, doc = extract_triad_system(t), json.loads(save_trace(t))
+        core = [doc["rays"][m] for m in check_trace(doc)[1]]
+        assert sorted(core) == sorted(list(system.rays[i].vec) for i in decision_core(t, system))
+        check_oracle(system, core, k)
+        with pytest.raises(Rejected, match=f"oracle {k} gave"):
+            check_oracle(dataclasses.replace(system, triads=()), core, k)
 
 
 def witness_endpoint_residuals(t):
@@ -671,11 +643,10 @@ class TestRayTableProbes:
         t = demo_second_proof()
         monkeypatch.undo()
         assert len(t.rays) == 153
-        # a circle step looks e, w and its point up before it stores
-        # anything, and a new point again after e and w are filed; an
-        # instance looks each body ray's image up once, filing the new ones
-        # as they are
-        assert counts == {"lookups": 233, "probes": 78}
+        # a circle step looks e, w and its point up once, before it stores
+        # anything, and compares a new point with a new e; an instance looks
+        # each body ray's image up once, filing the new ones as they are
+        assert counts == {"lookups": 217, "probes": 77}
 
 
 def indent_1(text: str) -> str:
@@ -758,22 +729,6 @@ class TestTraceStructure:
             assert {a.value, b.value} == {0, 1}
             assert a.branch in t.branches[leaf].scope
             assert b.branch in t.branches[leaf].scope
-
-    @pytest.mark.parametrize(
-        "which, counts", [("first", (20, 14, 8)), ("second", (25, 16, 10))]
-    )
-    def test_zero_facts_cite_their_one_last(self, which, counts, first_trace, second_trace):
-        # extract_triad_system reads each zero-against-one pair off its one premise
-        t = first_trace if which == "first" else second_trace
-        rules = ("orthogonal_zero", "circle_zero", "lemma_zero")
-        seen = dict.fromkeys(rules, 0)
-        for fact in t.facts:
-            if fact.rule in rules:
-                one = t.facts[fact.premises[-1]]
-                assert one.value == 1
-                assert abs(t.rays[one.ray].dot(t.rays[fact.ray])) <= EPS
-                seen[fact.rule] += 1
-        assert tuple(seen.values()) == counts
 
     @pytest.mark.parametrize("which", ["first", "second", *range(40)],
                              ids=["first", "second", *(f"golden{i}" for i in range(40))])

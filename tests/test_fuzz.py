@@ -15,11 +15,10 @@ here as the reference: the same object, or the same first error with the
 same message. The writers that bypass json's encoder must give its bytes:
 a ray's cached text on random vectors, and save_system on random systems.
 The trace builder's rule surface, instances included, is driven as a state
-machine: a refused rule call leaves the trace as it was, every stored fact
-passes its rule's check on stored rays, each split's children assume its
-ray at both values, ray_index gives a brute-force scan's index, and an
-instance maps each body ray to its exact image or a stored ray within EPS
-of it.
+machine: a refused rule call leaves the trace as it was, its document
+passes tests/trace_check.py but for its open leaves, ray_index gives a
+brute-force scan's index, and an instance maps each body ray to its exact
+image or a stored ray within EPS of it.
 """
 
 import io
@@ -47,7 +46,7 @@ from ksgeom.errors import (
 )
 from ksgeom.plane import PlanePoint, unproject
 from ksgeom.reach import MAX_SPIRAL_STEPS, ReachCertificate, step_one
-from ksgeom.serialize import load_certificate
+from ksgeom.serialize import load_certificate, save_trace
 from ksgeom.sphere import (
     CANON_EPS,
     EPS,
@@ -72,13 +71,9 @@ from ksgeom.system import (
     load_system,
     save_system,
 )
-from ksgeom.trace import (
-    RULE_ASSUME,
-    RULE_TRIAD_ONE,
-    DerivationTrace,
-    _images,
-    to_world,
-)
+from ksgeom.trace import DerivationTrace, _images, to_world
+
+from trace_check import Rejected, check_trace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -659,7 +654,6 @@ class RuleSurface(RuleBasedStateMachine):
         super().__init__()
         self.t = DerivationTrace()
         self.recent = self.t.split(0, NORTH_POLE)[1]
-        self.checked = 0  # facts already checked by the invariant
 
     def state(self):
         t = self.t
@@ -829,33 +823,13 @@ class RuleSurface(RuleBasedStateMachine):
                 assert norm(cross(t.rays[j].vec, exact)) <= EPS
 
     @invariant()
-    def facts_pass_their_checks(self):
-        t = self.t
-        rays, facts, branches = t.rays, t.facts, t.branches
-        for fid in range(self.checked, len(facts)):
-            f = facts[fid]
-            assert all(p < fid and facts[p].branch in branches[f.branch].scope for p in f.premises)
-            premises = [facts[p] for p in f.premises]
-            if f.rule == RULE_ASSUME:
-                assert not premises and branches[f.branch].assumption == fid
-            elif f.rule == RULE_TRIAD_ONE:
-                assert f.value == 1 and [p.value for p in premises] == [0, 0]
-                a, b, c = (rays[i] for i in (premises[0].ray, premises[1].ray, f.ray))
-                assert max(abs(a.dot(b)), abs(a.dot(c)), abs(b.dot(c))) <= EPS
-            else:
-                assert f.value == 0 and [p.value for p in premises] == [1]
-                assert abs(rays[premises[0].ray].dot(rays[f.ray])) <= EPS
-        self.checked = len(facts)
-
-    @invariant()
-    def each_split_assumes_its_ray_at_both_values(self):
-        t = self.t
-        for node in t.branches[1:]:
-            assert node.idx in t.branches[node.parent].children
-        for node in t.branches:
-            if node.children is not None:
-                kids = [t.facts[t.branches[kid].assumption] for kid in node.children]
-                assert [(f.ray, f.value) for f in kids] == [(node.split, 0), (node.split, 1)]
+    def document_passes_the_trace_checker(self):
+        # each branch, fact, split and instance, read from the document; the
+        # machine's traces need not close, and trace_check checks leaves last
+        try:
+            check_trace(json.loads(save_trace(self.t)))
+        except Rejected as err:
+            assert err.kind == "leaf", err
 
 
 RuleSurface.TestCase.settings = settings(FUZZ, max_examples=40, stateful_step_count=40)

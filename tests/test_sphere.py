@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import struct
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,25 @@ class TestRayRecord:
         assert made == built and hash(made) == hash(built)
         index = {built: 7}
         assert index[made] == 7 and made in index
+
+
+class TestUnitCheck:
+    @given(st.tuples(*[st.floats(0.1, 1.0)] * 3), st.sampled_from([-4e-12, 4e-12]),
+           st.integers(-8, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_one_verdict_for_every_order_and_sign(self, vec, edge, ulps):
+        # a vector of squared length 1 + edge, its x moved a few ulps across it:
+        # its 48 orderings and signings get one verdict from Ray's unit check
+        n = math.sqrt(sum(c * c for c in vec) / (1.0 + edge))
+        vec = [c / n for c in vec]
+        vec[0] += ulps * math.ulp(vec[0])
+        verdicts = set()
+        for order, signs in product(permutations(vec), product((1.0, -1.0), repeat=3)):
+            try:
+                verdicts.add(bool(Ray(*(s * c for s, c in zip(signs, order)))))
+            except ValueError as err:  # the sign rule aside
+                verdicts.add("not a unit vector" not in str(err))
+        assert len(verdicts) == 1
 
 
 def equator_partner(q):
