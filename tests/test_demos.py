@@ -522,6 +522,23 @@ class TestInstancesFromDocument:
             check_oracle(dataclasses.replace(system, triads=()), core, k)
 
 
+class TestTriadStepsFromDocument:
+    """A triad_one step's tripod is its premises' rays and its own, read from the document."""
+
+    @pytest.mark.parametrize("which", ["first_trace", "second_trace"])
+    def test_premise_rays_and_conclusion_pairwise_orthogonal(self, which, request):
+        doc = json.loads(save_trace(request.getfixturevalue(which)))
+        facts, rays, eps = doc["facts"], doc["rays"], doc["eps"]
+        steps = [f for f in facts if f["rule"] == "triad_one"]
+        assert len(steps) >= 20
+        for fact in steps:
+            assert fact["value"] == 1
+            assert [facts[p]["value"] for p in fact["premises"]] == [0, 0]
+            a, b = (Ray(*rays[facts[p]["ray"]]) for p in fact["premises"])
+            c = Ray(*rays[fact["ray"]])
+            assert max(abs(a.dot(b)), abs(a.dot(c)), abs(b.dot(c))) <= eps
+
+
 def witness_endpoint_residuals(t):
     """|a x b| of each lemma_zero fact's last certificate link, the
     certificate held in memory and the rays read from the trace document:
@@ -729,6 +746,22 @@ class TestTraceStructure:
             assert {a.value, b.value} == {0, 1}
             assert a.branch in t.branches[leaf].scope
             assert b.branch in t.branches[leaf].scope
+
+    @pytest.mark.parametrize(
+        "which, counts", [("first", (20, 14, 8)), ("second", (25, 16, 10))]
+    )
+    def test_zero_facts_cite_their_one_last(self, which, counts, first_trace, second_trace):
+        # extract_triad_system reads each zero-against-one pair off its one premise
+        t = first_trace if which == "first" else second_trace
+        rules = ("orthogonal_zero", "circle_zero", "lemma_zero")
+        seen = dict.fromkeys(rules, 0)
+        for fact in t.facts:
+            if fact.rule in rules:
+                one = t.facts[fact.premises[-1]]
+                assert one.value == 1
+                assert abs(t.rays[one.ray].dot(t.rays[fact.ray])) <= EPS
+                seen[fact.rule] += 1
+        assert tuple(seen.values()) == counts
 
     @pytest.mark.parametrize("which", ["first", "second", *range(40)],
                              ids=["first", "second", *(f"golden{i}" for i in range(40))])
