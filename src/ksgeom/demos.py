@@ -23,6 +23,9 @@ The seed tripod is the three axes, so each demo argues once, under the
 north pole, and its x and y seed copies are its instances, ray maps under
 their seed frames, signed permutations that map every ray exactly: the
 paper's "by a rotation we can assume", stated once (DerivationTrace.instance).
+Within that argument the re-pole at p' is stated once too: both children of
+the seed pole's height split force the same p' and witness, so the second
+holds the first's re-pole as an identity instance.
 
 How a height-1/sqrt(2) split tripod is turned about its pole is free (the
 paper takes each frame "by a rotation we can assume"), and it sets the
@@ -43,7 +46,7 @@ from collections.abc import Callable, Iterator
 from .errors import BadN, BadPole, NotInRightHalf
 from .plane import Side, side_of
 from .reach import _least_steps
-from .sphere import EPS, Ray, Vec3, canonicalize, circle_partners, third_point
+from .sphere import EPS, Ray, Rotation, Vec3, canonicalize, circle_partners, third_point
 from .trace import DerivationTrace, to_frame, to_world
 
 _R2 = math.sqrt(0.5)
@@ -141,13 +144,17 @@ def _height_split(
 
 
 def _heights_and_clash(
-    t: DerivationTrace, branch: int, pole_fact: int, pprime_f: Vec3, zero45_fact: int
-) -> None:
+    t: DerivationTrace, branch: int, pole_fact: int, pprime_f: Vec3, zero45_fact: int,
+    repole: tuple[int, int] | None = None,
+) -> tuple[int, int]:
     """From a zeroed frame-height-1/sqrt(2) ray, force v(p')=1 and clash.
 
     Everything below the zeroed height is zeroed through reach chains, so
     p' (above the height) gets 1 through its completion tripod, and so does
     the witness ray. Re-poling at p' then zeroes the witness: contradiction.
+    The re-pole is the same argument on the same rays in both children of a
+    height split, so given the body (branch, first fact) a sibling argued it
+    in, this branch holds it as an identity instance. Returns that body.
     """
     theta = math.acos(pprime_f[2])
     azim = math.hypot(pprime_f[0], pprime_f[1])
@@ -162,16 +169,25 @@ def _heights_and_clash(
     wit_f: Vec3 = (-math.sin(a) * ux, -math.sin(a) * uy, math.cos(a))
     wit, _ = _force_one(t, branch, pole_fact, wit_f, zero45_fact)
 
+    if repole is not None:  # its hypotheses: v(p') = 1, v(witness) = 1, a zero of p''s tripod
+        t.instance(*repole, branch, Rotation.identity())
+        return repole
     # Re-pole at p' and run the frame argument there far enough to zero the
     # witness in both sub-branches, the split faced toward the witness.
+    first = len(t.facts)
     for child, zero45 in _height_split(t, branch, p1_fid, to_frame(t.frame(p1_fid), wit).vec):
         t.lemma_zero(child, zero45, wit, p1_fid)
+    return branch, first
 
 
 def _pole_refutation(t: DerivationTrace, branch: int, pole_fact: int, pprime_f: Vec3) -> None:
-    """Close a branch holding v(pole)=1 via the re-poling contradiction."""
+    """Close a branch holding v(pole)=1 via the re-poling contradiction.
+
+    The u_plus = 1 child argues the re-pole, and the u_plus = 0 child holds it.
+    """
+    repole = None
     for child, zero45 in _height_split(t, branch, pole_fact, pprime_f):
-        _heights_and_clash(t, child, pole_fact, pprime_f, zero45)
+        repole = _heights_and_clash(t, child, pole_fact, pprime_f, zero45, repole)
 
 
 def _seed_copies(t: DerivationTrace, argue: Callable[[int, int], None]) -> None:
@@ -180,15 +196,17 @@ def _seed_copies(t: DerivationTrace, argue: Callable[[int, int], None]) -> None:
     The seed tripod is split so that each branch holds value 1 on one of its
     members. argue(branch, pole_fact) runs the argument once, under the north
     pole; the x and y copies are its instances under their seed frames,
-    which are exact signed permutations.
+    which are exact signed permutations, each discharging v(N) = 1 by its
+    own member's 1.
     """
     n_ray, x_ray, y_ray = (canonicalize(v) for v in SEED_TRIPOD_VECS)
     b_n0, b_n1 = t.split(0, n_ray)
     b_x0, b_x1 = t.split(b_n0, x_ray)
     y_fid = t.triad_one(b_x0, y_ray, t.branches[b_n0].assumption, t.branches[b_x0].assumption)
+    first = len(t.facts)
     argue(b_n1, t.branches[b_n1].assumption)
-    t.instance(b_n1, b_x1, t.branches[b_x1].assumption)
-    t.instance(b_n1, b_x0, y_fid)
+    t.instance(b_n1, first, b_x1, t.frame(t.branches[b_x1].assumption))
+    t.instance(b_n1, first, b_x0, t.frame(y_fid))
 
 
 def demo_first_proof(p_prime: Ray) -> DerivationTrace:

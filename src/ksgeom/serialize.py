@@ -28,8 +28,8 @@ trace:
    "branches": [{"idx": b, "parent": p | null, "assumption": fid | null,
                  "split": i | null, "children": [b0,b1] | null,
                  "contradiction": [f1,f2] | null}, ...],
-   "instances": [{"branch": b, "source": s, "pole_fact": fid,
-                  "map": [i, ...]}, ...]}
+   "instances": [{"branch": b, "source": s, "first": f, "map": [i, ...],
+                  "hypotheses": [h, ...], "discharges": [d, ...]}, ...]}
 
 A trace holds derivation steps only: no reach certificate and no frame. An
 assume fact has no premises and is its branch's assumption; a derived zero
@@ -40,10 +40,17 @@ circle: w's triad_one fact, whose first premise is q, or the assumption of a
 split that already decided w. So a lemma_zero fact is checked as the last
 circle step of its chain, each earlier step a circle_zero fact. A branch's
 split is the ray it decides: its children assume that ray at 0 and at 1.
-An instance's body is the facts of branch s, which assumes the north pole at
-1, and of its descendants; "map" gives the image index of each body ray, in
-the order the body's facts first name them. Its branch is a leaf, closed
-with the body, seeing its pole fact, a 1 on the image of the north pole.
+An instance's body is the facts of branch s from fact f on, after s's
+assumption and up to its split, and the facts of s's descendants. Its
+hypotheses, in id order, are the facts the body cites or clashes on outside
+it, each before f in s's scope. "map" gives the image index of each body
+ray, in the order the body's facts first name them (a fact's premises' rays,
+then its own), a clash-only hypothesis's ray last. Its branch b is a leaf
+outside s's subtree, closed with the body: every body step holds on the
+images, and discharge d, a fact b sees, gives its hypothesis h's value to the
+image of h's ray. A seed copy's one hypothesis is v(N) = 1; an identity
+instance maps each ray to itself and may lie in an earlier instance's body
+if its own body and discharges lie there too.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ def load_certificate(text: str | bytes) -> ReachCertificate:
 #: dict's order and integers as json writes them (a fact's fields are ints,
 #: and its rule is one of the trace's rule names, which need no escaping).
 _FACT = '{"ray":%d,"value":%d,"rule":"%s","premises":[%s],"branch":%d}'
-_INSTANCE = '{"branch":%d,"source":%d,"pole_fact":%d,"map":[%s]}'
+_INSTANCE = '{"branch":%d,"source":%d,"first":%d,"map":[%s],"hypotheses":[%s],"discharges":[%s]}'
 
 
 def save_trace(t: DerivationTrace) -> str:
@@ -127,7 +134,8 @@ def save_trace(t: DerivationTrace) -> str:
         _ray_block(t.rays),
         ",\n".join(facts),
         _compact(branches),
-        ",\n".join(_INSTANCE % (*i[:3], ",".join(map(str, i.rays.values()))) for i in t.instances),
+        ",\n".join(_INSTANCE % (*i[:3], *(",".join(map(str, ids)) for ids in (
+            i.rays.values(), i.hypotheses, i.hypotheses.values()))) for i in t.instances),
     )
 
 

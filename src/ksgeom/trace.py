@@ -34,11 +34,17 @@ fact's ray (once per ray; the identity at N): its reach certificate, made
 once per pair of frame-coordinate q and p and kept in memory as the fact's
 witness, is built in frame coordinates and mapped back to world rays.
 
-An instance stores a subtree argued under the north pole, its body, again
-under a value-1 pole whose frame is a signed permutation: no fact, but a map
-from each body ray to its image (coordinates and text permuted and signed),
-every body step checked on it. The body, frozen then, is compiled once, its
-steps by ray position. Its branch, a leaf, stands for the body's leaves.
+An instance stores a body again under another branch, with no fact: the
+body is a branch's facts from a given first fact on and its descendants', and
+its hypotheses are the facts before that one in the branch's scope that the
+body cites or clashes on. The instance maps each body ray to an image (its
+coordinates and text permuted and signed by a signed-permutation frame, or
+itself under the identity), names for each hypothesis the fact of its value on
+the image of its ray that its own branch sees, and checks every body step on
+the images. A seed copy maps copy N's body, whose one hypothesis is v(N) = 1;
+an identity instance holds a sibling's argument, such as a re-pole, whose
+hypotheses the sibling derived too. A body, frozen once instanced, is compiled
+once, its steps by ray position. Its branch, a leaf, stands for its leaves.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ from .reach import ReachCertificate, reach
 from .sphere import (
     CANON_EPS,
     EPS,
-    NORTH_POLE,
     Ray,
     Rotation,
     Vec3,
@@ -85,6 +90,7 @@ RULE_LEMMA_ZERO = "lemma_zero"
 CELL = 2.0**-20
 _PER_CELL = 2.0**20
 _FILE_REACH = 2 * EPS
+_IDENTITY = Rotation.identity()
 
 
 @dataclass(frozen=True)
@@ -103,9 +109,10 @@ class ValueFact(NamedTuple):
 
 class Instance(NamedTuple):
     branch: int
-    source: int  # the body's root, which assumes the north pole at 1
-    pole_fact: int
-    rays: dict[int, int]  # each body ray's image index, in body first-touch order
+    source: int
+    first: int  # the body: source's facts from this one on, and its descendants'
+    rays: dict[int, int]  # each body ray's image index, in the order the body first names it
+    hypotheses: dict[int, int]  # each fact it cites or clashes on outside it: its discharge
     triads: list[tuple[int, ...]]  # each body triad_one step's rays, by position in rays
     zeros: list[tuple[int, int]]  # each body derived zero's (premise, own) ray, by position
 
@@ -374,58 +381,103 @@ class DerivationTrace:
 
     # -- instances ----------------------------------------------------------
 
-    def instance(self, source: int, branch: int, pole_fact: int) -> Instance:
-        """Store source's subtree, the body, as argued again under branch in pole_fact's frame.
+    def instance(self, source: int, first: int, branch: int, frame: Rotation) -> Instance:
+        """Store source's facts from first on and its descendants', the body, as argued
+        again under branch, each body ray mapped by frame, a signed permutation.
 
-        The body assumes the north pole at 1; pole_fact stands in for that, and
-        its frame must be a signed permutation. Refused before anything is
-        stored: a body citing a fact outside it or holding an instance, a branch
-        that is split or sees the source, a body step failing on the mapped rays
-        (stored ones where _find has them). Stores the new images, no fact.
+        Each hypothesis is discharged by the fact of its value on its mapped ray
+        that branch sees. Refused before anything is stored: a frame that is no
+        signed permutation, a branch that is split or sees the source, a body that
+        _compile refuses, an undischarged hypothesis, a body step failing on the
+        mapped rays (stored ones where _find has them). Stores the new images, no
+        fact.
         """
-        frame = self.frame(pole_fact)  # pole_fact must hold value 1
         if any(c not in (0.0, 1.0, -1.0) for row in frame.rows for c in row):
-            raise BadPremises(f"frame of fact {pole_fact} is not a signed permutation")
+            raise BadPremises("frame is not a signed permutation")
         branches, facts, rays = self.branches, self.facts, self.rays
         if branches[branch].children is not None or source in branches[branch].scope:
             raise BadPremises(f"branch {branch} cannot hold an instance of branch {source}")
-        self._require_visible(branch, (pole_fact,))
-        known = next((i for i in self.instances if i.source == source), None)
-        if known is not None:  # an instanced body is frozen: compiled by its first instance
-            order, triads, zeros = known.rays, known.triads, known.zeros
-        else:  # rays in first-touch order, and steps by ray position
-            seed = branches[source].assumption
-            if seed is None or (facts[seed].value, rays[facts[seed].ray]) != (1, NORTH_POLE):
-                raise BadPremises(f"branch {source} does not assume the north pole at 1")
-            body = [f for f in range(seed, len(facts)) if source in branches[facts[f].branch].scope]
-            inside = set(body)
-            if not inside.issuperset(f for b in branches if source in b.scope and b.contradiction
-                                     for f in b.contradiction):
-                raise BadPremises(f"a clash in branch {source}'s subtree cites a fact outside it")
-            if any(source in branches[i.branch].scope for i in self.instances):
-                raise BadPremises(f"branch {source}'s subtree holds an instance")
-            order: dict[int, int] = {}  # each body ray's position
-            triads, zeros = [], []
-            for f in body:
-                ray, _, rule, premises, _, _ = facts[f]
-                if not inside.issuperset(premises):
-                    raise BadPremises(f"fact {f} cites a fact outside branch {source}'s subtree")
-                own = order.setdefault(ray, len(order))
-                if rule == RULE_TRIAD_ONE:
-                    a, b = (order[facts[p].ray] for p in premises)
-                    triads.append((a, b, own))
-                elif rule != RULE_ASSUME:
-                    zeros.append((order[facts[premises[0]].ray], own))
-        found = [self._find(image) for image in _images(frame, [rays[r] for r in order])]
-        at = [ray for _, ray in found]
-        for a, b, c in triads:
-            check_tripod(at[a], at[b], at[c])
-        for one, r in zeros:
-            _check_zero(at[one], at[r])
-        made = Instance(branch, source, pole_fact, dict(zip(order, [  # new images filed as checked
-            self._file(ray) if j is None else j for j, ray in found])), triads, zeros)
+        self._require_visible(branch, ())
+        known = next((i for i in self.instances if (i.source, i.first) == (source, first)), None)
+        if known is not None:  # a body is frozen once instanced: compiled by its first instance
+            order, hypotheses, triads, zeros = known[3:]
+        else:
+            order, hypotheses, triads, zeros = self._compile(source, first)
+        identity = frame == _IDENTITY
+        if not identity:
+            found = [self._find(image) for image in _images(frame, [rays[r] for r in order])]
+        image = dict(zip(order, order if identity else (j for j, _ in found)))
+        discharged = {}
+        for h in hypotheses:
+            fact = facts[h]
+            d = image[fact.ray]
+            d = None if d is None else self.value_fact_in(branch, d)
+            if d is None or facts[d].value != fact.value:
+                raise BadPremises(f"no fact in branch {branch}'s scope discharges hypothesis {h}")
+            discharged[h] = d
+        if not identity:  # the identity's images are the body rays, their steps checked as stored
+            at = [ray for _, ray in found]
+            for a, b, c in triads:
+                check_tripod(at[a], at[b], at[c])
+            for one, r in zeros:
+                _check_zero(at[one], at[r])
+            image = dict(zip(order, [self._file(ray) if j is None else j for j, ray in found]))
+        made = Instance(branch, source, first, image, discharged, triads, zeros)
         self.instances.append(made)
         return made
+
+    def _compile(self, source: int, first: int) -> tuple[
+            dict[int, int], list[int], list[tuple[int, ...]], list[tuple[int, int]]]:
+        """A body's rays in the order it first names them (a fact's premises', then
+        its own; last, a clash-only hypothesis's), its hypotheses, and its steps by
+        ray position.
+
+        BadPremises where it is no body: first out of the trace, source's
+        assumption or split among its facts, a fact cited or clashed on outside
+        it that is not before first in source's scope, or an instance in
+        source's subtree that is not an identity instance with its body and
+        discharging facts inside this body.
+        """
+        branches, facts = self.branches, self.facts
+        node = branches[source]
+        if not 0 <= first <= len(facts):
+            raise BadPremises(f"a body cannot start at fact {first} of {len(facts)}")
+        if (node.assumption is not None and node.assumption >= first) or (
+                node.children is not None and branches[node.children[0]].assumption < first):
+            raise BadPremises(f"branch {source}'s facts from {first} on hold its assumption "
+                              "or follow its split")
+        body = [f for f in range(first, len(facts)) if source in branches[facts[f].branch].scope]
+        inside = set(body)
+        for i in self.instances:
+            if source in branches[i.branch].scope and not (
+                    list(i.rays) == list(i.rays.values()) and i.first >= first
+                    and source in branches[i.source].scope
+                    and inside.issuperset(i.hypotheses.values())):
+                raise BadPremises(f"branch {source}'s subtree holds an instance that is not "
+                                  "an identity instance inside its body")
+        order: dict[int, int] = {}  # each body ray's position
+        triads, zeros = [], []
+        outside = {f for b in branches if source in b.scope and b.contradiction
+                   for f in b.contradiction if f not in inside}
+        for f in body:
+            ray, _, rule, premises, _, _ = facts[f]
+            for p in premises:
+                if p not in inside:
+                    outside.add(p)
+                    order.setdefault(facts[p].ray, len(order))
+            own = order.setdefault(ray, len(order))
+            if rule == RULE_TRIAD_ONE:
+                a, b = (order[facts[p].ray] for p in premises)
+                triads.append((a, b, own))
+            elif rule != RULE_ASSUME:
+                zeros.append((order[facts[premises[0]].ray], own))
+        hypotheses = sorted(outside)
+        for h in hypotheses:
+            if h >= first or facts[h].branch not in node.scope:
+                raise BadPremises(f"fact {h}, cited by branch {source}'s facts from {first} "
+                                  "on, is neither among them nor before them in its scope")
+            order.setdefault(facts[h].ray, len(order))
+        return order, hypotheses, triads, zeros
 
 
 def _images(frame: Rotation, rays: list[Ray]) -> Iterator[Ray]:
@@ -484,6 +536,8 @@ def extract_triad_system(t: DerivationTrace) -> TriadSystem:
             zero_pairs[(a, ray) if a < ray else (ray, a)] = None
     for i in t.instances:  # the compiled body's steps, through the instance's map
         at = list(i.rays.values())
+        if list(i.rays) == at:  # an identity instance's steps are its body's facts'
+            continue
         triads.update(dict.fromkeys(tuple(sorted((at[a], at[b], at[c]))) for a, b, c in i.triads))
         zero_pairs.update(dict.fromkeys((min(at[a], at[r]), max(at[a], at[r])) for a, r in i.zeros))
     covered = {e for a, b, c in triads for e in ((a, b), (a, c), (b, c))}

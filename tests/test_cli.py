@@ -313,8 +313,9 @@ class TestDemoAndColor:
         code, out, _ = run(capsys, "demo", "second", "-o", str(tmp_path), "--json")
         assert code == 0
         summary = json.loads(out)
-        # copy N's facts and branches, and copies X and Y as two instance leaves
-        assert (summary["facts"], summary["branches"], summary["leaves"]) == (90, 13, 7)
+        # copy N's facts and branches, with its re-pole argued once and held
+        # once by an identity instance, and copies X and Y as instance leaves
+        assert (summary["facts"], summary["branches"], summary["leaves"]) == (72, 11, 6)
         system_file = tmp_path / "system.json"
         assert system_file.exists() and (tmp_path / "trace.json").exists()
 
@@ -356,10 +357,11 @@ class TestDemoAndColor:
         assert code == 0
         trace_doc = json.loads((tmp_path / "trace.json").read_text())
         leaves = [b for b in trace_doc["branches"] if b["children"] is None]
-        # seed copies X and Y are instance leaves, which stand for copy N's
+        # seed copies X and Y and the re-pole's second child are instance
+        # leaves, which stand for their bodies' leaves
         held = {i["branch"] for i in trace_doc["instances"]}
-        assert len(held) == 2 and all(b["contradiction"] or b["idx"] in held for b in leaves)
-        assert (json.loads(out)["leaves"], len(trace_doc["facts"])) == (len(leaves), 110)
+        assert len(held) == 3 and all(b["contradiction"] or b["idx"] in held for b in leaves)
+        assert (json.loads(out)["leaves"], len(trace_doc["facts"])) == (len(leaves), 80)
 
     def test_first_demo_default_pole(self, tmp_path, capsys):
         code, _, _ = run(capsys, "demo", "first", "-o", str(tmp_path))

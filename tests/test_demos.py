@@ -46,11 +46,18 @@ from ksgeom.serialize import (
     save_trace,
 )
 from ksgeom.system import TriadSystem, load_system, save_system, validate_system
-from ksgeom.trace import CertWitness, decision_core, extract_triad_system, to_world
+from ksgeom.trace import (
+    CertWitness,
+    DerivationTrace,
+    decision_core,
+    extract_triad_system,
+    to_world,
+)
 
 import trace_check
 from conftest import given, random_northern
 from test_serialize import reference_trace_doc
+from test_trace import nested_outside
 from trace_check import Rejected, check_oracle, check_trace
 
 R2 = math.sqrt(0.5)
@@ -185,11 +192,12 @@ class TestThirdPointIdentity:
 
 class TestDemoFirst:
     def test_every_branch_contradicted(self, first_trace):
-        # every leaf clashes but the seed copies X and Y, instances of copy N
+        # every leaf clashes but the seed copies X and Y, instances of copy N,
+        # and the re-pole's second child, an identity instance of its first's
         t = first_trace
         assert t.closed
         held = [i.branch for i in t.instances]
-        assert len(held) == 2 and set(held) <= set(t.leaves())
+        assert len(held) == 3 and set(held) <= set(t.leaves())
         assert all(t.branches[b].contradiction is not None for b in t.leaves() if b not in held)
 
     def test_bad_pole_low(self):
@@ -208,9 +216,9 @@ class TestDemoFirst:
                 assert report.accepted, report.failures
                 assert max(report.link_residuals) <= 1e-9
                 n += 1
-        # copy N's lemma_zero facts; copies X and Y are its instances, which
-        # store no fact (TestSeedImages checks them)
-        assert n >= 8
+        # copy N's lemma_zero facts, one re-pole's included; copies X and Y
+        # are its instances, which store no fact (TestSeedImages checks them)
+        assert n >= 6
 
     def test_extracted_system_uncolorable(self, first_trace):
         system = extract_triad_system(first_trace)
@@ -387,17 +395,17 @@ class TestPinnedOutputs:
         [
             pytest.param(
                 "first",
-                "f3aac83e9593a7946cca61744389df26125b402fff28bc7982bb3bfbc613ff50",
+                "885efcb58a0feb9c3131e86f800db40d8f955f84ce9de03613eabd36d4190442",
                 "ae5d00af5aac48c48fc3f3a1cbd6767955b08f9d10776bfde5af17678edd6d97",
-                (105, 74, 11),
+                (105, 56, 9),
                 8,
                 id="first",
             ),
             pytest.param(
                 "second",
-                "c8b2c0bf82263ac5a83a08dc77ce230563cca9db4eca97cbab4818afbe25b885",
+                "be5d9b0de8be890017c77ea8025fa9c927f531fa87871d22246771ba14f7c2e6",
                 "27a2886e9f0a058529e7ca4140a068b01fe42487ac855156838e2a9a0bcebfd8",
-                (153, 90, 13),
+                (153, 72, 11),
                 11,
                 id="second",
             ),
@@ -449,14 +457,15 @@ class TestFramesFromDocument:
         for _, _, pole in lemma_steps(t):
             frames[pole] = t.frame(pole)
             assert frames[pole] == rotation_to_pole(Ray(*rays[t.facts[pole].ray]))
-        assert len(frames) >= 3  # copy N's; its instances make no lemma step
+        assert len(frames) >= 2  # copy N's, one re-pole's; its instances make no lemma step
         assert Rotation.identity() in frames.values()
 
 
-def rejected(doc, tamper):
-    """(kind, index) at which trace_check rejects a copy of doc changed by tamper."""
+def rejected(doc, tamper, why=None):
+    """(kind, index) at which trace_check rejects a copy of doc changed by
+    tamper, for a reason that matches why."""
     tamper(doc := copy.deepcopy(doc))
-    with pytest.raises(Rejected) as err:
+    with pytest.raises(Rejected, match=why) as err:
         check_trace(doc)
     return err.value.kind, err.value.index
 
@@ -466,10 +475,10 @@ class TestFactShapesFromDocument:
     from the trace document alone, and rejects a tamper where it breaks one."""
 
     @pytest.mark.parametrize("which, counts", [
-        ("first_trace", {"assume": 10, "orthogonal_zero": 20, "circle_zero": 14,
-                         "lemma_zero": 8, "triad_one": 22}),
-        ("second_trace", {"assume": 12, "orthogonal_zero": 25, "circle_zero": 16,
-                          "lemma_zero": 10, "triad_one": 27}),
+        ("first_trace", {"assume": 8, "orthogonal_zero": 15, "circle_zero": 10,
+                         "lemma_zero": 6, "triad_one": 17}),
+        ("second_trace", {"assume": 10, "orthogonal_zero": 20, "circle_zero": 12,
+                          "lemma_zero": 8, "triad_one": 22}),
     ], ids=["first", "second"])
     def test_each_fact_has_a_rule_shape(self, which, counts, request):
         doc = json.loads(save_trace(request.getfixturevalue(which)))
@@ -488,6 +497,17 @@ class TestFactShapesFromDocument:
         assert rejected(doc, lambda d: d["branches"][0]["children"].reverse()) == ("split", 0)
         assert rejected(doc, lambda d: d["branches"][leaf].update(contradiction=None)) == ("leaf", leaf)
         assert rejected(doc, lambda d: d.update(eps=1.0)) == ("eps", 1.0)
+        # a record of the wrong shape is a named fault, not a KeyError or a
+        # TypeError: a branch without children, a fact whose premises are no
+        # list, and ids that are not integers
+        for tamper, where in [
+            (lambda d: d["branches"][leaf].pop("children"), ("branch", leaf)),
+            (lambda d: d["facts"][lemma].update(premises=7), ("fact", lemma)),
+            (lambda d: d["facts"][lemma].update(ray=1.0), ("fact", lemma)),
+            (lambda d: d["branches"][leaf].update(parent="0"), ("branch", leaf)),
+            (lambda d: d["instances"][0].update(first=None), ("instance", 0)),
+        ]:
+            assert rejected(doc, tamper, "has other keys or a field of another type") == where
 
     def test_script_exits_1_naming_the_bad_fact(self, second_trace, tmp_path):
         doc = json.loads(save_trace(second_trace))
@@ -496,19 +516,79 @@ class TestFactShapesFromDocument:
         run = subprocess.run([sys.executable, trace_check.__file__, str(tmp_path / "trace.json")],
                              capture_output=True, text=True)
         assert run.returncode == 1 and run.stdout == "" and "fact 5 is malformed" in run.stderr
+        # and a branch record without children, by name, with no traceback
+        doc = json.loads(save_trace(second_trace))
+        del doc["branches"][2]["children"]
+        (tmp_path / "trace.json").write_text(json.dumps(doc))
+        run = subprocess.run([sys.executable, trace_check.__file__, str(tmp_path / "trace.json")],
+                             capture_output=True, text=True)
+        assert run.returncode == 1 and "branch 2 has other keys" in run.stderr
+        assert "Traceback" not in run.stderr
 
 
 class TestInstancesFromDocument:
-    """Seed copies X and Y, checked from the trace document alone, and the
-    oracle's core: the split members and their images under the instances."""
+    """The re-pole's identity instance and seed copies X and Y, checked from
+    the trace document alone, and the oracle's core: the split members and
+    their images under the instances."""
 
     @pytest.mark.parametrize("which", ["first_trace", "second_trace", "pi_pole_trace"])
     def test_each_instance_maps_every_step(self, which, request):
         doc = json.loads(save_trace(request.getfixturevalue(which)))
-        assert len(doc["instances"]) == 2 and check_trace(doc)
+        assert len(doc["instances"]) == 3 and check_trace(doc)[2] == [0]
         for k, made in enumerate(doc["instances"]):
             moved = [made["map"][0], made["map"][0], *made["map"][2:]]
             assert rejected(doc, lambda d: d["instances"][k].update(map=moved)) == ("instance", k)
+
+    @pytest.mark.parametrize("which", ["first_trace", "second_trace", "pi_pole_trace"])
+    def test_each_hypothesis_is_discharged_in_the_leaf(self, which, request):
+        doc = json.loads(save_trace(request.getfixturevalue(which)))
+        facts = doc["facts"]
+        repole, copy_x, copy_y = doc["instances"]
+        # the re-pole's three: v(p') = 1, v(witness) = 1 and a zero of p''s
+        # tripod; a seed copy's one: v(N) = 1
+        assert sorted(facts[h]["value"] for h in repole["hypotheses"]) == [0, 1, 1]
+        assert len(copy_x["hypotheses"]) == len(copy_y["hypotheses"]) == 1
+        # the two 1s' discharges swapped: each a 1 the leaf sees, on the other ray
+        one, other = [n for n, h in enumerate(repole["hypotheses"]) if facts[h]["value"] == 1]
+        swapped = list(repole["discharges"])
+        swapped[one], swapped[other] = swapped[other], swapped[one]
+        assert rejected(doc, lambda d: d["instances"][0].update(discharges=swapped),
+                        "off its ray's image") == ("instance", 0)
+        # copy X's v(N) = 1 discharged by copy Y's 1, which copy X's leaf does not see
+        assert rejected(doc, lambda d: d["instances"][1].update(discharges=copy_y["discharges"]),
+                        "its leaf does not see") == ("instance", 1)
+        # the hypotheses listed in another order
+        assert rejected(doc, lambda d: d["instances"][0]["hypotheses"].reverse(),
+                        "does not list its hypotheses") == ("instance", 0)
+
+    def test_a_discharge_of_the_other_value(self):
+        # copy N zeroes x against v(N) = 1, and is held at a leaf under v(x) = 1
+        # that also zeroes x: the 0 it sees on x, v(N)'s image, is no discharge
+        t = DerivationTrace()
+        n0, n1 = t.split(0, NORTH_POLE)
+        x = canonicalize((1, 0, 0))
+        t.orthogonal_zero(n1, x, t.branches[n1].assumption)
+        _, x1 = t.split(n0, x)
+        _, y1 = t.split(x1, canonicalize((0, 1, 0)))
+        zero_x = t.orthogonal_zero(y1, x, t.branches[y1].assumption)
+        assert t.branches[y1].contradiction == (t.branches[x1].assumption, zero_x)
+        t.instance(n1, t.branches[n1].assumption + 1, y1, t.frame(t.branches[x1].assumption))
+        doc = json.loads(save_trace(t))
+        assert rejected(doc, lambda d: None) == ("leaf", 2)  # open, and checked last
+        assert rejected(doc, lambda d: d["instances"][0].update(discharges=[zero_x]),
+                        "of the other value") == ("instance", 0)
+
+    def test_identity_instance_nested_with_a_discharge_outside_the_body(self):
+        # copy N holding an identity instance whose hypothesis, v(N) = 1
+        # itself, is discharged outside copy N's body: the builder refuses
+        # copy N (test_trace), and the checker the document that forges it
+        doc = json.loads(save_trace(nested_outside(with_copy=True)))
+        inner = json.loads(save_trace(nested_outside()))["instances"]
+        for instances in (doc["instances"], inner):  # open, and leaves are checked last
+            assert rejected(doc, lambda d: d.update(instances=instances))[0] == "leaf"
+        assert inner[0]["discharges"] == [1] and doc["instances"][0]["first"] == 2
+        assert rejected(doc, lambda d: d["instances"].insert(0, inner[0]),
+                        "holds instance 0") == ("instance", 1)
 
     @pytest.mark.parametrize("which, k", [("first_trace", 8), ("second_trace", 11),
                                           ("pi_pole_trace", 8)])
@@ -530,7 +610,7 @@ class TestTriadStepsFromDocument:
         doc = json.loads(save_trace(request.getfixturevalue(which)))
         facts, rays, eps = doc["facts"], doc["rays"], doc["eps"]
         steps = [f for f in facts if f["rule"] == "triad_one"]
-        assert len(steps) >= 20
+        assert len(steps) >= 17
         for fact in steps:
             assert fact["value"] == 1
             assert [facts[p]["value"] for p in fact["premises"]] == [0, 0]
@@ -566,7 +646,7 @@ class TestWitnessesFromDocument:
     def test_last_link_spans_the_fact_and_its_q_premise(self, i, second_trace):
         t = second_trace if i is None else demo_first_proof(golden_pole(i))
         residuals = witness_endpoint_residuals(t)
-        assert len(residuals) >= 2 * 8  # copy N's; TestSeedImages covers copies X and Y
+        assert len(residuals) >= 2 * 6  # copy N's; TestSeedImages covers copies X and Y
         assert max(residuals) <= EPS
 
 
@@ -587,11 +667,11 @@ class TestSplitFacing:
 class TestGeometryMemos:
     """A trace computes each reach certificate once, and only copy N's
     argument makes reach calls or circle expansions: copies X and Y are its
-    images and make none."""
+    images and make none, nor does the re-pole's identity instance."""
 
     @pytest.mark.parametrize("build, reaches, expansions", [
-        (lambda: demo_first_proof(default_pole()), 6, 22),
-        (demo_second_proof, 8, 26),
+        (lambda: demo_first_proof(default_pole()), 6, 16),
+        (demo_second_proof, 8, 20),
     ], ids=["first", "second"])
     def test_calls_per_demo(self, build, reaches, expansions, monkeypatch):
         counts = {"reach": 0, "expansions": 0}
@@ -662,8 +742,9 @@ class TestRayTableProbes:
         assert len(t.rays) == 153
         # a circle step looks e, w and its point up once, before it stores
         # anything, and compares a new point with a new e; an instance looks
-        # each body ray's image up once, filing the new ones as they are
-        assert counts == {"lookups": 217, "probes": 77}
+        # each body ray's image up once, filing the new ones as they are, and
+        # an identity instance looks nothing up
+        assert counts == {"lookups": 195, "probes": 55}
 
 
 def indent_1(text: str) -> str:
@@ -726,7 +807,7 @@ class TestTraceStructure:
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_scope_is_the_parent_walk(self, which, first_trace, second_trace):
         t = first_trace if which == "first" else second_trace
-        assert len(t.branches) > 10
+        assert len(t.branches) > 8
         for node in t.branches:
             walk, b = [], node.idx
             while b is not None:
@@ -748,7 +829,7 @@ class TestTraceStructure:
             assert b.branch in t.branches[leaf].scope
 
     @pytest.mark.parametrize(
-        "which, counts", [("first", (20, 14, 8)), ("second", (25, 16, 10))]
+        "which, counts", [("first", (15, 10, 6)), ("second", (20, 12, 8))]
     )
     def test_zero_facts_cite_their_one_last(self, which, counts, first_trace, second_trace):
         # extract_triad_system reads each zero-against-one pair off its one premise
@@ -781,7 +862,7 @@ class TestUncitedFacts:
     u_minus that _height_split stores just after its u_plus = 1 assumption:
     the first circle step from u_minus finds the pole of u_minus's circle,
     u_plus, already at 1 and cites that assumption instead. Copies X and Y
-    store no fact, so copy N's three are all."""
+    store no fact, and copy N argues its re-pole once, so copy N's two are all."""
 
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_only_the_sibling_zeros_of_height_splits(self, which, monkeypatch):
@@ -799,9 +880,9 @@ class TestUncitedFacts:
         t = demo_first_proof(default_pole()) if which == "first" else demo_second_proof()
         cited = {p for f in t.facts for p in f.premises}
         cited.update(f for b in t.branches if b.contradiction for f in b.contradiction)
-        cited.update(i.pole_fact for i in t.instances)
+        cited.update(d for i in t.instances for d in i.hypotheses.values())
         uncited = [fid for fid in range(len(t.facts)) if fid not in cited]
-        assert len(sibling_zeros) == 3  # copy N's height splits
+        assert len(sibling_zeros) == 2  # copy N's height splits
         assert uncited == sibling_zeros
         for fid in uncited:
             fact = t.facts[fid]
@@ -821,9 +902,9 @@ def instanced(build, monkeypatch):
     made = []
     instance = trace_module.DerivationTrace.instance
 
-    def recording(t, source, branch, pole_fact):
+    def recording(t, source, first, branch, frame):
         before = len(t.rays), len(t.facts)
-        record = instance(t, source, branch, pole_fact)
+        record = instance(t, source, first, branch, frame)
         assert len(t.facts) == before[1]  # an instance stores no fact
         made.append(Made(*before, record))
         return record
@@ -859,18 +940,30 @@ class TestSeedImages:
         t, made = instanced(build, monkeypatch)
         (n_branch, _), *images = seed_copies(t)
         n_pole = t.branches[n_branch].assumption
-        body = [f for f in t.facts if n_branch in t.branches[f.branch].scope]
-        assert body[0] is t.facts[n_pole]
+        # copy N's body: its facts after v(N) = 1, the first citing it
+        body = [f for f in t.facts[n_pole + 1:] if n_branch in t.branches[f.branch].scope]
+        assert body[0].premises == (n_pole,)
         assert [m.instance for m in made] == t.instances
-        assert [(i.source, i.branch) for i in t.instances] == [(n_branch, b) for b, _ in images]
-        ends = [m.n_rays for m in made[1:]] + [len(t.rays)]
+        # first, inside copy N, the re-pole's identity instance, then copies X and Y
+        repole, *copies = made
+        assert all(r == j for r, j in repole.instance.rays.items())
+        assert n_branch in t.branches[repole.instance.branch].scope
+        assert [(m.instance.source, m.instance.branch) for m in copies] == [
+            (n_branch, b) for b, _ in images]
+        order = list(dict.fromkeys(r for f in body for r in (*(t.facts[p].ray for p in f.premises),
+                                                              f.ray)))
+        ends = [m.n_rays for m in copies[1:]] + [len(t.rays)]
         merges = []
-        for m, (branch, frame), end in zip(made, images, ends):
+        for m, (branch, frame), end in zip(copies, images, ends):
             i = m.instance
-            assert t.frame(i.pole_fact) == frame
+            # the body from its first fact on, with one hypothesis, v(N) = 1,
+            # discharged by the copy's own 1
+            assert t.facts[i.first] is body[0] and list(i.hypotheses) == [n_pole]
+            (pole_fact,) = i.hypotheses.values()
+            assert t.frame(pole_fact) == frame
             assert all(c in (0.0, 1.0, -1.0) for row in frame.rows for c in row)
-            assert list(i.rays) == list(dict.fromkeys(f.ray for f in body))
-            assert i.rays[t.facts[n_pole].ray] == t.facts[i.pole_fact].ray
+            assert list(i.rays) == order
+            assert i.rays[t.facts[n_pole].ray] == t.facts[pole_fact].ray
             assert set(range(m.n_rays, end)) <= set(i.rays.values())  # nothing else stored
             merged = set()
             for r, j in i.rays.items():

@@ -741,8 +741,12 @@ class RuleSurface(RuleBasedStateMachine):
         one = self.draw_fact(data, 1)
         zeroed = self.draw_fact(data, 0, near=one)
         b = self.draw_branch(data, one, zeroed)
+        self.orthogonal_zero_against(data, b, one, zeroed)
+
+    def orthogonal_zero_against(self, data, b: int, one: int, zeroed: int | None = None):
         normal = self.t.rays[self.t.facts[one].ray]
-        pair = cross(normal.vec, self.t.rays[self.t.facts[zeroed].ray].vec)
+        pair = (0.0, 0.0, 0.0) if zeroed is None else cross(
+            normal.vec, self.t.rays[self.t.facts[zeroed].ray].vec)
         if data.draw(st.booleans()) and norm(pair) > 0.1:
             in_plane = canonicalize(pair).vec  # orthogonal to a zeroed ray too
         else:
@@ -782,11 +786,13 @@ class RuleSurface(RuleBasedStateMachine):
     @precondition(lambda self: len(self.t.facts) >= 6)  # a body worth mapping, built first
     @rule(data=st.data())
     def instance(self, data):
-        # the source most often the v(N) = 1 branch, the pole fact most often
-        # a 1 on the x or y axis, the branch most often a leaf that sees it:
-        # refused for a source not assuming N at 1, a pole fact of value 0 or
-        # off the axes (its frame no signed permutation), or a branch that is
-        # split, sees the source or lies in an instance
+        # the body most often the v(N) = 1 branch's facts after its assumption,
+        # the frame most often a 1 on the x or y axis's, the branch most often
+        # a leaf that sees that 1: refused for a body that holds its source's
+        # assumption or a non-identity instance, or cites a fact outside it
+        # not before it, a frame that is no signed permutation, a hypothesis
+        # not discharged, or a branch that is split, sees the source or lies
+        # in an instance
         t = self.t
         n1 = t.branches[0].children[1]
         if data.draw(st.booleans()):  # first split a leaf outside n1's subtree on an axis
@@ -804,23 +810,68 @@ class RuleSurface(RuleBasedStateMachine):
             b = data.draw(st.sampled_from(leaves))
         else:
             b = self.draw_branch(data, pole)
-        source = n1
+        source, first = n1, t.branches[n1].assumption + 1
         if not data.draw(st.integers(0, 5)):
             source = data.draw(st.integers(0, len(t.branches) - 1))
+            first = data.draw(st.integers(0, len(t.facts)))
         before, n_rays = self.state(), len(t.rays)
         try:
-            made = t.instance(source, b, pole)
+            frame = t.frame(pole)
+            made = t.instance(source, first, b, frame)
         except KsError:
             assert self.state() == before
             return
         self.recent = b
-        frame = t.frame(pole)
         for r, j in made.rays.items():
             exact = tuple(c + 0.0 for c in frame.apply_inverse(t.rays[r].vec))
             if j >= n_rays:  # a new image, filed as the body ray's exact image
                 assert t.rays[j].vec in (exact, tuple(-c + 0.0 for c in exact))
             else:
                 assert norm(cross(t.rays[j].vec, exact)) <= EPS
+        self.discharged(made)
+
+    @precondition(lambda self: len(self.t.facts) >= 6)
+    @rule(data=st.data())
+    def identity_instance(self, data):
+        # the body most often one child's facts of a split from one of its own
+        # on, or from just past it, the branch most often a leaf under the
+        # other child: refused as instance is, most often for a hypothesis
+        # the other child does not see
+        t = self.t
+        split = [node for node in t.branches if node.children is not None]
+        source, b = (data.draw(st.integers(0, len(t.branches) - 1)) for _ in range(2))
+        if split and data.draw(st.integers(0, 3)):
+            node = data.draw(st.sampled_from(split))
+            side = data.draw(st.integers(0, 1))
+            source, other = node.children[side], node.children[1 - side]
+            under = [leaf for leaf in t.leaves() if other in t.branches[leaf].scope]
+            b = data.draw(st.sampled_from(under))
+        own = [f for f, fact in enumerate(t.facts) if fact.branch == source]
+        first = (data.draw(st.sampled_from(own)) + data.draw(st.integers(0, 1)) if own
+                 else data.draw(st.integers(0, len(t.facts))))
+        ones = [f for f, fact in enumerate(t.facts)
+                if fact.value == 1 and fact.branch in t.branches[source].scope[1:]]
+        if ones and t.branches[source].children is None and data.draw(st.integers(0, 3)):
+            first = len(t.facts)  # a body of one zero against a 1 above the source
+            self.orthogonal_zero_against(data, source, data.draw(st.sampled_from(ones)))
+        before = self.state()
+        try:
+            made = t.instance(source, first, b, Rotation.identity())
+        except KsError:
+            assert self.state() == before
+            return
+        assert self.state()[0] == before[0]  # no ray filed
+        assert all(r == j for r, j in made.rays.items())
+        self.discharged(made)
+
+    def discharged(self, made):
+        """Each hypothesis of an accepted instance is discharged by a fact of
+        its value on its ray's image that the instance's branch sees."""
+        t = self.t
+        for h, d in made.hypotheses.items():
+            assert h < made.first and t.facts[h].branch in t.branches[made.source].scope
+            assert (t.facts[d].ray, t.facts[d].value) == (made.rays[t.facts[h].ray], t.facts[h].value)
+            assert t.facts[d].branch in t.branches[made.branch].scope
 
     @invariant()
     def document_passes_the_trace_checker(self):

@@ -48,8 +48,9 @@ def reference_trace_doc(t: DerivationTrace) -> dict:
             for b in t.branches
         ],
         "instances": [
-            {"branch": i.branch, "source": i.source, "pole_fact": i.pole_fact,
-             "map": list(i.rays.values())}
+            {"branch": i.branch, "source": i.source, "first": i.first,
+             "map": list(i.rays.values()), "hypotheses": list(i.hypotheses),
+             "discharges": list(i.hypotheses.values())}
             for i in t.instances
         ],
     }
@@ -216,10 +217,10 @@ class TestTraceWriter:
     def test_demo_traces(self, which, demo_traces):
         t = demo_traces[which]
         text = self.check(t)
-        # seed copies X and Y, one instance record per line
+        # the re-pole's identity instance and seed copies X and Y, one record per line
         block = text[text.index('"instances":'):]
-        assert len(t.instances) == 2 and block.count("\n") == 2
-        assert '"map":[%s]}' % ",".join(map(str, t.instances[1].rays.values())) in block
+        assert len(t.instances) == 3 and block.count("\n") == 3
+        assert '"map":[%s],' % ",".join(map(str, t.instances[1].rays.values())) in block
 
     def test_empty_trace(self):
         text = self.check(DerivationTrace())

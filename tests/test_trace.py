@@ -623,24 +623,39 @@ def copy_n_argument():
 
 
 def instance_state(t):
-    return table_state(t), list(t.facts), copy.deepcopy(t.branches), list(t.instances)
+    return list(t.rays), table_state(t), list(t.facts), copy.deepcopy(t.branches), list(t.instances)
+
+
+def copy_n(t, n1, branch, pole_fact):
+    """Copy N's body, n1's facts after its v(N) = 1 assumption, as an instance
+    at branch under the frame of pole_fact's ray."""
+    return t.instance(n1, t.branches[n1].assumption + 1, branch, t.frame(pole_fact))
+
+
+def first_use_order(t, body):
+    """Each ray the body's facts name, in the order they first name it: a
+    fact's premises' rays, then its own."""
+    return list(dict.fromkeys(r for f in body for r in (*(t.facts[p].ray for p in f.premises), f.ray)))
 
 
 class TestInstance:
     def test_image_under_the_x_axis(self, monkeypatch):
         t, n1, x0, x1 = copy_n_argument()
-        body = [f for f in t.facts if n1 in t.branches[f.branch].scope]
+        pole, x_one = t.branches[n1].assumption, t.branches[x1].assumption
+        body = [f for f in t.facts[pole + 1:] if n1 in t.branches[f.branch].scope]
         n_facts, n_branches = len(t.facts), len(t.branches)
         monkeypatch.setattr(trace_module, "reach", None)  # an instance computes no certificate
-        made = t.instance(n1, x1, t.branches[x1].assumption)
+        made = copy_n(t, n1, x1, x_one)
         frame = rotation_to_pole(canonicalize((1, 0, 0)))
         assert (len(t.facts), len(t.branches)) == (n_facts, n_branches)  # no fact, no branch
-        assert t.instances == [made] and made[:3] == (x1, n1, t.branches[x1].assumption)
+        assert t.instances == [made] and made[:3] == (x1, n1, pole + 1)
+        # its one hypothesis, v(N) = 1, is discharged by v(x) = 1
+        assert made.hypotheses == {pole: x_one}
         # each body ray once, in the order the body's facts first name it
-        assert list(made.rays) == list(dict.fromkeys(f.ray for f in body))
+        assert list(made.rays) == first_use_order(t, body)
         for r, i in made.rays.items():
             assert t.rays[i] == to_world(frame, t.rays[r].vec)
-        assert made.rays[body[0].ray] == t.facts[t.branches[x1].assumption].ray
+        assert made.rays[t.facts[pole].ray] == t.facts[x_one].ray
         # the instance stands for copy N's leaves: the trace closes with them
         assert x1 in t.leaves() and t.branches[x1].contradiction is None
         assert not t.closed
@@ -652,14 +667,15 @@ class TestInstance:
         # the body is frozen once instanced: the second copy maps the first's
         # compiled steps through its own images, and checks every one of them
         t, n1, x0, x1 = copy_n_argument()
-        first = t.instance(n1, x1, t.branches[x1].assumption)
+        first = copy_n(t, n1, x1, t.branches[x1].assumption)
         _, y1 = t.split(x0, canonicalize((0, 1, 0)))
         tripods = []
         check = trace_module.check_tripod
         monkeypatch.setattr(trace_module, "check_tripod", lambda *r: tripods.append(r) or check(*r))
-        second = t.instance(n1, y1, t.branches[y1].assumption)
+        second = copy_n(t, n1, y1, t.branches[y1].assumption)
         assert second.triads is first.triads and second.zeros is first.zeros
         assert list(second.rays) == list(first.rays)
+        assert list(second.hypotheses) == list(first.hypotheses)
         assert len(tripods) == len(first.triads) > 0
         frame = rotation_to_pole(canonicalize((0, 1, 0)))
         for r, i in second.rays.items():
@@ -668,14 +684,14 @@ class TestInstance:
 
     def test_instance_and_body_take_no_step(self):
         t, n1, x0, x1 = copy_n_argument()
-        t.instance(n1, x1, t.branches[x1].assumption)
+        copy_n(t, n1, x1, t.branches[x1].assumption)
         q0, _ = t.branches[n1].children
         before = instance_state(t)
         steps = [
             lambda: t.orthogonal_zero(q0, canonicalize((0, 0, 1)), t.branches[q0].assumption),
             lambda: t.split(q0, canonicalize((0.3, -0.5, 0.8))),
             lambda: t.split(x1, canonicalize((0.3, -0.5, 0.8))),
-            lambda: t.instance(n1, x1, t.branches[x1].assumption),
+            lambda: copy_n(t, n1, x1, t.branches[x1].assumption),
         ]
         for step in steps:
             with pytest.raises(BadPremises, match="is an instance or lies in"):
@@ -688,7 +704,7 @@ class TestInstance:
         t, n1, _, x1 = copy_n_argument()
         edge = Ray(0.17177360412668807, 0.8807513770595892, 0.44132849526964063)
         t.split(t.branches[n1].children[0], edge)
-        image = t.rays[t.instance(n1, x1, t.branches[x1].assumption).rays[t.ray_index(edge)]]
+        image = t.rays[copy_n(t, n1, x1, t.branches[x1].assumption).rays[t.ray_index(edge)]]
         assert sorted(map(abs, image.vec)) == sorted(edge.vec)
 
     def test_frame_not_a_signed_permutation_refused(self):
@@ -697,15 +713,21 @@ class TestInstance:
         _, m1 = t.split(x0, canonicalize((0.3, -0.5, 0.8)))
         before = instance_state(t)
         with pytest.raises(BadPremises, match="not a signed permutation"):
-            t.instance(n1, m1, t.branches[m1].assumption)
+            copy_n(t, n1, m1, t.branches[m1].assumption)
         assert instance_state(t) == before
 
     def test_source_must_assume_the_north_pole(self):
+        # a body under v(q) = 1 zeroes a ray against it: a hypothesis that
+        # nothing under v(x) = 1 discharges on its image
         t, n1, x0, x1 = copy_n_argument()
-        q1 = t.branches[n1].children[1]  # assumes q = 1, not N = 1
+        q1 = t.branches[n1].children[1]
+        frame = t.frame(t.branches[x1].assumption)
         before = instance_state(t)
-        with pytest.raises(BadPremises, match="north pole"):
-            t.instance(q1, x1, t.branches[x1].assumption)
+        with pytest.raises(BadPremises, match="discharges hypothesis"):
+            t.instance(q1, t.branches[q1].assumption + 1, x1, frame)
+        # and a body starting at its source's assumption would assume it
+        with pytest.raises(BadPremises, match="hold its assumption"):
+            t.instance(n1, t.branches[n1].assumption, x1, frame)
         assert instance_state(t) == before
 
     def test_target_already_split_refused(self):
@@ -713,11 +735,11 @@ class TestInstance:
         t.split(x1, canonicalize((0.3, -0.5, 0.8)))
         before = instance_state(t)
         with pytest.raises(BadPremises, match="cannot hold an instance"):
-            t.instance(n1, x1, t.branches[x1].assumption)
+            copy_n(t, n1, x1, t.branches[x1].assumption)
         # nor can a leaf of the body, which sees the source
         q0 = t.branches[n1].children[0]
         with pytest.raises(BadPremises, match="cannot hold an instance"):
-            t.instance(n1, q0, t.branches[n1].assumption)
+            copy_n(t, n1, q0, t.branches[n1].assumption)
         assert instance_state(t) == before
 
     def test_mapped_constraint_10_eps_off_refused(self):
@@ -731,13 +753,14 @@ class TestInstance:
                                               zip(t.rays[fact.ray].vec, one.vec)))
         before = instance_state(t)
         with pytest.raises(NotOrthogonal):
-            t.instance(n1, x1, t.branches[x1].assumption)
+            copy_n(t, n1, x1, t.branches[x1].assumption)
         assert instance_state(t) == before
 
     def test_premise_outside_the_subtree_refused(self):
         # under v(x) = 1, v(r) = 0, and then v(N) = 1, a triad_one step cites
-        # v(r) = 0 from outside the v(N) = 1 subtree: the instance is refused
-        # before it stores any ray
+        # v(r) = 0 from outside the v(N) = 1 subtree: a hypothesis, which
+        # nothing under v(N) = 0 discharges on r's image, so the instance is
+        # refused before it stores any ray
         t = DerivationTrace()
         _, x1 = t.split(0, canonicalize((1, 0, 0)))
         r, e = canonicalize((0.6, 0, 0.8)), canonicalize((0, 1, 0))
@@ -746,13 +769,14 @@ class TestInstance:
         zero_e = t.orthogonal_zero(n1, e, t.branches[n1].assumption)
         t.triad_one(n1, canonicalize(cross(r.vec, e.vec)), zero_r, zero_e)
         before = instance_state(t)
-        with pytest.raises(BadPremises, match="outside branch"):
-            t.instance(n1, n0, t.branches[x1].assumption)
+        with pytest.raises(BadPremises, match=f"discharges hypothesis {zero_r}$"):
+            copy_n(t, n1, n0, t.branches[x1].assumption)
         assert instance_state(t) == before
 
     def test_clash_outside_the_subtree_refused(self):
         # under v(x) = 1, the v(N) = 1 subtree zeroes x against N: its clash
-        # cites v(x) = 1 from outside it, which an instance could not map
+        # cites v(x) = 1 from outside it, a hypothesis that v(y) = 1 under
+        # v(x) = 0 sees the other value of on its image, x itself
         t = DerivationTrace()
         x0, x1 = t.split(0, canonicalize((1, 0, 0)))
         _, n1 = t.split(x1, NORTH_POLE)
@@ -760,25 +784,128 @@ class TestInstance:
         assert t.branches[n1].contradiction[0] == t.branches[x1].assumption
         _, y1 = t.split(x0, canonicalize((0, 1, 0)))
         before = instance_state(t)
-        with pytest.raises(BadPremises, match="clash"):
-            t.instance(n1, y1, t.branches[y1].assumption)
+        with pytest.raises(BadPremises, match=f"discharges hypothesis {t.branches[x1].assumption}$"):
+            copy_n(t, n1, y1, t.branches[y1].assumption)
         assert instance_state(t) == before
 
     def test_body_holding_an_instance_refused(self):
         # two subtrees assume N at 1, under v(x) = 0 and v(x) = 1; the second
-        # holds an instance of the first, so it cannot be a body itself
+        # holds an instance of the first under the y frame, no identity
+        # instance, so it cannot be a body itself
         t = DerivationTrace()
         x0, x1 = t.split(0, canonicalize((1, 0, 0)))
         a0, a1 = t.split(x0, NORTH_POLE)
         _, b1 = t.split(x1, NORTH_POLE)
         y = canonicalize((0, 1, 0))
         _, c1 = t.split(b1, y)
-        t.instance(a1, c1, t.branches[c1].assumption)
+        copy_n(t, a1, c1, t.branches[c1].assumption)
         _, d1 = t.split(a0, y)
         before = instance_state(t)
         with pytest.raises(BadPremises, match="holds an instance"):
-            t.instance(b1, d1, t.branches[d1].assumption)
+            copy_n(t, b1, d1, t.branches[d1].assumption)
         assert instance_state(t) == before
+
+
+def sibling_argument():
+    """A trace split on v(N), under v(N) = 1 on q, and under q = 0 on a ray m;
+    from first on, the m = 1 child zeroes a point of q's circle from q = 0
+    and N = 1. Returns (t, q1, m0, m1, first)."""
+    t = DerivationTrace()
+    _, n1 = t.split(0, NORTH_POLE)
+    q = canonicalize((0.2, 0.3, 0.9))
+    e = circle_partners(NORTH_POLE, q)[0]
+    q0, q1 = t.split(n1, q)
+    m0, m1 = t.split(q0, canonicalize((0.5, -0.1, 0.7)))
+    first = len(t.facts)
+    on_circle = canonicalize(tuple(0.8 * a + 0.6 * b for a, b in zip(q.vec, e.vec)))
+    t.circle_zero(m1, t.branches[q0].assumption, on_circle, t.branches[n1].assumption)
+    return t, q1, m0, m1, first
+
+
+class TestInstanceRefusals:
+    """Each refusal of DerivationTrace.instance leaves the trace as it was."""
+
+    def refused(self, t, match, *args):
+        before = instance_state(t)
+        with pytest.raises(BadPremises, match=match):
+            t.instance(*args)
+        assert instance_state(t) == before
+
+    def test_identity_instance_of_a_sibling(self):
+        # the m = 1 child's circle step cites N = 1 and q = 0 from before
+        # first: hypotheses the m = 0 child sees, and the q = 1 child sees
+        # the other value of q
+        t, q1, m0, m1, first = sibling_argument()
+        n_one, q_zero = 1, t.branches[t.branches[m0].parent].assumption
+        self.refused(t, f"discharges hypothesis {q_zero}$", m1, first, q1, Rotation.identity())
+        n_rays = len(t.rays)
+        made = t.instance(m1, first, m0, Rotation.identity())
+        assert made.hypotheses == {n_one: n_one, q_zero: q_zero}
+        assert len(t.rays) == n_rays and all(r == j for r, j in made.rays.items())
+
+    def test_undischarged_hypothesis(self):
+        # copy N's hypothesis v(N) = 1 under the y frame, whose image is y:
+        # no fact on y at all, then only a 1 under v(x) = 0, out of v(x) = 1's
+        # scope, and under v(x) = 0 a 0 on x, the image under the x frame
+        t, n1, x0, x1 = copy_n_argument()
+        first, y_frame = t.branches[n1].assumption + 1, rotation_to_pole(canonicalize((0, 1, 0)))
+        self.refused(t, "discharges hypothesis", n1, first, x1, y_frame)
+        y0, y1 = t.split(x0, canonicalize((0, 1, 0)))
+        self.refused(t, "discharges hypothesis", n1, first, x1, y_frame)
+        x_frame = t.frame(t.branches[x1].assumption)
+        self.refused(t, "discharges hypothesis", n1, first, y0, x_frame)
+
+    def test_split_branch_and_branch_inside_the_body(self):
+        t, n1, x0, x1 = copy_n_argument()
+        first = t.branches[n1].assumption + 1
+        n0 = t.branches[x0].parent  # split on x
+        self.refused(t, "cannot hold an instance", n1, first, n0, Rotation.identity())
+        q0, q1 = t.branches[n1].children
+        self.refused(t, "cannot hold an instance", n1, first, q1, Rotation.identity())
+        self.refused(t, "cannot hold an instance", n1, first, n1, Rotation.identity())
+
+    def test_body_citing_a_fact_neither_in_it_nor_a_hypothesis(self):
+        # under v(N) = 1 split on q: from first on, e is zeroed in the split
+        # branch itself, and the q = 0 child cites that zero: it is outside
+        # the q = 0 child's body but not before first
+        t = DerivationTrace()
+        _, n1 = t.split(0, NORTH_POLE)
+        q = canonicalize((0.2, 0.3, 0.9))
+        e, w = circle_partners(NORTH_POLE, q)
+        q0, q1 = t.split(n1, q)
+        first = len(t.facts)
+        late = t.orthogonal_zero(n1, e, t.branches[n1].assumption)
+        t.triad_one(q0, w, t.branches[q0].assumption, late)
+        self.refused(t, f"fact {late}, cited .* is neither among them", q0, first, q1,
+                     Rotation.identity())
+
+    def test_identity_instance_nested_with_a_discharge_outside_the_body(self):
+        # an identity instance under v(N) = 1 whose hypothesis, v(N) = 1
+        # itself, lies outside copy N's body: copy N cannot be instanced
+        t = nested_outside()
+        n1, x1 = t.branches[0].children[1], t.branches[t.branches[0].children[0]].children[1]
+        self.refused(t, "holds an instance that is not an identity instance inside",
+                     n1, t.branches[n1].assumption + 1, x1, t.frame(t.branches[x1].assumption))
+
+
+def nested_outside(with_copy=False):
+    """A trace split on v(N) and v(x) under both of N's values. Under v(N) = 1,
+    the x = 1 child zeroes y against N, and the x = 0 child holds that as an
+    identity instance, discharging v(N) = 1 by itself. With with_copy, the
+    x = 1 child under v(N) = 0 holds copy N's body, which is all of this but
+    the identity instance."""
+    t = DerivationTrace()
+    n0, n1 = t.split(0, NORTH_POLE)
+    x = canonicalize((1, 0, 0))
+    a0, a1 = t.split(n1, x)
+    first = len(t.facts)
+    t.orthogonal_zero(a1, canonicalize((0, 1, 0)), t.branches[n1].assumption)
+    if not with_copy:
+        t.instance(a1, first, a0, Rotation.identity())
+    _, x1 = t.split(n0, x)
+    if with_copy:
+        copy_n(t, n1, x1, t.branches[x1].assumption)
+    return t
 
 
 class TestRayIndexMergeRadius:
@@ -844,6 +971,6 @@ class TestExtraction:
         n0, n1 = t.split(0, NORTH_POLE)
         _, x1 = t.split(n0, canonicalize((1, 0, 0)))
         t.orthogonal_zero(n1, canonicalize((1, 0, 0)), t.branches[n1].assumption)
-        t.instance(n1, x1, t.branches[x1].assumption)
+        copy_n(t, n1, x1, t.branches[x1].assumption)
         with pytest.raises(OpenBranch, match=r"contradiction: \[2, 3\]$"):
             extract_triad_system(t)

@@ -2,10 +2,12 @@
 
     PYTHONPATH=src python tests/trace_check.py TRACE [SYSTEM K]
 
-prints TRACE's fact counts by rule and exits 1 at a bad eps, its first bad
-branch, fact, split, instance or leaf, or a rule with no fact (a ks demo
-trace uses all five). Given SYSTEM and K, ksgeom's core-enumeration oracle
-must then refute SYSTEM over the 2^K cases of TRACE's split members and images.
+prints TRACE's fact counts by rule and its numbers of instances and of
+identity instances, and exits 1 at a record of the wrong shape, a bad eps,
+its first bad branch, fact, split, instance or leaf, or a rule with no fact
+(a ks demo trace uses all five). Given SYSTEM and K, ksgeom's
+core-enumeration oracle must then refute SYSTEM over the 2^K cases of
+TRACE's split members and images.
 """
 
 import json
@@ -30,8 +32,54 @@ def _index(x, n):
     return type(x) is int and 0 <= x < n
 
 
+def _ids(x, n=None):
+    """A list of ints, n of them if n is given."""
+    return type(x) is list and all(type(i) is int for i in x) and n in (None, len(x))
+
+
+def _id(x):
+    return type(x) is int
+
+
+def _id_or_none(x):
+    return x is None or type(x) is int
+
+
+def _pair_or_none(x):
+    return x is None or _ids(x, 2)
+
+
+#: Each record's keys, in order, and a test of each field's JSON type.
+FIELDS = {
+    "branches": ("branch", {"idx": _id, "parent": _id_or_none, "assumption": _id_or_none,
+                            "split": _id_or_none, "children": _pair_or_none,
+                            "contradiction": _pair_or_none}),
+    "facts": ("fact", {"ray": _id, "value": _id, "rule": lambda x: type(x) is str,
+                       "premises": _ids, "branch": _id}),
+    "instances": ("instance", {"branch": _id, "source": _id, "first": _id, "map": _ids,
+                               "hypotheses": _ids, "discharges": _ids}),
+}
+
+
+def _check_shapes(doc):
+    """Rejected at the first record whose keys or field types are not the schema's."""
+    keys = ["eps", "rays", "facts", "branches", "instances"]
+    _need(type(doc) is dict and list(doc) == keys and all(type(doc[k]) is list for k in keys[1:]),
+          "document", 0, f"is not an object of the lists {keys[1:]} after eps")
+    for k, ray in enumerate(doc["rays"]):
+        _need(type(ray) is list and len(ray) == 3 and all(type(c) is float for c in ray),
+              "ray", k, "is not three floats")
+    for block, (kind, fields) in FIELDS.items():
+        for k, record in enumerate(doc[block]):
+            _need(type(record) is dict and list(record) == list(fields)
+                  and all(ok(record[key]) for key, ok in fields.items()),
+                  kind, k, "has other keys or a field of another type")
+
+
 def check_trace(doc):
-    """(fact counts by rule, ray ids of the split members and their instance images)."""
+    """(fact counts by rule, ray ids of the split members and their instance
+    images, indices of the identity instances)."""
+    _check_shapes(doc)
     facts, rays, branches, eps = doc["facts"], doc["rays"], doc["branches"], doc["eps"]
     nf, nb = len(facts), len(branches)
     _need(type(eps) is float and 0.0 < eps < 1e-3, "eps", eps, "is not in (0, 1e-3)")
@@ -44,15 +92,14 @@ def check_trace(doc):
     for b, node in enumerate(branches):
         up = node["parent"]
         _need(node["idx"] == b and (_index(up, b) and b in (branches[up]["children"] or ()) if b
-                                    else (up, node["assumption"]) == (None, None)),
+                                    else (up, node["assumption"]) == (None, None))
+              and all(_index(f, nf) for f in node["contradiction"] or ()),
               "branch", b, "is not a child of an earlier branch")
         scopes.append({b, *(scopes[up] if b else ())})
     # a fact has five keys and cites earlier facts in its scope; a circle
     # step's 1 is on its q circle's pole, by triad_one or a split
     counts = dict.fromkeys("assume orthogonal_zero circle_zero lemma_zero triad_one".split(), 0)
     for fid, f in enumerate(facts):
-        _need(list(f) == ["ray", "value", "rule", "premises", "branch"],
-              "fact", fid, "has other keys")
         ray, value, rule, prem, home = f.values()
         _need(rule in counts and _index(ray, len(rays)) and _index(home, nb) and all(
             _index(p, fid) and facts[p]["branch"] in scopes[home] for p in prem),
@@ -75,37 +122,73 @@ def check_trace(doc):
         _need((m is None) == (len(kids) != 2) and [(a["rule"], a["ray"], a["value"], a["branch"])
               for a in assumed] == [("assume", m, v, c) for v, c in enumerate(kids)],
               "split", b, "is not assumed at 0 and then at 1 by its two children")
-    # an instance maps its body's rays, in first-use order, to images where every step holds
-    instances = doc["instances"]
-    sources, held = ({i.get(key) for i in instances} for key in ("source", "branch"))
-    members = dict.fromkeys(n["split"] for n in branches if n["split"] is not None)
+    # an instance's body: its source's facts from its first on, after the
+    # source's assumption and up to its split, and its descendants' facts; its
+    # hypotheses, the facts it cites or clashes on outside it, come before it
+    # in its source's scope; its rays in the order its facts first name them
+    instances, bodies = doc["instances"], []
     for k, inst in enumerate(instances):
-        _need(list(inst) == ["branch", "source", "pole_fact", "map"] and _index(inst["source"], nb)
-              and _index(inst["branch"], nb) and _index(inst["pole_fact"], nf),
-              "instance", k, "has other keys or an index out of range")
-        src, leaf, pole = inst["source"], inst["branch"], facts[inst["pole_fact"]]
-        body = [fid for fid, f in enumerate(facts) if src in scopes[f["branch"]]]
-        inside, order = set(body), list(dict.fromkeys(facts[fid]["ray"] for fid in body))
-        at, seed = dict(zip(order, inst["map"])), src and facts[branches[src]["assumption"]]
-        _need(len(order) == len(inst["map"]) and all(_index(j, len(rays)) for j in inst["map"])
-              and seed and (seed["value"], rays[seed["ray"]]) == (1, [0.0, 0.0, 1.0])
-              and not branches[leaf]["children"] and not sources & scopes[leaf] and pole["value"] == 1
-              and pole["branch"] in scopes[leaf] and at[seed["ray"]] == pole["ray"],
-              "instance", k, "is not a leaf outside every body, seeing a 1 on N's image")
+        src, first = inst["source"], inst["first"]
+        _need(_index(src, nb) and _index(inst["branch"], nb) and 0 <= first <= nf,
+              "instance", k, "has an index out of range")
+        body = [fid for fid in range(first, nf) if src in scopes[facts[fid]["branch"]]]
+        inside, order, cited = set(body), {}, []
         for fid in body:
             prem = facts[fid]["premises"]
-            _need(inside.issuperset(prem) and orthogonal(*(at[facts[p]["ray"]] for p in prem),
-                                                         at[facts[fid]["ray"]]),
+            order.update(dict.fromkeys([facts[p]["ray"] for p in prem] + [facts[fid]["ray"]]))
+            cited += prem
+        cited += [f for b in range(nb) if src in scopes[b] for f in branches[b]["contradiction"] or ()]
+        hyps = sorted(set(cited) - inside)
+        order.update(dict.fromkeys(facts[h]["ray"] for h in hyps))
+        node = branches[src]
+        _need((node["assumption"] is None or node["assumption"] < first)
+              and all(branches[c]["assumption"] >= first for c in node["children"] or ())
+              and all(h < first and facts[h]["branch"] in scopes[src] for h in hyps),
+              "instance", k, "cites a fact neither in its body nor before it in its source's scope")
+        bodies.append((inside, dict(zip(order, inst["map"])), hyps))
+    # each maps every body ray to an image where every body step holds, and
+    # discharges each hypothesis by a fact its leaf sees: the same value on
+    # the image of the same ray. An instance in its body is an earlier
+    # identity instance whose body and discharges lie in its body too.
+    held = [inst["branch"] for inst in instances]
+    members = dict.fromkeys(n["split"] for n in branches if n["split"] is not None)
+    for k, (inst, (inside, at, hyps)) in enumerate(zip(instances, bodies)):
+        src, leaf = inst["source"], inst["branch"]
+        splits = [n["split"] for b, n in enumerate(branches)
+                  if n["split"] is not None and src in scopes[b]]
+        _need(len(at) == len(inst["map"]) and all(_index(j, len(rays)) for j in inst["map"])
+              and all(m in at for m in splits) and not branches[leaf]["children"]
+              and src not in scopes[leaf] and held.count(leaf) == 1,
+              "instance", k, "is not one leaf outside its body, mapping every body ray")
+        _need(inst["hypotheses"] == hyps and len(inst["discharges"]) == len(hyps),
+              "instance", k, f"does not list its hypotheses {hyps} and a discharge of each")
+        for h, d in zip(hyps, inst["discharges"]):
+            _need(_index(d, nf) and facts[d]["branch"] in scopes[leaf],
+                  "instance", k, f"discharges hypothesis {h} by a fact its leaf does not see")
+            _need(facts[d]["ray"] == at[facts[h]["ray"]],
+                  "instance", k, f"discharges hypothesis {h} by a fact off its ray's image")
+            _need(facts[d]["value"] == facts[h]["value"],
+                  "instance", k, f"discharges hypothesis {h} by a fact of the other value")
+        for fid in sorted(inside):
+            prem = facts[fid]["premises"]
+            _need(orthogonal(*(at[facts[p]["ray"]] for p in prem), at[facts[fid]["ray"]]),
                   "instance", k, f"fails at body fact {fid}")
-        members.update(dict.fromkeys(at[n["split"]] for b, n in enumerate(branches)
-                                     if n["split"] is not None and src in scopes[b]))
+        for j, other in enumerate(instances):
+            if src in scopes[other["branch"]]:
+                o_inside, o_at, _ = bodies[j]
+                _need(j < k and all(r == i for r, i in o_at.items()) and o_inside <= inside
+                      and inside.issuperset(other["discharges"]),
+                      "instance", k, f"holds instance {j}, not an earlier identity instance "
+                      "argued and discharged inside its body")
+        members.update(dict.fromkeys(at[m] for m in splits))
     for b, node in enumerate(branches):  # a leaf clashes, one ray at 0 and 1 in its scope
         pair = node["contradiction"] or []
         _need(node["children"] or b in held or len(pair) == 2 and all(
-            _index(f, nf) and facts[f]["branch"] in scopes[b] for f in pair)
+            facts[f]["branch"] in scopes[b] for f in pair)
             and facts[pair[0]]["ray"] == facts[pair[1]]["ray"]
             and {facts[f]["value"] for f in pair} == {0, 1}, "leaf", b, "holds no clash")
-    return counts, list(members)
+    identity = [k for k, (_, at, _) in enumerate(bodies) if all(r == i for r, i in at.items())]
+    return counts, list(members), identity
 
 
 def check_oracle(system, core, k):
@@ -124,8 +207,9 @@ def main(argv):
         sys.exit(__doc__)
     doc = json.loads(Path(argv[0]).read_bytes())
     try:
-        counts, core = check_trace(doc)
+        counts, core, identity = check_trace(doc)
         print(f"{argv[0]}: {len(doc['facts'])} facts checked {counts}")
+        print(f"{argv[0]}: {len(doc['instances'])} instances, {len(identity)} of them identity")
         if not all(counts.values()):
             sys.exit(f"{argv[0]}: a rule has no fact")
         if len(argv) == 3:
