@@ -388,9 +388,10 @@ class DerivationTrace:
         Each hypothesis is discharged by the fact of its value on its mapped ray
         that branch sees. Refused before anything is stored: a frame that is no
         signed permutation, a branch that is split or sees the source, a body that
-        _compile refuses, an undischarged hypothesis, a body step failing on the
-        mapped rays (stored ones where _find has them). Stores the new images, no
-        fact.
+        _compile refuses, a body step failing on the mapped rays (stored ones where
+        _find has them), an undischarged hypothesis. Under the identity each body
+        ray is its own image, and its steps were checked when they were stored.
+        Stores the new images, no fact.
         """
         if any(c not in (0.0, 1.0, -1.0) for row in frame.rows for c in row):
             raise BadPremises("frame is not a signed permutation")
@@ -403,10 +404,16 @@ class DerivationTrace:
             order, hypotheses, triads, zeros = known[3:]
         else:
             order, hypotheses, triads, zeros = self._compile(source, first)
-        identity = frame == _IDENTITY
-        if not identity:
+        if frame == _IDENTITY:
+            found = [(r, rays[r]) for r in order]
+        else:
             found = [self._find(image) for image in _images(frame, [rays[r] for r in order])]
-        image = dict(zip(order, order if identity else (j for j, _ in found)))
+            at = [ray for _, ray in found]
+            for a, b, c in triads:
+                check_tripod(at[a], at[b], at[c])
+            for one, r in zeros:
+                _check_zero(at[one], at[r])
+        image = dict(zip(order, (j for j, _ in found)))
         discharged = {}
         for h in hypotheses:
             fact = facts[h]
@@ -415,13 +422,7 @@ class DerivationTrace:
             if d is None or facts[d].value != fact.value:
                 raise BadPremises(f"no fact in branch {branch}'s scope discharges hypothesis {h}")
             discharged[h] = d
-        if not identity:  # the identity's images are the body rays, their steps checked as stored
-            at = [ray for _, ray in found]
-            for a, b, c in triads:
-                check_tripod(at[a], at[b], at[c])
-            for one, r in zeros:
-                _check_zero(at[one], at[r])
-            image = dict(zip(order, [self._file(ray) if j is None else j for j, ray in found]))
+        image = dict(zip(order, [self._file(ray) if j is None else j for j, ray in found]))
         made = Instance(branch, source, first, image, discharged, triads, zeros)
         self.instances.append(made)
         return made
@@ -536,8 +537,6 @@ def extract_triad_system(t: DerivationTrace) -> TriadSystem:
             zero_pairs[(a, ray) if a < ray else (ray, a)] = None
     for i in t.instances:  # the compiled body's steps, through the instance's map
         at = list(i.rays.values())
-        if list(i.rays) == at:  # an identity instance's steps are its body's facts'
-            continue
         triads.update(dict.fromkeys(tuple(sorted((at[a], at[b], at[c]))) for a, b, c in i.triads))
         zero_pairs.update(dict.fromkeys((min(at[a], at[r]), max(at[a], at[r])) for a, r in i.zeros))
     covered = {e for a, b, c in triads for e in ((a, b), (a, c), (b, c))}

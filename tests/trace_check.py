@@ -151,6 +151,7 @@ def check_trace(doc):
     # the image of the same ray. An instance in its body is an earlier
     # identity instance whose body and discharges lie in its body too.
     held = [inst["branch"] for inst in instances]
+    identity = [k for k, (_, at, _) in enumerate(bodies) if all(r == i for r, i in at.items())]
     members = dict.fromkeys(n["split"] for n in branches if n["split"] is not None)
     for k, (inst, (inside, at, hyps)) in enumerate(zip(instances, bodies)):
         src, leaf = inst["source"], inst["branch"]
@@ -175,8 +176,7 @@ def check_trace(doc):
                   "instance", k, f"fails at body fact {fid}")
         for j, other in enumerate(instances):
             if src in scopes[other["branch"]]:
-                o_inside, o_at, _ = bodies[j]
-                _need(j < k and all(r == i for r, i in o_at.items()) and o_inside <= inside
+                _need(j < k and j in identity and bodies[j][0] <= inside
                       and inside.issuperset(other["discharges"]),
                       "instance", k, f"holds instance {j}, not an earlier identity instance "
                       "argued and discharged inside its body")
@@ -187,7 +187,6 @@ def check_trace(doc):
             facts[f]["branch"] in scopes[b] for f in pair)
             and facts[pair[0]]["ray"] == facts[pair[1]]["ray"]
             and {facts[f]["value"] for f in pair} == {0, 1}, "leaf", b, "holds no clash")
-    identity = [k for k, (_, at, _) in enumerate(bodies) if all(r == i for r, i in at.items())]
     return counts, list(members), identity
 
 
