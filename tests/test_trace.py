@@ -27,10 +27,13 @@ from ksgeom.sphere import (
     rotation_to_pole,
     third_point,
 )
+from ksgeom.system import TriadSystem
 from ksgeom.trace import (
     CELL,
+    RULE_ASSUME,
     RULE_CIRCLE_ZERO,
     RULE_LEMMA_ZERO,
+    RULE_TRIAD_ONE,
     CertWitness,
     DerivationTrace,
     ValueFact,
@@ -41,6 +44,39 @@ from ksgeom.trace import (
 from conftest import given, random_northern
 
 R2 = math.sqrt(0.5)
+
+
+def reference_extract(t: DerivationTrace) -> TriadSystem:
+    """extract_triad_system as it was written before its loops were tuned,
+    sorting each constraint before and after the remap; the production
+    extraction must give an equal system. The trace must be closed."""
+    facts = t.facts
+    triads: dict[tuple[int, ...], None] = {}
+    zero_pairs: dict[tuple[int, int], None] = {}
+    for ray, _, rule, premises, _, _ in facts:
+        if rule == RULE_TRIAD_ONE:
+            triads[tuple(sorted((facts[premises[0]].ray, facts[premises[1]].ray, ray)))] = None
+        elif rule != RULE_ASSUME:
+            a = facts[premises[0]].ray
+            zero_pairs[(a, ray) if a < ray else (ray, a)] = None
+    for i in t.instances:
+        at = list(i.rays.values())
+        triads.update(dict.fromkeys(tuple(sorted((at[a], at[b], at[c]))) for a, b, c in i.triads))
+        zero_pairs.update(dict.fromkeys((min(at[a], at[r]), max(at[a], at[r])) for a, r in i.zeros))
+    covered = {e for a, b, c in triads for e in ((a, b), (a, c), (b, c))}
+    pairs = [pair for pair in zero_pairs if pair not in covered]
+    images = {i.branch: [i.rays[b.split] for b in t.branches
+                         if b.split is not None and i.source in b.scope] for i in t.instances}
+    members = [m for b in t.branches for m in images.get(b.idx, [b.split])[:1] if m is not None]
+    members += [m for made in images.values() for m in made[1:]]
+    touched = dict.fromkeys(members + [i for tri in triads for i in tri]
+                            + [i for pair in pairs for i in pair])
+    remap = {old: new for new, old in enumerate(touched)}
+    return TriadSystem(
+        rays=tuple(t.rays[old] for old in touched),
+        triads=tuple(tuple(sorted(remap[i] for i in tri)) for tri in triads),
+        pairs=tuple((min(remap[a], remap[b]), max(remap[a], remap[b])) for a, b in pairs),
+    )
 
 
 def seeded():
@@ -974,3 +1010,41 @@ class TestExtraction:
         copy_n(t, n1, x1, t.branches[x1].assumption)
         with pytest.raises(OpenBranch, match=r"contradiction: \[2, 3\]$"):
             extract_triad_system(t)
+
+
+def closed(t):
+    """t with a clash (0, 1) recorded on each open leaf, as
+    test_image_under_the_x_axis closes its trace: extraction reads no clash."""
+    for leaf in t.open_leaves():
+        t.branches[leaf].contradiction = (0, 1)
+    return t
+
+
+def copy_n_twice():
+    t, n1, x0, x1 = copy_n_argument()
+    copy_n(t, n1, x1, t.branches[x1].assumption)
+    _, y1 = t.split(x0, canonicalize((0, 1, 0)))
+    copy_n(t, n1, y1, t.branches[y1].assumption)
+    return t
+
+
+def sibling_identity_instance():
+    t, _, m0, m1, first = sibling_argument()
+    t.instance(m1, first, m0, Rotation.identity())
+    return t
+
+
+class TestReferenceExtraction:
+    """The hand-built traces that hold instances, closed, extract to the
+    reference's system; tests/test_corpus.py checks the demos and the corpus."""
+
+    @pytest.mark.parametrize("build", [
+        copy_n_twice,
+        sibling_identity_instance,
+        nested_outside,
+        lambda: nested_outside(with_copy=True),
+    ], ids=["copy_n_twice", "sibling_identity", "nested_identity", "nested_with_copy"])
+    def test_equal_to_the_reference(self, build):
+        t = closed(build())
+        assert t.instances
+        assert extract_triad_system(t) == reference_extract(t)
