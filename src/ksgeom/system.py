@@ -44,6 +44,7 @@ class TriadSystem:
     triads: tuple[tuple[int, int, int], ...]
     pairs: tuple[tuple[int, int], ...] = ()
     eps: float = EPS
+    _report = None  # validate_system's, kept in __dict__ once made
 
     def __post_init__(self) -> None:
         n = len(self.rays)
@@ -66,18 +67,26 @@ class TriadSystem:
             if not (0 <= a < n and 0 <= b < n and a != b):
                 raise ValidationError(f"pair indices out of range or repeated: {(a, b)}")
 
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_report"}
+
     @property
     def n_rays(self) -> int:
         return len(self.rays)
 
 
 def validate_system(s: TriadSystem) -> ValidationReport:
-    """Recompute every constrained pairwise dot; accept iff all within eps.
+    """Every constrained pairwise dot; accept iff all within eps.
 
     Triad edges come first, then the pairs; each dot is summed in dot()'s
     order, read from the rays' fields. Fails closed: a NaN dot is an
-    offender and makes worst_residual NaN.
+    offender and makes worst_residual NaN. The report, accepted or not, is
+    kept on the system as a Ray keeps its text (no field: not in ==, hash,
+    repr, copy or pickle); later calls, as solve's on a system that
+    load_system returned, reuse it.
     """
+    if s._report is not None:
+        return s._report
     rays, eps = s.rays, s.eps
     worst = 0.0
     offenders: list[tuple[int, int]] = []
@@ -88,7 +97,8 @@ def validate_system(s: TriadSystem) -> ValidationReport:
             worst = r
         if not r <= eps:
             offenders.append((i, j))
-    return ValidationReport(not offenders, worst_residual=worst, offenders=tuple(offenders))
+    report = s.__dict__["_report"] = ValidationReport(not offenders, worst, tuple(offenders))
+    return report
 
 
 def _compact(obj: object) -> str:

@@ -527,28 +527,33 @@ def extract_triad_system(t: DerivationTrace) -> TriadSystem:
         raise OpenBranch(f"branches without contradiction: {open_leaves}")
 
     facts = t.facts
-    triads: dict[tuple[int, ...], None] = {}
+    triads: dict[tuple[int, ...], None] = {}  # each tripod's rays in increasing order
     zero_pairs: dict[tuple[int, int], None] = {}
     for ray, _, rule, premises, _, _ in facts:
         if rule == RULE_TRIAD_ONE:
-            triads[tuple(sorted((facts[premises[0]].ray, facts[premises[1]].ray, ray)))] = None
+            a, b = facts[premises[0]].ray, facts[premises[1]].ray
+            triads[(a, b, ray) if a < b < ray else tuple(sorted((a, b, ray)))] = None
         elif rule != RULE_ASSUME:  # a derived zero and its one premise
             a = facts[premises[0]].ray
             zero_pairs[(a, ray) if a < ray else (ray, a)] = None
     for i in t.instances:  # the compiled body's steps, through the instance's map
         at = list(i.rays.values())
-        triads.update(dict.fromkeys(tuple(sorted((at[a], at[b], at[c]))) for a, b, c in i.triads))
-        zero_pairs.update(dict.fromkeys((min(at[a], at[r]), max(at[a], at[r])) for a, r in i.zeros))
+        for a, b, c in [(at[a], at[b], at[c]) for a, b, c in i.triads]:
+            triads[(a, b, c) if a < b < c else tuple(sorted((a, b, c)))] = None
+        for a, r in [(at[a], at[r]) for a, r in i.zeros]:
+            zero_pairs[(a, r) if a < r else (r, a)] = None
     covered = {e for a, b, c in triads for e in ((a, b), (a, c), (b, c))}
     pairs = [pair for pair in zero_pairs if pair not in covered]
 
     touched = dict.fromkeys(_split_members(t) + [i for tri in triads for i in tri]
                             + [i for pair in pairs for i in pair])
-    remap = {old: new for new, old in enumerate(touched)}
+    remap = dict(zip(touched, range(len(touched))))
+    new = [(remap[a], remap[b], remap[c]) for a, b, c in triads]
+    two = [(remap[a], remap[b]) for a, b in pairs]
     return TriadSystem(
-        rays=tuple(t.rays[old] for old in touched),
-        triads=tuple(tuple(sorted(remap[i] for i in tri)) for tri in triads),  # type: ignore[misc]
-        pairs=tuple((min(remap[a], remap[b]), max(remap[a], remap[b])) for a, b in pairs),
+        rays=tuple([t.rays[old] for old in touched]),
+        triads=tuple([(a, b, c) if a < b < c else tuple(sorted((a, b, c))) for a, b, c in new]),
+        pairs=tuple([(a, b) if a < b else (b, a) for a, b in two]),
     )
 
 
@@ -559,9 +564,14 @@ def decision_core(t: DerivationTrace, system: TriadSystem) -> tuple[int, ...]:
     other value is forced: the right core for the core-enumeration
     cross-check. Members are looked up by exact equality: the system's rays
     are the trace's own, and the table never holds two rays of one subspace.
+    The scan stops at the last member: an extracted system's first k rays.
     """
-    index = {ray: i for i, ray in enumerate(system.rays)}
-    try:
-        return tuple(index[t.rays[m]] for m in dict.fromkeys(_split_members(t)))
-    except KeyError:
-        raise BadPremises("split member missing from extracted system") from None
+    core = dict.fromkeys(t.rays[m] for m in dict.fromkeys(_split_members(t)))
+    for i, ray in enumerate(system.rays):
+        if core.get(ray, i) is None:  # a member not yet found
+            core[ray] = i
+            if None not in core.values():
+                break
+    if None in core.values():
+        raise BadPremises("split member missing from extracted system")
+    return tuple(core.values())

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from ksgeom import kernels
+from ksgeom import system as system_module
 from ksgeom.coloring import (
     LANE_BITS,
     SolveMode,
@@ -17,7 +18,7 @@ from ksgeom.coloring import (
 from ksgeom.demos import demo_first_proof, demo_second_proof
 from ksgeom.errors import InvalidSystem
 from ksgeom.sphere import Ray, canonicalize, complete_tripod
-from ksgeom.system import TriadSystem, validate_system
+from ksgeom.system import TriadSystem, load_system, save_system, validate_system
 from ksgeom.trace import decision_core, extract_triad_system
 
 from conftest import random_northern_nonpole
@@ -245,6 +246,25 @@ class TestValidation:
     def test_nan_system_rejected(self, nan_ray):
         with pytest.raises(InvalidSystem):
             solve(TriadSystem(rays=(AXES[1], AXES[2], nan_ray), triads=((0, 1, 2),)))
+
+    def test_invalid_system_refused_on_every_call(self):
+        bad = TriadSystem(rays=(AXES[0], AXES[1], canonicalize((0.6, 0.0, 0.8))), triads=((0, 1, 2),))
+        for _ in range(2):  # the second call reads the kept report
+            with pytest.raises(InvalidSystem, match=r"at \(\(0, 2\), \(1, 2\)\)"):
+                solve(bad)
+
+    def test_load_then_solve_computes_the_dots_once(self, monkeypatch):
+        # validate_system takes one abs per constrained dot: counting them
+        # counts passes over the constraints, whoever makes them
+        s = extract_triad_system(demo_second_proof())
+        text = save_system(s)
+        dots = []
+        monkeypatch.setattr(system_module, "abs", lambda r: dots.append(r) or abs(r), raising=False)
+        loaded = load_system(text)
+        assert len(dots) == 3 * len(s.triads) + len(s.pairs)
+        assert solve(loaded, SolveMode.PROVE_NONE).count == 0
+        assert validate_system(loaded) is validate_system(loaded)
+        assert len(dots) == 3 * len(s.triads) + len(s.pairs)
 
 
 def propagate_one_case(s: TriadSystem, vals: list[int]) -> bool:

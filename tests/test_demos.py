@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 from typing import NamedTuple
@@ -424,6 +425,33 @@ class TestPinnedOutputs:
     def test_core_member_missing_from_system(self, second_trace):
         with pytest.raises(BadPremises):
             decision_core(second_trace, TriadSystem(rays=(), triads=()))
+
+
+class TestCoreOfAPermutedSystem:
+    """decision_core scans for the members wherever they are, not only in the
+    leading rays where extraction puts them."""
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_core_names_the_same_rays(self, which, first_trace, second_trace):
+        t = first_trace if which == "first" else second_trace
+        system = extract_triad_system(t)
+        core = decision_core(t, system)
+        order = list(range(system.n_rays))  # order[new] is the ray's old index
+        random.Random(which).shuffle(order)
+        new = {old: i for i, old in enumerate(order)}
+        permuted = TriadSystem(
+            rays=tuple(system.rays[old] for old in order),
+            triads=tuple(tuple(sorted(new[i] for i in tri)) for tri in system.triads),
+            pairs=tuple(tuple(sorted(new[i] for i in pair)) for pair in system.pairs),
+        )
+        assert validate_system(permuted)
+        moved = decision_core(t, permuted)
+        assert moved == tuple(new[i] for i in core) and moved != core
+        assert [permuted.rays[i] for i in moved] == [system.rays[i] for i in core]
+        # without the member scanned last, the scan reaches the end and refuses
+        gone = permuted.rays[max(moved)]
+        with pytest.raises(BadPremises, match="split member missing"):
+            decision_core(t, TriadSystem(rays=tuple(r for r in permuted.rays if r != gone), triads=()))
 
 
 @pytest.fixture(scope="module")

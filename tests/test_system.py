@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import pytest
 
@@ -84,6 +86,28 @@ class TestValidate:
             doc["pairs"] = [list(pair)]
             with pytest.raises(ParseError, match="^malformed document"):
                 load_system(json.dumps(doc))
+
+
+class TestKeptReport:
+    """validate_system keeps its report on the system object, outside its fields."""
+
+    def test_report_kept_and_not_a_field(self):
+        s = constant_tripod_system()
+        report = validate_system(s)
+        assert validate_system(s) is report
+        fresh = constant_tripod_system()
+        assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+        assert "_report" not in repr(s)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_or_pickle_carries_the_fields_alone(self, clone):
+        s = constant_tripod_system()
+        report = validate_system(s)
+        again = clone(s)
+        assert again == s and "_report" not in again.__dict__
+        assert validate_system(again) == report and validate_system(again) is not report
 
 
 class TestRoundTrip:
