@@ -37,12 +37,12 @@ class ColoringResult:
 
 
 def solve(s: TriadSystem, mode: SolveMode = SolveMode.COUNT) -> ColoringResult:
-    """Run the backtracking search; see SolveMode for stopping behaviour.
+    """Search s for colorings once validate_system accepts it, else InvalidSystem.
 
+    A report kept on s is reused, so after load_system no dot is recomputed.
     COUNT returns the exact number of total colorings; FIRST_WITNESS and
     PROVE_NONE stop at the first witness, so exhaustive is True only when
-    none exists. Deterministic: static lowest-index branch order, value 1
-    tried before 0, identical node counts across runs.
+    none exists. Deterministic: static lowest-index branch order, 1 first.
     """
     report = validate_system(s)
     if not report:

@@ -12,27 +12,26 @@ nodes of PROVE_NONE; an input whose build raises records the exception's
 name. The inputs are both demos at their defaults, the benchmark's
 demo-pipeline targets at seed 1 (the round that seed draws; the pipeline's
 demo second is the demo above), and golden-angle demo first targets over the
-whole admissible band, theta in (0, pi/4), with a few near each edge.
+whole admissible band, theta in (1e-4, pi/4 - 1e-4), with a few near each edge.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
 from pathlib import Path
 
 from ksgeom.coloring import SolveMode, solve
-from ksgeom.demos import DEFAULT_POLE_ANGLE, demo_first_proof, demo_second_proof
+from ksgeom.demos import demo_first_proof, demo_second_proof
 from ksgeom.errors import KsError
 from ksgeom.serialize import save_trace
-from ksgeom.sphere import canonicalize
 from ksgeom.system import save_system
 from ksgeom.trace import decision_core, extract_triad_system
 
+from test_demos import GOLDEN_ANGLE, default_pole, polar_target, sha256
+
 CORPUS = Path(__file__).with_name("corpus.json")
-GOLDEN_ANGLE = math.pi * (3 - math.sqrt(5))
 
 #: demo-pipeline's demo first targets (theta, phi) at seed 1, in the round's order.
 SEED1_TARGETS = [
@@ -66,16 +65,10 @@ def golden_targets() -> list[tuple[float, float]]:
     return [(theta, i * GOLDEN_ANGLE % (2 * math.pi)) for i, theta in enumerate(thetas)]
 
 
-def polar_target(theta: float, phi: float):
-    st = math.sin(theta)
-    return canonicalize((st * math.cos(phi), st * math.sin(phi), math.cos(theta)))
-
-
 def inputs() -> list[tuple[str, object]]:
     """(name, build) for every corpus input; build() returns its trace."""
-    default = canonicalize((0.0, math.sin(DEFAULT_POLE_ANGLE), math.cos(DEFAULT_POLE_ANGLE)))
     made: list[tuple[str, object]] = [
-        ("demo first", lambda: demo_first_proof(default)),
+        ("demo first", lambda: demo_first_proof(default_pole())),
         ("demo second", demo_second_proof),
     ]
     for kind, targets in (("seed1", SEED1_TARGETS), ("golden", golden_targets())):
@@ -83,10 +76,6 @@ def inputs() -> list[tuple[str, object]]:
             made.append((f"{kind} {i} theta={theta!r} phi={phi!r}",
                          lambda theta=theta, phi=phi: demo_first_proof(polar_target(theta, phi))))
     return made
-
-
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def record(t) -> dict:

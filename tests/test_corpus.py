@@ -6,6 +6,8 @@ input and the first value that moved; python tests/corpus.py prints them all.
 
 import pytest
 
+from ksgeom.trace import extract_triad_system
+
 import corpus
 from test_trace import reference_extract
 
@@ -16,12 +18,9 @@ def built():
     return [(name, *corpus.build(make)) for name, make in corpus.inputs()]
 
 
-def test_inputs_are_the_pinned_ones(built):
-    assert [name for name, _, _ in built] == list(corpus.pinned())
-
-
 def test_every_input_rebuilds_its_record(built):
     pinned = corpus.pinned()
+    assert [name for name, _, _ in built] == list(pinned)
     for name, _, record in built:
         for key, value in pinned[name].items():
             assert record.get(key) == value, f"{name}: {key} differs (python tests/corpus.py)"
@@ -31,4 +30,4 @@ def test_every_input_rebuilds_its_record(built):
 def test_extraction_equals_the_reference(built):
     for name, t, _ in built:
         if t is not None:
-            assert corpus.extract_triad_system(t) == reference_extract(t), name
+            assert extract_triad_system(t) == reference_extract(t), name
