@@ -8,7 +8,8 @@ cross-check it. The first filters every total assignment; the second
 closes all 2^k cases of a core under the forced-value rules at once, one
 case per bit of Python-int masks, scanning the constraints in order of
 largest ray index. That order follows the derivation for extracted
-systems, so a demo closure ends in 3-4 scans.
+systems, so a demo closure ends in 3-4 scans. They raise ValueError past
+their caps, read at call time: ENUMERATION_CAP rays and CORE_CAP core rays.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from . import kernels
 from .errors import InvalidSystem
 from .system import TriadSystem, validate_system
 
+ENUMERATION_CAP, CORE_CAP = 22, 20
+
 
 class SolveMode(enum.Enum):
     COUNT = "count"
@@ -29,7 +32,6 @@ class SolveMode(enum.Enum):
 
 @dataclass(frozen=True)
 class ColoringResult:
-    mode: SolveMode
     count: int
     witness: tuple[int, ...] | None
     nodes_explored: int
@@ -54,7 +56,6 @@ def solve(s: TriadSystem, mode: SolveMode = SolveMode.COUNT) -> ColoringResult:
         s.n_rays, s.triads, s.pairs, mode is not SolveMode.COUNT
     )
     return ColoringResult(
-        mode=mode,
         count=count,
         witness=tuple(witness) if witness is not None else None,
         nodes_explored=nodes,
@@ -72,11 +73,11 @@ def is_valid_coloring(s: TriadSystem, assignment: tuple[int, ...]) -> bool:
     return True
 
 
-def count_colorings_by_enumeration(s: TriadSystem, limit: int = 22) -> int:
+def count_colorings_by_enumeration(s: TriadSystem) -> int:
     """Truth-table oracle: filter all 2^n assignments. Only for small n."""
     n = s.n_rays
-    if n > limit:
-        raise ValueError(f"enumeration oracle capped at {limit} rays, got {n}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"enumeration oracle capped at {ENUMERATION_CAP} rays, got {n}")
     tri_masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in s.triads]
     pair_masks = [(1 << a) | (1 << b) for a, b in s.pairs]
     count = 0
@@ -159,9 +160,7 @@ def _close_lanes(
     return bad
 
 
-def refute_by_core_enumeration(
-    s: TriadSystem, core: list[int], limit: int = 20
-) -> tuple[bool, int]:
+def refute_by_core_enumeration(s: TriadSystem, core: list[int]) -> tuple[bool, int]:
     """Complete case analysis over a core ray subset.
 
     Enumerates every assignment of the core rays and extends each by forced
@@ -179,8 +178,8 @@ def refute_by_core_enumeration(
     conflicts exactly when its case, propagated alone, would.
     """
     k = len(core)
-    if k > limit:
-        raise ValueError(f"core enumeration capped at {limit} rays, got {k}")
+    if k > CORE_CAP:
+        raise ValueError(f"core enumeration capped at {CORE_CAP} rays, got {k}")
     for ray in core:
         if isinstance(ray, bool) or not isinstance(ray, int) or not 0 <= ray < s.n_rays:
             raise ValueError(f"core ray {ray!r} is not an index in [0, {s.n_rays})")

@@ -30,9 +30,9 @@ deriving the opposite value of a visible fact records the branch's clash.
 Circle steps work in world coordinates, from q and the pole fact's stored
 ray by circle_partners: "by a rotation we can assume the pole is N" with no
 rotation. lemma_zero alone uses a frame, rotation_to_pole of the pole
-fact's ray (once per ray; the identity at N): its reach certificate, made
-once per pair of frame-coordinate q and p and kept in memory as the fact's
-witness, is built in frame coordinates and mapped back to world rays.
+fact's ray (once per ray; the identity at N): its reach certificate, kept
+in memory as the fact's witness, is built in frame coordinates and mapped
+back to world rays.
 
 An instance stores a body again under another branch, with no fact: the
 body is a branch's facts from a given first fact on and its descendants', and
@@ -166,7 +166,6 @@ class DerivationTrace:
         self.instances: list[Instance] = []
         self._frames: dict[int, Rotation] = {}  # by pole ray index
         self._cells: dict[tuple[int, ...], list[int]] = {}
-        self._certs: dict[tuple[Ray, Ray], ReachCertificate] = {}  # by frame (q, p)
 
     # -- ray table ---------------------------------------------------------
 
@@ -358,22 +357,13 @@ class DerivationTrace:
         return self._macro_step(branch, q_fact, p, pole_fact, RULE_CIRCLE_ZERO)
 
     def lemma_zero(self, branch: int, q_fact: int, p: Ray, pole_fact: int) -> int:
-        """Zero a lower northern point through a reach certificate.
-
-        One certificate serves every call whose frame coordinates of q and p
-        are the same, in whichever frame. Frame coordinates come from
-        canonicalize, which never returns -0.0, so equal rays are equal bits.
-        """
+        """Zero a lower northern point through a reach certificate."""
         self._require_visible(branch, (pole_fact, q_fact))
         frame = self.frame(pole_fact)
         fq = self.facts[q_fact]
         if fq.value != 0:
             raise PremiseNotZero(f"fact {q_fact} does not assign value 0")
-        qf, pf = to_frame(frame, self.rays[fq.ray]), to_frame(frame, p)
-        key = (qf, pf)
-        cert = self._certs.get(key)
-        if cert is None:
-            cert = self._certs[key] = reach(qf, pf)
+        cert = reach(to_frame(frame, self.rays[fq.ray]), to_frame(frame, p))
         prev = q_fact
         for vec in cert.points[1:-1]:
             prev = self._macro_step(branch, prev, to_world(frame, vec), pole_fact, RULE_CIRCLE_ZERO)
@@ -437,7 +427,9 @@ class DerivationTrace:
         assumption or split among its facts, a fact cited or clashed on outside
         it that is not before first in source's scope, or an instance in
         source's subtree that is not an identity instance with its body and
-        discharging facts inside this body.
+        discharging facts inside this body. A nested instance is an identity
+        one by its map, which carries it into an outer body and which
+        tests/trace_check.py reads; instance asks its frame, before any map.
         """
         branches, facts = self.branches, self.facts
         node = branches[source]

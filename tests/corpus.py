@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/corpus.py [--write]
 
 rebuilds every input and prints, for each input whose record changed, the
-pinned and the new values. With --write it also rewrites corpus.json, for a
-change that is meant to alter the documents.
+pinned and the new values. It exits 1 when any record differs, unless
+--write is given: then it rewrites corpus.json, for a change that is meant
+to alter the documents, and exits 0.
 
 Each record holds the sha256 of the input's trace.json and system.json, its
 counts (rays, facts, branches, instances), its decision core and the kernel
@@ -114,7 +115,8 @@ def main(argv: list[str]) -> int:
     if "--write" in argv:
         CORPUS.write_text("{\n%s\n}\n" % ",\n".join(
             f"{json.dumps(name)}: {json.dumps(rec)}" for name, rec in new.items()))
-    return 0
+        return 0
+    return int(old != new)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from ksgeom import kernels
+from ksgeom import coloring, kernels
 from ksgeom import system as system_module
 from ksgeom.coloring import (
     LANE_BITS,
@@ -143,6 +143,19 @@ class TestCalibration:
     def test_empty_system(self):
         s = TriadSystem(rays=(), triads=())
         assert solve(s).count == 1  # the empty coloring
+
+    def test_enumeration_cap(self, monkeypatch):
+        # 23 unconstrained rays, one past the cap: refused before the first
+        # of their 2^23 assignments, so the module's range is never called
+        rays = tuple(canonicalize((math.cos(0.1 * i), math.sin(0.1 * i), 1.0)) for i in range(23))
+        monkeypatch.setattr(coloring, "range", lambda *a: pytest.fail("enumerated"), raising=False)
+        with pytest.raises(ValueError, match="capped at 22 rays, got 23"):
+            count_colorings_by_enumeration(TriadSystem(rays=rays, triads=()))
+        monkeypatch.undo()
+        monkeypatch.setattr(coloring, "ENUMERATION_CAP", 3)  # read at call time
+        assert count_colorings_by_enumeration(TriadSystem(rays=rays[:3], triads=())) == 8
+        with pytest.raises(ValueError, match="capped at 3 rays, got 4"):
+            count_colorings_by_enumeration(TriadSystem(rays=rays[:4], triads=()))
 
     def test_determinism_five_runs(self):
         s = two_triads_sharing_one()
@@ -344,10 +357,11 @@ class TestCoreRefutation:
         # case 1 sets rays 1 and 2 to 1 and conflicts; case 2 stalls
         assert refute_by_core_enumeration(single_triad(), [1, 2]) == (False, 2)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         s = two_triads_sharing_one()
+        monkeypatch.setattr(coloring, "CORE_CAP", 4)
         with pytest.raises(ValueError):
-            refute_by_core_enumeration(s, list(range(5)), limit=4)
+            refute_by_core_enumeration(s, list(range(5)))
         with pytest.raises(ValueError):
             refute_by_core_enumeration(s, [0, 0])
 

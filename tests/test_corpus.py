@@ -4,6 +4,8 @@ A refactor of the build, extraction, core or kernel shows here as the first
 input and the first value that moved; python tests/corpus.py prints them all.
 """
 
+import json
+
 import pytest
 
 from ksgeom.trace import extract_triad_system
@@ -31,3 +33,19 @@ def test_extraction_equals_the_reference(built):
     for name, t, _ in built:
         if t is not None:
             assert extract_triad_system(t) == reference_extract(t), name
+
+
+def test_script_exits_1_on_a_difference_unless_it_writes(tmp_path, monkeypatch, capsys):
+    two = corpus.inputs()[:2]
+    pinned = {name: rec for name, rec in corpus.pinned().items() if name in dict(two)}
+    path = tmp_path / "corpus.json"
+    monkeypatch.setattr(corpus, "inputs", lambda: two)
+    monkeypatch.setattr(corpus, "CORPUS", path)
+    path.write_text(json.dumps(pinned))
+    assert corpus.main([]) == 0 and capsys.readouterr().out == ""
+    doctored = json.dumps({**pinned, two[0][0]: {**pinned[two[0][0]], "nodes": -1}})
+    path.write_text(doctored)
+    assert corpus.main([]) == 1 and path.read_text() == doctored
+    assert two[0][0] in capsys.readouterr().out
+    assert corpus.main(["--write"]) == 0 and corpus.pinned() == pinned
+    assert corpus.main([]) == 0

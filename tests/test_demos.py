@@ -693,9 +693,10 @@ class TestSplitFacing:
 
 
 class TestGeometryMemos:
-    """A trace computes each reach certificate once, and only copy N's
-    argument makes reach calls or circle expansions: copies X and Y are its
-    images and make none, nor does the re-pole's identity instance."""
+    """A trace builds each reach certificate once, by construction and with
+    no memo: each lemma_zero call of copy N's argument has its own (q, p).
+    Only that argument makes reach calls or circle expansions: copies X and
+    Y are its images and make none, nor does the re-pole's identity instance."""
 
     @pytest.mark.parametrize("build, reaches, expansions", [
         (lambda: demo_first_proof(default_pole()), 6, 16),

