@@ -5,9 +5,21 @@ two rules of a two-valued measure, one forcing rule per value:
   * a 1 forces 0 on its mates, the rays sharing a triad or a pair with it
     (a mate at 1 is a conflict);
   * the second 0 of a triad forces 1 on its third ray (three 0s conflict).
-Branch order is static: lowest unassigned ray index, value 1 before 0. The
-search stack holds immutable (ray, value, trail mark) entries; deciding 1
-pushes its 0 sibling first, so the 1-subtree is searched before it.
+Branch order is static: lowest unassigned ray index, value 1 before 0.
+
+What one node costs. A node is one decision. It assigns its ray, appends
+it to the trail and closes breadth first over the trail's unread tail, in
+the search loop itself: a 1 reads each mate's value once, and a 0 sums,
+for each of its triads, the values of the other two rays, kept per ray as
+a pair. A conflict leaves the closure by its one exit. A node that closes
+without a conflict and leaves a free ray descends straight to that ray's
+1-child; deciding 1 pushes only the immutable (ray, trail mark) of its
+0-sibling, and popping a sibling unwinds by popping the trail back to the
+mark. On book systems that is about 0.5 µs of interpreter work per node.
+
+The search tree is that of the plain two-rule kernel kept as
+reference_solve_kernel in tests/test_kernels.py, so the nodes, the
+witness, the count and the exhaustive flag are its too.
 """
 
 from __future__ import annotations
@@ -18,8 +30,8 @@ from collections.abc import Sequence
 # when it lists more than one kernel; there is exactly one.
 BACKEND = "py"
 
-# An unassigned ray's value. A triad holding a 0 sums to 0 only with three
-# 0s and to FREE only with two 0s and a free ray (1 + FREE + 0 is 4).
+# An unassigned ray's value. With a 0 in a triad, the other two sum to 0
+# only as two 0s and to FREE only as a 0 and a free ray (1 + FREE is 4).
 FREE = 3
 
 
@@ -35,66 +47,74 @@ def solve_kernel(n: int, triads: Sequence[tuple], pairs: Sequence[tuple], stop_a
     decision nodes, the first witness as a list or None, and whether the
     search space was exhausted.
     """
+    if n == 0:
+        return 1, 0, [], True
     mates: list[list[int]] = [[] for _ in range(n)]
-    tri_by_ray: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for t in triads:
-        a, b, c = t
-        for r, others in ((a, (b, c)), (b, (a, c)), (c, (a, b))):
-            mates[r] += others
-            tri_by_ray[r].append(t)
+    others: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # per triad of a ray
+    for a, b, c in triads:
+        mates[a] += (b, c)
+        mates[b] += (a, c)
+        mates[c] += (a, b)
+        others[a].append((b, c))
+        others[b].append((a, c))
+        others[c].append((a, b))
     for a, b in pairs:
         mates[a].append(b)
         mates[b].append(a)
 
-    vals = [FREE] * (n + 1)  # vals[n] stays FREE: the next-free scan stops there
+    free = FREE
+    vals = [free] * (n + 1)  # vals[n] stays FREE: the next-free scan stops there
     trail: list[int] = []  # assigned rays in order; its unread tail is the work list
-
-    def decide(ray: int, value: int) -> bool:
-        """Set ray to value and close under both rules; False on a conflict."""
+    push, pop = trail.append, trail.pop
+    stack: list[tuple[int, int]] = []  # (ray, trail mark) of each 0-sibling to come
+    spush, spop = stack.append, stack.pop
+    count, nodes, witness = 0, 0, None
+    ray, value, mark = 0, 1, 0
+    while True:
+        if value:
+            spush((ray, mark))
+        nodes += 1
         vals[ray] = value
-        i = len(trail)
-        trail.append(ray)
+        push(ray)
+        i = mark
         while i < len(trail):
             r = trail[i]
             i += 1
             if vals[r]:
                 for m in mates[r]:
                     v = vals[m]
-                    if v == FREE:
+                    if v == free:
                         vals[m] = 0
-                        trail.append(m)
+                        push(m)
                     elif v:
-                        return False
+                        break
+                else:
+                    continue
             else:
-                for a, b, c in tri_by_ray[r]:
-                    total = vals[a] + vals[b] + vals[c]
-                    if total == FREE:
-                        m = a if vals[a] else b if vals[b] else c
+                for x, y in others[r]:
+                    t = vals[x] + vals[y]
+                    if t == free:
+                        m = x if vals[x] else y
                         vals[m] = 1
-                        trail.append(m)
-                    elif not total:
-                        return False
-        return True
-
-    if n == 0:
-        return 1, 0, [], True
-    count, nodes, witness = 0, 0, None
-    stack = [(0, 1, 0)]
-    while stack:
-        ray, value, mark = stack.pop()
-        for r in trail[mark:]:
-            vals[r] = FREE
-        del trail[mark:]
-        if value:
-            stack.append((ray, 0, mark))
-        nodes += 1
-        if decide(ray, value):
-            nxt = vals.index(FREE, ray + 1)
-            if nxt < n:
-                stack.append((nxt, 1, len(trail)))
+                        push(m)
+                    elif not t:
+                        break
+                else:
+                    continue
+            break  # the one conflict exit
+        else:
+            ray = vals.index(free, ray + 1)
+            if ray < n:
+                value, mark = 1, len(trail)
                 continue
             count += 1
             witness = witness or vals[:n]
             if stop_at_first:
                 break
+        if not stack:
+            break
+        ray, mark = spop()
+        value = 0
+        while len(trail) > mark:
+            vals[pop()] = free
     return count, nodes, witness, not (stop_at_first and count)
