@@ -41,11 +41,17 @@ class ColoringResult:
 def solve(s: TriadSystem, mode: SolveMode = SolveMode.COUNT) -> ColoringResult:
     """Search s for colorings once validate_system accepts it, else InvalidSystem.
 
-    A report kept on s is reused, so after load_system no dot is recomputed.
-    COUNT returns the exact number of total colorings; FIRST_WITNESS and
-    PROVE_NONE stop at the first witness, so exhaustive is True only when
-    none exists. Deterministic: static lowest-index branch order, 1 first.
+    mode must be a SolveMode member, else TypeError before any validation
+    or search. A report kept on s is reused, so after load_system no dot is
+    recomputed. COUNT returns the exact number of total colorings;
+    FIRST_WITNESS and PROVE_NONE stop at the first witness. exhaustive is
+    True when the whole space was searched: always for COUNT, and for the
+    other two when no coloring exists or the system has no rays (its one
+    coloring, the empty witness, is the whole space).
+    Deterministic: static lowest-index branch order, 1 first.
     """
+    if not isinstance(mode, SolveMode):
+        raise TypeError(f"mode must be a SolveMode member, got {mode!r}")
     report = validate_system(s)
     if not report:
         raise InvalidSystem(

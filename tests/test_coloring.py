@@ -21,7 +21,7 @@ from ksgeom.sphere import Ray, canonicalize, complete_tripod
 from ksgeom.system import TriadSystem, load_system, save_system, validate_system
 from ksgeom.trace import decision_core, extract_triad_system
 
-from conftest import random_northern_nonpole
+from conftest import peres_system, random_northern_nonpole, relabelled
 
 R2 = math.sqrt(0.5)
 
@@ -63,46 +63,6 @@ def random_book_system(rng: random.Random, n_books: int) -> TriadSystem:
     return TriadSystem(rays=tuple(rays), triads=tuple(triads), pairs=tuple(pairs))
 
 
-def peres_system() -> TriadSystem:
-    """Peres's 33 rays (J. Phys. A 24, 1991) from their closed form.
-
-    The rays are the coordinate permutations of (0,0,1), (0,1,+-1),
-    (0,+-1,sqrt 2) and (+-1,+-1,sqrt 2), merged by same_subspace. Every
-    orthogonal triple is a triad, and every other orthogonal pair a pair.
-    """
-    r2 = math.sqrt(2.0)
-    rays: list[Ray] = []
-    for base in ((0, 0, 1), (0, 1, 1), (0, 1, -1), (0, 1, r2), (0, -1, r2),
-                 (1, 1, r2), (1, -1, r2), (-1, 1, r2), (-1, -1, r2)):
-        for vec in itertools.permutations(base):
-            ray = canonicalize(vec)
-            if not any(ray.same_subspace(seen) for seen in rays):
-                rays.append(ray)
-
-    def orthogonal(i: int, j: int) -> bool:
-        return rays[i].is_orthogonal(rays[j])
-
-    triads = [(a, b, c) for a, b, c in itertools.combinations(range(len(rays)), 3)
-              if orthogonal(a, b) and orthogonal(a, c) and orthogonal(b, c)]
-    covered = {pair for tri in triads for pair in itertools.combinations(tri, 2)}
-    pairs = [pair for pair in itertools.combinations(range(len(rays)), 2)
-             if orthogonal(*pair) and pair not in covered]
-    return TriadSystem(rays=tuple(rays), triads=tuple(triads), pairs=tuple(pairs))
-
-
-def relabelled(s: TriadSystem, rng: random.Random) -> TriadSystem:
-    """s with its rays renumbered by a random permutation."""
-    perm = rng.sample(range(s.n_rays), s.n_rays)  # old index -> new index
-    rays: list = [None] * s.n_rays
-    for old, ray in enumerate(s.rays):
-        rays[perm[old]] = ray
-    return TriadSystem(
-        rays=tuple(rays),
-        triads=tuple(tuple(sorted(perm[i] for i in tri)) for tri in s.triads),
-        pairs=tuple(tuple(sorted(perm[i] for i in pair)) for pair in s.pairs),
-    )
-
-
 class TestPeresSet:
     """A published Kochen-Specker set, the first refuted system here that
     does not come from this package's extractor."""
@@ -141,8 +101,10 @@ class TestCalibration:
         assert count_colorings_by_enumeration(s) == 5
 
     def test_empty_system(self):
-        s = TriadSystem(rays=(), triads=())
-        assert solve(s).count == 1  # the empty coloring
+        # the empty coloring is the whole space, so every mode searched it all
+        for mode in SolveMode:
+            result = solve(TriadSystem(rays=(), triads=()), mode)
+            assert (result.count, result.witness, result.exhaustive) == (1, (), True)
 
     def test_enumeration_cap(self, monkeypatch):
         # 23 unconstrained rays, one past the cap: refused before the first
@@ -203,6 +165,26 @@ class TestModes:
             6, triads, pairs, stop_at_first=True
         )
         assert count == 0 and witness is None and exhausted
+
+    @pytest.mark.parametrize("mode", ["count", "witness", None, 0, SolveMode])
+    def test_mode_must_be_a_member(self, mode, monkeypatch):
+        # a value or name of a member is not one: "count" used to search as
+        # if it were stop-at-first. The check comes before validation (this
+        # system fails it) and before the search
+        bad = TriadSystem(rays=(AXES[0], AXES[1], canonicalize((0.6, 0.0, 0.8))), triads=((0, 1, 2),))
+        monkeypatch.setattr(kernels, "solve_kernel", lambda *a: pytest.fail("searched"))
+        with pytest.raises(TypeError, match="mode must be a SolveMode member"):
+            solve(bad, mode)
+        with pytest.raises(TypeError, match="mode must be a SolveMode member"):
+            solve(TriadSystem(rays=AXES[:1], triads=()), mode)
+
+    def test_every_member_is_accepted(self):
+        # one free ray, two colorings: COUNT finds both, the others stop at 1
+        s = TriadSystem(rays=AXES[:1], triads=())
+        results = {mode: solve(s, mode) for mode in SolveMode}
+        assert (results[SolveMode.COUNT].count, results[SolveMode.COUNT].exhaustive) == (2, True)
+        for mode in (SolveMode.FIRST_WITNESS, SolveMode.PROVE_NONE):
+            assert (results[mode].count, results[mode].witness, results[mode].exhaustive) == (1, (1,), False)
 
     def test_witness_validity_random(self, rng):
         for k in range(40):
