@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AtPole, NotNorthern
 from .sphere import EPS, Ray, canonicalize, third_point
 
 
-@dataclass(frozen=True)
-class PlanePoint:
+class PlanePoint(NamedTuple):
+    """A point (u, v) of the plane H; a tuple, so making one costs no
+    frozen-dataclass set-up."""
+
     u: float
     v: float
 

@@ -82,10 +82,27 @@ def certificate_to_doc(cert: ReachCertificate, residuals: tuple[float, ...] | No
 
 
 def save_certificate(cert: ReachCertificate, residuals: tuple[float, ...] | None = None) -> str:
-    return _canonical_json(certificate_to_doc(cert, residuals))
+    """The certificate document: byte for byte _canonical_json(certificate_to_doc(...)).
+
+    Each number is its repr, as the encoder writes it. No finite number's
+    repr holds "nan" or "inf", nor does any key, so spelling those as json
+    does (NaN, Infinity, -Infinity) is one replace over the text.
+    """
+    text = '{"eps":%r,"shell_n":%s,"points":[%s],"residuals":[%s]}\n' % (
+        cert.eps,
+        "null" if cert.shell_n is None else cert.shell_n,
+        ",\n".join(["[%r,%r,%r]" % (x, y, z) for x, y, z in cert.points]),
+        ",".join(map(repr, residuals)) if residuals else "",
+    )
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def load_certificate(text: str | bytes) -> ReachCertificate:
+    """The certificate a document holds; ParseError unless it is well formed.
+
+    The stored residuals must be a list of numbers, and are then dropped:
+    verify_certificate recomputes every link.
+    """
     keys = ("eps", "shell_n", "points", "residuals")
     doc = _load_doc(text, "certificate", keys, ("eps", "points"))
     eps = _json_eps(doc["eps"])
@@ -96,11 +113,15 @@ def load_certificate(text: str | bytes) -> ReachCertificate:
             for i, (x, y, z) in enumerate(doc["points"])
         )
         shell_n = doc.get("shell_n")
-        return ReachCertificate(
-            points=points,
-            eps=eps,
-            shell_n=_json_int(shell_n, "shell_n") if shell_n is not None else None,
-        )
+        if shell_n is not None:
+            shell_n = _json_int(shell_n, "shell_n")
+        residuals = doc.get("residuals", [])
+        if type(residuals) is not list:
+            raise ParseError(f"residuals must be a list, got {residuals!r}")
+        for i, r in enumerate(residuals):
+            if type(r) is not float:
+                _json_float(r, f"residual {i}")
+        return ReachCertificate(points=points, eps=eps, shell_n=shell_n)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc
 

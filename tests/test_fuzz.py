@@ -203,7 +203,8 @@ close_system_documents = close_documents(
     {"rays": close_rays, "triads": close_records(3), "pairs": close_records(2)}
 )
 close_certificate_documents = close_documents(
-    {"shell_n": certificate_fields["shell_n"], "points": close_rays}
+    {"shell_n": certificate_fields["shell_n"], "points": close_rays,
+     "residuals": certificate_fields["residuals"]}
 )
 
 
@@ -264,7 +265,8 @@ def reference_load_system(text: str | bytes) -> TriadSystem:
 
 
 def reference_load_certificate(text: str | bytes) -> ReachCertificate:
-    """load_certificate before the one-pass point loop."""
+    """load_certificate before the one-pass point loop, with the residuals
+    checked after shell_n: a list of JSON numbers, each read as eps is."""
     keys = ("eps", "shell_n", "points", "residuals")
     doc = _load_doc(text, "certificate", keys, ("eps", "points"))
     eps = _json_eps(doc["eps"])
@@ -274,11 +276,13 @@ def reference_load_certificate(text: str | bytes) -> ReachCertificate:
             for i, (x, y, z) in enumerate(doc["points"])
         )
         shell_n = doc.get("shell_n")
-        return ReachCertificate(
-            points=points,
-            eps=eps,
-            shell_n=_json_int(shell_n, "shell_n") if shell_n is not None else None,
-        )
+        shell_n = _json_int(shell_n, "shell_n") if shell_n is not None else None
+        residuals = doc.get("residuals", [])
+        if not isinstance(residuals, list):
+            raise ParseError(f"residuals must be a list, got {residuals!r}")
+        for i, r in enumerate(residuals):
+            _json_float(r, f"residual {i}")
+        return ReachCertificate(points=points, eps=eps, shell_n=shell_n)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc
 
@@ -347,6 +351,12 @@ class TestReferenceLoaders:
     @REFERENCE
     @given(st.one_of(certificate_documents, close_certificate_documents))
     @example(json.dumps({"eps": 1e-9, "points": [[0.0, 0.6, 0.8], [0.0, 0.8, 1]]}))
+    # residuals that are no list, or a list holding a boolean and a string
+    @example('{"eps":1e-9,"shell_n":null,"points":[[0.0,0.6,0.8]],"residuals":"garbage"}')
+    @example('{"eps":1e-9,"points":[[0.0,0.6,0.8]],"residuals":{"r":[true,"x"]}}')
+    @example('{"eps":1e-9,"points":[[0.0,0.6,0.8]],"residuals":[true,"x"]}')
+    @example('{"eps":1e-9,"points":[[0.0,0.6,0.8]],"residuals":[0,NaN,-Infinity,1e999]}')
+    @example('{"eps":1e-9,"points":[[0.0,0.6,0.8]],"residuals":[1e-17,%s]}' % ("9" * 400))
     def test_load_certificate_matches_reference(self, text):
         assert outcome(load_certificate, text) == outcome(reference_load_certificate, text)
 

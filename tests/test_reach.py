@@ -374,6 +374,7 @@ class TestSpiral:
             raise AssertionError("a spiral point was built")
 
         monkeypatch.setattr(reach_module, "unproject", no_points)
+        monkeypatch.setattr(reach_module, "canonicalize", no_points)
         with pytest.raises(NoSuchN):
             reach(q, p)
 
