@@ -3,13 +3,15 @@
 Both are laid out as the triad-system document is (ksgeom.system): compact
 JSON, shortest-round-trip floats, fixed key order and a newline after each
 "],[" and "},{" (one record per line), so save -> load -> save is byte
-identical. Certificates, and a trace's branches, go through json's C
-encoder (system._compact); a trace's rays are system._ray_block, joined
-from each Ray's cached text, byte for byte the encoder's, so the system
-document written after the trace reuses that text; save_trace formats each
-fact and each instance directly, in the encoder's layout. TestTraceWriter in
-tests/test_serialize.py pins it to _canonical_json of a reference trace
-dict, and CI's "CLI end to end" step to the encoder's bytes for both demos.
+identical. A trace's branches go through json's C encoder
+(system._compact); a trace's rays are system._ray_block, joined from each
+Ray's cached text, byte for byte the encoder's, so the system document
+written after the trace reuses that text; save_trace formats each fact and
+each instance directly, in the encoder's layout, and save_certificate the
+whole certificate. TestTraceWriter and TestCertificateWriter in
+tests/test_serialize.py pin them to _canonical_json of a reference dict,
+and CI's "CLI end to end" step to the encoder's bytes for both demos and a
+certificate.
 This module owns the certificate and trace formats. Schemas:
 
 certificate:
@@ -61,7 +63,6 @@ from .errors import ParseError
 from .reach import ReachCertificate, VerifyReport
 from .sphere import EPS
 from .system import (
-    _canonical_json,
     _compact,
     _json_eps,
     _json_float,
@@ -86,7 +87,7 @@ def save_certificate(cert: ReachCertificate, residuals: tuple[float, ...] | None
 
     Each number is its repr, as the encoder writes it. No finite number's
     repr holds "nan" or "inf", nor does any key, so spelling those as json
-    does (NaN, Infinity, -Infinity) is one replace over the text.
+    does (NaN, Infinity, -Infinity) is two replaces over the whole text.
     """
     text = '{"eps":%r,"shell_n":%s,"points":[%s],"residuals":[%s]}\n' % (
         cert.eps,

@@ -5,6 +5,8 @@ import random
 from decimal import Decimal, getcontext
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ksgeom.errors import (
     AtPole,
@@ -18,6 +20,7 @@ from ksgeom.reach import (
     MAX_SPIRAL_STEPS,
     N_MAX,
     ReachCertificate,
+    VerifyReport,
     asymptotic_residual,
     choose_shell_n,
     reach,
@@ -26,7 +29,7 @@ from ksgeom.reach import (
     verify_certificate,
 )
 from ksgeom.serialize import save_certificate
-from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, third_point
+from ksgeom.sphere import EPS, NORTH_POLE, Ray, canonicalize, third_point
 
 from conftest import random_northern, random_northern_nonpole
 
@@ -433,6 +436,16 @@ class TestVerifyCertificate:
         assert not report.accepted
         assert report.first_bad_link == 1
 
+    def test_point_failures_listed_before_link_failures(self):
+        # link 1 breaks at a moved point 2, and point 6 lies south: the point
+        # failure comes first and names first_bad_link
+        pts = tampered(CHAIN, {2: canonicalize((0.3, 0.8, 0.52)).vec, 6: south(CHAIN[6])})
+        report = verify_certificate(ReachCertificate(points=pts))
+        assert report.first_bad_link == 6
+        assert [f[:3] for f in report.failures] == ["[6]", "[1]", "[2]"]
+        assert "not strictly northern" in report.failures[0]
+        assert all("link residual" in f for f in report.failures[1:])
+
     def test_rejects_broken_link(self):
         q = canonicalize((0, R2, R2))
         cert = reach(q, canonicalize((0.6, 0.5, 0.2)))
@@ -483,6 +496,193 @@ class TestVerifyCertificate:
             cert = reach(q, p)
             digest.update(save_certificate(cert, verify_certificate(cert).link_residuals).encode())
         assert digest.hexdigest() == "5f0500849b40a3eb05429e88181f1c561804d60c906a65b4f1fdc46cdb35d23d"
+
+
+# The verifier before it was written on plain floats, kept verbatim as the
+# reference that TestReferenceVerifier compares verify_certificate with.
+def reference_verify_certificate(cert: ReachCertificate) -> VerifyReport:
+    """Re-check every certificate invariant; failures are report entries.
+
+    Checks, per point: near-unit norm and z > EPS once normalized; per link
+    (a, b): |b . third_point(a)| within EPS, b against the pole of a's
+    circle. The first offending link or point index is reported. Every
+    test fails closed, so a NaN coordinate or residual is a failure.
+    """
+    pts = cert.points
+    failures: list[str] = []
+    first_bad: int | None = None
+
+    def fail(idx: int, msg: str) -> None:
+        nonlocal first_bad
+        failures.append(f"[{idx}] {msg}")
+        if first_bad is None:
+            first_bad = idx
+
+    if not pts:
+        fail(0, "certificate must contain at least one point")
+
+    min_z = math.inf
+    rays: list[Ray | None] = []
+    for i, v in enumerate(pts):
+        n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+        if not abs(n - 1.0) <= 1e-6:
+            fail(i, f"point norm {n!r} not within 1e-6 of 1")
+            rays.append(None)
+            continue
+        ray = canonicalize(v)
+        z = math.copysign(ray.z, v[2])  # the point's own height: canonicalize flips south
+        min_z = min(min_z, z)
+        if not z > EPS:
+            fail(i, f"point z={z!r} not strictly northern")
+        rays.append(ray if z > EPS else None)
+
+    residuals: list[float] = []
+    for i in range(len(pts) - 1):
+        a, b = rays[i], rays[i + 1]
+        if a is None or b is None:
+            residuals.append(math.nan)
+            continue
+        if a.is_pole():
+            fail(i, "link source is the pole; its circle is undefined")
+            residuals.append(math.nan)
+            continue
+        res = abs(third_point(a).dot(b))
+        residuals.append(res)
+        if not res <= EPS:
+            fail(i, f"link residual {res!r} exceeds tolerance")
+
+    return VerifyReport(
+        accepted=not failures,
+        link_residuals=tuple(residuals),
+        min_z=min_z if min_z is not math.inf else math.nan,
+        failures=tuple(failures),
+        first_bad_link=first_bad,
+    )
+
+
+def assert_same_report(got: VerifyReport, want: VerifyReport) -> None:
+    """Equal reports: floats by repr, so a NaN matches a NaN at the same
+    position and -0.0 differs from 0.0."""
+    assert got.accepted == want.accepted
+    assert got.failures == want.failures
+    assert got.first_bad_link == want.first_bad_link
+    assert repr(got.min_z) == repr(want.min_z)
+    assert list(map(repr, got.link_residuals)) == list(map(repr, want.link_residuals))
+
+
+def half_turn_chain(z_q: float, z_p: float) -> tuple:
+    q = canonicalize((math.sqrt(1 - z_q * z_q), 0.0, z_q))
+    p = canonicalize((-math.sqrt(1 - z_p * z_p), 0.0, z_p))
+    return reach(q, p).points
+
+
+#: A 20-point spiral chain, the tampered examples' base.
+CHAIN = half_turn_chain(0.6, 0.5)
+
+
+def tampered(points: tuple, changes: dict) -> tuple:
+    """points with point i replaced by changes[i]."""
+    return tuple(changes.get(i, v) for i, v in enumerate(points))
+
+
+def south(v: tuple) -> tuple:
+    return (v[0], v[1], -v[2])
+
+
+def scaled(v: tuple, f: float) -> tuple:
+    return (v[0] * f, v[1] * f, v[2] * f)
+
+
+#: Factors off unit beyond the norm test, within it, within canonicalize's
+#: snap to 1 on either side; and the antipode.
+SCALES = (1 + 1e-5, 1 + 1e-7, 1 + 3e-13, 1 - 3e-13, 0.5, -1.0)
+#: The pole, and points within EPS of it and just outside.
+POLES = ((0.0, 0.0, 1.0), (1e-10, -0.0, 1.0), (0.0, 9.9e-10, 1.0), (0.0, 1.01e-9, 1.0))
+SPOILS = ("south", "scaled", "non-finite", "pole", "moved", "equator", "signed zero")
+
+
+def spoiled(v: tuple, kind: str, t: int) -> tuple:
+    """Point v spoiled one of the SPOILS ways; t picks the variant."""
+    if kind == "south":
+        return south(v)
+    if kind == "scaled":
+        return scaled(v, SCALES[t % len(SCALES)])
+    if kind == "non-finite":
+        out = list(v)
+        out[t % 3] = (math.nan, math.inf, -math.inf)[t // 3 % 3]
+        return tuple(out)
+    if kind == "pole":
+        return POLES[t % len(POLES)]
+    if kind == "moved":
+        return canonicalize((math.cos(t), math.sin(t), 0.1 + t % 7 / 10)).vec
+    if kind == "equator":
+        return (0.6, 0.8, (0.0, -0.0, 1e-9, 2e-9)[t % 4])
+    return (-0.0, v[1], v[2])
+
+
+@st.composite
+def certificate_points(draw) -> tuple:
+    """A fresh chain between two points drawn with the acceptance suite's
+    law, cut to a prefix or left whole, with up to three points spoiled."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        q, p = random_northern(rng), random_northern(rng)
+        if p.z < q.z - 1e-3 and not q.is_pole():
+            break
+    points = list(reach(q, p).points)
+    if draw(st.booleans()):
+        points = points[: draw(st.integers(0, len(points)))]
+    spoils = st.tuples(st.sampled_from(SPOILS), st.integers(0, 10**6), st.integers(0, 10**6))
+    for kind, i, t in draw(st.lists(spoils, max_size=3)):
+        if points:
+            points[i % len(points)] = spoiled(points[i % len(points)], kind, t)
+    return tuple(points)
+
+
+class TestReferenceVerifier:
+    """verify_certificate and reference_verify_certificate give equal reports
+    on fresh and tampered chains."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(certificate_points())
+    @example(CHAIN)
+    @example(())
+    @example(CHAIN[:1])
+    @example(tampered(CHAIN, {3: south(CHAIN[3])}))  # a point flipped south
+    @example(tampered(CHAIN, {3: scaled(CHAIN[3], 1 + 1e-5)}))  # off unit beyond the norm test
+    @example(tampered(CHAIN, {3: scaled(CHAIN[3], 1 + 1e-7)}))  # off unit within it: normalized
+    @example(tampered(CHAIN, {3: (math.nan, CHAIN[3][1], CHAIN[3][2])}))
+    @example(tampered(CHAIN, {3: (CHAIN[3][0], math.inf, CHAIN[3][2])}))
+    @example(tampered(CHAIN, {3: (CHAIN[3][0], CHAIN[3][1], -math.inf)}))
+    @example(tampered(CHAIN, {0: (0.0, 0.0, 1.0)}))  # the pole as a link source
+    @example(tampered(CHAIN, {5: (9.9e-10, 0.0, 1.0)}))  # within EPS of it
+    @example(tampered(CHAIN, {5: (1.01e-9, 0.0, 1.0)}))  # just outside
+    # a source at height 1/sqrt(2) + 1e-13, whose circle's pole has a norm
+    # within 4e-13 of 1: canonicalize keeps its coordinates, so the residual
+    # is 0.0 where dividing by the norm gives 5.6e-17
+    @example(((0.0, 0.7071067811866425, 0.7071067811864525),
+              (0.4701761559377123, 0.6240730655892166, 0.624073065589049)))
+    @example(tampered(CHAIN, {3: canonicalize((0.3, 0.8, 0.52)).vec}))  # a moved point
+    # an earlier link and a later point both fail: the point is listed first
+    @example(tampered(CHAIN, {2: canonicalize((0.3, 0.8, 0.52)).vec, 6: south(CHAIN[6])}))
+    def test_same_report(self, points):
+        cert = ReachCertificate(points=points)
+        assert_same_report(verify_certificate(cert), reference_verify_certificate(cert))
+
+    def test_fresh_chains_of_the_acceptance_law(self):
+        rng = random.Random(39)
+        for _ in range(200):
+            q, p = random_northern(rng), random_northern(rng)
+            if p.z < q.z - 1e-3 and not q.is_pole():
+                cert = reach(q, p)
+                assert_same_report(verify_certificate(cert), reference_verify_certificate(cert))
+
+    def test_long_chains(self):
+        for z_q, z_p in ((0.6, 0.5), (0.5, 0.45), (1 / math.sqrt(3) + 5e-4, 1 / math.sqrt(3) - 5e-4)):
+            cert = ReachCertificate(points=half_turn_chain(z_q, z_p))
+            report = verify_certificate(cert)
+            assert report.accepted
+            assert_same_report(report, reference_verify_certificate(cert))
 
 
 class TestAsymptoticResidual:

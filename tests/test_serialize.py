@@ -2,10 +2,14 @@ import json
 import math
 
 import pytest
+from hypothesis import example, settings
+from hypothesis import given as draws
+from hypothesis import strategies as st
 
 from ksgeom.errors import ParseError
-from ksgeom.reach import reach, verify_certificate
+from ksgeom.reach import ReachCertificate, reach, verify_certificate
 from ksgeom.serialize import (
+    certificate_to_doc,
     load_certificate,
     report_to_doc,
     save_certificate,
@@ -123,6 +127,26 @@ class TestCertificateDocs:
         with pytest.raises(ParseError, match=f"^{what} (must be a number|is out of float range)"):
             load_certificate(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad, want", [
+        ('"garbage"', "residuals must be a list, got 'garbage'"),
+        ('{"r":[true,"x"]}', "residuals must be a list, got {'r': [True, 'x']}"),
+        ('[true,"x"]', "residual 0 must be a number, got True"),
+        ('[1e-17,"x"]', "residual 1 must be a number, got 'x'"),
+        ("[null]", "residual 0 must be a number, got None"),
+        ("[[0.0]]", "residual 0 must be a number, got [0.0]"),
+        ("[%s]" % ("9" * 400), "residual 0 is out of float range"),
+    ], ids=["string", "object", "bool", "string-item", "null", "list-item", "huge-int"])
+    def test_rejects_residuals_that_are_not_numbers(self, bad, want):
+        text = '{"eps":1e-9,"shell_n":null,"points":[[0.0,0.6,0.8]],"residuals":%s}' % bad
+        with pytest.raises(ParseError) as exc:
+            load_certificate(text)
+        assert str(exc.value) == want and exc.value.exit_code == 19
+
+    def test_accepts_any_numbers_as_residuals(self):
+        # the writer spells NaN and the infinities as json does; integers are numbers
+        text = '{"eps":1e-9,"points":[[0.0,0.6,0.8]],"residuals":[0,1e-17,NaN,Infinity,-Infinity]}'
+        assert load_certificate(text).points == ((0.0, 0.6, 0.8),)
+
     @pytest.mark.parametrize("eps", [-1.0, 0.0, -1e-9, 1e-3, 0.5])
     def test_rejects_eps_out_of_range(self, eps):
         doc = json.loads(save_certificate(sample_certificate()))
@@ -147,6 +171,42 @@ class TestCertificateDocs:
         report = verify_certificate(ReachCertificate(points=((0.0, 0.0, 1.0), (2.0, 0.0, 0.0))))
         doc = report_to_doc(report)
         json.dumps(doc, allow_nan=False)  # raises if any NaN survived
+
+
+# Floats json writes in every form: signed zeros, exponent forms (tiny,
+# subnormal, huge), NaN and both infinities, beside ordinary values.
+json_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-300, -5e-324, 1e-17, 3e16, 1e16, 0.6, math.nan, math.inf, -math.inf]),
+)
+certificates = st.builds(
+    ReachCertificate,
+    points=st.lists(st.tuples(json_floats, json_floats, json_floats), max_size=6).map(tuple),
+    eps=st.one_of(st.just(EPS), st.floats(1e-12, 1e-3, exclude_max=True), json_floats),
+    shell_n=st.one_of(st.none(), st.integers(0, 10**6)),
+)
+residual_tuples = st.one_of(st.none(), st.lists(json_floats, max_size=6).map(tuple))
+
+
+class TestCertificateWriter:
+    """save_certificate formats the document itself; its bytes are pinned to
+    the reference document through the one compact writer, as TestTraceWriter
+    pins save_trace."""
+
+    @settings(max_examples=300, deadline=None)
+    @draws(certificates, residual_tuples)
+    @example(ReachCertificate(points=()), None)
+    @example(ReachCertificate(points=((0.0, 0.0, 1.0),), eps=1e-6, shell_n=None), ())
+    @example(ReachCertificate(points=((-0.0, 1e-300, 1.0), (3e16, -5e-324, 0.5)), shell_n=7),
+             (math.nan, math.inf, -math.inf))
+    def test_encoder_bytes(self, cert, residuals):
+        assert save_certificate(cert, residuals) == _canonical_json(certificate_to_doc(cert, residuals))
+
+    def test_fresh_certificates(self):
+        for target in ((0.5, -0.6, 0.2), (0.6, 0.5, 0.2), (-0.6, -0.5, 0.2)):
+            cert = reach(canonicalize((0, R2, R2)), canonicalize(target))
+            residuals = verify_certificate(cert).link_residuals
+            assert save_certificate(cert, residuals) == _canonical_json(certificate_to_doc(cert, residuals))
 
 
 class TestTraceDocs:
