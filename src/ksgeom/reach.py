@@ -272,19 +272,22 @@ def verify_certificate(cert: ReachCertificate) -> VerifyReport:
     """
     pts = cert.points
     if not pts:
-        return VerifyReport(False, (), math.nan, ("[0] certificate must contain at least one point",), 0)
-    bad_points: list[str] = []
-    bad_links: list[str] = []
-    first_point = first_link = None
+        return VerifyReport(
+            accepted=False,
+            link_residuals=(),
+            min_z=math.nan,
+            failures=("[0] certificate must contain at least one point",),
+            first_bad_link=0,
+        )
+    bad_points: list[tuple[int, str]] = []  # (index, message), in index order
+    bad_links: list[tuple[int, str]] = []
     residuals: list[float] = []
     min_z = math.inf
     a = None  # the previous point's canonical coordinates, None when it failed
     for i, (vx, vy, vz) in enumerate(pts):
         n = math.sqrt(vx * vx + vy * vy + vz * vz)
         if not abs(n - 1.0) <= 1e-6:
-            bad_points.append(f"[{i}] point norm {n!r} not within 1e-6 of 1")
-            if first_point is None:
-                first_point = i
+            bad_points.append((i, f"point norm {n!r} not within 1e-6 of 1"))
             b = None
         else:
             # canonicalize: near-unit input passes through bit-exactly. A
@@ -298,9 +301,7 @@ def verify_certificate(cert: ReachCertificate) -> VerifyReport:
             if z > EPS:
                 b = (vx / n, vy / n, z)
             else:
-                bad_points.append(f"[{i}] point z={z!r} not strictly northern")
-                if first_point is None:
-                    first_point = i
+                bad_points.append((i, f"point z={z!r} not strictly northern"))
                 b = None
         if i:
             if a is None or b is None:
@@ -313,9 +314,7 @@ def verify_certificate(cert: ReachCertificate) -> VerifyReport:
                 ax, ay, az = a
                 s = ax * ax + ay * ay
                 if s <= EPS * EPS:
-                    bad_links.append(f"[{i - 1}] link source is the pole; its circle is undefined")
-                    if first_link is None:
-                        first_link = i - 1
+                    bad_links.append((i - 1, "link source is the pole; its circle is undefined"))
                     residuals.append(math.nan)
                 else:
                     k = s / az
@@ -325,18 +324,16 @@ def verify_certificate(cert: ReachCertificate) -> VerifyReport:
                     res = abs(-ax / m * b[0] - ay / m * b[1] + k / m * b[2])
                     residuals.append(res)
                     if not res <= EPS:
-                        bad_links.append(f"[{i - 1}] link residual {res!r} exceeds tolerance")
-                        if first_link is None:
-                            first_link = i - 1
+                        bad_links.append((i - 1, f"link residual {res!r} exceeds tolerance"))
         a = b
 
-    failures = bad_points + bad_links
+    bad = bad_points + bad_links
     return VerifyReport(
-        accepted=not failures,
+        accepted=not bad,
         link_residuals=tuple(residuals),
         min_z=min_z if min_z is not math.inf else math.nan,
-        failures=tuple(failures),
-        first_bad_link=first_point if first_point is not None else first_link,
+        failures=tuple([f"[{i}] {msg}" for i, msg in bad]),
+        first_bad_link=bad[0][0] if bad else None,
     )
 
 
