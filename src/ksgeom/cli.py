@@ -14,7 +14,8 @@ are the same, and so are they under a unique prefix of the option's name
 (--pol -0.2,0.3,0.93).
 Unnormalized inputs are canonicalized with a warning once the norm strays
 more than 1e-6 from 1. Every command compares at the fixed tolerance
-ksgeom.EPS = 1e-9; color validates a system at its document's own eps.
+ksgeom.EPS = 1e-9; color validates a system, and verify a certificate, at
+its document's own eps.
 With --json every command prints one JSON document; errors and warnings
 go to stderr, as JSON under --json. Every library error maps to a fixed
 exit code (ksgeom.errors.EXIT_CODES); verification rejects exit 22 and

@@ -108,11 +108,11 @@ def load_certificate(text: str | bytes) -> ReachCertificate:
     doc = _load_doc(text, "certificate", keys, ("eps", "points"))
     eps = _json_eps(doc["eps"])
     try:
-        points = tuple(
-            (x, y, z) if type(x) is type(y) is type(z) is float
-            else tuple(_json_float(c, f"point {i} coordinate") for c in (x, y, z))
-            for i, (x, y, z) in enumerate(doc["points"])
-        )
+        points = []
+        for i, (x, y, z) in enumerate(doc["points"]):
+            if not type(x) is type(y) is type(z) is float:
+                x, y, z = [_json_float(c, f"point {i} coordinate") for c in (x, y, z)]
+            points.append((x, y, z))
         shell_n = doc.get("shell_n")
         if shell_n is not None:
             shell_n = _json_int(shell_n, "shell_n")
@@ -122,7 +122,7 @@ def load_certificate(text: str | bytes) -> ReachCertificate:
         for i, r in enumerate(residuals):
             if type(r) is not float:
                 _json_float(r, f"residual {i}")
-        return ReachCertificate(points=points, eps=eps, shell_n=shell_n)
+        return ReachCertificate(tuple(points), eps, shell_n)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc
 

@@ -4,8 +4,12 @@ A ray stands for a one-dimensional subspace of R^3: the two antipodal unit
 vectors spanning it are identified, and construction always picks the
 canonical representative (z positive, breaking ties toward positive x and
 then positive y on the equator). A ray's checks (unit length, canonical
-sign) are written once, in the Ray constructor, which canonicalize and the
-document loader call too, so they run on every ray. A tripod's
+sign) are written once, in _check_ray. The Ray constructor runs them, and
+canonicalize and the document loader build through it, so they run on
+every ray; reach runs them on the chain points it keeps as coordinate
+triples.
+canonicalize's arithmetic is written once too, in _canonical, which
+canonicalize wraps into a Ray and reach uses as it stands. A tripod's
 orthogonality check is written once, in check_tripod. Every predicate
 compares against the one fixed tolerance EPS; there is no exact-arithmetic
 mode.
@@ -76,25 +80,16 @@ class Ray:
     _text = None  # until the ray's text is made: construction stores nothing for it
 
     def __init__(self, x: float, y: float, z: float) -> None:
-        """ValueError unless (x, y, z) is unit and in canonical sign form.
+        """ValueError unless (x, y, z) is unit and in canonical sign form
+        (_check_ray).
 
         An int coordinate is stored as its float, so the ray is written as
-        it reloads; a bool or a non-number is refused. The sign rule:
-        z > CANON_EPS; or |z| <= CANON_EPS and x > CANON_EPS; or
-        |z|, |x| <= CANON_EPS and y > 0. The checked values then fill the
-        frozen slots directly. Unit: the squares sum to 1 within 4e-12 in one
-        of the three orders of float addition, the other two summed only if
-        the first fails, so no order or sign of the coordinates moves the verdict.
+        it reloads; a bool or a non-number is refused. The checked values
+        then fill the frozen slots directly.
         """
         if not type(x) is type(y) is type(z) is float:
             x, y, z = _as_floats(x, y, z)
-        if not abs(x * x + y * y + z * z - 1.0) <= 4.0 * _UNIT_TOL and not (  # fails closed on NaN
-                abs(x * x + z * z + y * y - 1.0) <= 4.0 * _UNIT_TOL
-                or abs(y * y + z * z + x * x - 1.0) <= 4.0 * _UNIT_TOL):
-            raise ValueError(f"not a unit vector: {(x, y, z)!r}")
-        if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
-                x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
-            raise ValueError(f"not in canonical sign form: {(x, y, z)!r}")
+        _check_ray(x, y, z)
         _set_x(self, x)
         _set_y(self, y)
         _set_z(self, z)
@@ -146,6 +141,26 @@ class Ray:
 _set_x, _set_y, _set_z = Ray.x.__set__, Ray.y.__set__, Ray.z.__set__
 
 
+def _check_ray(x: float, y: float, z: float) -> None:
+    """ValueError unless the floats (x, y, z) are unit and in canonical sign
+    form: the Ray constructor's tests, which reach also runs on the chain
+    points it builds as coordinate triples.
+
+    Unit: the squares sum to 1 within 4e-12 in one of the three orders of
+    float addition, the other two summed only if the first fails, so no
+    order or sign of the coordinates moves the verdict. The sign rule:
+    z > CANON_EPS; or |z| <= CANON_EPS and x > CANON_EPS; or
+    |z|, |x| <= CANON_EPS and y > 0. Both fail closed on NaN.
+    """
+    if not abs(x * x + y * y + z * z - 1.0) <= 4.0 * _UNIT_TOL and not (
+            abs(x * x + z * z + y * y - 1.0) <= 4.0 * _UNIT_TOL
+            or abs(y * y + z * z + x * x - 1.0) <= 4.0 * _UNIT_TOL):
+        raise ValueError(f"not a unit vector: {(x, y, z)!r}")
+    if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
+            x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
+        raise ValueError(f"not in canonical sign form: {(x, y, z)!r}")
+
+
 def _as_floats(x: float, y: float, z: float) -> Vec3:
     """Ray coordinates as floats: ints are converted, anything but an int or
     a float (a bool included) is refused with ValueError."""
@@ -158,14 +173,14 @@ def _as_floats(x: float, y: float, z: float) -> Vec3:
 NORTH_POLE = Ray(0.0, 0.0, 1.0)
 
 
-def canonicalize(v: Vec3) -> Ray:
-    """Normalize v and pick the canonical antipodal representative.
+def _canonical(vx: float, vy: float, vz: float) -> Vec3:
+    """canonicalize's arithmetic on a coordinate triple: v normalized and
+    its canonical antipodal representative, as floats.
 
-    Raises ZeroVector when ||v|| <= eps, and ValueError from the Ray
-    constructor for a NaN or infinite coordinate. Exactly
-    sign-invariant: canonicalize(v) == canonicalize(-v) down to the last bit.
+    Raises ZeroVector when ||v|| <= eps. Exactly sign-invariant. The result
+    is not checked: canonicalize checks it in the Ray constructor, and a
+    caller that keeps the triple checks it with _check_ray.
     """
-    vx, vy, vz = v[0], v[1], v[2]
     n = math.sqrt(vx * vx + vy * vy + vz * vz)
     if n <= EPS:
         raise ZeroVector(f"vector norm {n!r} below tolerance")
@@ -175,10 +190,22 @@ def canonicalize(v: Vec3) -> Ray:
     x = vx / n + 0.0
     y = vy / n + 0.0
     z = vz / n + 0.0
-    # the canonical sign rule written out; the Ray constructor checks it again
+    # the canonical sign rule written out; _check_ray tests it again
     if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
             x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
         x, y, z = -x + 0.0, -y + 0.0, -z + 0.0
+    return x, y, z
+
+
+def canonicalize(v: Vec3) -> Ray:
+    """Normalize v and pick the canonical antipodal representative: the Ray
+    of _canonical(*v).
+
+    Raises ZeroVector when ||v|| <= eps, and ValueError from the Ray
+    constructor for a NaN or infinite coordinate. Exactly
+    sign-invariant: canonicalize(v) == canonicalize(-v) down to the last bit.
+    """
+    x, y, z = _canonical(v[0], v[1], v[2])
     return Ray(x, y, z)
 
 

@@ -253,6 +253,19 @@ class TestVerifyCommand:
         assert out == "" and "tolerance eps must lie in (0, 1e-3)" in err
 
 
+    @pytest.mark.parametrize("eps, want", [(1e-4, 0), (1e-9, EXIT_REJECTED)])
+    def test_judged_at_the_documents_eps(self, tmp_path, capsys, eps, want):
+        # the one link's residual is 6.0e-08: within 1e-4, beyond 1e-9
+        f = tmp_path / "cert.json"
+        f.write_text('{"eps":%r,"points":[[0.0,0.6,0.8],[0.6,0.48,0.6400001]]}' % eps)
+        code, out, _ = run(capsys, "verify", str(f))
+        assert code == want
+        if want:
+            assert "[0] link residual 5.999999613814921e-08 exceeds tolerance" in out
+        else:
+            assert out.strip() == "accepted: 2 points, max link residual 6.000e-08"
+
+
 class TestVectorValuesStartingWithMinus:
     """A vector option's value may start with '-', as its own word or after '='."""
 
@@ -540,10 +553,11 @@ class TestBoundedWork:
 
     def test_reach_tiny_height_gap(self, tmp_path, capsys, monkeypatch):
         # heights 0.6 and 0.59999 half a turn apart need some 190,000 steps
-        def no_points(pt):
+        def no_points(*v):
             raise AssertionError("a chain point was built")
 
-        monkeypatch.setattr(importlib.import_module("ksgeom.reach"), "unproject", no_points)
+        # reach builds every chain point through the one triple form
+        monkeypatch.setattr(importlib.import_module("ksgeom.reach"), "_canonical", no_points)
         out = tmp_path / "cert.json"
         start = time.perf_counter()
         code, _, err = run(capsys, "reach", "--from", "0.8,0,0.6",

@@ -2,7 +2,9 @@ import hashlib
 import importlib
 import math
 import random
+from collections.abc import Iterator
 from decimal import Decimal, getcontext
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,12 +14,15 @@ from ksgeom.errors import (
     AtPole,
     BadN,
     NoSuchN,
+    NotNorthern,
     NotReachableDirectly,
     PreconditionViolation,
+    ZeroVector,
 )
 from ksgeom.plane import PlanePoint, Side, project, side_of, unproject
 from ksgeom.reach import (
     MAX_SPIRAL_STEPS,
+    MIN_SHELL_N,
     N_MAX,
     ReachCertificate,
     VerifyReport,
@@ -28,8 +33,8 @@ from ksgeom.reach import (
     step_one,
     verify_certificate,
 )
-from ksgeom.serialize import save_certificate
-from ksgeom.sphere import EPS, NORTH_POLE, Ray, canonicalize, third_point
+from ksgeom.serialize import load_certificate, save_certificate
+from ksgeom.sphere import CANON_EPS, EPS, NORTH_POLE, Ray, Vec3, canonicalize, third_point
 
 from conftest import random_northern, random_northern_nonpole
 
@@ -373,11 +378,11 @@ class TestSpiral:
         q = unproject(PlanePoint(1, 0))
         p = unproject(PlanePoint(-(1 + 1e-6), 0))
 
-        def no_points(pt):
+        def no_points(*v):
             raise AssertionError("a spiral point was built")
 
-        monkeypatch.setattr(reach_module, "unproject", no_points)
-        monkeypatch.setattr(reach_module, "canonicalize", no_points)
+        # reach builds every chain point through the one triple form
+        monkeypatch.setattr(reach_module, "_canonical", no_points)
         with pytest.raises(NoSuchN):
             reach(q, p)
 
@@ -482,6 +487,30 @@ class TestVerifyCertificate:
         report = verify_certificate(reach(q, p))
         assert report.accepted
         assert max(report.link_residuals) <= 1e-9
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-9])
+    def test_judged_at_the_certificates_eps(self, eps):
+        # the one link's residual is 6.0e-08: within 1e-4, beyond 1e-9
+        doc = '{"eps":%r,"points":[[0.0,0.6,0.8],[0.6,0.48,0.6400001]]}' % eps
+        report = verify_certificate(load_certificate(doc))
+        assert report.accepted is (eps == 1e-4)
+        assert report.link_residuals == (5.999999613814921e-08,)
+        if eps == 1e-9:
+            assert report.failures == ("[0] link residual 5.999999613814921e-08 exceeds tolerance",)
+
+    def test_heights_judged_at_the_certificates_eps(self):
+        # z = 5e-5 is northern at eps 1e-9, not at 1e-4
+        z = 5e-5
+        points = ((0.0, 0.6, 0.8), (math.sqrt(1 - z * z), 0.0, z))
+        assert not any("northern" in f for f in verify_certificate(ReachCertificate(points)).failures)
+        report = verify_certificate(ReachCertificate(points, eps=1e-4))
+        assert report.failures == (f"[1] point z={z!r} not strictly northern",)
+
+    @pytest.mark.parametrize("eps", [math.nan, 0.0])
+    def test_nan_or_zero_eps_fails_closed(self, eps):
+        cert = reach(canonicalize((0, R2, R2)), canonicalize((0.6, 0.5, 0.2)))
+        report = verify_certificate(cert._replace(eps=eps))
+        assert not report.accepted
 
     def test_certificate_bytes_pinned(self):
         # 500 pairs drawn with the acceptance suite's law; the digest covers
@@ -671,6 +700,283 @@ class TestReferenceVerifier:
     def test_same_report(self, points):
         cert = ReachCertificate(points=points)
         assert_same_report(verify_certificate(cert), reference_verify_certificate(cert))
+
+
+# The construction before it was built on coordinate triples, kept verbatim
+# (docstrings cut to one line, and each call of a function below named with
+# its reference_ copy) as the reference that TestReferenceReach compares
+# reach, shell, step_one and canonicalize with. The copies of canonicalize
+# and unproject keep the reference apart from the sphere module's
+# arithmetic, which the new construction shares with canonicalize.
+def reference_canonicalize(v: Vec3) -> Ray:
+    """Normalize v and pick the canonical antipodal representative."""
+    vx, vy, vz = v[0], v[1], v[2]
+    n = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if n <= EPS:
+        raise ZeroVector(f"vector norm {n!r} below tolerance")
+    if abs(n - 1.0) <= 4e-13:
+        n = 1.0  # near-unit input passes through bit-exactly: makes the map idempotent
+    # Adding 0.0 normalizes -0.0 to +0.0 so both antipodes map to the same bits.
+    x = vx / n + 0.0
+    y = vy / n + 0.0
+    z = vz / n + 0.0
+    # the canonical sign rule written out; the Ray constructor checks it again
+    if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
+            x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
+        x, y, z = -x + 0.0, -y + 0.0, -z + 0.0
+    return Ray(x, y, z)
+
+
+def reference_unproject(p: PlanePoint) -> Ray:
+    """Inverse of project: the canonical ray through (u, v, 1)."""
+    return reference_canonicalize((p.u, p.v, 1.0))
+
+
+def reference_step_one(q: Ray, p: Ray) -> Ray:
+    """A point x on q's circle whose own circle passes through p."""
+    f_pt = project(q)
+    p_pt = project(p)
+    if q.is_pole():
+        raise AtPole("step_one undefined at the north pole")
+    d = f_pt.norm()
+    r = (-f_pt.v / d, f_pt.u / d)
+    b = r[0] * p_pt.u + r[1] * p_pt.v
+    ff, fp = f_pt.dot(f_pt), f_pt.dot(p_pt)
+    disc = b * b - 4.0 * (ff - fp)
+    if disc < 0.0:
+        # a tangent Thales circle computes a discriminant that misses 0 by
+        # rounding (9e-14 of its terms' scale at worst on near-tangent
+        # spirals up to MAX_SPIRAL_STEPS); a miss within 1e-12 of the scale
+        # leaves p off x's circle by at most 4e-12, so x = F + (b/2)*dir
+        if disc < -1e-12 * (b * b + 4.0 * (ff + abs(fp))):
+            raise NotReachableDirectly("target is more than two links from the circle")
+        disc = 0.0
+    t = (b + math.sqrt(disc)) / 2.0
+    if t < 0.0:
+        t = (b - math.sqrt(disc)) / 2.0
+    return reference_unproject(PlanePoint(f_pt.u + t * r[0], f_pt.v + t * r[1]))
+
+
+def reference_spiral(q: Ray, delta: float, k: int) -> Iterator[Ray]:
+    """Points 1..k of the outward spiral from q that turns delta in k equal steps."""
+    f = project(q)
+    phi = math.atan2(f.v, f.u)
+    d = f.norm()
+    step = delta / k
+    growth = 1.0 / math.cos(step)
+    for i in range(1, k + 1):
+        d *= growth
+        a = phi + i * step
+        yield reference_canonicalize((d * math.cos(a), d * math.sin(a), 1.0))
+
+
+def reference_shell(q: Ray, n: int) -> list[Ray]:
+    """The paper's full-turn shell q_0 = q, ..., q_n: the spiral turning 2*pi."""
+    if q.is_pole():
+        raise AtPole("shell undefined at the north pole")
+    if not MIN_SHELL_N <= n <= N_MAX:
+        raise BadN(f"shell needs {MIN_SHELL_N} <= n <= {N_MAX}, got {n}")
+    return [q, *reference_spiral(q, 2.0 * math.pi, n)]
+
+
+def reference_reach(q: Ray, p: Ray) -> ReachCertificate:
+    """Certificate that p can be reached from q, for northern p_z < q_z - eps."""
+    if not (p.is_northern() and q.is_northern()):
+        raise NotNorthern("both points must be northern")
+    if q.is_pole():
+        raise AtPole("reach source must not be the pole")
+    if not p.z < q.z - EPS:
+        raise PreconditionViolation(
+            f"need p_z < q_z - eps, got p_z={p.z!r}, q_z={q.z!r}"
+        )
+    points, k = [q], None
+    side = side_of(p, q)
+    if side is Side.POLE_SIDE:
+        f, h = project(q), project(p)
+        delta = math.remainder(math.atan2(h.v, h.u) - math.atan2(f.v, f.u), 2.0 * math.pi)
+        k = reach_module._spiral_steps(f.norm(), h.norm(), delta)
+        # k >= 2, since one link suffices exactly when p is beyond q's circle;
+        # the last spiral point then has p two links away, which step_one
+        # bridges (should rounding say otherwise, it fails closed with
+        # NotReachableDirectly)
+        points.extend(islice(reference_spiral(q, delta, k), k - 2))
+    if side is not Side.ON_CIRCLE:
+        points.append(reference_step_one(points[-1], p))
+    points.append(p)
+    return ReachCertificate(points=tuple([(r.x, r.y, r.z) for r in points]), shell_n=k)
+
+
+def outcome(fn, *args) -> tuple:
+    """What fn makes of args: its result's repr, which gives every
+    coordinate's repr (so -0.0 differs from 0.0) and a certificate's eps and
+    shell_n; or the exception's type and message."""
+    try:
+        return ("ok", repr(fn(*args)))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def plane_pair(q_uv: tuple, p_uv: tuple) -> tuple:
+    return unproject(PlanePoint(*q_uv)), unproject(PlanePoint(*p_uv))
+
+
+def tangent_pair(d0: float, phi: float, delta: float, k: int) -> tuple:
+    """A target at the least plane radius k links reach: the last Thales
+    circle is tangent to its line, up to rounding."""
+    d = d0 * math.cos(delta / k) ** -k
+    return plane_pair((d0 * math.cos(phi), d0 * math.sin(phi)),
+                      (d * math.cos(phi + delta), d * math.sin(phi + delta)))
+
+
+def half_turn_pair(z_q: float, z_p: float) -> tuple:
+    return (canonicalize((math.sqrt(1 - z_q * z_q), 0.0, z_q)),
+            canonicalize((-math.sqrt(1 - z_p * z_p), 0.0, z_p)))
+
+
+@st.composite
+def acceptance_pairs(draw) -> tuple:
+    """(q, p) drawn with the acceptance suite's law."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        q, p = random_northern(rng), random_northern(rng)
+        if p.z < q.z - 1e-3 and not q.is_pole():
+            return q, p
+
+
+@st.composite
+def vectors(draw) -> tuple:
+    """A vector of any sign near the unit sphere, near a coordinate plane
+    or an axis, or with a norm within the snap to 1, signed zeros included."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+    for i in draw(st.sets(st.integers(0, 2), max_size=2)):
+        v[i] = draw(st.sampled_from([0.0, -0.0, 1e-10, -1e-10, 2e-9, -2e-9]))
+    n = math.sqrt(sum(c * c for c in v)) or 1.0
+    f = draw(st.sampled_from([1.0, 1 + 2e-13, 1 - 2e-13, 1 + 1e-12, 3.0]))
+    return tuple(c / n * f for c in v)
+
+
+@st.composite
+def northern_pairs(draw) -> tuple:
+    """Any two northern points, the pole included."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return random_northern(rng), random_northern(rng)
+
+
+ON_CIRCLE = plane_pair((1, 0), (1, 5))
+BEYOND = plane_pair((1, 0), (2, 0))
+TWO_LINKS = plane_pair((1, 0), (1.5 * math.cos(1.2), 1.5 * math.sin(1.2)))
+TANGENT = tangent_pair(0.5, 1.0, -3.0, 100)
+LONGEST = half_turn_pair(1 / math.sqrt(3) + 5e-4, 1 / math.sqrt(3) - 5e-4)
+#: a source within 1e-7 of the pole in the plane: its spiral point's norm is
+#: within 4e-13 of 1, so canonicalize's snap keeps it
+NEAR_POLE = plane_pair((1e-7, 0), (-1, 0))
+TOO_CLOSE = plane_pair((1, 0), (-(1 + 1e-6), 0))
+REFUSED = (
+    (canonicalize((0, R2, R2)), Ray(1.0, 0.0, 0.0)),  # p on the equator
+    (Ray(1.0, 0.0, 0.0), Ray(0.0, 1.0, 0.0)),  # both on it
+    (NORTH_POLE, canonicalize((0, R2, R2))),  # q the pole
+    (canonicalize((0, R2, R2)), canonicalize((0, 0.1, 0.99498743710662))),  # p higher
+    (canonicalize((0, R2, R2)), canonicalize((0.0, R2 + 5e-10, R2 - 5e-10))),  # within EPS below
+)
+#: A source with x = -0.0 and a target exactly on its circle: the Thales
+#: point is F + 0*dir, (-0.0, 0.75) in the plane, which canonicalize's
+#: "+ 0.0" writes as 0.0.
+SIGNED_ZERO = (Ray(-0.0, 0.6, 0.8), canonicalize((1.0, 0.75, 1.0)))
+
+
+class TestReferenceReach:
+    """reach, shell and step_one give the reference's rays and certificates
+    bit for bit, and its refusals with the same type and message."""
+
+    def test_examples_take_each_path(self):
+        assert [reach(*pair).shell_n for pair in (ON_CIRCLE, BEYOND, TWO_LINKS)] == [None, None, 2]
+        assert [len(reach(*pair).points) for pair in (ON_CIRCLE, BEYOND, TWO_LINKS)] == [2, 3, 3]
+        assert reach(*TANGENT).shell_n == 100 and reach(*LONGEST).shell_n > 1000
+        assert reach(*NEAR_POLE).shell_n == 3
+        with pytest.raises(NoSuchN):
+            reach(*TOO_CLOSE)
+        assert {outcome(reach, *pair)[0] for pair in REFUSED} == {
+            NotNorthern, AtPole, PreconditionViolation}
+
+    def test_tangent_example_clamps_the_discriminant(self):
+        # step_one's quadratic from the last spiral point: rounding takes the
+        # discriminant below 0, and within the slack that sets it to 0
+        points = reach(*TANGENT).points
+        f, h = project(canonicalize(points[-3])), project(canonicalize(points[-1]))
+        b = -f.v / f.norm() * h.u + f.u / f.norm() * h.v
+        scale = b * b + 4.0 * (f.dot(f) + abs(f.dot(h)))
+        disc = b * b - 4.0 * (f.dot(f) - f.dot(h))
+        assert -1e-12 * scale <= disc < 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(acceptance_pairs())
+    @example(ON_CIRCLE)
+    @example(BEYOND)
+    @example(TWO_LINKS)
+    @example(TANGENT)
+    @example(LONGEST)
+    @example(NEAR_POLE)
+    @example(TOO_CLOSE)
+    @example(REFUSED[0])
+    @example(REFUSED[1])
+    @example(REFUSED[2])
+    @example(REFUSED[3])
+    @example(REFUSED[4])
+    def test_reach(self, pair):
+        assert outcome(reach, *pair) == outcome(reference_reach, *pair)
+
+    @settings(max_examples=300, deadline=None)
+    @given(northern_pairs())
+    @example(BEYOND)
+    @example(TWO_LINKS)
+    @example(SIGNED_ZERO)
+    @example(plane_pair((1, 0), (0.5, 0)))  # pole side, more than two links: refused
+    @example((NORTH_POLE, canonicalize((0, R2, R2))))
+    @example((canonicalize((0, R2, R2)), Ray(1.0, 0.0, 0.0)))
+    def test_step_one(self, pair):
+        assert outcome(step_one, *pair) == outcome(reference_step_one, *pair)
+
+    @settings(max_examples=300, deadline=None)
+    @given(vectors())
+    @example((-0.0, 0.0, -1.0))  # the south pole: the sign rule, and a -0.0 from each flip
+    @example((0.6, -0.0, 0.8))
+    @example((-0.6, 0.8, -0.0))  # on the equator
+    @example((0.6 * (1 + 3e-13), 0.0, 0.8 * (1 + 3e-13)))  # within the snap to norm 1
+    @example((0.6 * (1 + 5e-13), 0.0, 0.8 * (1 + 5e-13)))  # beyond it
+    @example((1e-10, 0.0, 0.0))  # the zero vector within EPS
+    @example((math.nan, 0.0, 1.0))
+    def test_canonicalize(self, v):
+        assert outcome(canonicalize, v) == outcome(reference_canonicalize, v)
+
+    def test_signed_zero_example(self):
+        assert repr(step_one(*SIGNED_ZERO).x) == "0.0"
+
+    @settings(max_examples=100, deadline=None)
+    @given(northern_pairs(), st.integers(3, 300))
+    @example(NEAR_POLE, 5)
+    @example(BEYOND, 4)
+    @example(BEYOND, N_MAX + 1)
+    @example((NORTH_POLE, NORTH_POLE), 16)
+    def test_shell(self, pair, n):
+        assert outcome(shell, pair[0], n) == outcome(reference_shell, pair[0], n)
+
+    def test_built_points_pass_the_ray_checks(self, monkeypatch):
+        # every point reach builds, and only those, goes through _check_ray
+        checked = []
+        monkeypatch.setattr(reach_module, "_check_ray", lambda *v: checked.append(v))
+        for pair, built in ((ON_CIRCLE, 0), (BEYOND, 1), (TWO_LINKS, 1), (TANGENT, 99)):
+            checked.clear()
+            cert = reach(*pair)
+            assert checked == list(cert.points[1:-1]) and len(checked) == built
+
+    def test_a_built_point_failing_the_checks_is_refused(self, monkeypatch):
+        def refuse(x, y, z):
+            raise ValueError(f"not a unit vector: {(x, y, z)!r}")
+
+        monkeypatch.setattr(reach_module, "_check_ray", refuse)
+        with pytest.raises(ValueError, match="not a unit vector"):
+            reach(*BEYOND)
 
 
 class TestAsymptoticResidual:

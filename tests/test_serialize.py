@@ -7,7 +7,7 @@ from hypothesis import given as draws
 from hypothesis import strategies as st
 
 from ksgeom.errors import ParseError
-from ksgeom.reach import ReachCertificate, reach, verify_certificate
+from ksgeom.reach import ReachCertificate, VerifyReport, reach, verify_certificate
 from ksgeom.serialize import (
     certificate_to_doc,
     load_certificate,
@@ -171,6 +171,49 @@ class TestCertificateDocs:
         report = verify_certificate(ReachCertificate(points=((0.0, 0.0, 1.0), (2.0, 0.0, 0.0))))
         doc = report_to_doc(report)
         json.dumps(doc, allow_nan=False)  # raises if any NaN survived
+
+
+class TestRecordTypes:
+    """ReachCertificate and VerifyReport keep their fields, defaults and
+    keyword construction, and compare and hash by value."""
+
+    def test_fields_and_defaults(self):
+        assert ReachCertificate._fields == ("points", "eps", "shell_n")
+        assert ReachCertificate._field_defaults == {"eps": EPS, "shell_n": None}
+        assert VerifyReport._fields == ("accepted", "link_residuals", "min_z", "failures",
+                                        "first_bad_link")
+        assert VerifyReport._field_defaults == {"failures": (), "first_bad_link": None}
+
+    def test_keyword_construction(self):
+        cert = ReachCertificate(points=((0.0, 0.6, 0.8),))
+        assert (cert.points, cert.eps, cert.shell_n) == (((0.0, 0.6, 0.8),), EPS, None)
+        assert ReachCertificate(shell_n=3, points=(), eps=1e-6) == ReachCertificate((), 1e-6, 3)
+        report = VerifyReport(accepted=True, link_residuals=(0.0,), min_z=0.8)
+        assert (report.failures, report.first_bad_link) == ((), None)
+        with pytest.raises(TypeError):
+            ReachCertificate(eps=EPS)
+        with pytest.raises(AttributeError):
+            cert.eps = 1e-6
+
+    def test_value_equality_and_hash(self):
+        cert = sample_certificate()
+        again = load_certificate(save_certificate(cert))
+        assert again == cert and hash(again) == hash(cert) and again is not cert
+        assert cert != cert._replace(shell_n=7) and cert != cert._replace(eps=1e-6)
+        report = verify_certificate(cert)
+        assert verify_certificate(again) == report
+        assert hash(verify_certificate(again)) == hash(report)
+        assert len({cert, again, report, verify_certificate(again)}) == 2
+
+    def test_through_the_doc_functions(self):
+        cert = ReachCertificate(points=((0.0, 0.6, 0.8), (0.6, 0.48, 0.64)), eps=1e-6, shell_n=2)
+        assert certificate_to_doc(cert, (0.5,)) == {
+            "eps": 1e-6, "shell_n": 2, "points": [[0.0, 0.6, 0.8], [0.6, 0.48, 0.64]],
+            "residuals": [0.5]}
+        report = VerifyReport(False, (math.nan, 1e-10), 0.64, ("[0] x", "[1] y"), 0)
+        assert report_to_doc(report) == {
+            "accepted": False, "link_residuals": [None, 1e-10], "min_z": 0.64,
+            "failures": ["[0] x", "[1] y"], "first_bad_link": 0}
 
 
 # Floats json writes in every form: signed zeros, exponent forms (tiny,
