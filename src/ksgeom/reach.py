@@ -103,9 +103,9 @@ def step_one(q: Ray, p: Ray) -> Ray:
 
     The construction is _thales, on plane coordinates with no PlanePoint,
     and step_one wraps its coordinate triple into a Ray. reach keeps the
-    triple: its Thales point costs about 1.5 us with the Ray checks,
-    against 5.3 us through step_one before (Python 3.11 on one core of a
-    2-vCPU VM).
+    triple: its Thales point costs about 1.4 us with the Ray checks,
+    against 4.6-5.4 us through step_one before (Python 3.11 on one core of
+    a 2-vCPU VM).
     """
     f_pt = project(q)
     p_pt = project(p)
@@ -248,11 +248,11 @@ def reach(q: Ray, p: Ray) -> ReachCertificate:
     The chain is built on coordinate triples: the spiral and the Thales
     point come from _canonical on plane coordinates, with no Ray or
     PlanePoint per point, and each built point then passes the Ray
-    constructor's tests (_check_ray). A spiral point costs about 1.1 us and
-    the Thales point about 1.5 us, checks included, against 2.0 and 5.3 us
-    through Ray, PlanePoint and step_one before; a 7-point chain takes
-    about 11 us, against 18 (Python 3.11 on one core of a 2-vCPU VM, the
-    benchmark's seed-43 pairs).
+    constructor's tests (_check_ray). A spiral point costs about 1.0 us and
+    the Thales point about 1.4 us, checks included, against 1.2-1.9 and
+    4.6-5.4 us through Ray, PlanePoint and step_one before; a 7-point chain
+    takes about 10 us, against 16-18 (Python 3.11 on one core of a 2-vCPU
+    VM, the benchmark's seed-43 pairs).
     """
     if not (p.is_northern() and q.is_northern()):
         raise NotNorthern("both points must be northern")

@@ -7,12 +7,11 @@ then positive y on the equator). A ray's checks (unit length, canonical
 sign) are written once, in _check_ray. The Ray constructor runs them, and
 canonicalize and the document loader build through it, so they run on
 every ray; reach runs them on the chain points it keeps as coordinate
-triples.
-canonicalize's arithmetic is written once too, in _canonical, which
-canonicalize wraps into a Ray and reach uses as it stands. A tripod's
-orthogonality check is written once, in check_tripod. Every predicate
-compares against the one fixed tolerance EPS; there is no exact-arithmetic
-mode.
+triples. canonicalize's arithmetic is written once too, in _canonical,
+which canonicalize wraps into a Ray and reach uses as it stands. A
+tripod's orthogonality check is written once, in check_tripod. Every
+predicate compares against the one fixed tolerance EPS; there is no
+exact-arithmetic mode.
 
 q's circle under a pole P is one construction, circle_pole: the paper
 assumes "by a rotation" that P is the north pole N, and the formula needs

@@ -252,7 +252,6 @@ class TestVerifyCommand:
         assert code == EXIT_CODES["ParseError"] == 19
         assert out == "" and "tolerance eps must lie in (0, 1e-3)" in err
 
-
     @pytest.mark.parametrize("eps, want", [(1e-4, 0), (1e-9, EXIT_REJECTED)])
     def test_judged_at_the_documents_eps(self, tmp_path, capsys, eps, want):
         # the one link's residual is 6.0e-08: within 1e-4, beyond 1e-9
