@@ -152,21 +152,34 @@ def _json_eps(v: object) -> float:
     return eps
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; ParseError when a key repeats (json's default keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ParseError(f"duplicate key: {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_doc(
     text: str | bytes, what: str, keys: tuple[str, ...], required: tuple[str, ...]
 ) -> dict:
     """The JSON object a document holds; ParseError unless it is UTF-8 JSON
-    with an object root whose keys are among keys and include required.
+    with no key repeated in an object and an object root whose keys are
+    among keys and include required.
 
-    Every json.loads failure is a ParseError, including nesting too deep
-    for the decoder and integers past Python's digit limit."""
+    Every decoder failure is a ParseError, including nesting too deep for
+    the decoder and integers past Python's digit limit."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
-        doc = json.loads(text)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth

@@ -24,6 +24,8 @@ as it was (a lemma_zero chain keeps the circle steps before a refused one):
 
 Rays share a table index when |a x b| <= EPS, numbered by first appearance
 and filed under the cells of a grid over (|x|, |y|, |z|) of side about 1e-6.
+Each stored ray records its one cell, or None where its 2*EPS box spans
+several; a seed copy's image takes its ray's cell, permuted by the frame.
 A branch's scope is itself and its ancestors, nearest first: a rule refuses
 premises outside it, facts are deduplicated per scope by ray index, and
 deriving the opposite value of a visible fact records the branch's clash.
@@ -166,33 +168,40 @@ class DerivationTrace:
         self.instances: list[Instance] = []
         self._frames: dict[int, Rotation] = {}  # by pole ray index
         self._cells: dict[tuple[int, ...], list[int]] = {}
+        self._ray_cells: list[tuple[int, ...] | None] = []  # each ray's one cell, by index
 
     # -- ray table ---------------------------------------------------------
 
-    def _find(self, ray: Ray) -> tuple[int | None, Ray]:
+    def _find(self, ray: Ray, cell: tuple[int, ...] | None = None) -> tuple[int | None, Ray]:
         """(index, ray) of the smallest-index stored ray spanning ray's subspace, else (None, ray):
-        what a rule checks and stores. _file files a ray under each cell near it."""
+        what a rule checks and stores. Reads ray's cell, computed unless given; _file files a
+        ray under each cell near it."""
         rays = self.rays
-        try:
-            cell = (int(abs(ray.x) * _PER_CELL), int(abs(ray.y) * _PER_CELL),
-                    int(abs(ray.z) * _PER_CELL))
-        except ValueError:  # a NaN coordinate is in no cell, and every check refuses it
-            return None, ray
+        if cell is None:
+            try:
+                cell = (int(abs(ray.x) * _PER_CELL), int(abs(ray.y) * _PER_CELL),
+                        int(abs(ray.z) * _PER_CELL))
+            except ValueError:  # a NaN coordinate is in no cell, and every check refuses it
+                return None, ray
         for idx in self._cells.get(cell, ()):
             if rays[idx].same_subspace(ray):
                 return idx, rays[idx]
         return None, ray
 
-    def _file(self, ray: Ray) -> int:
-        """Store a ray that _find has not found."""
-        ax, ay, az = abs(ray.x), abs(ray.y), abs(ray.z)
-        cells, idx = self._cells, len(self.rays)
+    def _file(self, ray: Ray, cell: tuple[int, ...] | None = None) -> int:
+        """Store a ray that _find has not found under each cell its 2*EPS box meets, and
+        record the one cell, or None where there are several; cell, if given, is that one."""
+        cells, idx, hi = self._cells, len(self.rays), cell
         self.rays.append(ray)
-        lo = (int((ax - _FILE_REACH) * _PER_CELL), int((ay - _FILE_REACH) * _PER_CELL),
-              int((az - _FILE_REACH) * _PER_CELL))
-        hi = (int((ax + _FILE_REACH) * _PER_CELL), int((ay + _FILE_REACH) * _PER_CELL),
-              int((az + _FILE_REACH) * _PER_CELL))
-        for near in (lo,) if lo == hi else product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        if cell is None:
+            ax, ay, az = abs(ray.x), abs(ray.y), abs(ray.z)
+            cell = (int((ax - _FILE_REACH) * _PER_CELL), int((ay - _FILE_REACH) * _PER_CELL),
+                    int((az - _FILE_REACH) * _PER_CELL))
+            hi = (int((ax + _FILE_REACH) * _PER_CELL), int((ay + _FILE_REACH) * _PER_CELL),
+                  int((az + _FILE_REACH) * _PER_CELL))
+        self._ray_cells.append(cell if cell == hi else None)
+        span = (cell,) if cell == hi else product(*(range(a, b + 1) for a, b in zip(cell, hi)))
+        for near in span:
             cells.setdefault(near, []).append(idx)
         return idx
 
@@ -381,7 +390,9 @@ class DerivationTrace:
         _compile refuses, a body step failing on the mapped rays (stored ones where
         _find has them), an undischarged hypothesis. Under the identity each body
         ray is its own image, and its steps were checked when they were stored.
-        Stores the new images, no fact.
+        Stores the new images, no fact. An image is looked up and filed in its
+        ray's recorded cell, permuted; one whose ray spans several cells, as a
+        new ray is.
         """
         if any(c not in (0.0, 1.0, -1.0) for row in frame.rows for c in row):
             raise BadPremises("frame is not a signed permutation")
@@ -395,9 +406,12 @@ class DerivationTrace:
         else:
             order, hypotheses, triads, zeros = self._compile(source, first)
         if frame == _IDENTITY:
-            found = [(r, rays[r]) for r in order]
+            found, cells = [(r, rays[r]) for r in order], [None] * len(order)
         else:
-            found = [self._find(image) for image in _images(frame, [rays[r] for r in order])]
+            images = list(_images(frame, [rays[r] for r in order],
+                                  [self._ray_cells[r] for r in order]))
+            found = [self._find(image, cell) for image, cell in images]
+            cells = [cell for _, cell in images]
             at = [ray for _, ray in found]
             for a, b, c in triads:
                 check_tripod(at[a], at[b], at[c])
@@ -412,7 +426,8 @@ class DerivationTrace:
             if d is None or facts[d].value != fact.value:
                 raise BadPremises(f"no fact in branch {branch}'s scope discharges hypothesis {h}")
             discharged[h] = d
-        image = dict(zip(order, [self._file(ray) if j is None else j for j, ray in found]))
+        image = dict(zip(order, [self._file(ray, cell) if j is None else j
+                                 for (j, ray), cell in zip(found, cells)]))
         made = Instance(branch, source, first, image, discharged, triads, zeros)
         self.instances.append(made)
         return made
@@ -473,13 +488,17 @@ class DerivationTrace:
         return order, hypotheses, triads, zeros
 
 
-def _images(frame: Rotation, rays: list[Ray]) -> Iterator[Ray]:
+def _images(frame: Rotation, rays: list[Ray], cells: list[tuple[int, ...] | None]
+            ) -> Iterator[tuple[Ray, tuple[int, ...] | None]]:
     """Each ray's world image in frame, a signed permutation: its coordinates and
     their words (Ray.text's) permuted and signed as by frame.apply_inverse, then
-    the canonical sign flip, no renormalizing: to_world's where it keeps n = 1.0."""
+    the canonical sign flip, no renormalizing: to_world's where it keeps n = 1.0.
+    Each comes with its ray's recorded cell (or None) permuted alike: the grid is
+    the same on every axis and |image| is |ray| permuted bit for bit, so that is
+    the image's query cell and its one filing cell."""
     ranks = frame.apply_inverse((1.0, 2.0, 3.0))  # a * (j + 1) at i: image i is a * ray's j
     (i, a), (j, b), (k, c) = [(int(abs(u)) - 1, u / abs(u)) for u in ranks]
-    for ray in rays:
+    for ray, cell in zip(rays, cells):
         v, words = ray.vec, ray.text[1:-1].split(",")
         x, y, z = a * v[i], b * v[j], c * v[k]
         if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (  # canonicalize's sign rule
@@ -489,7 +508,7 @@ def _images(frame: Rotation, rays: list[Ray]) -> Iterator[Ray]:
         image.__dict__["_text"] = "[%s%s,%s%s,%s%s]" % (  # a zero's "-" dropped: 0.0 is +0.0
             "-" if x < 0.0 else "", words[i].lstrip("-"), "-" if y < 0.0 else "",
             words[j].lstrip("-"), "-" if z < 0.0 else "", words[k].lstrip("-"))
-        yield image
+        yield image, cell and (cell[i], cell[j], cell[k])
 
 
 # -- extraction --------------------------------------------------------------

@@ -483,6 +483,18 @@ class TestUsageErrors:
         else:
             assert err.startswith("error [ParseError]: ")
 
+    @pytest.mark.parametrize("command, text", [
+        ("color", '{"eps":1e-9,"rays":[[0,0,1]],"triads":[],"pairs":[],"eps":2e-9}'),
+        ("verify", '{"eps":1e-9,"points":[[0.0,0.6,0.8],[0.0,0.0,1.0]],"eps":2e-9}'),
+    ], ids=["color", "verify"])
+    def test_duplicate_key_input(self, tmp_path, capsys, command, text):
+        # json's default decoder keeps the last of a repeated key's values
+        f = tmp_path / "duplicate.json"
+        f.write_text(text)
+        code, out, err = run(capsys, command, str(f))
+        assert code == EXIT_CODES["ParseError"] == 19
+        assert out == "" and err == "error [ParseError]: duplicate key: 'eps'\n"
+
     @pytest.mark.parametrize("json_mode", [False, True])
     def test_closed_stdout(self, json_mode):
         # the reader of stdout is gone before the command prints

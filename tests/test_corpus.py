@@ -11,7 +11,7 @@ import pytest
 from ksgeom.trace import extract_triad_system
 
 import corpus
-from test_trace import reference_extract
+from test_trace import reference_extract, refiled
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +33,13 @@ def test_extraction_equals_the_reference(built):
     for name, t, _ in built:
         if t is not None:
             assert extract_triad_system(t) == reference_extract(t), name
+
+
+def test_cell_record_equals_a_fresh_filing(built):
+    # the seed copies' images file under their rays' cells, permuted
+    for name, t, _ in built:
+        if t is not None:
+            assert (t._ray_cells, t._cells) == refiled(t), name
 
 
 def test_script_exits_1_on_a_difference_unless_it_writes(tmp_path, monkeypatch, capsys):

@@ -745,18 +745,19 @@ class TestRayTableProbes:
     def test_demo_second_lookups_and_probes(self, monkeypatch):
         # the ray grid's cells are far wider than the merge radius, yet a
         # lookup probes no more stored rays than under a grid of 4*EPS cells;
-        # a lookup is a _find call, through ray_index or not, and a probe a
-        # same_subspace call made inside one
+        # a lookup is a _find call, through ray_index or not, with its cell
+        # computed or given (an instance's image), and a probe a same_subspace
+        # call made inside one
         counts = {"lookups": 0, "probes": 0}
         depth = 0
         lookup, probe = trace_module.DerivationTrace._find, Ray.same_subspace
 
-        def counting_lookup(t, ray):
+        def counting_lookup(t, ray, cell=None):
             nonlocal depth
             counts["lookups"] += 1
             depth += 1
             try:
-                return lookup(t, ray)
+                return lookup(t, ray, cell)
             finally:
                 depth -= 1
 

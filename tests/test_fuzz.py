@@ -72,7 +72,7 @@ from ksgeom.system import (
     load_system,
     save_system,
 )
-from ksgeom.trace import DerivationTrace, _images, to_world
+from ksgeom.trace import CELL, DerivationTrace, _images, to_world
 
 from trace_check import Rejected, check_trace
 
@@ -426,6 +426,7 @@ SIGNED_PERMUTATIONS = [
     if dot(rows[0], cross(rows[1], rows[2])) > 0.0
 ]
 EDGES = (0.0, -0.0, CANON_EPS, -CANON_EPS)
+NEAR_BOUNDARY = round(0.6 / CELL) * CELL - 1e-9  # within 2*EPS of a grid cell boundary
 
 
 @st.composite
@@ -468,7 +469,7 @@ class TestImages:
     @example(ray=Ray(-CANON_EPS, 1.0, CANON_EPS))
     def test_image_is_the_signed_permutation(self, rows, ray):
         frame = Rotation(rows)
-        image = next(_images(frame, [ray]))
+        image, _ = next(_images(frame, [ray], [None]))
         exact = tuple(c + 0.0 for c in frame.apply_inverse(ray.vec))
         assert image.vec in (exact, tuple(-c + 0.0 for c in exact))
         assert image.text == "[%r,%r,%r]" % image.vec  # no -0.0: both zeros are "0.0"
@@ -477,6 +478,20 @@ class TestImages:
             assert (image.vec, image.text) == (world.vec, world.text)  # text: bit for bit
         else:  # to_world renormalizes a ray unit only within Ray's tolerance
             assert image.same_subspace(world)
+
+    @settings(FUZZ, max_examples=25)
+    @pytest.mark.parametrize("rows", SIGNED_PERMUTATIONS)
+    @given(ray=image_sources())
+    @example(ray=canonicalize((NEAR_BOUNDARY, 0.48, math.sqrt(1 - NEAR_BOUNDARY**2 - 0.48**2))))
+    def test_image_cell_is_its_filing_cell(self, rows, ray):
+        # the ray's recorded cell (None where its 2*EPS box spans several),
+        # permuted, is what the image records when filed afresh
+        source, target = DerivationTrace(), DerivationTrace()
+        source._file(ray)
+        image, cell = next(_images(Rotation(rows), [ray], source._ray_cells))
+        target._file(image)
+        assert cell == target._ray_cells[0]
+        assert (list(target._cells) == [cell]) if cell else (len(target._cells) > 1)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -672,7 +687,7 @@ class RuleSurface(RuleBasedStateMachine):
         t = self.t
         branches = [{**vars(b), "facts_by_ray": dict(b.facts_by_ray)} for b in t.branches]
         cells = {c: list(ids) for c, ids in t._cells.items()}
-        return list(t.rays), list(t.facts), branches, cells, list(t.instances)
+        return list(t.rays), list(t.facts), branches, cells, list(t._ray_cells), list(t.instances)
 
     def brute_index(self, ray: Ray) -> int:
         """The smallest index of a stored ray with |a x b| <= EPS."""

@@ -91,6 +91,15 @@ class TestCertificateDocs:
         with pytest.raises(ParseError):
             load_certificate(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["eps", "shell_n", "points", "residuals"])
+    def test_rejects_duplicate_key(self, key):
+        # the second value is not silently kept, nor the first
+        text = save_certificate(sample_certificate(), verify_certificate(sample_certificate()).link_residuals)
+        doc = json.loads(text)
+        again = text.replace("{", '{"%s":%s,' % (key, json.dumps(doc[key])), 1)
+        with pytest.raises(ParseError, match=f"^duplicate key: '{key}'$"):
+            load_certificate(again)
+
     def test_rejects_malformed_json(self):
         with pytest.raises(ParseError) as err:
             load_certificate("{")

@@ -146,6 +146,17 @@ class TestRoundTrip:
         with pytest.raises(ParseError):
             load_system(bad)
 
+    @pytest.mark.parametrize("key, value", [("eps", "2e-09"), ("pairs", "[]"), ("rays", "[]")])
+    def test_load_rejects_duplicate_key(self, key, value):
+        text = save_system(constant_tripod_system())
+        with pytest.raises(ParseError, match=f"^duplicate key: '{key}'$"):
+            load_system(text.replace("{", '{"%s":%s,' % (key, value), 1))
+
+    def test_load_rejects_duplicate_key_in_a_nested_object(self):
+        text = save_system(constant_tripod_system()).replace('"pairs":[]', '"pairs":[{"a":1,"a":2}]')
+        with pytest.raises(ParseError, match="^duplicate key: 'a'$"):
+            load_system(text)
+
     def test_load_rejects_missing_key(self):
         doc = json.loads(save_system(constant_tripod_system()))
         del doc["pairs"]

@@ -492,7 +492,16 @@ def sibling_premises():
 
 
 def table_state(t):
-    return len(t.rays), len(t.facts), {cell: list(ids) for cell, ids in t._cells.items()}
+    cells = {cell: list(ids) for cell, ids in t._cells.items()}
+    return len(t.rays), len(t.facts), cells, list(t._ray_cells)
+
+
+def refiled(t):
+    """The cell record and the grid of t's rays filed afresh, in index order."""
+    fresh = DerivationTrace()
+    for ray in t.rays:
+        fresh._file(ray)
+    return fresh._ray_cells, fresh._cells
 
 
 class TestRefusedRuleLeavesTraceUnchanged:
@@ -993,6 +1002,78 @@ class TestRayGrid:
         t = DerivationTrace()
         t.ray_index(ray)
         assert sorted(cell[0] for cell in t._cells) == [round(0.6 / CELL) - 1, round(0.6 / CELL)]
+
+
+def near_edge(sign):
+    """A ray whose x lies 0.3e-9 below (sign -1) or above (+1) a cell boundary."""
+    x = round(0.6 / CELL) * CELL + sign * 0.3e-9
+    return canonicalize((x, 0.48, math.sqrt(1 - x * x - 0.48 * 0.48)))
+
+
+class TestImageCells:
+    """A seed copy's image takes its ray's recorded cell, permuted; a ray whose
+    2*EPS box spans several cells records None and its image is looked up
+    and filed as any new ray is."""
+
+    def test_cell_record_matches_a_fresh_filing(self):
+        t, n1, x0, x1 = copy_n_argument()
+        copy_n(t, n1, x1, t.branches[x1].assumption)
+        _, y1 = t.split(x0, canonicalize((0, 1, 0)))
+        copy_n(t, n1, y1, t.branches[y1].assumption)
+        assert (t._ray_cells, t._cells) == refiled(t)
+        # a coordinate 1.0 lies on a cell boundary: N and the axes span two cells
+        axes = [r for r, ray in enumerate(t.rays) if 1.0 in ray.vec]
+        assert [r for r, cell in enumerate(t._ray_cells) if cell is None] == axes
+        assert len(axes) == 3 and len(t.rays) > 3 * len(axes)
+
+    def test_body_ray_near_a_boundary_takes_the_fallback(self, monkeypatch):
+        t, n1, _, x1 = copy_n_argument()
+        t.split(t.branches[n1].children[0], near_edge(-1))
+        source = t.ray_index(near_edge(-1))
+        assert t._ray_cells[source] is None
+        given_cells, find = [], t._find
+        monkeypatch.setattr(t, "_find", lambda ray, cell=None: given_cells.append(cell)
+                            or find(ray, cell))
+        made = copy_n(t, n1, x1, t.branches[x1].assumption)
+        monkeypatch.undo()
+        frame = rotation_to_pole(canonicalize((1, 0, 0)))
+        at = made.rays[source]
+        assert given_cells[list(made.rays).index(source)] is None
+        assert at == len(t.rays) - 1 and t.rays[at] == to_world(frame, near_edge(-1).vec)
+        assert t._ray_cells[at] is None and (t._ray_cells, t._cells) == refiled(t)
+        # filed under both cells: the same subspace across the boundary finds it
+        assert t.ray_index(to_world(frame, near_edge(1).vec)) == at
+
+    def test_fast_path_equals_the_fallback(self, monkeypatch):
+        def build():
+            t, n1, x0, x1 = copy_n_argument()
+            t.split(t.branches[n1].children[0], near_edge(-1))
+            copy_n(t, n1, x1, t.branches[x1].assumption)
+            _, y1 = t.split(x0, canonicalize((0, 1, 0)))
+            copy_n(t, n1, y1, t.branches[y1].assumption)
+            return t
+
+        fast = build()
+        images = trace_module._images
+        monkeypatch.setattr(trace_module, "_images",
+                            lambda frame, rays, cells: images(frame, rays, [None] * len(rays)))
+        slow = build()
+        assert fast.rays == slow.rays and fast.instances == slow.instances
+        assert (fast._ray_cells, fast._cells) == (slow._ray_cells, slow._cells)
+
+    def test_exponent_sign_kept_in_image_text(self):
+        # a coordinate below 1e-4 is written with an exponent, whose "-" is
+        # no sign of the coordinate
+        t, n1, x0, x1 = copy_n_argument()
+        small = canonicalize((-1e-5, 0.6, 0.8))
+        t.split(t.branches[n1].children[0], small)
+        assert small.text.count("e-") == 1
+        _, y1 = t.split(x0, canonicalize((0, 1, 0)))
+        for branch in (x1, y1):
+            made = copy_n(t, n1, branch, t.branches[branch].assumption)
+            image = t.rays[made.rays[t.ray_index(small)]]
+            assert image.text == "[%r,%r,%r]" % image.vec and "e-06" in image.text
+            assert image == to_world(t.frame(t.branches[branch].assumption), small.vec)
 
 
 class TestExtraction:
