@@ -1,7 +1,7 @@
 """Geometric engine for two-valued measures on rays of R^3.
 
-Canonical sphere geometry, tangent-plane projection, constructive
-reachability with verifiable certificates, derivation traces mechanizing
+Canonical sphere geometry, constructive reachability in the tangent
+plane with verifiable certificates, derivation traces mechanizing
 the value-propagation arguments, extraction of finite triad systems, and
 an exhaustive coloring checker that independently confirms the extracted
 systems admit no two-valued coloring. The package is pure Python with no
@@ -21,16 +21,17 @@ from .coloring import (
     solve,
 )
 from .demos import cover_index, demo_first_proof, demo_second_proof, qn_sequence
-from .plane import PlanePoint, Side, project, side_of, unproject
 from .reach import (
     MAX_SPIRAL_STEPS,
     N_MAX,
     ReachCertificate,
+    Side,
     VerifyReport,
     asymptotic_residual,
     choose_shell_n,
     reach,
     shell,
+    side_of,
     step_one,
     verify_certificate,
 )
@@ -62,7 +63,6 @@ __all__ = [
     "MAX_SPIRAL_STEPS",
     "N_MAX",
     "NORTH_POLE",
-    "PlanePoint",
     "Ray",
     "ReachCertificate",
     "Rotation",
@@ -84,7 +84,6 @@ __all__ = [
     "extract_triad_system",
     "is_valid_coloring",
     "load_system",
-    "project",
     "qn_sequence",
     "reach",
     "refute_by_core_enumeration",
@@ -95,7 +94,6 @@ __all__ = [
     "solve",
     "step_one",
     "third_point",
-    "unproject",
     "validate_system",
     "verify_certificate",
 ]

@@ -44,8 +44,7 @@ import math
 from collections.abc import Callable, Iterator
 
 from .errors import BadN, BadPole, NotInRightHalf
-from .plane import Side, side_of
-from .reach import _least_steps
+from .reach import Side, _least_steps, side_of
 from .sphere import EPS, Ray, Rotation, Vec3, canonicalize, circle_partners, third_point
 from .trace import DerivationTrace, to_frame, to_world
 

@@ -14,10 +14,18 @@ chains. Both take the least step count the growth law admits, found by one
 doubling-and-bisection search.
 Certificates carry every chain point and are re-checkable without
 trusting the construction: verify_certificate calls none of its code.
+
+Chains are built in the tangent plane z = 1 at the north pole, with the
+pole at the origin: a northern point (x, y, z) projects to h = (x/z, y/z),
+two floats. Great circles through northern points map to straight lines:
+q's circle maps to the line through h(q) orthogonal to h(q), which step_one
+walks, and the "beyond" side of that line is the image of the region
+between the circle and the equator.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from collections.abc import Callable, Iterator
 from itertools import islice
@@ -31,8 +39,7 @@ from .errors import (
     NotReachableDirectly,
     PreconditionViolation,
 )
-from .plane import Side, project, side_of
-from .sphere import EPS, Ray, Vec3, _canonical, _check_ray
+from .sphere import EPS, Ray, Vec3, _canonical, _check_ray, third_point
 
 #: Hard cap on shell size; hitting it means the height gap is below what the
 #: construction can resolve numerically.
@@ -50,6 +57,39 @@ N_MAX = 10**6
 MAX_SPIRAL_STEPS = 2_000
 
 MIN_SHELL_N = 5
+
+
+class Side(enum.Enum):
+    POLE_SIDE = "pole_side"
+    ON_CIRCLE = "on_circle"
+    BEYOND = "beyond"
+
+
+def side_of(p: Ray, q: Ray) -> Side:
+    """Which side of q's circle the point p falls on.
+
+    Reads the signed dot s = p . third_point(q) against the circle's pole.
+    ON_CIRCLE is |s| <= EPS; BEYOND (s < 0) means p lies in the region
+    between the circle and the equator, whose image is the half plane not
+    containing the origin; POLE_SIDE is the rest of the hemisphere.
+    """
+    if q.is_pole():
+        raise AtPole("side_of undefined for the pole circle")
+    if not p.is_northern():
+        raise NotNorthern(f"cannot place point with z={p.z!r}")
+    s = p.dot(third_point(q))
+    if abs(s) <= EPS:
+        return Side.ON_CIRCLE
+    if s < 0.0:
+        return Side.BEYOND
+    return Side.POLE_SIDE
+
+
+def _plane(r: Ray) -> tuple[float, float]:
+    """h(r) = (r_x/r_z, r_y/r_z); bijective from the open northern hemisphere."""
+    if not r.is_northern():
+        raise NotNorthern(f"cannot project point with z={r.z!r}")
+    return r.x / r.z, r.y / r.z
 
 
 class ReachCertificate(NamedTuple):
@@ -101,23 +141,21 @@ def step_one(q: Ray, p: Ray) -> Ray:
     so the link to p keeps the Thales residual of rounding size. NotNorthern
     unless q and p are northern, then AtPole when q is the pole.
 
-    The construction is _thales, on plane coordinates with no PlanePoint,
-    and step_one wraps its coordinate triple into a Ray. reach keeps the
-    triple: its Thales point costs about 1.4 us with the Ray checks,
-    against 4.6-5.4 us through step_one before (Python 3.11 on one core of
-    a 2-vCPU VM).
+    The construction is _thales; step_one wraps its triple into a Ray, which
+    reach skips: 1.4 us per Thales point with the Ray checks, against
+    4.6-5.4 us through step_one (Python 3.11, one core of a 2-vCPU VM).
     """
-    f_pt = project(q)
-    p_pt = project(p)
+    fu, fv = _plane(q)
+    pu, pv = _plane(p)
     if q.is_pole():
         raise AtPole("step_one undefined at the north pole")
-    x, y, z = _thales(f_pt.u, f_pt.v, p_pt.u, p_pt.v)
+    x, y, z = _thales(fu, fv, pu, pv)
     return Ray(x, y, z)
 
 
 def _thales(fu: float, fv: float, pu: float, pv: float) -> Vec3:
     """step_one's point for F = (fu, fv) and P = (pu, pv), as the canonical
-    triple of (x_u, x_v, 1): no Ray and no PlanePoint, and unchecked."""
+    triple of (x_u, x_v, 1): no Ray, and unchecked."""
     d = math.hypot(fu, fv)
     ru, rv = -fv / d, fu / d
     b = ru * pu + rv * pv
@@ -164,8 +202,8 @@ def shell(q: Ray, n: int) -> list[Ray]:
         raise AtPole("shell undefined at the north pole")
     if not MIN_SHELL_N <= n <= N_MAX:
         raise BadN(f"shell needs {MIN_SHELL_N} <= n <= {N_MAX}, got {n}")
-    f = project(q)
-    spiral = _spiral(math.atan2(f.v, f.u), f.norm(), 2.0 * math.pi, n)
+    fu, fv = _plane(q)
+    spiral = _spiral(math.atan2(fv, fu), math.hypot(fu, fv), 2.0 * math.pi, n)
     return [q, *[Ray(x, y, z) for x, y, z in spiral]]
 
 
@@ -205,8 +243,8 @@ def choose_shell_n(q: Ray, p: Ray) -> int:
         raise NotNorthern("both points must be northern")
     if not p.z < q.z:
         raise PreconditionViolation("target must be strictly lower than source")
-    d0 = project(q).norm()
-    target = project(p).norm()
+    d0 = math.hypot(*_plane(q))
+    target = math.hypot(*_plane(p))
 
     def admissible(n: int) -> bool:
         return d0 * math.cos(2.0 * math.pi / n) ** (-n) < target * math.cos(math.pi / n)
@@ -246,13 +284,13 @@ def reach(q: Ray, p: Ray) -> ReachCertificate:
     shares only the order of canonicalize's and circle_pole's arithmetic.
 
     The chain is built on coordinate triples: the spiral and the Thales
-    point come from _canonical on plane coordinates, with no Ray or
-    PlanePoint per point, and each built point then passes the Ray
-    constructor's tests (_check_ray). A spiral point costs about 1.0 us and
-    the Thales point about 1.4 us, checks included, against 1.2-1.9 and
-    4.6-5.4 us through Ray, PlanePoint and step_one before; a 7-point chain
-    takes about 10 us, against 16-18 (Python 3.11 on one core of a 2-vCPU
-    VM, the benchmark's seed-43 pairs).
+    point come from _canonical on plane coordinates, with no Ray per point,
+    and each built point then passes the Ray constructor's tests
+    (_check_ray). A spiral point costs about 1.0 us and the Thales point
+    about 1.4 us, checks included, against 1.2-1.9 and 4.6-5.4 us through
+    Ray, a plane-point tuple and step_one before; a 7-point chain takes
+    about 10 us, against 16-18 (Python 3.11 on one core of a 2-vCPU VM, the
+    benchmark's seed-43 pairs).
     """
     if not (p.is_northern() and q.is_northern()):
         raise NotNorthern("both points must be northern")

@@ -9,7 +9,7 @@ Ray's cached text, byte for byte the encoder's, so the system document
 written after the trace reuses that text; save_trace formats each fact and
 each instance directly, in the encoder's layout, and save_certificate the
 whole certificate. TestTraceWriter and TestCertificateWriter in
-tests/test_serialize.py pin them to _canonical_json of a reference dict,
+tests/test_serialize.py pin them to the compact JSON of a reference dict,
 and CI's "CLI end to end" step to the encoder's bytes for both demos and a
 certificate.
 This module owns the certificate and trace formats. Schemas:
@@ -83,7 +83,7 @@ def certificate_to_doc(cert: ReachCertificate, residuals: tuple[float, ...] | No
 
 
 def save_certificate(cert: ReachCertificate, residuals: tuple[float, ...] | None = None) -> str:
-    """The certificate document: byte for byte _canonical_json(certificate_to_doc(...)).
+    """The certificate document: byte for byte _compact(certificate_to_doc(...)) and a newline.
 
     Each number is its repr, as the encoder writes it. No finite number's
     repr holds "nan" or "inf", nor does any key, so spelling those as json
@@ -135,7 +135,7 @@ _INSTANCE = '{"branch":%d,"source":%d,"first":%d,"map":[%s],"hypotheses":[%s],"d
 
 
 def save_trace(t: DerivationTrace) -> str:
-    """The trace document: byte for byte _canonical_json of the schema's dict."""
+    """The trace document: byte for byte _compact of the schema's dict and a newline."""
     facts = [
         _FACT % (ray, value, rule, ",".join(map(str, premises)), branch)
         for ray, value, rule, premises, branch, _ in t.facts

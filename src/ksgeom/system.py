@@ -107,18 +107,13 @@ def _compact(obj: object) -> str:
     return text.replace("],[", "],\n[").replace("},{", "},\n{")
 
 
-def _canonical_json(doc: dict) -> str:
-    """doc as a document: compact JSON, one record per line, a final newline."""
-    return _compact(doc) + "\n"
-
-
 def _ray_block(rays: Iterable[Ray]) -> str:
     """_compact of the rays' coordinate lists, joined from each Ray's text."""
     return "[%s]" % ",\n".join([r.text for r in rays])
 
 
 def save_system(s: TriadSystem) -> str:
-    """The system document: byte for byte _canonical_json of the schema's dict."""
+    """The system document: byte for byte _compact of the schema's dict and a newline."""
     return '{"eps":%s,"rays":%s,"triads":%s,"pairs":%s}\n' % (
         _compact(s.eps),
         _ray_block(s.rays),

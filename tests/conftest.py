@@ -1,11 +1,70 @@
 import itertools
+import json
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 
-from ksgeom.sphere import Ray, canonicalize
+from ksgeom.errors import NotNorthern, ZeroVector
+from ksgeom.sphere import CANON_EPS, EPS, Ray, Vec3, canonicalize
 from ksgeom.system import TriadSystem
+
+
+class PlanePoint(NamedTuple):
+    """A point (u, v) of the tangent plane z = 1 at the north pole."""
+
+    u: float
+    v: float
+
+    def norm(self) -> float:
+        return math.hypot(self.u, self.v)
+
+    def dot(self, other: "PlanePoint") -> float:
+        return self.u * other.u + self.v * other.v
+
+
+def project(q: Ray) -> PlanePoint:
+    """h(q) = (q_x/q_z, q_y/q_z); bijective from the open northern hemisphere."""
+    if not q.is_northern():
+        raise NotNorthern(f"cannot project point with z={q.z!r}")
+    return PlanePoint(q.x / q.z, q.y / q.z)
+
+
+def reference_canonicalize(v: Vec3) -> Ray:
+    """Normalize v and pick the canonical antipodal representative.
+
+    sphere.canonicalize written out apart from the sphere module's
+    arithmetic, which reach shares; tests/test_reach.py pins the two
+    together bit for bit."""
+    vx, vy, vz = v[0], v[1], v[2]
+    n = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if n <= EPS:
+        raise ZeroVector(f"vector norm {n!r} below tolerance")
+    if abs(n - 1.0) <= 4e-13:
+        n = 1.0  # near-unit input passes through bit-exactly: makes the map idempotent
+    # Adding 0.0 normalizes -0.0 to +0.0 so both antipodes map to the same bits.
+    x = vx / n + 0.0
+    y = vy / n + 0.0
+    z = vz / n + 0.0
+    # the canonical sign rule written out; the Ray constructor checks it again
+    if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
+            x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
+        x, y, z = -x + 0.0, -y + 0.0, -z + 0.0
+    return Ray(x, y, z)
+
+
+def unproject(p: PlanePoint) -> Ray:
+    """Inverse of project: the canonical ray through (u, v, 1), made by
+    reference_canonicalize."""
+    return reference_canonicalize((p.u, p.v, 1.0))
+
+
+def canonical_json(doc: dict) -> str:
+    """doc in the documents' layout: json's compact encoding with a newline
+    after each "],[" and "},{" and at the end."""
+    text = json.dumps(doc, separators=(",", ":"))
+    return text.replace("],[", "],\n[").replace("},{", "},\n{") + "\n"
 
 
 def random_northern(rng: random.Random, z_min: float = 1e-6, z_max: float = 1.0) -> Ray:

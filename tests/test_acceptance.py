@@ -23,9 +23,8 @@ from ksgeom.serialize import load_certificate, save_certificate
 from ksgeom.sphere import canonicalize, complete_tripod
 from ksgeom.system import TriadSystem, load_system, save_system, validate_system
 from ksgeom.trace import CertWitness, decision_core, extract_triad_system
-from ksgeom.plane import project, unproject, PlanePoint
 
-from conftest import random_northern
+from conftest import PlanePoint, project, random_northern, unproject
 
 R2 = math.sqrt(0.5)
 

@@ -28,8 +28,7 @@ from ksgeom.errors import (
     BadPremises,
     NotInRightHalf,
 )
-from ksgeom.plane import Side, side_of
-from ksgeom.reach import verify_certificate
+from ksgeom.reach import Side, side_of, verify_certificate
 from ksgeom.sphere import (
     EPS,
     NORTH_POLE,
@@ -552,6 +551,28 @@ class TestFactShapesFromDocument:
                              capture_output=True, text=True)
         assert run.returncode == 1 and "branch 2 has other keys" in run.stderr
         assert "Traceback" not in run.stderr
+
+    def test_script_refuses_a_repeated_key_and_a_file_not_utf8_json(self, second_trace, tmp_path):
+        # fact 0's value written twice, the last one its own: json's default
+        # reads the document the writer wrote, so the repeat must be refused
+        text = save_trace(second_trace)
+        doubled = text.replace('"value":', '"value":7,"value":', 1)
+        assert '{"ray":0,"value":7,"value":0,' in doubled and json.loads(doubled) == json.loads(text)
+        for content, why in [(doubled.encode(), "document 0 repeats the key 'value'"),
+                             (b"\xff\xfe{", "not a UTF-8 JSON file"),
+                             (text[:-20].encode(), "not a UTF-8 JSON file")]:
+            (tmp_path / "trace.json").write_bytes(content)
+            run = subprocess.run([sys.executable, trace_check.__file__, str(tmp_path / "trace.json")],
+                                 capture_output=True, text=True)
+            assert run.returncode == 1 and run.stdout == "" and "Traceback" not in run.stderr
+            assert run.stderr.startswith(f"{tmp_path / 'trace.json'}: ") and why in run.stderr
+        # and a system document with a repeated key, by its name
+        (tmp_path / "trace.json").write_text(text)
+        (tmp_path / "system.json").write_text('{"eps":1e-9,"eps":1e-9}')
+        run = subprocess.run([sys.executable, trace_check.__file__, str(tmp_path / "trace.json"),
+                              str(tmp_path / "system.json"), "11"], capture_output=True, text=True)
+        assert run.returncode == 1 and "Traceback" not in run.stderr
+        assert run.stderr == f"{tmp_path / 'system.json'}: duplicate key: 'eps'\n"
 
 
 class TestInstancesFromDocument:

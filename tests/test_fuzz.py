@@ -45,7 +45,6 @@ from ksgeom.errors import (
     ParseError,
     ValidationError,
 )
-from ksgeom.plane import PlanePoint, unproject
 from ksgeom.reach import MAX_SPIRAL_STEPS, ReachCertificate, step_one
 from ksgeom.serialize import load_certificate, save_trace
 from ksgeom.sphere import (
@@ -64,7 +63,6 @@ from ksgeom.sphere import (
 )
 from ksgeom.system import (
     TriadSystem,
-    _canonical_json,
     _json_eps,
     _json_float,
     _json_int,
@@ -74,6 +72,7 @@ from ksgeom.system import (
 )
 from ksgeom.trace import CELL, DerivationTrace, _images, to_world
 
+from conftest import PlanePoint, canonical_json, unproject
 from trace_check import Rejected, check_trace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -414,7 +413,7 @@ class TestWriters:
             "triads": [list(t) for t in s.triads],
             "pairs": [list(p) for p in s.pairs],
         }
-        assert save_system(s) == _canonical_json(doc)
+        assert save_system(s) == canonical_json(doc)
 
 
 #: The 24 rotations that permute and sign the coordinates.

@@ -3,11 +3,10 @@ import math
 import pytest
 
 from ksgeom.errors import AtPole, NotNorthern
-from ksgeom.plane import PlanePoint, Side, project, side_of, unproject
-from ksgeom.reach import step_one
+from ksgeom.reach import Side, _plane, choose_shell_n, shell, side_of, step_one
 from ksgeom.sphere import EPS, NORTH_POLE, canonicalize, circle_partners
 
-from conftest import random_northern, random_northern_nonpole
+from conftest import PlanePoint, project, random_northern, random_northern_nonpole, unproject
 
 R2 = math.sqrt(0.5)
 
@@ -31,22 +30,37 @@ def side_in_plane(p, q):
 
 
 class TestProject:
+    """reach._plane, the plane coordinates step_one, shell and
+    choose_shell_n read; the same divisions as conftest's project."""
+
     def test_pole_maps_to_origin(self):
-        assert project(NORTH_POLE) == PlanePoint(0.0, 0.0)
+        assert _plane(NORTH_POLE) == (0.0, 0.0)
 
     def test_diagonal(self):
-        assert project(canonicalize((R2, 0, R2))) == PlanePoint(1.0, 0.0)
+        assert _plane(canonicalize((R2, 0, R2))) == (1.0, 0.0)
 
     def test_three_four_five(self):
-        h = project(canonicalize((0.6, 0, 0.8)))
-        assert abs(h.u - 0.75) <= 1e-12 and h.v == 0.0
+        u, v = _plane(canonicalize((0.6, 0, 0.8)))
+        assert abs(u - 0.75) <= 1e-12 and v == 0.0
 
     def test_not_northern(self):
-        with pytest.raises(NotNorthern):
-            project(canonicalize((0, 1, 0)))
+        equator, q = canonicalize((0, 1, 0)), unproject(PlanePoint(1, 0))
+        with pytest.raises(NotNorthern, match="cannot project point with z=0.0"):
+            _plane(equator)
+        # and each wrapper refuses it, in either place, with no point built
+        for call in (lambda: step_one(equator, q), lambda: step_one(q, equator),
+                     lambda: shell(canonicalize((1, 0, 0)), 16)):
+            with pytest.raises(NotNorthern, match="cannot project point with z=0.0"):
+                call()
+        for pair in ((equator, q), (q, equator)):
+            with pytest.raises(NotNorthern, match="both points must be northern"):
+                choose_shell_n(*pair)
 
 
 class TestUnproject:
+    """conftest's unproject, through which every test point given in plane
+    coordinates is built."""
+
     def test_origin(self):
         assert unproject(PlanePoint(0, 0)).vec == (0.0, 0.0, 1.0)
 

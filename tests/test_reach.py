@@ -17,26 +17,33 @@ from ksgeom.errors import (
     NotNorthern,
     NotReachableDirectly,
     PreconditionViolation,
-    ZeroVector,
 )
-from ksgeom.plane import PlanePoint, Side, project, side_of, unproject
 from ksgeom.reach import (
     MAX_SPIRAL_STEPS,
     MIN_SHELL_N,
     N_MAX,
     ReachCertificate,
+    Side,
     VerifyReport,
     asymptotic_residual,
     choose_shell_n,
     reach,
     shell,
+    side_of,
     step_one,
     verify_certificate,
 )
 from ksgeom.serialize import load_certificate, save_certificate
-from ksgeom.sphere import CANON_EPS, EPS, NORTH_POLE, Ray, Vec3, canonicalize, third_point
+from ksgeom.sphere import EPS, NORTH_POLE, Ray, canonicalize, third_point
 
-from conftest import random_northern, random_northern_nonpole
+from conftest import (
+    PlanePoint,
+    project,
+    random_northern,
+    random_northern_nonpole,
+    reference_canonicalize,
+    unproject,
+)
 
 R2 = math.sqrt(0.5)
 reach_module = importlib.import_module("ksgeom.reach")  # the package re-exports the function
@@ -705,33 +712,10 @@ class TestReferenceVerifier:
 # The construction before it was built on coordinate triples, kept verbatim
 # (docstrings cut to one line, and each call of a function below named with
 # its reference_ copy) as the reference that TestReferenceReach compares
-# reach, shell, step_one and canonicalize with. The copies of canonicalize
-# and unproject keep the reference apart from the sphere module's
+# reach, shell, step_one, choose_shell_n and canonicalize with. The copies
+# of canonicalize and unproject in conftest.py (reference_canonicalize, and
+# unproject on it) keep the reference apart from the sphere module's
 # arithmetic, which the new construction shares with canonicalize.
-def reference_canonicalize(v: Vec3) -> Ray:
-    """Normalize v and pick the canonical antipodal representative."""
-    vx, vy, vz = v[0], v[1], v[2]
-    n = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if n <= EPS:
-        raise ZeroVector(f"vector norm {n!r} below tolerance")
-    if abs(n - 1.0) <= 4e-13:
-        n = 1.0  # near-unit input passes through bit-exactly: makes the map idempotent
-    # Adding 0.0 normalizes -0.0 to +0.0 so both antipodes map to the same bits.
-    x = vx / n + 0.0
-    y = vy / n + 0.0
-    z = vz / n + 0.0
-    # the canonical sign rule written out; the Ray constructor checks it again
-    if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (
-            x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
-        x, y, z = -x + 0.0, -y + 0.0, -z + 0.0
-    return Ray(x, y, z)
-
-
-def reference_unproject(p: PlanePoint) -> Ray:
-    """Inverse of project: the canonical ray through (u, v, 1)."""
-    return reference_canonicalize((p.u, p.v, 1.0))
-
-
 def reference_step_one(q: Ray, p: Ray) -> Ray:
     """A point x on q's circle whose own circle passes through p."""
     f_pt = project(q)
@@ -754,7 +738,7 @@ def reference_step_one(q: Ray, p: Ray) -> Ray:
     t = (b + math.sqrt(disc)) / 2.0
     if t < 0.0:
         t = (b - math.sqrt(disc)) / 2.0
-    return reference_unproject(PlanePoint(f_pt.u + t * r[0], f_pt.v + t * r[1]))
+    return unproject(PlanePoint(f_pt.u + t * r[0], f_pt.v + t * r[1]))
 
 
 def reference_spiral(q: Ray, delta: float, k: int) -> Iterator[Ray]:
@@ -777,6 +761,23 @@ def reference_shell(q: Ray, n: int) -> list[Ray]:
     if not MIN_SHELL_N <= n <= N_MAX:
         raise BadN(f"shell needs {MIN_SHELL_N} <= n <= {N_MAX}, got {n}")
     return [q, *reference_spiral(q, 2.0 * math.pi, n)]
+
+
+def reference_choose_shell_n(q: Ray, p: Ray) -> int:
+    """Smallest n >= 5 whose shell provably brings p beyond some shell circle."""
+    if q.is_pole():
+        raise AtPole("shell selection undefined at the north pole")
+    if not (p.is_northern() and q.is_northern()):
+        raise NotNorthern("both points must be northern")
+    if not p.z < q.z:
+        raise PreconditionViolation("target must be strictly lower than source")
+    d0 = project(q).norm()
+    target = project(p).norm()
+
+    def admissible(n: int) -> bool:
+        return d0 * math.cos(2.0 * math.pi / n) ** (-n) < target * math.cos(math.pi / n)
+
+    return reach_module._least_steps(admissible, MIN_SHELL_N, N_MAX, "shell size")
 
 
 def reference_reach(q: Ray, p: Ray) -> ReachCertificate:
@@ -886,8 +887,9 @@ SIGNED_ZERO = (Ray(-0.0, 0.6, 0.8), canonicalize((1.0, 0.75, 1.0)))
 
 
 class TestReferenceReach:
-    """reach, shell and step_one give the reference's rays and certificates
-    bit for bit, and its refusals with the same type and message."""
+    """reach, shell, step_one and choose_shell_n give the reference's rays,
+    certificates and step counts bit for bit, and its refusals with the
+    same type and message."""
 
     def test_examples_take_each_path(self):
         assert [reach(*pair).shell_n for pair in (ON_CIRCLE, BEYOND, TWO_LINKS)] == [None, None, 2]
@@ -958,8 +960,22 @@ class TestReferenceReach:
     @example(BEYOND, 4)
     @example(BEYOND, N_MAX + 1)
     @example((NORTH_POLE, NORTH_POLE), 16)
+    @example((Ray(1.0, 0.0, 0.0), NORTH_POLE), 16)  # a source on the equator
     def test_shell(self, pair, n):
         assert outcome(shell, pair[0], n) == outcome(reference_shell, pair[0], n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(northern_pairs())
+    @example(BEYOND)
+    @example(TWO_LINKS)
+    @example(TOO_CLOSE)
+    @example(plane_pair((1, 0), (-(1 + 1e-13), 0)))  # past N_MAX: NoSuchN
+    @example(REFUSED[0])
+    @example(REFUSED[1])
+    @example(REFUSED[2])
+    @example(REFUSED[3])
+    def test_choose_shell_n(self, pair):
+        assert outcome(choose_shell_n, *pair) == outcome(reference_choose_shell_n, *pair)
 
     def test_built_points_pass_the_ray_checks(self, monkeypatch):
         # every point reach builds, and only those, goes through _check_ray

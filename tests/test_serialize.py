@@ -16,17 +16,16 @@ from ksgeom.serialize import (
     save_trace,
 )
 from ksgeom.sphere import EPS, NORTH_POLE, canonicalize
-from ksgeom.system import _canonical_json
 from ksgeom.trace import DerivationTrace, to_world
 
-from conftest import given
+from conftest import canonical_json, given
 
 R2 = math.sqrt(0.5)
 
 
 def reference_trace_doc(t: DerivationTrace) -> dict:
     """The trace document as one dict, the schema in ksgeom.serialize's
-    docstring; save_trace must write _canonical_json of it byte for byte."""
+    docstring; save_trace must write canonical_json of it byte for byte."""
     return {
         "eps": EPS,
         "rays": [[r.x, r.y, r.z] for r in t.rays],
@@ -253,7 +252,7 @@ class TestCertificateWriter:
     @example(ReachCertificate(points=((-0.0, 1e-300, 1.0), (3e16, -5e-324, 0.5)), shell_n=7),
              (math.nan, math.inf, -math.inf))
     def test_encoder_bytes(self, cert, residuals):
-        assert save_certificate(cert, residuals) == _canonical_json(certificate_to_doc(cert, residuals))
+        assert save_certificate(cert, residuals) == canonical_json(certificate_to_doc(cert, residuals))
 
 
 class TestTraceDocs:
@@ -262,7 +261,7 @@ class TestTraceDocs:
         n1, pole = given(t, 0, NORTH_POLE, 1)
         t.orthogonal_zero(n1, canonicalize((1, 0, 0)), pole)
         doc = reference_trace_doc(t)
-        assert save_trace(t) == _canonical_json(doc)
+        assert save_trace(t) == canonical_json(doc)
         assert set(doc) == {"eps", "rays", "facts", "branches", "instances"}
         assert [f["rule"] for f in doc["facts"]] == ["assume", "assume", "orthogonal_zero"]
         assert doc["facts"][2]["premises"] == [pole]
@@ -317,7 +316,7 @@ class TestTraceWriter:
 
     def check(self, t: DerivationTrace) -> str:
         text = save_trace(t)
-        assert text == _canonical_json(reference_trace_doc(t))
+        assert text == canonical_json(reference_trace_doc(t))
         return text
 
     @pytest.mark.parametrize("which", ["first", "second"])

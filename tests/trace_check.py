@@ -3,11 +3,12 @@
     PYTHONPATH=src python tests/trace_check.py TRACE [SYSTEM K]
 
 prints TRACE's fact counts by rule and its numbers of instances and of
-identity instances, and exits 1 at a record of the wrong shape, a bad eps,
-its first bad branch, fact, split, instance or leaf, or a rule with no fact
-(a ks demo trace uses all five). Given SYSTEM and K, ksgeom's
-core-enumeration oracle must then refute SYSTEM over the 2^K cases of
-TRACE's split members and images.
+identity instances, and exits 1 at a file that is not UTF-8 JSON, a key
+repeated in an object, a record of the wrong shape, a bad eps, its first
+bad branch, fact, split, instance or leaf, or a rule with no fact (a ks
+demo trace uses all five). Given SYSTEM and K, SYSTEM must load as a
+triad system, and ksgeom's core-enumeration oracle must then refute it
+over the 2^K cases of TRACE's split members and images.
 """
 
 import json
@@ -21,6 +22,15 @@ class Rejected(Exception):
     def __init__(self, kind, index, why):
         super().__init__(f"{kind} {index} {why}")
         self.kind, self.index = kind, index
+
+
+def _unique_keys(pairs):
+    """A JSON object's dict; Rejected when a key repeats (json's default keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        raise Rejected("document", 0, f"repeats the key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 def _need(ok, kind, index, why):
@@ -202,9 +212,15 @@ def check_oracle(system, core, k):
 
 
 def main(argv):
-    if len(argv) not in (1, 3):
+    if len(argv) not in (1, 3) or len(argv) == 3 and not argv[2].isdigit():
         sys.exit(__doc__)
-    doc = json.loads(Path(argv[0]).read_bytes())
+    try:
+        text = Path(argv[0]).read_bytes().decode("utf-8")
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError) as err:  # UnicodeDecodeError is a ValueError
+        sys.exit(f"{argv[0]}: not a UTF-8 JSON file: {err}")
+    except Rejected as err:
+        sys.exit(f"{argv[0]}: {err}")
     try:
         counts, core, identity = check_trace(doc)
         print(f"{argv[0]}: {len(doc['facts'])} facts checked {counts}")
@@ -212,9 +228,14 @@ def main(argv):
         if not all(counts.values()):
             sys.exit(f"{argv[0]}: a rule has no fact")
         if len(argv) == 3:
+            from ksgeom.errors import KsError
             from ksgeom.system import load_system
 
-            system, k = load_system(Path(argv[1]).read_bytes()), int(argv[2])
+            try:
+                system = load_system(Path(argv[1]).read_bytes())
+            except (OSError, KsError) as err:
+                sys.exit(f"{argv[1]}: {err}")
+            k = int(argv[2])
             check_oracle(system, [doc["rays"][m] for m in core], k)
             print(f"{argv[1]}: oracle refuted all {2**k} cases")
     except Rejected as err:
