@@ -8,10 +8,14 @@ cross-check it. The first filters every total assignment; the second
 closes all 2^k cases of a core under the forced-value rules at once, one
 case per bit of Python-int masks, scanning the constraints in order of
 largest ray index. That order follows the derivation for extracted
-systems, so a demo closure mostly ends in 2 scans, the second finding no
-change (15 of the 16 systems of the benchmark's seed-1 demo round; 4 on
-the other). They raise ValueError past their caps, read at call time:
-ENUMERATION_CAP rays and CORE_CAP core rays.
+systems, so a demo closure ends within a few scans, each of which still
+changes something: it stops when every lane conflicts, not at a fixpoint.
+On 14 of the 16 systems of the benchmark's seed-1 demo round the second
+scan raises the conflicting lanes to all of them (160 to 256; 2,008 to
+2,048 on demo second); the midpoint-route target takes 3 scans (896, 1,664,
+2,048 of 2,048) and the on-axis target 4 (216, 248, 248, 256 of 256).
+They raise ValueError past their caps, read at call time: ENUMERATION_CAP
+rays and CORE_CAP core rays.
 """
 
 from __future__ import annotations
@@ -123,8 +127,9 @@ def _close_lanes(
     propagation reaches a conflict. The caller lists triads and pairs
     together by largest ray index: an extracted system numbers its rays by
     first touch, so that order follows the derivation, one scan carries a
-    chain many steps, and a demo closure mostly ends in 2 scans, the second
-    finding no change (4 on one of the 16 seed-1 demo systems). Intentionally
+    chain many steps, and a demo closure ends after 2 to 4 scans because every
+    lane conflicts, the last scan still changing values (the module
+    docstring has the seed-1 figures). Intentionally
     artless (no adjacency lists, no queue) so it shares no code shape with
     the solver kernel it cross-checks.
     """

@@ -27,6 +27,25 @@ Within that argument the re-pole at p' is stated once too: both children of
 the seed pole's height split force the same p' and witness, so the second
 holds the first's re-pole as an identity instance.
 
+Near either edge of the upper cap the argument from the seed pole grows like
+1/theta, theta being the angle of p' from the frame pole: its reach chains
+climb from height 1/sqrt(2) to just below p' (627 rays at theta = 0.0757,
+11,139 at 0.004, past the spiral cap at 1e-4). So outside
+DIRECT_LO <= theta <= DIRECT_HI demo first takes the midpoint route: the
+seed pole's 1 forces 1 on its whole upper cap, so on the point p'' at
+DEFAULT_POLE_ANGLE from both the pole and p', and the re-poling argument runs
+from p'', where p' sits at that angle whatever theta is: 159 rays at every
+theta. Its split under the seed pole holds its first child's argument from
+p'' in the second child as an identity instance, as the re-pole's does. The
+extra split costs search, not rays: 11 split members instead of 8, 670
+PROVE_NONE nodes instead of 26, and 2^11 oracle cases. Over the whole
+benchmark op (build, extract, save, load, PROVE_NONE, oracle, certificate
+checks; medians on a 2-vCPU VM) the midpoint route takes about 4.7 ms, as
+long as the direct route at some 375-393 rays. The direct route keeps 375
+rays down to theta = 0.1236 (411 below, 4.6 ms at 0.12) and 393 up to 0.7529
+(411 above, 4.9 ms; its 627 rays at 0.0757 take 7.2 ms), so the band's ends
+sit at that crossover.
+
 How a height-1/sqrt(2) split tripod is turned about its pole is free (the
 paper takes each frame "by a rotation we can assume"), and it sets the
 system's size: a reach chain from a zeroed height-1/sqrt(2) ray turns the
@@ -59,6 +78,12 @@ SEED_TRIPOD_VECS: tuple[Vec3, Vec3, Vec3] = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (
 #: the middle of the plateau 0.42 <= theta <= 0.46 where both demos are
 #: smallest (105 and 153 rays).
 DEFAULT_POLE_ANGLE = 0.44
+
+#: demo first argues from the seed pole for DIRECT_LO <= theta <= DIRECT_HI,
+#: theta being the target's angle from the frame pole, and through the
+#: midpoint p'' outside, where the direct route's rays cost the demo op more
+#: than the midpoint route's larger decision core (module docstring).
+DIRECT_LO, DIRECT_HI = 0.125, 0.75
 
 
 def qn_sequence(n: int) -> Ray:
@@ -120,7 +145,8 @@ def _height_split(
     e* lies in the azimuth of the frame point aim_f. Both height-1/sqrt(2)
     members then sit a quarter turn from that azimuth and from the opposite
     one, where the children's reach chains end: at the third points of p'
-    and of the witness under the seed pole, at the witness itself under p'.
+    and of the witness under the seed pole (of p'' alone on the midpoint
+    route), at the witness itself under p'.
     Yields (child, fact zeroing a height-1/sqrt(2) ray), u_plus = 1 child
     first; the u_plus = 0 child's facts follow the caller's work on the first.
     """
@@ -189,6 +215,40 @@ def _pole_refutation(t: DerivationTrace, branch: int, pole_fact: int, pprime_f: 
         repole = _heights_and_clash(t, child, pole_fact, pprime_f, zero45, repole)
 
 
+def _midpoint(pprime_f: Vec3) -> Vec3:
+    """p'': the frame point at DEFAULT_POLE_ANGLE from both the frame pole and
+    p' (theta < 2 * DEFAULT_POLE_ANGLE from it), its azimuth that of p'
+    turned counterclockwise."""
+    a = DEFAULT_POLE_ANGLE
+    h = math.hypot(pprime_f[0], pprime_f[1])
+    ux, uy = pprime_f[0] / h, pprime_f[1] / h
+    # the triangle pole, p'', p' has legs a: c is the cosine of the azimuth turn
+    c = math.tan(math.acos(pprime_f[2]) / 2.0) / math.tan(a)
+    s = math.sqrt(1.0 - c * c)
+    return (math.sin(a) * (c * ux - s * uy), math.sin(a) * (s * ux + c * uy), math.cos(a))
+
+
+def _midpoint_refutation(t: DerivationTrace, branch: int, pole_fact: int, pprime_f: Vec3) -> None:
+    """Close a branch holding v(pole)=1 by re-poling at p'' on the way to p'.
+
+    Under the pole's height split, faced toward p'' (_midpoint), each child
+    forces v(p'') = 1. The u_plus = 1 child argues the re-poling
+    contradiction with p'' as the pole and p' in the frame of p''; the
+    u_plus = 0 child holds that argument as an identity instance, its one
+    hypothesis v(p'') = 1.
+    """
+    mid_f = _midpoint(pprime_f)
+    pprime = to_world(t.frame(pole_fact), pprime_f)
+    body = None
+    for child, zero45 in _height_split(t, branch, pole_fact, mid_f):
+        _, mid_fid = _force_one(t, child, pole_fact, mid_f, zero45)
+        if body is not None:
+            t.instance(*body, child, Rotation.identity())
+        else:
+            body = child, len(t.facts)
+            _pole_refutation(t, child, mid_fid, to_frame(t.frame(mid_fid), pprime).vec)
+
+
 def _seed_copies(t: DerivationTrace, argue: Callable[[int, int], None]) -> None:
     """Discharge the global seed: one copy of the per-pole argument per seed member.
 
@@ -212,14 +272,19 @@ def demo_first_proof(p_prime: Ray) -> DerivationTrace:
     """Closed trace of the re-poling contradiction.
 
     p_prime is the re-poling target, interpreted in each seed branch's local
-    frame; it must lie strictly inside the upper cap, 1/sqrt(2) < z < 1.
+    frame; it must lie strictly inside the upper cap, 1/sqrt(2) < z < 1. At an
+    angle theta from the frame pole within [DIRECT_LO, DIRECT_HI] the argument
+    re-poles at p_prime from the seed pole; outside, through the midpoint p''
+    (_midpoint_refutation), which holds the trace at 159 rays.
     """
     if not (_R2 + EPS < p_prime.z < 1.0 - EPS):
         raise BadPole(
             f"re-poling target needs 1/sqrt(2) < z < 1, got z={p_prime.z!r}"
         )
+    direct = DIRECT_LO <= math.acos(p_prime.z) <= DIRECT_HI
+    argue = _pole_refutation if direct else _midpoint_refutation
     t = DerivationTrace()
-    _seed_copies(t, lambda branch, pole_fact: _pole_refutation(t, branch, pole_fact, p_prime.vec))
+    _seed_copies(t, lambda branch, pole_fact: argue(t, branch, pole_fact, p_prime.vec))
     assert t.closed
     return t
 

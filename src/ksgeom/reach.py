@@ -49,11 +49,12 @@ N_MAX = 10**6
 #: past it reach raises NoSuchN before it builds a point. Every pair with a
 #: height gap of at least 1e-3, the acceptance suite's law, needs at most
 #: 1,900 steps; the suite's 1000 pairs need at most 628 (3.2x below the cap)
-#: and the benchmark's reach pairs at most 267. ks demo first's longest
-#: chain is about 1.25/theta points for a target theta from its frame pole
-#: (4 points, k = 3, at the default theta = 0.44), so the cap refuses
-#: targets within about 6e-4 rad of the pole or 3e-4 rad of the rim, where
-#: a demo would hold some 70,000 rays.
+#: and the benchmark's reach pairs at most 267. ks demo first argued from
+#: the seed pole has a longest chain of about 1.25/theta points for a
+#: target theta from its frame pole (4 points, k = 3, at the default theta =
+#: 0.44), past the cap within about 6e-4 rad of the pole or 3e-4 rad of the
+#: rim; outside 0.125 <= theta <= 0.75 it re-poles at a point 0.44 rad from
+#: both instead (demos.DIRECT_LO, DIRECT_HI), so its chains stay short.
 MAX_SPIRAL_STEPS = 2_000
 
 MIN_SHELL_N = 5

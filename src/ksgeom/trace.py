@@ -46,7 +46,9 @@ the image of its ray that its own branch sees, and checks every body step on
 the images. A seed copy maps copy N's body, whose one hypothesis is v(N) = 1;
 an identity instance holds a sibling's argument, such as a re-pole, whose
 hypotheses the sibling derived too. A body, frozen once instanced, is compiled
-once, its steps by ray position. Its branch, a leaf, stands for its leaves.
+once, its steps by ray position, and its image plan (each ray's coordinates,
+unsigned words and cell) is made once for every signed-permutation instance of
+it. Its branch, a leaf, stands for its leaves.
 """
 
 from __future__ import annotations
@@ -169,6 +171,7 @@ class DerivationTrace:
         self._frames: dict[int, Rotation] = {}  # by pole ray index
         self._cells: dict[tuple[int, ...], list[int]] = {}
         self._ray_cells: list[tuple[int, ...] | None] = []  # each ray's one cell, by index
+        self._plans: dict[tuple[int, int], list[_Planned]] = {}  # by instanced (source, first)
 
     # -- ray table ---------------------------------------------------------
 
@@ -392,7 +395,8 @@ class DerivationTrace:
         ray is its own image, and its steps were checked when they were stored.
         Stores the new images, no fact. An image is looked up and filed in its
         ray's recorded cell, permuted; one whose ray spans several cells, as a
-        new ray is.
+        new ray is. The body's image plan is made by its first stored
+        signed-permutation instance and read by the later ones.
         """
         if any(c not in (0.0, 1.0, -1.0) for row in frame.rows for c in row):
             raise BadPremises("frame is not a signed permutation")
@@ -405,11 +409,13 @@ class DerivationTrace:
             order, hypotheses, triads, zeros = known[3:]
         else:
             order, hypotheses, triads, zeros = self._compile(source, first)
+        plan = None
         if frame == _IDENTITY:
             found, cells = [(r, rays[r]) for r in order], [None] * len(order)
         else:
-            images = list(_images(frame, [rays[r] for r in order],
-                                  [self._ray_cells[r] for r in order]))
+            plan = self._plans.get((source, first)) or _image_plan(
+                [rays[r] for r in order], [self._ray_cells[r] for r in order])
+            images = list(_images(frame, plan))
             found = [self._find(image, cell) for image, cell in images]
             cells = [cell for _, cell in images]
             at = [ray for _, ray in found]
@@ -430,6 +436,8 @@ class DerivationTrace:
                                  for (j, ray), cell in zip(found, cells)]))
         made = Instance(branch, source, first, image, discharged, triads, zeros)
         self.instances.append(made)
+        if plan is not None:  # kept once stored: the body is frozen from now on
+            self._plans[source, first] = plan
         return made
 
     def _compile(self, source: int, first: int) -> tuple[
@@ -488,26 +496,36 @@ class DerivationTrace:
         return order, hypotheses, triads, zeros
 
 
-def _images(frame: Rotation, rays: list[Ray], cells: list[tuple[int, ...] | None]
+#: A body ray as every image of it reads it: its coordinates, the words of its
+#: text with no sign, and its recorded cell (or None).
+_Planned = tuple[Vec3, list[str], tuple[int, ...] | None]
+
+
+def _image_plan(rays: list[Ray], cells: list[tuple[int, ...] | None]) -> list[_Planned]:
+    """Each ray's coordinates, unsigned words (Ray.text's) and cell, for _images."""
+    return [(ray.vec, [w.lstrip("-") for w in ray.text[1:-1].split(",")], cell)
+            for ray, cell in zip(rays, cells)]
+
+
+def _images(frame: Rotation, plan: list[_Planned]
             ) -> Iterator[tuple[Ray, tuple[int, ...] | None]]:
-    """Each ray's world image in frame, a signed permutation: its coordinates and
-    their words (Ray.text's) permuted and signed as by frame.apply_inverse, then
+    """Each planned ray's world image in frame, a signed permutation: its
+    coordinates and words permuted and signed as by frame.apply_inverse, then
     the canonical sign flip, no renormalizing: to_world's where it keeps n = 1.0.
     Each comes with its ray's recorded cell (or None) permuted alike: the grid is
     the same on every axis and |image| is |ray| permuted bit for bit, so that is
     the image's query cell and its one filing cell."""
     ranks = frame.apply_inverse((1.0, 2.0, 3.0))  # a * (j + 1) at i: image i is a * ray's j
     (i, a), (j, b), (k, c) = [(int(abs(u)) - 1, u / abs(u)) for u in ranks]
-    for ray, cell in zip(rays, cells):
-        v, words = ray.vec, ray.text[1:-1].split(",")
+    for v, words, cell in plan:
         x, y, z = a * v[i], b * v[j], c * v[k]
         if not (z > CANON_EPS or (abs(z) <= CANON_EPS and (  # canonicalize's sign rule
                 x > CANON_EPS or (abs(x) <= CANON_EPS and y > 0.0)))):
             x, y, z = -x, -y, -z
         image = Ray(x + 0.0, y + 0.0, z + 0.0)  # which checks the rule again
         image.__dict__["_text"] = "[%s%s,%s%s,%s%s]" % (  # a zero's "-" dropped: 0.0 is +0.0
-            "-" if x < 0.0 else "", words[i].lstrip("-"), "-" if y < 0.0 else "",
-            words[j].lstrip("-"), "-" if z < 0.0 else "", words[k].lstrip("-"))
+            "-" if x < 0.0 else "", words[i], "-" if y < 0.0 else "", words[j],
+            "-" if z < 0.0 else "", words[k])
         yield image, cell and (cell[i], cell[j], cell[k])
 
 

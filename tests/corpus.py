@@ -14,6 +14,9 @@ name. The inputs are both demos at their defaults, the benchmark's
 demo-pipeline targets at seed 1 (the round that seed draws; the pipeline's
 demo second is the demo above), and golden-angle demo first targets over the
 whole admissible band, theta in (1e-4, pi/4 - 1e-4), with a few near each edge.
+Outside demos.DIRECT_LO <= theta <= DIRECT_HI the targets take the midpoint
+route, 159 rays and 4 instances each, the edge targets included: none of
+them raises.
 """
 
 from __future__ import annotations
@@ -52,9 +55,9 @@ SEED1_TARGETS = [
     (0.6365384615384615, 5.0748804404142795),
     (0.6788461538461538, 2.658270706883673),
 ]
-#: 60 thetas spread over the band, then targets near each edge: the low
-#: edge's chains pass the spiral cap (NoSuchN) below about 5e-4, and the
-#: high edge's above about pi/4 - 5e-4.
+#: 60 thetas spread over the band, then targets near each edge, where the
+#: direct argument's chains would pass the spiral cap (below about 5e-4 and
+#: above about pi/4 - 5e-4) and demo first re-poles at the midpoint p''.
 BAND, N_BAND = (1e-4, math.pi / 4 - 1e-4), 60
 EDGE_THETAS = [1e-4, 5e-4, 4e-3, 1e-2, math.pi / 4 - 1e-2, math.pi / 4 - 4e-3,
                math.pi / 4 - 2e-3, math.pi / 4 - 1e-4]

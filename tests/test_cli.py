@@ -559,8 +559,9 @@ class TestUsageErrors:
 
 
 class TestBoundedWork:
-    """Inputs whose reach chain would pass the spiral cap are refused with
-    NoSuchN (exit 8) in milliseconds, and nothing is written."""
+    """A reach whose chain would pass the spiral cap is refused with NoSuchN
+    (exit 8) in milliseconds, and nothing is written; a demo first target
+    whose direct chains would pass it closes through the midpoint p''."""
 
     def test_reach_tiny_height_gap(self, tmp_path, capsys, monkeypatch):
         # heights 0.6 and 0.59999 half a turn apart need some 190,000 steps
@@ -578,14 +579,15 @@ class TestBoundedWork:
         assert "NoSuchN" in err and not out.exists()
 
     def test_demo_first_near_the_pole(self, tmp_path, capsys):
-        # theta = 1e-4: the longest chain would hold about 1.25/theta = 12,500 points
+        # theta = 1e-4: directly, the longest chain would hold about 1.25/theta
+        # = 12,500 points; through p'' the trace holds 159 rays
         out = tmp_path / "demo"
         start = time.perf_counter()
         code, _, err = run(capsys, "demo", "first", "--pole", "0,sin(1e-4),cos(1e-4)",
                            "-o", str(out))
         assert time.perf_counter() - start < 0.5
-        assert code == EXIT_CODES["NoSuchN"] == 8
-        assert "NoSuchN" in err and not out.exists()
+        assert code == 0, err
+        assert len(json.loads((out / "trace.json").read_text())["rays"]) == 159
 
 
 class TestCommandSurface:

@@ -51,6 +51,7 @@ from ksgeom.trace import (
     DerivationTrace,
     decision_core,
     extract_triad_system,
+    to_frame,
     to_world,
 )
 
@@ -711,6 +712,96 @@ class TestSplitFacing:
             s = extract_triad_system(demo_first_proof(polar_target(theta, i * GOLDEN_ANGLE)))
             sizes.add((s.n_rays, len(s.triads), len(s.pairs)))
         assert len(sizes) == 1
+
+
+def sweep_targets(n=400):
+    """n golden-angle targets (theta, phi) over the cap, theta in (1e-4, pi/4 - 1e-4)."""
+    lo, hi = 1e-4, math.pi / 4 - 1e-4
+    return [(lo + (hi - lo) * (i + 0.5) / n, i * GOLDEN_ANGLE % (2 * math.pi)) for i in range(n)]
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    return [(theta, phi, demo_first_proof(polar_target(theta, phi)))
+            for theta, phi in sweep_targets()]
+
+
+def rerouted(sweep):
+    return [(theta, phi, t) for theta, phi, t in sweep
+            if not demos_module.DIRECT_LO <= theta <= demos_module.DIRECT_HI]
+
+
+@pytest.fixture(scope="module")
+def midpoint_trace():
+    return demo_first_proof(polar_target(0.07569945543151446, 2.7246761881093495))
+
+
+class TestMidpointRoute:
+    """Outside [DIRECT_LO, DIRECT_HI] demo first re-poles at p'', 0.44 rad
+    from both the seed pole and p', so its size no longer grows like 1/theta
+    near the cap's edges: one more split, whose second child holds the first's
+    argument from p'' as an identity instance."""
+
+    def test_every_target_of_the_cap_closes_in_at_most_400_rays(self, sweep):
+        assert len(sweep) >= 400
+        for theta, phi, t in sweep:
+            assert t.closed and len(t.rays) <= 400, (theta, phi, len(t.rays))
+
+    def test_route_by_theta_alone(self, sweep):
+        # the direct route holds the re-pole and copies X and Y; the midpoint
+        # route one more identity instance, and 159 rays or fewer at any theta
+        moved = rerouted(sweep)
+        assert 60 <= len(moved) < len(sweep)
+        for theta, phi, t in moved:
+            assert len(t.instances) == 4 and len(t.rays) <= 159, (theta, phi)
+        assert sum(len(t.instances) == 3 for _, _, t in sweep) == len(sweep) - len(moved)
+
+    def test_rerouted_systems_refuted_and_checked(self, sweep):
+        for theta, phi, t in rerouted(sweep):
+            system, doc = extract_triad_system(t), json.loads(save_trace(t))
+            result = solve(system, SolveMode.PROVE_NONE)
+            assert result.count == 0 and result.exhaustive, (theta, phi)
+            core = decision_core(t, system)
+            assert refute_by_core_enumeration(system, list(core)) == (True, 2 ** 11)
+            counts, members, identity = check_trace(doc)
+            assert all(counts.values()) and len(doc["instances"]) == 4 and identity == [0, 1]
+            check_oracle(system, [doc["rays"][m] for m in members], 11)
+
+    def test_midpoint_is_at_the_default_angle_from_both(self):
+        for theta, phi in sweep_targets(40):
+            pprime = polar_target(theta, phi)
+            mid = canonicalize(demos_module._midpoint(pprime.vec))
+            for end in (NORTH_POLE, pprime):
+                assert math.acos(mid.dot(end)) == pytest.approx(DEFAULT_POLE_ANGLE, abs=1e-12)
+
+    def test_lost_discharge_refused(self, midpoint_trace):
+        # instance 1 is the midpoint split's: its hypothesis v(p'') = 1 is the
+        # first child's, discharged by the second child's own v(p'') = 1
+        t = midpoint_trace
+        doc = json.loads(save_trace(t))
+        mid = doc["instances"][1]
+        (h,), (d,) = mid["hypotheses"], mid["discharges"]
+        assert doc["facts"][h]["value"] == doc["facts"][d]["value"] == 1
+        assert rejected(doc, lambda d: d["instances"][1].update(discharges=[]),
+                        "does not list its hypotheses") == ("instance", 1)
+        assert rejected(doc, lambda d: d["instances"][1].update(discharges=[h]),
+                        "its leaf does not see") == ("instance", 1)
+        # and the builder refuses the instance where the second child never
+        # forced v(p'') = 1
+        built = DerivationTrace()
+        n0, n1 = built.split(0, NORTH_POLE)
+        pole = built.branches[n1].assumption
+        pprime = polar_target(0.07569945543151446, 2.7246761881093495)
+        mid_f = demos_module._midpoint(pprime.vec)
+        children = demos_module._height_split(built, n1, pole, mid_f)
+        c1, zero45 = next(children)
+        _, mid_fid = demos_module._force_one(built, c1, pole, mid_f, zero45)
+        first = len(built.facts)
+        demos_module._pole_refutation(built, c1, mid_fid,
+                                      to_frame(built.frame(mid_fid), pprime).vec)
+        c0, _ = next(children)
+        with pytest.raises(BadPremises, match="discharges hypothesis"):
+            built.instance(c1, first, c0, Rotation.identity())
 
 
 class TestGeometryMemos:

@@ -1010,6 +1010,27 @@ def near_edge(sign):
     return canonicalize((x, 0.48, math.sqrt(1 - x * x - 0.48 * 0.48)))
 
 
+class TestImagePlan:
+    """A body's image plan is made by its first stored signed-permutation
+    instance and read by the later ones; a refused instance keeps none, since
+    its body may still grow."""
+
+    def test_made_once_per_body(self, monkeypatch):
+        made = []
+        plan = trace_module._image_plan
+        monkeypatch.setattr(trace_module, "_image_plan",
+                            lambda rays, cells: made.append(len(rays)) or plan(rays, cells))
+        t, n1, x0, x1 = copy_n_argument()
+        # under v(x) = 0, v(N) = 1's image is v(x) = 1, which nothing discharges
+        with pytest.raises(BadPremises, match="discharges hypothesis"):
+            copy_n(t, n1, x0, t.branches[x1].assumption)
+        assert len(made) == 1 and t._plans == {}
+        first = copy_n(t, n1, x1, t.branches[x1].assumption).first
+        _, y1 = t.split(x0, canonicalize((0, 1, 0)))
+        copy_n(t, n1, y1, t.branches[y1].assumption)
+        assert made == [made[0]] * 2 and list(t._plans) == [(n1, first)]
+
+
 class TestImageCells:
     """A seed copy's image takes its ray's recorded cell, permuted; a ray whose
     2*EPS box spans several cells records None and its image is looked up
@@ -1055,8 +1076,8 @@ class TestImageCells:
 
         fast = build()
         images = trace_module._images
-        monkeypatch.setattr(trace_module, "_images",
-                            lambda frame, rays, cells: images(frame, rays, [None] * len(rays)))
+        monkeypatch.setattr(trace_module, "_images", lambda frame, plan: images(
+            frame, [(v, words, None) for v, words, _ in plan]))
         slow = build()
         assert fast.rays == slow.rays and fast.instances == slow.instances
         assert (fast._ray_cells, fast._cells) == (slow._ray_cells, slow._cells)
