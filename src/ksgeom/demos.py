@@ -23,9 +23,11 @@ The seed tripod is the three axes, so each demo argues once, under the
 north pole, and its x and y seed copies are its instances, ray maps under
 their seed frames, signed permutations that map every ray exactly: the
 paper's "by a rotation we can assume", stated once (DerivationTrace.instance).
-Within that argument the re-pole at p' is stated once too: both children of
-the seed pole's height split force the same p' and witness, so the second
-holds the first's re-pole as an identity instance.
+Within that argument each height split argues once too, in one loop: both
+children force the same 1s, the u_plus = 1 child argues on from them, and the
+u_plus = 0 child holds that argument as an identity instance. So
+_pole_refutation's split holds its re-pole at p', the children having forced
+v(p') = 1 and v(witness) = 1, and _midpoint_refutation's its argument from p''.
 
 Near either edge of the upper cap the argument from the seed pole grows like
 1/theta, theta being the angle of p' from the frame pole: its reach chains
@@ -35,10 +37,8 @@ DIRECT_LO <= theta <= DIRECT_HI demo first takes the midpoint route: the
 seed pole's 1 forces 1 on its whole upper cap, so on the point p'' at
 DEFAULT_POLE_ANGLE from both the pole and p', and the re-poling argument runs
 from p'', where p' sits at that angle whatever theta is: 159 rays at every
-theta. Its split under the seed pole holds its first child's argument from
-p'' in the second child as an identity instance, as the re-pole's does. The
-extra split costs search, not rays: 11 split members instead of 8, 670
-PROVE_NONE nodes instead of 26, and 2^11 oracle cases. Over the whole
+theta. The extra split costs search, not rays: 11 split members instead of 8,
+670 PROVE_NONE nodes instead of 26, and 2^11 oracle cases. Over the whole
 benchmark op (build, extract, save, load, PROVE_NONE, oracle, certificate
 checks; medians on a 2-vCPU VM) the midpoint route takes about 4.7 ms, as
 long as the direct route at some 375-393 rays. The direct route keeps 375
@@ -136,6 +136,12 @@ def _force_one(
     return ray, t.triad_one(branch, ray, e_fid, w_fid)
 
 
+def _unit_azimuth(v: Vec3) -> tuple[float, float]:
+    """The unit vector along a frame point's azimuth."""
+    h = math.hypot(v[0], v[1])
+    return v[0] / h, v[1] / h
+
+
 def _height_split(
     t: DerivationTrace, branch: int, pole_fact: int, aim_f: Vec3
 ) -> Iterator[tuple[int, int]]:
@@ -151,8 +157,7 @@ def _height_split(
     first; the u_plus = 0 child's facts follow the caller's work on the first.
     """
     frame = t.frame(pole_fact)
-    h = math.hypot(aim_f[0], aim_f[1])
-    ux, uy = aim_f[0] / h, aim_f[1] / h
+    ux, uy = _unit_azimuth(aim_f)
     e_star, u_plus, u_minus = (
         to_world(frame, v)
         for v in ((ux, uy, 0.0), (-_R2 * uy, _R2 * ux, _R2), (_R2 * uy, -_R2 * ux, _R2))
@@ -168,51 +173,34 @@ def _height_split(
     yield b0, t.branches[b0].assumption
 
 
-def _heights_and_clash(
-    t: DerivationTrace, branch: int, pole_fact: int, pprime_f: Vec3, zero45_fact: int,
-    repole: tuple[int, int] | None = None,
-) -> tuple[int, int]:
-    """From a zeroed frame-height-1/sqrt(2) ray, force v(p')=1 and clash.
-
-    Everything below the zeroed height is zeroed through reach chains, so
-    p' (above the height) gets 1 through its completion tripod, and so does
-    the witness ray. Re-poling at p' then zeroes the witness: contradiction.
-    The re-pole is the same argument on the same rays in both children of a
-    height split, so given the body (branch, first fact) a sibling argued it
-    in, this branch holds it as an identity instance. Returns that body.
-    """
-    theta = math.acos(pprime_f[2])
-    azim = math.hypot(pprime_f[0], pprime_f[1])
-    ux, uy = pprime_f[0] / azim, pprime_f[1] / azim
-
-    _, p1_fid = _force_one(t, branch, pole_fact, pprime_f, zero45_fact)
-
-    # Witness at angle pi/4 - theta/2 from the frame pole, in the plane of
-    # the pole and p', on the side away from p': above height 1/sqrt(2) in
-    # this frame, below it in the p' frame.
-    a = math.pi / 4.0 - theta / 2.0
-    wit_f: Vec3 = (-math.sin(a) * ux, -math.sin(a) * uy, math.cos(a))
-    wit, _ = _force_one(t, branch, pole_fact, wit_f, zero45_fact)
-
-    if repole is not None:  # its hypotheses: v(p') = 1, v(witness) = 1, a zero of p''s tripod
-        t.instance(*repole, branch, Rotation.identity())
-        return repole
-    # Re-pole at p' and run the frame argument there far enough to zero the
-    # witness in both sub-branches, the split faced toward the witness.
-    first = len(t.facts)
-    for child, zero45 in _height_split(t, branch, p1_fid, to_frame(t.frame(p1_fid), wit).vec):
-        t.lemma_zero(child, zero45, wit, p1_fid)
-    return branch, first
-
-
 def _pole_refutation(t: DerivationTrace, branch: int, pole_fact: int, pprime_f: Vec3) -> None:
     """Close a branch holding v(pole)=1 via the re-poling contradiction.
 
-    The u_plus = 1 child argues the re-pole, and the u_plus = 0 child holds it.
+    Under the pole's height split, faced toward p', each child zeroes
+    everything below its zeroed height-1/sqrt(2) ray through reach chains, so
+    p' (above that height) gets 1 through its completion tripod, and so does
+    the witness ray. The u_plus = 1 child re-poles at p' and zeroes the
+    witness there: contradiction. The re-pole is the same argument on the
+    same rays in both children, so the u_plus = 0 child holds it as an
+    identity instance, its hypotheses v(p') = 1, v(witness) = 1 and a zero of
+    p''s tripod.
     """
-    repole = None
+    ux, uy = _unit_azimuth(pprime_f)
+    # Witness at angle pi/4 - theta/2 from the frame pole, in the plane of
+    # the pole and p', on the side away from p': above height 1/sqrt(2) in
+    # this frame, below it in the p' frame.
+    a = math.pi / 4.0 - math.acos(pprime_f[2]) / 2.0
+    wit_f: Vec3 = (-math.sin(a) * ux, -math.sin(a) * uy, math.cos(a))
+    body = None
     for child, zero45 in _height_split(t, branch, pole_fact, pprime_f):
-        repole = _heights_and_clash(t, child, pole_fact, pprime_f, zero45, repole)
+        _, p1_fid = _force_one(t, child, pole_fact, pprime_f, zero45)
+        wit, _ = _force_one(t, child, pole_fact, wit_f, zero45)
+        if body is not None:
+            t.instance(*body, child, Rotation.identity())
+        else:  # re-pole at p', the split faced toward the witness, and zero it in both children
+            body = child, len(t.facts)
+            for sub, zero in _height_split(t, child, p1_fid, to_frame(t.frame(p1_fid), wit).vec):
+                t.lemma_zero(sub, zero, wit, p1_fid)
 
 
 def _midpoint(pprime_f: Vec3) -> Vec3:
@@ -220,8 +208,7 @@ def _midpoint(pprime_f: Vec3) -> Vec3:
     p' (theta < 2 * DEFAULT_POLE_ANGLE from it), its azimuth that of p'
     turned counterclockwise."""
     a = DEFAULT_POLE_ANGLE
-    h = math.hypot(pprime_f[0], pprime_f[1])
-    ux, uy = pprime_f[0] / h, pprime_f[1] / h
+    ux, uy = _unit_azimuth(pprime_f)
     # the triangle pole, p'', p' has legs a: c is the cosine of the azimuth turn
     c = math.tan(math.acos(pprime_f[2]) / 2.0) / math.tan(a)
     s = math.sqrt(1.0 - c * c)
@@ -231,11 +218,10 @@ def _midpoint(pprime_f: Vec3) -> Vec3:
 def _midpoint_refutation(t: DerivationTrace, branch: int, pole_fact: int, pprime_f: Vec3) -> None:
     """Close a branch holding v(pole)=1 by re-poling at p'' on the way to p'.
 
-    Under the pole's height split, faced toward p'' (_midpoint), each child
-    forces v(p'') = 1. The u_plus = 1 child argues the re-poling
-    contradiction with p'' as the pole and p' in the frame of p''; the
-    u_plus = 0 child holds that argument as an identity instance, its one
-    hypothesis v(p'') = 1.
+    The loop of _pole_refutation, one re-pole earlier: under the pole's height
+    split, faced toward p'' (_midpoint), each child forces v(p'') = 1. The u_plus = 1 child argues the re-poling contradiction with
+    p'' as the pole and p' in the frame of p''; the u_plus = 0 child holds
+    that argument as an identity instance, its one hypothesis v(p'') = 1.
     """
     mid_f = _midpoint(pprime_f)
     pprime = to_world(t.frame(pole_fact), pprime_f)

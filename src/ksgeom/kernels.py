@@ -15,9 +15,8 @@ a pair. A conflict leaves the closure by its one exit. A node that closes
 without a conflict and leaves a free ray descends straight to that ray's
 1-child; deciding 1 pushes only the immutable (ray, trail mark) of its
 0-sibling, and popping a sibling unwinds by popping the trail back to the
-mark. On book systems that is about 0.54 µs of interpreter work per node,
-against 0.73 µs for the reference kernel (Python 3.11, one core of a
-2-vCPU VM).
+mark. On book systems that is about 0.54 µs of interpreter work per node
+(Python 3.11, one core of a 2-vCPU VM).
 
 The search tree is that of the plain two-rule kernel kept as
 reference_solve_kernel in tests/test_kernels.py, so the nodes, the

@@ -143,8 +143,8 @@ def step_one(q: Ray, p: Ray) -> Ray:
     unless q and p are northern, then AtPole when q is the pole.
 
     The construction is _thales; step_one wraps its triple into a Ray, which
-    reach skips: 1.4 us per Thales point with the Ray checks, against
-    4.6-5.4 us through step_one (Python 3.11, one core of a 2-vCPU VM).
+    reach skips: it makes a Thales point in 1.4 us, the Ray checks included
+    (Python 3.11, one core of a 2-vCPU VM).
     """
     fu, fv = _plane(q)
     pu, pv = _plane(p)
@@ -288,10 +288,8 @@ def reach(q: Ray, p: Ray) -> ReachCertificate:
     point come from _canonical on plane coordinates, with no Ray per point,
     and each built point then passes the Ray constructor's tests
     (_check_ray). A spiral point costs about 1.0 us and the Thales point
-    about 1.4 us, checks included, against 1.2-1.9 and 4.6-5.4 us through
-    Ray, a plane-point tuple and step_one before; a 7-point chain takes
-    about 10 us, against 16-18 (Python 3.11 on one core of a 2-vCPU VM, the
-    benchmark's seed-43 pairs).
+    about 1.4 us, checks included; a 7-point chain takes about 10 us
+    (Python 3.11 on one core of a 2-vCPU VM, the benchmark's seed-43 pairs).
     """
     if not (p.is_northern() and q.is_northern()):
         raise NotNorthern("both points must be northern")
@@ -340,9 +338,8 @@ def verify_certificate(cert: ReachCertificate) -> VerifyReport:
     order: one loop over the coordinate triples, with no Ray, canonicalize
     or third_point, makes canonicalize's and circle_pole's operations in
     their order, so each residual is the one third_point gives, to the last
-    bit. It costs about 0.6 us per point plus 1.5 us per certificate, against
-    2.8 us per point through Ray and third_point (Python 3.11 on one core of
-    a 2-vCPU VM, a 186-point chain).
+    bit. It costs about 0.6 us per point plus 1.5 us per certificate
+    (Python 3.11 on one core of a 2-vCPU VM, a 186-point chain).
     """
     pts, eps = cert.points, cert.eps
     if not pts:

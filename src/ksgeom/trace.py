@@ -45,10 +45,12 @@ itself under the identity), names for each hypothesis the fact of its value on
 the image of its ray that its own branch sees, and checks every body step on
 the images. A seed copy maps copy N's body, whose one hypothesis is v(N) = 1;
 an identity instance holds a sibling's argument, such as a re-pole, whose
-hypotheses the sibling derived too. A body, frozen once instanced, is compiled
-once, its steps by ray position, and its image plan (each ray's coordinates,
-unsigned words and cell) is made once for every signed-permutation instance of
-it. Its branch, a leaf, stands for its leaves.
+hypotheses the sibling derived too. A body, frozen once instanced, keeps one
+record: its rays in order, hypotheses and steps by ray position, compiled once,
+and its image plan (each ray's coordinates, unsigned words and cell), made once
+for every signed-permutation instance of it. An instance keeps its map and
+discharges, what the trace document writes, and extraction reads its steps from
+its body's record. Its branch, a leaf, stands for its body's leaves.
 """
 
 from __future__ import annotations
@@ -111,14 +113,12 @@ class ValueFact(NamedTuple):
     witness: CertWitness | None = None
 
 
-class Instance(NamedTuple):
+class Instance(NamedTuple):  # as save_trace writes it; its body's steps: the body's record
     branch: int
     source: int
     first: int  # the body: source's facts from this one on, and its descendants'
     rays: dict[int, int]  # each body ray's image index, in the order the body first names it
     hypotheses: dict[int, int]  # each fact it cites or clashes on outside it: its discharge
-    triads: list[tuple[int, ...]]  # each body triad_one step's rays, by position in rays
-    zeros: list[tuple[int, int]]  # each body derived zero's (premise, own) ray, by position
 
 
 @dataclass
@@ -171,7 +171,7 @@ class DerivationTrace:
         self._frames: dict[int, Rotation] = {}  # by pole ray index
         self._cells: dict[tuple[int, ...], list[int]] = {}
         self._ray_cells: list[tuple[int, ...] | None] = []  # each ray's one cell, by index
-        self._plans: dict[tuple[int, int], list[_Planned]] = {}  # by instanced (source, first)
+        self._bodies: dict[tuple[int, int], tuple] = {}  # by instanced (source, first)
 
     # -- ray table ---------------------------------------------------------
 
@@ -395,8 +395,9 @@ class DerivationTrace:
         ray is its own image, and its steps were checked when they were stored.
         Stores the new images, no fact. An image is looked up and filed in its
         ray's recorded cell, permuted; one whose ray spans several cells, as a
-        new ray is. The body's image plan is made by its first stored
-        signed-permutation instance and read by the later ones.
+        new ray is. The body's record, _compile's results and the image plan (None
+        until a signed-permutation instance makes one), is kept once an instance is
+        stored, for the later ones; a refused call keeps none: its body can still grow.
         """
         if any(c not in (0.0, 1.0, -1.0) for row in frame.rows for c in row):
             raise BadPremises("frame is not a signed permutation")
@@ -404,16 +405,13 @@ class DerivationTrace:
         if branches[branch].children is not None or source in branches[branch].scope:
             raise BadPremises(f"branch {branch} cannot hold an instance of branch {source}")
         self._require_visible(branch, ())
-        known = next((i for i in self.instances if (i.source, i.first) == (source, first)), None)
-        if known is not None:  # a body is frozen once instanced: compiled by its first instance
-            order, hypotheses, triads, zeros = known[3:]
-        else:
-            order, hypotheses, triads, zeros = self._compile(source, first)
-        plan = None
+        body = source, first
+        order, hypotheses, triads, zeros, plan = self._bodies.get(body) or (
+            *self._compile(*body), None)
         if frame == _IDENTITY:
             found, cells = [(r, rays[r]) for r in order], [None] * len(order)
         else:
-            plan = self._plans.get((source, first)) or _image_plan(
+            plan = plan or _image_plan(
                 [rays[r] for r in order], [self._ray_cells[r] for r in order])
             images = list(_images(frame, plan))
             found = [self._find(image, cell) for image, cell in images]
@@ -434,10 +432,9 @@ class DerivationTrace:
             discharged[h] = d
         image = dict(zip(order, [self._file(ray, cell) if j is None else j
                                  for (j, ray), cell in zip(found, cells)]))
-        made = Instance(branch, source, first, image, discharged, triads, zeros)
+        made = Instance(branch, source, first, image, discharged)
         self.instances.append(made)
-        if plan is not None:  # kept once stored: the body is frozen from now on
-            self._plans[source, first] = plan
+        self._bodies[body] = order, hypotheses, triads, zeros, plan  # frozen from now on
         return made
 
     def _compile(self, source: int, first: int) -> tuple[
@@ -566,10 +563,11 @@ def extract_triad_system(t: DerivationTrace) -> TriadSystem:
             a = facts[premises[0]].ray
             zero_pairs[(a, ray) if a < ray else (ray, a)] = None
     for i in t.instances:  # the compiled body's steps, through the instance's map
+        _, _, body_triads, body_zeros, _ = t._bodies[i.source, i.first]
         at = list(i.rays.values())
-        for a, b, c in [(at[a], at[b], at[c]) for a, b, c in i.triads]:
+        for a, b, c in [(at[a], at[b], at[c]) for a, b, c in body_triads]:
             triads[(a, b, c) if a < b < c else tuple(sorted((a, b, c)))] = None
-        for a, r in [(at[a], at[r]) for a, r in i.zeros]:
+        for a, r in [(at[a], at[r]) for a, r in body_zeros]:
             zero_pairs[(a, r) if a < r else (r, a)] = None
     covered = {e for a, b, c in triads for e in ((a, b), (a, c), (b, c))}
     pairs = [pair for pair in zero_pairs if pair not in covered]

@@ -731,9 +731,13 @@ def rerouted(sweep):
             if not demos_module.DIRECT_LO <= theta <= demos_module.DIRECT_HI]
 
 
+#: demo-pipeline's demo first target below the direct band: it takes the midpoint route.
+MIDPOINT_TARGET = (0.07569945543151446, 2.7246761881093495)
+
+
 @pytest.fixture(scope="module")
 def midpoint_trace():
-    return demo_first_proof(polar_target(0.07569945543151446, 2.7246761881093495))
+    return demo_first_proof(polar_target(*MIDPOINT_TARGET))
 
 
 class TestMidpointRoute:
@@ -791,7 +795,7 @@ class TestMidpointRoute:
         built = DerivationTrace()
         n0, n1 = built.split(0, NORTH_POLE)
         pole = built.branches[n1].assumption
-        pprime = polar_target(0.07569945543151446, 2.7246761881093495)
+        pprime = polar_target(*MIDPOINT_TARGET)
         mid_f = demos_module._midpoint(pprime.vec)
         children = demos_module._height_split(built, n1, pole, mid_f)
         c1, zero45 = next(children)
@@ -813,7 +817,8 @@ class TestGeometryMemos:
     @pytest.mark.parametrize("build, reaches, expansions", [
         (lambda: demo_first_proof(default_pole()), 6, 16),
         (demo_second_proof, 8, 20),
-    ], ids=["first", "second"])
+        (lambda: demo_first_proof(polar_target(*MIDPOINT_TARGET)), 8, 20),
+    ], ids=["first", "second", "midpoint"])
     def test_calls_per_demo(self, build, reaches, expansions, monkeypatch):
         counts = {"reach": 0, "expansions": 0}
 
@@ -830,6 +835,26 @@ class TestGeometryMemos:
         monkeypatch.undo()
         assert t.closed
         assert counts == {"reach": reaches, "expansions": expansions}
+
+
+class TestBodyRecords:
+    """A trace keeps one record per instanced body, compiled once: copy N's
+    for the seed copies X and Y, and each re-pole's for the identity instance
+    that holds it (on the midpoint route, the argument from p'' too)."""
+
+    @pytest.mark.parametrize("build, bodies", [
+        (lambda: demo_first_proof(default_pole()), 2),
+        (lambda: demo_first_proof(polar_target(*MIDPOINT_TARGET)), 3),
+        (demo_second_proof, 2),
+    ], ids=["first", "midpoint", "second"])
+    def test_one_record_and_one_compile_per_body(self, build, bodies, monkeypatch):
+        compiled, compile_ = [], trace_module.DerivationTrace._compile
+        monkeypatch.setattr(trace_module.DerivationTrace, "_compile",
+                            lambda t, *body: compiled.append(body) or compile_(t, *body))
+        t = build()
+        monkeypatch.undo()
+        assert set(t._bodies) == {(i.source, i.first) for i in t.instances}
+        assert sorted(compiled) == sorted(t._bodies) and len(compiled) == bodies
 
 
 class TestFrameCache:
@@ -1004,10 +1029,15 @@ class TestUncitedFacts:
     u_minus that _height_split stores just after its u_plus = 1 assumption:
     the first circle step from u_minus finds the pole of u_minus's circle,
     u_plus, already at 1 and cites that assumption instead. Copies X and Y
-    store no fact, and copy N argues its re-pole once, so copy N's two are all."""
+    store no fact, and copy N argues its re-pole once, so copy N's two are all;
+    on the midpoint route its split toward p'' adds a third."""
 
-    @pytest.mark.parametrize("which", ["first", "second"])
-    def test_only_the_sibling_zeros_of_height_splits(self, which, monkeypatch):
+    @pytest.mark.parametrize("build, splits", [
+        (lambda: demo_first_proof(default_pole()), 2),
+        (demo_second_proof, 2),
+        (lambda: demo_first_proof(polar_target(*MIDPOINT_TARGET)), 3),
+    ], ids=["first", "second", "midpoint"])
+    def test_only_the_sibling_zeros_of_height_splits(self, build, splits, monkeypatch):
         sibling_zeros = []
         height_split = demos_module._height_split
 
@@ -1019,12 +1049,12 @@ class TestUncitedFacts:
             yield from steps
 
         monkeypatch.setattr(demos_module, "_height_split", recording)
-        t = demo_first_proof(default_pole()) if which == "first" else demo_second_proof()
+        t = build()
         cited = {p for f in t.facts for p in f.premises}
         cited.update(f for b in t.branches if b.contradiction for f in b.contradiction)
         cited.update(d for i in t.instances for d in i.hypotheses.values())
         uncited = [fid for fid in range(len(t.facts)) if fid not in cited]
-        assert len(sibling_zeros) == 2  # copy N's height splits
+        assert len(sibling_zeros) == splits  # copy N's height splits
         assert uncited == sibling_zeros
         for fid in uncited:
             fact = t.facts[fid]

@@ -61,8 +61,9 @@ def reference_extract(t: DerivationTrace) -> TriadSystem:
             zero_pairs[(a, ray) if a < ray else (ray, a)] = None
     for i in t.instances:
         at = list(i.rays.values())
-        triads.update(dict.fromkeys(tuple(sorted((at[a], at[b], at[c]))) for a, b, c in i.triads))
-        zero_pairs.update(dict.fromkeys((min(at[a], at[r]), max(at[a], at[r])) for a, r in i.zeros))
+        _, _, body_triads, body_zeros, _ = t._bodies[i.source, i.first]
+        triads.update(dict.fromkeys(tuple(sorted((at[a], at[b], at[c]))) for a, b, c in body_triads))
+        zero_pairs.update(dict.fromkeys((min(at[a], at[r]), max(at[a], at[r])) for a, r in body_zeros))
     covered = {e for a, b, c in triads for e in ((a, b), (a, c), (b, c))}
     pairs = [pair for pair in zero_pairs if pair not in covered]
     images = {i.branch: [i.rays[b.split] for b in t.branches
@@ -711,6 +712,9 @@ class TestInstance:
     def test_second_instance_reuses_the_compiled_body(self, monkeypatch):
         # the body is frozen once instanced: the second copy maps the first's
         # compiled steps through its own images, and checks every one of them
+        compiled, compile_ = [], DerivationTrace._compile
+        monkeypatch.setattr(DerivationTrace, "_compile",
+                            lambda t, *body: compiled.append(body) or compile_(t, *body))
         t, n1, x0, x1 = copy_n_argument()
         first = copy_n(t, n1, x1, t.branches[x1].assumption)
         _, y1 = t.split(x0, canonicalize((0, 1, 0)))
@@ -718,10 +722,11 @@ class TestInstance:
         check = trace_module.check_tripod
         monkeypatch.setattr(trace_module, "check_tripod", lambda *r: tripods.append(r) or check(*r))
         second = copy_n(t, n1, y1, t.branches[y1].assumption)
-        assert second.triads is first.triads and second.zeros is first.zeros
+        assert compiled == [(n1, first.first)]
         assert list(second.rays) == list(first.rays)
         assert list(second.hypotheses) == list(first.hypotheses)
-        assert len(tripods) == len(first.triads) > 0
+        _, _, triads, _, _ = t._bodies[n1, first.first]
+        assert len(tripods) == len(triads) > 0
         frame = rotation_to_pole(canonicalize((0, 1, 0)))
         for r, i in second.rays.items():
             image = to_world(frame, t.rays[r].vec)
@@ -1011,9 +1016,10 @@ def near_edge(sign):
 
 
 class TestImagePlan:
-    """A body's image plan is made by its first stored signed-permutation
-    instance and read by the later ones; a refused instance keeps none, since
-    its body may still grow."""
+    """A body's record, its compiled steps and its image plan, is kept by its
+    first stored instance and read by the later ones; a refused instance keeps
+    none, since its body may still grow. The plan is made by the first stored
+    signed-permutation instance."""
 
     def test_made_once_per_body(self, monkeypatch):
         made = []
@@ -1024,11 +1030,15 @@ class TestImagePlan:
         # under v(x) = 0, v(N) = 1's image is v(x) = 1, which nothing discharges
         with pytest.raises(BadPremises, match="discharges hypothesis"):
             copy_n(t, n1, x0, t.branches[x1].assumption)
-        assert len(made) == 1 and t._plans == {}
+        assert len(made) == 1 and t._bodies == {}
         first = copy_n(t, n1, x1, t.branches[x1].assumption).first
+        record = t._bodies[n1, first]
+        assert list(t._bodies) == [(n1, first)] and len(record[4]) == made[0]
         _, y1 = t.split(x0, canonicalize((0, 1, 0)))
         copy_n(t, n1, y1, t.branches[y1].assumption)
-        assert made == [made[0]] * 2 and list(t._plans) == [(n1, first)]
+        # the second copy reads the first's record, plan included, and makes none
+        assert made == [made[0]] * 2 and list(t._bodies) == [(n1, first)]
+        assert all(a is b for a, b in zip(t._bodies[n1, first], record))
 
 
 class TestImageCells:
