@@ -10,8 +10,8 @@ written after the trace reuses that text; save_trace formats each fact and
 each instance directly, in the encoder's layout, and save_certificate the
 whole certificate. TestTraceWriter and TestCertificateWriter in
 tests/test_serialize.py pin them to the compact JSON of a reference dict,
-and CI's "CLI end to end" step to the encoder's bytes for both demos and a
-certificate.
+and TestEndToEnd in tests/test_cli.py to the encoder's bytes for eight ks
+demo outputs and a certificate on each of reach's three paths.
 This module owns the certificate and trace formats. Schemas:
 
 certificate:

@@ -13,8 +13,9 @@ _ray_block from each Ray's cached text, which is byte for byte json's
 encoding of its float coordinates, so a ray's decimals are made once however
 many documents list it; save_trace also formats trace facts directly in
 this layout, five integer-or-name fields each. TestTraceWriter in
-tests/test_serialize.py, the writer tests in tests/test_fuzz.py and CI's
-"CLI end to end" layout check pin both writers to the encoder's bytes.
+tests/test_serialize.py, the writer tests in tests/test_fuzz.py and the
+layout check of TestEndToEnd in tests/test_cli.py pin both writers to the
+encoder's bytes.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import pytest
 
 from ksgeom.errors import NotNorthern, ZeroVector
-from ksgeom.sphere import CANON_EPS, EPS, Ray, Vec3, canonicalize
+from ksgeom.sphere import CANON_EPS, EPS, Ray, Vec3, canonicalize, complete_tripod
 from ksgeom.system import TriadSystem
 
 
@@ -113,6 +113,22 @@ def peres_system() -> TriadSystem:
     pairs = [pair for pair in itertools.combinations(range(len(rays)), 2)
              if orthogonal(*pair) and pair not in covered]
     return TriadSystem(rays=tuple(rays), triads=tuple(triads), pairs=tuple(pairs))
+
+
+def book_system(k: int) -> TriadSystem:
+    """One spine shared by k tripods, as color-count builds it: 2^k + 1
+    colorings, counted in 2^(k + 1) kernel nodes."""
+    base = complete_tripod(canonicalize((0.3, 0.4, 0.866)))
+    b, d = base.b.vec, base.c.vec
+    rays, triads = [base.a, base.b, base.c], [(0, 1, 2)]
+    for i in range(1, k):
+        c, s = math.cos(i * math.pi / (2 * k)), math.sin(i * math.pi / (2 * k))
+        rays += [
+            canonicalize(tuple(c * x + s * y for x, y in zip(b, d))),
+            canonicalize(tuple(-s * x + c * y for x, y in zip(b, d))),
+        ]
+        triads.append((0, len(rays) - 2, len(rays) - 1))
+    return TriadSystem(rays=tuple(rays), triads=tuple(triads))
 
 
 def relabelled(s: TriadSystem, rng: random.Random) -> TriadSystem:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib
 import json
 import math
@@ -8,17 +9,24 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import ksgeom
 from ksgeom.cli import build_parser, main
+from ksgeom.coloring import is_valid_coloring
 from ksgeom.demos import DEFAULT_POLE_ANGLE, demo_first_proof
 from ksgeom.errors import ERROR_CLASSES, EXIT_CODES, EXIT_EXPECTATION, EXIT_REJECTED
-from ksgeom.serialize import save_trace
+from ksgeom.reach import verify_certificate
+from ksgeom.serialize import load_certificate, save_certificate, save_trace
 from ksgeom.sphere import canonicalize
+from ksgeom.system import load_system, save_system
 
-from conftest import random_northern
+import corpus
+import trace_check
+from conftest import book_system, canonical_json, random_northern
+from trace_check import check_oracle, check_trace
 
 
 def run(capsys, *argv):
@@ -27,22 +35,24 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_python(*argv, hash_seed=None, **streams):
+    """Run python with argv in a fresh interpreter that imports this ksgeom,
+    under PYTHONHASHSEED hash_seed if one is given; stdout and stderr are
+    captured unless streams names them."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ksgeom.__file__).parents[1])}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, *argv], **streams, text=True, env=env, timeout=60)
+
+
 def run_with_dead_reader(stream, *argv):
     """Run the CLI in a subprocess whose stream ("stdout", "stderr" or None)
     is a pipe with its read end closed first; the other streams are captured."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
-    if stream is not None:
-        streams[stream] = write_end
     try:
-        return subprocess.run(
-            [sys.executable, "-m", "ksgeom.cli", *argv],
-            **streams,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(Path(ksgeom.__file__).parents[1])},
-            timeout=60,
-        )
+        return run_python("-m", "ksgeom.cli", *argv, **({stream: write_end} if stream else {}))
     finally:
         os.close(write_end)
 
@@ -184,6 +194,8 @@ class TestVerifyCommand:
         code, o, _ = run(capsys, "verify", str(out))
         assert code == EXIT_REJECTED
         assert "[1]" in o
+        code, o, _ = run(capsys, "verify", str(out), "--json")
+        assert code == EXIT_REJECTED and json.loads(o)["first_bad_link"] == 1
 
     def test_point_southern_after_normalization_rejected(self, tmp_path, capsys):
         z = 1.0000001e-9
@@ -328,19 +340,7 @@ class TestDemoAndColor:
         # copy N's facts and branches, with its re-pole argued once and held
         # once by an identity instance, and copies X and Y as instance leaves
         assert (summary["facts"], summary["branches"], summary["leaves"]) == (72, 11, 6)
-        system_file = tmp_path / "system.json"
-        assert system_file.exists() and (tmp_path / "trace.json").exists()
-
-        code, out, _ = run(capsys, "color", str(system_file), "--mode", "count", "--json")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["count"] == 0 and doc["exhaustive"] is True
-
-        assert run(capsys, "color", str(system_file), "--mode", "prove-none")[0] == 0
-        assert (
-            run(capsys, "color", str(system_file), "--mode", "witness")[0]
-            == EXIT_EXPECTATION
-        )
+        assert (tmp_path / "system.json").exists() and (tmp_path / "trace.json").exists()
 
     @pytest.mark.parametrize("value", ["garbage", "0,0.3,0.95"])
     def test_second_demo_refuses_a_pole(self, capsys, value):
@@ -607,10 +607,124 @@ class TestCommandSurface:
         assert list(tmp_path.iterdir()) == []
 
 
-class TestDeterminism:
-    def test_identical_outputs_across_runs(self, tmp_path, capsys):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run(capsys, "demo", "second", "-o", str(a))
-        run(capsys, "demo", "second", "-o", str(b))
-        assert (a / "system.json").read_text() == (b / "system.json").read_text()
-        assert (a / "trace.json").read_text() == (b / "trace.json").read_text()
+def polar_pole(theta, phi):
+    """--pole text of the target theta from the pole, at azimuth phi."""
+    return f"sin({theta})*cos({phi}),sin({theta})*sin({phi}),cos({theta})"
+
+
+class Demo(NamedTuple):
+    argv: tuple  # after "ks demo"
+    k: int  # split members: the oracle refutes the system over their 2^k cases
+    instances: tuple  # (instances, identity instances among them)
+    rays: int
+    record: str | None  # the corpus record of the same input
+
+
+def seed1_demo(i, rays):
+    """demo-pipeline's i-th demo first target at seed 1, with its corpus record."""
+    theta, phi = corpus.SEED1_TARGETS[i]
+    return Demo(("first", "--pole", polar_pole(theta, phi)), 8, (3, 1), rays,
+                f"seed1 {i} theta={theta!r} phi={phi!r}")
+
+
+#: Both demos; a target off both axes; the on-axis lattice target, where
+#: seed copies X and Y merge the most rays into stored ones; the 303-ray
+#: target, the most image texts of any; and three targets re-poled at the
+#: midpoint p'', whose split's second child holds the first's argument as an
+#: identity instance: 1e-4 rad from the pole and from the rim, and the
+#: benchmark's target below the direct band.
+DEMOS = {
+    "second": Demo(("second",), 11, (3, 1), 153, "demo second"),
+    "first": Demo(("first",), 8, (3, 1), 105, "demo first"),
+    "off-axis": Demo(("first", "--pole", polar_pole(0.3, 1.0)), 8, (3, 1), 195, None),
+    "on-axis": seed1_demo(6, 133),
+    "303-ray": seed1_demo(5, 303),
+    **{f"edge {theta}": Demo(("first", "--pole", polar_pole(theta, 2.5)), 11, (4, 2), 159, None)
+       for theta in ("1e-4", "pi/4-1e-4", "0.07569945543151446")},
+}
+
+
+@pytest.fixture(scope="module")
+def demo_outputs(tmp_path_factory):
+    """name -> the output directories of DEMOS[name] run by ks demo in two
+    fresh interpreters, under hash seeds 1 and 2."""
+    root, outputs = tmp_path_factory.mktemp("demos"), {}
+    for i, (name, demo) in enumerate(DEMOS.items()):
+        outputs[name] = [root / f"{i}-{seed}" for seed in (1, 2)]
+        for seed, out in zip((1, 2), outputs[name]):
+            proc = run_python("-m", "ksgeom.cli", "demo", *demo.argv, "-o", str(out), hash_seed=seed)
+            assert proc.returncode == 0, proc.stderr
+    return outputs
+
+
+class TestEndToEnd:
+    """The CLI run as a user runs it, each output re-checked from its
+    document: trace_check's checker and oracle, the documents' layout, the
+    corpus's digests and the coloring kernel."""
+
+    @pytest.mark.parametrize("name", list(DEMOS))
+    def test_demo_bytes_equal_across_interpreters(self, name, demo_outputs):
+        (a, b), record = demo_outputs[name], DEMOS[name].record
+        for doc in ("trace", "system"):
+            data = (a / f"{doc}.json").read_bytes()
+            assert data == (b / f"{doc}.json").read_bytes(), f"{doc}.json moves with the hash seed"
+            if record is not None:
+                sha = corpus.pinned()[record][f"{doc}_sha256"]
+                assert hashlib.sha256(data).hexdigest() == sha, f"{doc}.json is not {record!r}"
+
+    @pytest.mark.parametrize("name", list(DEMOS))
+    def test_demo_output_checked(self, name, demo_outputs, capsys):
+        demo, out = DEMOS[name], demo_outputs[name][0]
+        trace_text, system_text = (out / "trace.json").read_text(), (out / "system.json").read_text()
+        doc, system = json.loads(trace_text), load_system(system_text)
+        counts, members, identity = check_trace(doc)
+        assert all(counts.values()) and len(doc["rays"]) == demo.rays
+        assert (len(doc["instances"]), len(identity)) == demo.instances
+        check_oracle(system, [doc["rays"][m] for m in members], demo.k)
+        assert trace_text == canonical_json(doc)
+        assert system_text == canonical_json(json.loads(system_text)) == save_system(system)
+        path = str(out / "system.json")
+        code, out, _ = run(capsys, "color", path, "--mode", "count", "--json")
+        r = json.loads(out)
+        assert code == 0 and (r["count"], r["exhaustive"]) == (0, True)
+        assert run(capsys, "color", path, "--mode", "prove-none")[0] == 0
+        assert run(capsys, "color", path, "--mode", "witness")[0] == EXIT_EXPECTATION == 23
+
+    def test_trace_check_script_on_demo_second(self, demo_outputs):
+        trace, system = (demo_outputs["second"][0] / f"{doc}.json" for doc in ("trace", "system"))
+        proc = run_python(trace_check.__file__, str(trace), str(system), "11")
+        counts = {"assume": 10, "orthogonal_zero": 20, "circle_zero": 12, "lemma_zero": 8,
+                  "triad_one": 22}
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (f"{trace}: 72 facts checked {counts}\n"
+                               f"{trace}: 3 instances, 1 of them identity\n"
+                               f"{system}: oracle refuted all 2048 cases\n")
+
+    @pytest.mark.parametrize("source, target, shape", [
+        ("0,sin(0.8),cos(0.8)", "0.4,0.5,0.2", (None, 3)),
+        ("0,sin(0.8),cos(0.8)", "sin(1.3)*cos(4),sin(1.3)*sin(4),cos(1.3)", (3, 4)),
+        ("sqrt(0.5),0,sqrt(0.5)", "1/sqrt(27),5/sqrt(27),1/sqrt(27)", (None, 2)),
+    ], ids=["thales-point", "spiral", "on-circle"])
+    def test_reach_paths(self, tmp_path, capsys, source, target, shape):
+        # (shell_n, points): one Thales point for a target beyond the
+        # source's circle, a spiral of k = 3 turns, a direct link
+        out = tmp_path / "cert.json"
+        assert run(capsys, "reach", "--from", source, "--to", target, "-o", str(out))[0] == 0
+        assert run(capsys, "verify", str(out))[0] == 0
+        text = out.read_text()
+        doc = json.loads(text)
+        assert (doc["shell_n"], len(doc["points"])) == shape and text == canonical_json(doc)
+        cert = load_certificate(text)
+        assert save_certificate(cert, verify_certificate(cert).link_residuals) == text
+
+    def test_book_system_through_color(self, tmp_path, capsys):
+        # satisfiable: k = 10 tripods on one spine have 2^10 + 1 colorings
+        path = tmp_path / "book.json"
+        path.write_text(save_system(book_system(10)))
+        code, out, _ = run(capsys, "color", str(path), "--mode", "count", "--json")
+        r = json.loads(out)
+        assert code == 0 and (r["count"], r["nodes_explored"], r["exhaustive"]) == (1025, 2048, True)
+        code, out, _ = run(capsys, "color", str(path), "--mode", "witness", "--json")
+        witness = tuple(json.loads(out)["witness"])
+        assert code == 0 and is_valid_coloring(load_system(path.read_text()), witness)
+        assert run(capsys, "color", str(path), "--mode", "prove-none")[0] == EXIT_EXPECTATION

@@ -388,39 +388,8 @@ class TestDemoSecond:
 
 
 class TestPinnedOutputs:
-    """Both demos' documents, byte for byte, so refactors of the trace layer
-    can show they change nothing."""
-
-    @pytest.mark.parametrize(
-        "which, trace_sha, system_sha, counts, core_size",
-        [
-            pytest.param(
-                "first",
-                "885efcb58a0feb9c3131e86f800db40d8f955f84ce9de03613eabd36d4190442",
-                "ae5d00af5aac48c48fc3f3a1cbd6767955b08f9d10776bfde5af17678edd6d97",
-                (105, 56, 9),
-                8,
-                id="first",
-            ),
-            pytest.param(
-                "second",
-                "be5d9b0de8be890017c77ea8025fa9c927f531fa87871d22246771ba14f7c2e6",
-                "27a2886e9f0a058529e7ca4140a068b01fe42487ac855156838e2a9a0bcebfd8",
-                (153, 72, 11),
-                11,
-                id="second",
-            ),
-        ],
-    )
-    def test_documents_pinned(
-        self, which, trace_sha, system_sha, counts, core_size, first_trace, second_trace
-    ):
-        t = first_trace if which == "first" else second_trace
-        system = extract_triad_system(t)
-        assert (len(t.rays), len(t.facts), len(t.branches)) == counts
-        assert decision_core(t, system) == tuple(range(core_size))
-        assert sha256(save_trace(t)) == trace_sha
-        assert sha256(save_system(system)) == system_sha
+    """Both demos' documents, counts, cores and nodes are pinned by the
+    corpus records "demo first" and "demo second" (tests/test_corpus.py)."""
 
     def test_core_member_missing_from_system(self, second_trace):
         with pytest.raises(BadPremises):
@@ -499,8 +468,9 @@ def rejected(doc, tamper, why=None):
 
 
 class TestFactShapesFromDocument:
-    """tests/trace_check.py, run by CI on ks demo's outputs, reads each fact
-    from the trace document alone, and rejects a tamper where it breaks one."""
+    """tests/trace_check.py, run by tests/test_cli.py::TestEndToEnd on eight
+    ks demo outputs, reads each fact from the trace document alone, and
+    rejects a tamper where it breaks one."""
 
     @pytest.mark.parametrize("which, counts", [
         ("first_trace", {"assume": 8, "orthogonal_zero": 15, "circle_zero": 10,
@@ -552,6 +522,15 @@ class TestFactShapesFromDocument:
                              capture_output=True, text=True)
         assert run.returncode == 1 and "branch 2 has other keys" in run.stderr
         assert "Traceback" not in run.stderr
+
+    def test_script_exits_1_with_its_usage_at_a_k_not_in_ascii_digits(self, second_trace, tmp_path):
+        # "²" passes str.isdigit() but not int(): refused before a file is read
+        (tmp_path / "trace.json").write_text(save_trace(second_trace))
+        (tmp_path / "system.json").write_text(save_system(extract_triad_system(second_trace)))
+        run = subprocess.run([sys.executable, trace_check.__file__, str(tmp_path / "trace.json"),
+                              str(tmp_path / "system.json"), "\u00b2"], capture_output=True, text=True)
+        assert run.returncode == 1 and run.stdout == "" and "Traceback" not in run.stderr
+        assert run.stderr == trace_check.__doc__ + "\n"
 
     def test_script_refuses_a_repeated_key_and_a_file_not_utf8_json(self, second_trace, tmp_path):
         # fact 0's value written twice, the last one its own: json's default
@@ -1092,7 +1071,7 @@ IMAGE_CASES = {
     "second": (demo_second_proof, (7, 1)),
     # the on-axis lattice target, where the images merge the most rays
     "pi": (lambda: demo_first_proof(polar_target(0.34038461538461534, math.pi)), (18, 6)),
-    # CI's off-axis target, where they merge none
+    # TestEndToEnd's off-axis target (tests/test_cli.py), where they merge none
     "generic": (lambda: demo_first_proof(polar_target(0.3, 1.0)), (0, 0)),
     **{f"golden{i}": (lambda i=i: demo_first_proof(golden_pole(i)), None) for i in range(40)},
 }

@@ -11,11 +11,11 @@ from ksgeom import kernels
 from ksgeom.coloring import SolveMode, count_colorings_by_enumeration, solve
 from ksgeom.demos import DEFAULT_POLE_ANGLE, demo_first_proof, demo_second_proof
 from ksgeom.kernels import FREE
-from ksgeom.sphere import canonicalize, complete_tripod
+from ksgeom.sphere import canonicalize
 from ksgeom.system import TriadSystem
 from ksgeom.trace import extract_triad_system
 
-from conftest import peres_system, relabelled
+from conftest import book_system, peres_system, relabelled
 
 
 def reference_solve_kernel(n: int, triads: Sequence[tuple], pairs: Sequence[tuple], stop_at_first: bool):
@@ -152,18 +152,7 @@ class TestKernelRegression:
 
     @pytest.mark.parametrize("k", range(12, 18))
     def test_book_node_counts(self, k):
-        # one spine shared by k tripods (2^k + 1 colorings), as color-count builds it
-        base = complete_tripod(canonicalize((0.3, 0.4, 0.866)))
-        rays, triads = [base.a, base.b, base.c], [(0, 1, 2)]
-        for i in range(1, k):
-            c, s = math.cos(i * math.pi / (2 * k)), math.sin(i * math.pi / (2 * k))
-            b, d = base.b.vec, base.c.vec
-            rays += [
-                canonicalize(tuple(c * x + s * y for x, y in zip(b, d))),
-                canonicalize(tuple(-s * x + c * y for x, y in zip(b, d))),
-            ]
-            triads.append((0, len(rays) - 2, len(rays) - 1))
-        s = TriadSystem(rays=tuple(rays), triads=tuple(triads))
+        s = book_system(k)
         count = solve(s, SolveMode.COUNT)
         assert (count.count, count.nodes_explored) == (2**k + 1, 2 ** (k + 1))
         assert solve(s, SolveMode.FIRST_WITNESS).nodes_explored == 1

@@ -212,7 +212,8 @@ def check_oracle(system, core, k):
 
 
 def main(argv):
-    if len(argv) not in (1, 3) or len(argv) == 3 and not argv[2].isdigit():
+    # K in ASCII digits only: '²' passes isdigit() but not int()
+    if len(argv) not in (1, 3) or len(argv) == 3 and not (argv[2].isascii() and argv[2].isdigit()):
         sys.exit(__doc__)
     try:
         text = Path(argv[0]).read_bytes().decode("utf-8")
